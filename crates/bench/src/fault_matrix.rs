@@ -221,7 +221,7 @@ pub fn canonical_rows(db: &Database, relation: &str) -> Result<Vec<String>, Stri
         return Ok(Vec::new());
     };
     let rows = rel
-        .as_temporal()
+        .table()
         .scan_rows()
         .map_err(|e| format!("scan_rows: {e}"))?;
     let mut out: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
@@ -457,7 +457,7 @@ fn run_one_site(
     // 4a: oracle equality over the durable commit prefix.
     let commits = db
         .relation(RELATION)
-        .map(|r| r.as_temporal().transactions())
+        .map(|r| r.table().transactions())
         .unwrap_or(0);
     if commits > total_commits() {
         return Err(format!(
@@ -573,7 +573,7 @@ fn run_one_unwind(spec: &SiteSpec) -> Result<String, String> {
                 .map_err(|e| format!("reopen after injected error: {e}"))?;
             let commits = db2
                 .relation(RELATION)
-                .map(|r| r.as_temporal().transactions())
+                .map(|r| r.table().transactions())
                 .unwrap_or(0);
             let oracle = oracle_with_commits(commits);
             if canonical_rows(&db2, RELATION)? != canonical_rows(&oracle, RELATION)? {
@@ -668,7 +668,7 @@ fn run_one_unwind_engine(spec: &SiteSpec) -> Result<String, String> {
         .map_err(|e| format!("reopen after injected error: {e}"))?;
     let commits = db2
         .relation(RELATION)
-        .map(|r| r.as_temporal().transactions())
+        .map(|r| r.table().transactions())
         .unwrap_or(0);
     let oracle = oracle_with_commits(commits);
     if canonical_rows(&db2, RELATION)? != canonical_rows(&oracle, RELATION)? {

@@ -10,32 +10,31 @@
 //! a checksummed `checkpoint` file, and the log is truncated.  Reopening
 //! loads the checkpoint and replays only the log suffix.
 //!
-//! The checkpoint preserves *everything* the log encoded: every
-//! bitemporal version, every rollback version, all transaction counters
-//! and the last commit time, so `as of` queries answer identically
-//! before and after (asserted by the durability tests).
+//! The checkpoint preserves *everything* the log encoded: every stored
+//! version of every relation, all transaction counters and the last
+//! commit time, so `as of` queries answer identically before and after
+//! (asserted by the durability tests).  Every relation class has the
+//! same image shape — the rows with both timestamps — because every
+//! class lives in the same store; the class itself is the catalog's.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use chronos_core::chronon::Chronon;
-use chronos_core::relation::historical::HistoricalRelation;
-use chronos_core::relation::rollback::RollbackStore as _;
-use chronos_core::relation::rollback::{RollbackRow, TimestampedRollback};
-use chronos_core::relation::static_rel::StaticRelation;
 use chronos_core::relation::temporal::{BitemporalRow, TemporalStore as _};
-use chronos_core::schema::Schema;
 use chronos_storage::codec::{
     crc32, get_period, get_tuple, get_validity, put_ivarint, put_period, put_tuple, put_uvarint,
     put_validity, Reader,
 };
-use chronos_storage::table::StoredBitemporalTable;
 use chronos_storage::{StorageError, StorageResult};
 
 use crate::catalog::CatalogEntry;
 use crate::relation::Relation;
 
-const MAGIC: &[u8; 8] = b"CHRONCKP";
+/// Format 2: one image shape for every relation class.
+const MAGIC: &[u8; 8] = b"CHRONCK2";
+/// Format 1 tagged each image with its class and had four layouts.
+const MAGIC_V1: &[u8; 8] = b"CHRONCKP";
 
 /// A loaded checkpoint: the per-relation images plus the WAL floor —
 /// the last commit time the checkpoint has already absorbed.  Replay
@@ -50,30 +49,18 @@ pub struct Checkpoint {
     pub images: BTreeMap<u32, RelationImage>,
 }
 
-/// The checkpointed state of one relation.
-pub enum RelationImage {
-    /// A static relation's tuples.
-    Static(Vec<chronos_core::tuple::Tuple>),
-    /// A rollback relation's rows plus counters.
-    Rollback {
-        /// All versions.
-        rows: Vec<RollbackRow>,
-        /// Latest commit time.
-        last_commit: Option<Chronon>,
-        /// Committed transaction count.
-        transactions: u64,
-    },
-    /// A historical relation's rows.
-    Historical(Vec<chronos_core::relation::historical::HistoricalRow>),
-    /// A temporal relation's rows plus counters.
-    Temporal {
-        /// All versions.
-        rows: Vec<BitemporalRow>,
-        /// Latest commit time.
-        last_commit: Option<Chronon>,
-        /// Committed transaction count.
-        transactions: u64,
-    },
+/// The checkpointed state of one relation, whatever its class: every
+/// stored row with both timestamps, plus the commit counters.  The class
+/// lives in the catalog, not here.
+#[derive(Debug, PartialEq)]
+pub struct RelationImage {
+    /// Every stored version (only current ones for a class that drops
+    /// superseded versions).
+    pub rows: Vec<BitemporalRow>,
+    /// Latest commit time.
+    pub last_commit: Option<Chronon>,
+    /// Committed transaction count.
+    pub transactions: u64,
 }
 
 fn put_opt_chronon(buf: &mut Vec<u8>, c: Option<Chronon>) {
@@ -96,173 +83,56 @@ fn get_opt_chronon(r: &mut Reader<'_>) -> StorageResult<Option<Chronon>> {
 
 /// Captures the image of a live relation.
 pub fn capture(rel: &Relation) -> StorageResult<RelationImage> {
-    Ok(match rel {
-        Relation::Static(r) => RelationImage::Static(r.iter().cloned().collect()),
-        Relation::Rollback(r) => RelationImage::Rollback {
-            rows: r.store().rows().to_vec(),
-            last_commit: r.store().last_commit(),
-            transactions: r.store().transactions() as u64,
-        },
-        Relation::Historical(r) => RelationImage::Historical(r.rows().to_vec()),
-        Relation::Temporal(r) => RelationImage::Temporal {
-            rows: r.scan_rows()?,
-            last_commit: r.last_commit(),
-            transactions: r.transactions() as u64,
-        },
+    Ok(RelationImage {
+        rows: rel.image_rows()?,
+        last_commit: rel.table().last_commit(),
+        transactions: rel.table().transactions() as u64,
     })
 }
 
 fn encode_image(buf: &mut Vec<u8>, image: &RelationImage) {
-    match image {
-        RelationImage::Static(tuples) => {
-            buf.push(0);
-            put_uvarint(buf, tuples.len() as u64);
-            for t in tuples {
-                put_tuple(buf, t);
-            }
-        }
-        RelationImage::Rollback {
-            rows,
-            last_commit,
-            transactions,
-        } => {
-            buf.push(1);
-            put_opt_chronon(buf, *last_commit);
-            put_uvarint(buf, *transactions);
-            put_uvarint(buf, rows.len() as u64);
-            for row in rows {
-                put_tuple(buf, &row.tuple);
-                put_period(buf, row.tx);
-            }
-        }
-        RelationImage::Historical(rows) => {
-            buf.push(2);
-            put_uvarint(buf, rows.len() as u64);
-            for row in rows {
-                put_tuple(buf, &row.tuple);
-                put_validity(buf, row.validity);
-            }
-        }
-        RelationImage::Temporal {
-            rows,
-            last_commit,
-            transactions,
-        } => {
-            buf.push(3);
-            put_opt_chronon(buf, *last_commit);
-            put_uvarint(buf, *transactions);
-            put_uvarint(buf, rows.len() as u64);
-            for row in rows {
-                put_tuple(buf, &row.tuple);
-                put_validity(buf, row.validity);
-                put_period(buf, row.tx);
-            }
-        }
+    put_opt_chronon(buf, image.last_commit);
+    put_uvarint(buf, image.transactions);
+    put_uvarint(buf, image.rows.len() as u64);
+    for row in &image.rows {
+        put_tuple(buf, &row.tuple);
+        put_validity(buf, row.validity);
+        put_period(buf, row.tx);
     }
 }
 
 fn decode_image(r: &mut Reader<'_>) -> StorageResult<RelationImage> {
-    match r.get_u8()? {
-        0 => {
-            let n = r.get_uvarint()? as usize;
-            let mut tuples = Vec::with_capacity(n);
-            for _ in 0..n {
-                tuples.push(get_tuple(r)?);
-            }
-            Ok(RelationImage::Static(tuples))
-        }
-        1 => {
-            let last_commit = get_opt_chronon(r)?;
-            let transactions = r.get_uvarint()?;
-            let n = r.get_uvarint()? as usize;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(RollbackRow {
-                    tuple: get_tuple(r)?,
-                    tx: get_period(r)?,
-                });
-            }
-            Ok(RelationImage::Rollback {
-                rows,
-                last_commit,
-                transactions,
-            })
-        }
-        2 => {
-            let n = r.get_uvarint()? as usize;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(chronos_core::relation::historical::HistoricalRow {
-                    tuple: get_tuple(r)?,
-                    validity: get_validity(r)?,
-                });
-            }
-            Ok(RelationImage::Historical(rows))
-        }
-        3 => {
-            let last_commit = get_opt_chronon(r)?;
-            let transactions = r.get_uvarint()?;
-            let n = r.get_uvarint()? as usize;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push(BitemporalRow {
-                    tuple: get_tuple(r)?,
-                    validity: get_validity(r)?,
-                    tx: get_period(r)?,
-                });
-            }
-            Ok(RelationImage::Temporal {
-                rows,
-                last_commit,
-                transactions,
-            })
-        }
-        t => Err(StorageError::Corrupt(format!("bad relation image tag {t}"))),
+    let last_commit = get_opt_chronon(r)?;
+    let transactions = r.get_uvarint()?;
+    let n = r.get_uvarint()?;
+    // The count is untrusted: let the rows that actually decode size
+    // the vector, not a number a flipped bit can make enormous.
+    let mut rows = Vec::new();
+    for _ in 0..n {
+        rows.push(BitemporalRow {
+            tuple: get_tuple(r)?,
+            validity: get_validity(r)?,
+            tx: get_period(r)?,
+        });
     }
+    Ok(RelationImage {
+        rows,
+        last_commit,
+        transactions,
+    })
 }
 
-/// Restores a live relation from its image, validating against the
-/// catalog entry's schema/class/signature.
+/// Restores a live relation from its image, validating the rows against
+/// the catalog entry's schema, class and signature.
 pub fn restore(entry: &CatalogEntry, image: RelationImage) -> StorageResult<Relation> {
-    let schema: Schema = entry.schema.clone();
-    Ok(match image {
-        RelationImage::Static(tuples) => {
-            let mut r = StaticRelation::new(schema);
-            for t in tuples {
-                r.insert(t).map_err(StorageError::Core)?;
-            }
-            Relation::Static(r)
-        }
-        RelationImage::Rollback {
-            rows,
-            last_commit,
-            transactions,
-        } => Relation::Rollback(crate::relation::RollbackRelation::from_restored(
-            TimestampedRollback::from_parts(schema, rows, last_commit, transactions as usize)
-                .map_err(StorageError::Core)?,
-        )),
-        RelationImage::Historical(rows) => {
-            let mut r = HistoricalRelation::new(schema, entry.signature);
-            for row in rows {
-                r.insert(row.tuple, row.validity)
-                    .map_err(StorageError::Core)?;
-            }
-            Relation::Historical(r)
-        }
-        RelationImage::Temporal {
-            rows,
-            last_commit,
-            transactions,
-        } => Relation::Temporal(Box::new(StoredBitemporalTable::<
-            chronos_storage::pager::MemPager,
-        >::from_rows(
-            schema,
-            entry.signature,
-            rows,
-            last_commit,
-            transactions as usize,
-        )?)),
-    })
+    Relation::from_rows(
+        entry.schema.clone(),
+        entry.class,
+        entry.signature,
+        image.rows,
+        image.last_commit,
+        image.transactions as usize,
+    )
 }
 
 /// Writes a checkpoint file: the WAL floor, then `(rel_id → image)`
@@ -301,11 +171,23 @@ pub fn save(
 
 /// Loads a checkpoint file; absent file means no checkpoint.
 pub fn load(path: &Path) -> StorageResult<Option<Checkpoint>> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
+    match std::fs::read(path) {
+        Ok(bytes) => decode(&bytes).map(Some),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Decodes the bytes of a checkpoint file.  They are untrusted: any
+/// input yields a checkpoint or a typed error, never a panic.
+pub fn decode(bytes: &[u8]) -> StorageResult<Checkpoint> {
+    if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 {
+        return Err(StorageError::UnsupportedFormat {
+            file: "checkpoint",
+            found: 1,
+            supported: 2,
+        });
+    }
     if bytes.len() < 12 || &bytes[..8] != MAGIC {
         return Err(StorageError::Corrupt("bad checkpoint magic".into()));
     }
@@ -320,14 +202,156 @@ pub fn load(path: &Path) -> StorageResult<Option<Checkpoint>> {
     }
     let mut r = Reader::new(body);
     let wal_floor = get_opt_chronon(&mut r)?;
-    let n = r.get_uvarint()? as usize;
+    let n = r.get_uvarint()?;
     let mut images = BTreeMap::new();
     for _ in 0..n {
-        let rel_id = r.get_uvarint()? as u32;
+        let rel_id = u32::try_from(r.get_uvarint()?)
+            .map_err(|_| StorageError::Corrupt("relation id out of range".into()))?;
         images.insert(rel_id, decode_image(&mut r)?);
     }
     if !r.is_exhausted() {
         return Err(StorageError::Corrupt("trailing bytes in checkpoint".into()));
     }
-    Ok(Some(Checkpoint { wal_floor, images }))
+    Ok(Checkpoint { wal_floor, images })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chronos_core::period::Period;
+    use chronos_core::relation::Validity;
+    use chronos_core::tuple::tuple;
+    use proptest::prelude::*;
+
+    fn arb_row() -> impl Strategy<Value = BitemporalRow> {
+        (
+            0u8..5,
+            0i64..50,
+            prop::option::of(1i64..30),
+            0i64..50,
+            prop::option::of(1i64..30),
+        )
+            .prop_map(|(name, vfrom, vlen, tfrom, tlen)| {
+                let period = |from: i64, len: Option<i64>| match len {
+                    Some(len) => Period::new(Chronon::new(from), Chronon::new(from + len)).unwrap(),
+                    None => Period::from_start(Chronon::new(from)),
+                };
+                BitemporalRow {
+                    tuple: tuple([format!("n{name}"), "rank".to_string()]),
+                    validity: Validity::Interval(period(vfrom, vlen)),
+                    tx: period(tfrom, tlen),
+                }
+            })
+    }
+
+    fn arb_checkpoint() -> impl Strategy<Value = (Option<i64>, Vec<(u32, Vec<BitemporalRow>)>)> {
+        (
+            prop::option::of(0i64..100),
+            prop::collection::vec((0u32..9, prop::collection::vec(arb_row(), 0..6)), 0..4),
+        )
+    }
+
+    /// The bytes `save` writes for the generated checkpoint, and the
+    /// checkpoint they must load back as.
+    fn written(
+        tag: &str,
+        floor: Option<i64>,
+        relations: Vec<(u32, Vec<BitemporalRow>)>,
+    ) -> (Vec<u8>, Checkpoint) {
+        let images: BTreeMap<u32, RelationImage> = relations
+            .into_iter()
+            .map(|(rel_id, rows)| {
+                let image = RelationImage {
+                    transactions: rows.len() as u64,
+                    last_commit: floor.map(Chronon::new),
+                    rows,
+                };
+                (rel_id, image)
+            })
+            .collect();
+        let path =
+            std::env::temp_dir().join(format!("chronos-ckpt-prop-{tag}-{}", std::process::id()));
+        let wal_floor = floor.map(Chronon::new);
+        save(&path, wal_floor, &images).expect("save");
+        let bytes = std::fs::read(&path).expect("read back");
+        assert_eq!(
+            same(&load(&path).expect("load").expect("present")),
+            (wal_floor, &images)
+        );
+        std::fs::remove_file(&path).expect("clean up");
+        (bytes, Checkpoint { wal_floor, images })
+    }
+
+    fn same(c: &Checkpoint) -> (Option<Chronon>, &BTreeMap<u32, RelationImage>) {
+        (c.wal_floor, &c.images)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Untrusted bytes: whatever is done to a checkpoint file, loading
+        /// it yields a typed error or the checkpoint that was written —
+        /// never a panic, never a different value.
+        #[test]
+        fn damaged_checkpoints_never_load_as_something_else(
+            (floor, relations) in arb_checkpoint(),
+            cut in any::<prop::sample::Index>(),
+            flip in any::<prop::sample::Index>(),
+            bit in 0u32..8,
+        ) {
+            let (bytes, original) = written("damage", floor, relations);
+            let truncated = &bytes[..cut.index(bytes.len())];
+            prop_assert!(decode(truncated).is_err(), "cut at {}", truncated.len());
+            let mut flipped = bytes.clone();
+            flipped[flip.index(bytes.len())] ^= 1 << bit;
+            match decode(&flipped) {
+                Err(_) => {}
+                Ok(loaded) => prop_assert_eq!(same(&loaded), same(&original)),
+            }
+        }
+
+        /// Past the magic and a matching CRC the body is still untrusted:
+        /// any byte soup decodes to an error or to *some* checkpoint.
+        #[test]
+        fn arbitrary_bodies_never_panic(
+            body in prop::collection::vec(any::<u8>(), 0..200),
+            (floor, relations) in arb_checkpoint(),
+            splice in any::<prop::sample::Index>(),
+        ) {
+            let framed = |body: &[u8]| {
+                let mut out = MAGIC.to_vec();
+                out.extend_from_slice(&crc32(body).to_le_bytes());
+                out.extend_from_slice(body);
+                out
+            };
+            let _ = decode(&body);
+            let _ = decode(&framed(&body));
+            // Structure-aware: a valid body with garbage spliced into it.
+            let (bytes, _) = written("splice", floor, relations);
+            let mut spliced = bytes[12..].to_vec();
+            let at = splice.index(spliced.len());
+            spliced.splice(at..at, body.iter().copied());
+            let _ = decode(&framed(&spliced));
+        }
+    }
+
+    #[test]
+    fn format_1_is_refused_by_name_not_misread() {
+        let mut v1 = MAGIC_V1.to_vec();
+        v1.extend_from_slice(&crc32(&[0, 0]).to_le_bytes());
+        v1.extend_from_slice(&[0, 0]);
+        let err = decode(&v1).map(|_| ()).unwrap_err();
+        assert!(matches!(
+            err,
+            StorageError::UnsupportedFormat {
+                file: "checkpoint",
+                found: 1,
+                supported: 2
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "checkpoint is format version 1; this build reads version 2"
+        );
+    }
 }

@@ -38,8 +38,8 @@ use crate::observe::{DbObsSource, ObsBootstrap};
 use crate::relation::Relation;
 use crate::session::Session;
 
-/// Closed versions a temporal relation accumulates before a checkpoint
-/// freezes them into an immutable segment.
+/// Closed versions a relation accumulates before a checkpoint freezes
+/// them into an immutable segment.
 pub const DEFAULT_FREEZE_THRESHOLD: usize = 128;
 
 /// Deletes stale segment files (best effort: segments are a cache).
@@ -89,8 +89,8 @@ pub struct Database {
     physical: Arc<PhysicalStore>,
     /// The background stats sampler, when started.
     sampler: Option<StatsSampler>,
-    /// Closed-version count at which a checkpoint freezes a temporal
-    /// relation's history into an immutable segment.
+    /// Closed-version count at which a checkpoint freezes a relation's
+    /// history into an immutable segment.
     freeze_threshold: usize,
 }
 
@@ -182,23 +182,13 @@ impl Database {
         obs.health.mark_checkpoint_loaded();
         let mut relations = HashMap::new();
         let mut by_id: HashMap<u32, String> = HashMap::new();
-        let mut last_commit: Option<chronos_core::chronon::Chronon> = None;
-        let mut observe = |t: Option<chronos_core::chronon::Chronon>| {
-            if let Some(t) = t {
-                last_commit = Some(match last_commit {
-                    Some(prev) => prev.max_of(t),
-                    None => t,
-                });
-            }
-        };
+        // The transaction clock resumes after the latest commit anything
+        // on disk knows about (`None` sorts below every commit time).
+        let mut last_commit: Option<Chronon> = None;
         for (name, entry) in catalog.iter() {
             let rel = match images.remove(&entry.rel_id) {
                 Some(image) => {
-                    if let crate::checkpoint::RelationImage::Rollback { last_commit, .. }
-                    | crate::checkpoint::RelationImage::Temporal { last_commit, .. } = &image
-                    {
-                        observe(*last_commit);
-                    }
+                    last_commit = last_commit.max(image.last_commit);
                     crate::checkpoint::restore(entry, image)?
                 }
                 None => Relation::new(entry.schema.clone(), entry.class, entry.signature),
@@ -219,7 +209,7 @@ impl Database {
                 ],
             );
         }
-        observe(wal_floor);
+        last_commit = last_commit.max(wal_floor);
         let mut frames_replayed = 0usize;
         let mut frames_skipped = 0usize;
         for rec in &recovered.records {
@@ -240,7 +230,7 @@ impl Database {
                 )))
             })?;
             frames_replayed += 1;
-            observe(Some(rec.tx_time));
+            last_commit = last_commit.max(Some(rec.tx_time));
         }
         obs.health.mark_wal_recovered();
         recorder.emit_event(
@@ -338,10 +328,7 @@ impl Database {
         let to_freeze: Vec<String> = self
             .relations
             .iter()
-            .filter(|(_, rel)| match rel {
-                Relation::Temporal(t) => t.frozen_version_count() >= self.freeze_threshold,
-                _ => false,
-            })
+            .filter(|(_, rel)| rel.table().frozen_version_count() >= self.freeze_threshold)
             .map(|(name, _)| name.clone())
             .collect();
         for name in to_freeze {
@@ -361,7 +348,9 @@ impl Database {
     /// Freezes `name`'s closed versions into an immutable mmap-backed
     /// segment under `dir/segments/`, leaving the mutable tail on the
     /// pager.  Explicit counterpart of the checkpoint-time auto-freeze;
-    /// durable, temporal relations only.
+    /// durable databases only.  What freezes is decided by the rows, not
+    /// the class: a relation with no closed versions (always the case
+    /// where superseded versions are dropped) reports zero.
     pub fn freeze_relation(&mut self, name: &str) -> DbResult<FreezeOutcome> {
         Self::reject_system_write(name)?;
         let Some(dir) = self.dir.clone() else {
@@ -372,11 +361,7 @@ impl Database {
         let Some(rel) = self.relations.get_mut(name) else {
             return Err(DbError::Catalog(format!("unknown relation {name:?}")));
         };
-        let Relation::Temporal(table) = rel else {
-            return Err(DbError::Capability(format!(
-                "{name:?} is not a temporal relation: only temporal histories freeze"
-            )));
-        };
+        let table = rel.table_mut();
         let seg_dir = dir.join("segments");
         std::fs::create_dir_all(&seg_dir).map_err(chronos_storage::StorageError::from)?;
         let file = format!("{name}-{}.seg", table.segments().len());
@@ -681,79 +666,52 @@ impl Database {
     ) -> DbResult<()> {
         use chronos_core::relation::temporal::BitemporalRow;
         Self::reject_system_write(name)?;
-        let class = match result.kind {
-            DatabaseClass::Static => RelationClass::Static,
-            DatabaseClass::StaticRollback => RelationClass::StaticRollback,
-            DatabaseClass::Historical => RelationClass::Historical,
-            DatabaseClass::Temporal => RelationClass::Temporal,
-        };
-        let schema = result.schema.clone();
-        let mut relation = match class {
-            RelationClass::Static => {
-                let mut r = chronos_core::relation::static_rel::StaticRelation::new(schema.clone());
-                for row in &result.rows {
-                    r.insert(row.tuple.clone())?;
-                }
-                Relation::Static(r)
-            }
-            RelationClass::Historical => {
-                let mut r = chronos_core::relation::historical::HistoricalRelation::new(
-                    schema.clone(),
-                    result.signature,
-                );
-                for row in &result.rows {
-                    let validity = row.validity.ok_or_else(|| {
-                        DbError::Capability("historical result row lacks valid time".into())
-                    })?;
-                    r.insert(row.tuple.clone(), validity)?;
-                }
-                Relation::Historical(r)
-            }
-            RelationClass::Temporal => {
-                let mut rows = Vec::with_capacity(result.rows.len());
-                let mut last_commit: Option<Chronon> = None;
-                for row in &result.rows {
-                    let validity = row.validity.ok_or_else(|| {
-                        DbError::Capability("temporal result row lacks valid time".into())
-                    })?;
-                    let tx = row.tx.ok_or_else(|| {
-                        DbError::Capability("temporal result row lacks transaction time".into())
-                    })?;
-                    if let Some(start) = tx.start().finite() {
-                        last_commit = Some(match last_commit {
-                            Some(prev) => prev.max_of(start),
-                            None => start,
-                        });
-                    }
-                    rows.push(BitemporalRow {
-                        tuple: row.tuple.clone(),
-                        validity,
-                        tx,
-                    });
-                }
-                let transactions = {
-                    let mut starts: Vec<_> = rows.iter().map(|r| r.tx.start()).collect();
-                    starts.sort();
-                    starts.dedup();
-                    starts.len()
-                };
-                Relation::Temporal(Box::new(chronos_storage::table::StoredBitemporalTable::<
-                    chronos_storage::pager::MemPager,
-                >::from_rows(
-                    schema.clone(),
-                    result.signature,
-                    rows,
-                    last_commit,
-                    transactions,
-                )?))
-            }
-            RelationClass::StaticRollback => {
-                return Err(DbError::Capability(
+        let class =
+            match result.kind {
+                DatabaseClass::Static => RelationClass::Static,
+                DatabaseClass::StaticRollback => return Err(DbError::Capability(
                     "query results are never rollback relations (rollback yields static results)"
                         .into(),
-                ))
-            }
-        };
+                )),
+                DatabaseClass::Historical => RelationClass::Historical,
+                DatabaseClass::Temporal => RelationClass::Temporal,
+            };
+        let schema = result.schema.clone();
+        // A result row carries exactly the axes of its class; an axis
+        // the class lacks spans all of time.
+        let mut rows = Vec::with_capacity(result.rows.len());
+        let mut commits = std::collections::BTreeSet::new();
+        for row in &result.rows {
+            let validity = if result.kind.supports_historical_queries() {
+                row.validity.ok_or_else(|| {
+                    DbError::Capability(format!("{class} result row lacks valid time"))
+                })?
+            } else {
+                crate::relation::ALWAYS
+            };
+            let tx = if result.kind.supports_rollback() {
+                let tx = row.tx.ok_or_else(|| {
+                    DbError::Capability(format!("{class} result row lacks transaction time"))
+                })?;
+                commits.extend(tx.start().finite());
+                tx
+            } else {
+                chronos_core::period::Period::ALWAYS
+            };
+            rows.push(BitemporalRow {
+                tuple: row.tuple.clone(),
+                validity,
+                tx,
+            });
+        }
+        let mut relation = Relation::from_rows(
+            schema.clone(),
+            class,
+            result.signature,
+            rows,
+            commits.last().copied(),
+            commits.len(),
+        )?;
         self.catalog
             .define(name, schema, class, result.signature)
             .map_err(DbError::Catalog)?;
@@ -819,8 +777,9 @@ impl Database {
                     name: name.clone(),
                     class: entry.class.to_string(),
                     tuples: rel.stored_tuples() as i64,
-                    bytes: relation_bytes(rel) as i64,
-                    checkpoint_k: relation_checkpoint_k(rel) as i64,
+                    bytes: i64::from(rel.table().heap_pages())
+                        * chronos_storage::page::PAGE_SIZE as i64,
+                    checkpoint_k: rel.table().checkpoint_interval() as i64,
                 }
             })
             .collect();
@@ -880,63 +839,42 @@ impl Database {
             .relations
             .get(relation)
             .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))?;
+        let class = rel.class().database_class();
         let mut stats: Vec<(String, i64)> = Vec::new();
-        match rel {
-            Relation::Static(r) => {
-                let tuples: Vec<_> = r.iter().collect();
-                push_stat(&mut stats, "rows", tuples.len() as i64);
-                push_stat(&mut stats, "versions", tuples.len() as i64);
-                push_key_stats(&mut stats, tuples.iter().map(|t| key_of(t)));
-            }
-            Relation::Rollback(r) => {
-                let all = r.store().rows();
-                let current = all.iter().filter(|row| row.is_current()).count();
-                push_stat(&mut stats, "rows", current as i64);
-                push_stat(&mut stats, "versions", all.len() as i64);
-                push_key_stats(&mut stats, all.iter().map(|row| key_of(&row.tuple)));
-                push_duration_histogram(&mut stats, "tx_dur", all.iter().map(|row| row.tx));
-            }
-            Relation::Historical(r) => {
-                let all = r.rows();
-                push_stat(&mut stats, "rows", all.len() as i64);
-                push_stat(&mut stats, "versions", all.len() as i64);
-                push_key_stats(&mut stats, all.iter().map(|row| key_of(&row.tuple)));
-                let valid: Vec<_> = all.iter().map(|row| row.validity.period()).collect();
-                push_duration_histogram(&mut stats, "vt_dur", valid.iter().copied());
-                push_overlap_histogram(&mut stats, &valid);
-            }
-            Relation::Temporal(r) => {
-                let all = r.scan_rows()?;
-                let current = all.iter().filter(|row| row.is_current()).count();
-                push_stat(&mut stats, "rows", current as i64);
-                push_stat(&mut stats, "versions", all.len() as i64);
-                push_key_stats(&mut stats, all.iter().map(|row| key_of(&row.tuple)));
-                let valid: Vec<_> = all.iter().map(|row| row.validity.period()).collect();
-                push_duration_histogram(&mut stats, "vt_dur", valid.iter().copied());
-                push_duration_histogram(&mut stats, "tx_dur", all.iter().map(|row| row.tx));
-                push_overlap_histogram(&mut stats, &valid);
-            }
+        let all = rel.table().scan_rows()?;
+        let current = all.iter().filter(|row| row.is_current()).count();
+        push_stat(&mut stats, "rows", current as i64);
+        push_stat(&mut stats, "versions", all.len() as i64);
+        push_key_stats(&mut stats, all.iter().map(|row| key_of(&row.tuple)));
+        // Interval statistics only for the axes the class has.
+        let valid: Vec<_> = all.iter().map(|row| row.validity.period()).collect();
+        if class.supports_historical_queries() {
+            push_duration_histogram(&mut stats, "vt_dur", valid.iter().copied());
         }
+        if class.supports_rollback() {
+            push_duration_histogram(&mut stats, "tx_dur", all.iter().map(|row| row.tx));
+        }
+        if class.supports_historical_queries() {
+            push_overlap_histogram(&mut stats, &valid);
+        }
+        // Physical accounting, measured off the heap for every class.
+        let physical = rel.table().physical_stats()?;
         push_stat(
             &mut stats,
             "checkpoint_k",
-            relation_checkpoint_k(rel) as i64,
+            rel.table().checkpoint_interval() as i64,
         );
-        push_stat(&mut stats, "bytes", relation_bytes(rel) as i64);
-        // Physical per-version accounting: measured off the heap for
-        // temporal relations, estimated (duplication-free) otherwise.
-        let (bytes_per_version, dup_factor) = match rel {
-            Relation::Temporal(r) => {
-                let p = r.physical_stats()?;
-                (p.bytes_per_version as i64, p.dup_factor_x1000 as i64)
-            }
-            other => {
-                let versions = other.stored_tuples().max(1) as i64;
-                (relation_bytes(rel) as i64 / versions, 1000)
-            }
-        };
-        push_stat(&mut stats, "bytes_per_version", bytes_per_version);
-        push_stat(&mut stats, "dup_factor_x1000", dup_factor);
+        push_stat(&mut stats, "bytes", clamp_i64(physical.bytes_on_disk));
+        push_stat(
+            &mut stats,
+            "bytes_per_version",
+            clamp_i64(physical.bytes_per_version),
+        );
+        push_stat(
+            &mut stats,
+            "dup_factor_x1000",
+            clamp_i64(physical.dup_factor_x1000),
+        );
         let count = stats.len();
         let at = self.txn.peek_now();
         self.telemetry.record_tablestats(at, relation, stats);
@@ -1160,63 +1098,41 @@ impl Database {
                 .relations
                 .get(name)
                 .expect("catalog and stores in sync");
-            let row = match rel {
-                Relation::Temporal(r) => {
-                    // One row per frozen segment: sized from the mapped
-                    // file, with the segment's own duplication factor
-                    // (delta-coded, so ≈1000 where the heap duplicates).
-                    for seg in r.segments() {
-                        let s = seg.stats();
-                        rows.push(PagesRow {
-                            relation: name.clone(),
-                            class: "segment".to_string(),
-                            pages: 0,
-                            bytes_disk: clamp_i64(s.file_bytes),
-                            records: clamp_i64(s.versions),
-                            occupancy_x1000: clamp_i64(
-                                (s.stored_bytes * 1000)
-                                    .checked_div(s.file_bytes)
-                                    .unwrap_or(0),
-                            ),
-                            versions: clamp_i64(s.versions),
-                            bytes_per_version: clamp_i64(s.bytes_per_version),
-                            dup_factor_x1000: clamp_i64(s.dup_factor_x1000),
-                        });
-                    }
-                    match r.physical_stats() {
-                        Ok(p) => PagesRow {
-                            relation: name.clone(),
-                            class: entry.class.to_string(),
-                            pages: i64::from(p.pages),
-                            bytes_disk: clamp_i64(p.bytes_on_disk),
-                            records: clamp_i64(p.versions),
-                            occupancy_x1000: clamp_i64(p.occupancy_x1000),
-                            versions: clamp_i64(p.versions),
-                            bytes_per_version: clamp_i64(p.bytes_per_version),
-                            dup_factor_x1000: clamp_i64(p.dup_factor_x1000),
-                        },
-                        Err(_) => continue,
-                    }
-                }
-                other => {
-                    // No heap behind the in-memory classes: estimate
-                    // from tuple counts, like `sys$relations` bytes.
-                    let versions = other.stored_tuples() as i64;
-                    let bytes = relation_bytes(rel) as i64;
-                    PagesRow {
-                        relation: name.clone(),
-                        class: entry.class.to_string(),
-                        pages: 0,
-                        bytes_disk: bytes,
-                        records: versions,
-                        occupancy_x1000: 1000,
-                        versions,
-                        bytes_per_version: if versions == 0 { 0 } else { bytes / versions },
-                        dup_factor_x1000: 1000,
-                    }
-                }
+            // One row per frozen segment: sized from the mapped file,
+            // with the segment's own duplication factor (delta-coded, so
+            // ≈1000 where the heap duplicates).
+            for seg in rel.table().segments() {
+                let s = seg.stats();
+                rows.push(PagesRow {
+                    relation: name.clone(),
+                    class: "segment".to_string(),
+                    pages: 0,
+                    bytes_disk: clamp_i64(s.file_bytes),
+                    records: clamp_i64(s.versions),
+                    occupancy_x1000: clamp_i64(
+                        (s.stored_bytes * 1000)
+                            .checked_div(s.file_bytes)
+                            .unwrap_or(0),
+                    ),
+                    versions: clamp_i64(s.versions),
+                    bytes_per_version: clamp_i64(s.bytes_per_version),
+                    dup_factor_x1000: clamp_i64(s.dup_factor_x1000),
+                });
+            }
+            let Ok(p) = rel.table().physical_stats() else {
+                continue;
             };
-            rows.push(row);
+            rows.push(PagesRow {
+                relation: name.clone(),
+                class: entry.class.to_string(),
+                pages: i64::from(p.pages),
+                bytes_disk: clamp_i64(p.bytes_on_disk),
+                records: clamp_i64(p.versions),
+                occupancy_x1000: clamp_i64(p.occupancy_x1000),
+                versions: clamp_i64(p.versions),
+                bytes_per_version: clamp_i64(p.bytes_per_version),
+                dup_factor_x1000: clamp_i64(p.dup_factor_x1000),
+            });
         }
         if let Some(dir) = &self.dir {
             for file in ["catalog", "checkpoint", "wal", "events.jsonl"] {
@@ -1343,27 +1259,6 @@ fn storage_json_doc(rows: &[PagesRow]) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// Rough resident size of a relation's store in bytes: exact heap pages
-/// for temporal relations, a tuple-count estimate otherwise.
-fn relation_bytes(rel: &Relation) -> u64 {
-    match rel {
-        Relation::Temporal(r) => r.heap_pages() as u64 * chronos_storage::page::PAGE_SIZE as u64,
-        other => other.stored_tuples() as u64 * 64,
-    }
-}
-
-/// Checkpoint interval K of a relation's accelerator, 0 when it has
-/// none.
-fn relation_checkpoint_k(rel: &Relation) -> usize {
-    match rel {
-        Relation::Temporal(r) => r.checkpoint_interval(),
-        Relation::Rollback(r) if r.is_accelerated() => {
-            crate::relation::ROLLBACK_CHECKPOINT_INTERVAL
-        }
-        _ => 0,
-    }
 }
 
 fn push_stat(stats: &mut Vec<(String, i64)>, name: &str, value: i64) {
@@ -1563,14 +1458,11 @@ impl RelationProvider for Database {
             .relations
             .get(relation)
             .ok_or_else(|| TquelError::Semantic(format!("unknown relation {relation:?}")))?;
-        let rows = rel
-            .scan_traced(as_of, &self.recorder)
-            .map(Arc::new)
-            .map_err(|e| match e {
-                DbError::Tquel(t) => t,
-                DbError::Core(c) => TquelError::Core(c),
-                other => TquelError::Semantic(other.to_string()),
-            })?;
+        let rows = rel.scan(as_of).map(Arc::new).map_err(|e| match e {
+            DbError::Tquel(t) => t,
+            DbError::Core(c) => TquelError::Core(c),
+            other => TquelError::Semantic(other.to_string()),
+        })?;
         {
             // A coordinate strictly below the next commit time can never
             // be rewritten (transaction time is append-only and the

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use chronos_storage::inspect::{scan_wal, TailState, WalScan};
 
 use crate::catalog::Catalog;
-use crate::checkpoint::{self, RelationImage};
+use crate::checkpoint;
 
 /// What the doctor found out about the catalog file.
 pub enum CatalogReport {
@@ -46,8 +46,10 @@ pub enum CheckpointReport {
     Ok {
         /// Last commit time the images absorbed, in ticks.
         wal_floor: Option<i64>,
-        /// `(rel_id, class, rows)` per relation image.
-        images: Vec<(u32, &'static str, u64)>,
+        /// `(rel_id, class, rows)` per relation image.  Images are
+        /// class-uniform; the class is the catalog's, `?` where the
+        /// catalog has no such relation (or did not parse).
+        images: Vec<(u32, String, u64)>,
     },
     /// Present but bad magic, bad CRC, or undecodable body.
     Broken(String),
@@ -332,13 +334,18 @@ pub fn inspect(dir: &Path) -> std::io::Result<Inspection> {
                 .images
                 .iter()
                 .map(|(rel_id, image)| {
-                    let (class, rows) = match image {
-                        RelationImage::Static(t) => ("static", t.len() as u64),
-                        RelationImage::Rollback { rows, .. } => ("rollback", rows.len() as u64),
-                        RelationImage::Historical(r) => ("historical", r.len() as u64),
-                        RelationImage::Temporal { rows, .. } => ("temporal", rows.len() as u64),
+                    let class = match &catalog {
+                        CatalogReport::Ok(entries) => entries
+                            .iter()
+                            .find(|(_, _, _, id)| id == rel_id)
+                            .map(|(_, class, _, _)| class.clone()),
+                        _ => None,
                     };
-                    (*rel_id, class, rows)
+                    (
+                        *rel_id,
+                        class.unwrap_or_else(|| "?".to_string()),
+                        image.rows.len() as u64,
+                    )
                 })
                 .collect(),
         },
@@ -586,6 +593,51 @@ mod tests {
             .problems
             .iter()
             .any(|p| p.contains("checkpoint does not parse")));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_images_take_their_class_from_the_catalog() {
+        let dir = temp_dir("classes");
+        let clock = Arc::new(ManualClock::new(date("08/25/77").unwrap()));
+        let mut db = Database::open(&dir, clock).unwrap();
+        db.session()
+            .run(
+                r#"
+                create s (name = str) as static
+                create r (name = str) as rollback
+                create h (name = str) as historical
+                create t (name = str) as temporal
+                append to s (name = "x")
+                append to r (name = "x")
+                append to h (name = "x")
+                append to t (name = "x")
+                range of v is r
+                delete v where v.name = "x"
+            "#,
+            )
+            .unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+        let report = inspect(&dir).unwrap();
+        assert!(report.healthy(), "problems: {:?}", report.problems);
+        let CheckpointReport::Ok { images, .. } = &report.checkpoint else {
+            panic!("checkpoint should parse");
+        };
+        // Images come in rel_id (creation) order and carry no class of
+        // their own; r kept the version its delete closed.
+        let by_class: Vec<(&str, u64)> = images.iter().map(|(_, c, n)| (c.as_str(), *n)).collect();
+        assert_eq!(
+            by_class,
+            [
+                ("static", 1),
+                ("static rollback", 1),
+                ("historical", 1),
+                ("temporal", 1)
+            ]
+        );
+        let text = report.human_report();
+        assert!(text.contains("static rollback  1 row(s)"), "{text}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

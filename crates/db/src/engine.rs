@@ -32,10 +32,13 @@
 //! The writer applies a commit to the in-memory state *before* its
 //! covering fsync.  Snapshot pins are taken from the **durable**
 //! watermark (the last fsync-covered commit), so a pinned session can
-//! never observe a commit that a crash could still revoke.  Relations
-//! without transaction time (static, historical) cannot be clamped
-//! and read at read-committed isolation; the same holds for the
-//! latest-state scans that lower `delete`/`replace` statements.
+//! never observe a commit that a crash could still revoke.  Every
+//! relation class lives in the same store, but a static or historical
+//! relation *drops* a superseded version instead of closing it, so
+//! there is no past state to clamp its scans to: those two classes read
+//! at read-committed isolation, as do the latest-state scans that lower
+//! `delete`/`replace` statements.  (Keeping a hidden, recorded
+//! transaction time for them would close that hole; see ROADMAP.)
 //!
 //! If the covering fsync *fails*, the staged frames have been rolled
 //! back but the in-memory state already applied them: the engine
@@ -669,12 +672,11 @@ struct PinnedProvider<'a> {
 
 impl PinnedProvider<'_> {
     fn clamps(&self, relation: &str) -> bool {
-        use chronos_core::schema::RelationClass;
         !crate::introspect::is_system(relation)
-            && matches!(
-                self.db.info(relation).map(|i| i.class),
-                Some(RelationClass::StaticRollback | RelationClass::Temporal)
-            )
+            && self
+                .db
+                .info(relation)
+                .is_some_and(|i| crate::relation::has_transaction_time(i.class))
     }
 }
 

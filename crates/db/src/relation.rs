@@ -1,405 +1,238 @@
-//! The four relation classes behind one interface.
+//! One store, four classes.
 //!
-//! A [`Relation`] is whichever store the catalog entry's class calls
-//! for.  All mutation flows through [`Relation::validate`] +
-//! [`Relation::apply`] with a *uniform* operation vocabulary (the
-//! [`HistoricalOp`]s that the write-ahead log records):
+//! The paper (§4) builds static, rollback and historical relations as
+//! *restrictions* of the temporal relation: drop valid time, drop
+//! transaction time, or both.  A [`Relation`] says that once: every
+//! class is the same [`StoredBitemporalTable`], and the catalog's
+//! [`RelationClass`] alone decides
 //!
-//! * static and rollback relations read only the tuple out of an op
-//!   (`Insert` ignores the validity, which is stamped `(-∞, ∞)` by the
-//!   session layer);
-//! * historical relations apply the ops directly (arbitrary
-//!   modification, no memory of corrections — §4.3);
-//! * temporal relations commit them at the allocated transaction time
-//!   (append-only — §4.4), through the storage-backed, index-accelerated
-//!   table.
+//! * which axes a scan **exposes** — static: neither; rollback: neither
+//!   (its validity is pinned to `(-∞, ∞)` and "the result of a query on a
+//!   static rollback database is a pure static relation"); historical:
+//!   valid time only; temporal: both;
+//! * whether `as of` is **accepted** — only where the class has
+//!   transaction time (a historical relation still refuses rollback);
+//! * whether a superseded version is **kept** — classes with
+//!   transaction time close it (append-only, §4.2/§4.4); static and
+//!   historical relations drop it physically ("forgotten completely",
+//!   §4.1; no memory of corrections, §4.3).
+//!
+//! All mutation flows through [`Relation::validate`] +
+//! [`Relation::apply`] with the operation vocabulary the write-ahead
+//! log records ([`HistoricalOp`]).  `chronos-core`'s reference relations
+//! are the oracle this store is differentially tested against, not part
+//! of it.
+
+use std::collections::HashSet;
 
 use chronos_core::chronon::Chronon;
 use chronos_core::period::Period;
-use chronos_core::relation::historical::HistoricalRelation;
-use chronos_core::relation::rollback::{CheckpointedRollback, RollbackStore, TimestampedRollback};
-use chronos_core::relation::static_rel::StaticRelation;
-use chronos_core::relation::temporal::TemporalStore;
-use chronos_core::relation::{HistoricalOp, StaticOp};
+use chronos_core::relation::temporal::{BitemporalRow, TemporalStore};
+use chronos_core::relation::{HistoricalOp, Validity};
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
-use chronos_obs::{noop_recorder, Recorder};
-use chronos_storage::table::StoredBitemporalTable;
+use chronos_storage::table::{StoredBitemporalTable, Superseded};
+use chronos_storage::{StorageError, StorageResult};
 
 use crate::error::{DbError, DbResult};
 use chronos_tquel::provider::{AsOfSpec, SourceRow};
 
-/// Checkpoint interval of the rollback-class accelerator.  Interactive
-/// rollback relations see far fewer commits than the K=64 sweet spot of
-/// the storage table's E14b sweep; a small K makes checkpoint-seeded
-/// reconstruction reachable (and observable) in short histories.
-pub const ROLLBACK_CHECKPOINT_INTERVAL: usize = 8;
+/// The validity every row of a class without valid time carries.
+pub(crate) const ALWAYS: Validity = Validity::Interval(Period::ALWAYS);
 
-/// The rollback-class store pair: the tuple-timestamped encoding of
-/// Figure 4 (authoritative — it alone can answer `through` windows and
-/// feeds checkpoint images) plus the checkpointed accelerator answering
-/// `as of t` reconstructions sublinearly.
-///
-/// Both commit every transaction; the paper's store-equivalence
-/// property (checked in core and the integration suite) guarantees they
-/// agree on every `rollback(t)`.  A relation restored from a checkpoint
-/// image has no replay log to rebuild the accelerator from, so it runs
-/// without one — the scan path then reports a full tuple-timestamped
-/// scan, which is exactly what it does.
-pub struct RollbackRelation {
-    ts: TimestampedRollback,
-    accel: Option<CheckpointedRollback>,
+pub(crate) fn has_valid_time(class: RelationClass) -> bool {
+    class.database_class().supports_historical_queries()
 }
 
-impl RollbackRelation {
-    fn new(schema: Schema) -> RollbackRelation {
-        RollbackRelation {
-            ts: TimestampedRollback::new(schema.clone()),
-            accel: Some(CheckpointedRollback::with_interval(
-                schema,
-                ROLLBACK_CHECKPOINT_INTERVAL,
-            )),
-        }
-    }
-
-    /// Wraps a store restored from a checkpoint image (no commit log —
-    /// no accelerator).
-    pub(crate) fn from_restored(ts: TimestampedRollback) -> RollbackRelation {
-        RollbackRelation { ts, accel: None }
-    }
-
-    /// The authoritative tuple-timestamped store.
-    pub fn store(&self) -> &TimestampedRollback {
-        &self.ts
-    }
-
-    /// True iff `as of` reconstructions are checkpoint-accelerated.
-    pub fn is_accelerated(&self) -> bool {
-        self.accel.is_some()
-    }
-
-    fn commit(&mut self, tx_time: Chronon, ops: &[StaticOp]) -> DbResult<()> {
-        self.ts.commit(tx_time, ops)?;
-        if let Some(accel) = &mut self.accel {
-            // The stores apply identical validated ops to identical
-            // states; a divergence would be a bug, but degrade to the
-            // unaccelerated path rather than desynchronize.
-            if accel.commit(tx_time, ops).is_err() {
-                self.accel = None;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reconstructs the state `as of t`, reporting the access path into
-    /// `span`/`recorder` ("checkpoint hit" vs "full replay").
-    fn rollback_traced(
-        &self,
-        t: Chronon,
-        span: &chronos_obs::SpanGuard<'_>,
-        recorder: &Recorder,
-    ) -> StaticRelation {
-        match &self.accel {
-            Some(accel) => {
-                let (state, access) = accel.rollback_traced(t);
-                recorder.count_n(|m| &m.rollback_txns_replayed, access.replayed as u64);
-                if access.checkpoint_hit() {
-                    recorder.count(|m| &m.rollback_checkpoint_hits);
-                    span.detail(format!(
-                        "checkpoint hit (seed at {} commits, replayed {} of {} txns, K={})",
-                        access.checkpoint_seed.unwrap_or(0),
-                        access.replayed,
-                        access.visible,
-                        access.interval
-                    ));
-                } else {
-                    span.detail(format!(
-                        "full replay ({} of {} txns, K={})",
-                        access.replayed, access.visible, access.interval
-                    ));
-                }
-                state
-            }
-            None => {
-                recorder.count_n(|m| &m.rollback_txns_replayed, self.ts.transactions() as u64);
-                span.detail(format!(
-                    "full replay (tuple-timestamped scan of {} versions)",
-                    self.ts.stored_tuples()
-                ));
-                self.ts.rollback(t)
-            }
-        }
-    }
+pub(crate) fn has_transaction_time(class: RelationClass) -> bool {
+    class.database_class().supports_rollback()
 }
 
-/// A named relation of any class.
-pub enum Relation {
-    /// §4.1 — snapshot only.
-    Static(StaticRelation),
-    /// §4.2 — transaction time, append-only: the tuple-timestamped
-    /// store paired with the checkpointed reconstruction accelerator.
-    Rollback(RollbackRelation),
-    /// §4.3 — valid time, arbitrarily correctable.
-    Historical(HistoricalRelation),
-    /// §4.4 — both axes, storage-backed (boxed: the stored table with
-    /// its indexes is much larger than the other variants).
-    Temporal(Box<StoredBitemporalTable>),
+/// The table arguments a class implies: rows of a class without valid
+/// time are interval-stamped `(-∞, ∞)` whatever the catalog signature
+/// says, and only transaction time keeps superseded versions.
+fn table_shape(
+    class: RelationClass,
+    signature: TemporalSignature,
+) -> (TemporalSignature, Superseded) {
+    (
+        if has_valid_time(class) {
+            signature
+        } else {
+            TemporalSignature::Interval
+        },
+        if has_transaction_time(class) {
+            Superseded::Closed
+        } else {
+            Superseded::Dropped
+        },
+    )
+}
+
+/// A named relation of any class: the class plus the one store.
+pub struct Relation {
+    class: RelationClass,
+    table: StoredBitemporalTable,
 }
 
 impl Relation {
     /// Creates an empty relation of the given class.
     pub fn new(schema: Schema, class: RelationClass, signature: TemporalSignature) -> Relation {
-        match class {
-            RelationClass::Static => Relation::Static(StaticRelation::new(schema)),
-            RelationClass::StaticRollback => Relation::Rollback(RollbackRelation::new(schema)),
-            RelationClass::Historical => {
-                Relation::Historical(HistoricalRelation::new(schema, signature))
-            }
-            RelationClass::Temporal => Relation::Temporal(Box::new(
-                StoredBitemporalTable::in_memory(schema, signature),
-            )),
+        let (signature, superseded) = table_shape(class, signature);
+        Relation {
+            class,
+            table: StoredBitemporalTable::new(schema, signature, superseded),
         }
     }
 
-    /// Routes the store's instruments into `recorder`.  Only temporal
-    /// relations have instrumented storage underneath; the in-memory
-    /// reference stores are observed at the `db`/`tquel` layers.
+    /// Rebuilds a relation from stored rows (a checkpoint image or a
+    /// materialized query result); the table validates them against the
+    /// schema, the signature and the class's keep-or-drop rule.
+    pub(crate) fn from_rows(
+        schema: Schema,
+        class: RelationClass,
+        signature: TemporalSignature,
+        rows: Vec<BitemporalRow>,
+        last_commit: Option<Chronon>,
+        transactions: usize,
+    ) -> StorageResult<Relation> {
+        let (signature, superseded) = table_shape(class, signature);
+        Ok(Relation {
+            class,
+            table: StoredBitemporalTable::from_rows(
+                schema,
+                signature,
+                superseded,
+                rows,
+                last_commit,
+                transactions,
+            )?,
+        })
+    }
+
+    /// Routes the store's instruments into `recorder`.
     pub fn set_recorder(&mut self, recorder: std::sync::Arc<chronos_obs::Recorder>) {
-        if let Relation::Temporal(table) = self {
-            table.set_recorder(recorder);
-        }
+        self.table.set_recorder(recorder);
     }
 
     /// The relation's class.
     pub fn class(&self) -> RelationClass {
-        match self {
-            Relation::Static(_) => RelationClass::Static,
-            Relation::Rollback(_) => RelationClass::StaticRollback,
-            Relation::Historical(_) => RelationClass::Historical,
-            Relation::Temporal(_) => RelationClass::Temporal,
-        }
+        self.class
     }
 
-    /// Rows currently stored (versions included for temporal relations).
+    /// The store behind the relation.
+    pub fn table(&self) -> &StoredBitemporalTable {
+        &self.table
+    }
+
+    pub(crate) fn table_mut(&mut self) -> &mut StoredBitemporalTable {
+        &mut self.table
+    }
+
+    /// Rows currently stored (every kept version included).
     pub fn stored_tuples(&self) -> usize {
-        match self {
-            Relation::Static(r) => r.len(),
-            Relation::Rollback(r) => r.store().stored_tuples(),
-            Relation::Historical(r) => r.len(),
-            Relation::Temporal(r) => r.stored_tuples(),
-        }
+        self.table.stored_tuples()
     }
 
-    /// Borrows the static store (panics on class mismatch — callers
-    /// check the catalog first).
-    pub fn as_static(&self) -> &StaticRelation {
-        match self {
-            Relation::Static(r) => r,
-            _ => panic!("relation is not static"),
+    /// Every stored row in an order a restore reproduces: physical order
+    /// where versions are kept (as-of reads follow it), the reference
+    /// order of the current state where they are dropped.
+    pub(crate) fn image_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
+        if has_transaction_time(self.class) {
+            self.table.scan_rows()
+        } else {
+            self.table.current_rows()
         }
-    }
-
-    /// Borrows the rollback store (the authoritative tuple-timestamped
-    /// encoding; see [`RollbackRelation`] for the accelerator pair).
-    pub fn as_rollback(&self) -> &TimestampedRollback {
-        match self {
-            Relation::Rollback(r) => r.store(),
-            _ => panic!("relation is not a rollback relation"),
-        }
-    }
-
-    /// Borrows the full rollback store pair.
-    pub fn as_rollback_pair(&self) -> &RollbackRelation {
-        match self {
-            Relation::Rollback(r) => r,
-            _ => panic!("relation is not a rollback relation"),
-        }
-    }
-
-    /// Borrows the historical store.
-    pub fn as_historical(&self) -> &HistoricalRelation {
-        match self {
-            Relation::Historical(r) => r,
-            _ => panic!("relation is not historical"),
-        }
-    }
-
-    /// Borrows the temporal store.
-    pub fn as_temporal(&self) -> &StoredBitemporalTable {
-        match self {
-            Relation::Temporal(r) => r,
-            _ => panic!("relation is not temporal"),
-        }
-    }
-
-    fn to_static_ops(ops: &[HistoricalOp]) -> DbResult<Vec<StaticOp>> {
-        ops.iter()
-            .map(|op| match op {
-                HistoricalOp::Insert { tuple, .. } => Ok(StaticOp::Insert(tuple.clone())),
-                HistoricalOp::Remove { selector } => Ok(StaticOp::Delete(selector.tuple.clone())),
-                HistoricalOp::SetValidity { .. } => Err(DbError::Capability(
-                    "validity corrections require a historical or temporal relation".into(),
-                )),
-            })
-            .collect()
     }
 
     /// Checks that `ops` would apply cleanly at `tx_time`, without
     /// modifying anything (so the write-ahead log never records a failing
     /// transaction).
     pub fn validate(&self, tx_time: Chronon, ops: &[HistoricalOp]) -> DbResult<()> {
-        match self {
-            Relation::Static(r) => {
-                let mut scratch = r.clone();
-                scratch.apply(&Self::to_static_ops(ops)?)?;
-                Ok(())
-            }
-            Relation::Rollback(r) => {
-                let mut scratch = r.store().clone();
-                scratch.commit(tx_time, &Self::to_static_ops(ops)?)?;
-                Ok(())
-            }
-            Relation::Historical(r) => {
-                let mut scratch = r.clone();
-                scratch.apply(ops)?;
-                Ok(())
-            }
-            Relation::Temporal(r) => {
-                if let Some(last) = r.last_commit() {
-                    if tx_time <= last {
-                        return Err(DbError::Core(chronos_core::CoreError::NonMonotonicCommit {
-                            last: last.to_string(),
-                            attempted: tx_time.to_string(),
-                        }));
+        if !has_valid_time(self.class) {
+            for op in ops {
+                match op {
+                    HistoricalOp::Insert { validity, .. } if *validity != ALWAYS => {
+                        return Err(DbError::Capability(format!(
+                            "a {} relation has no valid time: validity {validity} on an insert",
+                            self.class
+                        )))
                     }
+                    HistoricalOp::SetValidity { .. } => {
+                        return Err(DbError::Capability(
+                            "validity corrections require a historical or temporal relation".into(),
+                        ))
+                    }
+                    _ => {}
                 }
-                let mut current = r.current();
-                current.apply(ops)?;
-                Ok(())
             }
+        }
+        match self.table.next_state(tx_time, ops) {
+            Ok(_) => Ok(()),
+            Err(StorageError::Core(e)) => Err(DbError::Core(e)),
+            Err(e) => Err(e.into()),
         }
     }
 
     /// Applies a validated transaction.
     pub fn apply(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> DbResult<()> {
-        match self {
-            Relation::Static(r) => {
-                r.apply(&Self::to_static_ops(ops)?)?;
-                Ok(())
-            }
-            Relation::Rollback(r) => {
-                r.commit(tx_time, &Self::to_static_ops(ops)?)?;
-                Ok(())
-            }
-            // (RollbackRelation::commit feeds both paired stores.)
-            Relation::Historical(r) => {
-                r.apply(ops)?;
-                Ok(())
-            }
-            Relation::Temporal(r) => {
-                r.try_commit(tx_time, ops)?;
-                Ok(())
-            }
-        }
+        self.table.try_commit(tx_time, ops)?;
+        Ok(())
     }
 
     /// Scans the relation for the evaluator, applying an `as of`
-    /// specification when the class supports it.
+    /// specification when the class supports it.  The table's own spans
+    /// name the access path (`tx-index stab`, `tx-index overlap`, heap
+    /// scan).
     pub fn scan(&self, as_of: Option<&AsOfSpec>) -> DbResult<Vec<SourceRow>> {
-        self.scan_traced(as_of, noop_recorder())
-    }
-
-    /// [`scan`](Self::scan) with access-path spans and counters routed
-    /// into `recorder` (rollback-class `as of` reconstructions name
-    /// "checkpoint hit" vs "full replay" there).
-    pub fn scan_traced(
-        &self,
-        as_of: Option<&AsOfSpec>,
-        recorder: &Recorder,
-    ) -> DbResult<Vec<SourceRow>> {
-        match self {
-            Relation::Static(r) => {
-                if as_of.is_some() {
-                    return Err(DbError::Capability(
-                        "'as of' on a static relation (no transaction time)".into(),
-                    ));
-                }
-                Ok(r.iter()
-                    .map(|t| SourceRow {
-                        tuple: t.clone(),
-                        validity: None,
-                        tx: None,
-                    })
-                    .collect())
+        let valid_time = has_valid_time(self.class);
+        let tx_time = has_transaction_time(self.class);
+        let rows = match as_of {
+            Some(_) if !tx_time => {
+                return Err(DbError::Capability(format!(
+                    "'as of' on a {} relation (no transaction time)",
+                    self.class
+                )))
             }
-            Relation::Rollback(r) => {
-                // "The result of a query on a static rollback database is
-                // a pure static relation": no timestamps on the rows.
-                let tuples: Vec<chronos_core::tuple::Tuple> = match as_of {
-                    None => r.store().current().iter().cloned().collect(),
-                    Some(AsOfSpec::At(t)) => {
-                        let span = recorder.span("db/rollback");
-                        let state = r.rollback_traced(*t, &span, recorder);
-                        span.rows_out(state.len() as u64);
-                        state.iter().cloned().collect()
-                    }
-                    Some(AsOfSpec::Through(t1, t2)) => {
-                        let window = Period::clamped(*t1, t2.succ());
-                        let mut seen = std::collections::HashSet::new();
-                        r.store()
-                            .rows()
-                            .iter()
-                            .filter(|row| row.tx.overlaps(window))
-                            .filter(|row| seen.insert(row.tuple.clone()))
-                            .map(|row| row.tuple.clone())
-                            .collect()
-                    }
-                };
-                Ok(tuples
-                    .into_iter()
-                    .map(|tuple| SourceRow {
-                        tuple,
-                        validity: None,
-                        tx: None,
-                    })
-                    .collect())
+            Some(AsOfSpec::At(t)) => self.table.rows_at(*t)?,
+            Some(AsOfSpec::Through(t1, t2)) => {
+                self.table.rows_during(Period::clamped(*t1, t2.succ()))?
             }
-            Relation::Historical(r) => {
-                if as_of.is_some() {
-                    return Err(DbError::Capability(
-                        "'as of' on a historical relation (no transaction time)".into(),
-                    ));
-                }
-                Ok(r.rows()
+            // Only a temporal scan shows transaction periods, which live
+            // on the heap; every other class reads the current state in
+            // reference order straight off the table's mirror.
+            None if valid_time && tx_time => self
+                .table
+                .scan_rows()?
+                .into_iter()
+                .filter(|row| row.is_current())
+                .collect(),
+            None => {
+                return Ok(self
+                    .table
+                    .current_ref()
+                    .rows()
                     .iter()
                     .map(|row| SourceRow {
                         tuple: row.tuple.clone(),
-                        validity: Some(row.validity),
+                        validity: valid_time.then_some(row.validity),
                         tx: None,
                     })
                     .collect())
             }
-            Relation::Temporal(r) => {
-                let rows = match as_of {
-                    None => r
-                        .scan_rows()?
-                        .into_iter()
-                        .filter(|row| row.is_current())
-                        .collect(),
-                    Some(AsOfSpec::At(t)) => r.rows_at(*t)?,
-                    Some(AsOfSpec::Through(t1, t2)) => {
-                        r.rows_during(Period::clamped(*t1, t2.succ()))?
-                    }
-                };
-                Ok(rows
-                    .into_iter()
-                    .map(|row| SourceRow {
-                        tuple: row.tuple,
-                        validity: Some(row.validity),
-                        tx: Some(row.tx),
-                    })
-                    .collect())
-            }
-        }
+        };
+        // A window over hidden transaction time can hold several versions
+        // of one tuple; the pure static result shows it once.
+        let collapse = !valid_time && matches!(as_of, Some(AsOfSpec::Through(..)));
+        let mut seen = HashSet::new();
+        Ok(rows
+            .into_iter()
+            .filter(|row| !collapse || seen.insert(row.tuple.clone()))
+            .map(|row| SourceRow {
+                tuple: row.tuple,
+                validity: valid_time.then_some(row.validity),
+                tx: valid_time.then_some(row.tx),
+            })
+            .collect())
     }
 }
 
@@ -407,24 +240,21 @@ impl Relation {
 mod tests {
     use super::*;
     use chronos_core::relation::RowSelector;
-    use chronos_core::relation::Validity;
     use chronos_core::schema::faculty_schema;
     use chronos_core::tuple::tuple;
 
-    fn always() -> Validity {
-        Validity::Interval(Period::ALWAYS)
-    }
+    const CLASSES: [RelationClass; 4] = [
+        RelationClass::Static,
+        RelationClass::StaticRollback,
+        RelationClass::Historical,
+        RelationClass::Temporal,
+    ];
 
     #[test]
     fn uniform_ops_drive_every_class() {
-        let insert = HistoricalOp::insert(tuple(["Merrie", "full"]), always());
+        let insert = HistoricalOp::insert(tuple(["Merrie", "full"]), ALWAYS);
         let remove = HistoricalOp::remove(RowSelector::tuple(tuple(["Merrie", "full"])));
-        for class in [
-            RelationClass::Static,
-            RelationClass::StaticRollback,
-            RelationClass::Historical,
-            RelationClass::Temporal,
-        ] {
+        for class in CLASSES {
             let mut rel = Relation::new(faculty_schema(), class, TemporalSignature::Interval);
             assert_eq!(rel.class(), class);
             let t1 = Chronon::new(100);
@@ -435,6 +265,27 @@ mod tests {
             rel.validate(t2, std::slice::from_ref(&remove)).unwrap();
             rel.apply(t2, std::slice::from_ref(&remove)).unwrap();
             assert!(rel.scan(None).unwrap().is_empty(), "{class}");
+            // The class alone decides whether the superseded version stays.
+            let kept = usize::from(has_transaction_time(class));
+            assert_eq!(rel.stored_tuples(), kept, "{class}");
+            assert_eq!(rel.table().frozen_version_count(), kept, "{class}");
+        }
+    }
+
+    #[test]
+    fn the_class_decides_which_axes_a_scan_exposes() {
+        let insert = HistoricalOp::insert(tuple(["Merrie", "full"]), ALWAYS);
+        for class in CLASSES {
+            let mut rel = Relation::new(faculty_schema(), class, TemporalSignature::Interval);
+            rel.apply(Chronon::new(100), std::slice::from_ref(&insert))
+                .unwrap();
+            let row = rel.scan(None).unwrap().remove(0);
+            assert_eq!(row.validity.is_some(), has_valid_time(class), "{class}");
+            assert_eq!(
+                row.tx.is_some(),
+                class == RelationClass::Temporal,
+                "{class}"
+            );
         }
     }
 
@@ -445,7 +296,7 @@ mod tests {
             RelationClass::Temporal,
             TemporalSignature::Interval,
         );
-        let insert = HistoricalOp::insert(tuple(["Tom", "associate"]), always());
+        let insert = HistoricalOp::insert(tuple(["Tom", "associate"]), ALWAYS);
         rel.apply(Chronon::new(10), std::slice::from_ref(&insert))
             .unwrap();
         // A failing op validates to an error and changes nothing.
@@ -455,22 +306,28 @@ mod tests {
             .is_err());
         assert_eq!(rel.stored_tuples(), 1);
         // A succeeding validate also changes nothing.
-        let good = HistoricalOp::insert(tuple(["Mike", "assistant"]), always());
+        let good = HistoricalOp::insert(tuple(["Mike", "assistant"]), ALWAYS);
         rel.validate(Chronon::new(20), std::slice::from_ref(&good))
             .unwrap();
         assert_eq!(rel.stored_tuples(), 1);
     }
 
     #[test]
-    fn set_validity_rejected_on_static_classes() {
-        let op =
-            HistoricalOp::set_validity(RowSelector::tuple(tuple(["Tom", "associate"])), always());
+    fn valid_time_rejected_on_static_classes() {
+        let correction =
+            HistoricalOp::set_validity(RowSelector::tuple(tuple(["Tom", "associate"])), ALWAYS);
+        let stamped = HistoricalOp::insert(
+            tuple(["Tom", "associate"]),
+            Period::from_start(Chronon::new(5)),
+        );
         for class in [RelationClass::Static, RelationClass::StaticRollback] {
             let rel = Relation::new(faculty_schema(), class, TemporalSignature::Interval);
-            assert!(matches!(
-                rel.validate(Chronon::new(1), std::slice::from_ref(&op)),
-                Err(DbError::Capability(_))
-            ));
+            for op in [&correction, &stamped] {
+                assert!(matches!(
+                    rel.validate(Chronon::new(1), std::slice::from_ref(op)),
+                    Err(DbError::Capability(_))
+                ));
+            }
         }
     }
 
@@ -478,7 +335,14 @@ mod tests {
     fn as_of_rejected_without_transaction_time() {
         for class in [RelationClass::Static, RelationClass::Historical] {
             let rel = Relation::new(faculty_schema(), class, TemporalSignature::Interval);
-            assert!(rel.scan(Some(&AsOfSpec::At(Chronon::new(5)))).is_err());
+            let err = rel.scan(Some(&AsOfSpec::At(Chronon::new(5)))).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                DbError::Capability(format!(
+                    "'as of' on a {class} relation (no transaction time)"
+                ))
+                .to_string()
+            );
         }
     }
 
@@ -489,12 +353,14 @@ mod tests {
             RelationClass::StaticRollback,
             TemporalSignature::Interval,
         );
-        let merrie = HistoricalOp::insert(tuple(["Merrie", "associate"]), always());
-        let tom = HistoricalOp::insert(tuple(["Tom", "associate"]), always());
+        let merrie = HistoricalOp::insert(tuple(["Merrie", "associate"]), ALWAYS);
+        let tom = HistoricalOp::insert(tuple(["Tom", "associate"]), ALWAYS);
         let drop_merrie = HistoricalOp::remove(RowSelector::tuple(tuple(["Merrie", "associate"])));
+        let rehire = HistoricalOp::insert(tuple(["Merrie", "associate"]), ALWAYS);
         rel.apply(Chronon::new(10), &[merrie]).unwrap();
         rel.apply(Chronon::new(20), &[tom]).unwrap();
         rel.apply(Chronon::new(30), &[drop_merrie]).unwrap();
+        rel.apply(Chronon::new(40), &[rehire]).unwrap();
         assert_eq!(
             rel.scan(Some(&AsOfSpec::At(Chronon::new(15))))
                 .unwrap()
@@ -507,11 +373,20 @@ mod tests {
                 .len(),
             2
         );
-        assert_eq!(rel.scan(None).unwrap().len(), 1);
-        // Through a window spanning Merrie's life sees both.
+        assert_eq!(
+            rel.scan(Some(&AsOfSpec::At(Chronon::new(35))))
+                .unwrap()
+                .len(),
+            1
+        );
+        assert_eq!(rel.scan(None).unwrap().len(), 2);
+        // Through a window spanning both of Merrie's tenures sees her once.
         let through = rel
-            .scan(Some(&AsOfSpec::Through(Chronon::new(15), Chronon::new(35))))
+            .scan(Some(&AsOfSpec::Through(Chronon::new(15), Chronon::new(45))))
             .unwrap();
         assert_eq!(through.len(), 2);
+        assert!(through
+            .iter()
+            .all(|r| r.validity.is_none() && r.tx.is_none()));
     }
 }

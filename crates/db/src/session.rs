@@ -462,9 +462,9 @@ impl<B: SessionBackend> Session<B> {
         let started = std::time::Instant::now();
         let result = if capture {
             // The root span guarantees every captured profile has a
-            // non-empty tree; access-path details (e.g. a rollback
-            // reconstruction's "checkpoint hit" vs "full replay") are
-            // recorded by the layers below on this same recorder.
+            // non-empty tree; access-path details (e.g. an `as of`
+            // scan's "tx-index stab") are recorded by the layers below
+            // on this same recorder.
             let span = recorder.span("session/statement");
             span.detail(statement_kind(stmt).to_string());
             self.execute(stmt)
@@ -794,20 +794,16 @@ impl<B: SessionBackend> Session<B> {
         valid: Option<&ValidClause>,
         _old: Option<Validity>,
     ) -> DbResult<Validity> {
-        let timestamped = matches!(
-            info.class,
-            RelationClass::Historical | RelationClass::Temporal
-        );
-        if !timestamped {
+        if !crate::relation::has_valid_time(info.class) {
             if valid.is_some() {
                 return Err(DbError::Capability(format!(
                     "'valid' clause on a {} relation (no valid time)",
                     info.class
                 )));
             }
-            // Static classes carry no valid time; the op's validity is a
-            // placeholder ignored by the store.
-            return Ok(Validity::Interval(Period::ALWAYS));
+            // Static classes carry no valid time: every row is stamped
+            // `(-∞, ∞)`, and the store refuses anything else.
+            return Ok(crate::relation::ALWAYS);
         }
         let now = self.backend.now();
         match (info.signature, valid) {
@@ -879,8 +875,8 @@ fn statement_kind(stmt: &Statement) -> &'static str {
 }
 
 /// The access-path label a traced execution exposed: the detail of the
-/// deepest storage-layer span (scan strategy, checkpoint hit vs full
-/// replay, cache hit).  `None` when the capture recorded no such span.
+/// deepest storage-layer span (scan strategy, tx-index stab, cache
+/// hit).  `None` when the capture recorded no such span.
 fn access_path_of(report: &chronos_obs::trace::TraceReport) -> Option<String> {
     report
         .spans

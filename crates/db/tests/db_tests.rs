@@ -76,7 +76,7 @@ fn fresh_db() -> (Database, Arc<ManualClock>) {
 fn tquel_replay_of_figure_8_history() {
     let (mut db, clock) = fresh_db();
     build_figure_8(&mut db, &clock);
-    let rel = db.relation("faculty").unwrap().as_temporal();
+    let rel = db.relation("faculty").unwrap().table();
     assert_eq!(rel.transactions(), 6);
     assert_eq!(rel.stored_tuples(), 7, "exactly the 7 rows of Figure 8");
 
@@ -228,7 +228,7 @@ fn durable_database_survives_reopen() {
         let clock2 = Arc::new(ManualClock::new(d("01/01/85")));
         let mut db = Database::open(&dir, clock2).unwrap();
         assert_eq!(db.relation_names(), ["faculty"]);
-        let rel = db.relation("faculty").unwrap().as_temporal();
+        let rel = db.relation("faculty").unwrap().table();
         assert_eq!(rel.transactions(), 6);
         assert_eq!(rel.stored_tuples(), 7);
         // The bitemporal query still answers from the replayed state.
@@ -267,10 +267,7 @@ fn destroyed_relations_stay_destroyed_after_reopen() {
     assert_eq!(db.relation_names(), ["keeper"]);
     // The old relation's log records were skipped, the new one's
     // replayed; rel-ids were not confused.
-    assert_eq!(
-        db.relation("keeper").unwrap().as_temporal().stored_tuples(),
-        1
-    );
+    assert_eq!(db.relation("keeper").unwrap().table().stored_tuples(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -635,6 +632,101 @@ fn analyze_records_bytes_per_version_and_duplication() {
     assert!(map["dup_factor_x1000"] > 1000, "stats: {map:?}");
 }
 
+#[test]
+fn every_class_reports_measured_physical_stats() {
+    let clock = Arc::new(ManualClock::new(d("01/01/77")));
+    let mut db = Database::in_memory(clock.clone());
+    // Same story in each class: two rows, one superseded.
+    for (rel, class, keeps_versions) in [
+        ("s", "static", false),
+        ("r", "rollback", true),
+        ("h", "historical", false),
+        ("t", "temporal", true),
+    ] {
+        db.session()
+            .run(&format!("create {rel} (name = str, rank = str) as {class}"))
+            .unwrap();
+        for name in ["Merrie", "Tom"] {
+            clock.tick(1);
+            db.session()
+                .run(&format!(
+                    r#"append to {rel} (name = "{name}", rank = "associate")"#
+                ))
+                .unwrap();
+        }
+        clock.tick(1);
+        db.session()
+            .run(&format!(
+                r#"range of v is {rel} replace v (rank = "full") where v.name = "Tom""#
+            ))
+            .unwrap();
+        db.session().run(&format!("analyze {rel}")).unwrap();
+
+        // analyze: pages × 8 KiB, not a tuple-count estimate; K from the
+        // store, not a per-class constant.
+        let stats = tablestats_map(&mut db, rel, None);
+        let table = db.relation(rel).unwrap().table();
+        let physical = table.physical_stats().unwrap();
+        let versions = table.stored_tuples() as i64;
+        assert_eq!(stats["versions"], versions, "{rel}");
+        assert_eq!(stats["bytes"], 8192, "{rel}: one heap page");
+        assert_eq!(stats["bytes_per_version"], 8192 / versions, "{rel}");
+        assert_eq!(
+            stats["dup_factor_x1000"], physical.dup_factor_x1000 as i64,
+            "{rel}"
+        );
+        assert_eq!(
+            stats["checkpoint_k"],
+            if keeps_versions { 64 } else { 0 },
+            "{rel}"
+        );
+
+        // sys$pages: the same heap walk.
+        let res = db
+            .session()
+            .query(&format!(
+                r#"range of p is sys$pages
+                   retrieve (p.pages, p.versions, p.occupancy_x1000, p.bytes_per_version)
+                   where p.relation = "{rel}""#
+            ))
+            .unwrap();
+        let cells: Vec<i64> = (0..4)
+            .map(|i| res.rows[0].tuple.get(i).to_string().parse().unwrap())
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                1,
+                versions,
+                physical.occupancy_x1000 as i64,
+                8192 / versions
+            ],
+            "{rel}"
+        );
+        assert!(
+            physical.occupancy_x1000 < 1000,
+            "{rel}: measured, not assumed full"
+        );
+
+        // sys$relations: sampled at the last commit.
+        let res = db
+            .session()
+            .query(&format!(
+                r#"range of c is sys$relations
+                   retrieve (c.tuples, c.bytes, c.checkpoint_k) where c.name = "{rel}""#
+            ))
+            .unwrap();
+        let cells: Vec<i64> = (0..3)
+            .map(|i| res.rows[0].tuple.get(i).to_string().parse().unwrap())
+            .collect();
+        assert_eq!(
+            cells,
+            [versions, 8192, if keeps_versions { 64 } else { 0 }],
+            "{rel}"
+        );
+    }
+}
+
 /// Sorted, printable rows of every relation answer we care about —
 /// captured before and after a freeze to prove the migration is
 /// invisible to queries.
@@ -681,7 +773,7 @@ fn freeze_migrates_closed_versions_without_changing_answers() {
         other => panic!("expected Frozen, got {other:?}"),
     }
     assert!(dir.join("segments/faculty-0.seg").is_file());
-    let rel = db.relation("faculty").unwrap().as_temporal();
+    let rel = db.relation("faculty").unwrap().table();
     assert_eq!(rel.segment_versions(), 3);
     assert_eq!(
         rel.frozen_version_count(),
@@ -738,7 +830,7 @@ fn freeze_migrates_closed_versions_without_changing_answers() {
         !dir.join("segments/faculty-0.seg").exists(),
         "stale segments purged at open"
     );
-    let rel = db.relation("faculty").unwrap().as_temporal();
+    let rel = db.relation("faculty").unwrap().table();
     assert_eq!(rel.segment_versions(), 0);
     assert_eq!(rel.stored_tuples(), 7);
     assert_eq!(query_fingerprint(&mut db), before);
@@ -768,7 +860,7 @@ fn checkpoint_auto_freezes_past_the_threshold() {
     db.set_freeze_threshold(3);
     db.checkpoint().unwrap();
     assert!(dir.join("segments/faculty-0.seg").is_file());
-    let rel = db.relation("faculty").unwrap().as_temporal();
+    let rel = db.relation("faculty").unwrap().table();
     assert_eq!(rel.segment_versions(), 3);
     assert_eq!(rel.frozen_version_count(), 0);
     drop(db);
@@ -776,7 +868,7 @@ fn checkpoint_auto_freezes_past_the_threshold() {
 }
 
 #[test]
-fn freeze_requires_a_durable_temporal_relation() {
+fn freeze_requires_a_durable_database_and_keys_on_closed_versions() {
     let (mut db, _clock) = fresh_db();
     let err = db.session().run("freeze faculty").unwrap_err();
     assert!(
@@ -787,15 +879,46 @@ fn freeze_requires_a_durable_temporal_relation() {
     let dir = std::env::temp_dir().join(format!("chronos-db-freezecap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::open(&dir, clock).unwrap();
+    let mut db = Database::open(&dir, clock.clone()).unwrap();
+    // What freezes is decided by the rows, not the class: a static
+    // relation drops superseded versions, so it never has any to freeze …
     db.session()
-        .run("create snap (name = str) as static")
+        .run(
+            r#"create snap (name = str) as static
+               append to snap (name = "x")
+               range of s is snap
+               delete s where s.name = "x""#,
+        )
         .unwrap();
-    let err = db.session().run("freeze snap").unwrap_err();
+    let outcomes = db.session().run("freeze snap").unwrap();
     assert!(
-        matches!(err, DbError::Capability(_)),
-        "only temporal histories freeze: {err}"
+        matches!(&outcomes[0], ExecOutcome::Frozen { versions: 0, .. }),
+        "a static relation holds no closed versions: {outcomes:?}"
     );
+    // … while a rollback relation closes them, and they freeze like a
+    // temporal relation's.
+    db.session()
+        .run("create log (name = str) as rollback")
+        .unwrap();
+    for name in ["x", "y"] {
+        clock.tick(1);
+        db.session()
+            .run(&format!(r#"append to log (name = "{name}")"#))
+            .unwrap();
+    }
+    clock.tick(1);
+    db.session()
+        .run(r#"range of l is log delete l where l.name = "x""#)
+        .unwrap();
+    let as_of = r#"range of l is log retrieve (l.name) as of "01/02/77""#;
+    let before = db.session().query(as_of).unwrap().column_strings(0);
+    let outcomes = db.session().run("freeze log").unwrap();
+    assert!(
+        matches!(&outcomes[0], ExecOutcome::Frozen { versions: 1, .. }),
+        "{outcomes:?}"
+    );
+    assert!(dir.join("segments/log-0.seg").is_file());
+    assert_eq!(db.session().query(as_of).unwrap().column_strings(0), before);
     let err = db.session().run("freeze sys$pages").unwrap_err();
     assert!(matches!(err, DbError::Capability(_)));
     drop(db);

@@ -22,6 +22,16 @@ pub enum StorageError {
     },
     /// Malformed bytes encountered while decoding.
     Corrupt(String),
+    /// A well-formed file written in a format version this build does
+    /// not read (it is refused, never reinterpreted).
+    UnsupportedFormat {
+        /// Which file.
+        file: &'static str,
+        /// The version found on disk.
+        found: u32,
+        /// The version this build reads and writes.
+        supported: u32,
+    },
     /// A page has no room for the record.
     PageFull {
         /// Bytes requested.
@@ -44,6 +54,14 @@ impl fmt::Display for StorageError {
                 "checksum mismatch: stored {expected:#010x}, computed {computed:#010x}"
             ),
             StorageError::Corrupt(m) => write!(f, "corrupt data: {m}"),
+            StorageError::UnsupportedFormat {
+                file,
+                found,
+                supported,
+            } => write!(
+                f,
+                "{file} is format version {found}; this build reads version {supported}"
+            ),
             StorageError::PageFull { needed, available } => {
                 write!(f, "page full: need {needed} bytes, {available} available")
             }

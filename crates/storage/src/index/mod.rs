@@ -1,15 +1,10 @@
 //! Index structures.
 //!
-//! * [`bptree`] — an in-memory B+ tree for equality and range lookups
-//!   (secondary indexes on explicit attributes, and the transaction-time
-//!   commit index);
 //! * [`interval`] — a randomized interval tree (treap with `max_end`
 //!   augmentation) answering stabbing and overlap queries over valid-time
 //!   and transaction-time periods, the access paths behind the paper's
 //!   rollback and timeslice operations.
 
-pub mod bptree;
 pub mod interval;
 
-pub use bptree::BPlusTree;
 pub use interval::IntervalTree;

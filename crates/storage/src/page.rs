@@ -115,6 +115,16 @@ impl Page {
         self.write_u16(6, v);
     }
 
+    /// Tombstoned slots waiting for reuse.  Kept in the header so the
+    /// common insert — a page with none — does not scan the directory.
+    fn dead_slots(&self) -> u16 {
+        self.read_u16(8)
+    }
+
+    fn set_dead_slots(&mut self, v: u16) {
+        self.write_u16(8, v);
+    }
+
     fn slot_dir_end(&self) -> usize {
         HEADER_SIZE + self.slot_count() as usize * SLOT_SIZE
     }
@@ -147,6 +157,9 @@ impl Page {
     }
 
     fn dead_slot(&self) -> Option<u16> {
+        if self.dead_slots() == 0 {
+            return None;
+        }
         (0..self.slot_count()).find(|&s| {
             let (off, len) = self.slot_entry(s);
             off == 0 && len == 0
@@ -173,7 +186,10 @@ impl Page {
         self.buf[new_end..new_end + data.len()].copy_from_slice(data);
         self.set_free_end(new_end as u16);
         let slot = match self.dead_slot() {
-            Some(s) => s,
+            Some(s) => {
+                self.set_dead_slots(self.dead_slots() - 1);
+                s
+            }
             None => {
                 let s = self.slot_count();
                 self.set_slot_count(s + 1);
@@ -207,6 +223,7 @@ impl Page {
     pub fn delete(&mut self, slot: u16) -> StorageResult<()> {
         self.get(slot)?; // validate
         self.set_slot_entry(slot, 0, 0);
+        self.set_dead_slots(self.dead_slots() + 1);
         Ok(())
     }
 
@@ -259,10 +276,14 @@ mod tests {
         let a = p.insert(b"one").unwrap();
         let _b = p.insert(b"two").unwrap();
         p.delete(a).unwrap();
+        assert_eq!(p.dead_slots(), 1);
         let c = p.insert(b"three").unwrap();
         assert_eq!(c, a, "dead slot reused");
         assert_eq!(p.get(c).unwrap(), b"three");
         assert_eq!(p.slot_count(), 2);
+        assert_eq!(p.dead_slots(), 0, "and no longer counted");
+        let d = p.insert(b"four").unwrap();
+        assert_eq!((d, p.slot_count()), (2, 3), "no tombstone left: append");
     }
 
     #[test]

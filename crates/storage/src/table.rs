@@ -1,7 +1,12 @@
-//! The storage-backed temporal relation.
+//! The storage-backed temporal relation — and, restricted, every other
+//! class.
 //!
 //! [`StoredBitemporalTable`] is the production implementation of the
-//! paper's temporal relation: rows live in a slotted-page [`HeapFile`],
+//! paper's temporal relation, and the one store behind all four relation
+//! classes: a static, rollback or historical relation is this table with
+//! an axis pinned or hidden by the database layer and, for the classes
+//! without transaction time, superseded versions dropped instead of
+//! closed ([`Superseded`]).  Rows live in a slotted-page [`HeapFile`],
 //! every commit is logically logged to a [`Wal`] before being applied
 //! (write-ahead rule), and three access paths accelerate the taxonomy's
 //! characteristic queries:
@@ -125,6 +130,20 @@ pub(crate) fn shared_bytes(a: &[u8], b: &[u8]) -> usize {
     prefix + suffix
 }
 
+/// What a table does with a version once a later commit supersedes it.
+/// The relation class decides: a class with transaction time keeps the
+/// version with its period closed (append-only, paper §4.2/§4.4); a
+/// static or historical relation drops it physically — "forgotten
+/// completely" (§4.1), no memory of corrections (§4.3).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Superseded {
+    /// The version stays, its transaction period closed at the commit.
+    Closed,
+    /// The version is deleted from the heap and both indexes; the table
+    /// keeps no commit log and no checkpoints either.
+    Dropped,
+}
+
 /// Default checkpoint interval: one materialised state every K commits.
 pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 64;
 
@@ -148,6 +167,7 @@ fn worker_count(tasks: usize) -> usize {
 pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     schema: Schema,
     signature: TemporalSignature,
+    superseded: Superseded,
     rel_id: u32,
     heap: HeapFile<S>,
     wal: Option<Wal>,
@@ -180,14 +200,22 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
 }
 
 impl StoredBitemporalTable<MemPager> {
-    /// Creates a fresh in-memory table (no durability).
+    /// Creates a fresh in-memory table (no durability) that keeps every
+    /// superseded version — the temporal relation of the paper.
     pub fn in_memory(schema: Schema, signature: TemporalSignature) -> Self {
+        Self::new(schema, signature, Superseded::Closed)
+    }
+
+    /// Creates a fresh in-memory table with the given fate for
+    /// superseded versions.
+    pub fn new(schema: Schema, signature: TemporalSignature, superseded: Superseded) -> Self {
         let heap = HeapFile::open(BufferPool::new(MemPager::new(), 64))
             .expect("empty in-memory heap opens");
         StoredBitemporalTable {
             current: HistoricalRelation::new(schema.clone(), signature),
             schema,
             signature,
+            superseded,
             rel_id: 0,
             heap,
             wal: None,
@@ -230,43 +258,46 @@ impl StoredBitemporalTable<MemPager> {
         table.wal = Some(Wal::open(wal_path)?);
         Ok(table)
     }
-}
-
-impl<S: PageStore> StoredBitemporalTable<S> {
-    /// The relation id used in the shared log.
-    pub fn rel_id(&self) -> u32 {
-        self.rel_id
-    }
-
-    /// Routes this table's instruments (access-path spans, rollback
-    /// replay counts, scan morsels, pager and WAL I/O) into `recorder`.
-    pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
-        self.heap.pool().set_recorder(Arc::clone(&recorder));
-        if let Some(wal) = &mut self.wal {
-            wal.set_recorder(Arc::clone(&recorder));
-        }
-        self.recorder = recorder;
-    }
 
     /// Reconstructs a table from checkpointed rows, rebuilding the heap,
     /// both interval trees, the current-version map, and the current
-    /// historical state (whose duplicate checks validate the rows).
+    /// historical state.  The rows are untrusted: each must fit the
+    /// schema and signature, start no later than `last_commit`, be
+    /// current if the table keeps no closed versions, and not duplicate
+    /// another current row.
     pub fn from_rows(
         schema: Schema,
         signature: TemporalSignature,
+        superseded: Superseded,
         rows: Vec<BitemporalRow>,
         last_commit: Option<Chronon>,
         transactions: usize,
-    ) -> StorageResult<StoredBitemporalTable<MemPager>> {
-        let mut table = StoredBitemporalTable::in_memory(schema, signature);
+    ) -> StorageResult<Self> {
+        let mut table = StoredBitemporalTable::new(schema, signature, superseded);
+        let horizon = last_commit.map_or(TimePoint::MINUS_INFINITY, TimePoint::at);
         for row in rows {
-            row.validity
-                .check_signature(table.signature)
-                .map_err(StorageError::Core)?;
+            if row.tx.start() > horizon {
+                return Err(StorageError::Corrupt(format!(
+                    "version of {} committed at {} after the last commit {horizon}",
+                    row.tuple,
+                    row.tx.start()
+                )));
+            }
             if row.is_current() {
+                // The mirror checks schema, signature and duplicates.
                 table
                     .current
                     .insert(row.tuple.clone(), row.validity)
+                    .map_err(StorageError::Core)?;
+            } else if superseded == Superseded::Dropped {
+                return Err(StorageError::Corrupt(format!(
+                    "closed version {} in a relation that keeps none",
+                    row.tuple
+                )));
+            } else {
+                table.schema.check(&row.tuple).map_err(StorageError::Core)?;
+                row.validity
+                    .check_signature(table.signature)
                     .map_err(StorageError::Core)?;
             }
             let rid = table
@@ -285,6 +316,23 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         table.last_commit = last_commit;
         table.transactions = transactions;
         Ok(table)
+    }
+}
+
+impl<S: PageStore> StoredBitemporalTable<S> {
+    /// The relation id used in the shared log.
+    pub fn rel_id(&self) -> u32 {
+        self.rel_id
+    }
+
+    /// Routes this table's instruments (access-path spans, rollback
+    /// replay counts, scan morsels, pager and WAL I/O) into `recorder`.
+    pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
+        self.heap.pool().set_recorder(Arc::clone(&recorder));
+        if let Some(wal) = &mut self.wal {
+            wal.set_recorder(Arc::clone(&recorder));
+        }
+        self.recorder = recorder;
     }
 
     /// All physical rows: frozen segments first (in key order per
@@ -556,9 +604,13 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         Ok(out)
     }
 
-    /// The checkpoint interval K currently in force.
+    /// The checkpoint interval K currently in force; 0 for a table that
+    /// drops superseded versions (it materialises no past states).
     pub fn checkpoint_interval(&self) -> usize {
-        self.checkpoint_every
+        match self.superseded {
+            Superseded::Closed => self.checkpoint_every,
+            Superseded::Dropped => 0,
+        }
     }
 
     /// Number of materialised checkpoints.
@@ -625,15 +677,12 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// ordered by transaction start).  One pass over the pages plus a
     /// sort — cheap enough for `analyze` and `sys$pages`.
     pub fn physical_stats(&self) -> StorageResult<PhysicalStats> {
-        let mut versions: Vec<(String, TimePoint, Vec<u8>)> = Vec::with_capacity(self.heap.len());
+        let mut versions: Vec<(Option<Value>, TimePoint, Vec<u8>)> =
+            Vec::with_capacity(self.heap.len());
         let mut scan_err = None;
         self.heap.scan(|_, data| match decode_row(data) {
             Ok(row) => {
-                let key = row
-                    .tuple
-                    .try_get(0)
-                    .map(|v| format!("{v:?}"))
-                    .unwrap_or_default();
+                let key = row.tuple.try_get(0).cloned();
                 versions.push((key, row.tx.start(), data.to_vec()));
             }
             Err(e) => scan_err = Some(e),
@@ -641,7 +690,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         if let Some(e) = scan_err {
             return Err(e);
         }
-        versions.sort_by(|a, b| (a.0.as_str(), a.1).cmp(&(b.0.as_str(), b.1)));
+        versions.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
         let occupied: u64 = versions.iter().map(|v| v.2.len() as u64).sum();
         let mut delta = 0u64;
         for (i, (key, _, bytes)) in versions.iter().enumerate() {
@@ -669,6 +718,21 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// in [`TemporalStore::current`]).
     pub fn current_ref(&self) -> &HistoricalRelation {
         &self.current
+    }
+
+    /// The current rows in the reference order of
+    /// [`current_ref`](Self::current_ref), each with its stored
+    /// transaction period.  Heap order stops being insertion order once
+    /// deleted slots are reused, so this is the order-preserving image
+    /// of a table that drops superseded versions.
+    pub fn current_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
+        let mut rows = Vec::with_capacity(self.current.len());
+        for row in self.current.rows() {
+            for &rid in &self.current_rids[&(row.tuple.clone(), row.validity)] {
+                rows.push(decode_row(&self.heap.get(rid)?)?);
+            }
+        }
+        Ok(rows)
     }
 
     /// Rows stored as of transaction time `t`: frozen segments (range-
@@ -795,6 +859,40 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         Ok(rows)
     }
 
+    /// Validates a transaction through the reference semantics without
+    /// modifying anything: `tx_time` must advance the commit clock and
+    /// `ops` must be a legal transition of the current historical state.
+    /// Returns the state they lead to.
+    pub fn next_state(
+        &self,
+        tx_time: Chronon,
+        ops: &[HistoricalOp],
+    ) -> StorageResult<HistoricalRelation> {
+        if let Some(last) = self.last_commit {
+            if tx_time <= last {
+                return Err(StorageError::Core(CoreError::NonMonotonicCommit {
+                    last: last.to_string(),
+                    attempted: tx_time.to_string(),
+                }));
+            }
+        }
+        // `next` is already a scratch copy, so the ops run on it one by
+        // one (`HistoricalRelation::apply` would copy it a second time to
+        // stay atomic); an error just drops it.
+        let mut next = self.current.clone();
+        for op in ops {
+            match op {
+                HistoricalOp::Insert { tuple, validity } => next.insert(tuple.clone(), *validity),
+                HistoricalOp::Remove { selector } => next.remove(selector).map(drop),
+                HistoricalOp::SetValidity { selector, validity } => {
+                    next.set_validity(selector, *validity).map(drop)
+                }
+            }
+            .map_err(StorageError::Core)?;
+        }
+        Ok(next)
+    }
+
     /// Fallible commit.
     pub fn try_commit(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> StorageResult<()> {
         self.commit_internal(tx_time, ops, true)
@@ -810,17 +908,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         let recorder = Arc::clone(&self.recorder);
         let span = recorder.span("storage/commit");
         span.rows_in(ops.len() as u64);
-        if let Some(last) = self.last_commit {
-            if tx_time <= last {
-                return Err(StorageError::Core(CoreError::NonMonotonicCommit {
-                    last: last.to_string(),
-                    attempted: tx_time.to_string(),
-                }));
-            }
-        }
-        // Validate through the reference semantics first.
-        let mut next = self.current.clone();
-        next.apply(ops).map_err(StorageError::Core)?;
+        let next = self.next_state(tx_time, ops)?;
 
         // Write-ahead: the log reaches disk before the table changes.
         if log {
@@ -857,6 +945,10 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         self.current = next;
         self.last_commit = Some(tx_time);
         self.transactions += 1;
+        if self.superseded == Superseded::Dropped {
+            // No past state can be asked for: nothing to replay.
+            return Ok(());
+        }
         self.commit_log.push((tx_time, ops.to_vec()));
         if self.commit_log.len().is_multiple_of(self.checkpoint_every) {
             self.checkpoints
@@ -877,6 +969,12 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         &self,
         selector: &chronos_core::relation::RowSelector,
     ) -> Vec<(Tuple, Validity)> {
+        // An exact selector names its key; only a tuple-only selector
+        // has to look at every current row.
+        if let Some(validity) = selector.validity {
+            let key = (selector.tuple.clone(), validity);
+            return Vec::from_iter(self.current_rids.contains_key(&key).then_some(key));
+        }
         self.current_rids
             .keys()
             .filter(|(t, v)| selector.matches(t, *v))
@@ -908,19 +1006,30 @@ impl<S: PageStore> StoredBitemporalTable<S> {
             .expect("matching_current returned a live key");
         for rid in rids {
             let row = decode_row(&self.heap.get(rid)?)?;
-            let closed_tx = Period::clamped(row.tx.start(), TimePoint::at(tx_time));
-            let new_rid = self
-                .heap
-                .update(rid, &encode_row(&row.tuple, row.validity, closed_tx))?;
-            // Reindex under the (possibly moved) record id and closed
-            // transaction period.
+            let new_rid = match self.superseded {
+                Superseded::Dropped => {
+                    self.heap.delete(rid)?;
+                    None
+                }
+                Superseded::Closed => {
+                    let closed_tx = Period::clamped(row.tx.start(), TimePoint::at(tx_time));
+                    let moved = self
+                        .heap
+                        .update(rid, &encode_row(&row.tuple, row.validity, closed_tx))?;
+                    Some((closed_tx, moved))
+                }
+            };
             assert!(self.tx_index.remove(row.tx, &rid), "tx index in sync");
             assert!(
                 self.valid_index.remove(row.validity.period(), &rid),
                 "valid index in sync"
             );
-            self.tx_index.insert(closed_tx, new_rid);
-            self.valid_index.insert(row.validity.period(), new_rid);
+            // Reindex under the (possibly moved) record id and closed
+            // transaction period.
+            if let Some((closed_tx, new_rid)) = new_rid {
+                self.tx_index.insert(closed_tx, new_rid);
+                self.valid_index.insert(row.validity.period(), new_rid);
+            }
         }
         Ok(())
     }
@@ -1326,9 +1435,10 @@ mod tests {
         let mut src =
             StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
         drive_figure_8(&mut src);
-        let rebuilt = StoredBitemporalTable::<MemPager>::from_rows(
+        let rebuilt = StoredBitemporalTable::from_rows(
             faculty_schema(),
             TemporalSignature::Interval,
+            Superseded::Closed,
             src.scan_rows().unwrap(),
             src.last_commit(),
             src.transactions(),
@@ -1479,6 +1589,74 @@ mod tests {
             }
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn dropped_versions_leave_nothing_behind() {
+        let mut t = StoredBitemporalTable::new(
+            faculty_schema(),
+            TemporalSignature::Interval,
+            Superseded::Dropped,
+        );
+        let mut reference = HistoricalRelation::new(faculty_schema(), TemporalSignature::Interval);
+        drive_figure_8(&mut t);
+        // The mirror applies the reference transitions, so the current
+        // state is Figure 6's historical relation …
+        for (name, rank, from, to) in [
+            ("Merrie", "associate", "09/01/77", Some("12/01/82")),
+            ("Tom", "associate", "12/05/82", None),
+            ("Merrie", "full", "12/01/82", None),
+            ("Mike", "assistant", "01/01/83", Some("03/01/84")),
+        ] {
+            let p = match to {
+                Some(to) => Period::new(d(from), d(to)).unwrap(),
+                None => Period::from_start(d(from)),
+            };
+            reference.insert(tuple([name, rank]), p).unwrap();
+        }
+        assert_eq!(t.current_ref().rows(), reference.rows());
+        // … and nothing else is stored, logged or checkpointed.
+        assert_eq!(t.stored_tuples(), 4);
+        assert_eq!(t.frozen_version_count(), 0);
+        assert_eq!(t.logged_transactions(), 0);
+        assert_eq!((t.checkpoints(), t.checkpoint_interval()), (0, 0));
+        assert_eq!(t.transactions(), 6);
+        // current_rows follows the mirror's order, not the heap's: the
+        // corrected rows took the dead slots of the versions they replaced.
+        let rows = t.current_rows().unwrap();
+        let pairs: Vec<_> = rows.iter().map(|r| (&r.tuple, r.validity)).collect();
+        let expect: Vec<_> = reference
+            .rows()
+            .iter()
+            .map(|r| (&r.tuple, r.validity))
+            .collect();
+        assert_eq!(pairs, expect);
+        assert!(rows.iter().all(BitemporalRow::is_current));
+        // The image restores to the same table, and a closed version in
+        // it is refused rather than resurrected.
+        let restored = StoredBitemporalTable::from_rows(
+            faculty_schema(),
+            TemporalSignature::Interval,
+            Superseded::Dropped,
+            rows.clone(),
+            t.last_commit(),
+            t.transactions(),
+        )
+        .unwrap();
+        assert_eq!(restored.current_ref().rows(), reference.rows());
+        let mut closed = rows;
+        closed[0].tx = Period::new(d("08/25/77"), d("12/15/82")).unwrap();
+        assert!(matches!(
+            StoredBitemporalTable::from_rows(
+                faculty_schema(),
+                TemporalSignature::Interval,
+                Superseded::Dropped,
+                closed,
+                t.last_commit(),
+                t.transactions(),
+            ),
+            Err(StorageError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property tests for the storage layer: codec fuzz round-trips, B+ tree
-//! vs `BTreeMap`, interval tree vs linear scan, WAL record round-trips,
+//! Property tests for the storage layer: codec fuzz round-trips,
+//! interval tree vs linear scan, WAL record round-trips,
 //! the storage-backed table vs the reference bitemporal store, and the
 //! frozen-segment format (delta codec and period coalescing round-trips,
 //! frozen table vs pure-heap table).
@@ -10,11 +10,10 @@ use chronos_core::prelude::*;
 use chronos_core::schema::faculty_schema;
 use chronos_core::timepoint::TimePoint;
 use chronos_storage::codec;
-use chronos_storage::index::{BPlusTree, IntervalTree};
+use chronos_storage::index::IntervalTree;
 use chronos_storage::table::StoredBitemporalTable;
 use chronos_storage::wal::{decode_record, encode_record, WalRecord};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -79,26 +78,6 @@ proptest! {
             .collect();
         let rec = WalRecord { rel_id, tx_time: Chronon::new(tx), ops };
         prop_assert_eq!(decode_record(&encode_record(&rec)).unwrap(), rec);
-    }
-
-    #[test]
-    fn bptree_matches_btreemap(
-        ops in prop::collection::vec((any::<u16>(), any::<u8>(), any::<bool>()), 1..400)
-    ) {
-        let mut tree = BPlusTree::new();
-        let mut map = BTreeMap::new();
-        for (k, v, insert) in ops {
-            if insert {
-                prop_assert_eq!(tree.insert(k, v), map.insert(k, v));
-            } else {
-                prop_assert_eq!(tree.remove(&k), map.remove(&k));
-            }
-        }
-        prop_assert_eq!(tree.len(), map.len());
-        let mut collected = Vec::new();
-        tree.for_each(|k, v| collected.push((*k, *v)));
-        let expected: Vec<(u16, u8)> = map.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(collected, expected);
     }
 
     #[test]

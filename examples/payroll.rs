@@ -50,7 +50,7 @@ fn main() {
 
     // Payroll ran on the first of each month, paying what the database
     // said *on that day* (a rollback query per pay date).
-    let rel = db.relation("salary").expect("exists").as_temporal();
+    let rel = db.relation("salary").expect("exists").table();
     println!("month     | paid (as of pay date) | correct (current knowledge)");
     println!("----------+-----------------------+----------------------------");
     let mut paid_total = 0i64;

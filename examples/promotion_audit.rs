@@ -66,7 +66,7 @@ fn main() {
         "{:<8} {:<10} | {:>10} | {:>10} | {:>10} | finding",
         "name", "rank", "effective", "signed", "recorded"
     );
-    let rel = db.relation("promotion").expect("exists").as_temporal();
+    let rel = db.relation("promotion").expect("exists").table();
     for row in rel.scan_rows().expect("scan") {
         let name = row.tuple.get(0).to_string();
         let rank = row.tuple.get(1).to_string();

@@ -33,6 +33,14 @@ cargo build --release --offline
 echo "==> cargo test -q"
 cargo test -q --offline
 
+echo "==> frozen benchmark still builds against the crates"
+# benchmark/ may not change with the code it measures; an API break
+# against it must fail here, not in the measurement pipeline.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> every declared (dev-)dependency is used"
+scripts/check-deps.sh
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --offline -- -D warnings
 
@@ -386,6 +394,61 @@ grep -q 'at offset' <<<"$inspect_out" \
   || die "negative: torn WAL tail must degrade gracefully, not fail"
 grep -q '"event": "wal_truncated"' "$neg_dir/db/events.jsonl" \
   || die "negative: torn-tail recovery was not journaled"
+
+echo "==> four-class inspect smoke (one store, one checkpoint image shape)"
+cls_dir=$(mktemp -d)
+workdirs+=("$cls_dir")
+# One relation of each class, a superseded version in each, then a
+# checkpoint on the way out: the doctor must read every image and take
+# its class from the catalog.
+./target/release/chronos --batch "$cls_dir/db" >/dev/null <<'EOF' \
+  || die "class smoke: batch script failed"
+\advance 01/01/80
+create s_rel (name = str, rank = str) as static
+create r_rel (name = str, rank = str) as rollback
+create h_rel (name = str, rank = str) as historical
+create t_rel (name = str, rank = str) as temporal
+
+append to s_rel (name = "Merrie", rank = "associate")
+
+append to r_rel (name = "Merrie", rank = "associate")
+
+append to h_rel (name = "Merrie", rank = "associate")
+
+append to t_rel (name = "Merrie", rank = "associate")
+
+\advance 06/01/82
+range of s is s_rel
+range of r is r_rel
+range of h is h_rel
+range of t is t_rel
+replace s (rank = "full") where s.name = "Merrie"
+
+replace r (rank = "full") where r.name = "Merrie"
+
+replace h (rank = "full") where h.name = "Merrie"
+
+replace t (rank = "full") where t.name = "Merrie"
+
+\checkpoint
+EOF
+inspect_out=$(./target/release/chronos --inspect "$cls_dir/db") \
+  || die "class smoke: four-class database did not inspect clean" "$inspect_out"
+grep -q 'checkpoint: 4 image(s)' <<<"$inspect_out" \
+  || die "class smoke: expected four checkpoint images" "$inspect_out"
+# Kept versions: static 1, rollback 2, historical 2, temporal 3.
+for want in 'static  1 row' 'static rollback  2 row' 'historical  2 row' 'temporal  3 row'; do
+  grep -q "$want" <<<"$inspect_out" \
+    || die "class smoke: image line '$want' missing" "$inspect_out"
+done
+# Reopen from the image: the rollback relation still answers `as of`.
+cls_rows=$(./target/release/chronos --batch "$cls_dir/db" <<'EOF'
+range of r is r_rel
+retrieve (r.rank) as of "01/01/81"
+EOF
+) || die "class smoke: reopening the four-class database failed"
+grep -q 'associate' <<<"$cls_rows" \
+  || die "class smoke: rollback relation lost its history across the checkpoint" "$cls_rows"
 
 echo "==> frozen segment smoke (freeze / sys\$pages / --inspect / torn segment)"
 seg_dir=$(mktemp -d)

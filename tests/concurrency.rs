@@ -19,18 +19,17 @@ fn txn_manager_is_race_free() {
     let clock = Arc::new(ManualClock::new(Chronon::new(0)));
     let mgr = Arc::new(TxnManager::new(clock));
     let mut all = Vec::new();
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let mgr = Arc::clone(&mgr);
-                s.spawn(move |_| (0..500).map(|_| mgr.next_commit_time()).collect::<Vec<_>>())
+                s.spawn(move || (0..500).map(|_| mgr.next_commit_time()).collect::<Vec<_>>())
             })
             .collect();
         for h in handles {
             all.extend(h.join().unwrap());
         }
-    })
-    .unwrap();
+    });
     let n = all.len();
     all.sort();
     all.dedup();
@@ -61,12 +60,12 @@ fn readers_see_stable_past_states_during_writes() {
     let expected = table.read().rollback(frozen_at);
     let stop = Arc::new(AtomicBool::new(false));
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         // Writer: keeps committing new facts and corrections.
         {
             let table = Arc::clone(&table);
             let stop = Arc::clone(&stop);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 50..250i64 {
                     let mut t = table.write();
                     t.try_commit(
@@ -86,7 +85,7 @@ fn readers_see_stable_past_states_during_writes() {
             let table = Arc::clone(&table);
             let stop = Arc::clone(&stop);
             let expected = expected.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut checks = 0u32;
                 while !stop.load(Ordering::SeqCst) || checks == 0 {
                     let got = table.read().rollback(frozen_at);
@@ -96,8 +95,7 @@ fn readers_see_stable_past_states_during_writes() {
                 assert!(checks > 0);
             });
         }
-    })
-    .unwrap();
+    });
 
     // After all writes, the past is still the past.
     assert_eq!(table.read().rollback(frozen_at), expected);
@@ -127,10 +125,10 @@ fn pinned_engine_reader_sees_stable_slice_across_commits() {
     let baseline = reader.query(query).expect("baseline");
     assert_eq!(baseline.rows.len(), 10);
     let stop = Arc::new(AtomicBool::new(false));
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..4 {
             let engine = Arc::clone(&engine);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut session = engine.session();
                 for j in 0..25 {
                     session
@@ -143,7 +141,7 @@ fn pinned_engine_reader_sees_stable_slice_across_commits() {
         }
         {
             let stop = Arc::clone(&stop);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut checks = 0u32;
                 while !stop.load(Ordering::SeqCst) || checks == 0 {
                     let got = reader.query(query).expect("pinned query");
@@ -161,7 +159,7 @@ fn pinned_engine_reader_sees_stable_slice_across_commits() {
         // leave the reader spinning; signal it once they finish.
         let engine2 = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
-        s.spawn(move |_| loop {
+        s.spawn(move || loop {
             let commits = engine2.stats().metrics.commits;
             if commits >= 110 {
                 stop.store(true, Ordering::SeqCst);
@@ -169,8 +167,7 @@ fn pinned_engine_reader_sees_stable_slice_across_commits() {
             }
             std::thread::yield_now();
         });
-    })
-    .unwrap();
+    });
     engine.shutdown();
 }
 
@@ -231,11 +228,11 @@ fn concurrent_bitemporal_point_queries_agree_with_serial() {
         })
         .collect();
     // The same queries from many threads (read-only sharing).
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for chunk in 0..4 {
             let t = Arc::clone(&t);
             let serial = serial.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for v in (chunk..100).step_by(4) {
                     let got = t
                         .valid_at_as_of(Chronon::new(v as i64), Chronon::new(99))
@@ -245,6 +242,5 @@ fn concurrent_bitemporal_point_queries_agree_with_serial() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 }

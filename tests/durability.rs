@@ -92,16 +92,13 @@ fn new_commits_after_reopen_stay_append_only() {
         db.session()
             .run(r#"append to faculty (name = "Mike", rank = "assistant")"#)
             .unwrap();
-        let rel = db.relation("faculty").unwrap().as_temporal();
+        let rel = db.relation("faculty").unwrap().table();
         assert!(rel.last_commit().unwrap() > d("04/01/80"));
     }
     // The whole thing replays again.
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
     let db = Database::open(&dir, clock).unwrap();
-    assert_eq!(
-        db.relation("faculty").unwrap().as_temporal().transactions(),
-        4
-    );
+    assert_eq!(db.relation("faculty").unwrap().table().transactions(), 4);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -120,7 +117,7 @@ fn torn_wal_tail_is_truncated_on_open() {
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
     let db = Database::open(&dir, clock).unwrap();
     assert_eq!(
-        db.relation("faculty").unwrap().as_temporal().transactions(),
+        db.relation("faculty").unwrap().table().transactions(),
         3,
         "all intact commits survive, the torn frame is dropped"
     );
@@ -144,7 +141,7 @@ fn truncation_mid_record_recovers_and_journals_wal_truncated() {
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
     let db = Database::open(&dir, clock).expect("torn tail must degrade, not fail");
     assert_eq!(
-        db.relation("faculty").unwrap().as_temporal().transactions(),
+        db.relation("faculty").unwrap().table().transactions(),
         2,
         "the two intact commits survive, the torn third is dropped"
     );
@@ -181,7 +178,7 @@ fn checksum_flip_in_last_record_recovers_and_journals_wal_truncated() {
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
     let db = Database::open(&dir, clock).expect("checksum mismatch must degrade, not fail");
     assert_eq!(
-        db.relation("faculty").unwrap().as_temporal().transactions(),
+        db.relation("faculty").unwrap().table().transactions(),
         2,
         "recovery keeps the prefix before the damaged record"
     );
@@ -207,10 +204,7 @@ fn interior_corruption_keeps_the_valid_prefix() {
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
     let db = Database::open(&dir, clock).unwrap();
     // Only the first commit survives; framing is lost from the bad frame.
-    assert_eq!(
-        db.relation("faculty").unwrap().as_temporal().transactions(),
-        1
-    );
+    assert_eq!(db.relation("faculty").unwrap().table().transactions(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -259,7 +253,7 @@ fn checkpoint_bounds_recovery_and_preserves_history() {
     {
         let clock = Arc::new(ManualClock::new(d("07/01/80")));
         let mut db = Database::open(&dir, clock.clone()).unwrap();
-        let rel = db.relation("faculty").unwrap().as_temporal();
+        let rel = db.relation("faculty").unwrap().table();
         assert_eq!(rel.transactions(), 3);
         assert_eq!(rel.last_commit(), Some(d("04/01/80")));
         let res = db
@@ -281,7 +275,7 @@ fn checkpoint_bounds_recovery_and_preserves_history() {
     {
         let clock = Arc::new(ManualClock::new(d("09/01/80")));
         let mut db = Database::open(&dir, clock).unwrap();
-        let rel = db.relation("faculty").unwrap().as_temporal();
+        let rel = db.relation("faculty").unwrap().table();
         assert_eq!(rel.transactions(), 4);
         let res = db
             .session()
@@ -435,8 +429,6 @@ fn mixed_classes_replay_correctly() {
         assert_eq!(res.column_strings(0), ["y"], "{rel} replayed wrong");
     }
     // The rollback relation still remembers x's tenure.
-    use chronos_core::relation::rollback::RollbackStore as _;
-    let rb = db.relation("r").unwrap().as_rollback();
-    assert_eq!(rb.stored_tuples(), 2);
+    assert_eq!(db.relation("r").unwrap().stored_tuples(), 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }

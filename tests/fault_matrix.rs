@@ -138,7 +138,7 @@ fn assert_recovers_prefix(dir: &Path) {
     .expect("open after damage must degrade gracefully, not fail");
     let commits = db
         .relation(fm::RELATION)
-        .map(|r| r.as_temporal().transactions())
+        .map(|r| r.table().transactions())
         .unwrap_or(0);
     assert_eq!(commits, expected, "recovered commits != intact WAL prefix");
 }
@@ -150,6 +150,7 @@ proptest! {
     /// recover the longest intact record prefix.
     #[test]
     fn truncated_wal_recovers_intact_prefix(pct in 0u64..=100) {
+        let _g = fault_lock();
         let dir = proptest_dir("cut");
         let len = populated(&dir);
         let cut = len * pct / 100;
@@ -167,6 +168,7 @@ proptest! {
     /// recover the prefix before the damaged record.
     #[test]
     fn byte_flip_recovers_intact_prefix(pct in 0u64..100, bit in 0u32..8) {
+        let _g = fault_lock();
         let dir = proptest_dir("flip");
         let len = populated(&dir);
         let pos = len.saturating_sub(1) * pct / 100;

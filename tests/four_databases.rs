@@ -7,8 +7,18 @@ use std::sync::Arc;
 use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
-use chronos_core::taxonomy::DatabaseClass;
+use chronos_core::period::Period;
+use chronos_core::relation::historical::HistoricalRelation;
+use chronos_core::relation::rollback::{RollbackStore, TimestampedRollback};
+use chronos_core::relation::static_rel::StaticRelation;
+use chronos_core::relation::temporal::{BitemporalTable, TemporalStore};
+use chronos_core::relation::{HistoricalOp, RowSelector, StaticOp, Validity};
+use chronos_core::schema::{faculty_schema, RelationClass, TemporalSignature};
+use chronos_core::taxonomy::{classify, DatabaseClass};
+use chronos_core::tuple::{tuple, Tuple};
 use chronos_db::{Database, ExecOutcome};
+use chronos_tquel::provider::{AsOfSpec, RelationProvider};
+use proptest::prelude::*;
 
 fn d(s: &str) -> Chronon {
     date(s).unwrap()
@@ -171,8 +181,12 @@ fn corrections_distinguish_historical_from_rollback() {
     assert_eq!(res.column_strings(0), ["full"], "corrected history");
     // No record remains of the old (wrong) belief: the old full row from
     // 06/01/82 was superseded; only the corrected rows exist.
-    let rel = db.relation("h_rel").unwrap().as_historical();
-    assert_eq!(rel.len(), 2, "associate (closed) + full (corrected)");
+    let rel = db.relation("h_rel").unwrap();
+    assert_eq!(
+        rel.stored_tuples(),
+        2,
+        "associate (closed) + full (corrected)"
+    );
 }
 
 #[test]
@@ -212,4 +226,405 @@ fn outcomes_report_affected_rows() {
         .run(r#"range of v is t_rel delete v where v.name = "A""#)
         .unwrap();
     assert!(matches!(out[1], ExecOutcome::Deleted(1)));
+}
+
+/// Figure 10 through the database (experiment T5): the catalog class of
+/// a relation is exactly the pair of capabilities its queries have, and
+/// a refusal says which capability is missing — unchanged by every class
+/// now living in the same store, where the bytes to answer exist.
+#[test]
+fn capability_matrix_and_refusal_texts_are_pinned() {
+    let (mut db, clock) = db_with_all_classes();
+    for (rel, rollback, historical) in [
+        ("s_rel", false, false),
+        ("r_rel", true, false),
+        ("h_rel", false, true),
+        ("t_rel", true, true),
+    ] {
+        run_story(&mut db, &clock, rel);
+        assert_eq!(db.classify(rel), Some(classify(rollback, historical)));
+        let as_of = db.session().query(&format!(
+            r#"range of v is {rel} retrieve (v.rank) as of "01/01/81""#
+        ));
+        let when = db.session().query(&format!(
+            r#"range of v is {rel} retrieve (v.rank) when v overlap "01/01/81""#
+        ));
+        let valid = db.session().run(&format!(
+            r#"append to {rel} (name = "Tom", rank = "full") valid from "01/01/81" to forever"#
+        ));
+        assert_eq!(as_of.is_ok(), rollback, "{rel}: as of");
+        assert_eq!(when.is_ok(), historical, "{rel}: when");
+        assert_eq!(valid.is_ok(), historical, "{rel}: valid clause");
+    }
+    for (rel, class) in [("s_rel", "static"), ("h_rel", "historical")] {
+        // The analyzer refuses the statement …
+        let err = db
+            .session()
+            .query(&format!(
+                r#"range of v is {rel} retrieve (v.rank) as of "01/01/81""#
+            ))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "semantic error: 'as of' requires rollback support, but v ranges over {rel} \
+                 — a {class} relation"
+            )
+        );
+        // … and the store refuses a provider that asks anyway.
+        let err = db
+            .scan(rel, Some(&AsOfSpec::At(d("01/01/81"))))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "semantic error: capability violation: 'as of' on a {class} relation \
+                 (no transaction time)"
+            )
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The unified store against the reference relation of each class
+// ---------------------------------------------------------------------
+
+/// One generated operation; row picks resolve against the oracle's
+/// current state when the script is replayed.
+#[derive(Clone, Debug)]
+enum Step {
+    Insert {
+        name: u8,
+        rank: u8,
+        from: i64,
+        len: Option<i64>,
+    },
+    Remove(prop::sample::Index),
+    Correct {
+        pick: prop::sample::Index,
+        from: i64,
+        len: Option<i64>,
+    },
+}
+
+fn arb_period() -> impl Strategy<Value = (i64, Option<i64>)> {
+    (0i64..40, prop::option::of(1i64..20))
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        3 => (0u8..6, 0u8..3, arb_period())
+            .prop_map(|(name, rank, (from, len))| Step::Insert { name, rank, from, len }),
+        2 => any::<prop::sample::Index>().prop_map(Step::Remove),
+        2 => (any::<prop::sample::Index>(), arb_period())
+            .prop_map(|(pick, (from, len))| Step::Correct { pick, from, len }),
+    ]
+}
+
+/// Transactions of one to three steps, each preceded by a clock advance.
+fn arb_script() -> impl Strategy<Value = Vec<(i64, Vec<Step>)>> {
+    prop::collection::vec((1i64..5, prop::collection::vec(arb_step(), 1..4)), 6..28)
+}
+
+fn period(from: i64, len: Option<i64>) -> Validity {
+    Validity::Interval(match len {
+        Some(len) => Period::new(Chronon::new(from), Chronon::new(from + len)).unwrap(),
+        None => Period::from_start(Chronon::new(from)),
+    })
+}
+
+/// What a scan hands the evaluator: the tuple plus the axes the class
+/// exposes.
+type Row = (Tuple, Option<Validity>, Option<Period>);
+
+/// The `chronos-core` reference relation of one class.
+enum Oracle {
+    Static(StaticRelation),
+    Rollback(TimestampedRollback),
+    Historical(HistoricalRelation),
+    Temporal(BitemporalTable),
+}
+
+impl Oracle {
+    fn new(class: RelationClass) -> Oracle {
+        let interval = TemporalSignature::Interval;
+        match class {
+            RelationClass::Static => Oracle::Static(StaticRelation::new(faculty_schema())),
+            RelationClass::StaticRollback => {
+                Oracle::Rollback(TimestampedRollback::new(faculty_schema()))
+            }
+            RelationClass::Historical => {
+                Oracle::Historical(HistoricalRelation::new(faculty_schema(), interval))
+            }
+            RelationClass::Temporal => {
+                Oracle::Temporal(BitemporalTable::new(faculty_schema(), interval))
+            }
+        }
+    }
+
+    fn has_valid_time(&self) -> bool {
+        matches!(self, Oracle::Historical(_) | Oracle::Temporal(_))
+    }
+
+    /// The current state, in the reference's row order.
+    fn current(&self) -> Vec<Row> {
+        match self {
+            Oracle::Static(r) => r.iter().map(|t| (t.clone(), None, None)).collect(),
+            Oracle::Rollback(r) => r
+                .current()
+                .iter()
+                .map(|t| (t.clone(), None, None))
+                .collect(),
+            Oracle::Historical(r) => r
+                .rows()
+                .iter()
+                .map(|row| (row.tuple.clone(), Some(row.validity), None))
+                .collect(),
+            Oracle::Temporal(r) => r
+                .rows()
+                .iter()
+                .filter(|row| row.is_current())
+                .map(|row| (row.tuple.clone(), Some(row.validity), Some(row.tx)))
+                .collect(),
+        }
+    }
+
+    /// The rows stored during `window` (one instant for `as of t`), or
+    /// `None` for a class that must refuse the question.
+    fn stored_during(&self, window: Period) -> Option<Vec<Row>> {
+        match self {
+            Oracle::Static(_) | Oracle::Historical(_) => None,
+            Oracle::Rollback(r) => {
+                let mut seen = std::collections::HashSet::new();
+                Some(
+                    r.rows()
+                        .iter()
+                        .filter(|row| row.tx.overlaps(window) && seen.insert(&row.tuple))
+                        .map(|row| (row.tuple.clone(), None, None))
+                        .collect(),
+                )
+            }
+            Oracle::Temporal(r) => Some(
+                r.rows()
+                    .iter()
+                    .filter(|row| row.tx.overlaps(window))
+                    .map(|row| (row.tuple.clone(), Some(row.validity), Some(row.tx)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Lowers generated steps to the operations the session would log
+    /// for this class: classes without valid time pin it to `(-∞, ∞)`,
+    /// select rows by tuple, and have no corrections to make.
+    fn lower(&self, steps: &[Step]) -> Vec<HistoricalOp> {
+        let current = self.current();
+        let select = |pick: &prop::sample::Index| {
+            let (t, validity, _) = &current[pick.index(current.len())];
+            match validity {
+                Some(v) => RowSelector::exact(t.clone(), *v),
+                None => RowSelector::tuple(t.clone()),
+            }
+        };
+        let stamp = |from, len| {
+            if self.has_valid_time() {
+                period(from, len)
+            } else {
+                Validity::Interval(Period::ALWAYS)
+            }
+        };
+        let mut ops = Vec::new();
+        for step in steps {
+            match step {
+                Step::Insert {
+                    name,
+                    rank,
+                    from,
+                    len,
+                } => {
+                    let row = tuple([format!("n{name}"), format!("r{rank}")]);
+                    ops.push(HistoricalOp::insert(row, stamp(*from, *len)));
+                }
+                Step::Remove(pick) if !current.is_empty() => {
+                    ops.push(HistoricalOp::remove(select(pick)));
+                }
+                Step::Correct { pick, from, len }
+                    if !current.is_empty() && self.has_valid_time() =>
+                {
+                    ops.push(HistoricalOp::set_validity(
+                        select(pick),
+                        period(*from, *len),
+                    ));
+                }
+                _ => {}
+            }
+        }
+        ops
+    }
+
+    /// Applies a transaction under the reference semantics; an error
+    /// leaves the oracle unchanged.
+    fn commit(&mut self, t: Chronon, ops: &[HistoricalOp]) -> bool {
+        let static_ops = || -> Vec<StaticOp> {
+            ops.iter()
+                .map(|op| match op {
+                    HistoricalOp::Insert { tuple, .. } => StaticOp::Insert(tuple.clone()),
+                    HistoricalOp::Remove { selector } => StaticOp::Delete(selector.tuple.clone()),
+                    HistoricalOp::SetValidity { .. } => unreachable!("no valid time to correct"),
+                })
+                .collect()
+        };
+        match self {
+            Oracle::Static(r) => r.apply(&static_ops()).is_ok(),
+            Oracle::Rollback(r) => r.commit(t, &static_ops()).is_ok(),
+            Oracle::Historical(r) => r.apply(ops).is_ok(),
+            Oracle::Temporal(r) => r.commit(t, ops).is_ok(),
+        }
+    }
+}
+
+fn scanned(db: &Database, rel: &str, as_of: Option<&AsOfSpec>) -> Result<Vec<Row>, String> {
+    db.scan(rel, as_of)
+        .map(|rows| {
+            rows.iter()
+                .map(|r| (r.tuple.clone(), r.validity, r.tx))
+                .collect()
+        })
+        .map_err(|e| e.to_string())
+}
+
+/// A past read of a temporal relation shows when each version was
+/// stored; whether it also shows a later commit closing it depends on
+/// whether the scan cache answered (entries below the commit clock are
+/// frozen — the finding PR 11 recorded), so only the start is compared.
+fn since(rows: Vec<Row>) -> Vec<Row> {
+    rows.into_iter()
+        .map(|(t, v, tx)| (t, v, tx.map(|p| Period::clamped(p.start(), p.start()))))
+        .collect()
+}
+
+/// Every read the class allows agrees with the oracle, row for row and
+/// in order; every read it must refuse is refused.
+fn assert_agrees(
+    db: &Database,
+    rel: &str,
+    oracle: &Oracle,
+    commits: &[Chronon],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(scanned(db, rel, None), Ok(oracle.current()), "{} now", rel);
+    let first = commits.first().copied().unwrap_or(Chronon::new(0));
+    for &t in commits.iter().step_by(3).chain(commits.last()) {
+        for probe in [t.pred(), t, t.succ()] {
+            let at = scanned(db, rel, Some(&AsOfSpec::At(probe))).map(since);
+            let through = scanned(db, rel, Some(&AsOfSpec::Through(first, probe))).map(since);
+            match oracle.stored_during(Period::instant(probe)) {
+                Some(expect) => {
+                    prop_assert_eq!(at, Ok(since(expect)), "{} as of {}", rel, probe);
+                    let window = Period::clamped(first, probe.succ());
+                    prop_assert_eq!(
+                        through,
+                        Ok(since(
+                            oracle.stored_during(window).expect("has transaction time")
+                        )),
+                        "{} as of {} through {}",
+                        rel,
+                        first,
+                        probe
+                    );
+                }
+                None => prop_assert!(at.is_err() && through.is_err(), "{} must refuse", rel),
+            }
+        }
+    }
+    // "Forgotten completely" / "no memory of corrections" stay literal:
+    // a class without transaction time holds no closed version, anywhere.
+    let table = db.relation(rel).expect("defined").table();
+    if oracle.stored_during(Period::ALWAYS).is_none() {
+        prop_assert_eq!(table.frozen_version_count(), 0, "{} keeps history", rel);
+        prop_assert_eq!(table.stored_tuples(), oracle.current().len());
+        prop_assert_eq!(table.logged_transactions() + table.checkpoints(), 0);
+    }
+    Ok(())
+}
+
+const CLASSES: [(&str, RelationClass); 4] = [
+    ("s_rel", RelationClass::Static),
+    ("r_rel", RelationClass::StaticRollback),
+    ("h_rel", RelationClass::Historical),
+    ("t_rel", RelationClass::Temporal),
+];
+
+fn cases() -> ProptestConfig {
+    // Durable commits fsync, so tier-1 runs a small sample; the full
+    // sweep is `PROPTEST_CASES=2048 cargo test --test four_databases`.
+    ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(24),
+    )
+}
+
+proptest! {
+    #![proptest_config(cases())]
+
+    /// Random insert / remove / set-validity scripts replayed against
+    /// the unified store and against the `chronos-core` reference
+    /// relation of each class, with a checkpoint, a log suffix and a
+    /// reopen in mid-script.
+    #[test]
+    fn unified_store_matches_the_reference_relation_of_every_class(script in arb_script()) {
+        static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "chronos-fourclass-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut clock = Arc::new(ManualClock::new(Chronon::new(100)));
+        let mut db = Database::open(&dir, clock.clone()).expect("open");
+        for (rel, class) in CLASSES {
+            db.create_relation(rel, faculty_schema(), class, TemporalSignature::Interval)
+                .expect("create");
+        }
+        let mut oracles: Vec<Oracle> = CLASSES.iter().map(|(_, c)| Oracle::new(*c)).collect();
+        let mut commits: Vec<Vec<Chronon>> = vec![Vec::new(); CLASSES.len()];
+        let (checkpoint_at, reopen_at) = (script.len() / 2, script.len() / 2 + 2);
+        for (i, (advance, steps)) in script.iter().enumerate() {
+            if i == checkpoint_at {
+                db.checkpoint().expect("checkpoint");
+            }
+            if i == reopen_at {
+                // Image + log suffix must restore every class in order.
+                let now = db.now();
+                drop(db);
+                clock = Arc::new(ManualClock::new(now));
+                db = Database::open(&dir, clock.clone()).expect("reopen");
+                for (k, (rel, _)) in CLASSES.iter().enumerate() {
+                    assert_agrees(&db, rel, &oracles[k], &commits[k])?;
+                }
+            }
+            for (k, (rel, _)) in CLASSES.iter().enumerate() {
+                let ops = oracles[k].lower(steps);
+                if ops.is_empty() {
+                    continue;
+                }
+                clock.tick(*advance);
+                let expected = db.now();
+                // The store accepts exactly the transactions the
+                // reference semantics accept, at the time it announced.
+                if oracles[k].commit(expected, &ops) {
+                    prop_assert_eq!(db.commit(rel, &ops).ok(), Some(expected), "{} commit", rel);
+                    commits[k].push(expected);
+                } else {
+                    prop_assert!(db.commit(rel, &ops).is_err(), "{} accepted {:?}", rel, ops);
+                }
+            }
+        }
+        for (k, (rel, _)) in CLASSES.iter().enumerate() {
+            assert_agrees(&db, rel, &oracles[k], &commits[k])?;
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

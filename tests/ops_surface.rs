@@ -247,8 +247,7 @@ fn slow_log_names_the_rollback_access_path() {
     db.session()
         .run("create r (name = str) as rollback")
         .expect("create");
-    // Nine commits: with checkpoints every eight, a probe at the end
-    // seeds from the checkpoint and replays the ninth alone.
+    // Nine commits, then a probe at the end.
     for i in 0..9 {
         clock.tick(1);
         db.session()
@@ -267,18 +266,16 @@ fn slow_log_names_the_rollback_access_path() {
     let (status, slow) = http_get(&server.addr().to_string(), "/slow").expect("GET /slow");
     assert_eq!(status, 200);
     // The captured profile names the access path the reconstruction
-    // actually took — here the K=8 checkpoint seed.
-    assert!(slow.contains("checkpoint hit"), "{slow}");
+    // actually took — the table's transaction-time index, the same
+    // path a temporal `as of` takes.
+    assert!(slow.contains("tx-index stab"), "{slow}");
     assert!(slow.contains("retrieve"), "{slow}");
     server.shutdown();
 
-    // A relation restored without its in-memory accelerator (fresh
-    // relation probed below the first checkpoint) reports full replay;
-    // spot-check the wording exists in the renderer's vocabulary.
     let entries = db.recorder().slowlog().entries();
     let last = entries.last().expect("captured");
-    assert!(last.report.contains("checkpoint hit"), "{}", last.report);
-    assert!(last.report.contains("K=8"), "{}", last.report);
+    assert!(last.report.contains("storage/asof"), "{}", last.report);
+    assert!(last.report.contains("tx-index stab"), "{}", last.report);
 }
 
 #[test]
@@ -366,7 +363,7 @@ fn recovery_event_matches_the_replayed_table_state() {
 
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
     let db = Database::open(&dir, clock).expect("reopen");
-    let replayed_txns = db.relation("faculty").unwrap().as_temporal().transactions() as u64;
+    let replayed_txns = db.relation("faculty").unwrap().table().transactions() as u64;
     assert_eq!(replayed_txns, 1, "only the valid prefix replays");
 
     let journal = std::fs::read_to_string(dir.join("events.jsonl")).expect("journal");
