@@ -151,6 +151,7 @@ impl Database {
         clock: Arc<dyn Clock>,
         obs: &ObsBootstrap,
     ) -> DbResult<Database> {
+        let started = std::time::Instant::now();
         std::fs::create_dir_all(dir).map_err(chronos_storage::StorageError::from)?;
         // Frozen segments are a rebuildable physical cache: every row
         // they hold is also in the checkpoint image (capture merges
@@ -237,6 +238,14 @@ impl Database {
             "recovery",
             &[
                 ("frames_replayed", frames_replayed.into()),
+                // Catalog, checkpoint image and log replay together: what
+                // a restart waited for.
+                (
+                    "elapsed_us",
+                    u64::try_from(started.elapsed().as_micros())
+                        .unwrap_or(u64::MAX)
+                        .into(),
+                ),
                 ("frames_skipped", frames_skipped.into()),
                 ("truncated_at", recovered.valid_len.into()),
                 ("torn_bytes", recovered.torn_bytes.into()),
@@ -566,7 +575,7 @@ impl Database {
             .relations
             .get_mut(relation)
             .expect("catalog and stores in sync");
-        if let Err(e) = rel.apply(tx_time, ops) {
+        if let Err(e) = rel.table_mut().apply_validated(tx_time, ops) {
             // The transaction validated but the physical apply failed
             // (an I/O fault in the heap/pager path).  The record is
             // already in the log; roll it back so the database never

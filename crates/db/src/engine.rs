@@ -36,7 +36,7 @@
 //! relation class lives in the same store, but a static or historical
 //! relation *drops* a superseded version instead of closing it, so
 //! there is no past state to clamp its scans to: those two classes read
-//! at read-committed isolation, as do the latest-state scans that lower
+//! at read-committed isolation, as do the current-row probes that lower
 //! `delete`/`replace` statements.  (Keeping a hidden, recorded
 //! transaction time for them would close that hole; see ROADMAP.)
 //!
@@ -53,7 +53,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use chronos_algebra::expr::Predicate;
 use chronos_core::chronon::Chronon;
+use chronos_core::relation::historical::HistoricalRow;
 use chronos_core::relation::HistoricalOp;
 use chronos_obs::trace::Recorder;
 use parking_lot::{Mutex, RwLock};
@@ -548,7 +550,7 @@ impl SessionBackend for EngineBackend {
             .note_statement(self.session_id, trace_id);
     }
 
-    fn scan_latest(&self, relation: &str) -> DbResult<Vec<SourceRow>> {
+    fn current_matching(&self, relation: &str, pred: &Predicate) -> DbResult<Vec<HistoricalRow>> {
         // Modification lowering reads the *latest* state (read
         // committed): a delete must close the facts that exist now,
         // not the ones the snapshot remembers.
@@ -556,7 +558,7 @@ impl SessionBackend for EngineBackend {
         let rel = db
             .relation(relation)
             .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))?;
-        rel.scan(None)
+        rel.current_matching(pred)
     }
 
     fn retrieve(

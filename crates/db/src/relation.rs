@@ -19,22 +19,29 @@
 //!
 //! All mutation flows through [`Relation::validate`] +
 //! [`Relation::apply`] with the operation vocabulary the write-ahead
-//! log records ([`HistoricalOp`]).  `chronos-core`'s reference relations
-//! are the oracle this store is differentially tested against, not part
-//! of it.
+//! log records ([`HistoricalOp`]), and a `delete` or `replace` finds the
+//! rows it acts on through [`Relation::current_matching`]: all three
+//! cost what the statement names, not what the relation holds.
+//! `chronos-core`'s reference relations are the oracle this store is
+//! differentially tested against, not part of it.
 
 use std::collections::HashSet;
 
+use chronos_algebra::expr::{CmpOp, Expr, Predicate};
 use chronos_core::chronon::Chronon;
+use chronos_core::error::CoreError;
 use chronos_core::period::Period;
+use chronos_core::relation::historical::HistoricalRow;
 use chronos_core::relation::temporal::{BitemporalRow, TemporalStore};
 use chronos_core::relation::{HistoricalOp, Validity};
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
-use chronos_storage::table::{StoredBitemporalTable, Superseded};
+use chronos_core::value::Value;
+use chronos_storage::table::{CurrentOrder, StoredBitemporalTable, Superseded};
 use chronos_storage::{StorageError, StorageResult};
 
 use crate::error::{DbError, DbResult};
 use chronos_tquel::provider::{AsOfSpec, SourceRow};
+use chronos_tquel::TquelError;
 
 /// The validity every row of a class without valid time carries.
 pub(crate) const ALWAYS: Validity = Validity::Interval(Period::ALWAYS);
@@ -45,6 +52,17 @@ pub(crate) fn has_valid_time(class: RelationClass) -> bool {
 
 pub(crate) fn has_transaction_time(class: RelationClass) -> bool {
     class.database_class().supports_rollback()
+}
+
+/// The constant a conjunct `attribute 0 = constant` of `pred` pins the
+/// key to, when it has one: no row with another key can satisfy `pred`.
+fn key_conjunct(pred: &Predicate) -> Option<&Value> {
+    match pred {
+        Predicate::Cmp(CmpOp::Eq, Expr::Attr(0), Expr::Const(key))
+        | Predicate::Cmp(CmpOp::Eq, Expr::Const(key), Expr::Attr(0)) => Some(key),
+        Predicate::And(a, b) => key_conjunct(a).or_else(|| key_conjunct(b)),
+        _ => None,
+    }
 }
 
 /// The table arguments a class implies: rows of a class without valid
@@ -148,7 +166,8 @@ impl Relation {
     /// modifying anything (so the write-ahead log never records a failing
     /// transaction).
     pub fn validate(&self, tx_time: Chronon, ops: &[HistoricalOp]) -> DbResult<()> {
-        if !has_valid_time(self.class) {
+        let valid_time = has_valid_time(self.class);
+        if !valid_time {
             for op in ops {
                 match op {
                     HistoricalOp::Insert { validity, .. } if *validity != ALWAYS => {
@@ -166,17 +185,56 @@ impl Relation {
                 }
             }
         }
-        match self.table.next_state(tx_time, ops) {
-            Ok(_) => Ok(()),
-            Err(StorageError::Core(e)) => Err(DbError::Core(e)),
-            Err(e) => Err(e.into()),
-        }
+        self.table.validate(tx_time, ops).map_err(|refusal| {
+            match (refusal.op.map(|i| &ops[i]), refusal.error) {
+                // With the validity pinned above, the one rule an insert
+                // can still break is distinctness.  The store words a
+                // duplicate with the validity this class hides; the
+                // reference static relation knows only the tuple.
+                (
+                    Some(HistoricalOp::Insert { tuple, .. }),
+                    StorageError::Core(CoreError::Invalid(_)),
+                ) if !valid_time => {
+                    DbError::Core(CoreError::Invalid(format!("duplicate tuple {tuple}")))
+                }
+                (_, StorageError::Core(e)) => DbError::Core(e),
+                (_, e) => e.into(),
+            }
+        })
     }
 
-    /// Applies a validated transaction.
+    /// Validates and applies a transaction (log replay enters here; a
+    /// live commit validates, appends to the write-ahead log, and then
+    /// applies through the table directly).
     pub fn apply(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> DbResult<()> {
-        self.table.try_commit(tx_time, ops)?;
+        self.validate(tx_time, ops)?;
+        self.table.apply_validated(tx_time, ops)?;
         Ok(())
+    }
+
+    /// The current rows satisfying `pred`, in the order a scan of the
+    /// latest state shows them — what a `delete` or `replace` acts on.
+    /// A predicate with a conjunct `attribute 0 = constant` probes the
+    /// table's current-row index for that key; any other walks every
+    /// current row.  Either way the answer comes from memory.
+    pub fn current_matching(&self, pred: &Predicate) -> DbResult<Vec<HistoricalRow>> {
+        // A temporal scan follows the heap, every other the mirror.
+        let order = if has_valid_time(self.class) && has_transaction_time(self.class) {
+            CurrentOrder::Heap
+        } else {
+            CurrentOrder::Reference
+        };
+        let entries = self.table.current_entries(key_conjunct(pred), order);
+        let mut rows = Vec::new();
+        for entry in entries {
+            if pred.eval(&entry.tuple).map_err(TquelError::Core)? {
+                rows.push(HistoricalRow {
+                    tuple: entry.tuple.clone(),
+                    validity: entry.validity,
+                });
+            }
+        }
+        Ok(rows)
     }
 
     /// Scans the relation for the evaluator, applying an `as of`

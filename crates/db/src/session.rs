@@ -24,9 +24,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use chronos_algebra::expr::Predicate;
 use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::period::Period;
+use chronos_core::relation::historical::HistoricalRow;
 use chronos_core::relation::{HistoricalOp, RowSelector, Validity};
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::timepoint::TimePoint;
@@ -39,7 +41,7 @@ use chronos_tquel::ast::{
 };
 use chronos_tquel::exec::{execute_retrieve, execute_retrieve_traced, ResultRelation};
 use chronos_tquel::parser::{parse_program, parse_statement};
-use chronos_tquel::provider::{RelationInfo, SourceRow};
+use chronos_tquel::provider::RelationInfo;
 use chronos_tquel::unparse::unparse;
 use chronos_tquel::{TquelError, TquelResult};
 
@@ -138,9 +140,11 @@ pub trait SessionBackend {
     /// allocated transaction time, durable on return.
     fn commit(&mut self, relation: &str, ops: &[HistoricalOp]) -> DbResult<Chronon>;
 
-    /// Scans the latest stored state of `relation` (modification
-    /// lowering: `delete`/`replace` act on what exists *now*).
-    fn scan_latest(&self, relation: &str) -> DbResult<Vec<SourceRow>>;
+    /// The rows of `relation`'s latest stored state that satisfy `pred`,
+    /// in scan order (modification lowering: `delete`/`replace` act on
+    /// what exists *now*, and read only the rows the predicate names —
+    /// see [`Relation::current_matching`](crate::relation::Relation::current_matching)).
+    fn current_matching(&self, relation: &str, pred: &Predicate) -> DbResult<Vec<HistoricalRow>>;
 
     /// Runs a retrieve; with `recorder` the traced evaluator records
     /// analyze/scan/product spans into it (`explain`/`profile`).
@@ -191,10 +195,10 @@ impl SessionBackend for &mut Database {
         Database::commit(self, relation, ops)
     }
 
-    fn scan_latest(&self, relation: &str) -> DbResult<Vec<SourceRow>> {
+    fn current_matching(&self, relation: &str, pred: &Predicate) -> DbResult<Vec<HistoricalRow>> {
         self.relation(relation)
             .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))?
-            .scan(None)
+            .current_matching(pred)
     }
 
     fn retrieve(
@@ -616,7 +620,7 @@ impl<B: SessionBackend> Session<B> {
     ) -> DbResult<ExecOutcome> {
         let info = self.info(relation)?;
         let tuple = build_tuple(&info.schema, assignments)?;
-        let validity = self.modification_validity(&info, valid, None)?;
+        let validity = self.modification_validity(&info, valid)?;
         let ops = [HistoricalOp::Insert { tuple, validity }];
         let t = self.backend.commit(relation, &ops)?;
         Ok(ExecOutcome::Appended(t))
@@ -632,29 +636,23 @@ impl<B: SessionBackend> Session<B> {
         let info = self.info(&relation)?;
         let pred = self.lower_where(where_clause, var, &info)?;
         let now = self.backend.now();
-        let rows = self.backend.scan_latest(&relation)?;
+        let valid_time = crate::relation::has_valid_time(info.class);
         let mut ops = Vec::new();
-        for row in &rows {
-            if !pred.eval(&row.tuple).map_err(TquelError::Core)? {
-                continue;
-            }
-            match row.validity {
+        for row in self.backend.current_matching(&relation, &pred)? {
+            match valid_time.then_some(row.validity) {
                 None => {
                     // Static classes: remove the tuple.
-                    ops.push(HistoricalOp::remove(RowSelector::tuple(row.tuple.clone())));
+                    ops.push(HistoricalOp::remove(RowSelector::tuple(row.tuple)));
                 }
-                Some(Validity::Event(_)) => {
-                    ops.push(HistoricalOp::remove(RowSelector::exact(
-                        row.tuple.clone(),
-                        row.validity.expect("matched Some"),
-                    )));
+                Some(at @ Validity::Event(_)) => {
+                    ops.push(HistoricalOp::remove(RowSelector::exact(row.tuple, at)));
                 }
                 Some(Validity::Interval(p)) => {
                     // Logical delete at `now`.
                     if p.end() <= TimePoint::at(now) {
                         continue; // already ended; nothing to delete
                     }
-                    let sel = RowSelector::exact(row.tuple.clone(), Validity::Interval(p));
+                    let sel = RowSelector::exact(row.tuple, Validity::Interval(p));
                     if p.start() >= TimePoint::at(now) {
                         // Postactive row: retract it outright.
                         ops.push(HistoricalOp::remove(sel));
@@ -690,48 +688,32 @@ impl<B: SessionBackend> Session<B> {
         reject_system_modification(&relation)?;
         let info = self.info(&relation)?;
         let pred = self.lower_where(where_clause, var, &info)?;
-        let rows = self.backend.scan_latest(&relation)?;
+        let valid_time = crate::relation::has_valid_time(info.class);
 
         let mut ops = Vec::new();
         let mut affected = 0usize;
-        // Several matched rows may produce the *same* new fact (e.g. a
-        // retroactive promotion superseding both the old rank's rows);
-        // the fact is recorded once.
         let mut staged: std::collections::HashSet<(Tuple, Validity)> =
             std::collections::HashSet::new();
-        for row in &rows {
-            if !pred.eval(&row.tuple).map_err(TquelError::Core)? {
-                continue;
-            }
+        for row in self.backend.current_matching(&relation, &pred)? {
             let new_tuple = apply_assignments(&info.schema, &row.tuple, assignments)?;
-            match row.validity {
+            let validity = match valid_time.then_some(row.validity) {
                 None => {
                     // Static classes: in-place replacement.
-                    ops.push(HistoricalOp::remove(RowSelector::tuple(row.tuple.clone())));
-                    ops.push(HistoricalOp::insert(
-                        new_tuple,
-                        Validity::Interval(Period::ALWAYS),
-                    ));
+                    ops.push(HistoricalOp::remove(RowSelector::tuple(row.tuple)));
+                    crate::relation::ALWAYS
                 }
-                Some(Validity::Event(at)) => {
-                    let validity =
-                        self.modification_validity(&info, valid, Some(Validity::Event(at)))?;
-                    ops.push(HistoricalOp::remove(RowSelector::exact(
-                        row.tuple.clone(),
-                        Validity::Event(at),
-                    )));
-                    if staged.insert((new_tuple.clone(), validity)) {
-                        ops.push(HistoricalOp::insert(new_tuple, validity));
-                    }
+                Some(at @ Validity::Event(_)) => {
+                    let validity = self.modification_validity(&info, valid)?;
+                    ops.push(HistoricalOp::remove(RowSelector::exact(row.tuple, at)));
+                    validity
                 }
                 Some(Validity::Interval(old)) => {
-                    let validity =
-                        self.modification_validity(&info, valid, Some(Validity::Interval(old)))?;
+                    let validity = self.modification_validity(&info, valid)?;
                     let new_period = validity.period();
                     if old.end() <= new_period.start() {
                         continue; // old fact entirely before the new period
                     }
-                    let sel = RowSelector::exact(row.tuple.clone(), Validity::Interval(old));
+                    let sel = RowSelector::exact(row.tuple, Validity::Interval(old));
                     if old.start() < new_period.start() {
                         // Terminate the old belief where the new one
                         // begins (Merrie's promotion, Figure 8).
@@ -742,10 +724,14 @@ impl<B: SessionBackend> Session<B> {
                     } else {
                         ops.push(HistoricalOp::remove(sel));
                     }
-                    if staged.insert((new_tuple.clone(), validity)) {
-                        ops.push(HistoricalOp::insert(new_tuple, validity));
-                    }
+                    validity
                 }
+            };
+            // Several matched rows may produce the *same* new fact (a
+            // retroactive promotion superseding both of the old rank's
+            // rows, two departments renamed to one); it is recorded once.
+            if staged.insert((new_tuple.clone(), validity)) {
+                ops.push(HistoricalOp::insert(new_tuple, validity));
             }
             affected += 1;
         }
@@ -779,10 +765,10 @@ impl<B: SessionBackend> Session<B> {
         where_clause: Option<&WhereExpr>,
         var: &str,
         info: &RelationInfo,
-    ) -> DbResult<chronos_algebra::expr::Predicate> {
+    ) -> DbResult<Predicate> {
         match where_clause {
             Some(w) => Ok(analyze_where_single(w, var, info)?),
-            None => Ok(chronos_algebra::expr::Predicate::True),
+            None => Ok(Predicate::True),
         }
     }
 
@@ -792,7 +778,6 @@ impl<B: SessionBackend> Session<B> {
         &self,
         info: &RelationInfo,
         valid: Option<&ValidClause>,
-        _old: Option<Validity>,
     ) -> DbResult<Validity> {
         if !crate::relation::has_valid_time(info.class) {
             if valid.is_some() {

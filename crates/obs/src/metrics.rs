@@ -493,8 +493,10 @@ mod tests {
         assert_eq!(s.percentile(99.0), Some(1 << 20)); // bucket 19 upper bound
         assert_eq!(s.percentile(99.9), Some(1 << 20));
         // The JSON form carries the explicit bucket bounds.
-        let mut m = MetricsSnapshot::default();
-        m.query_latency = s.clone();
+        let m = MetricsSnapshot {
+            query_latency: s.clone(),
+            ..Default::default()
+        };
         let json = m.to_json();
         assert!(json.contains("{\"le_ns\": 128, \"count\": 90}"));
         assert!(json.contains(&format!("{{\"le_ns\": {}, \"count\": 10}}", 1u64 << 20)));
@@ -513,8 +515,10 @@ mod tests {
         for _ in 0..10 {
             h.record_ns(1_000_000);
         }
-        let mut m = MetricsSnapshot::default();
-        m.query_latency = h.snapshot();
+        let m = MetricsSnapshot {
+            query_latency: h.snapshot(),
+            ..Default::default()
+        };
         let text = m.to_prometheus();
         assert!(text.contains("# TYPE chronos_query_latency_ns histogram"));
         assert!(text.contains("chronos_query_latency_ns_bucket{le=\"128\"} 90"));
@@ -585,9 +589,11 @@ mod tests {
 
     #[test]
     fn snapshot_json_and_prometheus_render() {
-        let mut s = MetricsSnapshot::default();
-        s.cache_hits = 3;
-        s.commits = 7;
+        let s = MetricsSnapshot {
+            cache_hits: 3,
+            commits: 7,
+            ..Default::default()
+        };
         let json = s.to_json();
         assert!(json.contains("\"cache_hits\": 3"));
         assert!(json.contains("\"commits\": 7"));
@@ -605,9 +611,11 @@ mod tests {
         // The queue-depth gauge pair must appear, under the same names,
         // in the enumeration point, the JSON body, and the Prometheus
         // exposition — the no-drift invariant for every scraper.
-        let mut s = MetricsSnapshot::default();
-        s.commit_queue_depth = 3;
-        s.commit_queue_hwm = 9;
+        let s = MetricsSnapshot {
+            commit_queue_depth: 3,
+            commit_queue_hwm: 9,
+            ..Default::default()
+        };
         let gauges = s.gauges();
         assert_eq!(gauges.len(), 2);
         assert_eq!(gauges[0], ("commit_queue_depth", 3));

@@ -301,7 +301,7 @@ mod tests {
     }
 
     fn image(recs: &[WalRecord]) -> Vec<u8> {
-        recs.iter().flat_map(|r| frame_bytes(r)).collect()
+        recs.iter().flat_map(frame_bytes).collect()
     }
 
     #[test]

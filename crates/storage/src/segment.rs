@@ -1053,7 +1053,7 @@ mod tests {
         let mut fps = 0u32;
         let probes = 5000u32;
         for i in 0..probes {
-            let absent = value_key_bytes(&Value::str(&format!("absent-{i:05}")));
+            let absent = value_key_bytes(&Value::str(format!("absent-{i:05}")));
             if seg.may_contain(&absent) {
                 fps += 1;
             }

@@ -15,8 +15,11 @@
 //!   (`as of t`) is a stabbing query;
 //! * a **valid-time interval tree** — historical timeslices
 //!   (`valid at t`) are stabbing queries;
-//! * a **current-version map** — modifications address rows of the
-//!   current historical state by content;
+//! * a **current-row index** — the rows of the current historical state
+//!   by key (first attribute), each with the heap record holding it:
+//!   modifications address current rows by content, and a `delete` or
+//!   `replace` that names a key finds its rows here without reading a
+//!   heap page;
 //! * a **checkpoint list** — every K commits the current historical
 //!   state is materialised, so `as of t` binary-searches the checkpoint
 //!   list and replays at most K−1 delta transactions instead of
@@ -27,14 +30,16 @@
 //!   byte-identical output order to the sequential path.
 //!
 //! Semantics are defined by `chronos-core`'s reference stores: every
-//! commit is validated against an in-memory mirror of the current
-//! historical state using exactly the reference transition rules, so the
+//! commit is validated by exactly the reference transition rules — run on
+//! the slice of the current historical state that carries a tuple the
+//! transaction names, since no other row can change the verdict — and
+//! then applied in place to an in-memory mirror of that state, so the
 //! stored table is observationally equivalent to
 //! [`SnapshotTemporal`](chronos_core::relation::temporal::SnapshotTemporal)
 //! and [`BitemporalTable`](chronos_core::relation::temporal::BitemporalTable)
 //! by construction — and differentially tested to be.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -44,7 +49,7 @@ use chronos_core::value::Value;
 use chronos_core::chronon::Chronon;
 use chronos_core::error::CoreError;
 use chronos_core::period::Period;
-use chronos_core::relation::historical::HistoricalRelation;
+use chronos_core::relation::historical::{HistoricalRelation, HistoricalRow};
 use chronos_core::relation::temporal::{BitemporalRow, TemporalStore};
 use chronos_core::relation::{HistoricalOp, Validity};
 use chronos_core::schema::{Schema, TemporalSignature};
@@ -58,7 +63,7 @@ use crate::codec::{
 use crate::error::{StorageError, StorageResult};
 use crate::heap::HeapFile;
 use crate::index::IntervalTree;
-use crate::page::RecordId;
+use crate::page::{RecordId, MAX_RECORD};
 use crate::pager::{BufferPool, MemPager, PageStore};
 use crate::segment::{self, FreezeReport, Segment};
 use crate::wal::{Wal, WalRecord};
@@ -84,6 +89,17 @@ fn decode_row(bytes: &[u8]) -> StorageResult<BitemporalRow> {
         validity,
         tx,
     })
+}
+
+/// One reference transition of a historical state.
+fn apply_op(state: &mut HistoricalRelation, op: &HistoricalOp) -> chronos_core::CoreResult<()> {
+    match op {
+        HistoricalOp::Insert { tuple, validity } => state.insert(tuple.clone(), *validity),
+        HistoricalOp::Remove { selector } => state.remove(selector).map(drop),
+        HistoricalOp::SetValidity { selector, validity } => {
+            state.set_validity(selector, *validity).map(drop)
+        }
+    }
 }
 
 /// Physical storage statistics for one table, measured by walking the
@@ -144,6 +160,45 @@ pub enum Superseded {
     Dropped,
 }
 
+/// One row of the current historical state as the current-row index
+/// holds it: its content and the heap record that stores it.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct CurrentEntry {
+    /// The explicit attribute values.
+    pub tuple: Tuple,
+    /// When the information is true in reality.
+    pub validity: Validity,
+    /// The heap record holding the (open) version.
+    pub rid: RecordId,
+}
+
+/// A transaction [`StoredBitemporalTable::validate`] refuses.
+#[derive(Debug)]
+pub struct Refusal {
+    /// The position of the op that was refused; `None` when it is the
+    /// commit time that does not advance the clock.
+    pub op: Option<usize>,
+    /// Why.
+    pub error: StorageError,
+}
+
+impl From<Refusal> for StorageError {
+    fn from(refusal: Refusal) -> StorageError {
+        refusal.error
+    }
+}
+
+/// The order [`StoredBitemporalTable::current_entries`] lists rows in.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CurrentOrder {
+    /// The reference order of
+    /// [`current_ref`](StoredBitemporalTable::current_ref).
+    Reference,
+    /// The order [`scan_rows`](StoredBitemporalTable::scan_rows) meets
+    /// them on the heap.
+    Heap,
+}
+
 /// Default checkpoint interval: one materialised state every K commits.
 pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 64;
 
@@ -173,8 +228,11 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     wal: Option<Wal>,
     /// Mirror of the current historical state (reference semantics).
     current: HistoricalRelation,
-    /// Record ids of current rows, addressed by content.
-    current_rids: HashMap<(Tuple, Validity), Vec<RecordId>>,
+    /// The current rows by key (first attribute).  Each bucket keeps
+    /// the order the mirror keeps — inserts append, removals close the
+    /// gap, a validity correction restamps in place — so a bucket *is*
+    /// the mirror restricted to its key.
+    current_index: HashMap<Value, Vec<CurrentEntry>>,
     /// Transaction-time periods of every row.
     tx_index: IntervalTree<RecordId>,
     /// Valid-time periods of every row.
@@ -219,7 +277,7 @@ impl StoredBitemporalTable<MemPager> {
             rel_id: 0,
             heap,
             wal: None,
-            current_rids: HashMap::new(),
+            current_index: HashMap::new(),
             tx_index: IntervalTree::new(),
             valid_index: IntervalTree::new(),
             last_commit: None,
@@ -249,18 +307,17 @@ impl StoredBitemporalTable<MemPager> {
             if rec.rel_id != rel_id {
                 continue;
             }
-            table
-                .commit_internal(rec.tx_time, &rec.ops, false)
-                .map_err(|e| {
-                    StorageError::Corrupt(format!("log replay failed at tx {}: {e}", rec.tx_time))
-                })?;
+            // No log is attached yet, so replay commits without appending.
+            table.try_commit(rec.tx_time, &rec.ops).map_err(|e| {
+                StorageError::Corrupt(format!("log replay failed at tx {}: {e}", rec.tx_time))
+            })?;
         }
         table.wal = Some(Wal::open(wal_path)?);
         Ok(table)
     }
 
     /// Reconstructs a table from checkpointed rows, rebuilding the heap,
-    /// both interval trees, the current-version map, and the current
+    /// both interval trees, the current-row index, and the current
     /// historical state.  The rows are untrusted: each must fit the
     /// schema and signature, start no later than `last_commit`, be
     /// current if the table keeps no closed versions, and not duplicate
@@ -306,11 +363,7 @@ impl StoredBitemporalTable<MemPager> {
             table.tx_index.insert(row.tx, rid);
             table.valid_index.insert(row.validity.period(), rid);
             if row.is_current() {
-                table
-                    .current_rids
-                    .entry((row.tuple, row.validity))
-                    .or_default()
-                    .push(rid);
+                table.index_current(row.tuple, row.validity, rid);
             }
         }
         table.last_commit = last_commit;
@@ -726,13 +779,59 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// deleted slots are reused, so this is the order-preserving image
     /// of a table that drops superseded versions.
     pub fn current_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
-        let mut rows = Vec::with_capacity(self.current.len());
-        for row in self.current.rows() {
-            for &rid in &self.current_rids[&(row.tuple.clone(), row.validity)] {
-                rows.push(decode_row(&self.heap.get(rid)?)?);
+        self.current_entries(None, CurrentOrder::Reference)
+            .into_iter()
+            .map(|entry| decode_row(&self.heap.get(entry.rid)?))
+            .collect()
+    }
+
+    /// The current rows with the heap record holding each, in `order`:
+    /// all of them, or only those whose first attribute is `key`.
+    /// Answered from memory — a keyed probe costs the key's rows, not
+    /// the relation's, and neither reads a heap page.
+    pub fn current_entries(&self, key: Option<&Value>, order: CurrentOrder) -> Vec<&CurrentEntry> {
+        let mut entries: Vec<&CurrentEntry> = match (key, order) {
+            (Some(key), _) => self.bucket(key).iter().collect(),
+            (None, CurrentOrder::Heap) => self.current_index.values().flatten().collect(),
+            (None, CurrentOrder::Reference) => {
+                // A bucket is the mirror restricted to its key, so one
+                // walk of the mirror with a cursor per key meets every
+                // entry in turn.
+                let mut cursors: HashMap<&Value, std::slice::Iter<'_, CurrentEntry>> = self
+                    .current_index
+                    .iter()
+                    .map(|(key, bucket)| (key, bucket.iter()))
+                    .collect();
+                let next = |row: &HistoricalRow| {
+                    let entry = cursors
+                        .get_mut(row.tuple.get(0))
+                        .and_then(Iterator::next)
+                        .expect("every mirror row is indexed");
+                    debug_assert!(entry.tuple == row.tuple && entry.validity == row.validity);
+                    entry
+                };
+                self.current.rows().iter().map(next).collect()
             }
+        };
+        if order == CurrentOrder::Heap {
+            entries.sort_unstable_by_key(|e| e.rid);
         }
-        Ok(rows)
+        entries
+    }
+
+    fn bucket(&self, key: &Value) -> &[CurrentEntry] {
+        self.current_index.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    fn index_current(&mut self, tuple: Tuple, validity: Validity, rid: RecordId) {
+        self.current_index
+            .entry(tuple.get(0).clone())
+            .or_default()
+            .push(CurrentEntry {
+                tuple,
+                validity,
+                rid,
+            });
     }
 
     /// Rows stored as of transaction time `t`: frozen segments (range-
@@ -862,87 +961,166 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// Validates a transaction through the reference semantics without
     /// modifying anything: `tx_time` must advance the commit clock and
     /// `ops` must be a legal transition of the current historical state.
-    /// Returns the state they lead to.
-    pub fn next_state(
-        &self,
-        tx_time: Chronon,
-        ops: &[HistoricalOp],
-    ) -> StorageResult<HistoricalRelation> {
+    ///
+    /// Every op names one tuple, and whether the reference accepts it —
+    /// and what it says when it does not — depends only on the current
+    /// rows carrying that tuple.  So the ops run through
+    /// [`HistoricalRelation`]'s own transitions on just those rows: the
+    /// verdict and the error text are the reference's by construction,
+    /// at the cost of the rows named rather than of the relation.
+    ///
+    /// A version that could not be stored is refused here as well, so
+    /// that a validated transaction has nothing left to fail on but I/O.
+    pub fn validate(&self, tx_time: Chronon, ops: &[HistoricalOp]) -> Result<(), Refusal> {
         if let Some(last) = self.last_commit {
             if tx_time <= last {
-                return Err(StorageError::Core(CoreError::NonMonotonicCommit {
-                    last: last.to_string(),
-                    attempted: tx_time.to_string(),
-                }));
+                return Err(Refusal {
+                    op: None,
+                    error: StorageError::Core(CoreError::NonMonotonicCommit {
+                        last: last.to_string(),
+                        attempted: tx_time.to_string(),
+                    }),
+                });
             }
         }
-        // `next` is already a scratch copy, so the ops run on it one by
-        // one (`HistoricalRelation::apply` would copy it a second time to
-        // stay atomic); an error just drops it.
-        let mut next = self.current.clone();
+        let mut slice = self.named_slice(ops);
+        for (i, op) in ops.iter().enumerate() {
+            let refused = |error| Refusal { op: Some(i), error };
+            apply_op(&mut slice, op).map_err(|e| refused(StorageError::Core(e)))?;
+            let (tuple, validity) = match op {
+                HistoricalOp::Insert { tuple, validity } => (tuple, *validity),
+                HistoricalOp::SetValidity { selector, validity } => (&selector.tuple, *validity),
+                HistoricalOp::Remove { .. } => continue,
+            };
+            self.check_fits(tuple, validity, tx_time).map_err(refused)?;
+        }
+        Ok(())
+    }
+
+    /// Refuses a version no heap page could hold — now, or once it is
+    /// superseded: a table that keeps closed versions rewrites the
+    /// record with the end of its transaction period filled in, and the
+    /// longest end is the last tick.
+    fn check_fits(&self, tuple: &Tuple, validity: Validity, tx_time: Chronon) -> StorageResult<()> {
+        let tx = match self.superseded {
+            Superseded::Closed => Period::clamped(tx_time, Chronon::MAX),
+            Superseded::Dropped => Period::from_start(tx_time),
+        };
+        let needed = encode_row(tuple, validity, tx).len();
+        if needed > MAX_RECORD {
+            return Err(StorageError::PageFull {
+                needed,
+                available: MAX_RECORD,
+            });
+        }
+        Ok(())
+    }
+
+    /// The current rows carrying a tuple that `ops` name, as a historical
+    /// relation of their own.
+    fn named_slice(&self, ops: &[HistoricalOp]) -> HistoricalRelation {
+        let mut slice = HistoricalRelation::new(self.schema.clone(), self.signature);
+        let mut named: HashSet<&Tuple> = HashSet::with_capacity(ops.len());
         for op in ops {
-            match op {
-                HistoricalOp::Insert { tuple, validity } => next.insert(tuple.clone(), *validity),
-                HistoricalOp::Remove { selector } => next.remove(selector).map(drop),
-                HistoricalOp::SetValidity { selector, validity } => {
-                    next.set_validity(selector, *validity).map(drop)
+            let tuple = match op {
+                HistoricalOp::Insert { tuple, .. } => tuple,
+                HistoricalOp::Remove { selector } | HistoricalOp::SetValidity { selector, .. } => {
+                    &selector.tuple
                 }
+            };
+            if !named.insert(tuple) {
+                continue;
             }
-            .map_err(StorageError::Core)?;
+            // A tuple the schema will refuse may not even have a key.
+            let bucket = tuple.try_get(0).map_or(&[][..], |key| self.bucket(key));
+            for entry in bucket.iter().filter(|e| e.tuple == *tuple) {
+                slice
+                    .insert(entry.tuple.clone(), entry.validity)
+                    .expect("current rows are well-formed and distinct");
+            }
         }
-        Ok(next)
+        #[cfg(test)]
+        tests::LARGEST_SLICE.with(|n| n.set(n.get().max(slice.len())));
+        slice
     }
 
-    /// Fallible commit.
+    /// Fallible commit: validate, log (write-ahead), apply.
     pub fn try_commit(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> StorageResult<()> {
-        self.commit_internal(tx_time, ops, true)
+        self.validate(tx_time, ops)?;
+        // Write-ahead: the log reaches disk before the table changes.
+        if let Some(wal) = &mut self.wal {
+            wal.append(&WalRecord {
+                rel_id: self.rel_id,
+                tx_time,
+                ops: ops.to_vec(),
+            })?;
+        }
+        self.apply_validated(tx_time, ops)
     }
 
-    fn commit_internal(
-        &mut self,
-        tx_time: Chronon,
-        ops: &[HistoricalOp],
-        log: bool,
-    ) -> StorageResult<()> {
+    /// Applies a transaction [`validate`](Self::validate) has just
+    /// accepted (a caller that keeps its own log appends in between).
+    /// Each op does its fallible work first — the heap and both interval
+    /// trees — and only then touches the mirror and the current-row
+    /// index, in place: an op the heap refuses leaves all three as they
+    /// were before it, still agreeing.  (Only an op that fails after it
+    /// has already closed a version does not; the heap is in memory and
+    /// `validate` has checked that every version fits, so nothing short
+    /// of an injected fault gets that far.)  Nothing is copied but the
+    /// ops into the commit log; the one term that follows the size of
+    /// the current state is the mirror's own scan for the rows a `Remove`
+    /// or `SetValidity` selects.
+    pub fn apply_validated(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> StorageResult<()> {
         // Clone the handle so the span's borrow doesn't pin `self`.
         let recorder = Arc::clone(&self.recorder);
         let span = recorder.span("storage/commit");
         span.rows_in(ops.len() as u64);
-        let next = self.next_state(tx_time, ops)?;
-
-        // Write-ahead: the log reaches disk before the table changes.
-        if log {
-            if let Some(wal) = &mut self.wal {
-                wal.append(&WalRecord {
-                    rel_id: self.rel_id,
-                    tx_time,
-                    ops: ops.to_vec(),
-                })?;
-            }
-        }
-
         crate::fault::crash_point("table.commit.apply")?;
         for op in ops {
             match op {
                 HistoricalOp::Insert { tuple, validity } => {
-                    self.physical_insert(tuple.clone(), *validity, tx_time)?;
+                    let rid = self.heap_insert(tuple, *validity, tx_time)?;
+                    apply_op(&mut self.current, op).map_err(StorageError::Core)?;
+                    self.index_current(tuple.clone(), *validity, rid);
                 }
                 HistoricalOp::Remove { selector } => {
-                    let victims = self.matching_current(selector);
-                    for key in victims {
-                        self.physical_close(&key, tx_time)?;
+                    for rid in self.matching_rids(selector) {
+                        self.heap_close(rid, tx_time)?;
+                    }
+                    apply_op(&mut self.current, op).map_err(StorageError::Core)?;
+                    let key = selector.tuple.get(0);
+                    let bucket = self
+                        .current_index
+                        .get_mut(key)
+                        .expect("the mirror just removed a row of this key");
+                    bucket.retain(|e| !selector.matches(&e.tuple, e.validity));
+                    if bucket.is_empty() {
+                        self.current_index.remove(key);
                     }
                 }
                 HistoricalOp::SetValidity { selector, validity } => {
-                    let victims = self.matching_current(selector);
-                    for key in victims {
-                        self.physical_close(&key, tx_time)?;
-                        self.physical_insert(key.0.clone(), *validity, tx_time)?;
+                    let mut restamped = Vec::new();
+                    for rid in self.matching_rids(selector) {
+                        self.heap_close(rid, tx_time)?;
+                        let new = self.heap_insert(&selector.tuple, *validity, tx_time)?;
+                        restamped.push((rid, new));
+                    }
+                    apply_op(&mut self.current, op).map_err(StorageError::Core)?;
+                    let bucket = self
+                        .current_index
+                        .get_mut(selector.tuple.get(0))
+                        .expect("the mirror just restamped a row of this key");
+                    for (old, new) in restamped {
+                        let entry = bucket
+                            .iter_mut()
+                            .find(|e| e.rid == old)
+                            .expect("matching_rids read it from this bucket");
+                        entry.validity = *validity;
+                        entry.rid = new;
                     }
                 }
             }
         }
-        self.current = next;
         self.last_commit = Some(tx_time);
         self.transactions += 1;
         if self.superseded == Superseded::Dropped {
@@ -965,71 +1143,58 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         Ok(())
     }
 
-    fn matching_current(
-        &self,
-        selector: &chronos_core::relation::RowSelector,
-    ) -> Vec<(Tuple, Validity)> {
-        // An exact selector names its key; only a tuple-only selector
-        // has to look at every current row.
-        if let Some(validity) = selector.validity {
-            let key = (selector.tuple.clone(), validity);
-            return Vec::from_iter(self.current_rids.contains_key(&key).then_some(key));
-        }
-        self.current_rids
-            .keys()
-            .filter(|(t, v)| selector.matches(t, *v))
-            .cloned()
+    /// Heap records of the current rows `selector` matches, in the
+    /// mirror's order.
+    fn matching_rids(&self, selector: &chronos_core::relation::RowSelector) -> Vec<RecordId> {
+        self.bucket(selector.tuple.get(0))
+            .iter()
+            .filter(|e| selector.matches(&e.tuple, e.validity))
+            .map(|e| e.rid)
             .collect()
     }
 
-    fn physical_insert(
+    /// Stores a new open version and indexes both of its periods.
+    fn heap_insert(
         &mut self,
-        tuple: Tuple,
+        tuple: &Tuple,
         validity: Validity,
         tx_time: Chronon,
-    ) -> StorageResult<()> {
+    ) -> StorageResult<RecordId> {
         let tx = Period::from_start(tx_time);
-        let rid = self.heap.insert(&encode_row(&tuple, validity, tx))?;
+        let rid = self.heap.insert(&encode_row(tuple, validity, tx))?;
         self.tx_index.insert(tx, rid);
         self.valid_index.insert(validity.period(), rid);
-        self.current_rids
-            .entry((tuple, validity))
-            .or_default()
-            .push(rid);
-        Ok(())
+        Ok(rid)
     }
 
-    fn physical_close(&mut self, key: &(Tuple, Validity), tx_time: Chronon) -> StorageResult<()> {
-        let rids = self
-            .current_rids
-            .remove(key)
-            .expect("matching_current returned a live key");
-        for rid in rids {
-            let row = decode_row(&self.heap.get(rid)?)?;
-            let new_rid = match self.superseded {
-                Superseded::Dropped => {
-                    self.heap.delete(rid)?;
-                    None
-                }
-                Superseded::Closed => {
-                    let closed_tx = Period::clamped(row.tx.start(), TimePoint::at(tx_time));
-                    let moved = self
-                        .heap
-                        .update(rid, &encode_row(&row.tuple, row.validity, closed_tx))?;
-                    Some((closed_tx, moved))
-                }
-            };
-            assert!(self.tx_index.remove(row.tx, &rid), "tx index in sync");
-            assert!(
-                self.valid_index.remove(row.validity.period(), &rid),
-                "valid index in sync"
-            );
-            // Reindex under the (possibly moved) record id and closed
-            // transaction period.
-            if let Some((closed_tx, new_rid)) = new_rid {
-                self.tx_index.insert(closed_tx, new_rid);
-                self.valid_index.insert(row.validity.period(), new_rid);
+    /// Supersedes the open version at `rid`: its transaction period is
+    /// closed at `tx_time`, or the version is dropped outright where the
+    /// table keeps none.
+    fn heap_close(&mut self, rid: RecordId, tx_time: Chronon) -> StorageResult<()> {
+        let row = decode_row(&self.heap.get(rid)?)?;
+        let closed = match self.superseded {
+            Superseded::Dropped => {
+                self.heap.delete(rid)?;
+                None
             }
+            Superseded::Closed => {
+                let closed_tx = Period::clamped(row.tx.start(), TimePoint::at(tx_time));
+                let moved = self
+                    .heap
+                    .update(rid, &encode_row(&row.tuple, row.validity, closed_tx))?;
+                Some((closed_tx, moved))
+            }
+        };
+        assert!(self.tx_index.remove(row.tx, &rid), "tx index in sync");
+        assert!(
+            self.valid_index.remove(row.validity.period(), &rid),
+            "valid index in sync"
+        );
+        // Reindex under the (possibly moved) record id and closed
+        // transaction period.
+        if let Some((closed_tx, moved)) = closed {
+            self.tx_index.insert(closed_tx, moved);
+            self.valid_index.insert(row.validity.period(), moved);
         }
         Ok(())
     }
@@ -1052,9 +1217,9 @@ impl<S: PageStore> StoredBitemporalTable<S> {
 
     /// Versions still on the heap whose transaction period is closed —
     /// immutable forever, hence freezable.  Cheap: the heap row count
-    /// minus the open (current) rows tracked by the version map.
+    /// minus the open (current) rows.
     pub fn frozen_version_count(&self) -> usize {
-        self.heap.len() - self.current_rids.values().map(Vec::len).sum::<usize>()
+        self.heap.len() - self.current.len()
     }
 
     /// Freezes every closed version out of the heap into an immutable
@@ -1159,6 +1324,12 @@ mod tests {
     use chronos_core::relation::RowSelector;
     use chronos_core::schema::faculty_schema;
     use chronos_core::tuple::tuple;
+
+    thread_local! {
+        /// The largest validation slice built on this thread.
+        pub(super) static LARGEST_SLICE: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn d(s: &str) -> Chronon {
         date(s).unwrap()
@@ -1657,6 +1828,167 @@ mod tests {
             ),
             Err(StorageError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_commit_validates_on_the_rows_it_names_not_the_relation() {
+        let mut t = StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
+        // 500 keys, re-ranked three times over: 2 000 versions, 500 current.
+        let mut tick = 0;
+        let mut commit = |t: &mut StoredBitemporalTable, ops: &[HistoricalOp]| {
+            tick += 10;
+            t.try_commit(Chronon::new(tick), ops).unwrap();
+        };
+        let forever = Validity::Interval(Period::ALWAYS);
+        for k in 0..500 {
+            let row = tuple([format!("k{k}"), "r0".into()]);
+            commit(&mut t, &[HistoricalOp::insert(row, forever)]);
+        }
+        for round in 0..3 {
+            for k in 0..500 {
+                let old = tuple([format!("k{k}"), format!("r{round}")]);
+                let new = tuple([format!("k{k}"), format!("r{}", round + 1)]);
+                commit(
+                    &mut t,
+                    &[
+                        HistoricalOp::remove(RowSelector::exact(old, forever)),
+                        HistoricalOp::insert(new, forever),
+                    ],
+                );
+            }
+        }
+        assert_eq!((t.stored_tuples(), t.current_ref().len()), (2000, 500));
+        // One key's transaction: a second fact, a correction of the
+        // first, then a retraction — three ops naming two tuples.
+        LARGEST_SLICE.with(|n| n.set(0));
+        let (first, second) = (tuple(["k7", "r3"]), tuple(["k7", "extra"]));
+        let ops = [
+            HistoricalOp::insert(second.clone(), forever),
+            HistoricalOp::set_validity(
+                RowSelector::tuple(first),
+                Period::from_start(Chronon::new(5)),
+            ),
+            HistoricalOp::remove(RowSelector::tuple(second)),
+        ];
+        t.validate(Chronon::new(tick + 10), &ops).unwrap();
+        t.apply_validated(Chronon::new(tick + 10), &ops).unwrap();
+        assert_eq!(
+            LARGEST_SLICE.with(std::cell::Cell::get),
+            1,
+            "the only current row the ops name is (k7, r3)"
+        );
+        let k7 = t.current_entries(Some(&"k7".into()), CurrentOrder::Reference);
+        assert_eq!(k7.len(), 1);
+        assert_eq!(t.current_ref().len(), 500);
+    }
+
+    #[test]
+    fn current_entries_follow_the_mirror_through_corrections_and_removals() {
+        for superseded in [Superseded::Closed, Superseded::Dropped] {
+            let mut t = StoredBitemporalTable::new(
+                faculty_schema(),
+                TemporalSignature::Interval,
+                superseded,
+            );
+            drive_figure_8(&mut t);
+            let pairs = |entries: Vec<&CurrentEntry>| -> Vec<(Tuple, Validity)> {
+                entries
+                    .into_iter()
+                    .map(|e| (e.tuple.clone(), e.validity))
+                    .collect()
+            };
+            let mirror: Vec<_> = t
+                .current_ref()
+                .rows()
+                .iter()
+                .map(|r| (r.tuple.clone(), r.validity))
+                .collect();
+            let reference = t.current_entries(None, CurrentOrder::Reference);
+            assert_eq!(pairs(reference), mirror);
+            // Heap order is the order a scan meets the open versions in.
+            let scanned: Vec<_> = t
+                .scan_rows()
+                .unwrap()
+                .into_iter()
+                .filter(BitemporalRow::is_current)
+                .map(|r| (r.tuple, r.validity))
+                .collect();
+            assert_eq!(pairs(t.current_entries(None, CurrentOrder::Heap)), scanned);
+            for key in ["Merrie", "Tom", "Mike", "Ghost"] {
+                let of_key: Vec<_> = mirror
+                    .iter()
+                    .filter(|(t, _)| t.get(0).as_str() == Some(key))
+                    .cloned()
+                    .collect();
+                let probed = t.current_entries(Some(&key.into()), CurrentOrder::Reference);
+                assert_eq!(pairs(probed), of_key, "{key}");
+            }
+            // Every entry points at the open version that carries it.
+            for entry in t.current_entries(None, CurrentOrder::Reference) {
+                let row = decode_row(&t.heap.get(entry.rid).unwrap()).unwrap();
+                assert!(row.is_current());
+                assert_eq!((&row.tuple, row.validity), (&entry.tuple, entry.validity));
+            }
+        }
+    }
+
+    /// Every row under one key: the walk that pairs the mirror with the
+    /// index is down to a single cursor, and has to follow the mirror
+    /// through removals from the middle of the bucket and refills.
+    #[test]
+    fn current_entries_pair_up_with_the_mirror_when_every_row_shares_a_key() {
+        let mut t = StoredBitemporalTable::new(
+            faculty_schema(),
+            TemporalSignature::Interval,
+            Superseded::Dropped,
+        );
+        let forever = Validity::Interval(Period::ALWAYS);
+        let row = |n: usize| tuple(["dept".to_string(), format!("r{n}")]);
+        for n in 0..300 {
+            t.try_commit(
+                Chronon::new(n as i64 + 1),
+                &[HistoricalOp::insert(row(n), forever)],
+            )
+            .unwrap();
+        }
+        // Free slots in the middle, then reuse them: heap order and
+        // mirror order part ways.
+        let removals: Vec<_> = (100..200)
+            .map(|n| HistoricalOp::remove(RowSelector::tuple(row(n))))
+            .collect();
+        t.try_commit(Chronon::new(1000), &removals).unwrap();
+        let refills: Vec<_> = (300..350)
+            .map(|n| HistoricalOp::insert(row(n), forever))
+            .collect();
+        t.try_commit(Chronon::new(1001), &refills).unwrap();
+
+        let entries = t.current_entries(None, CurrentOrder::Reference);
+        assert_eq!(entries.len(), 250);
+        for (entry, mirrored) in entries.iter().zip(t.current_ref().rows()) {
+            assert_eq!(entry.tuple, mirrored.tuple);
+            let stored = decode_row(&t.heap.get(entry.rid).unwrap()).unwrap();
+            assert_eq!(stored.tuple, entry.tuple);
+        }
+        let image: Vec<_> = t
+            .current_rows()
+            .unwrap()
+            .into_iter()
+            .map(|r| r.tuple)
+            .collect();
+        let mirror: Vec<_> = t
+            .current_ref()
+            .rows()
+            .iter()
+            .map(|r| r.tuple.clone())
+            .collect();
+        assert_eq!(image, mirror);
+        let heap_order: Vec<_> = t
+            .scan_rows()
+            .unwrap()
+            .into_iter()
+            .map(|r| r.tuple)
+            .collect();
+        assert_ne!(heap_order, mirror, "the refills reused freed slots");
     }
 
     #[test]

@@ -41,8 +41,8 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> every declared (dev-)dependency is used"
 scripts/check-deps.sh
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings (tests, benches and examples too)"
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> proptest regressions policy (counterexamples must be committed)"
 if [ -n "$(git status --porcelain -- '*.proptest-regressions' 2>/dev/null)" ]; then

@@ -17,6 +17,7 @@ use chronos_core::clock::ManualClock;
 use chronos_core::relation::temporal::TemporalStore as _;
 use chronos_db::Database;
 use chronos_obs::fault::{self, FaultPlan};
+use chronos_storage::table::CurrentOrder;
 use chronos_storage::wal::Wal;
 use proptest::prelude::*;
 
@@ -115,6 +116,83 @@ fn populated(dir: &Path) -> u64 {
     std::fs::metadata(dir.join("wal"))
         .expect("wal exists")
         .len()
+}
+
+/// A commit that validates, reaches the log, and then fails while it is
+/// applied (the heap refuses the new version) is reported as failed, its
+/// log record rolled back — and the process goes on with the table it
+/// had: mirror, current-row index and heap still agree, so the
+/// statements that walk every current row (an unkeyed `delete`, a
+/// checkpoint) keep working, on every relation class.
+#[test]
+fn a_commit_that_fails_while_applied_leaves_mirror_index_and_heap_agreeing() {
+    let _g = fault_lock();
+    let dir = proptest_dir("apply");
+    let clock = Arc::new(ManualClock::new(date("01/01/80").unwrap()));
+    let mut db = Database::open(&dir, Arc::clone(&clock) as _).expect("open fresh");
+    let state = |db: &Database, rel: &str| {
+        let table = db.relation(rel).expect("defined").table();
+        format!(
+            "mirror {:?}\nentries {:?}\nheap {:?}\nimage {:?}\ncommits {} wal {}",
+            table.current_ref().rows(),
+            table.current_entries(None, CurrentOrder::Reference),
+            table.scan_rows().expect("heap"),
+            table.current_rows().expect("image"),
+            table.transactions(),
+            std::fs::metadata(dir.join("wal")).expect("wal").len(),
+        )
+    };
+    for class in ["static", "rollback", "historical", "temporal"] {
+        let rel = format!("f_{class}");
+        let mut run = |stmt: &str| {
+            clock.tick(1);
+            db.session().run(stmt)
+        };
+        run(&format!("create {rel} (name = str, rank = str) as {class}")).expect("ddl");
+        run(&format!(
+            r#"append to {rel} (name = "Merrie", rank = "full")"#
+        ))
+        .expect("append");
+        run(&format!(r#"append to {rel} (name = "Tom", rank = "full")"#)).expect("append");
+        let before = state(&db, &rel);
+
+        fault::install(Arc::new(FaultPlan::error_at("heap.insert", 1)));
+        let refused = db
+            .session()
+            .run(&format!(r#"append to {rel} (name = "Zed", rank = "full")"#));
+        fault::clear();
+        let err = refused
+            .expect_err("the armed site fails the apply")
+            .to_string();
+        assert!(err.contains("heap.insert"), "{class}: {err}");
+        assert_eq!(state(&db, &rel), before, "{class}");
+
+        clock.tick(1);
+        db.session()
+            .run(&format!(
+                r#"range of f is {rel} delete f where f.rank = "full""#
+            ))
+            .unwrap_or_else(|e| panic!("{class}: unkeyed delete after the failure: {e}"));
+        assert!(
+            db.relation(&rel)
+                .unwrap()
+                .scan(None)
+                .unwrap()
+                .iter()
+                .all(|row| {
+                    // Nothing is current any more (valid-time classes keep the
+                    // facts, ended at the delete).
+                    row.validity.is_some_and(|v| {
+                        v.period().end() < chronos_core::timepoint::TimePoint::PlusInfinity
+                    })
+                }),
+            "{class}"
+        );
+    }
+    db.checkpoint().expect("checkpoint after the failures");
+    drop(db);
+    Database::open(&dir, clock as _).expect("reopen");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn proptest_dir(tag: &str) -> std::path::PathBuf {

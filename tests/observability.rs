@@ -245,7 +245,7 @@ fn parallel_scan_aggregates_morsel_counters_without_loss() {
 
 #[test]
 fn engine_stats_tracks_commits_and_cache_traffic() {
-    let (mut db, _clock) = figure8_db();
+    let (db, _clock) = figure8_db();
     let stats = db.engine_stats();
     // Four committing statements built Figure 8.
     assert_eq!(stats.metrics.commits, 4);

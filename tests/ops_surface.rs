@@ -372,8 +372,7 @@ fn recovery_event_matches_the_replayed_table_state() {
     // across database lifetimes).
     let recovery = journal
         .lines()
-        .filter(|l| l.contains("\"event\": \"recovery\""))
-        .next_back()
+        .rfind(|l| l.contains("\"event\": \"recovery\""))
         .expect("a recovery event");
     assert_eq!(field_u64(recovery, "frames_replayed"), replayed_txns);
     assert_eq!(field_u64(recovery, "truncated_at"), first_frame_end);
@@ -389,6 +388,9 @@ fn recovery_event_matches_the_replayed_table_state() {
         .find(|l| l.contains("\"event\": \"recovery\""))
         .expect("first recovery event");
     assert_eq!(field_u64(first, "torn_bytes"), 0);
+    // It also says how long the restart took (catalog + image +
+    // replay): an open that replays a frame is not free.
+    assert!(field_u64(recovery, "elapsed_us") > 0, "{recovery}");
 
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -420,6 +422,23 @@ fn wal_appends_and_checkpoints_are_journaled() {
         "\"event\": \"db_checkpoint_finish\"",
     ] {
         assert!(journal.contains(needle), "missing {needle} in:\n{journal}");
+    }
+    // The recovery event carries its counts and its duration.
+    let recovery = journal
+        .lines()
+        .find(|l| l.contains("\"event\": \"recovery\""))
+        .expect("checked above");
+    for field in [
+        "frames_replayed",
+        "elapsed_us",
+        "frames_skipped",
+        "truncated_at",
+        "torn_bytes",
+    ] {
+        assert!(
+            recovery.contains(&format!("\"{field}\": ")),
+            "missing {field} in {recovery}"
+        );
     }
     // Sequence numbers are strictly increasing down the file.
     let seqs: Vec<u64> = journal.lines().map(|l| field_u64(l, "seq")).collect();
