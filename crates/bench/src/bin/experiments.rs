@@ -23,9 +23,6 @@
 //! * **T7 (E19)** — TQuel end-to-end latency for the paper's four query
 //!   shapes;
 //! * **T8** — the bitemporal query cache;
-//! * **T9** — observability: the engine's own counters quantify the
-//!   checkpoint-interval trade-off (transactions replayed per probe),
-//!   and the disabled recorder is verified to cost nothing;
 //! * **T10** — the operational surface: `/metrics` scrape latency under
 //!   concurrent query load, and the slow-query wrapper's overhead at
 //!   the disabled threshold (`u64::MAX`);
@@ -54,7 +51,7 @@
 //!   paged heap (the numbers `sys$pages`, `/storage`, and `analyze`
 //!   report), recorded in `BENCH_storage.json`.
 //!
-//! Set `EXPERIMENTS_ONLY=<ids>` (comma-separated, e.g. `T9,T10,T11`) to
+//! Set `EXPERIMENTS_ONLY=<ids>` (comma-separated, e.g. `T10,T11,T13`) to
 //! run a subset.
 
 use std::sync::Arc;
@@ -66,7 +63,6 @@ use chronos_core::clock::ManualClock;
 use chronos_core::prelude::*;
 use chronos_core::relation::StaticOp;
 use chronos_db::Database;
-use chronos_obs::Recorder;
 use chronos_storage::codec;
 use chronos_storage::table::StoredBitemporalTable;
 
@@ -110,9 +106,6 @@ fn main() {
     if want("T1") {
         t1_rollback_storage();
     }
-    if want("T1b") {
-        t1b_checkpoint_sweep();
-    }
     if want("T2") {
         t2_temporal_storage();
     }
@@ -133,10 +126,6 @@ fn main() {
     }
     if want("T8") {
         t8_query_cache();
-    }
-    let mut t9_rows = None;
-    if want("T9") {
-        t9_rows = Some(t9_observability());
     }
     let mut t10_stats = None;
     if want("T10") {
@@ -174,14 +163,8 @@ fn main() {
     if want("faults") {
         faults_matrix();
     }
-    if t9_rows.is_some()
-        || t10_stats.is_some()
-        || t11_stats.is_some()
-        || t13_stats.is_some()
-        || t14_stats.is_some()
-    {
+    if t10_stats.is_some() || t11_stats.is_some() || t13_stats.is_some() || t14_stats.is_some() {
         write_bench_observability_json(
-            t9_rows.as_deref().unwrap_or(&[]),
             t10_stats.as_ref(),
             t11_stats.as_ref(),
             t13_stats.as_ref(),
@@ -295,139 +278,6 @@ fn t1_rollback_storage() {
         assert_eq!(*cube.current_ref().expect("committed"), ts.current());
     }
     println!("(cube tuples grow quadratically with history; tuple timestamping is linear)");
-}
-
-// ---------------------------------------------------------------------
-// T1b — E14b: checkpoint interval sweep
-// ---------------------------------------------------------------------
-
-/// One measured row of the E14b sweep (serialized to BENCH_rollback.json).
-struct SweepRow {
-    transactions: usize,
-    interval: usize,
-    rollback_ns: u64,
-    speedup: f64,
-    checkpoints: usize,
-    checkpoint_tuples: usize,
-}
-
-fn t1b_checkpoint_sweep() {
-    heading("T1b (E14b): checkpoint interval sweep — rollback latency vs space");
-    println!(
-        "{:>6} | {:>9} | {:>12} | {:>8} | {:>11} | {:>12}",
-        "txns", "K", "rollback µs", "speedup", "checkpoints", "ckpt tuples"
-    );
-    let mut rows: Vec<SweepRow> = Vec::new();
-    let mut baseline_rows: Vec<SweepRow> = Vec::new();
-    for &n in &[1024usize, 4096] {
-        let history = rollback_toggle_history(n, n / 2);
-        let schema = chronos_core::schema::faculty_schema();
-        // Probe mid-history: early probes flatter the checkpointed store
-        // (less log to search), late probes flatter nothing — mid is the
-        // representative regime for `as of` auditing queries.
-        let probe = Chronon::new(1000 + (n as i64) / 2);
-
-        let mut ts = TimestampedRollback::new(schema.clone());
-        for (t, op) in &history {
-            ts.commit(*t, std::slice::from_ref(op)).expect("valid");
-        }
-        let expected = ts.rollback(probe);
-        let scan_ns = time_ns(10, || {
-            std::hint::black_box(ts.rollback(probe));
-        });
-        println!(
-            "{:>6} | {:>9} | {:>12.1} | {:>8} | {:>11} | {:>12}",
-            n,
-            "scan",
-            scan_ns as f64 / 1e3,
-            "1.0x",
-            "—",
-            "—"
-        );
-        baseline_rows.push(SweepRow {
-            transactions: n,
-            interval: 0, // 0 = the unaccelerated full-scan baseline
-            rollback_ns: scan_ns,
-            speedup: 1.0,
-            checkpoints: 0,
-            checkpoint_tuples: 0,
-        });
-
-        for &k in &[1usize, 16, 64, 256] {
-            let mut ck = CheckpointedRollback::with_interval(schema.clone(), k);
-            for (t, op) in &history {
-                ck.commit(*t, std::slice::from_ref(op)).expect("valid");
-            }
-            assert_eq!(ck.rollback(probe), expected, "equivalence at K={k}");
-            let ck_ns = time_ns(10, || {
-                std::hint::black_box(ck.rollback(probe));
-            });
-            let speedup = scan_ns as f64 / ck_ns.max(1) as f64;
-            println!(
-                "{:>6} | {:>9} | {:>12.1} | {:>7.1}x | {:>11} | {:>12}",
-                n,
-                k,
-                ck_ns as f64 / 1e3,
-                speedup,
-                ck.checkpoints(),
-                ck.checkpoint_tuples()
-            );
-            rows.push(SweepRow {
-                transactions: n,
-                interval: k,
-                rollback_ns: ck_ns,
-                speedup,
-                checkpoints: ck.checkpoints(),
-                checkpoint_tuples: ck.checkpoint_tuples(),
-            });
-        }
-    }
-    println!("(K trades replay latency against checkpoint space: K=1 is the paper's");
-    println!(" snapshot cube, large K approaches pure log replay)");
-
-    // The acceptance bar for the acceleration layer: at 4096
-    // transactions the checkpointed reconstruction beats the full scan
-    // by at least 5x at some swept K.
-    let best = rows
-        .iter()
-        .filter(|r| r.transactions == 4096)
-        .map(|r| r.speedup)
-        .fold(0.0f64, f64::max);
-    assert!(
-        best >= 5.0,
-        "checkpointed rollback speedup at 4096 txns was only {best:.1}x"
-    );
-
-    write_bench_rollback_json(&baseline_rows, &rows);
-}
-
-/// Emits the sweep as `BENCH_rollback.json` next to the working
-/// directory, for tooling that tracks the acceleration layer across
-/// commits.  Hand-rolled JSON: the workspace deliberately has no serde.
-fn write_bench_rollback_json(baselines: &[SweepRow], rows: &[SweepRow]) {
-    let mut out = String::from("{\n  \"experiment\": \"E14b\",\n");
-    out.push_str("  \"description\": \"checkpointed rollback reconstruction sweep\",\n");
-    out.push_str("  \"baseline\": \"timestamped full-scan rollback (interval 0)\",\n");
-    out.push_str("  \"rows\": [\n");
-    let all: Vec<&SweepRow> = baselines.iter().chain(rows.iter()).collect();
-    for (i, r) in all.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"transactions\": {}, \"interval\": {}, \"rollback_ns\": {}, \
-             \"speedup\": {:.2}, \"checkpoints\": {}, \"checkpoint_tuples\": {}}}{}\n",
-            r.transactions,
-            r.interval,
-            r.rollback_ns,
-            r.speedup,
-            r.checkpoints,
-            r.checkpoint_tuples,
-            if i + 1 < all.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_rollback.json", &out) {
-        Ok(()) => println!("(wrote BENCH_rollback.json)"),
-        Err(e) => println!("(could not write BENCH_rollback.json: {e})"),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -816,81 +666,6 @@ fn t8_query_cache() {
 }
 
 // ---------------------------------------------------------------------
-// T9 — observability: counters quantify the access-path trade-offs
-// ---------------------------------------------------------------------
-
-/// One measured row of the T9 sweep (serialized to
-/// BENCH_observability.json).
-struct ObsRow {
-    transactions: usize,
-    interval: usize,
-    txns_replayed: u64,
-    checkpoint_hits: u64,
-    rollback_ns: u64,
-}
-
-fn t9_observability() -> Vec<ObsRow> {
-    heading("T9: observability — replayed transactions per checkpoint interval");
-    let n = 2048usize;
-    let w = workload::generate(&WorkloadSpec {
-        entities: (n / 4).max(8),
-        transactions: n,
-        ops_per_tx: 2,
-        correction_pct: 25,
-        seed: 7,
-    });
-    let probe = Chronon::new(1000 + (n as i64) / 2);
-    println!(
-        "{:>6} | {:>9} | {:>14} | {:>10} | {:>12}",
-        "txns", "K", "txns replayed", "ckpt hits", "rollback µs"
-    );
-    let mut rows: Vec<ObsRow> = Vec::new();
-    for &k in &[1usize, 16, 64, 256] {
-        let mut stored =
-            StoredBitemporalTable::in_memory(w.schema.clone(), TemporalSignature::Interval);
-        for tx in &w.transactions {
-            stored.try_commit(tx.tx_time, &tx.ops).expect("valid");
-        }
-        stored.set_checkpoint_interval(k).expect("rebuild");
-        let recorder = Arc::new(Recorder::new());
-        stored.set_recorder(Arc::clone(&recorder));
-        let before = recorder.snapshot();
-        stored.try_rollback_checkpointed(probe).expect("rollback");
-        let after = recorder.snapshot();
-        let replayed = after.rollback_txns_replayed - before.rollback_txns_replayed;
-        let hits = after.rollback_checkpoint_hits - before.rollback_checkpoint_hits;
-        // The counter is bounded by construction: a checkpoint lands
-        // every K commits, so a probe replays at most K − 1 of them.
-        assert!(
-            (replayed as usize) < k.max(2),
-            "replayed {replayed} transactions at K={k}"
-        );
-        let ns = time_ns(10, || {
-            std::hint::black_box(stored.try_rollback_checkpointed(probe).expect("rollback"));
-        });
-        println!(
-            "{:>6} | {:>9} | {:>14} | {:>10} | {:>12.1}",
-            n,
-            k,
-            replayed,
-            hits,
-            ns as f64 / 1e3
-        );
-        rows.push(ObsRow {
-            transactions: n,
-            interval: k,
-            txns_replayed: replayed,
-            checkpoint_hits: hits,
-            rollback_ns: ns,
-        });
-    }
-    println!("(replayed-per-probe is the latency side of the E14b space trade-off,");
-    println!(" read off the engine's own counters rather than re-derived)");
-    overhead_check();
-    rows
-}
-
-// ---------------------------------------------------------------------
 // T10 — the operational surface: scrape latency and slow-log overhead
 // ---------------------------------------------------------------------
 
@@ -1131,33 +906,17 @@ fn t11_temporal_introspection() -> T11Stats {
     }
 }
 
-/// Emits the T9 sweep plus the T10/T11/T13 stats as
-/// `BENCH_observability.json`.  Hand-rolled JSON: the workspace
-/// deliberately has no serde.
+/// Emits the T10/T11/T13/T14 stats as `BENCH_observability.json`.
+/// Hand-rolled JSON: the workspace deliberately has no serde.
 fn write_bench_observability_json(
-    rows: &[ObsRow],
     t10: Option<&T10Stats>,
     t11: Option<&T11Stats>,
     t13: Option<&T13Stats>,
     t14: Option<&T14Stats>,
 ) {
-    let mut out = String::from("{\n  \"experiment\": \"T9+T10+T11+T13+T14\",\n");
-    out.push_str("  \"description\": \"replayed transactions per checkpoint interval; operational surface; temporal introspection; concurrency-aware observability; workload analytics\",\n");
-    out.push_str("  \"source\": \"engine metrics registry + embedded HTTP exporter\",\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"transactions\": {}, \"interval\": {}, \"txns_replayed\": {}, \
-             \"checkpoint_hits\": {}, \"rollback_ns\": {}}}{}\n",
-            r.transactions,
-            r.interval,
-            r.txns_replayed,
-            r.checkpoint_hits,
-            r.rollback_ns,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]");
+    let mut out = String::from("{\n  \"experiment\": \"T10+T11+T13+T14\",\n");
+    out.push_str("  \"description\": \"operational surface; temporal introspection; concurrency-aware observability; workload analytics\",\n");
+    out.push_str("  \"source\": \"engine metrics registry + embedded HTTP exporter\"");
     if let Some(t) = t10 {
         out.push_str(&format!(
             ",\n  \"t10\": {{\"scrapes\": {}, \"scrape_p50_ns\": {}, \"scrape_p99_ns\": {}, \
@@ -1224,48 +983,6 @@ fn write_bench_observability_json(
         Ok(()) => println!("(wrote BENCH_observability.json)"),
         Err(e) => println!("(could not write BENCH_observability.json: {e})"),
     }
-}
-
-/// Asserts the disabled recorder costs nothing measurable: a loop of
-/// real work with a counter call per iteration must stay within 5% of
-/// the same loop without it.  Samples are interleaved (base,
-/// instrumented, base, …) and the minimum of each side is compared, so
-/// scheduler noise and frequency drift hit both variants alike.
-fn overhead_check() {
-    let data: Vec<u64> = (0..1024).collect();
-    let work = |instrumented: bool, disabled: &Recorder| -> u64 {
-        // Opaque flag: otherwise the compiler specializes the loop per
-        // call site (constant true/false) and the two copies land at
-        // different alignments, which alone can skew a tight loop by
-        // >5% — the very budget this check enforces.
-        let instrumented = std::hint::black_box(instrumented);
-        let start = Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..20_000 {
-            acc = acc.wrapping_add(std::hint::black_box(&data).iter().sum::<u64>());
-            if instrumented {
-                disabled.count(|m| &m.heap_rows_scanned);
-            }
-        }
-        std::hint::black_box(acc);
-        start.elapsed().as_nanos() as u64
-    };
-    let disabled = Recorder::disabled();
-    let (mut base_ns, mut instrumented_ns) = (u64::MAX, u64::MAX);
-    for _ in 0..9 {
-        base_ns = base_ns.min(work(false, &disabled));
-        instrumented_ns = instrumented_ns.min(work(true, &disabled));
-    }
-    assert!(
-        disabled.snapshot().is_zero(),
-        "disabled recorder accumulated counts"
-    );
-    let ratio = instrumented_ns as f64 / base_ns.max(1) as f64;
-    assert!(
-        ratio < 1.05,
-        "disabled recorder overhead {ratio:.3} exceeds the 5% budget"
-    );
-    println!("observability overhead: disabled-recorder ratio {ratio:.3} — within budget (<1.05)");
 }
 
 // ---------------------------------------------------------------------

@@ -79,9 +79,7 @@ pub mod prelude {
     pub use crate::error::{CoreError, CoreResult};
     pub use crate::period::{AllenRelation, Period};
     pub use crate::relation::historical::HistoricalRelation;
-    pub use crate::relation::rollback::{
-        CheckpointedRollback, RollbackStore, SnapshotRollback, TimestampedRollback,
-    };
+    pub use crate::relation::rollback::{RollbackStore, SnapshotRollback, TimestampedRollback};
     pub use crate::relation::static_rel::StaticRelation;
     pub use crate::relation::temporal::{BitemporalTable, SnapshotTemporal, TemporalStore};
     pub use crate::relation::{HistoricalOp, RowSelector, Validity};

@@ -7,7 +7,7 @@
 //! relation as it was stored at `t` — including any errors it contained:
 //! "Errors can sometimes be overridden … but they cannot be forgotten."
 //!
-//! Three implementations share the [`RollbackStore`] interface:
+//! Two implementations share the [`RollbackStore`] interface:
 //!
 //! * [`SnapshotRollback`] — the conceptual cube of Figure 3: one complete
 //!   static relation per transaction.  The paper judges this
@@ -16,11 +16,8 @@
 //! * [`TimestampedRollback`] — the practical encoding of Figure 4: each
 //!   tuple carries a transaction-time period `[start, end)`, with `∞` for
 //!   still-current tuples.
-//! * [`CheckpointedRollback`] — the accelerated encoding: the commit log
-//!   plus a materialized state every `K` commits, making `rollback(t)`
-//!   sublinear in history length (experiment E14b sweeps `K`).
 //!
-//! All must agree on every `rollback(t)`; that equivalence is checked by
+//! Both must agree on every `rollback(t)`; that equivalence is checked by
 //! the tests here and by property tests in the integration suite.
 
 use crate::chronon::Chronon;
@@ -376,192 +373,6 @@ impl RollbackStore for TimestampedRollback {
     }
 }
 
-/// The accelerated encoding: a commit log plus a materialized state
-/// every `K` commits.
-///
-/// The two paper encodings sit at the ends of a spectrum: the snapshot
-/// cube ([`SnapshotRollback`]) answers `rollback(t)` in one lookup but
-/// duplicates every unchanged tuple per transaction, while the
-/// tuple-timestamped store ([`TimestampedRollback`]) stores each version
-/// once but reconstructs a past state by scanning *every* row ever
-/// stored — linear in history length.  `CheckpointedRollback` keeps the
-/// per-commit operation log and materializes the full state only every
-/// `interval` commits, so `rollback(t)` binary-searches the checkpoint
-/// list and replays at most `interval − 1` delta transactions:
-/// `O(log n + |state| + K·ops)` instead of `O(history)`.
-///
-/// `interval = 1` degenerates to the cube (every commit checkpointed);
-/// large intervals approach pure log replay.  Experiment E14b sweeps the
-/// latency/space trade-off.
-///
-/// Observational equivalence with the other two stores is enforced by
-/// the tests below and the integration property suite.
-#[derive(Clone, Debug)]
-pub struct CheckpointedRollback {
-    schema: Schema,
-    /// Checkpoint every this many commits (≥ 1).
-    interval: usize,
-    /// The live state (the only one that may be modified).
-    current: StaticRelation,
-    /// Every commit, in order: `(tx_time, ops)` — the replay log.
-    log: Vec<(Chronon, Vec<StaticOp>)>,
-    /// `(commits covered, state after that many commits)`, ascending.
-    /// A checkpoint at `(c, s)` means `s` is the state after `log[..c]`.
-    checkpoints: Vec<(usize, StaticRelation)>,
-}
-
-impl CheckpointedRollback {
-    /// Default checkpoint interval: a good latency/space balance in the
-    /// E14b sweep (see EXPERIMENTS.md).
-    pub const DEFAULT_INTERVAL: usize = 64;
-
-    /// Creates an empty store with the default checkpoint interval.
-    pub fn new(schema: Schema) -> CheckpointedRollback {
-        CheckpointedRollback::with_interval(schema, Self::DEFAULT_INTERVAL)
-    }
-
-    /// Creates an empty store checkpointing every `interval` commits
-    /// (`interval` is clamped to at least 1).
-    pub fn with_interval(schema: Schema, interval: usize) -> CheckpointedRollback {
-        CheckpointedRollback {
-            current: StaticRelation::new(schema.clone()),
-            schema,
-            interval: interval.max(1),
-            log: Vec::new(),
-            checkpoints: Vec::new(),
-        }
-    }
-
-    /// The configured checkpoint interval.
-    pub fn interval(&self) -> usize {
-        self.interval
-    }
-
-    /// Number of materialized checkpoints.
-    pub fn checkpoints(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Tuples held by checkpoints alone (the space overhead relative to
-    /// a pure log — the E14b space metric).
-    pub fn checkpoint_tuples(&self) -> usize {
-        self.checkpoints.iter().map(|(_, s)| s.len()).sum()
-    }
-
-    /// Borrows the most recent state without cloning it.
-    pub fn current_ref(&self) -> &StaticRelation {
-        &self.current
-    }
-
-    /// The state after the first `commits` log entries, reconstructed
-    /// from the nearest checkpoint at or before it.
-    fn state_after(&self, commits: usize) -> StaticRelation {
-        self.state_after_traced(commits).0
-    }
-
-    fn state_after_traced(&self, commits: usize) -> (StaticRelation, RollbackAccess) {
-        let idx = self.checkpoints.partition_point(|(c, _)| *c <= commits);
-        let (seed, mut replay_from, mut state) = match idx.checked_sub(1) {
-            Some(i) => {
-                let (c, s) = &self.checkpoints[i];
-                (Some(*c), *c, s.clone())
-            }
-            None => (None, 0, StaticRelation::new(self.schema.clone())),
-        };
-        while replay_from < commits {
-            let (_, ops) = &self.log[replay_from];
-            state
-                .apply(ops)
-                .expect("committed operations replay cleanly");
-            replay_from += 1;
-        }
-        let access = RollbackAccess {
-            visible: commits,
-            checkpoint_seed: seed,
-            replayed: commits - seed.unwrap_or(0),
-            interval: self.interval,
-        };
-        (state, access)
-    }
-
-    /// [`rollback`](RollbackStore::rollback) plus a description of the
-    /// access path taken — whether a checkpoint seeded the
-    /// reconstruction and how many delta transactions were replayed on
-    /// top.  The observability layer names the path ("checkpoint hit"
-    /// vs "full replay") from this.
-    pub fn rollback_traced(&self, t: Chronon) -> (StaticRelation, RollbackAccess) {
-        let visible = self.log.partition_point(|(commit, _)| *commit <= t);
-        self.state_after_traced(visible)
-    }
-}
-
-/// How a [`CheckpointedRollback::rollback_traced`] reconstruction was
-/// answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RollbackAccess {
-    /// Commits visible at the rollback time.
-    pub visible: usize,
-    /// Commit count of the checkpoint that seeded the state, if any.
-    pub checkpoint_seed: Option<usize>,
-    /// Delta transactions replayed on top of the seed.
-    pub replayed: usize,
-    /// The store's checkpoint interval `K`.
-    pub interval: usize,
-}
-
-impl RollbackAccess {
-    /// True iff a materialized checkpoint seeded the reconstruction.
-    pub fn checkpoint_hit(&self) -> bool {
-        self.checkpoint_seed.is_some()
-    }
-}
-
-impl RollbackStore for CheckpointedRollback {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn commit(&mut self, tx_time: Chronon, ops: &[StaticOp]) -> CoreResult<()> {
-        check_monotonic(self.last_commit(), tx_time)?;
-        // Validate on a scratch copy so a failing transaction leaves the
-        // store untouched (same guarantee as the other stores).
-        let mut next = self.current.clone();
-        next.apply(ops)?;
-        self.current = next;
-        self.log.push((tx_time, ops.to_vec()));
-        if self.log.len().is_multiple_of(self.interval) {
-            self.checkpoints
-                .push((self.log.len(), self.current.clone()));
-        }
-        Ok(())
-    }
-
-    fn rollback(&self, t: Chronon) -> StaticRelation {
-        // Commits are strictly ascending in transaction time, so the
-        // number of commits visible at `t` is a binary search away.
-        let visible = self.log.partition_point(|(commit, _)| *commit <= t);
-        self.state_after(visible)
-    }
-
-    fn current(&self) -> StaticRelation {
-        self.current.clone()
-    }
-
-    fn last_commit(&self) -> Option<Chronon> {
-        self.log.last().map(|(t, _)| *t)
-    }
-
-    fn transactions(&self) -> usize {
-        self.log.len()
-    }
-
-    fn stored_tuples(&self) -> usize {
-        // One "physical row" per logged operation (the log is the
-        // authoritative store) plus every tuple a checkpoint duplicates.
-        self.log.iter().map(|(_, ops)| ops.len()).sum::<usize>() + self.checkpoint_tuples()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,74 +458,6 @@ mod tests {
         }
         assert_eq!(a.current(), b.current());
         assert_eq!(a.transactions(), b.transactions());
-    }
-
-    #[test]
-    fn checkpointed_agrees_with_timestamped_at_every_interval() {
-        for interval in [1usize, 2, 3, 100] {
-            let mut a = CheckpointedRollback::with_interval(faculty_schema(), interval);
-            let mut b = TimestampedRollback::new(faculty_schema());
-            figure_4_history(&mut a);
-            figure_4_history(&mut b);
-            let lo = date("01/01/77").unwrap().ticks();
-            let hi = date("12/31/84").unwrap().ticks();
-            for t in (lo..=hi).step_by(3) {
-                let t = Chronon::new(t);
-                assert_eq!(
-                    a.rollback(t),
-                    b.rollback(t),
-                    "divergence at {t} (interval {interval})"
-                );
-            }
-            assert_eq!(a.current(), b.current());
-            assert_eq!(a.current_ref(), &b.current());
-            assert_eq!(a.transactions(), b.transactions());
-            assert_eq!(a.last_commit(), b.last_commit());
-            // interval 1 checkpoints every commit (the cube's layout).
-            let expected = 5 / interval;
-            assert_eq!(a.checkpoints(), expected, "interval {interval}");
-        }
-    }
-
-    #[test]
-    fn rollback_traced_names_the_access_path() {
-        let mut s = CheckpointedRollback::with_interval(faculty_schema(), 2);
-        figure_4_history(&mut s); // 5 commits → checkpoints after 2 and 4
-                                  // Before the first checkpoint: full replay from empty.
-        let (state, access) = s.rollback_traced(date("12/01/82").unwrap());
-        assert_eq!(state, s.rollback(date("12/01/82").unwrap()));
-        assert!(!access.checkpoint_hit());
-        assert_eq!(access.visible, 1);
-        assert_eq!(access.replayed, 1);
-        assert_eq!(access.interval, 2);
-        // After the second checkpoint: seeded, one delta replayed.
-        let (state, access) = s.rollback_traced(date("06/01/84").unwrap());
-        assert_eq!(state, s.rollback(date("06/01/84").unwrap()));
-        assert!(access.checkpoint_hit());
-        assert_eq!(access.checkpoint_seed, Some(4));
-        assert_eq!(access.visible, 5);
-        assert_eq!(access.replayed, 1);
-        // Three commits visible → seeded at 2, one delta on top.
-        let (_, access) = s.rollback_traced(date("12/15/82").unwrap());
-        assert_eq!(access.checkpoint_seed, Some(2));
-        assert_eq!(access.visible, 3);
-        assert_eq!(access.replayed, 1);
-    }
-
-    #[test]
-    fn checkpointed_failed_transaction_leaves_store_unchanged() {
-        let mut s = CheckpointedRollback::with_interval(faculty_schema(), 2);
-        figure_4_history(&mut s);
-        let before = s.current();
-        let r = s
-            .begin()
-            .insert(tuple(["New", "prof"]))
-            .delete(tuple(["Ghost", "prof"]))
-            .commit(date("06/01/84").unwrap());
-        assert!(r.is_err());
-        assert_eq!(s.current(), before);
-        assert_eq!(s.transactions(), 5);
-        assert_eq!(s.last_commit(), Some(date("02/25/84").unwrap()));
     }
 
     #[test]

@@ -788,7 +788,6 @@ impl Database {
                     tuples: rel.stored_tuples() as i64,
                     bytes: i64::from(rel.table().heap_pages())
                         * chronos_storage::page::PAGE_SIZE as i64,
-                    checkpoint_k: rel.table().checkpoint_interval() as i64,
                 }
             })
             .collect();
@@ -868,11 +867,6 @@ impl Database {
         }
         // Physical accounting, measured off the heap for every class.
         let physical = rel.table().physical_stats()?;
-        push_stat(
-            &mut stats,
-            "checkpoint_k",
-            rel.table().checkpoint_interval() as i64,
-        );
         push_stat(&mut stats, "bytes", clamp_i64(physical.bytes_on_disk));
         push_stat(
             &mut stats,

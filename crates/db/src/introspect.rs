@@ -83,7 +83,6 @@ pub struct CatalogRow {
     pub class: String,
     pub tuples: i64,
     pub bytes: i64,
-    pub checkpoint_k: i64,
 }
 
 /// The catalog as a whole at one sampling point.
@@ -483,7 +482,6 @@ impl TelemetryStore {
                     Value::str(&r.class),
                     Value::Int(r.tuples),
                     Value::Int(r.bytes),
-                    Value::Int(r.checkpoint_k),
                 ]),
                 validity: None,
                 tx: None,
@@ -977,7 +975,6 @@ pub fn system_info(name: &str) -> Option<RelationInfo> {
                 Attribute::new("class", AttrType::Str),
                 Attribute::new("tuples", AttrType::Int),
                 Attribute::new("bytes", AttrType::Int),
-                Attribute::new("checkpoint_k", AttrType::Int),
             ]),
             RelationClass::StaticRollback,
             TemporalSignature::Interval,
@@ -1287,7 +1284,6 @@ mod tests {
             class: "temporal".to_string(),
             tuples,
             bytes: tuples * 64,
-            checkpoint_k: 8,
         };
         store.record_catalog(Chronon::new(10), vec![row("faculty", 1)]);
         store.record_catalog(Chronon::new(20), vec![row("faculty", 2), row("dept", 1)]);

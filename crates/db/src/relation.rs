@@ -218,7 +218,7 @@ impl Relation {
     /// table's current-row index for that key; any other walks every
     /// current row.  Either way the answer comes from memory.
     pub fn current_matching(&self, pred: &Predicate) -> DbResult<Vec<HistoricalRow>> {
-        // A temporal scan follows the heap, every other the mirror.
+        // A temporal scan follows the heap, every other reference order.
         let order = if has_valid_time(self.class) && has_transaction_time(self.class) {
             CurrentOrder::Heap
         } else {
@@ -257,7 +257,7 @@ impl Relation {
             }
             // Only a temporal scan shows transaction periods, which live
             // on the heap; every other class reads the current state in
-            // reference order straight off the table's mirror.
+            // reference order straight off the table's current-row index.
             None if valid_time && tx_time => self
                 .table
                 .scan_rows()?
@@ -267,9 +267,8 @@ impl Relation {
             None => {
                 return Ok(self
                     .table
-                    .current_ref()
-                    .rows()
-                    .iter()
+                    .current_entries(None, CurrentOrder::Reference)
+                    .into_iter()
                     .map(|row| SourceRow {
                         tuple: row.tuple.clone(),
                         validity: valid_time.then_some(row.validity),
@@ -344,6 +343,37 @@ mod tests {
                 class == RelationClass::Temporal,
                 "{class}"
             );
+        }
+    }
+
+    /// A scan of the latest state lists rows in the order they were
+    /// recorded, whatever slots the heap reuses — in every class.
+    #[test]
+    fn a_scan_of_the_latest_state_follows_insertion_order() {
+        let row = |n: usize| tuple(["Tom".to_string(), format!("r{n}")]);
+        let insert = |n: usize| HistoricalOp::insert(row(n), ALWAYS);
+        for class in CLASSES {
+            let mut rel = Relation::new(faculty_schema(), class, TemporalSignature::Interval);
+            let first: Vec<_> = (0..6).map(insert).collect();
+            rel.apply(Chronon::new(10), &first).unwrap();
+            let gone = [2, 3].map(|n| HistoricalOp::remove(RowSelector::tuple(row(n))));
+            rel.apply(Chronon::new(20), &gone).unwrap();
+            rel.apply(Chronon::new(30), &[insert(6), insert(7)])
+                .unwrap();
+            let scanned: Vec<_> = rel
+                .scan(None)
+                .unwrap()
+                .into_iter()
+                .map(|r| r.tuple)
+                .collect();
+            assert_eq!(scanned, [0, 1, 4, 5, 6, 7].map(row), "{class}");
+            if !has_transaction_time(class) {
+                // The new rows took the freed slots: the heap no longer
+                // says who came first.
+                let heap = rel.table().scan_rows().unwrap();
+                let heap: Vec<_> = heap.into_iter().map(|r| r.tuple).collect();
+                assert_ne!(heap, scanned, "{class}");
+            }
         }
     }
 

@@ -698,9 +698,11 @@ impl<B: SessionBackend> Session<B> {
             let new_tuple = apply_assignments(&info.schema, &row.tuple, assignments)?;
             let validity = match valid_time.then_some(row.validity) {
                 None => {
-                    // Static classes: in-place replacement.
+                    // Static classes: in-place replacement, and a `valid`
+                    // clause refused as `append` refuses it.
+                    let validity = self.modification_validity(&info, valid)?;
                     ops.push(HistoricalOp::remove(RowSelector::tuple(row.tuple)));
-                    crate::relation::ALWAYS
+                    validity
                 }
                 Some(at @ Validity::Event(_)) => {
                     let validity = self.modification_validity(&info, valid)?;

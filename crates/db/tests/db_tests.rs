@@ -637,11 +637,11 @@ fn every_class_reports_measured_physical_stats() {
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
     let mut db = Database::in_memory(clock.clone());
     // Same story in each class: two rows, one superseded.
-    for (rel, class, keeps_versions) in [
-        ("s", "static", false),
-        ("r", "rollback", true),
-        ("h", "historical", false),
-        ("t", "temporal", true),
+    for (rel, class) in [
+        ("s", "static"),
+        ("r", "rollback"),
+        ("h", "historical"),
+        ("t", "temporal"),
     ] {
         db.session()
             .run(&format!("create {rel} (name = str, rank = str) as {class}"))
@@ -662,8 +662,7 @@ fn every_class_reports_measured_physical_stats() {
             .unwrap();
         db.session().run(&format!("analyze {rel}")).unwrap();
 
-        // analyze: pages × 8 KiB, not a tuple-count estimate; K from the
-        // store, not a per-class constant.
+        // analyze: pages × 8 KiB, not a tuple-count estimate.
         let stats = tablestats_map(&mut db, rel, None);
         let table = db.relation(rel).unwrap().table();
         let physical = table.physical_stats().unwrap();
@@ -673,11 +672,6 @@ fn every_class_reports_measured_physical_stats() {
         assert_eq!(stats["bytes_per_version"], 8192 / versions, "{rel}");
         assert_eq!(
             stats["dup_factor_x1000"], physical.dup_factor_x1000 as i64,
-            "{rel}"
-        );
-        assert_eq!(
-            stats["checkpoint_k"],
-            if keeps_versions { 64 } else { 0 },
             "{rel}"
         );
 
@@ -713,17 +707,13 @@ fn every_class_reports_measured_physical_stats() {
             .session()
             .query(&format!(
                 r#"range of c is sys$relations
-                   retrieve (c.tuples, c.bytes, c.checkpoint_k) where c.name = "{rel}""#
+                   retrieve (c.tuples, c.bytes) where c.name = "{rel}""#
             ))
             .unwrap();
-        let cells: Vec<i64> = (0..3)
+        let cells: Vec<i64> = (0..2)
             .map(|i| res.rows[0].tuple.get(i).to_string().parse().unwrap())
             .collect();
-        assert_eq!(
-            cells,
-            [versions, 8192, if keeps_versions { 64 } else { 0 }],
-            "{rel}"
-        );
+        assert_eq!(cells, [versions, 8192], "{rel}");
     }
 }
 

@@ -192,8 +192,6 @@ pub struct MetricsSnapshot {
     pub heap_morsels_claimed: u64,
     pub heap_rows_scanned: u64,
     pub index_probes: u64,
-    pub rollback_checkpoint_hits: u64,
-    pub rollback_txns_replayed: u64,
     /// Frozen-segment reads that consulted a segment's map.
     pub segment_hits: u64,
     /// Frozen segments skipped wholesale (tx-range or bloom miss).
@@ -247,7 +245,7 @@ impl MetricsSnapshot {
     /// `(name, value)` pairs for every plain counter, in exposition
     /// order.  Keeping this as the single enumeration point means the
     /// JSON and Prometheus renderings can never drift apart.
-    pub fn counters(&self) -> [(&'static str, u64); 27] {
+    pub fn counters(&self) -> [(&'static str, u64); 25] {
         [
             ("pager_page_reads", self.pager_page_reads),
             ("pager_page_writes", self.pager_page_writes),
@@ -256,8 +254,6 @@ impl MetricsSnapshot {
             ("heap_morsels_claimed", self.heap_morsels_claimed),
             ("heap_rows_scanned", self.heap_rows_scanned),
             ("index_probes", self.index_probes),
-            ("rollback_checkpoint_hits", self.rollback_checkpoint_hits),
-            ("rollback_txns_replayed", self.rollback_txns_replayed),
             ("segment_hits", self.segment_hits),
             ("segment_skips", self.segment_skips),
             ("segment_bloom_fps", self.segment_bloom_fps),
@@ -324,9 +320,6 @@ impl MetricsSnapshot {
             heap_morsels_claimed: self.heap_morsels_claimed - earlier.heap_morsels_claimed,
             heap_rows_scanned: self.heap_rows_scanned - earlier.heap_rows_scanned,
             index_probes: self.index_probes - earlier.index_probes,
-            rollback_checkpoint_hits: self.rollback_checkpoint_hits
-                - earlier.rollback_checkpoint_hits,
-            rollback_txns_replayed: self.rollback_txns_replayed - earlier.rollback_txns_replayed,
             segment_hits: self.segment_hits - earlier.segment_hits,
             segment_skips: self.segment_skips - earlier.segment_skips,
             segment_bloom_fps: self.segment_bloom_fps - earlier.segment_bloom_fps,

@@ -86,8 +86,6 @@ pub struct Instruments {
     pub heap_morsels_claimed: Counter,
     pub heap_rows_scanned: Counter,
     pub index_probes: Counter,
-    pub rollback_checkpoint_hits: Counter,
-    pub rollback_txns_replayed: Counter,
     /// Frozen-segment reads that consulted a segment's map.
     pub segment_hits: Counter,
     /// Frozen segments skipped wholesale (tx-range or bloom miss).
@@ -235,8 +233,6 @@ impl Recorder {
             heap_morsels_claimed: m.heap_morsels_claimed.get(),
             heap_rows_scanned: m.heap_rows_scanned.get(),
             index_probes: m.index_probes.get(),
-            rollback_checkpoint_hits: m.rollback_checkpoint_hits.get(),
-            rollback_txns_replayed: m.rollback_txns_replayed.get(),
             segment_hits: m.segment_hits.get(),
             segment_skips: m.segment_skips.get(),
             segment_bloom_fps: m.segment_bloom_fps.get(),
@@ -524,13 +520,11 @@ impl TraceReport {
             out.push('\n');
         }
         out.push_str(&format!(
-            "counters: rows_scanned={} morsels={} index_probes={} txns_replayed={} \
-             checkpoint_hits={} cache_hits={} cache_misses={} page_reads={}\n",
+            "counters: rows_scanned={} morsels={} index_probes={} cache_hits={} \
+             cache_misses={} page_reads={}\n",
             self.delta.heap_rows_scanned,
             self.delta.heap_morsels_claimed,
             self.delta.index_probes,
-            self.delta.rollback_txns_replayed,
-            self.delta.rollback_checkpoint_hits,
             self.delta.cache_hits,
             self.delta.cache_misses,
             self.delta.pager_page_reads,
@@ -610,6 +604,21 @@ mod tests {
         let rendered = report.render(true);
         assert!(rendered.contains("scan [sequential] rows_out=5"));
         assert!(rendered.contains("rows_scanned=5"));
+    }
+
+    /// `explain` and `profile` end on this line.
+    #[test]
+    fn the_counters_line_names_what_is_counted() {
+        let r = Recorder::new();
+        let before = r.snapshot();
+        r.begin_trace();
+        r.count_n(|m| &m.index_probes, 2);
+        let report = r.end_trace(&before).expect("capture active");
+        assert_eq!(
+            report.render(false),
+            "counters: rows_scanned=0 morsels=0 index_probes=2 cache_hits=0 cache_misses=0 \
+             page_reads=0\n"
+        );
     }
 
     #[test]

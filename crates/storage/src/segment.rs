@@ -482,7 +482,9 @@ pub fn check_bytes(data: &[u8]) -> Result<SegmentCheck, (u64, String)> {
     if expect != Some(data.len()) {
         return Err((44, "section lengths disagree with file size".into()));
     }
-    if versions > 0 && (min_start >= max_end || max_end == i64::MAX) {
+    // Equal bounds are a segment of versions superseded by the commit
+    // that wrote them: it covers no instant, and is well-formed.
+    if versions > 0 && (min_start > max_end || max_end == i64::MAX) {
         return Err((28, "implausible transaction-time range".into()));
     }
 
@@ -977,6 +979,19 @@ mod tests {
         assert!(seg.find_chain(&ghost).is_none());
         let at = seg.chain_rows_at(seg.find_chain(&merrie).unwrap(), Chronon::new(15));
         assert_eq!(at.unwrap().len(), 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A version its own commit superseded was never visible; a segment
+    /// of nothing else still writes, opens, and covers no instant.
+    #[test]
+    fn versions_that_never_were_visible_freeze_on_their_own() {
+        let rows = [closed(tuple(["Tom", "full"]), 0, 100, 7, 7)];
+        let path = tmp_path("neverseen");
+        write_segment(&path, 1, &rows).unwrap();
+        let seg = Segment::open(&path).unwrap();
+        assert!(!seg.covers(Chronon::new(7)));
+        assert_eq!(seg.rows().unwrap(), rows);
         std::fs::remove_file(&path).unwrap();
     }
 

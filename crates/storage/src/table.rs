@@ -8,38 +8,36 @@
 //! without transaction time, superseded versions dropped instead of
 //! closed ([`Superseded`]).  Rows live in a slotted-page [`HeapFile`],
 //! every commit is logically logged to a [`Wal`] before being applied
-//! (write-ahead rule), and three access paths accelerate the taxonomy's
-//! characteristic queries:
+//! (write-ahead rule), and three indexes — all in memory, all rebuilt from
+//! the rows — answer the taxonomy's characteristic queries:
 //!
 //! * a **transaction-time interval tree** — the rollback operation
 //!   (`as of t`) is a stabbing query;
 //! * a **valid-time interval tree** — historical timeslices
 //!   (`valid at t`) are stabbing queries;
 //! * a **current-row index** — the rows of the current historical state
-//!   by key (first attribute), each with the heap record holding it:
-//!   modifications address current rows by content, and a `delete` or
-//!   `replace` that names a key finds its rows here without reading a
-//!   heap page;
-//! * a **checkpoint list** — every K commits the current historical
-//!   state is materialised, so `as of t` binary-searches the checkpoint
-//!   list and replays at most K−1 delta transactions instead of
-//!   touching every row ever stored (experiment E14b sweeps K);
-//! * a **morsel-driven parallel scan** — above a row-count threshold,
-//!   full scans and index-probe materialisations fan out over scoped
-//!   threads, one heap page (or record-id chunk) per morsel, with
-//!   byte-identical output order to the sequential path.
+//!   in the order they were inserted, each with the heap record holding
+//!   it, and a directory of them by key (first attribute).  It is the
+//!   table's only copy of the current state: modifications address
+//!   current rows by content, a `delete` or `replace` that names a key
+//!   finds its rows here without reading a heap page, and a scan of the
+//!   latest state walks it in order.
+//!
+//! Above a row-count threshold, full scans and index-probe
+//! materialisations fan out over scoped threads, one heap page (or
+//! record-id chunk) per morsel, with byte-identical output order to the
+//! sequential path.
 //!
 //! Semantics are defined by `chronos-core`'s reference stores: every
 //! commit is validated by exactly the reference transition rules — run on
 //! the slice of the current historical state that carries a tuple the
-//! transaction names, since no other row can change the verdict — and
-//! then applied in place to an in-memory mirror of that state, so the
+//! transaction names, since no other row can change the verdict — so the
 //! stored table is observationally equivalent to
 //! [`SnapshotTemporal`](chronos_core::relation::temporal::SnapshotTemporal)
 //! and [`BitemporalTable`](chronos_core::relation::temporal::BitemporalTable)
 //! by construction — and differentially tested to be.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -49,7 +47,7 @@ use chronos_core::value::Value;
 use chronos_core::chronon::Chronon;
 use chronos_core::error::CoreError;
 use chronos_core::period::Period;
-use chronos_core::relation::historical::{HistoricalRelation, HistoricalRow};
+use chronos_core::relation::historical::HistoricalRelation;
 use chronos_core::relation::temporal::{BitemporalRow, TemporalStore};
 use chronos_core::relation::{HistoricalOp, Validity};
 use chronos_core::schema::{Schema, TemporalSignature};
@@ -155,8 +153,7 @@ pub(crate) fn shared_bytes(a: &[u8], b: &[u8]) -> usize {
 pub enum Superseded {
     /// The version stays, its transaction period closed at the commit.
     Closed,
-    /// The version is deleted from the heap and both indexes; the table
-    /// keeps no commit log and no checkpoints either.
+    /// The version is deleted from the heap and both interval trees.
     Dropped,
 }
 
@@ -191,16 +188,13 @@ impl From<Refusal> for StorageError {
 /// The order [`StoredBitemporalTable::current_entries`] lists rows in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CurrentOrder {
-    /// The reference order of
-    /// [`current_ref`](StoredBitemporalTable::current_ref).
+    /// The order the reference [`HistoricalRelation`] keeps: by
+    /// insertion, a corrected row staying where it was.
     Reference,
     /// The order [`scan_rows`](StoredBitemporalTable::scan_rows) meets
     /// them on the heap.
     Heap,
 }
-
-/// Default checkpoint interval: one materialised state every K commits.
-pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 64;
 
 /// Default row count below which scans stay sequential (thread spawn
 /// and morsel bookkeeping cost more than they save on small tables).
@@ -226,25 +220,21 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     rel_id: u32,
     heap: HeapFile<S>,
     wal: Option<Wal>,
-    /// Mirror of the current historical state (reference semantics).
-    current: HistoricalRelation,
-    /// The current rows by key (first attribute).  Each bucket keeps
-    /// the order the mirror keeps — inserts append, removals close the
-    /// gap, a validity correction restamps in place — so a bucket *is*
-    /// the mirror restricted to its key.
-    current_index: HashMap<Value, Vec<CurrentEntry>>,
+    /// The current historical state, each row under the sequence number
+    /// of its insertion.  A validity correction restamps in place, so
+    /// ascending sequence is the reference [`HistoricalRelation`]'s order.
+    current: BTreeMap<u64, CurrentEntry>,
+    /// The sequence numbers of the current rows by key (first
+    /// attribute), ascending.
+    current_index: HashMap<Value, Vec<u64>>,
+    /// The sequence number the next inserted row takes.
+    next_seq: u64,
     /// Transaction-time periods of every row.
     tx_index: IntervalTree<RecordId>,
     /// Valid-time periods of every row.
     valid_index: IntervalTree<RecordId>,
     last_commit: Option<Chronon>,
     transactions: usize,
-    /// Every committed transaction, in commit order (rollback replays
-    /// a suffix of this after the nearest checkpoint).
-    commit_log: Vec<(Chronon, Vec<HistoricalOp>)>,
-    /// `(commits covered, state after them)`, ascending.
-    checkpoints: Vec<(usize, HistoricalRelation)>,
-    checkpoint_every: usize,
     parallel_threshold: usize,
     /// Frozen history: immutable, delta-encoded, mmap-backed segments
     /// holding versions whose transaction period is wholly past.  The
@@ -270,21 +260,19 @@ impl StoredBitemporalTable<MemPager> {
         let heap = HeapFile::open(BufferPool::new(MemPager::new(), 64))
             .expect("empty in-memory heap opens");
         StoredBitemporalTable {
-            current: HistoricalRelation::new(schema.clone(), signature),
             schema,
             signature,
             superseded,
             rel_id: 0,
             heap,
             wal: None,
+            current: BTreeMap::new(),
             current_index: HashMap::new(),
+            next_seq: 0,
             tx_index: IntervalTree::new(),
             valid_index: IntervalTree::new(),
             last_commit: None,
             transactions: 0,
-            commit_log: Vec::new(),
-            checkpoints: Vec::new(),
-            checkpoint_every: DEFAULT_CHECKPOINT_INTERVAL,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             segments: Vec::new(),
             recorder: Arc::new(Recorder::disabled()),
@@ -317,11 +305,11 @@ impl StoredBitemporalTable<MemPager> {
     }
 
     /// Reconstructs a table from checkpointed rows, rebuilding the heap,
-    /// both interval trees, the current-row index, and the current
-    /// historical state.  The rows are untrusted: each must fit the
-    /// schema and signature, start no later than `last_commit`, be
-    /// current if the table keeps no closed versions, and not duplicate
-    /// another current row.
+    /// both interval trees and the current-row index.  The rows are
+    /// untrusted: each must fit the schema and signature, start no later
+    /// than `last_commit`, be current if the table keeps no closed
+    /// versions, and — if current — be a row a commit could have
+    /// inserted beside the current rows before it.
     pub fn from_rows(
         schema: Schema,
         signature: TemporalSignature,
@@ -341,11 +329,11 @@ impl StoredBitemporalTable<MemPager> {
                 )));
             }
             if row.is_current() {
-                // The mirror checks schema, signature and duplicates.
-                table
-                    .current
-                    .insert(row.tuple.clone(), row.validity)
-                    .map_err(StorageError::Core)?;
+                // The reference's verdict on inserting it: schema,
+                // signature, a non-empty period, no duplicate.
+                let insert = HistoricalOp::insert(row.tuple.clone(), row.validity);
+                let mut peers = table.named_slice(std::slice::from_ref(&insert));
+                apply_op(&mut peers, &insert).map_err(StorageError::Core)?;
             } else if superseded == Superseded::Dropped {
                 return Err(StorageError::Corrupt(format!(
                     "closed version {} in a relation that keeps none",
@@ -378,8 +366,8 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         self.rel_id
     }
 
-    /// Routes this table's instruments (access-path spans, rollback
-    /// replay counts, scan morsels, pager and WAL I/O) into `recorder`.
+    /// Routes this table's instruments (access-path spans, scan morsels,
+    /// pager and WAL I/O) into `recorder`.
     pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
         self.heap.pool().set_recorder(Arc::clone(&recorder));
         if let Some(wal) = &mut self.wal {
@@ -573,83 +561,13 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         Ok(out)
     }
 
-    /// Fallible rollback (the trait method panics on storage errors).
-    ///
-    /// Uses the checkpointed reconstruction when the in-memory commit
-    /// log covers the table's whole history (always true for tables
-    /// built by commits or WAL replay); falls back to the
-    /// transaction-time index otherwise (e.g. [`from_rows`](Self::from_rows)).
+    /// Fallible rollback (the trait method panics on storage errors): the
+    /// historical state rebuilt from the timestamps of the rows
+    /// [stored as of `t`](Self::rows_at), at the cost of that answer.
     pub fn try_rollback(&self, t: Chronon) -> StorageResult<HistoricalRelation> {
-        if self.commit_log.len() == self.transactions {
-            self.try_rollback_checkpointed(t)
-        } else {
-            self.try_rollback_indexed(t)
-        }
-    }
-
-    /// Rollback via checkpoint binary search plus delta replay: finds
-    /// the last materialised state at or before `t` and replays at most
-    /// `checkpoint_interval() − 1` commits on top of it.
-    pub fn try_rollback_checkpointed(&self, t: Chronon) -> StorageResult<HistoricalRelation> {
         let span = self.recorder.span("storage/rollback");
-        let visible = self.commit_log.partition_point(|(commit, _)| *commit <= t);
-        let idx = self
-            .checkpoints
-            .partition_point(|(commits, _)| *commits <= visible);
-        let (mut replayed, mut state) = match idx.checked_sub(1) {
-            Some(i) => {
-                let (commits, snap) = &self.checkpoints[i];
-                (*commits, snap.clone())
-            }
-            None => (
-                0,
-                HistoricalRelation::new(self.schema.clone(), self.signature),
-            ),
-        };
-        let from_checkpoint = idx > 0;
-        if from_checkpoint {
-            self.recorder.count(|m| &m.rollback_checkpoint_hits);
-        }
-        let to_replay = visible - replayed;
-        self.recorder
-            .count_n(|m| &m.rollback_txns_replayed, to_replay as u64);
-        span.detail(format!(
-            "checkpointed ({}, replayed {to_replay} of {visible} txns, K={})",
-            if from_checkpoint {
-                "checkpoint hit"
-            } else {
-                "full replay"
-            },
-            self.checkpoint_every
-        ));
-        while replayed < visible {
-            let (_, ops) = &self.commit_log[replayed];
-            state.apply(ops).map_err(StorageError::Core)?;
-            replayed += 1;
-        }
-        span.rows_out(state.len() as u64);
-        Ok(state)
-    }
-
-    /// Rollback via the transaction-time interval tree: stabs for every
-    /// row stored at `t` and rebuilds the state from their timestamps.
-    /// Cost is proportional to the size of the answer *plus* a decode
-    /// per matching row; the checkpointed path usually wins (E14b).
-    pub fn try_rollback_indexed(&self, t: Chronon) -> StorageResult<HistoricalRelation> {
-        let span = self.recorder.span("storage/rollback");
-        span.detail("tx-index stab");
-        let mut rids = Vec::new();
-        self.recorder.count(|m| &m.index_probes);
-        self.tx_index
-            .stab(TimePoint::at(t), |_, rid| rids.push(*rid));
         let mut out = HistoricalRelation::new(self.schema.clone(), self.signature);
-        for row in self.segment_rows_at(t)? {
-            out.insert(row.tuple, row.validity)
-                .map_err(StorageError::Core)?;
-        }
-        // Deterministic order: by record id.
-        rids.sort_unstable();
-        for row in self.decode_rows_filtered(&rids, |_| true)? {
+        for row in self.rows_at(t)? {
             out.insert(row.tuple, row.validity)
                 .map_err(StorageError::Core)?;
         }
@@ -657,58 +575,11 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         Ok(out)
     }
 
-    /// The checkpoint interval K currently in force; 0 for a table that
-    /// drops superseded versions (it materialises no past states).
-    pub fn checkpoint_interval(&self) -> usize {
-        match self.superseded {
-            Superseded::Closed => self.checkpoint_every,
-            Superseded::Dropped => 0,
-        }
-    }
-
-    /// Number of materialised checkpoints.
-    pub fn checkpoints(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Total rows held across all checkpoints (the space cost of the
-    /// acceleration; the E14b table reports it per K).
-    pub fn checkpoint_tuples(&self) -> usize {
-        self.checkpoints.iter().map(|(_, s)| s.len()).sum()
-    }
-
-    /// Transactions captured in the replayable in-memory commit log.
-    pub fn logged_transactions(&self) -> usize {
-        self.commit_log.len()
-    }
-
-    /// Re-checkpoints the table every `every` commits (minimum 1),
-    /// rebuilding the checkpoint list from the commit log.
-    pub fn set_checkpoint_interval(&mut self, every: usize) -> StorageResult<()> {
-        self.checkpoint_every = every.max(1);
-        self.recorder.emit_event(
-            "storage_checkpoint_rebuild_start",
-            &[
-                ("k", self.checkpoint_every.into()),
-                ("txns", self.commit_log.len().into()),
-            ],
-        );
-        self.checkpoints.clear();
-        let mut state = HistoricalRelation::new(self.schema.clone(), self.signature);
-        for (i, (_, ops)) in self.commit_log.iter().enumerate() {
-            state.apply(ops).map_err(StorageError::Core)?;
-            if (i + 1).is_multiple_of(self.checkpoint_every) {
-                self.checkpoints.push((i + 1, state.clone()));
-            }
-        }
-        self.recorder.emit_event(
-            "storage_checkpoint_rebuild_finish",
-            &[
-                ("k", self.checkpoint_every.into()),
-                ("checkpoints", self.checkpoints.len().into()),
-            ],
-        );
-        Ok(())
+    /// [`try_rollback`](Self::try_rollback) under the name the frozen
+    /// benchmark calls it by.
+    #[doc(hidden)]
+    pub fn try_rollback_checkpointed(&self, t: Chronon) -> StorageResult<HistoricalRelation> {
+        self.try_rollback(t)
     }
 
     /// Row count below which scans stay sequential.  Tests lower this
@@ -767,20 +638,20 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         })
     }
 
-    /// Borrowed view of the current historical state (avoids the clone
-    /// in [`TemporalStore::current`]).
-    pub fn current_ref(&self) -> &HistoricalRelation {
-        &self.current
+    /// [`TemporalStore::current`] under the name the frozen benchmark
+    /// calls it by.
+    #[doc(hidden)]
+    pub fn current_ref(&self) -> HistoricalRelation {
+        self.current()
     }
 
-    /// The current rows in the reference order of
-    /// [`current_ref`](Self::current_ref), each with its stored
+    /// The current rows in reference order, each with its stored
     /// transaction period.  Heap order stops being insertion order once
     /// deleted slots are reused, so this is the order-preserving image
     /// of a table that drops superseded versions.
     pub fn current_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
-        self.current_entries(None, CurrentOrder::Reference)
-            .into_iter()
+        self.current
+            .values()
             .map(|entry| decode_row(&self.heap.get(entry.rid)?))
             .collect()
     }
@@ -790,28 +661,9 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// Answered from memory — a keyed probe costs the key's rows, not
     /// the relation's, and neither reads a heap page.
     pub fn current_entries(&self, key: Option<&Value>, order: CurrentOrder) -> Vec<&CurrentEntry> {
-        let mut entries: Vec<&CurrentEntry> = match (key, order) {
-            (Some(key), _) => self.bucket(key).iter().collect(),
-            (None, CurrentOrder::Heap) => self.current_index.values().flatten().collect(),
-            (None, CurrentOrder::Reference) => {
-                // A bucket is the mirror restricted to its key, so one
-                // walk of the mirror with a cursor per key meets every
-                // entry in turn.
-                let mut cursors: HashMap<&Value, std::slice::Iter<'_, CurrentEntry>> = self
-                    .current_index
-                    .iter()
-                    .map(|(key, bucket)| (key, bucket.iter()))
-                    .collect();
-                let next = |row: &HistoricalRow| {
-                    let entry = cursors
-                        .get_mut(row.tuple.get(0))
-                        .and_then(Iterator::next)
-                        .expect("every mirror row is indexed");
-                    debug_assert!(entry.tuple == row.tuple && entry.validity == row.validity);
-                    entry
-                };
-                self.current.rows().iter().map(next).collect()
-            }
+        let mut entries: Vec<&CurrentEntry> = match key {
+            Some(key) => self.keyed(key).map(|(_, entry)| entry).collect(),
+            None => self.current.values().collect(),
         };
         if order == CurrentOrder::Heap {
             entries.sort_unstable_by_key(|e| e.rid);
@@ -819,19 +671,25 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         entries
     }
 
-    fn bucket(&self, key: &Value) -> &[CurrentEntry] {
-        self.current_index.get(key).map_or(&[], Vec::as_slice)
+    /// The current rows of `key` with their sequence numbers, ascending.
+    fn keyed(&self, key: &Value) -> impl Iterator<Item = (u64, &CurrentEntry)> {
+        let seqs = self.current_index.get(key).into_iter().flatten();
+        seqs.map(|seq| (*seq, &self.current[seq]))
     }
 
     fn index_current(&mut self, tuple: Tuple, validity: Validity, rid: RecordId) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.current_index
             .entry(tuple.get(0).clone())
             .or_default()
-            .push(CurrentEntry {
-                tuple,
-                validity,
-                rid,
-            });
+            .push(seq);
+        let entry = CurrentEntry {
+            tuple,
+            validity,
+            rid,
+        };
+        self.current.insert(seq, entry);
     }
 
     /// Rows stored as of transaction time `t`: frozen segments (range-
@@ -840,14 +698,20 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         let span = self.recorder.span("storage/asof");
         span.detail("tx-index stab");
         let mut rows = self.segment_rows_at(t)?;
+        rows.extend(self.decode_rows_filtered(&self.heap_rids_at(t), |_| true)?);
+        span.rows_out(rows.len() as u64);
+        Ok(rows)
+    }
+
+    /// The heap records stored as of `t`, in record order
+    /// (deterministic): one stab of the transaction-time tree.
+    fn heap_rids_at(&self, t: Chronon) -> Vec<RecordId> {
         let mut rids = Vec::new();
         self.recorder.count(|m| &m.index_probes);
         self.tx_index
             .stab(TimePoint::at(t), |_, rid| rids.push(*rid));
         rids.sort_unstable();
-        rows.extend(self.decode_rows_filtered(&rids, |_| true)?);
-        span.rows_out(rows.len() as u64);
-        Ok(rows)
+        rids
     }
 
     /// Rows whose transaction period overlaps `window` (`as of …
@@ -879,11 +743,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
             .into_iter()
             .filter(|row| row.validity.valid_at(valid))
             .collect();
-        let mut rids = Vec::new();
-        self.recorder.count(|m| &m.index_probes);
-        self.tx_index
-            .stab(TimePoint::at(as_of), |_, rid| rids.push(*rid));
-        rids.sort_unstable();
+        let rids = self.heap_rids_at(as_of);
         rows.extend(self.decode_rows_filtered(&rids, |row| row.validity.valid_at(valid))?);
         span.rows_out(rows.len() as u64);
         Ok(rows)
@@ -917,11 +777,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
                 }
             }
         }
-        let mut rids = Vec::new();
-        self.recorder.count(|m| &m.index_probes);
-        self.tx_index
-            .stab(TimePoint::at(as_of), |_, rid| rids.push(*rid));
-        rids.sort_unstable();
+        let rids = self.heap_rids_at(as_of);
         rows.extend(
             self.decode_rows_filtered(&rids, |row| row.tuple.try_get(0).is_some_and(|v| v == key))?,
         );
@@ -1032,8 +888,8 @@ impl<S: PageStore> StoredBitemporalTable<S> {
                 continue;
             }
             // A tuple the schema will refuse may not even have a key.
-            let bucket = tuple.try_get(0).map_or(&[][..], |key| self.bucket(key));
-            for entry in bucket.iter().filter(|e| e.tuple == *tuple) {
+            let peers = tuple.try_get(0).into_iter().flat_map(|key| self.keyed(key));
+            for (_, entry) in peers.filter(|(_, e)| e.tuple == *tuple) {
                 slice
                     .insert(entry.tuple.clone(), entry.validity)
                     .expect("current rows are well-formed and distinct");
@@ -1061,15 +917,13 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// Applies a transaction [`validate`](Self::validate) has just
     /// accepted (a caller that keeps its own log appends in between).
     /// Each op does its fallible work first — the heap and both interval
-    /// trees — and only then touches the mirror and the current-row
-    /// index, in place: an op the heap refuses leaves all three as they
-    /// were before it, still agreeing.  (Only an op that fails after it
-    /// has already closed a version does not; the heap is in memory and
-    /// `validate` has checked that every version fits, so nothing short
-    /// of an injected fault gets that far.)  Nothing is copied but the
-    /// ops into the commit log; the one term that follows the size of
-    /// the current state is the mirror's own scan for the rows a `Remove`
-    /// or `SetValidity` selects.
+    /// trees — and only then touches the current-row index: an op the
+    /// heap refuses leaves the index as it was before it, still agreeing
+    /// with the heap.  (Only an op that fails after it has already closed
+    /// a version does not; the heap is in memory and `validate` has
+    /// checked that every version fits, so nothing short of an injected
+    /// fault gets that far.)  Nothing is copied, and an op costs the
+    /// current rows of the key it names, not the current state.
     pub fn apply_validated(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> StorageResult<()> {
         // Clone the handle so the span's borrow doesn't pin `self`.
         let recorder = Arc::clone(&self.recorder);
@@ -1080,76 +934,52 @@ impl<S: PageStore> StoredBitemporalTable<S> {
             match op {
                 HistoricalOp::Insert { tuple, validity } => {
                     let rid = self.heap_insert(tuple, *validity, tx_time)?;
-                    apply_op(&mut self.current, op).map_err(StorageError::Core)?;
                     self.index_current(tuple.clone(), *validity, rid);
                 }
                 HistoricalOp::Remove { selector } => {
-                    for rid in self.matching_rids(selector) {
-                        self.heap_close(rid, tx_time)?;
+                    let matched = self.matching(selector);
+                    for (_, rid) in &matched {
+                        self.heap_close(*rid, tx_time)?;
                     }
-                    apply_op(&mut self.current, op).map_err(StorageError::Core)?;
+                    for (seq, _) in &matched {
+                        self.current.remove(seq);
+                    }
                     let key = selector.tuple.get(0);
-                    let bucket = self
+                    let seqs = self
                         .current_index
                         .get_mut(key)
-                        .expect("the mirror just removed a row of this key");
-                    bucket.retain(|e| !selector.matches(&e.tuple, e.validity));
-                    if bucket.is_empty() {
+                        .expect("validate found a row this selects");
+                    seqs.retain(|seq| self.current.contains_key(seq));
+                    if seqs.is_empty() {
                         self.current_index.remove(key);
                     }
                 }
                 HistoricalOp::SetValidity { selector, validity } => {
                     let mut restamped = Vec::new();
-                    for rid in self.matching_rids(selector) {
+                    for (seq, rid) in self.matching(selector) {
                         self.heap_close(rid, tx_time)?;
                         let new = self.heap_insert(&selector.tuple, *validity, tx_time)?;
-                        restamped.push((rid, new));
+                        restamped.push((seq, new));
                     }
-                    apply_op(&mut self.current, op).map_err(StorageError::Core)?;
-                    let bucket = self
-                        .current_index
-                        .get_mut(selector.tuple.get(0))
-                        .expect("the mirror just restamped a row of this key");
-                    for (old, new) in restamped {
-                        let entry = bucket
-                            .iter_mut()
-                            .find(|e| e.rid == old)
-                            .expect("matching_rids read it from this bucket");
+                    for (seq, rid) in restamped {
+                        let entry = self.current.get_mut(&seq).expect("matching read it");
                         entry.validity = *validity;
-                        entry.rid = new;
+                        entry.rid = rid;
                     }
                 }
             }
         }
         self.last_commit = Some(tx_time);
         self.transactions += 1;
-        if self.superseded == Superseded::Dropped {
-            // No past state can be asked for: nothing to replay.
-            return Ok(());
-        }
-        self.commit_log.push((tx_time, ops.to_vec()));
-        if self.commit_log.len().is_multiple_of(self.checkpoint_every) {
-            self.checkpoints
-                .push((self.commit_log.len(), self.current.clone()));
-            self.recorder.emit_event(
-                "storage_checkpoint",
-                &[
-                    ("k", self.checkpoint_every.into()),
-                    ("txns", self.commit_log.len().into()),
-                    ("rows", self.current.len().into()),
-                ],
-            );
-        }
         Ok(())
     }
 
-    /// Heap records of the current rows `selector` matches, in the
-    /// mirror's order.
-    fn matching_rids(&self, selector: &chronos_core::relation::RowSelector) -> Vec<RecordId> {
-        self.bucket(selector.tuple.get(0))
-            .iter()
-            .filter(|e| selector.matches(&e.tuple, e.validity))
-            .map(|e| e.rid)
+    /// The current rows `selector` matches, in reference order: the
+    /// sequence number and heap record of each.
+    fn matching(&self, selector: &chronos_core::relation::RowSelector) -> Vec<(u64, RecordId)> {
+        self.keyed(selector.tuple.get(0))
+            .filter(|(_, e)| selector.matches(&e.tuple, e.validity))
+            .map(|(seq, e)| (seq, e.rid))
             .collect()
     }
 
@@ -1300,7 +1130,13 @@ impl<S: PageStore> TemporalStore for StoredBitemporalTable<S> {
     }
 
     fn current(&self) -> HistoricalRelation {
-        self.current.clone()
+        let mut current = HistoricalRelation::new(self.schema.clone(), self.signature);
+        for entry in self.current.values() {
+            current
+                .insert(entry.tuple.clone(), entry.validity)
+                .expect("current rows are well-formed and distinct");
+        }
+        current
     }
 
     fn last_commit(&self) -> Option<Chronon> {
@@ -1568,60 +1404,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_rollback_matches_indexed() {
-        let mut t = StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
-        t.set_checkpoint_interval(8).unwrap();
-        drive_many(&mut t, 50);
-        assert_eq!(t.checkpoints(), 50 / 8);
-        assert_eq!(t.logged_transactions(), 50);
-        // Probe at, between, before, and after every commit time.
-        for tick in [0, 5, 10, 15, 77, 80, 123, 250, 495, 500, 9999] {
-            let at = Chronon::new(tick);
-            assert_eq!(
-                t.try_rollback_checkpointed(at).unwrap(),
-                t.try_rollback_indexed(at).unwrap(),
-                "rollback mismatch at tick {tick}"
-            );
-        }
-    }
-
-    #[test]
-    fn reinterval_rebuilds_checkpoints() {
-        let mut t = StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
-        drive_many(&mut t, 30);
-        let reference = t.try_rollback_indexed(Chronon::new(155)).unwrap();
-        for k in [1, 4, 16, 64] {
-            t.set_checkpoint_interval(k).unwrap();
-            assert_eq!(t.checkpoints(), 30 / k);
-            assert_eq!(
-                t.try_rollback_checkpointed(Chronon::new(155)).unwrap(),
-                reference,
-                "K={k}"
-            );
-        }
-    }
-
-    #[test]
-    fn from_rows_table_falls_back_to_indexed_rollback() {
-        let mut src =
-            StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
-        drive_figure_8(&mut src);
-        let rebuilt = StoredBitemporalTable::from_rows(
-            faculty_schema(),
-            TemporalSignature::Interval,
-            Superseded::Closed,
-            src.scan_rows().unwrap(),
-            src.last_commit(),
-            src.transactions(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt.logged_transactions(), 0);
-        // try_rollback must dispatch to the index, not the (empty) log.
-        let at = d("12/10/82");
-        assert_eq!(rebuilt.try_rollback(at).unwrap(), src.rollback(at));
-    }
-
-    #[test]
     fn parallel_scan_matches_sequential_in_order() {
         let mut t = StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
         drive_many(&mut t, 200);
@@ -1637,39 +1419,6 @@ mod tests {
         assert!(!rows.is_empty());
         let slice = t.current_valid_at(Chronon::new(42)).unwrap();
         assert!(!slice.is_empty());
-    }
-
-    #[test]
-    fn durable_replay_rebuilds_checkpoints() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("chronos-table-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut t = StoredBitemporalTable::open_durable(
-                &path,
-                3,
-                faculty_schema(),
-                TemporalSignature::Interval,
-            )
-            .unwrap();
-            drive_figure_8(&mut t);
-        }
-        let mut t = StoredBitemporalTable::open_durable(
-            &path,
-            3,
-            faculty_schema(),
-            TemporalSignature::Interval,
-        )
-        .unwrap();
-        assert_eq!(t.logged_transactions(), 6, "replay rebuilds the commit log");
-        t.set_checkpoint_interval(2).unwrap();
-        assert_eq!(t.checkpoints(), 3);
-        let at = d("12/10/82");
-        assert_eq!(
-            t.try_rollback_checkpointed(at).unwrap(),
-            t.try_rollback_indexed(at).unwrap()
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn seg_path(tag: &str) -> std::path::PathBuf {
@@ -1696,6 +1445,11 @@ mod tests {
         let mut t = StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
         drive_figure_8(&mut t);
         let before = t.scan_rows().unwrap();
+        let ticks = (d("01/01/77").ticks()..=d("12/31/84").ticks()).step_by(7);
+        let states_before: Vec<_> = ticks
+            .clone()
+            .map(|tick| t.try_rollback(Chronon::new(tick)).unwrap())
+            .collect();
         let closed = t.frozen_version_count();
         assert_eq!(closed, 3, "figure 8 closes three versions");
 
@@ -1723,11 +1477,11 @@ mod tests {
                     .collect::<Vec<_>>()
             )
         );
-        for tick in (d("01/01/77").ticks()..=d("12/31/84").ticks()).step_by(7) {
+        for (tick, state) in ticks.zip(states_before) {
             let at = Chronon::new(tick);
             assert_eq!(
-                t.try_rollback_indexed(at).unwrap(),
-                t.try_rollback_checkpointed(at).unwrap(),
+                t.try_rollback(at).unwrap(),
+                state,
                 "rollback mismatch at {at}"
             );
         }
@@ -1771,8 +1525,8 @@ mod tests {
         );
         let mut reference = HistoricalRelation::new(faculty_schema(), TemporalSignature::Interval);
         drive_figure_8(&mut t);
-        // The mirror applies the reference transitions, so the current
-        // state is Figure 6's historical relation …
+        // The current state is Figure 6's historical relation, in the
+        // reference's order …
         for (name, rank, from, to) in [
             ("Merrie", "associate", "09/01/77", Some("12/01/82")),
             ("Tom", "associate", "12/05/82", None),
@@ -1785,14 +1539,12 @@ mod tests {
             };
             reference.insert(tuple([name, rank]), p).unwrap();
         }
-        assert_eq!(t.current_ref().rows(), reference.rows());
-        // … and nothing else is stored, logged or checkpointed.
+        assert_eq!(t.current().rows(), reference.rows());
+        // … and nothing else is stored.
         assert_eq!(t.stored_tuples(), 4);
         assert_eq!(t.frozen_version_count(), 0);
-        assert_eq!(t.logged_transactions(), 0);
-        assert_eq!((t.checkpoints(), t.checkpoint_interval()), (0, 0));
         assert_eq!(t.transactions(), 6);
-        // current_rows follows the mirror's order, not the heap's: the
+        // current_rows follows the reference's order, not the heap's: the
         // corrected rows took the dead slots of the versions they replaced.
         let rows = t.current_rows().unwrap();
         let pairs: Vec<_> = rows.iter().map(|r| (&r.tuple, r.validity)).collect();
@@ -1814,7 +1566,7 @@ mod tests {
             t.transactions(),
         )
         .unwrap();
-        assert_eq!(restored.current_ref().rows(), reference.rows());
+        assert_eq!(restored.current().rows(), reference.rows());
         let mut closed = rows;
         closed[0].tx = Period::new(d("08/25/77"), d("12/15/82")).unwrap();
         assert!(matches!(
@@ -1857,7 +1609,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!((t.stored_tuples(), t.current_ref().len()), (2000, 500));
+        assert_eq!((t.stored_tuples(), t.current().len()), (2000, 500));
         // One key's transaction: a second fact, a correction of the
         // first, then a retraction — three ops naming two tuples.
         LARGEST_SLICE.with(|n| n.set(0));
@@ -1879,11 +1631,55 @@ mod tests {
         );
         let k7 = t.current_entries(Some(&"k7".into()), CurrentOrder::Reference);
         assert_eq!(k7.len(), 1);
-        assert_eq!(t.current_ref().len(), 500);
+        assert_eq!(t.current().len(), 500);
+    }
+
+    /// `t` lists its current rows as `oracle` — a reference relation
+    /// driven with the same ops — holds them: row for row in order, key
+    /// by key, each entry at the open version that carries it.
+    fn assert_follows(t: &StoredBitemporalTable, oracle: &HistoricalRelation, context: &str) {
+        for key in [
+            None,
+            Some("Merrie"),
+            Some("Tom"),
+            Some("Zed"),
+            Some("Ghost"),
+        ] {
+            let listed: Vec<_> = t
+                .current_entries(key.map(Value::from).as_ref(), CurrentOrder::Reference)
+                .into_iter()
+                .map(|e| (e.tuple.clone(), e.validity))
+                .collect();
+            let expected: Vec<_> = oracle
+                .rows()
+                .iter()
+                .filter(|r| key.is_none_or(|k| r.tuple.get(0).as_str() == Some(k)))
+                .map(|r| (r.tuple.clone(), r.validity))
+                .collect();
+            assert_eq!(listed, expected, "{context}: {key:?}");
+        }
+        let entries = t.current_entries(None, CurrentOrder::Reference);
+        for (entry, row) in entries.into_iter().zip(t.current_rows().unwrap()) {
+            assert!(row.is_current(), "{context}");
+            assert_eq!((&row.tuple, row.validity), (&entry.tuple, entry.validity));
+        }
     }
 
     #[test]
-    fn current_entries_follow_the_mirror_through_corrections_and_removals() {
+    fn current_entries_follow_the_reference_through_corrections_and_removals() {
+        use chronos_core::relation::temporal::SnapshotTemporal;
+        let mut oracle = SnapshotTemporal::new(faculty_schema(), TemporalSignature::Interval);
+        drive_figure_8(&mut oracle);
+        let oracle = oracle.current();
+        // A correction, a removal and an insert on top of Figure 8.
+        let more = [
+            HistoricalOp::set_validity(
+                RowSelector::tuple(tuple(["Tom", "associate"])),
+                Period::new(d("12/05/82"), d("01/01/85")).unwrap(),
+            ),
+            HistoricalOp::remove(RowSelector::tuple(tuple(["Merrie", "associate"]))),
+            HistoricalOp::insert(tuple(["Zed", "full"]), Period::from_start(d("01/01/85"))),
+        ];
         for superseded in [Superseded::Closed, Superseded::Dropped] {
             let mut t = StoredBitemporalTable::new(
                 faculty_schema(),
@@ -1891,104 +1687,103 @@ mod tests {
                 superseded,
             );
             drive_figure_8(&mut t);
-            let pairs = |entries: Vec<&CurrentEntry>| -> Vec<(Tuple, Validity)> {
-                entries
-                    .into_iter()
-                    .map(|e| (e.tuple.clone(), e.validity))
-                    .collect()
-            };
-            let mirror: Vec<_> = t
-                .current_ref()
-                .rows()
-                .iter()
-                .map(|r| (r.tuple.clone(), r.validity))
-                .collect();
-            let reference = t.current_entries(None, CurrentOrder::Reference);
-            assert_eq!(pairs(reference), mirror);
+            assert_follows(&t, &oracle, "live");
             // Heap order is the order a scan meets the open versions in.
-            let scanned: Vec<_> = t
-                .scan_rows()
-                .unwrap()
-                .into_iter()
-                .filter(BitemporalRow::is_current)
-                .map(|r| (r.tuple, r.validity))
-                .collect();
-            assert_eq!(pairs(t.current_entries(None, CurrentOrder::Heap)), scanned);
-            for key in ["Merrie", "Tom", "Mike", "Ghost"] {
-                let of_key: Vec<_> = mirror
-                    .iter()
-                    .filter(|(t, _)| t.get(0).as_str() == Some(key))
-                    .cloned()
-                    .collect();
-                let probed = t.current_entries(Some(&key.into()), CurrentOrder::Reference);
-                assert_eq!(pairs(probed), of_key, "{key}");
+            let scanned = t.scan_rows().unwrap();
+            let heap_order = t.current_entries(None, CurrentOrder::Heap);
+            for (entry, row) in heap_order
+                .iter()
+                .zip(scanned.iter().filter(|r| r.is_current()))
+            {
+                assert_eq!((&entry.tuple, entry.validity), (&row.tuple, row.validity));
             }
-            // Every entry points at the open version that carries it.
-            for entry in t.current_entries(None, CurrentOrder::Reference) {
-                let row = decode_row(&t.heap.get(entry.rid).unwrap()).unwrap();
-                assert!(row.is_current());
-                assert_eq!((&row.tuple, row.validity), (&entry.tuple, entry.validity));
+            // A restore inserts the image's current rows in image order —
+            // the heap's where versions are kept, the reference's where
+            // they are dropped — and follows the reference from there.
+            let image = match superseded {
+                Superseded::Closed => scanned,
+                Superseded::Dropped => t.current_rows().unwrap(),
+            };
+            let mut expect = HistoricalRelation::new(faculty_schema(), TemporalSignature::Interval);
+            for row in image.iter().filter(|r| r.is_current()) {
+                expect.insert(row.tuple.clone(), row.validity).unwrap();
             }
+            let mut restored = StoredBitemporalTable::from_rows(
+                faculty_schema(),
+                TemporalSignature::Interval,
+                superseded,
+                image,
+                t.last_commit(),
+                t.transactions(),
+            )
+            .unwrap();
+            assert_follows(&restored, &expect, "restored");
+            let at = d("12/10/82");
+            assert_eq!(restored.try_rollback(at).unwrap(), t.rollback(at));
+            restored.try_commit(d("01/01/85"), &more).unwrap();
+            expect.apply(&more).unwrap();
+            assert_follows(&restored, &expect, "restored, then written");
         }
+
+        // Log replay re-runs the commits themselves.
+        let mut path = std::env::temp_dir();
+        path.push(format!("chronos-table-order-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let (schema, interval) = (faculty_schema(), TemporalSignature::Interval);
+        let mut t =
+            StoredBitemporalTable::open_durable(&path, 5, schema.clone(), interval).unwrap();
+        drive_figure_8(&mut t);
+        t.try_commit(d("01/01/85"), &more).unwrap();
+        drop(t);
+        let replayed = StoredBitemporalTable::open_durable(&path, 5, schema, interval).unwrap();
+        let mut after = oracle;
+        after.apply(&more).unwrap();
+        assert_follows(&replayed, &after, "replayed");
+        std::fs::remove_file(&path).unwrap();
     }
 
-    /// Every row under one key: the walk that pairs the mirror with the
-    /// index is down to a single cursor, and has to follow the mirror
-    /// through removals from the middle of the bucket and refills.
+    /// Every row under one key: reference order has to survive removals
+    /// from the middle of the one bucket and refills of the freed slots.
     #[test]
-    fn current_entries_pair_up_with_the_mirror_when_every_row_shares_a_key() {
+    fn current_entries_follow_the_reference_when_every_row_shares_a_key() {
         let mut t = StoredBitemporalTable::new(
             faculty_schema(),
             TemporalSignature::Interval,
             Superseded::Dropped,
         );
+        let mut oracle = HistoricalRelation::new(faculty_schema(), TemporalSignature::Interval);
+        let mut tick = 0;
+        let mut commit = |t: &mut StoredBitemporalTable, ops: &[HistoricalOp]| {
+            tick += 1;
+            t.try_commit(Chronon::new(tick), ops).unwrap();
+            oracle.apply(ops).unwrap();
+        };
         let forever = Validity::Interval(Period::ALWAYS);
-        let row = |n: usize| tuple(["dept".to_string(), format!("r{n}")]);
+        let row = |n: usize| tuple(["Tom".to_string(), format!("r{n}")]);
         for n in 0..300 {
-            t.try_commit(
-                Chronon::new(n as i64 + 1),
-                &[HistoricalOp::insert(row(n), forever)],
-            )
-            .unwrap();
+            commit(&mut t, &[HistoricalOp::insert(row(n), forever)]);
         }
         // Free slots in the middle, then reuse them: heap order and
-        // mirror order part ways.
+        // reference order part ways.
         let removals: Vec<_> = (100..200)
             .map(|n| HistoricalOp::remove(RowSelector::tuple(row(n))))
             .collect();
-        t.try_commit(Chronon::new(1000), &removals).unwrap();
+        commit(&mut t, &removals);
         let refills: Vec<_> = (300..350)
             .map(|n| HistoricalOp::insert(row(n), forever))
             .collect();
-        t.try_commit(Chronon::new(1001), &refills).unwrap();
+        commit(&mut t, &refills);
 
-        let entries = t.current_entries(None, CurrentOrder::Reference);
-        assert_eq!(entries.len(), 250);
-        for (entry, mirrored) in entries.iter().zip(t.current_ref().rows()) {
-            assert_eq!(entry.tuple, mirrored.tuple);
-            let stored = decode_row(&t.heap.get(entry.rid).unwrap()).unwrap();
-            assert_eq!(stored.tuple, entry.tuple);
-        }
-        let image: Vec<_> = t
-            .current_rows()
-            .unwrap()
-            .into_iter()
-            .map(|r| r.tuple)
-            .collect();
-        let mirror: Vec<_> = t
-            .current_ref()
-            .rows()
-            .iter()
-            .map(|r| r.tuple.clone())
-            .collect();
-        assert_eq!(image, mirror);
+        assert_eq!(oracle.len(), 250);
+        assert_follows(&t, &oracle, "one key");
+        let reference: Vec<_> = oracle.rows().iter().map(|r| r.tuple.clone()).collect();
         let heap_order: Vec<_> = t
             .scan_rows()
             .unwrap()
             .into_iter()
             .map(|r| r.tuple)
             .collect();
-        assert_ne!(heap_order, mirror, "the refills reused freed slots");
+        assert_ne!(heap_order, reference, "the refills reused freed slots");
     }
 
     #[test]

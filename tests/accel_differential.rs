@@ -1,6 +1,7 @@
-//! Differential properties of the acceleration layer: checkpointed
-//! rollback reconstruction, morsel-driven parallel scans, and the
-//! bitemporal query cache must all be *observationally invisible* —
+//! Differential properties of the acceleration layer: rollback through
+//! the transaction-time index and frozen segments, morsel-driven
+//! parallel scans, and the bitemporal query cache must all be
+//! *observationally invisible* —
 //! byte-identical answers to the reference paths on every generated
 //! history, at every probe time.
 
@@ -70,90 +71,86 @@ fn static_history(seed: u64, entities: usize, transactions: usize) -> Vec<(Chron
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Tentpole equivalence at the core layer: the snapshot cube, the
-    /// tuple-timestamped store, and the checkpointed store agree on
-    /// `rollback(t)` at, just before, and just after every commit time,
-    /// for arbitrary checkpoint intervals.
+    /// Equivalence at the core layer: the snapshot cube and the
+    /// tuple-timestamped store agree on `rollback(t)` at, just before,
+    /// and just after every commit time.
     #[test]
-    fn three_rollback_encodings_agree(
+    fn both_rollback_encodings_agree(
         seed in any::<u64>(),
         entities in 2usize..20,
         transactions in 1usize..80,
-        interval in 1usize..20,
     ) {
         let history = static_history(seed, entities, transactions);
         let schema = chronos_core::schema::faculty_schema();
         let mut cube = SnapshotRollback::new(schema.clone());
-        let mut ts = TimestampedRollback::new(schema.clone());
-        let mut ck = CheckpointedRollback::with_interval(schema, interval);
+        let mut ts = TimestampedRollback::new(schema);
         for (t, op) in &history {
             cube.commit(*t, std::slice::from_ref(op)).expect("cube");
             ts.commit(*t, std::slice::from_ref(op)).expect("ts");
-            ck.commit(*t, std::slice::from_ref(op)).expect("ck");
         }
         prop_assert_eq!(cube.stored_tuples() > 0, transactions > 0);
         for (t, _) in &history {
             for probe in [t.pred(), *t, t.succ()] {
-                let a = cube.rollback(probe);
-                prop_assert_eq!(&a, &ts.rollback(probe), "timestamped diverges at {}", probe);
-                prop_assert_eq!(&a, &ck.rollback(probe), "checkpointed diverges at {}", probe);
+                prop_assert_eq!(
+                    &cube.rollback(probe),
+                    &ts.rollback(probe),
+                    "timestamped diverges at {}", probe
+                );
             }
         }
-        // The borrowed accessors see the same states the trait clones.
-        prop_assert_eq!(cube.current_ref(), ck.log_is_empty_marker());
-    }
-}
-
-/// Helper extension so the property above reads naturally; the real
-/// comparison target is `Option<&StaticRelation>`.
-trait CurrentRefLike {
-    fn log_is_empty_marker(&self) -> Option<&StaticRelation>;
-}
-impl CurrentRefLike for CheckpointedRollback {
-    fn log_is_empty_marker(&self) -> Option<&StaticRelation> {
-        if self.transactions() == 0 {
-            None
-        } else {
-            Some(self.current_ref())
-        }
+        // The borrowed accessor sees the same state the trait clones.
+        prop_assert_eq!(cube.current_ref(), Some(&ts.current()));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Storage layer: checkpointed reconstruction, the transaction-time
-    /// index path, and the in-memory reference table all agree — and the
-    /// dispatching `try_rollback` picks a correct path either way.
+    /// Storage layer: rollback through the transaction-time index
+    /// agrees with the in-memory reference table — on a table whose
+    /// history is all on the heap, and on its twin that froze its closed
+    /// versions into a segment part-way through.
     #[test]
-    fn stored_rollback_paths_agree(spec in arb_spec(), interval in 1usize..20) {
+    fn stored_rollback_paths_agree(spec in arb_spec(), freeze_after in 0usize..60) {
         let w = generate(&spec);
         let mut reference = BitemporalTable::new(w.schema.clone(), TemporalSignature::Interval);
-        let mut stored =
+        let mut heap_only =
             StoredBitemporalTable::in_memory(w.schema.clone(), TemporalSignature::Interval);
-        stored.set_checkpoint_interval(interval).expect("re-interval");
+        let mut frozen =
+            StoredBitemporalTable::in_memory(w.schema.clone(), TemporalSignature::Interval);
+        let segment = std::env::temp_dir().join(format!(
+            "chronos-accel-{}-{}-{freeze_after}.seg",
+            std::process::id(),
+            spec.seed
+        ));
         let mut commits = Vec::new();
-        for tx in &w.transactions {
+        for (i, tx) in w.transactions.iter().enumerate() {
             reference.commit(tx.tx_time, &tx.ops).expect("valid");
-            stored.try_commit(tx.tx_time, &tx.ops).expect("valid");
+            heap_only.try_commit(tx.tx_time, &tx.ops).expect("valid");
+            frozen.try_commit(tx.tx_time, &tx.ops).expect("valid");
             commits.push(tx.tx_time);
+            if i == freeze_after % w.transactions.len() {
+                frozen.freeze_into(&segment).expect("freeze");
+            }
         }
         for &ct in commits.iter().step_by(2) {
             for probe in [ct.pred(), ct, ct.succ()] {
                 let expect = reference.rollback(probe);
                 prop_assert_eq!(
                     &expect,
-                    &stored.try_rollback_checkpointed(probe).expect("ok"),
-                    "checkpointed diverges at {}", probe
+                    &heap_only.try_rollback(probe).expect("ok"),
+                    "heap diverges at {}", probe
                 );
                 prop_assert_eq!(
                     &expect,
-                    &stored.try_rollback_indexed(probe).expect("ok"),
-                    "indexed diverges at {}", probe
+                    &frozen.try_rollback(probe).expect("ok"),
+                    "frozen twin diverges at {}", probe
                 );
-                prop_assert_eq!(&expect, &stored.rollback(probe));
+                prop_assert_eq!(&expect, &frozen.rollback(probe));
             }
         }
+        drop(frozen);
+        let _ = std::fs::remove_file(&segment);
     }
 
     /// Parallel scans return byte-identical output (same rows, same

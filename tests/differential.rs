@@ -9,7 +9,7 @@ use chronos_algebra::temporal::{bitemporal_slice, rollback_temporal, timeslice};
 use chronos_bench::workload::{generate, WorkloadSpec};
 use chronos_core::chronon::Chronon;
 use chronos_core::prelude::*;
-use chronos_storage::table::StoredBitemporalTable;
+use chronos_storage::table::{StoredBitemporalTable, Superseded};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
@@ -42,6 +42,8 @@ proptest! {
         }
         prop_assert_eq!(cube.current(), table.current());
         prop_assert_eq!(table.current(), stored.current());
+        // Row for row, in the order the cube's own state keeps.
+        prop_assert_eq!(cube.current().rows().to_vec(), stored.current().rows().to_vec());
         prop_assert_eq!(table.stored_tuples(), stored.stored_tuples());
         for &ct in commits.iter().step_by(3) {
             for probe in [ct.pred(), ct, ct.succ()] {
@@ -50,6 +52,37 @@ proptest! {
                 prop_assert_eq!(&a, &stored.rollback(probe), "stored diverges at {}", probe);
             }
         }
+    }
+
+    /// A table that drops superseded versions is the cube's latest state
+    /// and nothing else — live, and restored from its own image — row for
+    /// row in the cube's order, though its heap reuses freed slots.
+    #[test]
+    fn a_table_that_keeps_no_history_follows_the_latest_state(spec in arb_spec()) {
+        let w = generate(&spec);
+        let mut cube = SnapshotTemporal::new(w.schema.clone(), TemporalSignature::Interval);
+        let mut stored = StoredBitemporalTable::new(
+            w.schema.clone(),
+            TemporalSignature::Interval,
+            Superseded::Dropped,
+        );
+        for tx in &w.transactions {
+            cube.commit(tx.tx_time, &tx.ops).expect("valid on cube");
+            stored.try_commit(tx.tx_time, &tx.ops).expect("valid on stored");
+        }
+        let latest = cube.current();
+        prop_assert_eq!(stored.current().rows().to_vec(), latest.rows().to_vec());
+        prop_assert_eq!(stored.stored_tuples(), latest.len());
+        let restored = StoredBitemporalTable::from_rows(
+            w.schema.clone(),
+            TemporalSignature::Interval,
+            Superseded::Dropped,
+            stored.current_rows().expect("image"),
+            stored.last_commit(),
+            stored.transactions(),
+        )
+        .expect("restores");
+        prop_assert_eq!(restored.current().rows().to_vec(), latest.rows().to_vec());
     }
 
     #[test]
@@ -153,6 +186,7 @@ proptest! {
             reference.commit(tx.tx_time, &tx.ops).expect("valid");
         }
         prop_assert_eq!(reopened.current(), reference.current());
+        prop_assert_eq!(reopened.current().rows().to_vec(), reference.current().rows().to_vec());
         prop_assert_eq!(reopened.stored_tuples(), reference.stored_tuples());
         prop_assert_eq!(reopened.transactions(), reference.transactions());
         let _ = std::fs::remove_file(&dir);

@@ -229,6 +229,39 @@ fn outcomes_report_affected_rows() {
     assert!(matches!(out[1], ExecOutcome::Deleted(1)));
 }
 
+/// A `valid` clause on a relation without valid time is refused by
+/// `replace` as `append` refuses it — same words, nothing written.
+#[test]
+fn replace_refuses_a_valid_clause_where_append_does() {
+    let (mut db, clock) = db_with_all_classes();
+    for (rel, class) in [("s_rel", "static"), ("r_rel", "static rollback")] {
+        run_story(&mut db, &clock, rel);
+        let before = scanned(&db, rel, None);
+        let stored = db.relation(rel).expect("defined").stored_tuples();
+        for stmt in [
+            format!(
+                r#"append to {rel} (name = "Tom", rank = "full")
+                   valid from "01/01/81" to forever"#
+            ),
+            format!(
+                r#"range of v is {rel} replace v (rank = "emeritus")
+                   valid from "01/01/81" to forever where v.name = "Merrie""#
+            ),
+        ] {
+            let err = db.session().run(&stmt).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "capability violation: 'valid' clause on a {class} relation (no valid time)"
+                ),
+                "{stmt}"
+            );
+        }
+        assert_eq!(scanned(&db, rel, None), before, "{rel}");
+        assert_eq!(db.relation(rel).expect("defined").stored_tuples(), stored);
+    }
+}
+
 /// Figure 10 through the database (experiment T5): the catalog class of
 /// a relation is exactly the pair of capabilities its queries have, and
 /// a refusal says which capability is missing — unchanged by every class
@@ -605,7 +638,6 @@ fn assert_agrees(
     if oracle.stored_during(Period::ALWAYS).is_none() {
         prop_assert_eq!(table.frozen_version_count(), 0, "{} keeps history", rel);
         prop_assert_eq!(table.stored_tuples(), oracle.current().len());
-        prop_assert_eq!(table.logged_transactions() + table.checkpoints(), 0);
     }
     Ok(())
 }
@@ -867,15 +899,15 @@ proptest! {
 }
 
 /// Everything a commit could have touched, read back through public
-/// accessors: the mirror, the heap, both interval indexes, the
+/// accessors: the current state, the heap, both interval indexes, the
 /// current-row index, the commit clock and the log.
 fn physical_state(db: &Database, dir: &std::path::Path, rel: &str) -> String {
     let table = db.relation(rel).expect("defined").table();
     let keys = ["Merrie", "Tom", "Zed"];
     format!(
-        "mirror {:?}\nheap {:?}\ntx index {:?}\nvalid index {:?}\nentries {:?}\nby key {:?}\n\
+        "current {:?}\nheap {:?}\ntx index {:?}\nvalid index {:?}\nentries {:?}\nby key {:?}\n\
          commits {} last {:?}\nwal {} bytes",
-        table.current_ref().rows(),
+        table.current().rows(),
         table.scan_rows().expect("heap"),
         [d("02/01/80"), d("07/01/82"), d("01/01/90")].map(|t| table.rows_at(t).expect("tx")),
         [d("02/01/80"), d("07/01/82"), d("01/01/90")]
@@ -912,20 +944,21 @@ fn a_refused_transaction_leaves_every_structure_as_it_was() {
     for (rel, class) in CLASSES {
         let valid_time = class.database_class().supports_historical_queries();
         let table = db.relation(rel).expect("defined").table();
-        let standing = table.current_ref().rows()[0].clone();
+        let current = table.current();
+        let standing = current.rows()[0].clone();
         let fresh = HistoricalOp::insert(tuple(["Zed", "assistant"]), standing.validity);
         let duplicate = HistoricalOp::insert(standing.tuple.clone(), standing.validity);
         let ghost = HistoricalOp::remove(RowSelector::tuple(tuple(["Ghost", "x"])));
         // What the class's reference relation says to the duplicate.
         let expected = if valid_time {
-            let mut reference = table.current_ref().clone();
+            let mut reference = current.clone();
             reference
                 .apply(&[fresh.clone(), duplicate.clone()])
                 .unwrap_err()
                 .to_string()
         } else {
             let mut reference = StaticRelation::new(faculty_schema());
-            for row in table.current_ref().rows() {
+            for row in current.rows() {
                 reference.insert(row.tuple.clone()).unwrap();
             }
             reference

@@ -153,63 +153,20 @@ fn built_table(transactions: usize, seed: u64) -> StoredBitemporalTable {
 }
 
 #[test]
-fn rollback_spans_name_checkpoint_hit_vs_full_replay() {
-    let w = generate(&WorkloadSpec {
-        entities: 16,
-        transactions: 64,
-        ops_per_tx: 2,
-        correction_pct: 25,
-        seed: 11,
-    });
-    let mut table = StoredBitemporalTable::in_memory(w.schema.clone(), TemporalSignature::Interval);
-    let mut commit_times = Vec::new();
-    for tx in &w.transactions {
-        table.try_commit(tx.tx_time, &tx.ops).expect("valid");
-        commit_times.push(tx.tx_time);
-    }
-    table.set_checkpoint_interval(8).expect("rebuild");
+fn rollback_reads_the_past_by_one_tx_index_stab() {
+    let mut table = built_table(64, 11);
     let recorder = Arc::new(Recorder::new());
     table.set_recorder(Arc::clone(&recorder));
-
-    // A late probe lands past several checkpoints: the span must say
-    // so, and the replayed-transactions counter stays below K.
-    let late = *commit_times.last().expect("nonempty");
+    let late = table.last_commit().expect("nonempty");
     let before = recorder.snapshot();
     recorder.begin_trace();
-    table.try_rollback_checkpointed(late).expect("rollback");
+    table.try_rollback(late).expect("rollback");
     let report = recorder.end_trace(&before).expect("capture active");
-    let span = report
+    report
         .span_named("storage/rollback")
         .expect("span recorded");
-    assert!(span.detail.contains("checkpoint hit"), "{}", span.detail);
-    assert_eq!(report.delta.rollback_checkpoint_hits, 1);
-    assert!(
-        report.delta.rollback_txns_replayed < 8,
-        "replayed {} ≥ K",
-        report.delta.rollback_txns_replayed
-    );
-
-    // A probe before the first checkpoint replays from genesis.
-    let early = commit_times[2];
-    let before = recorder.snapshot();
-    recorder.begin_trace();
-    table.try_rollback_checkpointed(early).expect("rollback");
-    let report = recorder.end_trace(&before).expect("capture active");
-    let span = report
-        .span_named("storage/rollback")
-        .expect("span recorded");
-    assert!(span.detail.contains("full replay"), "{}", span.detail);
-    assert_eq!(report.delta.rollback_checkpoint_hits, 0);
-
-    // The indexed alternative names its own path and probes the tree.
-    let before = recorder.snapshot();
-    recorder.begin_trace();
-    table.try_rollback_indexed(late).expect("rollback");
-    let report = recorder.end_trace(&before).expect("capture active");
-    let span = report
-        .span_named("storage/rollback")
-        .expect("span recorded");
-    assert!(span.detail.contains("tx-index stab"), "{}", span.detail);
+    let read = report.span_named("storage/asof").expect("span recorded");
+    assert!(read.detail.contains("tx-index stab"), "{}", read.detail);
     assert_eq!(report.delta.index_probes, 1);
 }
 
