@@ -7,18 +7,20 @@ use std::sync::Arc;
 use chronos_core::calendar::Date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn build_db(profs: usize) -> Database {
+fn build_db(profs: usize) -> Arc<Engine> {
     let clock = Arc::new(ManualClock::new(Chronon::new(900)));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     for i in 0..profs {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to faculty (name = "prof{i:05}", rank = "assistant")
                    valid from "{}" to forever"#,
@@ -28,7 +30,8 @@ fn build_db(profs: usize) -> Database {
     }
     for i in 0..profs / 2 {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"range of f is faculty
                    replace f (rank = "associate")
@@ -38,11 +41,11 @@ fn build_db(profs: usize) -> Database {
             ))
             .expect("replace");
     }
-    db
+    engine
 }
 
 fn bench_tquel(c: &mut Criterion) {
-    let mut db = build_db(200);
+    let engine = build_db(200);
     let as_of = Date::from_chronon(Chronon::new(2050)).to_string();
     let when = Date::from_chronon(Chronon::new(1500)).to_string();
 
@@ -83,7 +86,7 @@ fn bench_tquel(c: &mut Criterion) {
         ("bitemporal_join", &bitemporal_q),
     ] {
         group.bench_function(name, |b| {
-            let mut session = db.session();
+            let mut session = engine.session();
             b.iter(|| session.query(q).expect("query").len())
         });
     }

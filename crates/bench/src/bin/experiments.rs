@@ -62,7 +62,7 @@ use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::prelude::*;
 use chronos_core::relation::StaticOp;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 use chronos_storage::codec;
 use chronos_storage::table::StoredBitemporalTable;
 
@@ -431,8 +431,9 @@ fn t4_timeslice() {
 fn t5_capability_matrix() {
     heading("T5 (E18): measured capability matrix of the four classes (Figure 10/11)");
     let clock = Arc::new(ManualClock::new(Chronon::new(100)));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run(
             r#"
         create s_rel (name = str, rank = str) as static
@@ -444,7 +445,8 @@ fn t5_capability_matrix() {
         .expect("create");
     for rel in ["s_rel", "r_rel", "h_rel", "t_rel"] {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to {rel} (name = "Merrie", rank = "full")"#
             ))
@@ -456,23 +458,23 @@ fn t5_capability_matrix() {
     );
     let probe = chronos_core::calendar::Date::from_chronon(Chronon::new(150));
     for rel in ["s_rel", "r_rel", "h_rel", "t_rel"] {
-        let stat = db
+        let stat = engine
             .session()
             .query(&format!("range of v is {rel} retrieve (v.rank)"))
             .is_ok();
-        let roll = db
+        let roll = engine
             .session()
             .query(&format!(
                 r#"range of v is {rel} retrieve (v.rank) as of "{probe}""#
             ))
             .is_ok();
-        let hist = db
+        let hist = engine
             .session()
             .query(&format!(
                 r#"range of v is {rel} retrieve (v.rank) when v overlap "{probe}""#
             ))
             .is_ok();
-        let class = db.classify(rel).expect("classified");
+        let class = engine.with_db(|db| db.classify(rel)).expect("classified");
         let mark = |b: bool| if b { "✓" } else { "—" };
         println!(
             "{:>16} | {:>12} | {:>14} | {:>16}",
@@ -519,13 +521,15 @@ fn t6_coalesce() {
 fn t7_tquel_throughput() {
     heading("T7 (E19): TQuel end-to-end latency for the paper's query shapes");
     let clock = Arc::new(ManualClock::new(Chronon::new(900)));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     for i in 0..200 {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to faculty (name = "prof{i:05}", rank = "assistant")
                    valid from "{}" to forever"#,
@@ -535,7 +539,8 @@ fn t7_tquel_throughput() {
     }
     for i in 0..100 {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"range of f is faculty
                    replace f (rank = "associate")
@@ -584,8 +589,8 @@ fn t7_tquel_throughput() {
         "query shape", "latency µs", "rows"
     );
     for (name, src) in shapes {
-        let rows = db.session().query(src).expect("query").len();
-        let mut session = db.session();
+        let rows = engine.session().query(src).expect("query").len();
+        let mut session = engine.session();
         let ns = time_ns(10, || {
             std::hint::black_box(session.query(src).expect("query"));
         });
@@ -601,13 +606,15 @@ fn t8_query_cache() {
     heading("T8: bitemporal query cache — repeated retrieves at one coordinate");
     let build = || {
         let clock = Arc::new(ManualClock::new(Chronon::new(900)));
-        let mut db = Database::in_memory(clock.clone());
-        db.session()
+        let engine = Engine::start(Database::in_memory(clock.clone()));
+        engine
+            .session()
             .run("create faculty (name = str, rank = str) as temporal")
             .expect("create");
         for i in 0..300 {
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(
                     r#"append to faculty (name = "prof{i:05}", rank = "assistant")
                        valid from "{}" to forever"#,
@@ -615,18 +622,23 @@ fn t8_query_cache() {
                 ))
                 .expect("append");
         }
-        db
+        engine
     };
     let as_of = chronos_core::calendar::Date::from_chronon(Chronon::new(1100));
     let query = format!(
         r#"range of f is faculty retrieve (f.rank) where f.name = "prof00007" as of "{as_of}""#
     );
 
-    let mut cold = build();
-    cold.set_cache_capacity(0); // cache disabled: every retrieve rescans
-    let expected = cold.session().query(&query).expect("query");
-    let mut session_src = build();
-    session_src.set_cache_capacity(0);
+    let uncached = || {
+        let engine = build();
+        // Cache disabled: every retrieve rescans.
+        engine
+            .exclusive(|db| db.set_cache_capacity(0))
+            .expect("disable the cache");
+        engine
+    };
+    let expected = uncached().session().query(&query).expect("query");
+    let session_src = uncached();
     let cold_ns = {
         let mut s = session_src.session();
         time_ns(20, || {
@@ -634,7 +646,7 @@ fn t8_query_cache() {
         })
     };
 
-    let mut warm = build();
+    let warm = build();
     warm.session().query(&query).expect("warm the cache");
     let warm_ns = {
         let mut s = warm.session();
@@ -643,7 +655,7 @@ fn t8_query_cache() {
         })
     };
     assert_eq!(warm.session().query(&query).expect("query"), expected);
-    let stats = warm.engine_stats();
+    let stats = warm.stats();
     println!(
         "{:>12} | {:>12} | {:>8} | {:>6} | {:>6} | {:>7} | {:>7}",
         "uncached µs", "cached µs", "speedup", "hits", "misses", "entries", "epochs"
@@ -681,13 +693,15 @@ struct T10Stats {
 fn t10_operational_surface() -> T10Stats {
     heading("T10: operational surface — /metrics scrape latency, slow-log overhead");
     let clock = Arc::new(ManualClock::new(Chronon::new(900)));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     for i in 0..200 {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to faculty (name = "prof{i:05}", rank = "assistant")
                    valid from "{}" to forever"#,
@@ -704,7 +718,9 @@ fn t10_operational_surface() -> T10Stats {
     // this thread serves it a steady diet of retrieves.  The exporter
     // reads only `Arc`-shared atomics and short-lived mutexes, so it
     // never borrows the database itself.
-    let server = db.serve_observability("127.0.0.1:0").expect("serve");
+    let server = engine
+        .with_db(|db| db.serve_observability("127.0.0.1:0"))
+        .expect("serve");
     let addr = server.addr().to_string();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let scraper = {
@@ -724,7 +740,7 @@ fn t10_operational_surface() -> T10Stats {
     let load_until = Instant::now() + std::time::Duration::from_millis(400);
     let mut queries = 0usize;
     {
-        let mut session = db.session();
+        let mut session = engine.session();
         while Instant::now() < load_until {
             std::hint::black_box(session.query(&query).expect("query"));
             queries += 1;
@@ -755,12 +771,12 @@ fn t10_operational_surface() -> T10Stats {
     let retrieve = format!(r#"retrieve (f.rank) where f.name = "prof00007" as of "{as_of}""#);
     let stmt = chronos_tquel::parser::parse_statement(&retrieve).expect("parse");
     assert_eq!(
-        db.recorder().slowlog().threshold_ns(),
+        engine.recorder().slowlog().threshold_ns(),
         u64::MAX,
         "slow log must be disabled for the overhead baseline"
     );
     let iters = 300u32;
-    let mut session = db.session();
+    let mut session = engine.session();
     session.run("range of f is faculty").expect("range");
     let (mut plain_ns, mut monitored_ns) = (u64::MAX, u64::MAX);
     for _ in 0..9 {
@@ -776,7 +792,7 @@ fn t10_operational_surface() -> T10Stats {
         monitored_ns = monitored_ns.min(start.elapsed().as_nanos() as u64);
     }
     assert!(
-        session.database().recorder().slowlog().is_empty(),
+        engine.recorder().slowlog().is_empty(),
         "disabled slow log captured statements"
     );
     let ratio = monitored_ns as f64 / plain_ns.max(1) as f64;
@@ -810,13 +826,15 @@ struct T11Stats {
 fn t11_temporal_introspection() -> T11Stats {
     heading("T11: temporal introspection — sampler overhead on the timeslice workload");
     let clock = Arc::new(ManualClock::new(Chronon::new(900)));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     for i in 0..200 {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to faculty (name = "prof{i:05}", rank = "assistant")
                    valid from "{}" to forever"#,
@@ -835,8 +853,8 @@ fn t11_temporal_introspection() -> T11Stats {
     // overhead_check): the background thread snapshots engine_stats()
     // every 5ms while the foreground runs the timeslice loop.
     let iters = 300u32;
-    let run_loop = |db: &mut Database| -> u64 {
-        let mut session = db.session();
+    let run_loop = |engine: &Arc<Engine>| -> u64 {
+        let mut session = engine.session();
         session.run("range of f is faculty").expect("range");
         let start = Instant::now();
         for _ in 0..iters {
@@ -844,7 +862,7 @@ fn t11_temporal_introspection() -> T11Stats {
         }
         start.elapsed().as_nanos() as u64
     };
-    std::hint::black_box(run_loop(&mut db)); // warmup
+    std::hint::black_box(run_loop(&engine)); // warmup
                                              // Paired rounds: each measures off and on adjacently (alternating
                                              // which goes first, so frequency drift hits both sides alike) and
                                              // contributes one ratio; the median ratio is immune to the odd
@@ -854,18 +872,22 @@ fn t11_temporal_introspection() -> T11Stats {
         let off_first = round % 2 == 0;
         let mut off_ns = 0u64;
         if off_first {
-            off_ns = run_loop(&mut db);
+            off_ns = run_loop(&engine);
         }
-        db.start_stats_sampler(std::time::Duration::from_millis(5))
+        engine
+            .exclusive(|db| db.start_stats_sampler(std::time::Duration::from_millis(5)))
+            .expect("writer")
             .expect("sampler");
-        let on_ns = run_loop(&mut db);
-        db.stop_stats_sampler();
+        let on_ns = run_loop(&engine);
+        engine
+            .exclusive(|db| db.stop_stats_sampler())
+            .expect("writer");
         if !off_first {
-            off_ns = run_loop(&mut db);
+            off_ns = run_loop(&engine);
         }
         ratios.push(on_ns as f64 / off_ns.max(1) as f64);
     }
-    let samples_taken = db.telemetry().stats().samples_taken;
+    let samples_taken = engine.with_db(|db| db.telemetry().stats().samples_taken);
     assert!(samples_taken > 0, "the sampler never sampled under load");
     ratios.sort_by(f64::total_cmp);
     let ratio = ratios[ratios.len() / 2];
@@ -877,8 +899,8 @@ fn t11_temporal_introspection() -> T11Stats {
 
     // Querying the telemetry is an ordinary TQuel retrieve over
     // sys$stats; measure its end-to-end latency.
-    db.sample_now();
-    let mut session = db.session();
+    engine.with_db(|db| db.sample_now());
+    let mut session = engine.session();
     session.run("range of s is sys$stats").expect("range");
     let tstmt =
         chronos_tquel::parser::parse_statement(r#"retrieve (s.value) where s.metric = "commits""#)
@@ -1437,9 +1459,9 @@ struct T14Stats {
 
 /// One analytics round: `queries` same-shape retrieves with rotating
 /// literals, then one `analyze` pass over the relation.
-fn t14_round(db: &mut Database, queries: usize, round: usize) -> f64 {
+fn t14_round(engine: &Arc<Engine>, queries: usize, round: usize) -> f64 {
     let t0 = Instant::now();
-    let mut s = db.session();
+    let mut s = engine.session();
     for q in 0..queries {
         let name = (round * queries + q) % 2000;
         s.query(&format!(
@@ -1466,13 +1488,16 @@ fn t14_workload_analytics() -> T14Stats {
     let _ = std::fs::remove_dir_all(&dir_on);
     let _ = std::fs::remove_dir_all(&dir_off);
     let clock_on = Arc::new(ManualClock::new(Chronon::new(0)));
-    let mut db_on = Database::open(&dir_on, clock_on.clone() as _).expect("open t14 enabled db");
+    let engine_on =
+        Engine::start(Database::open(&dir_on, clock_on.clone() as _).expect("open t14 enabled db"));
     let clock_off = Arc::new(ManualClock::new(Chronon::new(0)));
     let obs_off = chronos_db::ObsBootstrap::disabled();
-    let mut db_off = Database::open_with_obs(&dir_off, clock_off.clone() as _, &obs_off)
-        .expect("open t14 disabled db");
-    for (db, clock) in [(&mut db_on, &clock_on), (&mut db_off, &clock_off)] {
-        let mut s = db.session();
+    let engine_off = Engine::start(
+        Database::open_with_obs(&dir_off, clock_off.clone() as _, &obs_off)
+            .expect("open t14 disabled db"),
+    );
+    for (engine, clock) in [(&engine_on, &clock_on), (&engine_off, &clock_off)] {
+        let mut s = engine.session();
         s.run("create people (name = str, rank = str) as temporal")
             .expect("create");
         let mut program = String::new();
@@ -1484,7 +1509,8 @@ fn t14_workload_analytics() -> T14Stats {
         s.run(&program).expect("seed appends");
         drop(s);
         clock.advance_to(Chronon::new(1000));
-        db.session()
+        engine
+            .session()
             .run(r#"range of p is people replace p (rank = "senior") where p.rank = "junior""#)
             .expect("seed replace");
     }
@@ -1493,12 +1519,12 @@ fn t14_workload_analytics() -> T14Stats {
     // rounds are read-only, so noise is one-sided (scheduler stalls
     // only ever slow a round down): comparing each side's *minimum*
     // estimates the true cost, as overhead_check does for tight loops.
-    t14_round(&mut db_on, QUERIES, 99);
-    t14_round(&mut db_off, QUERIES, 99);
+    t14_round(&engine_on, QUERIES, 99);
+    t14_round(&engine_off, QUERIES, 99);
     let (mut on_ms, mut off_ms) = (Vec::new(), Vec::new());
     for r in 0..ROUNDS {
-        on_ms.push(t14_round(&mut db_on, QUERIES, r));
-        off_ms.push(t14_round(&mut db_off, QUERIES, r));
+        on_ms.push(t14_round(&engine_on, QUERIES, r));
+        off_ms.push(t14_round(&engine_off, QUERIES, r));
     }
 
     let best = |v: &[f64]| -> f64 { v.iter().copied().fold(f64::INFINITY, f64::min) };
@@ -1508,7 +1534,7 @@ fn t14_workload_analytics() -> T14Stats {
 
     // Dedup: (ROUNDS+1) * QUERIES literal variations of one statement
     // shape must have folded into a single retrieve-kind fingerprint.
-    let entries = db_on.recorder().fingerprints().entries();
+    let entries = engine_on.recorder().fingerprints().entries();
     let retrieves: Vec<_> = entries.iter().filter(|e| e.kind == "retrieve").collect();
     assert_eq!(
         retrieves.len(),
@@ -1525,7 +1551,7 @@ fn t14_workload_analytics() -> T14Stats {
 
     // The analyze passes populated sys$tablestats, and the repeated
     // samples agree (the relation did not change between rounds).
-    let stats_rel = db_on
+    let stats_rel = engine_on
         .session()
         .query(r#"range of ts is sys$tablestats retrieve (ts.stat, ts.value) where ts.relation = "people""#)
         .expect("tablestats query");
@@ -1541,7 +1567,7 @@ fn t14_workload_analytics() -> T14Stats {
         "analyze saw a different relation"
     );
     assert!(
-        db_off.recorder().fingerprints().entries().is_empty(),
+        engine_off.recorder().fingerprints().entries().is_empty(),
         "the disabled twin recorded fingerprints"
     );
 

@@ -19,8 +19,12 @@
 //! The same workload also runs in **unwind mode** (in-process, the
 //! fault surfaces as an `Err` instead of killing the process) to prove
 //! the error paths degrade gracefully: the failed operation reports an
-//! error, a reopen recovers exactly the committed prefix, and the
-//! workload then completes.
+//! error (a failed group fsync also poisons the engine), a reopen
+//! recovers exactly the committed prefix, and the workload then
+//! completes.
+//!
+//! Both modes drive the workload through an [`Engine`], the one path
+//! every session takes, so each commit is one group-commit batch.
 //!
 //! Drivers: `tests/fault_matrix.rs` (tier-1) and
 //! `EXPERIMENTS_ONLY=faults cargo run --bin experiments --release`
@@ -38,10 +42,6 @@ use chronos_db::{Database, Engine, ObsBootstrap};
 use chronos_obs::fault::{self, FaultPlan};
 use chronos_obs::http_get;
 use chronos_storage::wal::Wal;
-
-/// The one site only the group-commit engine path exercises: plain
-/// `Database::commit` syncs inline and never calls `Wal::group_sync`.
-const GROUP_FSYNC_SITE: &str = "wal.group_fsync";
 
 /// Environment variable carrying the child's database directory.
 pub const CHILD_DIR_ENV: &str = "CHRONOS_FAULT_DIR";
@@ -64,11 +64,11 @@ pub enum Step {
     Stmt(&'static str, &'static str),
     /// A read-only query (drives the scan/pager paths; no state).
     Query(&'static str, &'static str),
-    /// `Database::checkpoint()`.
+    /// `Engine::checkpoint()`.
     Checkpoint(&'static str),
-    /// `Database::freeze_relation(RELATION)` — migrates closed
-    /// versions into a segment (no logical state; the heap stays
-    /// authoritative until the segment is durable and mapped).
+    /// `freeze faculty` — migrates closed versions into a segment (no
+    /// logical state; the heap stays authoritative until the segment
+    /// is durable and mapped).
     Freeze(&'static str),
 }
 
@@ -122,96 +122,67 @@ pub fn total_commits() -> usize {
         .count()
 }
 
-/// Runs `STEPS[from..]`, advancing `clock` per step.  Returns the index
-/// of the first failing step with its error.
+/// Runs `STEPS[from..]` through `engine`, advancing `clock` per step.
+/// Every statement runs in a fresh snapshot-pinned session, so each
+/// commit is one group-commit batch and every data-carrying
+/// `Wal::group_sync` is a scheduled hit of the sync sites.  Returns the
+/// index of the first failing step with its error.
 pub fn run_steps(
-    db: &mut Database,
+    engine: &Arc<Engine>,
     clock: &ManualClock,
     from: usize,
 ) -> Result<(), (usize, String)> {
     for (i, step) in STEPS.iter().enumerate().skip(from) {
-        match step {
+        let result = match step {
             Step::Stmt(day, stmt) => {
                 clock.advance_to(d(day));
-                db.session().run(stmt).map_err(|e| (i, e.to_string()))?;
+                engine.session().run(stmt).map(drop)
             }
             Step::Query(day, q) => {
                 clock.advance_to(d(day));
-                db.session().query(q).map_err(|e| (i, e.to_string()))?;
+                engine.session().query(q).map(drop)
             }
             Step::Checkpoint(day) => {
                 clock.advance_to(d(day));
-                db.checkpoint().map_err(|e| (i, e.to_string()))?;
+                engine.checkpoint()
             }
             Step::Freeze(day) => {
                 clock.advance_to(d(day));
-                db.freeze_relation(RELATION)
-                    .map_err(|e| (i, e.to_string()))?;
+                engine.session().run("freeze faculty").map(drop)
             }
-        }
+        };
+        result.map_err(|e| (i, e.to_string()))?;
     }
     Ok(())
 }
 
-/// [`run_steps`] through a shared [`Engine`]: every statement runs in
-/// a fresh snapshot-pinned session, so each commit is one group-commit
-/// batch and every data-carrying `Wal::group_sync` is a scheduled hit
-/// of the `wal.group_fsync` site.
-pub fn run_steps_engine(
-    engine: &std::sync::Arc<Engine>,
-    clock: &ManualClock,
-    from: usize,
-) -> Result<(), (usize, String)> {
-    for (i, step) in STEPS.iter().enumerate().skip(from) {
-        match step {
-            Step::Stmt(day, stmt) => {
-                clock.advance_to(d(day));
-                engine.session().run(stmt).map_err(|e| (i, e.to_string()))?;
-            }
-            Step::Query(day, q) => {
-                clock.advance_to(d(day));
-                engine.session().query(q).map_err(|e| (i, e.to_string()))?;
-            }
-            Step::Checkpoint(day) => {
-                clock.advance_to(d(day));
-                engine.checkpoint().map_err(|e| (i, e.to_string()))?;
-            }
-            Step::Freeze(day) => {
-                clock.advance_to(d(day));
-                engine
-                    .session()
-                    .run("freeze faculty")
-                    .map_err(|e| (i, e.to_string()))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Builds the in-memory oracle holding the first `commits` commits of
-/// the workload (the DDL always runs; checkpoints and queries are
-/// no-ops for logical state).
-pub fn oracle_with_commits(commits: usize) -> Database {
+/// The canonical rows (see [`canonical_rows`]) of an in-memory oracle
+/// holding the first `commits` commits of the workload (the DDL always
+/// runs; checkpoints, queries and freezes are no-ops for logical
+/// state).
+pub fn oracle_rows(commits: usize) -> Result<Vec<String>, String> {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(Arc::clone(&clock) as _);
+    let engine = Engine::start(Database::in_memory(Arc::clone(&clock) as _));
     let mut done = 0usize;
     for step in STEPS {
-        match step {
-            Step::Stmt(day, stmt) => {
-                let is_commit = !stmt.starts_with("create");
-                if is_commit && done >= commits {
-                    break;
-                }
-                clock.advance_to(d(day));
-                db.session().run(stmt).expect("oracle workload step");
-                if is_commit {
-                    done += 1;
-                }
+        if let Step::Stmt(day, stmt) = step {
+            let is_commit = !stmt.starts_with("create");
+            if is_commit && done >= commits {
+                break;
             }
-            Step::Query(..) | Step::Checkpoint(_) | Step::Freeze(_) => {}
+            clock.advance_to(d(day));
+            engine.session().run(stmt).expect("oracle workload step");
+            done += usize::from(is_commit);
         }
     }
-    db
+    engine.with_db(|db| canonical_rows(db, RELATION))
+}
+
+/// How many commits `db`'s copy of the workload relation holds.
+fn commits_in(db: &Database) -> usize {
+    db.relation(RELATION)
+        .map(|r| r.table().transactions())
+        .unwrap_or(0)
 }
 
 /// Canonical, order-independent rendering of a temporal relation's
@@ -250,6 +221,14 @@ pub fn figures_digest() -> String {
     .concat()
 }
 
+/// The sites that fail inside `Wal::group_sync`.  An unwind at any of
+/// them must poison the engine; an unwind anywhere else must not.
+const GROUP_SYNC_SITES: &[&str] = &[
+    "wal.group_sync.pre",
+    "wal.group_fsync",
+    "wal.group_sync.post",
+];
+
 /// Per-site schedule: which hit to fault, and the torn-write length
 /// for the torn site.  Hits are chosen so every fault lands *mid*
 /// workload (after some durable commits, before others).
@@ -269,8 +248,11 @@ pub fn site_specs() -> Vec<SiteSpec> {
     let specs = vec![
         spec("wal.append.pre_frame", 2, None),
         spec("wal.append.frame", 3, Some(5)),
-        spec("wal.append.pre_sync", 2, None),
-        spec("wal.append.post_sync", 1, None),
+        // Each commit is its own group sync: hit 2 dies with the second
+        // commit's frame full on disk but unsynced, hit 1 with the first
+        // commit durable but never acknowledged.
+        spec("wal.group_sync.pre", 2, None),
+        spec("wal.group_sync.post", 1, None),
         spec("wal.reset.pre_truncate", 1, None),
         spec("wal.reset.post_truncate", 1, None),
         spec("pager.read.miss", 1, None),
@@ -290,11 +272,11 @@ pub fn site_specs() -> Vec<SiteSpec> {
         spec("segment.write", 1, None),
         spec("segment.rename", 1, None),
         spec("segment.mmap_open", 1, None),
-        // Engine path only: a serial run of the 6-commit workload makes
-        // 6 data-carrying group syncs; hit 4 is the first commit after
-        // the checkpoint, so the crash leaves 3 commits durable (all
-        // covered by the checkpoint image) and an empty log.
-        spec(GROUP_FSYNC_SITE, 4, None),
+        // A serial run of the 6-commit workload makes 6 data-carrying
+        // group syncs; hit 4 is the first commit after the checkpoint,
+        // so the crash leaves 3 commits durable (all covered by the
+        // checkpoint image) and an empty log.
+        spec("wal.group_fsync", 4, None),
     ];
     // The schedule and the registry must cover the same sites, or the
     // matrix silently under-tests.
@@ -319,30 +301,15 @@ pub fn maybe_run_child() {
     fault::arm_from_env();
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
     let obs = ObsBootstrap::new();
-    let mut db = match Database::open_with_obs(&dir, Arc::clone(&clock) as _, &obs) {
-        Ok(db) => db,
+    let engine = match Database::open_with_obs(&dir, Arc::clone(&clock) as _, &obs) {
+        Ok(db) => Engine::start(db),
         Err(e) => {
             eprintln!("fault child: open failed: {e}");
             std::process::exit(3);
         }
     };
-    if std::env::var("CHRONOS_FAULT_SITE").as_deref() == Ok(GROUP_FSYNC_SITE) {
-        // Route the workload through the group-commit engine; the
-        // crash fires on its writer thread and kills the process.
-        let engine = Engine::start(db);
-        match run_steps_engine(&engine, &clock, 0) {
-            Ok(()) => {
-                engine.shutdown();
-                println!("fault child: workload completed without crashing");
-                std::process::exit(0);
-            }
-            Err((i, e)) => {
-                eprintln!("fault child: step {i} unwound instead of crashing: {e}");
-                std::process::exit(4);
-            }
-        }
-    }
-    match run_steps(&mut db, &clock, 0) {
+    // A site on the writer thread kills the whole process all the same.
+    match run_steps(&engine, &clock, 0) {
         Ok(()) => {
             // The armed site never fired (or only unwound): the parent
             // treats exit 0 as "site not exercised" and fails the row.
@@ -455,19 +422,15 @@ fn run_one_site(
     }
 
     // 4a: oracle equality over the durable commit prefix.
-    let commits = db
-        .relation(RELATION)
-        .map(|r| r.table().transactions())
-        .unwrap_or(0);
+    let commits = commits_in(&db);
     if commits > total_commits() {
         return Err(format!(
             "recovered {commits} commits, workload only has {}",
             total_commits()
         ));
     }
-    let oracle = oracle_with_commits(commits);
     let got = canonical_rows(&db, RELATION)?;
-    let want = canonical_rows(&oracle, RELATION)?;
+    let want = oracle_rows(commits)?;
     if got != want {
         return Err(format!(
             "recovered state diverges from oracle at {commits} commits:\n  got: {got:#?}\n  want: {want:#?}"
@@ -514,19 +477,15 @@ fn run_one_site(
 
 /// Runs the unwind matrix in-process: every site fires as an injected
 /// `Err` instead of a crash.  The faulted operation must fail
-/// gracefully (no panic, no poisoned state): after a reopen the
-/// database holds exactly the committed prefix, the workload retries
-/// to completion, and the final state equals the full oracle.
+/// gracefully (no panic; a failed group fsync poisons the engine, which
+/// must then refuse further work): after a reopen the database holds
+/// exactly the committed prefix, the workload retries to completion,
+/// and the final state equals the full oracle.
 pub fn run_unwind_matrix() -> Result<Vec<String>, String> {
     let mut summaries = Vec::new();
     let mut failures = Vec::new();
     for spec in site_specs() {
-        let outcome = if spec.site == GROUP_FSYNC_SITE {
-            run_one_unwind_engine(&spec)
-        } else {
-            run_one_unwind(&spec)
-        };
-        match outcome {
+        match run_one_unwind(&spec) {
             Ok(line) => summaries.push(line),
             Err(e) => failures.push(format!("{}: {e}", spec.site)),
         }
@@ -547,8 +506,12 @@ pub fn run_unwind_matrix() -> Result<Vec<String>, String> {
 fn run_one_unwind(spec: &SiteSpec) -> Result<String, String> {
     let dir = matrix_dir(&format!("unwind.{}", spec.site));
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db =
-        Database::open(&dir, Arc::clone(&clock) as _).map_err(|e| format!("initial open: {e}"))?;
+    let open = |what: &str| {
+        Database::open(&dir, Arc::clone(&clock) as _)
+            .map(Engine::start)
+            .map_err(|e| format!("{what}: {e}"))
+    };
+    let mut engine = open("initial open")?;
     // Arm after open so hit 1 lands in the workload, not in recovery.
     fault::install(Arc::new(FaultPlan {
         site: spec.site.to_string(),
@@ -556,35 +519,55 @@ fn run_one_unwind(spec: &SiteSpec) -> Result<String, String> {
         torn_keep: spec.keep,
         unwind: true,
     }));
-    let outcome = run_steps(&mut db, &clock, 0);
+    let outcome = run_steps(&engine, &clock, 0);
     fault::clear();
-    let detail;
-    match outcome {
+    let detail = match outcome {
         Err((failed_at, err)) => {
             if !err.contains("injected fault") && !err.contains(spec.site) {
                 return Err(format!(
                     "step {failed_at} failed with an unrelated error: {err}"
                 ));
             }
+            // A failed group sync leaves commits applied in memory that
+            // the log no longer holds: the engine must poison itself, and
+            // a retry on the same instance must be refused, not silently
+            // absorbed.  Any other fault is rolled back in place and must
+            // leave the engine serving.
+            let poisons = GROUP_SYNC_SITES.contains(&spec.site);
+            let refused = engine.exclusive(|_| ()).is_err();
+            if poisons {
+                if !refused {
+                    return Err("the group sync failed but the engine still accepts work".into());
+                }
+                match run_steps(&engine, &clock, failed_at) {
+                    Err((_, e)) if e.contains("poisoned") => {}
+                    Err((i, e)) => {
+                        return Err(format!(
+                            "poisoned engine failed step {i} with the wrong error: {e}"
+                        ))
+                    }
+                    Ok(()) => return Err("poisoned engine accepted further commits".into()),
+                }
+            } else if refused {
+                return Err(format!(
+                    "the engine refused work after a fault outside the group sync: {err}"
+                ));
+            }
             // The process survived; a restart must see a consistent
             // prefix, after which the workload completes.
-            drop(db);
-            let mut db2 = Database::open(&dir, Arc::clone(&clock) as _)
-                .map_err(|e| format!("reopen after injected error: {e}"))?;
-            let commits = db2
-                .relation(RELATION)
-                .map(|r| r.table().transactions())
-                .unwrap_or(0);
-            let oracle = oracle_with_commits(commits);
-            if canonical_rows(&db2, RELATION)? != canonical_rows(&oracle, RELATION)? {
+            drop(engine);
+            engine = open("reopen after injected error")?;
+            let (commits, got) =
+                engine.with_db(|db| (commits_in(db), canonical_rows(db, RELATION)));
+            if got? != oracle_rows(commits)? {
                 return Err(format!(
                     "state after injected error diverges from oracle at {commits} commits"
                 ));
             }
-            run_steps(&mut db2, &clock, failed_at)
+            run_steps(&engine, &clock, failed_at)
                 .map_err(|(i, e)| format!("retry from step {i} failed: {e}"))?;
-            db = db2;
-            detail = format!("error at step {failed_at}, retried");
+            let poisoned = if poisons { "poisoned, " } else { "" };
+            format!("error at step {failed_at}, {poisoned}reopened + retried")
         }
         Ok(()) => {
             // Only the journal site may swallow its fault (dropped
@@ -592,111 +575,23 @@ fn run_one_unwind(spec: &SiteSpec) -> Result<String, String> {
             if spec.site != "journal.emit" {
                 return Err("workload completed but the site should have unwound".into());
             }
-            detail = "fault swallowed (diagnostic path)".to_string();
+            "fault swallowed (diagnostic path)".to_string()
         }
-    }
-    let oracle = oracle_with_commits(total_commits());
-    if canonical_rows(&db, RELATION)? != canonical_rows(&oracle, RELATION)? {
+    };
+    let want = oracle_rows(total_commits())?;
+    if engine.with_db(|db| canonical_rows(db, RELATION))? != want {
         return Err("final state diverges from the full oracle".into());
     }
-    drop(db);
+    drop(engine);
     // And the completed state is durable.
-    let db3 = Database::open(&dir, Arc::new(ManualClock::new(d("01/01/81"))) as _)
+    let db = Database::open(&dir, Arc::new(ManualClock::new(d("01/01/81"))) as _)
         .map_err(|e| format!("final reopen: {e}"))?;
-    if canonical_rows(&db3, RELATION)? != canonical_rows(&oracle, RELATION)? {
+    if canonical_rows(&db, RELATION)? != want {
         return Err("durable state diverges from the full oracle".into());
     }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(format!(
         "{:<28} {detail}; full-oracle equality ok",
-        spec.site
-    ))
-}
-
-/// Unwind coverage for the group-fsync site, which only the engine's
-/// group-commit path reaches.  A failed group fsync must error-ack the
-/// batch, poison the engine (no further submissions), and leave the
-/// acked commit prefix on disk; a fresh engine over a reopened
-/// database then completes the workload.
-fn run_one_unwind_engine(spec: &SiteSpec) -> Result<String, String> {
-    let dir = matrix_dir(&format!("unwind.{}", spec.site));
-    let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let db =
-        Database::open(&dir, Arc::clone(&clock) as _).map_err(|e| format!("initial open: {e}"))?;
-    let engine = Engine::start(db);
-    // Arm after open so hit 1 lands in the workload, not in recovery.
-    fault::install(Arc::new(FaultPlan {
-        site: spec.site.to_string(),
-        hit: 1,
-        torn_keep: spec.keep,
-        unwind: true,
-    }));
-    let outcome = run_steps_engine(&engine, &clock, 0);
-    fault::clear();
-    let (failed_at, err) = match outcome {
-        Err(pair) => pair,
-        Ok(()) => {
-            engine.shutdown();
-            return Err("workload completed but the group fsync should have unwound".into());
-        }
-    };
-    if !err.contains("injected fault") && !err.contains(spec.site) {
-        engine.shutdown();
-        return Err(format!(
-            "step {failed_at} failed with an unrelated error: {err}"
-        ));
-    }
-    // A durability failure poisons the engine: retrying on the same
-    // instance must be refused, not silently absorbed.
-    match run_steps_engine(&engine, &clock, failed_at) {
-        Err((_, e)) if e.contains("poisoned") => {}
-        Err((i, e)) => {
-            engine.shutdown();
-            return Err(format!(
-                "poisoned engine failed step {i} with the wrong error: {e}"
-            ));
-        }
-        Ok(()) => {
-            engine.shutdown();
-            return Err("poisoned engine accepted further commits".into());
-        }
-    }
-    engine.shutdown();
-    drop(engine);
-    // A restart sees exactly the acked prefix…
-    let db2 = Database::open(&dir, Arc::clone(&clock) as _)
-        .map_err(|e| format!("reopen after injected error: {e}"))?;
-    let commits = db2
-        .relation(RELATION)
-        .map(|r| r.table().transactions())
-        .unwrap_or(0);
-    let oracle = oracle_with_commits(commits);
-    if canonical_rows(&db2, RELATION)? != canonical_rows(&oracle, RELATION)? {
-        return Err(format!(
-            "state after injected error diverges from oracle at {commits} commits"
-        ));
-    }
-    // …and a fresh engine completes the workload.
-    let engine2 = Engine::start(db2);
-    run_steps_engine(&engine2, &clock, failed_at)
-        .map_err(|(i, e)| format!("retry from step {i} failed: {e}"))?;
-    let oracle = oracle_with_commits(total_commits());
-    let want = canonical_rows(&oracle, RELATION)?;
-    let got = engine2.with_db(|db| canonical_rows(db, RELATION))?;
-    if got != want {
-        return Err("final state diverges from the full oracle".into());
-    }
-    engine2.shutdown();
-    drop(engine2);
-    // And the completed state is durable.
-    let db3 = Database::open(&dir, Arc::new(ManualClock::new(d("01/01/81"))) as _)
-        .map_err(|e| format!("final reopen: {e}"))?;
-    if canonical_rows(&db3, RELATION)? != want {
-        return Err("durable state diverges from the full oracle".into());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(format!(
-        "{:<28} error at step {failed_at}, poisoned, reopened + retried; full-oracle equality ok",
         spec.site
     ))
 }

@@ -356,13 +356,13 @@ fn main() {
         chronos_core::calendar::Date::from_chronon(_today)
     );
 
-    let had_error = match &args.serve_addr {
-        Some(addr) => {
-            // Concurrent mode: the database moves into the shared
-            // engine; the local shell becomes one more session beside
-            // the network clients.
-            let engine = Engine::start(db);
-            let server = match QueryServer::serve(Arc::clone(&engine), addr) {
+    // The database moves into the engine; with `--serve` the shell is
+    // one more session beside the network clients.
+    let engine = Engine::start(db);
+    let server =
+        args.serve_addr
+            .as_ref()
+            .map(|addr| match QueryServer::serve(Arc::clone(&engine), addr) {
                 Ok(server) => {
                     eprintln!("TQuel service at {} (chronos --connect)", server.addr());
                     server
@@ -371,40 +371,32 @@ fn main() {
                     eprintln!("cannot serve TQuel on {addr}: {e}");
                     std::process::exit(1);
                 }
-            };
-            let had_error = repl(
-                Shell::Serve {
-                    session: engine.session(),
-                    engine: Arc::clone(&engine),
-                },
-                Some(&manual),
-                &obs_server,
-                !args.batch,
-            );
-            server.shutdown();
-            engine.shutdown();
-            had_error
-        }
-        None => repl(
-            Shell::Local(db.session()),
-            Some(&manual),
-            &obs_server,
-            !args.batch,
-        ),
-    };
+            });
+    let had_error = repl(
+        Shell::Engine {
+            session: Box::new(engine.session()),
+            engine: Arc::clone(&engine),
+        },
+        Some(&manual),
+        &obs_server,
+        !args.batch,
+    );
+    if let Some(server) = server {
+        server.shutdown();
+    }
+    drop(engine); // drains the writer and closes the database
     drop(obs_server); // joins the accept thread
     if args.batch && had_error {
         std::process::exit(1);
     }
 }
 
-/// The three faces of the shell: a session over an exclusively-owned
-/// database, a session beside a running TQuel service, or a network
-/// client of one.
-enum Shell<'a> {
-    Local(chronos_db::Session<&'a mut Database>),
-    Serve {
-        session: chronos_db::EngineSession,
+/// The two faces of the shell: a session over this process's engine
+/// (beside the TQuel service, with `--serve`), or a network client of
+/// a running service.
+enum Shell {
+    Engine {
+        session: Box<chronos_db::Session>,
         engine: Arc<Engine>,
     },
     Connect {
@@ -413,21 +405,11 @@ enum Shell<'a> {
     },
 }
 
-impl Shell<'_> {
+impl Shell {
     /// Runs one statement batch; returns `false` if it errored.
     fn execute(&mut self, src: &str) -> bool {
         match self {
-            Shell::Local(session) => match session.run(src) {
-                Ok(outcomes) => {
-                    print_outcomes(outcomes);
-                    true
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    false
-                }
-            },
-            Shell::Serve { session, .. } => {
+            Shell::Engine { session, .. } => {
                 // Mirror the service: each batch begins a fresh read
                 // snapshot, then holds it for the whole program.
                 session.refresh();
@@ -471,25 +453,23 @@ impl Shell<'_> {
     /// has any (a `--connect` client does not).
     fn with_db<R>(&mut self, f: impl FnOnce(&Database) -> R) -> Option<R> {
         match self {
-            Shell::Local(session) => Some(f(session.database())),
-            Shell::Serve { engine, .. } => Some(engine.with_db(f)),
+            Shell::Engine { engine, .. } => Some(engine.with_db(f)),
             Shell::Connect { .. } => None,
         }
     }
 
     fn checkpoint(&mut self) -> Option<Result<(), chronos_db::DbError>> {
         match self {
-            Shell::Local(session) => Some(session.database().checkpoint()),
-            Shell::Serve { engine, .. } => Some(engine.checkpoint()),
+            Shell::Engine { engine, .. } => Some(engine.checkpoint()),
             Shell::Connect { .. } => None,
         }
     }
 }
 
-/// The line loop shared by all three shell modes.  Returns true if any
+/// The line loop shared by both shell modes.  Returns true if any
 /// statement errored.
 fn repl(
-    mut shell: Shell<'_>,
+    mut shell: Shell,
     manual: Option<&Arc<ManualClock>>,
     obs_server: &Option<ObsServer>,
     interactive: bool,

@@ -1,10 +1,11 @@
 //! The database: catalog + relations + transaction clock + durability.
 //!
 //! A [`Database`] owns the catalog and one store per defined relation.
-//! All mutation funnels through [`Database::commit`], which allocates a
-//! strictly monotonic transaction time from the
-//! [`TxnManager`], validates the operations, writes them ahead to the
-//! shared log (durable databases), then applies them.  Reopening a
+//! All mutation funnels through the [`Engine`](crate::Engine)'s writer
+//! thread, whose commits allocate a strictly monotonic transaction
+//! time from the [`TxnManager`], validate the operations, stage them
+//! ahead in the shared log (durable databases), apply them, and make
+//! the batch durable under one group fsync.  Reopening a
 //! durable database loads the catalog image and replays the log — the
 //! log *is* the temporal database, which is precisely the paper's
 //! append-only transaction-time semantics.
@@ -36,7 +37,6 @@ use crate::introspect::{
 };
 use crate::observe::{DbObsSource, ObsBootstrap};
 use crate::relation::Relation;
-use crate::session::Session;
 
 /// Closed versions a relation accumulates before a checkpoint freezes
 /// them into an immutable segment.
@@ -507,30 +507,16 @@ impl Database {
     }
 
     /// Commits a transaction against one relation: allocates the
-    /// transaction time, validates, logs (write-ahead, fsynced),
-    /// applies.  Returns the transaction time.
-    pub fn commit(&mut self, relation: &str, ops: &[HistoricalOp]) -> DbResult<Chronon> {
-        self.commit_with_sync(relation, ops, true)
-    }
-
-    /// [`commit`](Self::commit) with the WAL frame *staged* instead of
-    /// fsynced: the group-commit writer (`crate::engine`) calls this
-    /// for each transaction in a batch, then makes the whole batch
-    /// durable with one `Wal::group_sync`.  The commit must not be
-    /// acknowledged until that covering fsync succeeds.
+    /// transaction time, validates, logs (write-ahead, *staged*),
+    /// applies.  Returns the transaction time.  The WAL frame is not
+    /// yet durable: the group-commit writer (`crate::engine`) calls
+    /// this for each transaction in a batch, then makes the whole batch
+    /// durable with one `Wal::group_sync`, and acknowledges no commit
+    /// before that covering fsync succeeds.
     pub(crate) fn commit_unsynced(
         &mut self,
         relation: &str,
         ops: &[HistoricalOp],
-    ) -> DbResult<Chronon> {
-        self.commit_with_sync(relation, ops, false)
-    }
-
-    fn commit_with_sync(
-        &mut self,
-        relation: &str,
-        ops: &[HistoricalOp],
-        sync: bool,
     ) -> DbResult<Chronon> {
         // Clone the handle so the span's borrow doesn't pin `self`.
         let recorder = Arc::clone(&self.recorder);
@@ -562,11 +548,7 @@ impl Database {
                     tx_time,
                     ops: ops.to_vec(),
                 };
-                if sync {
-                    wal.append(&rec)?;
-                } else {
-                    wal.append_no_sync(&rec)?;
-                }
+                wal.append_no_sync(&rec)?;
                 Some(len)
             }
             None => None,
@@ -735,11 +717,6 @@ impl Database {
         }
         self.record_catalog_sample(self.txn.peek_now());
         Ok(())
-    }
-
-    /// Starts a session for executing TQuel programs.
-    pub fn session(&mut self) -> Session<&mut Database> {
-        Session::new(self)
     }
 
     // -----------------------------------------------------------------

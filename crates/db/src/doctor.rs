@@ -458,7 +458,7 @@ mod tests {
     use chronos_core::calendar::date;
     use chronos_core::clock::ManualClock;
 
-    use crate::Database;
+    use crate::{Database, Engine};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -474,16 +474,15 @@ mod tests {
     fn seeded_db(tag: &str) -> PathBuf {
         let dir = temp_dir(tag);
         let clock = Arc::new(ManualClock::new(date("08/25/77").unwrap()));
-        let mut db = Database::open(&dir, clock).unwrap();
-        let mut session = db.session();
-        session
+        let engine = Engine::start(Database::open(&dir, clock).unwrap());
+        engine
+            .session()
             .run(r#"
                 create faculty (name = str, rank = str) as temporal
                 append to faculty (name = "Merrie", rank = "assistant") valid from "09/01/77" to forever
                 append to faculty (name = "Tom", rank = "full") valid from "09/01/77" to forever
             "#)
             .unwrap();
-        drop(db);
         dir
     }
 
@@ -600,8 +599,9 @@ mod tests {
     fn checkpoint_images_take_their_class_from_the_catalog() {
         let dir = temp_dir("classes");
         let clock = Arc::new(ManualClock::new(date("08/25/77").unwrap()));
-        let mut db = Database::open(&dir, clock).unwrap();
-        db.session()
+        let engine = Engine::start(Database::open(&dir, clock).unwrap());
+        engine
+            .session()
             .run(
                 r#"
                 create s (name = str) as static
@@ -617,8 +617,8 @@ mod tests {
             "#,
             )
             .unwrap();
-        db.checkpoint().unwrap();
-        drop(db);
+        engine.checkpoint().unwrap();
+        drop(engine);
         let report = inspect(&dir).unwrap();
         assert!(report.healthy(), "problems: {:?}", report.problems);
         let CheckpointReport::Ok { images, .. } = &report.checkpoint else {
@@ -645,14 +645,17 @@ mod tests {
     fn frozen_db(tag: &str) -> PathBuf {
         let dir = seeded_db(tag);
         let clock = Arc::new(ManualClock::new(date("01/01/85").unwrap()));
-        let mut db = Database::open(&dir, clock).unwrap();
+        let engine = Engine::start(Database::open(&dir, clock).unwrap());
         // Close a version so something is freezable, then freeze.
-        db.session()
-            .run(r#"range of f is faculty delete f where f.name = "Tom""#)
+        engine
+            .session()
+            .run(
+                r#"range of f is faculty delete f where f.name = "Tom"
+                   freeze faculty"#,
+            )
             .unwrap();
-        db.freeze_relation("faculty").unwrap();
         assert!(dir.join("segments/faculty-0.seg").is_file());
-        drop(db);
+        drop(engine);
         // Reopen would purge the cache; inspect the directory as the
         // crash left it instead.
         dir

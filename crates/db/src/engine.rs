@@ -1,16 +1,15 @@
-//! The concurrent query engine: shared MVCC core + group-commit writer.
+//! The query engine: shared MVCC core + group-commit writer.
 //!
-//! [`Database`] is single-threaded by construction (`&mut self` on
-//! every mutation).  [`Engine`] wraps one database behind an
-//! `Arc`-shared core so many sessions run in parallel:
+//! Every session runs over an [`Engine`], embedded or networked alike.
+//! The engine owns one [`Database`] behind an `Arc`-shared core, so
+//! many sessions run in parallel:
 //!
 //! * **Readers** take the engine's `RwLock` in read mode and scan
-//!   through the existing as-of machinery.  Each [`EngineSession`]
-//!   pins a *snapshot* — the durable commit watermark at `begin` —
-//!   and every scan of a transaction-time relation is clamped to that
-//!   pin, so a session sees one consistent transaction-time state no
-//!   matter how many commits land underneath it (see
-//!   [`PinnedProvider`]).
+//!   through the existing as-of machinery.  Each [`Session`] pins a
+//!   *snapshot* — the durable commit watermark at `begin` — and every
+//!   scan of a transaction-time relation is clamped to that pin, so a
+//!   session sees one consistent transaction-time state no matter how
+//!   many commits land underneath it (see [`PinnedProvider`]).
 //!
 //! * **Writers** never touch the database directly.  All mutation is
 //!   funneled through a bounded submission queue drained by a single
@@ -20,7 +19,8 @@
 //!   until the covering fsync completes, so an acknowledged commit is
 //!   durable; under concurrency the natural batch size approaches the
 //!   number of in-flight writers and the fsync-per-commit cost drops
-//!   toward `1/batch`.
+//!   toward `1/batch`.  This is the only way a transaction reaches the
+//!   log.
 //!
 //! * **Exclusive operations** (DDL, `retrieve into`, checkpoints) run
 //!   alone on the writer thread between batches, with the write lock
@@ -47,27 +47,22 @@
 //! replays exactly the durable prefix.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use chronos_algebra::expr::Predicate;
 use chronos_core::chronon::Chronon;
-use chronos_core::relation::historical::HistoricalRow;
 use chronos_core::relation::HistoricalOp;
 use chronos_obs::trace::Recorder;
-use parking_lot::{Mutex, RwLock};
+use chronos_tquel::provider::{AsOfSpec, RelationInfo, RelationProvider, SourceRow};
+use chronos_tquel::TquelResult;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
 use crate::database::{Database, EngineStats};
 use crate::error::{DbError, DbResult};
 use crate::introspect::SessionRegistry;
-use crate::session::{Session, SessionBackend};
-use chronos_tquel::ast::Retrieve;
-use chronos_tquel::exec::{execute_retrieve_traced, ResultRelation};
-use chronos_tquel::provider::{AsOfSpec, RelationInfo, RelationProvider, SourceRow};
-use chronos_tquel::TquelResult;
+use crate::session::Session;
 
 /// Submissions the writer thread accepts before producers block.
 /// Bounds memory under a submission storm; large enough that closed-
@@ -111,9 +106,18 @@ struct WriterState {
 /// A shared, concurrently-usable database engine.
 ///
 /// Create one with [`Engine::start`]; open sessions with
-/// [`Engine::session`]; shut down with [`Engine::shutdown`] (or let
-/// `Drop` do it).
+/// [`Engine::session`].  Dropping the last handle stops the writer
+/// thread after it drains the queue, and closes the database;
+/// [`Engine::shutdown`] does the same while handles are still alive.
 pub struct Engine {
+    core: Arc<Core>,
+    writer: StdMutex<Option<JoinHandle<()>>>,
+}
+
+/// What the writer thread shares with the handle.  The thread holds
+/// only this, never the [`Engine`], so dropping the last handle can
+/// stop it.
+struct Core {
     db: RwLock<Database>,
     state: StdMutex<WriterState>,
     cond: Condvar,
@@ -123,17 +127,15 @@ pub struct Engine {
     /// Live session/connection introspection, shared with the wrapped
     /// database (`sys$sessions`) and the TQuel service.
     registry: Arc<SessionRegistry>,
-    writer: StdMutex<Option<JoinHandle<()>>>,
-    stopped: AtomicBool,
 }
 
 impl Engine {
     /// Wraps `db` and starts the group-commit writer thread.
     pub fn start(db: Database) -> Arc<Engine> {
-        let recorder = Arc::clone(db.recorder());
-        let registry = Arc::clone(db.session_registry());
-        let durable = db.last_commit_time();
-        let engine = Arc::new(Engine {
+        let core = Arc::new(Core {
+            recorder: Arc::clone(db.recorder()),
+            registry: Arc::clone(db.session_registry()),
+            durable: Mutex::new(db.last_commit_time()),
             db: RwLock::new(db),
             state: StdMutex::new(WriterState {
                 queue: VecDeque::new(),
@@ -141,61 +143,72 @@ impl Engine {
                 stopping: false,
             }),
             cond: Condvar::new(),
-            durable: Mutex::new(durable),
-            recorder,
-            registry,
-            writer: StdMutex::new(None),
-            stopped: AtomicBool::new(false),
         });
-        let loop_engine = Arc::clone(&engine);
+        let loop_core = Arc::clone(&core);
         let handle = std::thread::Builder::new()
             .name("chronos-writer".into())
-            .spawn(move || loop_engine.writer_loop())
+            .spawn(move || loop_core.writer_loop())
             .expect("spawn group-commit writer");
-        *engine.writer.lock().unwrap() = Some(handle);
-        engine
+        Arc::new(Engine {
+            core,
+            writer: StdMutex::new(Some(handle)),
+        })
     }
 
     /// Opens a snapshot-pinned session.  The pin is the durable
-    /// watermark right now; [`EngineSession::refresh`] advances it.
-    pub fn session(self: &Arc<Engine>) -> EngineSession {
-        self.recorder.count(|m| &m.sessions_opened);
-        let pin = self.durable.lock().unwrap_or_else(empty_pin);
-        let session_id = self.registry.register_session(pin.ticks());
-        Session::with_backend(EngineBackend {
-            engine: Arc::clone(self),
-            pin,
-            session_id,
-        })
+    /// watermark right now; [`Session::refresh`] advances it.
+    pub fn session(self: &Arc<Engine>) -> Session {
+        self.core.recorder.count(|m| &m.sessions_opened);
+        let pin = self.snapshot();
+        let session_id = self.core.registry.register_session(pin.ticks());
+        Session::new(Arc::clone(self), pin, session_id)
     }
 
     /// The live session/connection registry (`sys$sessions`,
     /// `/sessions`, and the TQuel service's connection accounting).
     pub fn session_registry(&self) -> &Arc<SessionRegistry> {
-        &self.registry
+        &self.core.registry
     }
 
     /// The last commit covered by an fsync (what a new session pins).
     pub fn durable_watermark(&self) -> Option<Chronon> {
-        *self.durable.lock()
+        *self.core.durable.lock()
+    }
+
+    /// The pin a session takes when it opens or refreshes: the durable
+    /// watermark, or [`empty_pin`] before the first durable commit.
+    pub(crate) fn snapshot(&self) -> Chronon {
+        self.durable_watermark().unwrap_or_else(empty_pin)
     }
 
     /// Runs `f` with shared read access to the core — the engine-side
     /// counterpart of [`Database`]'s introspection surface (stats,
     /// recorder, telemetry, `now`).
     pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.db.read())
+        f(&self.core.db.read())
+    }
+
+    /// Takes the core's read lock, recording the acquisition wait into
+    /// the `read_lock_wait` histogram (read-side contention with the
+    /// group-commit writer).
+    pub(crate) fn read_db(&self) -> RwLockReadGuard<'_, Database> {
+        let started = Instant::now();
+        let db = self.core.db.read();
+        self.core
+            .recorder
+            .record_latency(|m| &m.read_lock_wait, started.elapsed().as_nanos() as u64);
+        db
     }
 
     /// Snapshot of every engine instrument (see
     /// [`Database::engine_stats`]).
     pub fn stats(&self) -> EngineStats {
-        self.db.read().engine_stats()
+        self.core.db.read().engine_stats()
     }
 
     /// The observability recorder shared with the wrapped database.
     pub fn recorder(&self) -> &Arc<Recorder> {
-        &self.recorder
+        &self.core.recorder
     }
 
     /// Submits one commit to the writer and blocks until it is
@@ -203,7 +216,7 @@ impl Engine {
     /// transaction time.
     pub fn commit(&self, relation: &str, ops: &[HistoricalOp]) -> DbResult<Chronon> {
         let (reply, rx) = mpsc::sync_channel(1);
-        self.submit(WriterReq::Commit {
+        self.core.submit(WriterReq::Commit {
             relation: relation.to_string(),
             ops: ops.to_vec(),
             reply,
@@ -222,7 +235,7 @@ impl Engine {
         F: FnOnce(&mut Database) -> R + Send + 'static,
     {
         let (reply, rx) = mpsc::sync_channel(1);
-        self.submit(WriterReq::Exclusive {
+        self.core.submit(WriterReq::Exclusive {
             f: Box::new(move |db| {
                 let _ = reply.send(f(db));
             }),
@@ -237,6 +250,36 @@ impl Engine {
         self.exclusive(|db| db.checkpoint())?
     }
 
+    /// Stops the writer thread after draining every queued request;
+    /// later submissions are refused.  Idempotent; also run when the
+    /// last handle drops.
+    pub fn shutdown(&self) {
+        // `Drop` runs this, so it must not panic: setting a flag and
+        // taking the handle leave both mutexes valid even after a panic.
+        self.core
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stopping = true;
+        self.core.cond.notify_all();
+        let handle = self
+            .writer
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Engine {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+impl Core {
     fn submit(&self, req: WriterReq) -> DbResult<()> {
         let mut st = self
             .state
@@ -272,23 +315,6 @@ impl Engine {
         drop(st);
         self.cond.notify_all();
         Ok(())
-    }
-
-    /// Stops the writer thread after draining every queued request.
-    /// Idempotent; also run by `Drop`.
-    pub fn shutdown(&self) {
-        if self.stopped.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        {
-            let mut st = self.state.lock().expect("writer state poisoned");
-            st.stopping = true;
-        }
-        self.cond.notify_all();
-        let handle = self.writer.lock().unwrap().take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
     }
 
     // ------------------------------------------------------------
@@ -473,206 +499,25 @@ impl Engine {
     }
 }
 
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-// ----------------------------------------------------------------
-// snapshot-pinned sessions
-// ----------------------------------------------------------------
-
-/// A TQuel session over a shared [`Engine`] (see
-/// [`Engine::session`]): [`Session`] generic over the engine backend.
-pub type EngineSession = Session<EngineBackend>;
-
-/// [`SessionBackend`] that routes reads through a snapshot pin and
-/// writes through the group-commit queue.
-pub struct EngineBackend {
-    engine: Arc<Engine>,
-    /// The session's transaction-time snapshot: scans of relations
-    /// with transaction time are clamped to `<= pin`.
-    pin: Chronon,
-    /// Registry id (`sys$sessions` row key).
-    session_id: u64,
-}
-
-impl EngineBackend {
-    fn pinned<'a>(&self, db: &'a Database) -> PinnedProvider<'a> {
-        PinnedProvider { db, pin: self.pin }
-    }
-
-    /// Takes the core's read lock, recording the acquisition wait into
-    /// the `read_lock_wait` histogram (read-side contention with the
-    /// group-commit writer).
-    fn read_db(&self) -> parking_lot::RwLockReadGuard<'_, Database> {
-        let started = Instant::now();
-        let db = self.engine.db.read();
-        self.engine
-            .recorder
-            .record_latency(|m| &m.read_lock_wait, started.elapsed().as_nanos() as u64);
-        db
-    }
-}
-
-impl SessionBackend for EngineBackend {
-    fn info(&self, relation: &str) -> Option<RelationInfo> {
-        self.engine.db.read().info(relation)
-    }
-
-    fn now(&self) -> Chronon {
-        self.engine.db.read().now()
-    }
-
-    fn recorder(&self) -> Arc<Recorder> {
-        Arc::clone(&self.engine.recorder)
-    }
-
-    fn commit(&mut self, relation: &str, ops: &[HistoricalOp]) -> DbResult<Chronon> {
-        let t = self.engine.commit(relation, ops)?;
-        // Read-your-writes: the session's snapshot advances to cover
-        // its own (now durable) commit.
-        self.pin = self.pin.max(t);
-        self.engine
-            .registry
-            .session_refreshed(self.session_id, self.pin.ticks());
-        Ok(t)
-    }
-
-    fn session_id(&self) -> u64 {
-        self.session_id
-    }
-
-    fn note_statement(&self, trace_id: &str) {
-        self.engine
-            .registry
-            .note_statement(self.session_id, trace_id);
-    }
-
-    fn current_matching(&self, relation: &str, pred: &Predicate) -> DbResult<Vec<HistoricalRow>> {
-        // Modification lowering reads the *latest* state (read
-        // committed): a delete must close the facts that exist now,
-        // not the ones the snapshot remembers.
-        let db = self.read_db();
-        let rel = db
-            .relation(relation)
-            .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))?;
-        rel.current_matching(pred)
-    }
-
-    fn retrieve(
-        &mut self,
-        stmt: &Retrieve,
-        ranges: &std::collections::HashMap<String, String>,
-        recorder: Option<&Recorder>,
-    ) -> TquelResult<ResultRelation> {
-        let db = self.read_db();
-        let provider = self.pinned(&db);
-        match recorder {
-            Some(r) => execute_retrieve_traced(stmt, ranges, &provider, r),
-            None => execute_retrieve_traced(
-                stmt,
-                ranges,
-                &provider,
-                chronos_obs::trace::noop_recorder(),
-            ),
-        }
-    }
-
-    fn materialize(&mut self, name: &str, result: &ResultRelation) -> DbResult<()> {
-        let name = name.to_string();
-        let result = result.clone();
-        self.engine
-            .exclusive(move |db| db.materialize(&name, &result))?
-    }
-
-    fn create_relation(
-        &mut self,
-        name: &str,
-        schema: chronos_core::schema::Schema,
-        class: chronos_core::schema::RelationClass,
-        signature: chronos_core::schema::TemporalSignature,
-    ) -> DbResult<()> {
-        let name = name.to_string();
-        self.engine
-            .exclusive(move |db| db.create_relation(&name, schema, class, signature))?
-    }
-
-    fn destroy_relation(&mut self, name: &str) -> DbResult<()> {
-        let name = name.to_string();
-        self.engine
-            .exclusive(move |db| db.destroy_relation(&name))?
-    }
-
-    fn analyze(&mut self, relation: &str) -> DbResult<usize> {
-        // A read-lock suffices: statistics collection only scans
-        // storage and records into the (interior-mutable) telemetry
-        // rings — no catalog mutation.
-        self.read_db().analyze_relation(relation)
-    }
-
-    fn freeze(&mut self, relation: &str) -> DbResult<crate::database::FreezeOutcome> {
-        // Structural migration of the relation's physical store:
-        // needs the writer lock, like create/destroy.
-        let relation = relation.to_string();
-        self.engine
-            .exclusive(move |db| db.freeze_relation(&relation))?
-    }
-}
-
-impl Drop for EngineBackend {
-    fn drop(&mut self) {
-        self.engine.registry.deregister_session(self.session_id);
-        self.engine.recorder.count(|m| &m.sessions_closed);
-    }
-}
-
-impl Session<EngineBackend> {
-    /// The session's current snapshot pin.
-    pub fn pin(&self) -> Chronon {
-        self.backend().pin
-    }
-
-    /// Advances the snapshot to the current durable watermark —
-    /// "begin a new read transaction".  Pins never move backwards.
-    pub fn refresh(&mut self) {
-        let durable = self
-            .backend()
-            .engine
-            .durable_watermark()
-            .unwrap_or_else(empty_pin);
-        let backend = self.backend_mut();
-        backend.pin = backend.pin.max(durable);
-        backend
-            .engine
-            .registry
-            .session_refreshed(backend.session_id, backend.pin.ticks());
-    }
-
-    /// The session's registry id (the `sys$sessions` row key).
-    pub fn session_id(&self) -> u64 {
-        self.backend().session_id
-    }
-
-    /// The engine this session talks to.
-    pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(&self.backend().engine)
-    }
-}
-
-/// A [`RelationProvider`] view of the core clamped to a snapshot pin.
+/// A [`RelationProvider`] view of the core clamped to a snapshot pin —
+/// the only provider a session reads through; [`Database`]'s own is
+/// the unclamped one underneath it.
 ///
 /// Relations with transaction time (rollback, temporal) are read `as
 /// of min(requested, pin)` — a query can look further back than its
 /// snapshot but never past it.  Classes without transaction time and
 /// the `sys$` projections pass through unclamped (read committed).
-struct PinnedProvider<'a> {
+pub(crate) struct PinnedProvider<'a> {
     db: &'a Database,
     pin: Chronon,
 }
 
-impl PinnedProvider<'_> {
+impl<'a> PinnedProvider<'a> {
+    /// `db` read through the snapshot `pin`.
+    pub(crate) fn new(db: &'a Database, pin: Chronon) -> Self {
+        PinnedProvider { db, pin }
+    }
+
     fn clamps(&self, relation: &str) -> bool {
         !crate::introspect::is_system(relation)
             && self

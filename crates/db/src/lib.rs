@@ -3,17 +3,19 @@
 //! The ChronosDB facade: a catalog of named relations spanning all four
 //! of the paper's database classes, TQuel execution (queries *and*
 //! modifications), transaction-time allocation, and durability via a
-//! shared write-ahead log.
+//! shared write-ahead log.  Every session — embedded or served over
+//! TCP — runs over an [`Engine`]: snapshot-pinned reads, group-committed
+//! writes.
 //!
 //! ```
-//! use chronos_db::Database;
+//! use chronos_db::{Database, Engine};
 //! use chronos_core::clock::ManualClock;
 //! use chronos_core::calendar::date;
 //! use std::sync::Arc;
 //!
 //! let clock = Arc::new(ManualClock::new(date("08/25/77").unwrap()));
-//! let mut db = Database::in_memory(clock.clone());
-//! let mut session = db.session();
+//! let engine = Engine::start(Database::in_memory(clock.clone()));
+//! let mut session = engine.session();
 //! session.run(r#"
 //!     create faculty (name = str, rank = str) as temporal
 //!     append to faculty (name = "Merrie", rank = "associate")
@@ -38,7 +40,7 @@ pub mod session;
 
 pub use database::{Database, EngineStats};
 pub use doctor::{inspect, Inspection};
-pub use engine::{Engine, EngineBackend, EngineSession};
+pub use engine::Engine;
 pub use error::{DbError, DbResult};
 pub use introspect::{
     is_system, system_relation_names, ConnRow, SessionRegistry, SessionRow, TelemetryStats,
@@ -46,4 +48,7 @@ pub use introspect::{
 };
 pub use net::{QueryClient, QueryServer, Response};
 pub use observe::ObsBootstrap;
-pub use session::{ExecOutcome, Session, SessionBackend};
+pub use session::{ExecOutcome, Session};
+
+/// The session type's former name, kept for existing callers.
+pub type EngineSession = Session;

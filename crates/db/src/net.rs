@@ -2,7 +2,7 @@
 //!
 //! [`QueryServer`] accepts connections on a `TcpListener` and gives
 //! each one its own thread owning a snapshot-pinned
-//! [`EngineSession`](crate::engine::EngineSession) — the wire-level
+//! [`Session`](crate::session::Session) — the wire-level
 //! twin of the embedded observability exporter in `chronos-obs`
 //! (single accept loop, stop-flag + connect-kick shutdown), but
 //! read-write and session-oriented.
@@ -53,9 +53,9 @@ use std::time::Duration;
 use chronos_obs::Recorder;
 use chronos_tquel::printer::render;
 
-use crate::engine::{Engine, EngineSession};
+use crate::engine::Engine;
 use crate::introspect::SessionRegistry;
-use crate::session::ExecOutcome;
+use crate::session::{ExecOutcome, Session};
 
 /// Hard cap on one frame (request or response).
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
@@ -211,7 +211,7 @@ fn serve_connection(
 fn serve_requests(
     stream: &mut TcpStream,
     stop: &AtomicBool,
-    session: &mut EngineSession,
+    session: &mut Session,
     recorder: &Recorder,
     registry: &SessionRegistry,
     conn_id: u64,

@@ -1,10 +1,10 @@
 //! Sessions: executing TQuel programs against a database.
 //!
 //! A [`Session`] tracks `range of` declarations and dispatches each
-//! statement: retrieves go to the `chronos-tquel` evaluator; data
-//! definition and modification statements are lowered here to the
-//! uniform [`HistoricalOp`] vocabulary and committed through the
-//! database.
+//! statement: retrieves go to the `chronos-tquel` evaluator under the
+//! session's snapshot pin; data definition and modification statements
+//! are lowered here to the uniform [`HistoricalOp`] vocabulary and
+//! committed through the [`Engine`]'s group-commit queue.
 //!
 //! ## Modification semantics by class
 //!
@@ -34,18 +34,19 @@ use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::timepoint::TimePoint;
 use chronos_core::tuple::Tuple;
 use chronos_core::value::{AttrType, Value};
-use chronos_obs::trace::Recorder;
+use chronos_obs::trace::{noop_recorder, Recorder};
 use chronos_tquel::analyze::{analyze_valid_const, analyze_where_single, ValidPlan};
 use chronos_tquel::ast::{
     Assignment, ClassAst, Operand, Retrieve, Statement, ValidClause, WhereExpr,
 };
-use chronos_tquel::exec::{execute_retrieve, execute_retrieve_traced, ResultRelation};
+use chronos_tquel::exec::{execute_retrieve_traced, ResultRelation};
 use chronos_tquel::parser::{parse_program, parse_statement};
-use chronos_tquel::provider::RelationInfo;
+use chronos_tquel::provider::{RelationInfo, RelationProvider};
 use chronos_tquel::unparse::unparse;
 use chronos_tquel::{TquelError, TquelResult};
 
 use crate::database::Database;
+use crate::engine::{Engine, PinnedProvider};
 use crate::error::{DbError, DbResult};
 
 /// What executing one statement produced.
@@ -109,140 +110,19 @@ impl ExecOutcome {
     }
 }
 
-/// What a [`Session`] needs from the engine underneath it.
+/// A TQuel session over a shared [`Engine`] (see [`Engine::session`]).
 ///
-/// Two implementations exist: `&mut Database` executes directly
-/// against an exclusively-owned database (the original single-
-/// threaded path), and [`EngineBackend`](crate::engine::EngineBackend)
-/// routes reads through a snapshot pin and writes through the
-/// group-commit queue of a shared [`Engine`](crate::engine::Engine).
-pub trait SessionBackend {
-    /// Catalog lookup (stored relations and `sys$` projections).
-    fn info(&self, relation: &str) -> Option<RelationInfo>;
-
-    /// The transaction time the next commit would receive.
-    fn now(&self) -> Chronon;
-
-    /// The observability recorder statements report into.
-    fn recorder(&self) -> Arc<Recorder>;
-
-    /// The engine-unique session id; 0 for local, unregistered
-    /// backends (the CLI's embedded `&mut Database` session).
-    fn session_id(&self) -> u64 {
-        0
-    }
-
-    /// Hook invoked once per executed statement with its trace id
-    /// (engine backends mirror it into the live session registry).
-    fn note_statement(&self, _trace_id: &str) {}
-
-    /// Commits `ops` to `relation`; the returned chronon is the
-    /// allocated transaction time, durable on return.
-    fn commit(&mut self, relation: &str, ops: &[HistoricalOp]) -> DbResult<Chronon>;
-
-    /// The rows of `relation`'s latest stored state that satisfy `pred`,
-    /// in scan order (modification lowering: `delete`/`replace` act on
-    /// what exists *now*, and read only the rows the predicate names —
-    /// see [`Relation::current_matching`](crate::relation::Relation::current_matching)).
-    fn current_matching(&self, relation: &str, pred: &Predicate) -> DbResult<Vec<HistoricalRow>>;
-
-    /// Runs a retrieve; with `recorder` the traced evaluator records
-    /// analyze/scan/product spans into it (`explain`/`profile`).
-    fn retrieve(
-        &mut self,
-        stmt: &Retrieve,
-        ranges: &HashMap<String, String>,
-        recorder: Option<&Recorder>,
-    ) -> TquelResult<ResultRelation>;
-
-    /// Materializes a derived relation (`retrieve into`).
-    fn materialize(&mut self, name: &str, result: &ResultRelation) -> DbResult<()>;
-
-    /// Defines a new relation.
-    fn create_relation(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        class: RelationClass,
-        signature: TemporalSignature,
-    ) -> DbResult<()>;
-
-    /// Drops a relation and its store.
-    fn destroy_relation(&mut self, name: &str) -> DbResult<()>;
-
-    /// Collects storage statistics for `relation` into
-    /// `sys$tablestats`; returns how many statistics the sample holds.
-    fn analyze(&mut self, relation: &str) -> DbResult<usize>;
-
-    /// Freezes `relation`'s closed versions into an immutable segment.
-    fn freeze(&mut self, relation: &str) -> DbResult<crate::database::FreezeOutcome>;
-}
-
-impl SessionBackend for &mut Database {
-    fn info(&self, relation: &str) -> Option<RelationInfo> {
-        chronos_tquel::provider::RelationProvider::info(&**self, relation)
-    }
-
-    fn now(&self) -> Chronon {
-        Database::now(self)
-    }
-
-    fn recorder(&self) -> Arc<Recorder> {
-        Arc::clone(Database::recorder(self))
-    }
-
-    fn commit(&mut self, relation: &str, ops: &[HistoricalOp]) -> DbResult<Chronon> {
-        Database::commit(self, relation, ops)
-    }
-
-    fn current_matching(&self, relation: &str, pred: &Predicate) -> DbResult<Vec<HistoricalRow>> {
-        self.relation(relation)
-            .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))?
-            .current_matching(pred)
-    }
-
-    fn retrieve(
-        &mut self,
-        stmt: &Retrieve,
-        ranges: &HashMap<String, String>,
-        recorder: Option<&Recorder>,
-    ) -> TquelResult<ResultRelation> {
-        match recorder {
-            Some(r) => execute_retrieve_traced(stmt, ranges, &**self, r),
-            None => execute_retrieve(stmt, ranges, &**self),
-        }
-    }
-
-    fn materialize(&mut self, name: &str, result: &ResultRelation) -> DbResult<()> {
-        Database::materialize(self, name, result)
-    }
-
-    fn create_relation(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        class: RelationClass,
-        signature: TemporalSignature,
-    ) -> DbResult<()> {
-        Database::create_relation(self, name, schema, class, signature)
-    }
-
-    fn destroy_relation(&mut self, name: &str) -> DbResult<()> {
-        Database::destroy_relation(self, name)
-    }
-
-    fn analyze(&mut self, relation: &str) -> DbResult<usize> {
-        Database::analyze_relation(self, relation)
-    }
-
-    fn freeze(&mut self, relation: &str) -> DbResult<crate::database::FreezeOutcome> {
-        Database::freeze_relation(self, relation)
-    }
-}
-
-/// An interactive session over a database or engine.
-pub struct Session<B: SessionBackend> {
-    backend: B,
+/// Reads are clamped to the session's snapshot pin; writes go through
+/// the engine's group-commit queue, and DDL runs exclusively on its
+/// writer thread.  Embedded use and the TQuel service run this same
+/// code.
+pub struct Session {
+    engine: Arc<Engine>,
+    /// The session's transaction-time snapshot: scans of relations
+    /// with transaction time are clamped to `<= pin`.
+    pin: Chronon,
+    /// Registry id (`sys$sessions` row key).
+    session_id: u64,
     ranges: HashMap<String, String>,
     /// Trace id to attribute the next [`run`](Self::run) to
     /// (client-chosen, set via [`set_trace_id`](Self::set_trace_id));
@@ -263,27 +143,42 @@ pub struct Session<B: SessionBackend> {
     fp_memo: Option<(Statement, u64, String)>,
 }
 
-impl<'a> Session<&'a mut Database> {
-    pub(crate) fn new(db: &'a mut Database) -> Session<&'a mut Database> {
-        Session::with_backend(db)
-    }
-
-    /// The underlying database.
-    pub fn database(&mut self) -> &mut Database {
-        self.backend
-    }
-}
-
-impl<B: SessionBackend> Session<B> {
-    /// Wraps a backend in a fresh session (no range declarations).
-    pub(crate) fn with_backend(backend: B) -> Session<B> {
+impl Session {
+    /// A fresh session (no range declarations) registered as
+    /// `session_id` and pinned at `pin`.
+    pub(crate) fn new(engine: Arc<Engine>, pin: Chronon, session_id: u64) -> Session {
         Session {
-            backend,
+            engine,
+            pin,
+            session_id,
             ranges: HashMap::new(),
             pending_trace: None,
             last_trace: String::new(),
             fp_memo: None,
         }
+    }
+
+    /// The session's current snapshot pin.
+    pub fn pin(&self) -> Chronon {
+        self.pin
+    }
+
+    /// Advances the snapshot to the current durable watermark —
+    /// "begin a new read transaction".  Pins never move backwards.
+    pub fn refresh(&mut self) {
+        self.advance_pin(self.engine.snapshot());
+    }
+
+    fn advance_pin(&mut self, to: Chronon) {
+        self.pin = self.pin.max(to);
+        self.engine
+            .session_registry()
+            .session_refreshed(self.session_id, self.pin.ticks());
+    }
+
+    /// The session's registry id (the `sys$sessions` row key).
+    pub fn session_id(&self) -> u64 {
+        self.session_id
     }
 
     /// Attributes the next [`run`](Self::run) to `trace_id` instead of
@@ -299,16 +194,6 @@ impl<B: SessionBackend> Session<B> {
     /// the first one).
     pub fn last_trace_id(&self) -> &str {
         &self.last_trace
-    }
-
-    /// The session's backend.
-    pub(crate) fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// The session's backend, mutably.
-    pub(crate) fn backend_mut(&mut self) -> &mut B {
-        &mut self.backend
     }
 
     /// Parses and executes a TQuel program, returning one outcome per
@@ -348,17 +233,15 @@ impl<B: SessionBackend> Session<B> {
             Statement::RangeDecl { var, relation } => {
                 // Resolve through the provider so `sys$` system relations
                 // (catalog-less) are rangeable just like stored ones.
-                if self.backend.info(relation).is_none() {
-                    return Err(DbError::Catalog(format!("unknown relation {relation:?}")));
-                }
+                self.info(relation)?;
                 self.ranges.insert(var.clone(), relation.clone());
                 Ok(ExecOutcome::Declared)
             }
             Statement::Retrieve(r) => {
-                let result = self.backend.retrieve(r, &self.ranges, None)?;
+                let result = self.retrieve(r, noop_recorder())?;
                 if let Some(into) = &r.into {
                     let n = result.len();
-                    self.backend.materialize(into, &result)?;
+                    self.materialize(into, &result)?;
                     return Ok(ExecOutcome::Materialized {
                         relation: into.clone(),
                         rows: n,
@@ -401,24 +284,36 @@ impl<B: SessionBackend> Session<B> {
                 } else {
                     TemporalSignature::Interval
                 };
-                self.backend
-                    .create_relation(relation, schema, class, signature)?;
+                let relation = relation.clone();
+                self.engine.exclusive(move |db| {
+                    db.create_relation(&relation, schema, class, signature)
+                })??;
                 Ok(ExecOutcome::Created)
             }
             Statement::Destroy { relation } => {
-                self.backend.destroy_relation(relation)?;
+                let relation = relation.clone();
+                self.engine
+                    .exclusive(move |db| db.destroy_relation(&relation))??;
                 Ok(ExecOutcome::Destroyed)
             }
             Statement::Explain { profile, inner } => self.explain(*profile, inner),
             Statement::Analyze { relation } => {
-                let stats = self.backend.analyze(relation)?;
+                // A read-lock suffices: statistics collection only scans
+                // storage and records into the (interior-mutable)
+                // telemetry rings — no catalog mutation.
+                let stats = self.engine.read_db().analyze_relation(relation)?;
                 Ok(ExecOutcome::Analyzed {
                     relation: relation.clone(),
                     stats,
                 })
             }
             Statement::Freeze { relation } => {
-                let outcome = self.backend.freeze(relation)?;
+                // Structural migration of the relation's physical store:
+                // needs the writer lock, like create/destroy.
+                let name = relation.clone();
+                let outcome = self
+                    .engine
+                    .exclusive(move |db| db.freeze_relation(&name))??;
                 Ok(ExecOutcome::Frozen {
                     relation: outcome.relation,
                     versions: outcome.versions,
@@ -443,12 +338,14 @@ impl<B: SessionBackend> Session<B> {
     /// load and a branch on top of [`execute`](Self::execute); the T10
     /// and T14 experiments assert that overhead stays under 5%.
     pub fn execute_monitored(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
-        self.backend.note_statement(&self.last_trace);
+        self.engine
+            .session_registry()
+            .note_statement(self.session_id, &self.last_trace);
         // `explain`/`profile` runs its own capture (wrapping it would
         // steal that capture — newest trace request wins) and records
         // its own fingerprint, so it — and any disabled recorder —
         // takes the plain path.
-        let recorder = self.backend.recorder();
+        let recorder = Arc::clone(self.engine.recorder());
         if !recorder.is_enabled() || matches!(stmt, Statement::Explain { .. }) {
             return self.execute(stmt);
         }
@@ -518,8 +415,8 @@ impl<B: SessionBackend> Session<B> {
                     statement.clone(),
                     elapsed_ns,
                     report.render(true),
-                    self.backend.now().ticks(),
-                    self.backend.session_id(),
+                    self.now().ticks(),
+                    self.session_id,
                     self.last_trace.clone(),
                 );
                 recorder.emit_event(
@@ -528,7 +425,7 @@ impl<B: SessionBackend> Session<B> {
                         ("slow_seq", seq.into()),
                         ("duration_ns", elapsed_ns.into()),
                         ("threshold_ns", threshold.into()),
-                        ("session", self.backend.session_id().into()),
+                        ("session", self.session_id.into()),
                         ("trace_id", self.last_trace.as_str().into()),
                         ("statement", statement.as_str().into()),
                     ],
@@ -542,7 +439,7 @@ impl<B: SessionBackend> Session<B> {
     /// span tree (`explain` shows structure, access paths, and row
     /// counts; `profile` adds wall times).
     fn explain(&mut self, profile: bool, inner: &Statement) -> DbResult<ExecOutcome> {
-        let recorder = self.backend.recorder();
+        let recorder = Arc::clone(self.engine.recorder());
         let before = recorder.snapshot();
         recorder.begin_trace();
         // Parse cost is measured honestly by re-parsing the statement's
@@ -558,19 +455,17 @@ impl<B: SessionBackend> Session<B> {
         let result: DbResult<()> = match inner {
             // Retrieves run through the traced evaluator so analyze /
             // scan / product spans land in this capture.
-            Statement::Retrieve(r) => {
-                match self.backend.retrieve(r, &self.ranges, Some(&recorder)) {
-                    Ok(result) => {
-                        rows_out = result.len() as u64;
-                        if let Some(into) = &r.into {
-                            self.backend.materialize(into, &result).map(|_| ())
-                        } else {
-                            Ok(())
-                        }
+            Statement::Retrieve(r) => match self.retrieve(r, &recorder) {
+                Ok(result) => {
+                    rows_out = result.len() as u64;
+                    if let Some(into) = &r.into {
+                        self.materialize(into, &result)
+                    } else {
+                        Ok(())
                     }
-                    Err(e) => Err(e.into()),
                 }
-            }
+                Err(e) => Err(e.into()),
+            },
             // Everything else takes the normal path; the db/storage
             // layer spans it emits are captured all the same.
             other => self.execute(other).map(|_| ()),
@@ -622,7 +517,7 @@ impl<B: SessionBackend> Session<B> {
         let tuple = build_tuple(&info.schema, assignments)?;
         let validity = self.modification_validity(&info, valid)?;
         let ops = [HistoricalOp::Insert { tuple, validity }];
-        let t = self.backend.commit(relation, &ops)?;
+        let t = self.commit(relation, &ops)?;
         Ok(ExecOutcome::Appended(t))
     }
 
@@ -635,10 +530,10 @@ impl<B: SessionBackend> Session<B> {
         reject_system_modification(&relation)?;
         let info = self.info(&relation)?;
         let pred = self.lower_where(where_clause, var, &info)?;
-        let now = self.backend.now();
+        let now = self.now();
         let valid_time = crate::relation::has_valid_time(info.class);
         let mut ops = Vec::new();
-        for row in self.backend.current_matching(&relation, &pred)? {
+        for row in self.current_matching(&relation, &pred)? {
             match valid_time.then_some(row.validity) {
                 None => {
                     // Static classes: remove the tuple.
@@ -669,7 +564,7 @@ impl<B: SessionBackend> Session<B> {
             return Ok(ExecOutcome::Deleted(0));
         }
         let n = ops.len();
-        self.backend.commit(&relation, &ops)?;
+        self.commit(&relation, &ops)?;
         Ok(ExecOutcome::Deleted(n))
     }
 
@@ -694,7 +589,7 @@ impl<B: SessionBackend> Session<B> {
         let mut affected = 0usize;
         let mut staged: std::collections::HashSet<(Tuple, Validity)> =
             std::collections::HashSet::new();
-        for row in self.backend.current_matching(&relation, &pred)? {
+        for row in self.current_matching(&relation, &pred)? {
             let new_tuple = apply_assignments(&info.schema, &row.tuple, assignments)?;
             let validity = match valid_time.then_some(row.validity) {
                 None => {
@@ -740,7 +635,7 @@ impl<B: SessionBackend> Session<B> {
         if ops.is_empty() {
             return Ok(ExecOutcome::Replaced(0));
         }
-        self.backend.commit(&relation, &ops)?;
+        self.commit(&relation, &ops)?;
         Ok(ExecOutcome::Replaced(affected))
     }
 
@@ -748,10 +643,57 @@ impl<B: SessionBackend> Session<B> {
     // helpers
     // ----------------------------------------------------------------
 
+    /// Catalog lookup (stored relations and `sys$` projections).
     fn info(&self, relation: &str) -> DbResult<RelationInfo> {
-        self.backend
-            .info(relation)
+        self.engine
+            .with_db(|db| db.info(relation))
             .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))
+    }
+
+    /// The transaction time the next commit would receive.
+    fn now(&self) -> Chronon {
+        self.engine.with_db(Database::now)
+    }
+
+    /// Commits `ops` to `relation` through the group-commit queue; the
+    /// returned transaction time is durable on return.
+    fn commit(&mut self, relation: &str, ops: &[HistoricalOp]) -> DbResult<Chronon> {
+        let t = self.engine.commit(relation, ops)?;
+        // Read-your-writes: the snapshot advances to cover the
+        // session's own (now durable) commit.
+        self.advance_pin(t);
+        Ok(t)
+    }
+
+    /// The rows of `relation`'s latest stored state that satisfy `pred`,
+    /// in scan order.  Modification lowering reads the *latest* state
+    /// (read committed): a delete must close the facts that exist now,
+    /// not the ones the snapshot remembers — and it reads only the rows
+    /// the predicate names (see
+    /// [`Relation::current_matching`](crate::relation::Relation::current_matching)).
+    fn current_matching(&self, relation: &str, pred: &Predicate) -> DbResult<Vec<HistoricalRow>> {
+        self.engine
+            .read_db()
+            .relation(relation)
+            .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))?
+            .current_matching(pred)
+    }
+
+    /// Runs a retrieve through the snapshot pin; the evaluator records
+    /// its analyze/scan/product spans into `recorder` (the explain
+    /// recorder, or [`noop_recorder`]).
+    fn retrieve(&self, stmt: &Retrieve, recorder: &Recorder) -> TquelResult<ResultRelation> {
+        let db = self.engine.read_db();
+        let provider = PinnedProvider::new(&db, self.pin);
+        execute_retrieve_traced(stmt, &self.ranges, &provider, recorder)
+    }
+
+    /// Materializes a derived relation (`retrieve into`), exclusively.
+    fn materialize(&self, name: &str, result: &ResultRelation) -> DbResult<()> {
+        let name = name.to_string();
+        let result = result.clone();
+        self.engine
+            .exclusive(move |db| db.materialize(&name, &result))?
     }
 
     fn resolve_var(&self, var: &str) -> DbResult<String> {
@@ -792,7 +734,7 @@ impl<B: SessionBackend> Session<B> {
             // `(-∞, ∞)`, and the store refuses anything else.
             return Ok(crate::relation::ALWAYS);
         }
-        let now = self.backend.now();
+        let now = self.now();
         match (info.signature, valid) {
             (TemporalSignature::Event, None) => Ok(Validity::Event(now)),
             (TemporalSignature::Event, Some(clause)) => match analyze_valid_const(clause)? {
@@ -830,6 +772,15 @@ impl<B: SessionBackend> Session<B> {
                 )),
             },
         }
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.engine
+            .session_registry()
+            .deregister_session(self.session_id);
+        self.engine.recorder().count(|m| &m.sessions_closed);
     }
 }
 

@@ -12,7 +12,7 @@ use chronos_core::relation::temporal::TemporalStore as _;
 use chronos_core::relation::Validity;
 use chronos_core::taxonomy::DatabaseClass;
 use chronos_core::timepoint::TimePoint;
-use chronos_db::{Database, DbError, ExecOutcome};
+use chronos_db::{Database, DbError, Engine, ExecOutcome};
 
 fn d(s: &str) -> Chronon {
     date(s).unwrap()
@@ -20,10 +20,11 @@ fn d(s: &str) -> Chronon {
 
 /// Builds the paper's Figure 8 temporal `faculty` relation using only
 /// TQuel statements, advancing the clock between transactions.
-fn build_figure_8(db: &mut Database, clock: &Arc<ManualClock>) {
-    let mut run = |day: &str, stmt: &str| {
+fn build_figure_8(engine: &Arc<Engine>, clock: &Arc<ManualClock>) {
+    let run = |day: &str, stmt: &str| {
         clock.advance_to(d(day));
-        db.session()
+        engine
+            .session()
             .run(stmt)
             .unwrap_or_else(|e| panic!("{stmt}: {e}"));
     };
@@ -63,28 +64,32 @@ fn build_figure_8(db: &mut Database, clock: &Arc<ManualClock>) {
     );
 }
 
-fn fresh_db() -> (Database, Arc<ManualClock>) {
+fn fresh_db() -> (Arc<Engine>, Arc<ManualClock>) {
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
-    (db, clock)
+    (engine, clock)
 }
 
 #[test]
 fn tquel_replay_of_figure_8_history() {
-    let (mut db, clock) = fresh_db();
-    build_figure_8(&mut db, &clock);
-    let rel = db.relation("faculty").unwrap().table();
-    assert_eq!(rel.transactions(), 6);
-    assert_eq!(rel.stored_tuples(), 7, "exactly the 7 rows of Figure 8");
+    let (engine, clock) = fresh_db();
+    build_figure_8(&engine, &clock);
+    let (transactions, stored, rows) = engine.with_db(|db| {
+        let rel = db.relation("faculty").unwrap().table();
+        (rel.transactions(), rel.stored_tuples(), rel.scan_rows())
+    });
+    assert_eq!(transactions, 6);
+    assert_eq!(stored, 7, "exactly the 7 rows of Figure 8");
 
     // Mike's delete on 02/25/84 closes validity at the *commit* time
     // (02/25/84): in the paper the letter said 03/01/84; reproduce that
     // exact row with an explicit replace instead when needed.  Here we
     // check the closure happened.
-    let rows = rel.scan_rows().unwrap();
+    let rows = rows.unwrap();
     let mike_current: Vec<_> = rows
         .iter()
         .filter(|r| r.tuple.get(0).as_str() == Some("Mike") && r.is_current())
@@ -98,12 +103,13 @@ fn tquel_replay_of_figure_8_history() {
 
 #[test]
 fn paper_query_pair_through_tquel() {
-    let (mut db, clock) = fresh_db();
-    build_figure_8(&mut db, &clock);
+    let (engine, clock) = fresh_db();
+    build_figure_8(&engine, &clock);
     clock.advance_to(d("01/01/85"));
 
-    let query = |db: &mut Database, as_of: &str| {
-        db.session()
+    let query = |engine: &Arc<Engine>, as_of: &str| {
+        engine
+            .session()
             .query(&format!(
                 r#"range of f1 is faculty
                    range of f2 is faculty
@@ -115,7 +121,7 @@ fn paper_query_pair_through_tquel() {
             .unwrap()
     };
     // As of 12/10/82 the database still believed Merrie was associate.
-    let early = query(&mut db, "12/10/82");
+    let early = query(&engine, "12/10/82");
     assert_eq!(early.kind, DatabaseClass::Temporal);
     assert_eq!(early.column_strings(0), ["associate"]);
     let row = &early.rows[0];
@@ -128,15 +134,15 @@ fn paper_query_pair_through_tquel() {
         Some(Period::new(d("08/25/77"), d("12/15/82")).unwrap())
     );
     // As of 12/20/82 the retroactive promotion is visible.
-    let late = query(&mut db, "12/20/82");
+    let late = query(&engine, "12/20/82");
     assert_eq!(late.column_strings(0), ["full"]);
 }
 
 #[test]
 fn historical_query_without_as_of() {
-    let (mut db, clock) = fresh_db();
-    build_figure_8(&mut db, &clock);
-    let result = db
+    let (engine, clock) = fresh_db();
+    build_figure_8(&engine, &clock);
+    let result = engine
         .session()
         .query(
             r#"range of f1 is faculty
@@ -157,8 +163,8 @@ fn historical_query_without_as_of() {
 #[test]
 fn four_classes_coexist_in_one_database() {
     let clock = Arc::new(ManualClock::new(Chronon::new(100)));
-    let mut db = Database::in_memory(clock.clone());
-    let mut s = db.session();
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    let mut s = engine.session();
     s.run(
         r#"
         create s_rel (name = str) as static
@@ -168,14 +174,27 @@ fn four_classes_coexist_in_one_database() {
     "#,
     )
     .unwrap();
-    assert_eq!(db.classify("s_rel"), Some(DatabaseClass::Static));
-    assert_eq!(db.classify("r_rel"), Some(DatabaseClass::StaticRollback));
-    assert_eq!(db.classify("h_rel"), Some(DatabaseClass::Historical));
-    assert_eq!(db.classify("t_rel"), Some(DatabaseClass::Temporal));
+    assert_eq!(
+        engine.with_db(|db| db.classify("s_rel")),
+        Some(DatabaseClass::Static)
+    );
+    assert_eq!(
+        engine.with_db(|db| db.classify("r_rel")),
+        Some(DatabaseClass::StaticRollback)
+    );
+    assert_eq!(
+        engine.with_db(|db| db.classify("h_rel")),
+        Some(DatabaseClass::Historical)
+    );
+    assert_eq!(
+        engine.with_db(|db| db.classify("t_rel")),
+        Some(DatabaseClass::Temporal)
+    );
 
     for rel in ["s_rel", "r_rel", "h_rel", "t_rel"] {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(r#"append to {rel} (name = "x")"#))
             .unwrap();
     }
@@ -187,7 +206,7 @@ fn four_classes_coexist_in_one_database() {
         ("h_rel", false),
         ("t_rel", true),
     ] {
-        let res = db.session().query(&format!(
+        let res = engine.session().query(&format!(
             r#"range of v is {rel}
                retrieve (v.name) as of "{}""#,
             chronos_core::calendar::Date::from_chronon(Chronon::new(150))
@@ -196,20 +215,21 @@ fn four_classes_coexist_in_one_database() {
     }
 
     // Result classes follow Figure 10.
-    let kind = |db: &mut Database, rel: &str| {
-        db.session()
+    let kind = |engine: &Arc<Engine>, rel: &str| {
+        engine
+            .session()
             .query(&format!("range of v is {rel} retrieve (v.name)"))
             .unwrap()
             .kind
     };
-    assert_eq!(kind(&mut db, "s_rel"), DatabaseClass::Static);
+    assert_eq!(kind(&engine, "s_rel"), DatabaseClass::Static);
     assert_eq!(
-        kind(&mut db, "r_rel"),
+        kind(&engine, "r_rel"),
         DatabaseClass::Static,
         "pure static result"
     );
-    assert_eq!(kind(&mut db, "h_rel"), DatabaseClass::Historical);
-    assert_eq!(kind(&mut db, "t_rel"), DatabaseClass::Temporal);
+    assert_eq!(kind(&engine, "h_rel"), DatabaseClass::Historical);
+    assert_eq!(kind(&engine, "t_rel"), DatabaseClass::Temporal);
 }
 
 #[test]
@@ -218,21 +238,24 @@ fn durable_database_survives_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
     {
-        let mut db = Database::open(&dir, clock.clone()).unwrap();
-        db.session()
+        let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+        engine
+            .session()
             .run("create faculty (name = str, rank = str) as temporal")
             .unwrap();
-        build_figure_8(&mut db, &clock);
+        build_figure_8(&engine, &clock);
     }
     {
         let clock2 = Arc::new(ManualClock::new(d("01/01/85")));
-        let mut db = Database::open(&dir, clock2).unwrap();
-        assert_eq!(db.relation_names(), ["faculty"]);
-        let rel = db.relation("faculty").unwrap().table();
-        assert_eq!(rel.transactions(), 6);
-        assert_eq!(rel.stored_tuples(), 7);
+        let engine = Engine::start(Database::open(&dir, clock2).unwrap());
+        engine.with_db(|db| {
+            assert_eq!(db.relation_names(), ["faculty"]);
+            let rel = db.relation("faculty").unwrap().table();
+            assert_eq!(rel.transactions(), 6);
+            assert_eq!(rel.stored_tuples(), 7);
+        });
         // The bitemporal query still answers from the replayed state.
-        let res = db
+        let res = engine
             .session()
             .query(
                 r#"range of f1 is faculty
@@ -254,8 +277,8 @@ fn destroyed_relations_stay_destroyed_after_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(Chronon::new(10)));
     {
-        let mut db = Database::open(&dir, clock.clone()).unwrap();
-        let mut s = db.session();
+        let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+        let mut s = engine.session();
         s.run(r#"create temp_rel (name = str) as temporal"#)
             .unwrap();
         s.run(r#"append to temp_rel (name = "ghost")"#).unwrap();
@@ -274,8 +297,8 @@ fn destroyed_relations_stay_destroyed_after_reopen() {
 #[test]
 fn errors_are_reported_not_panicked() {
     let clock = Arc::new(ManualClock::new(Chronon::new(10)));
-    let mut db = Database::in_memory(clock);
-    let mut s = db.session();
+    let engine = Engine::start(Database::in_memory(clock));
+    let mut s = engine.session();
     s.run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
     // Unknown relation.
@@ -306,8 +329,8 @@ fn errors_are_reported_not_panicked() {
 #[test]
 fn event_relation_appends_take_valid_at() {
     let clock = Arc::new(ManualClock::new(d("08/25/77")));
-    let mut db = Database::in_memory(clock.clone());
-    let mut s = db.session();
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    let mut s = engine.session();
     s.run("create promotion (name = str, rank = str, effective = date) as temporal event")
         .unwrap();
     s.run(
@@ -336,12 +359,12 @@ fn event_relation_appends_take_valid_at() {
 /// Queries `sys$tablestats` for one relation's latest sample as a
 /// `stat -> value` map (optionally rolled back with `as of`).
 fn tablestats_map(
-    db: &mut Database,
+    engine: &Arc<Engine>,
     relation: &str,
     as_of: Option<&str>,
 ) -> std::collections::HashMap<String, i64> {
     let as_of = as_of.map(|t| format!(" as of \"{t}\"")).unwrap_or_default();
-    let res = db
+    let res = engine
         .session()
         .query(&format!(
             r#"range of ts is sys$tablestats
@@ -362,8 +385,8 @@ fn tablestats_map(
 #[test]
 fn analyze_populates_sys_tablestats_with_histograms() {
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::in_memory(clock.clone());
-    let mut s = db.session();
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    let mut s = engine.session();
     s.run("create people (name = str, rank = str) as temporal")
         .unwrap();
     // 500 facts, then a sweeping retroactive replace: 1000 stored
@@ -395,7 +418,7 @@ fn analyze_populates_sys_tablestats_with_histograms() {
     // A temporal replace supersedes the old version (its transaction
     // period closes), stores a correction copy with closed validity,
     // and opens the new version: 3 versions per key.
-    let map = tablestats_map(&mut db, "people", None);
+    let map = tablestats_map(&engine, "people", None);
     assert_eq!(map["versions"], 1500);
     assert_eq!(map["rows"], 1000, "tx-current versions after the replace");
     assert_eq!(map["distinct_keys"], 500);
@@ -430,8 +453,8 @@ fn analyze_populates_sys_tablestats_with_histograms() {
 #[test]
 fn sys_tablestats_as_of_shows_statistics_evolution() {
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::in_memory(clock.clone());
-    let mut s = db.session();
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    let mut s = engine.session();
     s.run("create people (name = str) as temporal").unwrap();
     s.run(r#"append to people (name = "a")"#).unwrap();
     s.run("analyze people").unwrap();
@@ -440,19 +463,19 @@ fn sys_tablestats_as_of_shows_statistics_evolution() {
     s.run("analyze people").unwrap();
     drop(s);
 
-    assert_eq!(tablestats_map(&mut db, "people", None)["versions"], 2);
+    assert_eq!(tablestats_map(&engine, "people", None)["versions"], 2);
     // Rolled back between the two samples, the first one answers.
     assert_eq!(
-        tablestats_map(&mut db, "people", Some("01/01/78"))["versions"],
+        tablestats_map(&engine, "people", Some("01/01/78"))["versions"],
         1
     );
 }
 
 #[test]
 fn same_shape_queries_share_one_fingerprint() {
-    let (mut db, clock) = fresh_db();
-    build_figure_8(&mut db, &clock);
-    let mut s = db.session();
+    let (engine, clock) = fresh_db();
+    build_figure_8(&engine, &clock);
+    let mut s = engine.session();
     s.query(r#"range of f is faculty retrieve (f.rank) where f.name = "Mike""#)
         .unwrap();
     s.query(r#"range of f is faculty retrieve (f.rank) where f.name = "Tom""#)
@@ -471,9 +494,9 @@ fn same_shape_queries_share_one_fingerprint() {
 
 #[test]
 fn explain_shows_estimated_vs_actual_after_analyze() {
-    let (mut db, clock) = fresh_db();
-    build_figure_8(&mut db, &clock);
-    let mut s = db.session();
+    let (engine, clock) = fresh_db();
+    build_figure_8(&engine, &clock);
+    let mut s = engine.session();
     s.run("analyze faculty").unwrap();
     let out = s
         .run(r#"range of f is faculty explain retrieve (f.rank) where f.name = "Mike""#)
@@ -490,8 +513,8 @@ fn explain_shows_estimated_vs_actual_after_analyze() {
 
 #[test]
 fn connections_as_of_rejection_names_the_relation() {
-    let (mut db, _clock) = fresh_db();
-    let err = db
+    let (engine, _clock) = fresh_db();
+    let err = engine
         .session()
         .query(r#"range of c is sys$connections retrieve (c.peer) as of "01/01/80""#)
         .unwrap_err();
@@ -503,8 +526,8 @@ fn connections_as_of_rejection_names_the_relation() {
 }
 
 /// Reads the `sys$wal` system relation into `stat -> value`.
-fn sys_wal_map(db: &mut Database) -> std::collections::HashMap<String, i64> {
-    let res = db
+fn sys_wal_map(engine: &Arc<Engine>) -> std::collections::HashMap<String, i64> {
+    let res = engine
         .session()
         .query(r#"range of w is sys$wal retrieve (w.stat, w.value)"#)
         .unwrap();
@@ -524,15 +547,16 @@ fn sys_wal_agrees_with_the_offline_inspector() {
     let dir = std::env::temp_dir().join(format!("chronos-db-syswal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::open(&dir, clock.clone()).unwrap();
-    db.session()
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
-    build_figure_8(&mut db, &clock);
+    build_figure_8(&engine, &clock);
 
     // Live view (the sys$wal relation) vs the offline walker the
     // doctor uses, on a quiesced database: they must agree exactly.
-    let map = sys_wal_map(&mut db);
+    let map = sys_wal_map(&engine);
     let scan = chronos_storage::inspect::scan_wal(&dir.join("wal")).unwrap();
     assert_eq!(map["durable"], 1);
     assert_eq!(map["frames"], scan.frames.len() as i64);
@@ -549,7 +573,7 @@ fn sys_wal_agrees_with_the_offline_inspector() {
         d("02/25/84").ticks(),
         "last frame carries the last commit time"
     );
-    drop(db);
+    drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -558,27 +582,28 @@ fn sys_wal_reports_truncations_after_checkpoint() {
     let dir = std::env::temp_dir().join(format!("chronos-db-waltrunc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::open(&dir, clock.clone()).unwrap();
-    db.session()
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
-    build_figure_8(&mut db, &clock);
-    let written = sys_wal_map(&mut db)["bytes"];
+    build_figure_8(&engine, &clock);
+    let written = sys_wal_map(&engine)["bytes"];
     assert!(written > 0);
-    db.checkpoint().unwrap();
-    let map = sys_wal_map(&mut db);
+    engine.checkpoint().unwrap();
+    let map = sys_wal_map(&engine);
     assert_eq!(map["bytes"], 0, "checkpoint resets the log");
     assert_eq!(map["truncations"], 1);
     assert_eq!(map["last_truncation_bytes"], written);
-    drop(db);
+    drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn sys_pages_reports_physical_shape() {
-    let (mut db, clock) = fresh_db();
-    build_figure_8(&mut db, &clock);
-    let res = db
+    let (engine, clock) = fresh_db();
+    build_figure_8(&engine, &clock);
+    let res = engine
         .session()
         .query(
             r#"range of p is sys$pages
@@ -603,8 +628,8 @@ fn sys_pages_reports_physical_shape() {
 
 #[test]
 fn storage_system_relations_reject_writes_and_as_of_by_name() {
-    let (mut db, _clock) = fresh_db();
-    let err = db
+    let (engine, _clock) = fresh_db();
+    let err = engine
         .session()
         .run(r#"append to sys$wal (stat = "x", value = 1, detail = "y")"#)
         .unwrap_err();
@@ -612,7 +637,7 @@ fn storage_system_relations_reject_writes_and_as_of_by_name() {
         format!("{err}").contains("sys$wal"),
         "write rejection should name the relation: {err}"
     );
-    let err = db
+    let err = engine
         .session()
         .query(r#"range of p is sys$pages retrieve (p.relation) as of "01/01/80""#)
         .unwrap_err();
@@ -624,10 +649,10 @@ fn storage_system_relations_reject_writes_and_as_of_by_name() {
 
 #[test]
 fn analyze_records_bytes_per_version_and_duplication() {
-    let (mut db, clock) = fresh_db();
-    build_figure_8(&mut db, &clock);
-    db.session().run("analyze faculty").unwrap();
-    let map = tablestats_map(&mut db, "faculty", None);
+    let (engine, clock) = fresh_db();
+    build_figure_8(&engine, &clock);
+    engine.session().run("analyze faculty").unwrap();
+    let map = tablestats_map(&engine, "faculty", None);
     assert!(map["bytes_per_version"] > 0, "stats: {map:?}");
     assert!(map["dup_factor_x1000"] > 1000, "stats: {map:?}");
 }
@@ -635,7 +660,7 @@ fn analyze_records_bytes_per_version_and_duplication() {
 #[test]
 fn every_class_reports_measured_physical_stats() {
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::in_memory(clock.clone());
+    let engine = Engine::start(Database::in_memory(clock.clone()));
     // Same story in each class: two rows, one superseded.
     for (rel, class) in [
         ("s", "static"),
@@ -643,30 +668,37 @@ fn every_class_reports_measured_physical_stats() {
         ("h", "historical"),
         ("t", "temporal"),
     ] {
-        db.session()
+        engine
+            .session()
             .run(&format!("create {rel} (name = str, rank = str) as {class}"))
             .unwrap();
         for name in ["Merrie", "Tom"] {
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(
                     r#"append to {rel} (name = "{name}", rank = "associate")"#
                 ))
                 .unwrap();
         }
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"range of v is {rel} replace v (rank = "full") where v.name = "Tom""#
             ))
             .unwrap();
-        db.session().run(&format!("analyze {rel}")).unwrap();
+        engine.session().run(&format!("analyze {rel}")).unwrap();
 
         // analyze: pages × 8 KiB, not a tuple-count estimate.
-        let stats = tablestats_map(&mut db, rel, None);
-        let table = db.relation(rel).unwrap().table();
-        let physical = table.physical_stats().unwrap();
-        let versions = table.stored_tuples() as i64;
+        let stats = tablestats_map(&engine, rel, None);
+        let (physical, versions) = engine.with_db(|db| {
+            let table = db.relation(rel).unwrap().table();
+            (
+                table.physical_stats().unwrap(),
+                table.stored_tuples() as i64,
+            )
+        });
         assert_eq!(stats["versions"], versions, "{rel}");
         assert_eq!(stats["bytes"], 8192, "{rel}: one heap page");
         assert_eq!(stats["bytes_per_version"], 8192 / versions, "{rel}");
@@ -676,7 +708,7 @@ fn every_class_reports_measured_physical_stats() {
         );
 
         // sys$pages: the same heap walk.
-        let res = db
+        let res = engine
             .session()
             .query(&format!(
                 r#"range of p is sys$pages
@@ -703,7 +735,7 @@ fn every_class_reports_measured_physical_stats() {
         );
 
         // sys$relations: sampled at the last commit.
-        let res = db
+        let res = engine
             .session()
             .query(&format!(
                 r#"range of c is sys$relations
@@ -720,7 +752,7 @@ fn every_class_reports_measured_physical_stats() {
 /// Sorted, printable rows of every relation answer we care about —
 /// captured before and after a freeze to prove the migration is
 /// invisible to queries.
-fn query_fingerprint(db: &mut Database) -> Vec<String> {
+fn query_fingerprint(engine: &Arc<Engine>) -> Vec<String> {
     let mut out = Vec::new();
     for q in [
         r#"range of f is faculty retrieve (f.name, f.rank)"#,
@@ -728,7 +760,7 @@ fn query_fingerprint(db: &mut Database) -> Vec<String> {
         r#"range of f is faculty retrieve (f.name, f.rank) as of "12/10/82""#,
         r#"range of f is faculty retrieve (f.name, f.rank) when f overlap "12/05/82""#,
     ] {
-        let res = db.session().query(q).unwrap();
+        let res = engine.session().query(q).unwrap();
         let mut rows: Vec<String> = res.rows.iter().map(|r| format!("{r:?}")).collect();
         rows.sort();
         out.push(format!("{q} => {rows:?}"));
@@ -741,14 +773,15 @@ fn freeze_migrates_closed_versions_without_changing_answers() {
     let dir = std::env::temp_dir().join(format!("chronos-db-freeze-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::open(&dir, clock.clone()).unwrap();
-    db.session()
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
-    build_figure_8(&mut db, &clock);
-    let before = query_fingerprint(&mut db);
+    build_figure_8(&engine, &clock);
+    let before = query_fingerprint(&engine);
 
-    let outcomes = db.session().run("freeze faculty").unwrap();
+    let outcomes = engine.session().run("freeze faculty").unwrap();
     match &outcomes[0] {
         ExecOutcome::Frozen {
             relation,
@@ -763,21 +796,23 @@ fn freeze_migrates_closed_versions_without_changing_answers() {
         other => panic!("expected Frozen, got {other:?}"),
     }
     assert!(dir.join("segments/faculty-0.seg").is_file());
-    let rel = db.relation("faculty").unwrap().table();
-    assert_eq!(rel.segment_versions(), 3);
-    assert_eq!(
-        rel.frozen_version_count(),
-        0,
-        "heap keeps only the open tail"
-    );
-    assert_eq!(rel.stored_tuples(), 7, "logical content unchanged");
+    engine.with_db(|db| {
+        let rel = db.relation("faculty").unwrap().table();
+        assert_eq!(rel.segment_versions(), 3);
+        assert_eq!(
+            rel.frozen_version_count(),
+            0,
+            "heap keeps only the open tail"
+        );
+        assert_eq!(rel.stored_tuples(), 7, "logical content unchanged");
+    });
 
     // Queries are unchanged by the physical migration.
-    assert_eq!(query_fingerprint(&mut db), before);
+    assert_eq!(query_fingerprint(&engine), before);
 
     // sys$pages grows a `segment` class row with ~1.0x duplication and
     // a pseudo-row sizing the segment file.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of p is sys$pages
@@ -796,7 +831,7 @@ fn freeze_migrates_closed_versions_without_changing_answers() {
         (900..=1500).contains(&dup),
         "tiny segments stay within overhead bounds: {dup}"
     );
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of p is sys$pages retrieve (p.bytes_disk)
@@ -806,7 +841,7 @@ fn freeze_migrates_closed_versions_without_changing_answers() {
     assert_eq!(res.len(), 1);
 
     // A second freeze has nothing left to move.
-    let outcomes = db.session().run("freeze faculty").unwrap();
+    let outcomes = engine.session().run("freeze faculty").unwrap();
     assert!(
         matches!(&outcomes[0], ExecOutcome::Frozen { versions: 0, .. }),
         "nothing freezable twice in a row"
@@ -814,17 +849,19 @@ fn freeze_migrates_closed_versions_without_changing_answers() {
 
     // Reopen: segments are a cache, so recovery rebuilds the full heap
     // and purges stale segment files — answers still identical.
-    drop(db);
-    let mut db = Database::open(&dir, clock.clone()).unwrap();
+    drop(engine);
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
     assert!(
         !dir.join("segments/faculty-0.seg").exists(),
         "stale segments purged at open"
     );
-    let rel = db.relation("faculty").unwrap().table();
-    assert_eq!(rel.segment_versions(), 0);
-    assert_eq!(rel.stored_tuples(), 7);
-    assert_eq!(query_fingerprint(&mut db), before);
-    drop(db);
+    engine.with_db(|db| {
+        let rel = db.relation("faculty").unwrap().table();
+        assert_eq!(rel.segment_versions(), 0);
+        assert_eq!(rel.stored_tuples(), 7);
+    });
+    assert_eq!(query_fingerprint(&engine), before);
+    drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -833,34 +870,37 @@ fn checkpoint_auto_freezes_past_the_threshold() {
     let dir = std::env::temp_dir().join(format!("chronos-db-autofreeze-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::open(&dir, clock.clone()).unwrap();
-    db.session()
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
-    build_figure_8(&mut db, &clock);
+    build_figure_8(&engine, &clock);
 
     // Below the threshold nothing freezes at checkpoint.
-    db.set_freeze_threshold(4);
-    db.checkpoint().unwrap();
+    engine.exclusive(|db| db.set_freeze_threshold(4)).unwrap();
+    engine.checkpoint().unwrap();
     assert!(std::fs::read_dir(dir.join("segments"))
         .map(|d| d.count() == 0)
         .unwrap_or(true));
 
     // At (or past) it, the checkpoint freezes automatically.
-    db.set_freeze_threshold(3);
-    db.checkpoint().unwrap();
+    engine.exclusive(|db| db.set_freeze_threshold(3)).unwrap();
+    engine.checkpoint().unwrap();
     assert!(dir.join("segments/faculty-0.seg").is_file());
-    let rel = db.relation("faculty").unwrap().table();
-    assert_eq!(rel.segment_versions(), 3);
-    assert_eq!(rel.frozen_version_count(), 0);
-    drop(db);
+    engine.with_db(|db| {
+        let rel = db.relation("faculty").unwrap().table();
+        assert_eq!(rel.segment_versions(), 3);
+        assert_eq!(rel.frozen_version_count(), 0);
+    });
+    drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn freeze_requires_a_durable_database_and_keys_on_closed_versions() {
-    let (mut db, _clock) = fresh_db();
-    let err = db.session().run("freeze faculty").unwrap_err();
+    let (engine, _clock) = fresh_db();
+    let err = engine.session().run("freeze faculty").unwrap_err();
     assert!(
         matches!(err, DbError::Capability(_)),
         "in-memory databases have no segment directory: {err}"
@@ -869,10 +909,11 @@ fn freeze_requires_a_durable_database_and_keys_on_closed_versions() {
     let dir = std::env::temp_dir().join(format!("chronos-db-freezecap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::open(&dir, clock.clone()).unwrap();
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
     // What freezes is decided by the rows, not the class: a static
     // relation drops superseded versions, so it never has any to freeze …
-    db.session()
+    engine
+        .session()
         .run(
             r#"create snap (name = str) as static
                append to snap (name = "x")
@@ -880,37 +921,92 @@ fn freeze_requires_a_durable_database_and_keys_on_closed_versions() {
                delete s where s.name = "x""#,
         )
         .unwrap();
-    let outcomes = db.session().run("freeze snap").unwrap();
+    let outcomes = engine.session().run("freeze snap").unwrap();
     assert!(
         matches!(&outcomes[0], ExecOutcome::Frozen { versions: 0, .. }),
         "a static relation holds no closed versions: {outcomes:?}"
     );
     // … while a rollback relation closes them, and they freeze like a
     // temporal relation's.
-    db.session()
+    engine
+        .session()
         .run("create log (name = str) as rollback")
         .unwrap();
     for name in ["x", "y"] {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(r#"append to log (name = "{name}")"#))
             .unwrap();
     }
     clock.tick(1);
-    db.session()
+    engine
+        .session()
         .run(r#"range of l is log delete l where l.name = "x""#)
         .unwrap();
     let as_of = r#"range of l is log retrieve (l.name) as of "01/02/77""#;
-    let before = db.session().query(as_of).unwrap().column_strings(0);
-    let outcomes = db.session().run("freeze log").unwrap();
+    let before = engine.session().query(as_of).unwrap().column_strings(0);
+    let outcomes = engine.session().run("freeze log").unwrap();
     assert!(
         matches!(&outcomes[0], ExecOutcome::Frozen { versions: 1, .. }),
         "{outcomes:?}"
     );
     assert!(dir.join("segments/log-0.seg").is_file());
-    assert_eq!(db.session().query(as_of).unwrap().column_strings(0), before);
-    let err = db.session().run("freeze sys$pages").unwrap_err();
+    assert_eq!(
+        engine.session().query(as_of).unwrap().column_strings(0),
+        before
+    );
+    let err = engine.session().run("freeze sys$pages").unwrap_err();
     assert!(matches!(err, DbError::Capability(_)));
-    drop(db);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The writer thread holds no handle to the engine: dropping the last
+/// `Arc<Engine>` stops it and releases the core, with no `shutdown()`.
+/// The core, the database and its log each hold the recorder, so the
+/// probe is left alone only once all three are gone.
+#[test]
+fn dropping_the_last_engine_handle_releases_the_engine() {
+    let (engine, _clock) = fresh_db();
+    let recorder = Arc::clone(engine.recorder());
+    drop(engine);
+    assert_eq!(
+        Arc::strong_count(&recorder),
+        1,
+        "the engine's core outlived its last handle"
+    );
+}
+
+/// Dropping the engine without `shutdown()` drains the writer and
+/// closes the database and its log: a reopen of the same directory
+/// finds the commit.
+#[test]
+fn a_dropped_engine_leaves_its_commits_for_the_next_open() {
+    let dir = std::env::temp_dir().join(format!("chronos-db-dropped-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let clock = Arc::new(ManualClock::new(d("01/01/77")));
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+    engine
+        .session()
+        .run(
+            r#"create faculty (name = str, rank = str) as temporal
+               append to faculty (name = "Merrie", rank = "associate")"#,
+        )
+        .unwrap();
+    let recorder = Arc::clone(engine.recorder());
+    drop(engine);
+    assert_eq!(
+        Arc::strong_count(&recorder),
+        1,
+        "the database or its log outlived the engine"
+    );
+    let engine = Engine::start(Database::open(&dir, clock).unwrap());
+    let res = engine
+        .session()
+        .query("range of f is faculty retrieve (f.name, f.rank)")
+        .unwrap();
+    assert_eq!(res.rows[0].tuple.to_string(), "(Merrie, associate)");
+    drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -44,9 +44,9 @@ pub const CRASH_EXIT_CODE: i32 = 86;
 pub const CRASH_SITES: &[(&str, &str)] = &[
     ("wal.append.pre_frame", "storage/wal.rs"),
     ("wal.append.frame", "storage/wal.rs"),
-    ("wal.append.pre_sync", "storage/wal.rs"),
-    ("wal.append.post_sync", "storage/wal.rs"),
+    ("wal.group_sync.pre", "storage/wal.rs"),
     ("wal.group_fsync", "storage/wal.rs"),
+    ("wal.group_sync.post", "storage/wal.rs"),
     ("wal.reset.pre_truncate", "storage/wal.rs"),
     ("wal.reset.post_truncate", "storage/wal.rs"),
     ("pager.read.miss", "storage/pager.rs"),

@@ -200,53 +200,38 @@ impl Wal {
         self.recorder = recorder;
     }
 
-    /// Appends one record (framed and checksummed) and syncs to disk.
-    ///
-    /// On error the file is rolled back to its last fsynced prefix
-    /// (best effort), so a failed append can never poison the tail and
-    /// swallow a *later* successful append at recovery time.
+    /// Appends one record (framed and checksummed) and syncs to disk:
+    /// [`append_no_sync`](Self::append_no_sync) followed by
+    /// [`group_sync`](Self::group_sync), with their rollback on error.
     pub fn append(&mut self, rec: &WalRecord) -> StorageResult<()> {
-        let result = self.append_inner(rec);
+        self.append_no_sync(rec)?;
+        self.group_sync()
+    }
+
+    /// Appends one record (framed and checksummed) **without** syncing:
+    /// the frame is staged until the next [`Wal::group_sync`] makes the
+    /// whole batch durable under a single fsync (group commit).
+    ///
+    /// On error the file is rolled back to the end of the last intact
+    /// frame — which may itself still be staged — so a failed append
+    /// never erases frames already staged by the same batch.
+    pub fn append_no_sync(&mut self, rec: &WalRecord) -> StorageResult<()> {
+        let restore = self.logical_len;
+        let result = self.append_no_sync_inner(rec);
         if result.is_err() {
-            // Best-effort self-heal; the original error is what the
-            // caller needs to see either way.
-            let _ = self.file.set_len(self.synced_len);
+            let _ = self.file.set_len(restore);
             let _ = self.file.sync_data();
-            self.logical_len = self.synced_len;
+            self.logical_len = restore;
         }
         result
     }
 
-    fn append_inner(&mut self, rec: &WalRecord) -> StorageResult<()> {
+    /// Frames, checksums, and writes one record, honoring the
+    /// `wal.append.pre_frame`/`wal.append.frame` fault sites, and
+    /// advances `logical_len` past the new frame.
+    fn append_no_sync_inner(&mut self, rec: &WalRecord) -> StorageResult<()> {
         let recorder = Arc::clone(&self.recorder);
         let _span = recorder.span("wal/append");
-        let frame_len = self.write_frame(rec)?;
-        crate::fault::crash_point("wal.append.pre_sync")?;
-        self.file.sync_data()?;
-        // `synced_len` advances only once the whole append has
-        // succeeded: an error unwinding from the post-sync site rolls
-        // the (durable but *reported failed*) frame back, keeping the
-        // log consistent with what the caller was told.
-        crate::fault::crash_point("wal.append.post_sync")?;
-        self.synced_len = self.logical_len;
-        self.recorder.count(|m| &m.wal_fsyncs);
-        self.recorder.emit_event(
-            "wal_append",
-            &[
-                ("rel_id", u64::from(rec.rel_id).into()),
-                ("ops", rec.ops.len().into()),
-                ("frame_bytes", frame_len.into()),
-                ("fsync", true.into()),
-            ],
-        );
-        Ok(())
-    }
-
-    /// Frames, checksums, and writes one record without syncing,
-    /// honoring the `wal.append.pre_frame`/`wal.append.frame` fault
-    /// sites.  Advances `logical_len` past the new frame and returns
-    /// the frame length.
-    fn write_frame(&mut self, rec: &WalRecord) -> StorageResult<usize> {
         crate::fault::crash_point("wal.append.pre_frame")?;
         let payload = encode_record(rec);
         let mut frame = Vec::with_capacity(payload.len() + 8);
@@ -268,38 +253,12 @@ impl Wal {
         }
         self.logical_len += frame.len() as u64;
         self.recorder.count(|m| &m.wal_appends);
-        Ok(frame.len())
-    }
-
-    /// Appends one record (framed and checksummed) **without** syncing:
-    /// the frame is staged until the next [`Wal::group_sync`] makes the
-    /// whole batch durable under a single fsync (group commit).
-    ///
-    /// On error the file is rolled back to the end of the last intact
-    /// frame — which may itself still be staged — so a failed append
-    /// never erases frames already staged by the same batch.
-    pub fn append_no_sync(&mut self, rec: &WalRecord) -> StorageResult<()> {
-        let restore = self.logical_len;
-        let result = self.append_no_sync_inner(rec);
-        if result.is_err() {
-            let _ = self.file.set_len(restore);
-            let _ = self.file.sync_data();
-            self.logical_len = restore;
-        }
-        result
-    }
-
-    fn append_no_sync_inner(&mut self, rec: &WalRecord) -> StorageResult<()> {
-        let recorder = Arc::clone(&self.recorder);
-        let _span = recorder.span("wal/append");
-        let frame_len = self.write_frame(rec)?;
         self.recorder.emit_event(
             "wal_append",
             &[
                 ("rel_id", u64::from(rec.rel_id).into()),
                 ("ops", rec.ops.len().into()),
-                ("frame_bytes", frame_len.into()),
-                ("fsync", false.into()),
+                ("frame_bytes", frame.len().into()),
             ],
         );
         Ok(())
@@ -327,6 +286,10 @@ impl Wal {
 
     fn group_sync_inner(&mut self) -> StorageResult<()> {
         let _span = self.recorder.span("wal/group_sync");
+        // A crash here models a process death after the frames reached
+        // the OS but before any fsync: the staged frames are full on
+        // disk, yet no commit they carry was acknowledged.
+        crate::fault::crash_point("wal.group_sync.pre")?;
         if crate::fault::crash_imminent("wal.group_fsync") {
             // An injected crash here models a power cut at the
             // group-commit boundary: the staged frames are exactly the
@@ -339,6 +302,11 @@ impl Wal {
         }
         crate::fault::crash_point("wal.group_fsync")?;
         self.file.sync_data()?;
+        // `synced_len` advances only once the whole sync has succeeded:
+        // an error unwinding from here rolls the durable but *reported
+        // failed* frames back, keeping the log consistent with what the
+        // caller was told.
+        crate::fault::crash_point("wal.group_sync.post")?;
         self.synced_len = self.logical_len;
         self.recorder.count(|m| &m.wal_fsyncs);
         Ok(())

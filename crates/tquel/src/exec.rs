@@ -32,7 +32,7 @@ use chronos_core::value::Value;
 use chronos_obs::{noop_recorder, Recorder};
 
 use crate::analyze::{analyze_retrieve, RetrievePlan, TargetPlan, ValidPlan};
-use crate::ast::{AggFunc, Retrieve, Statement};
+use crate::ast::{AggFunc, Retrieve};
 use crate::error::{TquelError, TquelResult};
 use crate::provider::{RelationProvider, SourceRow};
 
@@ -476,17 +476,9 @@ fn derive_row(
     }))
 }
 
-/// Analyzes and executes a retrieve statement against range declarations.
-pub fn execute_retrieve(
-    stmt: &Retrieve,
-    ranges: &HashMap<String, String>,
-    provider: &dyn RelationProvider,
-) -> TquelResult<ResultRelation> {
-    execute_retrieve_traced(stmt, ranges, provider, noop_recorder())
-}
-
-/// Analyzes and executes a retrieve statement with analyze/exec spans
-/// recorded into `recorder` (the `explain`/`profile` entry point).
+/// Analyzes and executes a retrieve statement against range
+/// declarations, with analyze/exec spans recorded into `recorder`
+/// ([`noop_recorder`] when nothing is tracing).
 pub fn execute_retrieve_traced(
     stmt: &Retrieve,
     ranges: &HashMap<String, String>,
@@ -498,71 +490,4 @@ pub fn execute_retrieve_traced(
         analyze_retrieve(stmt, ranges, provider)?
     };
     execute_plan_traced(&plan, provider, recorder)
-}
-
-/// A read-only interpreter session: tracks `range of` declarations and
-/// evaluates retrieves.  Modification statements are executed by
-/// `chronos-db`'s sessions, which wrap this.
-#[derive(Default)]
-pub struct QuerySession {
-    ranges: HashMap<String, String>,
-}
-
-impl QuerySession {
-    /// Creates an empty session.
-    pub fn new() -> QuerySession {
-        QuerySession::default()
-    }
-
-    /// The current range declarations.
-    pub fn ranges(&self) -> &HashMap<String, String> {
-        &self.ranges
-    }
-
-    /// Declares a range variable.
-    pub fn declare_range(&mut self, var: impl Into<String>, relation: impl Into<String>) {
-        self.ranges.insert(var.into(), relation.into());
-    }
-
-    /// Executes one parsed statement; returns a relation for retrieves,
-    /// `None` for range declarations.  Other statements are rejected
-    /// (this session is read-only).
-    pub fn execute(
-        &mut self,
-        stmt: &Statement,
-        provider: &dyn RelationProvider,
-    ) -> TquelResult<Option<ResultRelation>> {
-        match stmt {
-            Statement::RangeDecl { var, relation } => {
-                if provider.info(relation).is_none() {
-                    return Err(TquelError::Semantic(format!(
-                        "unknown relation {relation:?}"
-                    )));
-                }
-                self.declare_range(var.clone(), relation.clone());
-                Ok(None)
-            }
-            Statement::Retrieve(r) => Ok(Some(execute_retrieve(r, &self.ranges, provider)?)),
-            other => Err(TquelError::Semantic(format!(
-                "statement not executable in a read-only query session: {other:?}"
-            ))),
-        }
-    }
-
-    /// Parses and executes a source string, returning the result of the
-    /// last retrieve.
-    pub fn run(
-        &mut self,
-        src: &str,
-        provider: &dyn RelationProvider,
-    ) -> TquelResult<Option<ResultRelation>> {
-        let stmts = crate::parser::parse_program(src)?;
-        let mut last = None;
-        for stmt in &stmts {
-            if let Some(rel) = self.execute(stmt, provider)? {
-                last = Some(rel);
-            }
-        }
-        Ok(last)
-    }
 }

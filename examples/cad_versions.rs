@@ -15,19 +15,21 @@ use std::sync::Arc;
 
 use chronos_core::calendar::date;
 use chronos_core::clock::ManualClock;
-use chronos_db::{Database, DbError};
+use chronos_db::{Database, DbError, Engine};
 use chronos_tquel::printer::render;
 
 fn main() {
     let clock = Arc::new(ManualClock::new(date("01/05/84").unwrap()));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create parts (part = str, revision = str, material = str) as rollback")
         .expect("create");
 
-    let mut at = |day: &str, stmt: &str| {
+    let at = |day: &str, stmt: &str| {
         clock.advance_to(date(day).unwrap());
-        db.session()
+        engine
+            .session()
             .run(stmt)
             .unwrap_or_else(|e| panic!("{stmt}: {e}"));
     };
@@ -67,7 +69,7 @@ fn main() {
     // Ship dates and the configurations they froze.
     for ship in ["02/01/84", "04/15/84", "09/01/84"] {
         println!("--- configuration shipped {ship} (rollback query)");
-        let res = db
+        let res = engine
             .session()
             .query(&format!(
                 r#"range of p is parts
@@ -80,8 +82,9 @@ fn main() {
     }
 
     // The February ship used the steel bracket; September the titanium C.
-    let rev_at = |db: &mut Database, day: &str| {
-        db.session()
+    let rev_at = |engine: &Arc<Engine>, day: &str| {
+        engine
+            .session()
             .query(&format!(
                 r#"range of p is parts
                    retrieve (p.revision, p.material)
@@ -92,17 +95,18 @@ fn main() {
             .tuple
             .to_string()
     };
-    assert_eq!(rev_at(&mut db, "02/01/84"), "(A, steel)");
-    assert_eq!(rev_at(&mut db, "09/01/84"), "(C, titanium)");
+    assert_eq!(rev_at(&engine, "02/01/84"), "(A, steel)");
+    assert_eq!(rev_at(&engine, "09/01/84"), "(C, titanium)");
 
     // Append-only means history cannot be rewritten: a commit dated
     // before the last release is rejected by the transaction manager,
     // and the database clock never goes backwards.
     clock.advance_to(date("12/01/84").unwrap());
-    db.session()
+    engine
+        .session()
         .run(r#"append to parts (part = "gasket", revision = "A", material = "rubber")"#)
         .expect("append");
-    let before = db
+    let before = engine
         .session()
         .query(r#"range of p is parts retrieve (p.part, p.revision) as of "04/15/84""#)
         .expect("query")
@@ -110,7 +114,7 @@ fn main() {
     assert_eq!(before, 2, "the April configuration is frozen forever");
 
     // Window query: everything that was EVER a part during 1984.
-    let all_1984 = db
+    let all_1984 = engine
         .session()
         .query(
             r#"range of p is parts
@@ -123,7 +127,7 @@ fn main() {
 
     // Rollback relations have no valid time: a `when` clause is a
     // capability error, exactly per Figure 11.
-    let err = db
+    let err = engine
         .session()
         .query(r#"range of p is parts retrieve (p.part) when p overlap "06/01/84""#)
         .unwrap_err();

@@ -19,18 +19,20 @@ use std::sync::Arc;
 use chronos_core::calendar::{date, Date};
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 
 fn main() {
     let clock = Arc::new(ManualClock::new(date("01/01/83").unwrap()));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create salary (name = str, monthly = int) as temporal")
         .expect("create");
 
-    let mut at = |day: &str, stmt: &str| {
+    let at = |day: &str, stmt: &str| {
         clock.advance_to(date(day).unwrap());
-        db.session()
+        engine
+            .session()
             .run(stmt)
             .unwrap_or_else(|e| panic!("{stmt}: {e}"));
     };
@@ -50,38 +52,40 @@ fn main() {
 
     // Payroll ran on the first of each month, paying what the database
     // said *on that day* (a rollback query per pay date).
-    let rel = db.relation("salary").expect("exists").table();
-    println!("month     | paid (as of pay date) | correct (current knowledge)");
-    println!("----------+-----------------------+----------------------------");
-    let mut paid_total = 0i64;
-    let mut owed_total = 0i64;
-    for month in 1..=12u8 {
-        let pay_date = Date::new(1983, month, 1).expect("valid").to_chronon();
-        let paid = salary_at(rel, pay_date, pay_date);
-        let correct = salary_at(rel, pay_date, date("12/31/83").unwrap());
-        paid_total += paid;
-        owed_total += correct;
-        println!(
-            "{:>9} | {:>21} | {:>27}",
-            Date::from_chronon(pay_date).to_string(),
-            format!("${paid}"),
-            format!("${correct}")
-        );
-    }
-    let back_pay = owed_total - paid_total;
-    println!("----------+-----------------------+----------------------------");
-    println!("totals    | ${paid_total:>20} | ${owed_total:>26}");
-    println!("\nBack pay owed to Merrie: ${back_pay}");
-    // Aug–Nov were paid at 4000 but should have been 5000.
-    assert_eq!(back_pay, 4 * 1000);
+    engine.with_db(|db| {
+        let rel = db.relation("salary").expect("exists").table();
+        println!("month     | paid (as of pay date) | correct (current knowledge)");
+        println!("----------+-----------------------+----------------------------");
+        let mut paid_total = 0i64;
+        let mut owed_total = 0i64;
+        for month in 1..=12u8 {
+            let pay_date = Date::new(1983, month, 1).expect("valid").to_chronon();
+            let paid = salary_at(rel, pay_date, pay_date);
+            let correct = salary_at(rel, pay_date, date("12/31/83").unwrap());
+            paid_total += paid;
+            owed_total += correct;
+            println!(
+                "{:>9} | {:>21} | {:>27}",
+                Date::from_chronon(pay_date).to_string(),
+                format!("${paid}"),
+                format!("${correct}")
+            );
+        }
+        let back_pay = owed_total - paid_total;
+        println!("----------+-----------------------+----------------------------");
+        println!("totals    | ${paid_total:>20} | ${owed_total:>26}");
+        println!("\nBack pay owed to Merrie: ${back_pay}");
+        // Aug–Nov were paid at 4000 but should have been 5000.
+        assert_eq!(back_pay, 4 * 1000);
 
-    // The audit trail: what did the database believe about August's
-    // salary, and when did that belief change?
-    println!("\nBelief history for valid time 08/01/83:");
-    for as_of in ["08/01/83", "11/30/83", "12/01/83"] {
-        let v = salary_at(rel, date("08/01/83").unwrap(), date(as_of).unwrap());
-        println!("  as of {as_of}: ${v}");
-    }
+        // The audit trail: what did the database believe about August's
+        // salary, and when did that belief change?
+        println!("\nBelief history for valid time 08/01/83:");
+        for as_of in ["08/01/83", "11/30/83", "12/01/83"] {
+            let v = salary_at(rel, date("08/01/83").unwrap(), date(as_of).unwrap());
+            println!("  as of {as_of}: ${v}");
+        }
+    });
 }
 
 /// The monthly salary valid at `valid`, as the database stored it at

@@ -17,12 +17,13 @@ use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::relation::Validity;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 
 fn main() {
     let clock = Arc::new(ManualClock::new(date("01/01/77").unwrap()));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create promotion (name = str, rank = str, effective = date) as temporal event")
         .expect("create");
 
@@ -37,7 +38,8 @@ fn main() {
     ];
     for (entered, signed, name, rank, effective) in events {
         clock.advance_to(date(entered).unwrap());
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to promotion (name = "{name}", rank = "{rank}", effective = "{effective}")
                    valid at "{signed}""#
@@ -46,7 +48,7 @@ fn main() {
     }
 
     // Query through TQuel: when was Merrie's full professorship signed?
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of p is promotion
@@ -66,30 +68,32 @@ fn main() {
         "{:<8} {:<10} | {:>10} | {:>10} | {:>10} | finding",
         "name", "rank", "effective", "signed", "recorded"
     );
-    let rel = db.relation("promotion").expect("exists").table();
-    for row in rel.scan_rows().expect("scan") {
-        let name = row.tuple.get(0).to_string();
-        let rank = row.tuple.get(1).to_string();
-        let effective = row.tuple.get(2).as_date().expect("date attr");
-        let signed = match row.validity {
-            Validity::Event(c) => c,
-            Validity::Interval(_) => unreachable!("event relation"),
-        };
-        let recorded = row
-            .tx
-            .start()
-            .finite()
-            .expect("transaction starts are finite");
-        let finding = classify(effective, signed, recorded);
-        println!(
-            "{:<8} {:<10} | {:>10} | {:>10} | {:>10} | {finding}",
-            name,
-            rank,
-            effective.to_string(),
-            signed.to_string(),
-            recorded.to_string()
-        );
-    }
+    engine.with_db(|db| {
+        let rel = db.relation("promotion").expect("exists").table();
+        for row in rel.scan_rows().expect("scan") {
+            let name = row.tuple.get(0).to_string();
+            let rank = row.tuple.get(1).to_string();
+            let effective = row.tuple.get(2).as_date().expect("date attr");
+            let signed = match row.validity {
+                Validity::Event(c) => c,
+                Validity::Interval(_) => unreachable!("event relation"),
+            };
+            let recorded = row
+                .tx
+                .start()
+                .finite()
+                .expect("transaction starts are finite");
+            let finding = classify(effective, signed, recorded);
+            println!(
+                "{:<8} {:<10} | {:>10} | {:>10} | {:>10} | {finding}",
+                name,
+                rank,
+                effective.to_string(),
+                signed.to_string(),
+                recorded.to_string()
+            );
+        }
+    });
 
     println!("\n(the engine never interpreted `effective`; the audit logic did)");
 }

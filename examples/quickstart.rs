@@ -13,22 +13,24 @@ use std::sync::Arc;
 
 use chronos_core::calendar::date;
 use chronos_core::clock::ManualClock;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 use chronos_tquel::printer::render;
 
 fn main() {
     // The engine never reads wall time; transactions are stamped from
     // this clock, which we move through the paper's dates.
     let clock = Arc::new(ManualClock::new(date("01/01/77").unwrap()));
-    let mut db = Database::in_memory(clock.clone());
+    let engine = Engine::start(Database::in_memory(clock.clone()));
 
-    db.session()
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
 
-    let mut at = |day: &str, stmt: &str| {
+    let at = |day: &str, stmt: &str| {
         clock.advance_to(date(day).unwrap());
-        db.session()
+        engine
+            .session()
             .run(stmt)
             .unwrap_or_else(|e| panic!("{stmt}: {e}"));
         println!(
@@ -71,9 +73,9 @@ fn main() {
     );
 
     clock.advance_to(date("01/01/85").unwrap());
-    let mut q = |title: &str, src: &str| {
+    let q = |title: &str, src: &str| {
         println!("\n--- {title}");
-        let result = db.session().query(src).expect("query");
+        let result = engine.session().query(src).expect("query");
         print!("{}", render(&result));
         result
     };

@@ -96,7 +96,9 @@ EOF
 ) || die "explain smoke: batch script failed"
 [ "$(grep -c 'tquel/exec' <<<"$explain_out")" -eq 5 ] \
   || die "explain smoke: expected 5 span trees" "$explain_out"
-grep -q 'storage/scan' <<<"$explain_out" \
+# Sessions read transaction-time relations as of their snapshot pin,
+# so the rollback and temporal trees show the tx-index stab.
+grep -q 'storage/asof' <<<"$explain_out" \
   || die "explain smoke: storage span missing" "$explain_out"
 grep -q 'counters:' <<<"$explain_out" \
   || die "explain smoke: counter line missing" "$explain_out"
@@ -336,6 +338,66 @@ grep -q 'Merrie' <<<"$svc_rows" \
 # The traced statement's slow_query event was journaled with its id.
 grep -q 'tr-check-1' "$svc_dir/db/events.jsonl" \
   || die "service smoke: trace id missing from the events journal"
+
+echo "==> shell parity (the same batch through the embedded and the --serve shell)"
+# Both shells run the same session code; this guards against serving
+# beside the shell changing what the shell prints or how it exits.
+par_dir=$(mktemp -d)
+workdirs+=("$par_dir")
+cat > "$par_dir/script.tquel" <<'EOF'
+\advance 01/01/80
+create s_rel (name = str, rank = str) as static
+create r_rel (name = str, rank = str) as rollback
+create h_rel (name = str, rank = str) as historical
+create t_rel (name = str, rank = str) as temporal
+
+append to s_rel (name = "Merrie", rank = "associate")
+append to r_rel (name = "Merrie", rank = "associate")
+append to h_rel (name = "Merrie", rank = "associate")
+append to t_rel (name = "Merrie", rank = "associate")
+append to t_rel (name = "Tom", rank = "assistant")
+
+\advance 06/01/82
+range of s is s_rel
+range of r is r_rel
+range of h is h_rel
+range of t is t_rel
+replace s (rank = "full") where s.name = "Merrie"
+replace r (rank = "full") where r.name = "Merrie"
+replace h (rank = "full") where h.name = "Merrie"
+replace t (rank = "full") where t.name = "Merrie"
+
+\advance 01/01/83
+delete t where t.name = "Tom"
+
+retrieve (s.name, s.rank)
+
+retrieve (h.name, h.rank)
+
+retrieve (t.name, t.rank)
+
+retrieve (r.name, r.rank) as of "01/01/81"
+
+retrieve (t.name, t.rank) as of "01/01/81"
+
+retrieve (s.rank) as of "01/01/81"
+EOF
+for mode in embedded serve; do
+  args=(--batch)
+  [ "$mode" = serve ] && args+=(--serve 127.0.0.1:0)
+  code=0
+  ./target/release/chronos "${args[@]}" < "$par_dir/script.tquel" \
+    > "$par_dir/$mode.out" 2> "$par_dir/$mode.err" || code=$?
+  # The last statement ('as of' on a static relation) is refused.
+  [ "$code" -eq 1 ] \
+    || die "shell parity: $mode shell exited $code, want 1" "$(cat "$par_dir/$mode.err")"
+  grep -q "'as of' requires rollback support" "$par_dir/$mode.err" \
+    || die "shell parity: $mode shell did not refuse the static 'as of'" "$(cat "$par_dir/$mode.err")"
+done
+grep -q 'associate' "$par_dir/embedded.out" \
+  || die "shell parity: the 'as of' retrieves returned nothing" "$(cat "$par_dir/embedded.out")"
+diff -u "$par_dir/embedded.out" "$par_dir/serve.out" \
+  || die "shell parity: the embedded and --serve shells printed different results"
 
 echo "==> negative checks (deliberate corruption must be caught)"
 neg_dir=$(mktemp -d)

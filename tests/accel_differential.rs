@@ -10,7 +10,7 @@ use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::prelude::*;
 use chronos_core::relation::StaticOp;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 use chronos_storage::table::StoredBitemporalTable;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -212,13 +212,14 @@ proptest! {
             let clock = std::sync::Arc::new(ManualClock::new(Chronon::new(900)));
             let mut db = Database::in_memory(clock.clone());
             db.set_cache_capacity(capacity);
-            db.session()
+            let engine = Engine::start(db);
+            engine.session()
                 .run("create faculty (name = str, rank = str) as temporal")
                 .expect("create");
-            (clock, db)
+            (clock, engine)
         };
-        let (clock_a, mut cached) = mk(8);
-        let (clock_b, mut uncached) = mk(0);
+        let (clock_a, cached) = mk(8);
+        let (clock_b, uncached) = mk(0);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut appended = 0usize;
         for _ in 0..rounds {
@@ -258,8 +259,8 @@ proptest! {
             }
         }
         // The cached database actually cached something.
-        let stats = cached.engine_stats().cache;
+        let stats = cached.stats().cache;
         prop_assert!(stats.hits > 0, "no cache hits in {} rounds", rounds);
-        prop_assert_eq!(uncached.engine_stats().cache.hits, 0);
+        prop_assert_eq!(uncached.stats().cache.hits, 0);
     }
 }

@@ -10,7 +10,7 @@ use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::relation::temporal::TemporalStore as _;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 
 fn d(s: &str) -> Chronon {
     date(s).unwrap()
@@ -24,8 +24,9 @@ fn temp_dir(name: &str) -> PathBuf {
 
 fn populated(dir: &Path) {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::open(dir, clock.clone()).unwrap();
-    db.session()
+    let engine = Engine::start(Database::open(dir, clock.clone()).unwrap());
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
     for (day, stmt) in [
@@ -43,7 +44,7 @@ fn populated(dir: &Path) {
         ),
     ] {
         clock.advance_to(d(day));
-        db.session().run(stmt).unwrap();
+        engine.session().run(stmt).unwrap();
     }
 }
 
@@ -52,11 +53,11 @@ fn reopen_reproduces_the_database() {
     let dir = temp_dir("reopen");
     populated(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
-    let mut db = Database::open(&dir, clock).unwrap();
-    assert!(db.is_durable());
+    let engine = Engine::start(Database::open(&dir, clock).unwrap());
+    assert!(engine.with_db(Database::is_durable));
     // A bare retrieve returns the whole current historical state — both
     // of Merrie's validity rows survive the reopen…
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of f is faculty retrieve (f.rank) where f.name = "Merrie""#)
         .unwrap();
@@ -64,13 +65,13 @@ fn reopen_reproduces_the_database() {
     all.sort();
     assert_eq!(all, ["associate", "full"]);
     // …and reality *now* is `full`.
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of f is faculty retrieve (f.rank) where f.name = "Merrie" when f overlap "06/01/80""#)
         .unwrap();
     assert_eq!(res.column_strings(0), ["full"]);
     // And the belief history survived too.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of f is faculty retrieve (f.rank) where f.name = "Merrie" as of "03/15/80""#,
@@ -88,12 +89,13 @@ fn new_commits_after_reopen_stay_append_only() {
         // Reopen with a clock stuck in the past: commit times must still
         // advance past the replayed history.
         let clock = Arc::new(ManualClock::new(d("01/01/70"))); // long ago
-        let mut db = Database::open(&dir, clock).unwrap();
-        db.session()
+        let engine = Engine::start(Database::open(&dir, clock).unwrap());
+        engine
+            .session()
             .run(r#"append to faculty (name = "Mike", rank = "assistant")"#)
             .unwrap();
-        let rel = db.relation("faculty").unwrap().table();
-        assert!(rel.last_commit().unwrap() > d("04/01/80"));
+        let last = engine.with_db(|db| db.relation("faculty").unwrap().table().last_commit());
+        assert!(last.unwrap() > d("04/01/80"));
     }
     // The whole thing replays again.
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
@@ -241,10 +243,10 @@ fn checkpoint_bounds_recovery_and_preserves_history() {
     // Checkpoint: the WAL empties, the state moves into the image.
     {
         let clock = Arc::new(ManualClock::new(d("06/01/80")));
-        let mut db = Database::open(&dir, clock).unwrap();
+        let engine = Engine::start(Database::open(&dir, clock).unwrap());
         let wal_before = std::fs::metadata(dir.join("wal")).unwrap().len();
         assert!(wal_before > 0);
-        db.checkpoint().unwrap();
+        engine.checkpoint().unwrap();
         assert_eq!(std::fs::metadata(dir.join("wal")).unwrap().len(), 0);
         assert!(dir.join("checkpoint").exists());
     }
@@ -252,11 +254,13 @@ fn checkpoint_bounds_recovery_and_preserves_history() {
     // history must survive — a temporal database forgets nothing.
     {
         let clock = Arc::new(ManualClock::new(d("07/01/80")));
-        let mut db = Database::open(&dir, clock.clone()).unwrap();
-        let rel = db.relation("faculty").unwrap().table();
-        assert_eq!(rel.transactions(), 3);
-        assert_eq!(rel.last_commit(), Some(d("04/01/80")));
-        let res = db
+        let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+        engine.with_db(|db| {
+            let rel = db.relation("faculty").unwrap().table();
+            assert_eq!(rel.transactions(), 3);
+            assert_eq!(rel.last_commit(), Some(d("04/01/80")));
+        });
+        let res = engine
             .session()
             .query(r#"range of f is faculty retrieve (f.rank) where f.name = "Merrie" as of "03/15/80""#)
             .unwrap();
@@ -267,17 +271,18 @@ fn checkpoint_bounds_recovery_and_preserves_history() {
         );
         // New commits land in the (fresh) log on top of the checkpoint…
         clock.advance_to(d("08/01/80"));
-        db.session()
+        engine
+            .session()
             .run(r#"append to faculty (name = "Mike", rank = "assistant")"#)
             .unwrap();
     }
     // …and both layers compose on the next open.
     {
         let clock = Arc::new(ManualClock::new(d("09/01/80")));
-        let mut db = Database::open(&dir, clock).unwrap();
-        let rel = db.relation("faculty").unwrap().table();
-        assert_eq!(rel.transactions(), 4);
-        let res = db
+        let engine = Engine::start(Database::open(&dir, clock).unwrap());
+        let commits = engine.with_db(|db| db.relation("faculty").unwrap().table().transactions());
+        assert_eq!(commits, 4);
+        let res = engine
             .session()
             .query(r#"range of f is faculty retrieve (f.name) when f overlap "08/15/80""#)
             .unwrap();
@@ -293,8 +298,9 @@ fn checkpoint_round_trips_every_class() {
     let dir = temp_dir("ckpt-all");
     {
         let clock = Arc::new(ManualClock::new(d("01/01/80")));
-        let mut db = Database::open(&dir, clock.clone()).unwrap();
-        db.session()
+        let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+        engine
+            .session()
             .run(
                 r#"
             create s (name = str) as static
@@ -307,30 +313,34 @@ fn checkpoint_round_trips_every_class() {
             .unwrap();
         for rel in ["s", "r", "h", "t"] {
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(r#"append to {rel} (name = "x")"#))
                 .unwrap();
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(
                     r#"range of v is {rel} delete v where v.name = "x""#
                 ))
                 .unwrap();
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(r#"append to {rel} (name = "y")"#))
                 .unwrap();
         }
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(r#"append to e (name = "ev", stamp = "01/15/80") valid at "01/10/80""#)
             .unwrap();
-        db.checkpoint().unwrap();
+        engine.checkpoint().unwrap();
     }
     let clock = Arc::new(ManualClock::new(d("06/01/80")));
-    let mut db = Database::open(&dir, clock).unwrap();
+    let engine = Engine::start(Database::open(&dir, clock).unwrap());
     for rel in ["s", "r"] {
-        let res = db
+        let res = engine
             .session()
             .query(&format!("range of v is {rel} retrieve (v.name)"))
             .unwrap();
@@ -338,7 +348,7 @@ fn checkpoint_round_trips_every_class() {
     }
     // The rollback relation still answers as-of across the checkpoint.
     // (`r` was loaded second: its `x` lived from the 4th to the 5th tick.)
-    let res = db
+    let res = engine
         .session()
         .query(&format!(
             r#"range of v is r retrieve (v.name) as of "{}""#,
@@ -347,7 +357,7 @@ fn checkpoint_round_trips_every_class() {
         .unwrap();
     assert_eq!(res.column_strings(0), ["x"]);
     // Event relation round-trips its instant validity.
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of v is e retrieve (v.stamp) when v overlap "01/10/80""#)
         .unwrap();
@@ -361,8 +371,8 @@ fn corrupted_checkpoint_is_reported() {
     populated(&dir);
     {
         let clock = Arc::new(ManualClock::new(d("06/01/80")));
-        let mut db = Database::open(&dir, clock).unwrap();
-        db.checkpoint().unwrap();
+        let engine = Engine::start(Database::open(&dir, clock).unwrap());
+        engine.checkpoint().unwrap();
     }
     let path = dir.join("checkpoint");
     let mut bytes = std::fs::read(&path).unwrap();
@@ -379,8 +389,9 @@ fn mixed_classes_replay_correctly() {
     let dir = temp_dir("mixed");
     {
         let clock = Arc::new(ManualClock::new(d("01/01/80")));
-        let mut db = Database::open(&dir, clock.clone()).unwrap();
-        db.session()
+        let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+        engine
+            .session()
             .run(
                 r#"
             create s (name = str) as static
@@ -392,15 +403,18 @@ fn mixed_classes_replay_correctly() {
             .unwrap();
         for rel in ["s", "r", "h", "t"] {
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(r#"append to {rel} (name = "x")"#))
                 .unwrap();
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(r#"append to {rel} (name = "y")"#))
                 .unwrap();
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(
                     r#"range of v is {rel} delete v where v.name = "x""#
                 ))
@@ -408,10 +422,10 @@ fn mixed_classes_replay_correctly() {
         }
     }
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
-    let mut db = Database::open(&dir, clock).unwrap();
+    let engine = Engine::start(Database::open(&dir, clock).unwrap());
     for rel in ["s", "r"] {
         // Static classes: the delete removed the tuple outright.
-        let res = db
+        let res = engine
             .session()
             .query(&format!("range of v is {rel} retrieve (v.name)"))
             .unwrap();
@@ -420,7 +434,7 @@ fn mixed_classes_replay_correctly() {
     for rel in ["h", "t"] {
         // Timestamped classes: x's row remains with a closed validity;
         // only y is valid *now*.
-        let res = db
+        let res = engine
             .session()
             .query(&format!(
                 r#"range of v is {rel} retrieve (v.name) when v overlap "06/01/80""#
@@ -429,6 +443,7 @@ fn mixed_classes_replay_correctly() {
         assert_eq!(res.column_strings(0), ["y"], "{rel} replayed wrong");
     }
     // The rollback relation still remembers x's tenure.
-    assert_eq!(db.relation("r").unwrap().stored_tuples(), 2);
+    let stored = engine.with_db(|db| db.relation("r").unwrap().stored_tuples());
+    assert_eq!(stored, 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }

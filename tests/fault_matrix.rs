@@ -15,7 +15,7 @@ use chronos_bench::fault_matrix as fm;
 use chronos_core::calendar::date;
 use chronos_core::clock::ManualClock;
 use chronos_core::relation::temporal::TemporalStore as _;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 use chronos_obs::fault::{self, FaultPlan};
 use chronos_storage::table::CurrentOrder;
 use chronos_storage::wal::Wal;
@@ -79,8 +79,9 @@ fn figures_regenerate_byte_identically_under_armed_plan() {
 /// the WAL length.
 fn populated(dir: &Path) -> u64 {
     let clock = Arc::new(ManualClock::new(date("01/01/80").unwrap()));
-    let mut db = Database::open(dir, Arc::clone(&clock) as _).expect("open fresh");
-    db.session()
+    let engine = Engine::start(Database::open(dir, Arc::clone(&clock) as _).expect("open fresh"));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("ddl");
     for (day, stmt) in [
@@ -110,9 +111,9 @@ fn populated(dir: &Path) -> u64 {
         ),
     ] {
         clock.advance_to(date(day).unwrap());
-        db.session().run(stmt).expect("workload statement");
+        engine.session().run(stmt).expect("workload statement");
     }
-    drop(db);
+    drop(engine);
     std::fs::metadata(dir.join("wal"))
         .expect("wal exists")
         .len()
@@ -129,7 +130,7 @@ fn a_commit_that_fails_while_applied_leaves_index_and_heap_agreeing() {
     let _g = fault_lock();
     let dir = proptest_dir("apply");
     let clock = Arc::new(ManualClock::new(date("01/01/80").unwrap()));
-    let mut db = Database::open(&dir, Arc::clone(&clock) as _).expect("open fresh");
+    let engine = Engine::start(Database::open(&dir, Arc::clone(&clock) as _).expect("open fresh"));
     let state = |db: &Database, rel: &str| {
         let table = db.relation(rel).expect("defined").table();
         format!(
@@ -143,9 +144,9 @@ fn a_commit_that_fails_while_applied_leaves_index_and_heap_agreeing() {
     };
     for class in ["static", "rollback", "historical", "temporal"] {
         let rel = format!("f_{class}");
-        let mut run = |stmt: &str| {
+        let run = |stmt: &str| {
             clock.tick(1);
-            db.session().run(stmt)
+            engine.session().run(stmt)
         };
         run(&format!("create {rel} (name = str, rank = str) as {class}")).expect("ddl");
         run(&format!(
@@ -153,10 +154,10 @@ fn a_commit_that_fails_while_applied_leaves_index_and_heap_agreeing() {
         ))
         .expect("append");
         run(&format!(r#"append to {rel} (name = "Tom", rank = "full")"#)).expect("append");
-        let before = state(&db, &rel);
+        let before = engine.with_db(|db| state(db, &rel));
 
         fault::install(Arc::new(FaultPlan::error_at("heap.insert", 1)));
-        let refused = db
+        let refused = engine
             .session()
             .run(&format!(r#"append to {rel} (name = "Zed", rank = "full")"#));
         fault::clear();
@@ -164,32 +165,29 @@ fn a_commit_that_fails_while_applied_leaves_index_and_heap_agreeing() {
             .expect_err("the armed site fails the apply")
             .to_string();
         assert!(err.contains("heap.insert"), "{class}: {err}");
-        assert_eq!(state(&db, &rel), before, "{class}");
+        assert_eq!(engine.with_db(|db| state(db, &rel)), before, "{class}");
 
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"range of f is {rel} delete f where f.rank = "full""#
             ))
             .unwrap_or_else(|e| panic!("{class}: unkeyed delete after the failure: {e}"));
+        let rows = engine.with_db(|db| db.relation(&rel).unwrap().scan(None).unwrap());
         assert!(
-            db.relation(&rel)
-                .unwrap()
-                .scan(None)
-                .unwrap()
-                .iter()
-                .all(|row| {
-                    // Nothing is current any more (valid-time classes keep the
-                    // facts, ended at the delete).
-                    row.validity.is_some_and(|v| {
-                        v.period().end() < chronos_core::timepoint::TimePoint::PlusInfinity
-                    })
-                }),
+            rows.iter().all(|row| {
+                // Nothing is current any more (valid-time classes keep the
+                // facts, ended at the delete).
+                row.validity.is_some_and(|v| {
+                    v.period().end() < chronos_core::timepoint::TimePoint::PlusInfinity
+                })
+            }),
             "{class}"
         );
     }
-    db.checkpoint().expect("checkpoint after the failures");
-    drop(db);
+    engine.checkpoint().expect("checkpoint after the failures");
+    drop(engine);
     Database::open(&dir, clock as _).expect("reopen");
     let _ = std::fs::remove_dir_all(&dir);
 }

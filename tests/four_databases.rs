@@ -16,7 +16,7 @@ use chronos_core::relation::{HistoricalOp, RowSelector, StaticOp, Validity};
 use chronos_core::schema::{faculty_schema, RelationClass, TemporalSignature};
 use chronos_core::taxonomy::{classify, DatabaseClass};
 use chronos_core::tuple::{tuple, Tuple};
-use chronos_db::{Database, ExecOutcome};
+use chronos_db::{Database, Engine, ExecOutcome};
 use chronos_storage::table::CurrentOrder;
 use chronos_tquel::provider::{AsOfSpec, RelationProvider};
 use proptest::prelude::*;
@@ -25,10 +25,11 @@ fn d(s: &str) -> Chronon {
     date(s).unwrap()
 }
 
-fn db_with_all_classes() -> (Database, Arc<ManualClock>) {
+fn db_with_all_classes() -> (Arc<Engine>, Arc<ManualClock>) {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run(
             r#"
         create s_rel (name = str, rank = str) as static
@@ -38,20 +39,22 @@ fn db_with_all_classes() -> (Database, Arc<ManualClock>) {
     "#,
         )
         .unwrap();
-    (db, clock)
+    (engine, clock)
 }
 
 /// Applies the same story to each class: hire Merrie as associate, then
 /// promote her; ask what each class can still tell us.
-fn run_story(db: &mut Database, clock: &Arc<ManualClock>, rel: &str) {
+fn run_story(engine: &Arc<Engine>, clock: &Arc<ManualClock>, rel: &str) {
     clock.advance_to(d("01/05/80"));
-    db.session()
+    engine
+        .session()
         .run(&format!(
             r#"append to {rel} (name = "Merrie", rank = "associate")"#
         ))
         .unwrap();
     clock.advance_to(d("06/01/82"));
-    db.session()
+    engine
+        .session()
         .run(&format!(
             r#"range of v is {rel}
                replace v (rank = "full") where v.name = "Merrie""#
@@ -61,21 +64,24 @@ fn run_story(db: &mut Database, clock: &Arc<ManualClock>, rel: &str) {
 
 #[test]
 fn static_database_forgets_everything() {
-    let (mut db, clock) = db_with_all_classes();
-    run_story(&mut db, &clock, "s_rel");
-    assert_eq!(db.classify("s_rel"), Some(DatabaseClass::Static));
+    let (engine, clock) = db_with_all_classes();
+    run_story(&engine, &clock, "s_rel");
+    assert_eq!(
+        engine.with_db(|db| db.classify("s_rel")),
+        Some(DatabaseClass::Static)
+    );
     // Only the snapshot survives.
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of v is s_rel retrieve (v.rank)"#)
         .unwrap();
     assert_eq!(res.column_strings(0), ["full"]);
     // Neither rollback nor historical queries are possible.
-    assert!(db
+    assert!(engine
         .session()
         .query(r#"range of v is s_rel retrieve (v.rank) as of "01/01/81""#)
         .is_err());
-    assert!(db
+    assert!(engine
         .session()
         .query(r#"range of v is s_rel retrieve (v.rank) when v overlap "01/01/81""#)
         .is_err());
@@ -83,18 +89,21 @@ fn static_database_forgets_everything() {
 
 #[test]
 fn rollback_database_remembers_states_but_not_reality() {
-    let (mut db, clock) = db_with_all_classes();
-    run_story(&mut db, &clock, "r_rel");
-    assert_eq!(db.classify("r_rel"), Some(DatabaseClass::StaticRollback));
+    let (engine, clock) = db_with_all_classes();
+    run_story(&engine, &clock, "r_rel");
+    assert_eq!(
+        engine.with_db(|db| db.classify("r_rel")),
+        Some(DatabaseClass::StaticRollback)
+    );
     // Rollback sees the old stored state…
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of v is r_rel retrieve (v.rank) as of "01/01/81""#)
         .unwrap();
     assert_eq!(res.column_strings(0), ["associate"]);
     assert_eq!(res.kind, DatabaseClass::Static, "pure static result");
     // …but has no concept of when the promotion was true in reality.
-    assert!(db
+    assert!(engine
         .session()
         .query(r#"range of v is r_rel retrieve (v.rank) when v overlap "01/01/81""#)
         .is_err());
@@ -102,23 +111,26 @@ fn rollback_database_remembers_states_but_not_reality() {
 
 #[test]
 fn historical_database_models_reality_but_forgets_beliefs() {
-    let (mut db, clock) = db_with_all_classes();
-    run_story(&mut db, &clock, "h_rel");
-    assert_eq!(db.classify("h_rel"), Some(DatabaseClass::Historical));
+    let (engine, clock) = db_with_all_classes();
+    run_story(&engine, &clock, "h_rel");
+    assert_eq!(
+        engine.with_db(|db| db.classify("h_rel")),
+        Some(DatabaseClass::Historical)
+    );
     // The replace closed the associate period at its valid start (the
     // commit day, since no valid clause was given).
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of v is h_rel retrieve (v.rank) when v overlap "01/01/81""#)
         .unwrap();
     assert_eq!(res.column_strings(0), ["associate"]);
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of v is h_rel retrieve (v.rank) when v overlap "01/01/83""#)
         .unwrap();
     assert_eq!(res.column_strings(0), ["full"]);
     // But there is no rollback: the belief history is gone.
-    assert!(db
+    assert!(engine
         .session()
         .query(r#"range of v is h_rel retrieve (v.rank) as of "01/01/81""#)
         .is_err());
@@ -126,11 +138,14 @@ fn historical_database_models_reality_but_forgets_beliefs() {
 
 #[test]
 fn temporal_database_captures_both() {
-    let (mut db, clock) = db_with_all_classes();
-    run_story(&mut db, &clock, "t_rel");
-    assert_eq!(db.classify("t_rel"), Some(DatabaseClass::Temporal));
+    let (engine, clock) = db_with_all_classes();
+    run_story(&engine, &clock, "t_rel");
+    assert_eq!(
+        engine.with_db(|db| db.classify("t_rel")),
+        Some(DatabaseClass::Temporal)
+    );
     // Reality: associate during 1981.
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of v is t_rel retrieve (v.rank) when v overlap "01/01/81""#)
         .unwrap();
@@ -138,7 +153,7 @@ fn temporal_database_captures_both() {
     // Representation: the database of 1981 believed Merrie was (still)
     // associate on that day; the database of 1983 knew she was full.
     for (as_of, expect) in [("01/01/81", "associate"), ("01/01/83", "full")] {
-        let res = db
+        let res = engine
             .session()
             .query(&format!(
                 r#"range of v is t_rel retrieve (v.rank)
@@ -148,7 +163,7 @@ fn temporal_database_captures_both() {
         assert_eq!(res.column_strings(0), [expect], "as of {as_of}");
     }
     // And both at once.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of v is t_rel
@@ -164,65 +179,63 @@ fn temporal_database_captures_both() {
 fn corrections_distinguish_historical_from_rollback() {
     // A historical database can make a retroactive correction; a rollback
     // database can only append new states.
-    let (mut db, clock) = db_with_all_classes();
-    run_story(&mut db, &clock, "h_rel");
+    let (engine, clock) = db_with_all_classes();
+    run_story(&engine, &clock, "h_rel");
     clock.advance_to(d("01/01/83"));
     // Retroactive: the promotion was actually effective 01/01/82.
-    db.session()
+    engine
+        .session()
         .run(
             r#"range of v is h_rel
                replace v (rank = "full") valid from "01/01/82" to forever
                where v.name = "Merrie""#,
         )
         .unwrap();
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of v is h_rel retrieve (v.rank) when v overlap "03/01/82""#)
         .unwrap();
     assert_eq!(res.column_strings(0), ["full"], "corrected history");
     // No record remains of the old (wrong) belief: the old full row from
     // 06/01/82 was superseded; only the corrected rows exist.
-    let rel = db.relation("h_rel").unwrap();
-    assert_eq!(
-        rel.stored_tuples(),
-        2,
-        "associate (closed) + full (corrected)"
-    );
+    let stored = engine.with_db(|db| db.relation("h_rel").unwrap().stored_tuples());
+    assert_eq!(stored, 2, "associate (closed) + full (corrected)");
 }
 
 #[test]
 fn same_updates_different_stored_tuples() {
     // The classes store radically different amounts for the same story
     // (the paper's Figure 3 vs 4 / 7 vs 8 distinction, at tuple level).
-    let (mut db, clock) = db_with_all_classes();
+    let (engine, clock) = db_with_all_classes();
     for rel in ["s_rel", "r_rel", "h_rel", "t_rel"] {
-        run_story(&mut db, &clock, rel);
+        run_story(&engine, &clock, rel);
     }
-    let stored = |db: &Database, rel: &str| db.relation(rel).unwrap().stored_tuples();
-    assert_eq!(stored(&db, "s_rel"), 1, "static: snapshot only");
-    assert_eq!(stored(&db, "r_rel"), 2, "rollback: both stored versions");
-    assert_eq!(stored(&db, "h_rel"), 2, "historical: both validity rows");
-    assert_eq!(stored(&db, "t_rel"), 3, "temporal: closed row + 2 current");
+    let stored = |rel: &str| engine.with_db(|db| db.relation(rel).unwrap().stored_tuples());
+    assert_eq!(stored("s_rel"), 1, "static: snapshot only");
+    assert_eq!(stored("r_rel"), 2, "rollback: both stored versions");
+    assert_eq!(stored("h_rel"), 2, "historical: both validity rows");
+    assert_eq!(stored("t_rel"), 3, "temporal: closed row + 2 current");
 }
 
 #[test]
 fn outcomes_report_affected_rows() {
-    let (mut db, clock) = db_with_all_classes();
+    let (engine, clock) = db_with_all_classes();
     clock.advance_to(d("02/01/80"));
-    db.session()
+    engine
+        .session()
         .run(
             r#"append to t_rel (name = "A", rank = "assistant")
                append to t_rel (name = "B", rank = "assistant")"#,
         )
         .unwrap();
     clock.advance_to(d("03/01/80"));
-    let out = db
+    let out = engine
         .session()
         .run(r#"range of v is t_rel replace v (rank = "associate") where v.rank = "assistant""#)
         .unwrap();
     assert!(matches!(out[1], ExecOutcome::Replaced(2)));
     clock.advance_to(d("04/01/80"));
-    let out = db
+    let out = engine
         .session()
         .run(r#"range of v is t_rel delete v where v.name = "A""#)
         .unwrap();
@@ -233,11 +246,16 @@ fn outcomes_report_affected_rows() {
 /// `replace` as `append` refuses it — same words, nothing written.
 #[test]
 fn replace_refuses_a_valid_clause_where_append_does() {
-    let (mut db, clock) = db_with_all_classes();
+    let (engine, clock) = db_with_all_classes();
     for (rel, class) in [("s_rel", "static"), ("r_rel", "static rollback")] {
-        run_story(&mut db, &clock, rel);
-        let before = scanned(&db, rel, None);
-        let stored = db.relation(rel).expect("defined").stored_tuples();
+        run_story(&engine, &clock, rel);
+        let state = || {
+            engine.with_db(|db| {
+                let stored = db.relation(rel).expect("defined").stored_tuples();
+                (scanned(db, rel, None), stored)
+            })
+        };
+        let before = state();
         for stmt in [
             format!(
                 r#"append to {rel} (name = "Tom", rank = "full")
@@ -248,7 +266,7 @@ fn replace_refuses_a_valid_clause_where_append_does() {
                    valid from "01/01/81" to forever where v.name = "Merrie""#
             ),
         ] {
-            let err = db.session().run(&stmt).unwrap_err();
+            let err = engine.session().run(&stmt).unwrap_err();
             assert_eq!(
                 err.to_string(),
                 format!(
@@ -257,8 +275,7 @@ fn replace_refuses_a_valid_clause_where_append_does() {
                 "{stmt}"
             );
         }
-        assert_eq!(scanned(&db, rel, None), before, "{rel}");
-        assert_eq!(db.relation(rel).expect("defined").stored_tuples(), stored);
+        assert_eq!(state(), before, "{rel}");
     }
 }
 
@@ -268,22 +285,25 @@ fn replace_refuses_a_valid_clause_where_append_does() {
 /// now living in the same store, where the bytes to answer exist.
 #[test]
 fn capability_matrix_and_refusal_texts_are_pinned() {
-    let (mut db, clock) = db_with_all_classes();
+    let (engine, clock) = db_with_all_classes();
     for (rel, rollback, historical) in [
         ("s_rel", false, false),
         ("r_rel", true, false),
         ("h_rel", false, true),
         ("t_rel", true, true),
     ] {
-        run_story(&mut db, &clock, rel);
-        assert_eq!(db.classify(rel), Some(classify(rollback, historical)));
-        let as_of = db.session().query(&format!(
+        run_story(&engine, &clock, rel);
+        assert_eq!(
+            engine.with_db(|db| db.classify(rel)),
+            Some(classify(rollback, historical))
+        );
+        let as_of = engine.session().query(&format!(
             r#"range of v is {rel} retrieve (v.rank) as of "01/01/81""#
         ));
-        let when = db.session().query(&format!(
+        let when = engine.session().query(&format!(
             r#"range of v is {rel} retrieve (v.rank) when v overlap "01/01/81""#
         ));
-        let valid = db.session().run(&format!(
+        let valid = engine.session().run(&format!(
             r#"append to {rel} (name = "Tom", rank = "full") valid from "01/01/81" to forever"#
         ));
         assert_eq!(as_of.is_ok(), rollback, "{rel}: as of");
@@ -292,7 +312,7 @@ fn capability_matrix_and_refusal_texts_are_pinned() {
     }
     for (rel, class) in [("s_rel", "static"), ("h_rel", "historical")] {
         // The analyzer refuses the statement …
-        let err = db
+        let err = engine
             .session()
             .query(&format!(
                 r#"range of v is {rel} retrieve (v.rank) as of "01/01/81""#
@@ -306,8 +326,8 @@ fn capability_matrix_and_refusal_texts_are_pinned() {
             )
         );
         // … and the store refuses a provider that asks anyway.
-        let err = db
-            .scan(rel, Some(&AsOfSpec::At(d("01/01/81"))))
+        let err = engine
+            .with_db(|db| db.scan(rel, Some(&AsOfSpec::At(d("01/01/81")))))
             .unwrap_err();
         assert_eq!(
             err.to_string(),
@@ -343,8 +363,8 @@ fn capability_matrix_and_refusal_texts_are_pinned() {
         ),
     ] {
         let append = format!(r#"append to {rel} (name = "A", rank = "d1"){valid}"#);
-        db.session().run(&append).unwrap();
-        let err = db.session().run(&append).unwrap_err();
+        engine.session().run(&append).unwrap();
+        let err = engine.session().run(&append).unwrap_err();
         assert_eq!(err.to_string(), expect, "{rel}");
     }
 }
@@ -354,24 +374,25 @@ fn capability_matrix_and_refusal_texts_are_pinned() {
 /// refuse their own transaction.
 #[test]
 fn replace_onto_one_new_fact_is_accepted_by_every_class() {
-    let (mut db, clock) = db_with_all_classes();
+    let (engine, clock) = db_with_all_classes();
     for rel in ["s_rel", "r_rel", "h_rel", "t_rel"] {
         clock.advance_to(d("02/01/80"));
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to {rel} (name = "A", rank = "d1")
                    append to {rel} (name = "A", rank = "d2")"#
             ))
             .unwrap();
         clock.advance_to(d("03/01/80"));
-        let out = db
+        let out = engine
             .session()
             .run(&format!(
                 r#"range of e is {rel} replace e (rank = "x") where e.name = "A""#
             ))
             .unwrap_or_else(|e| panic!("{rel}: {e}"));
         assert!(matches!(out[1], ExecOutcome::Replaced(2)), "{rel}: {out:?}");
-        let now = db
+        let now = engine
             .session()
             .query(&format!(
                 r#"range of e is {rel} retrieve (e.name, e.rank) where e.rank = "x""#
@@ -642,6 +663,16 @@ fn assert_agrees(
     Ok(())
 }
 
+/// Defines `rel` as a `(name, rank)` relation of `class`.
+fn create(engine: &Engine, rel: &'static str, class: RelationClass) {
+    engine
+        .exclusive(move |db| {
+            db.create_relation(rel, faculty_schema(), class, TemporalSignature::Interval)
+        })
+        .expect("writer")
+        .expect("create");
+}
+
 const CLASSES: [(&str, RelationClass); 4] = [
     ("s_rel", RelationClass::Static),
     ("r_rel", RelationClass::StaticRollback),
@@ -677,26 +708,25 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut clock = Arc::new(ManualClock::new(Chronon::new(100)));
-        let mut db = Database::open(&dir, clock.clone()).expect("open");
+        let mut engine = Engine::start(Database::open(&dir, clock.clone()).expect("open"));
         for (rel, class) in CLASSES {
-            db.create_relation(rel, faculty_schema(), class, TemporalSignature::Interval)
-                .expect("create");
+            create(&engine, rel, class);
         }
         let mut oracles: Vec<Oracle> = CLASSES.iter().map(|(_, c)| Oracle::new(*c)).collect();
         let mut commits: Vec<Vec<Chronon>> = vec![Vec::new(); CLASSES.len()];
         let (checkpoint_at, reopen_at) = (script.len() / 2, script.len() / 2 + 2);
         for (i, (advance, steps)) in script.iter().enumerate() {
             if i == checkpoint_at {
-                db.checkpoint().expect("checkpoint");
+                engine.checkpoint().expect("checkpoint");
             }
             if i == reopen_at {
                 // Image + log suffix must restore every class in order.
-                let now = db.now();
-                drop(db);
+                let now = engine.with_db(Database::now);
+                drop(engine);
                 clock = Arc::new(ManualClock::new(now));
-                db = Database::open(&dir, clock.clone()).expect("reopen");
+                engine = Engine::start(Database::open(&dir, clock.clone()).expect("reopen"));
                 for (k, (rel, _)) in CLASSES.iter().enumerate() {
-                    assert_agrees(&db, rel, &oracles[k], &commits[k])?;
+                    engine.with_db(|db| assert_agrees(db, rel, &oracles[k], &commits[k]))?;
                 }
             }
             for (k, (rel, _)) in CLASSES.iter().enumerate() {
@@ -705,21 +735,21 @@ proptest! {
                     continue;
                 }
                 clock.tick(*advance);
-                let expected = db.now();
+                let expected = engine.with_db(Database::now);
                 // The store accepts exactly the transactions the
                 // reference semantics accept, at the time it announced.
                 if oracles[k].commit(expected, &ops) {
-                    prop_assert_eq!(db.commit(rel, &ops).ok(), Some(expected), "{} commit", rel);
+                    prop_assert_eq!(engine.commit(rel, &ops).ok(), Some(expected), "{} commit", rel);
                     commits[k].push(expected);
                 } else {
-                    prop_assert!(db.commit(rel, &ops).is_err(), "{} accepted {:?}", rel, ops);
+                    prop_assert!(engine.commit(rel, &ops).is_err(), "{} accepted {:?}", rel, ops);
                 }
             }
         }
         for (k, (rel, _)) in CLASSES.iter().enumerate() {
-            assert_agrees(&db, rel, &oracles[k], &commits[k])?;
+            engine.with_db(|db| assert_agrees(db, rel, &oracles[k], &commits[k]))?;
         }
-        drop(db);
+        drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -857,10 +887,9 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let clock = Arc::new(ManualClock::new(Chronon::new(100)));
-        let mut db = Database::open(&dir, clock.clone()).expect("open");
+        let engine = Engine::start(Database::open(&dir, clock.clone()).expect("open"));
         for (rel, class) in CLASSES {
-            db.create_relation(rel, faculty_schema(), class, TemporalSignature::Interval)
-                .expect("create");
+            create(&engine, rel, class);
         }
         for write in &script {
             for (rel, _) in CLASSES {
@@ -871,29 +900,29 @@ proptest! {
                     }
                     Write::Replace { pick, name, rank, to } => {
                         let clause = where_clause(*pick, *name, *rank);
-                        assert_same_rows_either_way(&db, rel, &clause)?;
+                        engine.with_db(|db| assert_same_rows_either_way(db, rel, &clause))?;
                         format!(r#"range of v is {rel} replace v (rank = "r{to}"){clause}"#)
                     }
                     Write::Delete { pick, name, rank } => {
                         let clause = where_clause(*pick, *name, *rank);
-                        assert_same_rows_either_way(&db, rel, &clause)?;
+                        engine.with_db(|db| assert_same_rows_either_way(db, rel, &clause))?;
                         format!("range of v is {rel} delete v{clause}")
                     }
                     Write::Freeze => format!("freeze {rel}"),
                 };
                 // A statement the store refuses (a replace onto a fact
                 // that already stands) changes nothing; go on.
-                let _ = db.session().run(&text);
+                let _ = engine.session().run(&text);
             }
         }
         for (rel, _) in CLASSES {
             for pick in 0..WHERES.len() {
                 for (name, rank) in [(0, 0), (3, 1), (4, 2)] {
-                    assert_same_rows_either_way(&db, rel, &where_clause(pick, name, rank))?;
+                    engine.with_db(|db| assert_same_rows_either_way(db, rel, &where_clause(pick, name, rank)))?;
                 }
             }
         }
-        drop(db);
+        drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -928,13 +957,13 @@ fn a_refused_transaction_leaves_every_structure_as_it_was() {
     let dir = std::env::temp_dir().join(format!("chronos-atomic-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::open(&dir, clock.clone()).expect("open");
+    let engine = Engine::start(Database::open(&dir, clock.clone()).expect("open"));
     for (rel, class) in CLASSES {
-        db.create_relation(rel, faculty_schema(), class, TemporalSignature::Interval)
-            .expect("create");
-        run_story(&mut db, &clock, rel);
+        create(&engine, rel, class);
+        run_story(&engine, &clock, rel);
         clock.advance_to(d("07/01/82"));
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to {rel} (name = "Tom", rank = "associate")"#
             ))
@@ -943,8 +972,7 @@ fn a_refused_transaction_leaves_every_structure_as_it_was() {
     clock.advance_to(d("01/01/85"));
     for (rel, class) in CLASSES {
         let valid_time = class.database_class().supports_historical_queries();
-        let table = db.relation(rel).expect("defined").table();
-        let current = table.current();
+        let current = engine.with_db(|db| db.relation(rel).expect("defined").table().current());
         let standing = current.rows()[0].clone();
         let fresh = HistoricalOp::insert(tuple(["Zed", "assistant"]), standing.validity);
         let duplicate = HistoricalOp::insert(standing.tuple.clone(), standing.validity);
@@ -969,13 +997,14 @@ fn a_refused_transaction_leaves_every_structure_as_it_was() {
                 .unwrap_err()
                 .to_string()
         };
-        let before = physical_state(&db, &dir, rel);
-        let err = db.commit(rel, &[fresh.clone(), duplicate]).unwrap_err();
+        let state = || engine.with_db(|db| physical_state(db, &dir, rel));
+        let before = state();
+        let err = engine.commit(rel, &[fresh.clone(), duplicate]).unwrap_err();
         assert_eq!(err.to_string(), expected, "{rel}");
-        assert!(db.commit(rel, &[fresh, ghost]).is_err(), "{rel}");
-        assert_eq!(physical_state(&db, &dir, rel), before, "{rel}");
+        assert!(engine.commit(rel, &[fresh, ghost]).is_err(), "{rel}");
+        assert_eq!(state(), before, "{rel}");
     }
-    drop(db);
+    drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -988,24 +1017,24 @@ fn an_oversized_tuple_is_refused_at_validation_and_leaves_no_trace() {
     let dir = std::env::temp_dir().join(format!("chronos-oversized-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::open(&dir, clock.clone()).expect("open");
+    let engine = Engine::start(Database::open(&dir, clock.clone()).expect("open"));
     let long = "x".repeat(9000);
     for (rel, class) in CLASSES {
-        db.create_relation(rel, faculty_schema(), class, TemporalSignature::Interval)
-            .expect("create");
-        run_story(&mut db, &clock, rel);
+        create(&engine, rel, class);
+        run_story(&engine, &clock, rel);
         clock.tick(1);
-        let before = physical_state(&db, &dir, rel);
+        let state = || engine.with_db(|db| physical_state(db, &dir, rel));
+        let before = state();
         for stmt in [
             format!(r#"append to {rel} (name = "{long}", rank = "full")"#),
             format!(r#"range of v is {rel} replace v (name = "{long}") where v.name = "Merrie""#),
         ] {
-            let err = db.session().run(&stmt).unwrap_err().to_string();
+            let err = engine.session().run(&stmt).unwrap_err().to_string();
             assert!(err.contains("page full: need 90"), "{rel}: {err}");
-            assert_eq!(physical_state(&db, &dir, rel), before, "{rel}");
+            assert_eq!(state(), before, "{rel}");
         }
         clock.tick(1);
-        let outcome = db
+        let outcome = engine
             .session()
             .run(&format!(
                 r#"range of v is {rel} delete v where v.rank = "full""#
@@ -1018,9 +1047,9 @@ fn an_oversized_tuple_is_refused_at_validation_and_leaves_no_trace() {
     }
     let scans =
         |db: &Database| CLASSES.map(|(rel, _)| db.relation(rel).unwrap().scan(None).unwrap());
-    let live = scans(&db);
-    db.checkpoint().expect("checkpoint");
-    drop(db);
+    let live = engine.with_db(scans);
+    engine.checkpoint().expect("checkpoint");
+    drop(engine);
     let db = Database::open(&dir, clock).expect("reopen");
     assert_eq!(scans(&db), live);
     drop(db);
@@ -1033,11 +1062,12 @@ fn an_oversized_tuple_is_refused_at_validation_and_leaves_no_trace() {
 #[test]
 fn a_keyed_write_reads_no_heap_row_however_long_the_history() {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create emp (name = str, salary = int) as temporal")
         .unwrap();
-    let mut session = db.session();
+    let mut session = engine.session();
     session.run("range of e is emp").unwrap();
     for k in 0..500 {
         clock.tick(1);
@@ -1056,32 +1086,33 @@ fn a_keyed_write_reads_no_heap_row_however_long_the_history() {
         }
     }
     drop(session);
-    assert_eq!(db.relation("emp").unwrap().stored_tuples(), 2000 + 1500);
-    let scanned = |db: &Database| db.recorder().snapshot().heap_rows_scanned;
-    let before = scanned(&db);
+    let stored = engine.with_db(|db| db.relation("emp").unwrap().stored_tuples());
+    assert_eq!(stored, 2000 + 1500);
+    let scanned = || engine.recorder().snapshot().heap_rows_scanned;
+    let before = scanned();
     clock.tick(1);
-    let out = db
+    let out = engine
         .session()
         .run(r#"range of e is emp replace e (salary = 9) where e.name = "k7""#)
         .unwrap();
     assert!(matches!(out[1], ExecOutcome::Replaced(1)), "{out:?}");
     clock.tick(1);
-    let out = db
+    let out = engine
         .session()
         .run(r#"range of e is emp delete e where e.name = "k8""#)
         .unwrap();
     assert!(matches!(out[1], ExecOutcome::Deleted(1)), "{out:?}");
-    assert_eq!(scanned(&db), before, "a keyed write decoded heap rows");
+    assert_eq!(scanned(), before, "a keyed write decoded heap rows");
     // Without a key conjunct every current row is still found: each key
     // has one open-ended fact (k8's was just closed at `now`).
     clock.tick(1);
-    let out = db
+    let out = engine
         .session()
         .run("range of e is emp replace e (salary = 10) where e.salary > 0")
         .unwrap();
     assert!(matches!(out[1], ExecOutcome::Replaced(499)), "{out:?}");
     assert_eq!(
-        scanned(&db),
+        scanned(),
         before,
         "the fallback is answered from memory too"
     );

@@ -11,7 +11,7 @@ use std::time::Duration;
 use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
-use chronos_db::{Database, ObsBootstrap};
+use chronos_db::{Database, Engine, ObsBootstrap};
 use chronos_obs::{http_get, validate_json};
 
 fn d(s: &str) -> Chronon {
@@ -26,16 +26,18 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 /// One workload step: advance the clock, run a statement.
-fn step(db: &mut Database, clock: &Arc<ManualClock>, day: &str, stmt: &str) {
+fn step(engine: &Arc<Engine>, clock: &Arc<ManualClock>, day: &str, stmt: &str) {
     clock.advance_to(d(day));
-    db.session()
+    engine
+        .session()
         .run(stmt)
         .unwrap_or_else(|e| panic!("{stmt}: {e}"));
 }
 
 /// The sampled `commits` counter as best known at `as_of`.
-fn commits_as_of(db: &mut Database, as_of: &str) -> Vec<i64> {
-    db.session()
+fn commits_as_of(engine: &Arc<Engine>, as_of: &str) -> Vec<i64> {
+    engine
+        .session()
         .query(&format!(
             r#"range of s is sys$stats
                retrieve (s.value) where s.metric = "commits" as of "{as_of}""#
@@ -53,52 +55,53 @@ fn commits_as_of(db: &mut Database, as_of: &str) -> Vec<i64> {
 #[test]
 fn sys_stats_as_of_returns_the_then_current_counters() {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     step(
-        &mut db,
+        &engine,
         &clock,
         "01/05/80",
         r#"append to faculty (name = "Merrie", rank = "associate")"#,
     );
 
     clock.advance_to(d("02/01/80"));
-    let t1 = db.sample_now();
+    let t1 = engine.with_db(Database::sample_now);
     assert_eq!(t1, d("02/01/80"), "sample lands at the clock reading");
-    let commits_t1 = db.engine_stats().metrics.commits as i64;
+    let commits_t1 = engine.stats().metrics.commits as i64;
     assert_eq!(commits_t1, 1);
 
     step(
-        &mut db,
+        &engine,
         &clock,
         "02/10/80",
         r#"append to faculty (name = "Tom", rank = "full")"#,
     );
     step(
-        &mut db,
+        &engine,
         &clock,
         "02/11/80",
         r#"append to faculty (name = "Jane", rank = "assistant")"#,
     );
 
     clock.advance_to(d("03/01/80"));
-    let t2 = db.sample_now();
+    let t2 = engine.with_db(Database::sample_now);
     assert_eq!(t2, d("03/01/80"));
-    let commits_t2 = db.engine_stats().metrics.commits as i64;
+    let commits_t2 = engine.stats().metrics.commits as i64;
     assert_eq!(commits_t2, 3);
 
     // Two distinct as-of points, two distinct counter values.
-    assert_eq!(commits_as_of(&mut db, "02/01/80"), vec![commits_t1]);
-    assert_eq!(commits_as_of(&mut db, "03/01/80"), vec![commits_t2]);
+    assert_eq!(commits_as_of(&engine, "02/01/80"), vec![commits_t1]);
+    assert_eq!(commits_as_of(&engine, "03/01/80"), vec![commits_t2]);
     // Between samples the earlier one is still the current belief.
-    assert_eq!(commits_as_of(&mut db, "02/15/80"), vec![commits_t1]);
+    assert_eq!(commits_as_of(&engine, "02/15/80"), vec![commits_t1]);
     // Before any sample, nothing was known.
-    assert_eq!(commits_as_of(&mut db, "01/02/80"), Vec::<i64>::new());
+    assert_eq!(commits_as_of(&engine, "01/02/80"), Vec::<i64>::new());
 
     // The default (no as-of) view is the newest sample only.
-    let now = db
+    let now = engine
         .session()
         .query(r#"range of s is sys$stats retrieve (s.value) where s.metric = "commits""#)
         .expect("current query");
@@ -111,30 +114,31 @@ fn sys_stats_as_of_returns_the_then_current_counters() {
 #[test]
 fn when_clause_selects_samples_by_their_sampling_event() {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str) as temporal")
         .expect("create");
     step(
-        &mut db,
+        &engine,
         &clock,
         "01/05/80",
         r#"append to faculty (name = "Merrie")"#,
     );
     clock.advance_to(d("02/01/80"));
-    db.sample_now();
+    engine.with_db(Database::sample_now);
     step(
-        &mut db,
+        &engine,
         &clock,
         "02/10/80",
         r#"append to faculty (name = "Tom")"#,
     );
     clock.advance_to(d("03/01/80"));
-    db.sample_now();
+    engine.with_db(Database::sample_now);
 
     // A through-window exposes both samples; the when clause picks the
     // one whose sampling event is 02/01/80.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of s is sys$stats
@@ -152,29 +156,31 @@ fn when_clause_selects_samples_by_their_sampling_event() {
 #[test]
 fn sys_relations_rolls_the_catalog_back_across_ddl() {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     step(
-        &mut db,
+        &engine,
         &clock,
         "01/05/80",
         r#"append to faculty (name = "Merrie", rank = "associate")"#,
     );
     step(
-        &mut db,
+        &engine,
         &clock,
         "02/10/80",
         r#"append to faculty (name = "Tom", rank = "full")"#,
     );
     clock.advance_to(d("04/01/80"));
-    db.session()
+    engine
+        .session()
         .run("create dept (name = str) as static")
         .expect("create dept");
 
     // Current catalog: both relations, as pure static rows.
-    let now = db
+    let now = engine
         .session()
         .query(r#"range of r is sys$relations retrieve (r.name, r.class, r.tuples)"#)
         .expect("current catalog");
@@ -188,7 +194,7 @@ fn sys_relations_rolls_the_catalog_back_across_ddl() {
 
     // As of before dept existed: faculty alone, with the tuple count it
     // had then.
-    let then = db
+    let then = engine
         .session()
         .query(
             r#"range of r is sys$relations
@@ -199,7 +205,7 @@ fn sys_relations_rolls_the_catalog_back_across_ddl() {
     assert_eq!(then.rows[0].tuple.get(1).as_int(), Some(2));
 
     // As of before the first append: cataloged but empty.
-    let empty = db
+    let empty = engine
         .session()
         .query(
             r#"range of r is sys$relations
@@ -213,8 +219,8 @@ fn sys_relations_rolls_the_catalog_back_across_ddl() {
 #[test]
 fn system_relations_are_read_only() {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.sample_now();
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine.with_db(Database::sample_now);
     for stmt in [
         r#"append to sys$stats (metric = "forged", value = 1)"#,
         "create sys$mine (a = int) as static",
@@ -223,11 +229,11 @@ fn system_relations_are_read_only() {
         r#"range of s is sys$stats replace s (value = 0)"#,
         r#"range of s is sys$stats retrieve into sys$copy (s.metric)"#,
     ] {
-        let err = db.session().run(stmt).expect_err(stmt).to_string();
+        let err = engine.session().run(stmt).expect_err(stmt).to_string();
         assert!(err.contains("read-only"), "{stmt}: {err}");
     }
     // Unknown sys$ names are ordinary unknown relations.
-    let err = db
+    let err = engine
         .session()
         .run("range of x is sys$nope")
         .expect_err("unknown system relation")
@@ -239,19 +245,20 @@ fn system_relations_are_read_only() {
 #[test]
 fn aggregates_run_over_sys_stats() {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str) as temporal")
         .expect("create");
     step(
-        &mut db,
+        &engine,
         &clock,
         "01/05/80",
         r#"append to faculty (name = "Merrie")"#,
     );
     clock.advance_to(d("02/01/80"));
-    db.sample_now();
-    let res = db
+    engine.with_db(Database::sample_now);
+    let res = engine
         .session()
         .query(
             r#"range of s is sys$stats
@@ -264,7 +271,7 @@ fn aggregates_run_over_sys_stats() {
     assert!(hi >= 1, "some counter advanced, got {hi}");
 
     // explain works too: the system scan is spanned like any other.
-    let outcomes = db
+    let outcomes = engine
         .session()
         .run(r#"range of s is sys$stats explain retrieve (s.metric)"#)
         .expect("explain over telemetry");
@@ -286,28 +293,32 @@ fn background_sampler_and_system_relations_on_a_durable_database() {
     let obs = ObsBootstrap::new();
     let server = obs.serve("127.0.0.1:0").expect("serve");
     let addr = server.addr().to_string();
-    let mut db = Database::open_with_obs(&dir, clock.clone(), &obs).expect("open");
-    db.session()
+    let engine = Engine::start(Database::open_with_obs(&dir, clock.clone(), &obs).expect("open"));
+    let sampler_running = || engine.with_db(Database::sampler_running);
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     step(
-        &mut db,
+        &engine,
         &clock,
         "02/01/80",
         r#"append to faculty (name = "Merrie", rank = "associate")"#,
     );
 
-    assert!(!db.sampler_running());
-    db.start_stats_sampler(Duration::from_millis(5))
+    assert!(!sampler_running());
+    engine
+        .exclusive(|db| db.start_stats_sampler(Duration::from_millis(5)))
+        .expect("writer")
         .expect("sampler");
-    assert!(db.sampler_running());
+    assert!(sampler_running());
     let (status, ready) = http_get(&addr, "/readyz").expect("GET /readyz");
     assert_eq!(status, 200);
     assert!(ready.contains("\"sampler_running\": true"), "{ready}");
 
     // Wait for the thread to take at least two samples.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while db.telemetry().stats().samples_taken < 2 {
+    while engine.with_db(|db| db.telemetry().stats().samples_taken) < 2 {
         assert!(
             std::time::Instant::now() < deadline,
             "sampler never sampled"
@@ -328,13 +339,15 @@ fn background_sampler_and_system_relations_on_a_durable_database() {
     validate_json(&events).expect("untorn /events JSON");
     assert!(events.contains("\"event\": \"sampler_start\""), "{events}");
 
-    db.stop_stats_sampler();
-    assert!(!db.sampler_running());
+    engine
+        .exclusive(|db| db.stop_stats_sampler())
+        .expect("writer");
+    assert!(!sampler_running());
     let (_, ready) = http_get(&addr, "/readyz").expect("GET /readyz");
     assert!(ready.contains("\"sampler_running\": false"), "{ready}");
 
     // The sampler's own counters ride in engine_stats().
-    let stats = db.engine_stats();
+    let stats = engine.stats();
     assert!(stats.telemetry.samples_taken >= 2);
     assert!(!stats.telemetry.sampler_running);
     assert!(stats.to_json().contains("\"telemetry\""));
@@ -343,7 +356,7 @@ fn background_sampler_and_system_relations_on_a_durable_database() {
         .contains("chronos_telemetry_samples_taken"));
 
     // sys$events projects the journal into TQuel…
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of e is sys$events retrieve (e.kind, e.seq)"#)
         .expect("sys$events");
@@ -353,11 +366,12 @@ fn background_sampler_and_system_relations_on_a_durable_database() {
 
     // …and sys$slow the slow-query ring, with the capture clock reading
     // as the row's validity event.
-    db.set_slow_query_threshold_ns(0);
-    db.session()
+    engine.with_db(|db| db.set_slow_query_threshold_ns(0));
+    engine
+        .session()
         .query(r#"range of f is faculty retrieve (f.name)"#)
         .expect("slow-captured query");
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of w is sys$slow retrieve (w.statement, w.duration_ns)"#)
         .expect("sys$slow");
@@ -376,7 +390,7 @@ fn background_sampler_and_system_relations_on_a_durable_database() {
         .all(|r| matches!(r.validity, Some(chronos_core::relation::Validity::Event(_)))));
 
     server.shutdown();
-    drop(db);
+    drop(engine);
     // The journal recorded the sampler lifecycle durably.
     let journal = std::fs::read_to_string(dir.join("events.jsonl")).expect("journal");
     assert!(
@@ -404,4 +418,35 @@ fn sampler_restart_replaces_the_previous_thread() {
     // Idempotent stop.
     db.stop_stats_sampler();
     assert!(!db.sampler_running());
+}
+
+/// An embedded session is registered like a served one: `sys$sessions`
+/// lists it under a non-zero id while it is open, and no longer once it
+/// has dropped.
+#[test]
+fn an_embedded_session_is_listed_in_sys_sessions_while_open() {
+    let engine = Engine::start(Database::in_memory(Arc::new(ManualClock::new(d(
+        "01/01/80",
+    )))));
+    let listed = |session: &mut chronos_db::Session| -> Vec<i64> {
+        session
+            .query("range of s is sys$sessions retrieve (s.session)")
+            .expect("sys$sessions")
+            .rows
+            .iter()
+            .map(|r| r.tuple.get(0).as_int().expect("int session id"))
+            .collect()
+    };
+    let mut session = engine.session();
+    let id = session.session_id();
+    assert_ne!(id, 0, "an embedded session is registered");
+    assert!(listed(&mut session).contains(&(id as i64)));
+    drop(session);
+    let mut other = engine.session();
+    let ids = listed(&mut other);
+    assert!(
+        !ids.contains(&(id as i64)),
+        "{id} outlived its session: {ids:?}"
+    );
+    assert_eq!(ids, [other.session_id() as i64]);
 }

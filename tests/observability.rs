@@ -9,40 +9,42 @@ use chronos_bench::workload::{generate, WorkloadSpec};
 use chronos_core::calendar::date;
 use chronos_core::clock::ManualClock;
 use chronos_core::prelude::*;
-use chronos_db::{Database, ExecOutcome};
+use chronos_db::{Database, Engine, ExecOutcome};
 use chronos_obs::Recorder;
 use chronos_storage::table::StoredBitemporalTable;
 
-fn step(db: &mut Database, clock: &Arc<ManualClock>, day: &str, stmt: &str) {
+fn step(engine: &Arc<Engine>, clock: &Arc<ManualClock>, day: &str, stmt: &str) {
     clock.advance_to(date(day).expect("valid date"));
-    db.session()
+    engine
+        .session()
         .run(stmt)
         .unwrap_or_else(|e| panic!("{stmt}: {e}"));
 }
 
 /// The paper's Figure 8 faculty history, built through TQuel.
-fn figure8_db() -> (Database, Arc<ManualClock>) {
+fn figure8_db() -> (Arc<Engine>, Arc<ManualClock>) {
     let clock = Arc::new(ManualClock::new(date("08/25/77").expect("valid")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     step(
-        &mut db,
+        &engine,
         &clock,
         "08/25/77",
         r#"append to faculty (name = "Merrie", rank = "associate")
            valid from "09/01/77" to forever"#,
     );
     step(
-        &mut db,
+        &engine,
         &clock,
         "12/01/82",
         r#"append to faculty (name = "Tom", rank = "full")
            valid from "12/05/82" to forever"#,
     );
     step(
-        &mut db,
+        &engine,
         &clock,
         "12/07/82",
         r#"range of f is faculty
@@ -50,21 +52,21 @@ fn figure8_db() -> (Database, Arc<ManualClock>) {
            where f.name = "Tom""#,
     );
     step(
-        &mut db,
+        &engine,
         &clock,
         "12/15/82",
         r#"range of f is faculty
            replace f (rank = "full") valid from "12/01/82" to forever
            where f.name = "Merrie""#,
     );
-    (db, clock)
+    (engine, clock)
 }
 
 #[test]
 fn profile_names_the_access_path_for_a_figure8_rollback_query() {
-    let (mut db, _clock) = figure8_db();
-    let before = db.engine_stats();
-    let outcomes = db
+    let (engine, _clock) = figure8_db();
+    let before = engine.stats();
+    let outcomes = engine
         .session()
         .run(
             r#"range of f is faculty
@@ -95,7 +97,7 @@ fn profile_names_the_access_path_for_a_figure8_rollback_query() {
 
     // The report's counters and the registry agree: the traced query
     // advanced the same global counters engine_stats() snapshots.
-    let after = db.engine_stats();
+    let after = engine.stats();
     assert!(
         after.metrics.index_probes > before.metrics.index_probes,
         "profile reported a stab but index_probes did not advance"
@@ -111,8 +113,8 @@ fn profile_names_the_access_path_for_a_figure8_rollback_query() {
 
 #[test]
 fn explain_omits_timings_but_keeps_the_span_tree() {
-    let (mut db, _clock) = figure8_db();
-    let outcomes = db
+    let (engine, _clock) = figure8_db();
+    let outcomes = engine
         .session()
         .run(
             r#"range of f is faculty
@@ -128,8 +130,10 @@ fn explain_omits_timings_but_keeps_the_span_tree() {
                 report.contains("tquel/exec"),
                 "span tree missing:\n{report}"
             );
+            // A session reads a temporal relation as of its snapshot
+            // pin: the storage span is the transaction-time index stab.
             assert!(
-                report.contains("storage/scan"),
+                report.contains("storage/asof"),
                 "span tree missing:\n{report}"
             );
         }
@@ -202,8 +206,8 @@ fn parallel_scan_aggregates_morsel_counters_without_loss() {
 
 #[test]
 fn engine_stats_tracks_commits_and_cache_traffic() {
-    let (db, _clock) = figure8_db();
-    let stats = db.engine_stats();
+    let (engine, _clock) = figure8_db();
+    let stats = engine.stats();
     // Four committing statements built Figure 8.
     assert_eq!(stats.metrics.commits, 4);
     assert_eq!(stats.metrics.commit_latency.samples, 4);

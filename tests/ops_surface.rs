@@ -12,7 +12,7 @@ use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::relation::temporal::TemporalStore as _;
-use chronos_db::{Database, ObsBootstrap};
+use chronos_db::{Database, Engine, ObsBootstrap};
 use chronos_obs::{http_get, validate_json, validate_jsonl, SLOWLOG_DISABLED};
 
 fn d(s: &str) -> Chronon {
@@ -26,10 +26,11 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 /// The paper's Figure 8 faculty history, built through TQuel.
-fn figure8_db() -> (Database, Arc<ManualClock>) {
+fn figure8_db() -> (Arc<Engine>, Arc<ManualClock>) {
     let clock = Arc::new(ManualClock::new(d("08/25/77")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .expect("create");
     for (day, stmt) in [
@@ -57,11 +58,12 @@ fn figure8_db() -> (Database, Arc<ManualClock>) {
         ),
     ] {
         clock.advance_to(d(day));
-        db.session()
+        engine
+            .session()
             .run(stmt)
             .unwrap_or_else(|e| panic!("{stmt}: {e}"));
     }
-    (db, clock)
+    (engine, clock)
 }
 
 /// Pulls an unsigned JSON field out of one journal line (the journal is
@@ -81,11 +83,11 @@ fn field_u64(line: &str, key: &str) -> u64 {
 
 #[test]
 fn exporter_serves_all_five_endpoints_with_live_counters() {
-    let (mut db, _clock) = figure8_db();
+    let (engine, _clock) = figure8_db();
     // A Figure 8 rollback query: "what did we record, as best known on
     // 12/10/82?"  It advances the tx-index and cache counters the
     // scrape below must carry.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of f is faculty
@@ -94,7 +96,9 @@ fn exporter_serves_all_five_endpoints_with_live_counters() {
         .expect("rollback query");
     assert_eq!(res.column_strings(0), ["associate"]);
 
-    let server = db.serve_observability("127.0.0.1:0").expect("serve");
+    let server = engine
+        .with_db(|db| db.serve_observability("127.0.0.1:0"))
+        .expect("serve");
     let addr = server.addr().to_string();
 
     let (status, metrics) = http_get(&addr, "/metrics").expect("GET /metrics");
@@ -148,11 +152,14 @@ fn exporter_survives_concurrent_scrapes_during_writes() {
     const COMMITS: usize = 40;
 
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create log (name = str) as temporal")
         .expect("create");
-    let server = db.serve_observability("127.0.0.1:0").expect("serve");
+    let server = engine
+        .with_db(|db| db.serve_observability("127.0.0.1:0"))
+        .expect("serve");
     let addr = server.addr().to_string();
 
     std::thread::scope(|s| {
@@ -186,7 +193,8 @@ fn exporter_survives_concurrent_scrapes_during_writes() {
         // The writer keeps committing on this thread the whole time.
         for i in 0..COMMITS {
             clock.tick(1);
-            db.session()
+            engine
+                .session()
                 .run(&format!(r#"append to log (name = "e{i:03}")"#))
                 .expect("append");
         }
@@ -195,7 +203,7 @@ fn exporter_survives_concurrent_scrapes_during_writes() {
             assert!(seen <= COMMITS as u64);
         }
     });
-    assert_eq!(db.engine_stats().metrics.commits, COMMITS as u64);
+    assert_eq!(engine.stats().metrics.commits, COMMITS as u64);
     server.shutdown();
 }
 
@@ -205,12 +213,14 @@ fn healthz_flips_from_503_to_200_across_recovery() {
     // Lay down history to recover.
     {
         let clock = Arc::new(ManualClock::new(d("01/01/80")));
-        let mut db = Database::open(&dir, clock.clone()).expect("open");
-        db.session()
+        let engine = Engine::start(Database::open(&dir, clock.clone()).expect("open"));
+        engine
+            .session()
             .run("create faculty (name = str, rank = str) as temporal")
             .expect("create");
         clock.advance_to(d("02/01/80"));
-        db.session()
+        engine
+            .session()
             .run(r#"append to faculty (name = "Merrie", rank = "associate")"#)
             .expect("append");
     }
@@ -243,26 +253,31 @@ fn healthz_flips_from_503_to_200_across_recovery() {
 #[test]
 fn slow_log_names_the_rollback_access_path() {
     let clock = Arc::new(ManualClock::new(Chronon::new(1000)));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create r (name = str) as rollback")
         .expect("create");
     // Nine commits, then a probe at the end.
     for i in 0..9 {
         clock.tick(1);
-        db.session()
+        engine
+            .session()
             .run(&format!(r#"append to r (name = "e{i:02}")"#))
             .expect("append");
     }
-    db.set_slow_query_threshold_ns(0);
-    let as_of = chronos_core::calendar::Date::from_chronon(db.now());
-    db.session()
+    engine.with_db(|db| db.set_slow_query_threshold_ns(0));
+    let as_of = chronos_core::calendar::Date::from_chronon(engine.with_db(Database::now));
+    engine
+        .session()
         .query(&format!(
             r#"range of x is r retrieve (x.name) as of "{as_of}""#
         ))
         .expect("rollback retrieve");
 
-    let server = db.serve_observability("127.0.0.1:0").expect("serve");
+    let server = engine
+        .with_db(|db| db.serve_observability("127.0.0.1:0"))
+        .expect("serve");
     let (status, slow) = http_get(&server.addr().to_string(), "/slow").expect("GET /slow");
     assert_eq!(status, 200);
     // The captured profile names the access path the reconstruction
@@ -272,7 +287,7 @@ fn slow_log_names_the_rollback_access_path() {
     assert!(slow.contains("retrieve"), "{slow}");
     server.shutdown();
 
-    let entries = db.recorder().slowlog().entries();
+    let entries = engine.recorder().slowlog().entries();
     let last = entries.last().expect("captured");
     assert!(last.report.contains("storage/asof"), "{}", last.report);
     assert!(last.report.contains("tx-index stab"), "{}", last.report);
@@ -280,8 +295,8 @@ fn slow_log_names_the_rollback_access_path() {
 
 #[test]
 fn slow_log_threshold_zero_captures_every_statement_once_in_order() {
-    let (mut db, clock) = figure8_db();
-    db.set_slow_query_threshold_ns(0);
+    let (engine, clock) = figure8_db();
+    engine.with_db(|db| db.set_slow_query_threshold_ns(0));
     let statements = [
         r#"append to faculty (name = "Jane", rank = "assistant")"#.to_string(),
         r#"range of f is faculty retrieve (f.rank) where f.name = "Tom""#.to_string(),
@@ -289,12 +304,12 @@ fn slow_log_threshold_zero_captures_every_statement_once_in_order() {
     ];
     clock.tick(1);
     for stmt in &statements {
-        db.session().run(stmt).expect("statement");
+        engine.session().run(stmt).expect("statement");
     }
-    let entries = db.recorder().slowlog().entries();
+    let entries = engine.recorder().slowlog().entries();
     // `range of` and the retrieve are separate statements: 1 + 2 + 2.
     assert_eq!(entries.len(), 5, "{entries:#?}");
-    assert_eq!(db.recorder().slowlog().admitted(), 5);
+    assert_eq!(engine.recorder().slowlog().admitted(), 5);
     for (i, e) in entries.iter().enumerate() {
         // Captured once each, in execution order…
         assert_eq!(e.seq, i as u64);
@@ -316,15 +331,16 @@ fn slow_log_threshold_zero_captures_every_statement_once_in_order() {
 
 #[test]
 fn slow_log_disabled_threshold_captures_nothing() {
-    let (mut db, _clock) = figure8_db();
+    let (engine, _clock) = figure8_db();
     // The default threshold is disabled; make that explicit.
-    assert_eq!(db.recorder().slowlog().threshold_ns(), SLOWLOG_DISABLED);
-    db.session()
+    assert_eq!(engine.recorder().slowlog().threshold_ns(), SLOWLOG_DISABLED);
+    engine
+        .session()
         .query(r#"range of f is faculty retrieve (f.rank) where f.name = "Tom""#)
         .expect("query");
-    assert!(db.recorder().slowlog().is_empty());
-    assert_eq!(db.recorder().slowlog().admitted(), 0);
-    assert!(db
+    assert!(engine.recorder().slowlog().is_empty());
+    assert_eq!(engine.recorder().slowlog().admitted(), 0);
+    assert!(engine
         .recorder()
         .slowlog()
         .to_json()
@@ -337,13 +353,15 @@ fn recovery_event_matches_the_replayed_table_state() {
     let commits = 3usize;
     {
         let clock = Arc::new(ManualClock::new(d("01/01/80")));
-        let mut db = Database::open(&dir, clock.clone()).expect("open");
-        db.session()
+        let engine = Engine::start(Database::open(&dir, clock.clone()).expect("open"));
+        engine
+            .session()
             .run("create faculty (name = str, rank = str) as temporal")
             .expect("create");
         for (i, day) in ["02/01/80", "03/01/80", "04/01/80"].iter().enumerate() {
             clock.advance_to(d(day));
-            db.session()
+            engine
+                .session()
                 .run(&format!(
                     r#"append to faculty (name = "prof{i}", rank = "assistant")"#
                 ))
@@ -401,15 +419,17 @@ fn wal_appends_and_checkpoints_are_journaled() {
     let dir = temp_dir("journal");
     {
         let clock = Arc::new(ManualClock::new(d("01/01/80")));
-        let mut db = Database::open(&dir, clock.clone()).expect("open");
-        db.session()
+        let engine = Engine::start(Database::open(&dir, clock.clone()).expect("open"));
+        engine
+            .session()
             .run("create faculty (name = str, rank = str) as temporal")
             .expect("create");
         clock.advance_to(d("02/01/80"));
-        db.session()
+        engine
+            .session()
             .run(r#"append to faculty (name = "Merrie", rank = "associate")"#)
             .expect("append");
-        db.checkpoint().expect("checkpoint");
+        engine.checkpoint().expect("checkpoint");
     }
     let journal = std::fs::read_to_string(dir.join("events.jsonl")).expect("journal");
     validate_jsonl(&journal).expect("well-formed");

@@ -10,17 +10,18 @@ use chronos_core::clock::ManualClock;
 use chronos_core::period::Period;
 use chronos_core::relation::Validity;
 use chronos_core::taxonomy::DatabaseClass;
-use chronos_db::Database;
+use chronos_db::{Database, Engine};
 
 fn d(s: &str) -> Chronon {
     date(s).unwrap()
 }
 
 /// A database with the paper's faculty history, built via TQuel.
-fn paper_db() -> (Database, Arc<ManualClock>) {
+fn paper_db() -> (Arc<Engine>, Arc<ManualClock>) {
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
     let steps: &[(&str, &str)] = &[
@@ -54,10 +55,10 @@ fn paper_db() -> (Database, Arc<ManualClock>) {
     ];
     for (day, stmt) in steps {
         clock.advance_to(d(day));
-        db.session().run(stmt).unwrap();
+        engine.session().run(stmt).unwrap();
     }
     clock.advance_to(d("01/01/85"));
-    (db, clock)
+    (engine, clock)
 }
 
 #[test]
@@ -66,15 +67,16 @@ fn query_1_static_retrieve() {
     // snapshot holds (Merrie, full) and (Tom, associate):
     //   retrieve (f.rank) where f.name = "Merrie"   =>  full
     let clock = Arc::new(ManualClock::new(d("01/01/85")));
-    let mut db = Database::in_memory(clock);
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock));
+    engine
+        .session()
         .run(
             r#"create faculty (name = str, rank = str) as static
                append to faculty (name = "Merrie", rank = "full")
                append to faculty (name = "Tom", rank = "associate")"#,
         )
         .unwrap();
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of f is faculty
@@ -86,8 +88,8 @@ fn query_1_static_retrieve() {
 
     // On the temporal database the same bare retrieve returns Merrie's
     // whole known history — both ranks, each with its valid time.
-    let (mut db, _clock) = paper_db();
-    let res = db
+    let (engine, _clock) = paper_db();
+    let res = engine
         .session()
         .query(
             r#"range of f is faculty
@@ -98,7 +100,7 @@ fn query_1_static_retrieve() {
     ranks.sort();
     assert_eq!(ranks, ["associate", "full"]);
     // Restricting to "now" (any instant after the promotion) gives full.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of f is faculty
@@ -111,8 +113,8 @@ fn query_1_static_retrieve() {
 #[test]
 fn query_2_rollback_as_of() {
     // Section 4.2: … as of "12/10/82"  =>  associate
-    let (mut db, _clock) = paper_db();
-    let res = db
+    let (engine, _clock) = paper_db();
+    let res = engine
         .session()
         .query(
             r#"range of f is faculty
@@ -128,8 +130,8 @@ fn query_3_historical_when() {
     //              where f1.name = "Merrie" and f2.name = "Tom"
     //              when f1 overlap start of f2
     // => full, valid [12/01/82, ∞)
-    let (mut db, _clock) = paper_db();
-    let res = db
+    let (engine, _clock) = paper_db();
+    let res = engine
         .session()
         .query(
             r#"range of f1 is faculty
@@ -153,9 +155,10 @@ fn query_3_historical_when() {
 #[test]
 fn query_4_bitemporal_as_of_pair() {
     // Section 4.4: the same when-query as of 12/10/82 and 12/20/82.
-    let (mut db, _clock) = paper_db();
-    let q = |db: &mut Database, as_of: &str| {
-        db.session()
+    let (engine, _clock) = paper_db();
+    let q = |engine: &Arc<Engine>, as_of: &str| {
+        engine
+            .session()
             .query(&format!(
                 r#"range of f1 is faculty
                    range of f2 is faculty
@@ -168,7 +171,7 @@ fn query_4_bitemporal_as_of_pair() {
     };
     // The paper's printed answer row:
     //   associate | 09/01/77 ∞ | 08/25/77 12/15/82
-    let early = q(&mut db, "12/10/82");
+    let early = q(&engine, "12/10/82");
     assert_eq!(early.len(), 1);
     let row = &early.rows[0];
     assert_eq!(row.tuple.get(0).as_str(), Some("associate"));
@@ -184,7 +187,7 @@ fn query_4_bitemporal_as_of_pair() {
 
     // "If a similar query is made as of 12/20/82, the answer would be
     // full because the fact was recorded retroactively by that time."
-    let late = q(&mut db, "12/20/82");
+    let late = q(&engine, "12/20/82");
     assert_eq!(late.column_strings(0), ["full"]);
     assert_eq!(
         late.rows[0].validity,
@@ -198,8 +201,8 @@ fn derived_temporal_relations_close_under_queries() {
     // temporal relations can be derived from it."  We verify closure by
     // checking the result carries both timestamps and that restricting
     // by them reproduces the same answers.
-    let (mut db, _clock) = paper_db();
-    let res = db
+    let (engine, _clock) = paper_db();
+    let res = engine
         .session()
         .query(
             r#"range of f1 is faculty
@@ -225,14 +228,14 @@ fn the_inconsistency_window_is_observable() {
     // for "Merrie's rank on 12/05/82" differ because the database was
     // inconsistent with reality from 12/01/82 to 12/15/82.  A temporal
     // database exposes the window precisely.
-    let (mut db, _clock) = paper_db();
+    let (engine, _clock) = paper_db();
     let mut window = Vec::new();
     for day in [
         "11/30/82", "12/01/82", "12/10/82", "12/14/82", "12/15/82", "12/16/82",
     ] {
         // What the database believed *on `day`* about Merrie's rank on
         // `day` — valid and transaction time pinned to the same instant…
-        let as_stored = db
+        let as_stored = engine
             .session()
             .query(&format!(
                 r#"range of f is faculty
@@ -241,7 +244,7 @@ fn the_inconsistency_window_is_observable() {
             ))
             .unwrap();
         // …versus what it *now* knows was true on `day`.
-        let as_known_now = db
+        let as_known_now = engine
             .session()
             .query(&format!(
                 r#"range of f is faculty

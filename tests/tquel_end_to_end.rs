@@ -9,7 +9,7 @@ use chronos_core::clock::ManualClock;
 use chronos_core::relation::Validity;
 use chronos_core::schema::TemporalSignature;
 use chronos_core::taxonomy::DatabaseClass;
-use chronos_db::{Database, DbError, ExecOutcome};
+use chronos_db::{Database, DbError, Engine, ExecOutcome};
 use chronos_tquel::printer::render;
 use chronos_tquel::TquelError;
 
@@ -17,37 +17,45 @@ fn d(s: &str) -> Chronon {
     date(s).unwrap()
 }
 
-fn db() -> (Database, Arc<ManualClock>) {
+fn db() -> (Arc<Engine>, Arc<ManualClock>) {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
-    (db, clock)
+    (engine, clock)
 }
 
 #[test]
 fn create_all_forms() {
-    let (mut db, _c) = db();
-    let mut s = db.session();
+    let (engine, _c) = db();
+    let mut s = engine.session();
     s.run("create a (x = int, y = float, z = bool, w = date, v = str) as static")
         .unwrap();
     s.run("create b (x = str) as historical event").unwrap();
     s.run("create c (x = str) as temporal interval").unwrap();
     s.run("create dflt (x = str)").unwrap(); // defaults: temporal interval
     drop(s);
-    assert_eq!(db.classify("dflt"), Some(DatabaseClass::Temporal));
-    assert_eq!(db.classify("a"), Some(DatabaseClass::Static));
+    assert_eq!(
+        engine.with_db(|db| db.classify("dflt")),
+        Some(DatabaseClass::Temporal)
+    );
+    assert_eq!(
+        engine.with_db(|db| db.classify("a")),
+        Some(DatabaseClass::Static)
+    );
 }
 
 #[test]
 fn append_defaults_valid_from_now() {
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     clock.advance_to(d("06/15/80"));
-    db.session()
+    engine
+        .session()
         .run(r#"append to faculty (name = "Merrie", rank = "associate")"#)
         .unwrap();
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of f is faculty retrieve (f.rank) where f.name = "Merrie""#)
         .unwrap();
@@ -62,12 +70,13 @@ fn append_defaults_valid_from_now() {
 
 #[test]
 fn named_targets_and_multi_attribute_projection() {
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     clock.advance_to(d("06/15/80"));
-    db.session()
+    engine
+        .session()
         .run(r#"append to faculty (name = "Merrie", rank = "associate")"#)
         .unwrap();
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of f is faculty retrieve (who = f.name, f.rank)"#)
         .unwrap();
@@ -75,7 +84,7 @@ fn named_targets_and_multi_attribute_projection() {
     assert_eq!(res.schema.attributes()[1].name(), "rank");
     assert_eq!(res.rows[0].tuple.to_string(), "(Merrie, associate)");
     // Duplicate output names rejected with a helpful message.
-    let err = db
+    let err = engine
         .session()
         .query(r#"range of f is faculty retrieve (f.name, f.name)"#)
         .unwrap_err();
@@ -84,7 +93,7 @@ fn named_targets_and_multi_attribute_projection() {
 
 #[test]
 fn when_clause_full_predicate_algebra() {
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     for (day, stmt) in [
         (
             "02/01/80",
@@ -100,10 +109,10 @@ fn when_clause_full_predicate_algebra() {
         ),
     ] {
         clock.advance_to(d(day));
-        db.session().run(stmt).unwrap();
+        engine.session().run(stmt).unwrap();
     }
-    let names = |db: &mut Database, q: &str| -> Vec<String> {
-        let mut v = db.session().query(q).unwrap().column_strings(0);
+    let names = |engine: &Arc<Engine>, q: &str| -> Vec<String> {
+        let mut v = engine.session().query(q).unwrap().column_strings(0);
         v.sort();
         v.dedup();
         v
@@ -111,7 +120,7 @@ fn when_clause_full_predicate_algebra() {
     // overlap with a constant.
     assert_eq!(
         names(
-            &mut db,
+            &engine,
             r#"range of f is faculty retrieve (f.name) when f overlap "06/01/81""#
         ),
         ["A", "B"]
@@ -119,7 +128,7 @@ fn when_clause_full_predicate_algebra() {
     // precede.
     assert_eq!(
         names(
-            &mut db,
+            &engine,
             r#"range of f1 is faculty range of f2 is faculty
                retrieve (f1.name)
                where f2.name = "C" when f1 precede f2"#
@@ -129,7 +138,7 @@ fn when_clause_full_predicate_algebra() {
     // equal + extend + not.
     assert_eq!(
         names(
-            &mut db,
+            &engine,
             r#"range of f1 is faculty range of f2 is faculty
                retrieve (f1.name)
                where f2.name = "A"
@@ -141,7 +150,7 @@ fn when_clause_full_predicate_algebra() {
     // or / parentheses.
     assert_eq!(
         names(
-            &mut db,
+            &engine,
             r#"range of f is faculty
                retrieve (f.name)
                when (f overlap "06/01/80" or f overlap "06/01/84")"#
@@ -152,13 +161,14 @@ fn when_clause_full_predicate_algebra() {
 
 #[test]
 fn valid_clause_controls_derived_timestamps() {
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     clock.advance_to(d("02/01/80"));
-    db.session()
+    engine
+        .session()
         .run(r#"append to faculty (name = "A", rank = "r1") valid from "01/01/80" to "01/01/82""#)
         .unwrap();
     // Explicit interval.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of f is faculty
@@ -182,7 +192,7 @@ fn valid_clause_controls_derived_timestamps() {
     assert!(per.contains(d("05/31/80")));
     assert!(!per.contains(d("06/01/80")));
     // Event stamping via `valid at`.
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of f is faculty retrieve (f.name) valid at end of f"#)
         .unwrap();
@@ -196,37 +206,41 @@ fn valid_clause_controls_derived_timestamps() {
 
 #[test]
 fn as_of_through_windows() {
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     clock.advance_to(d("02/01/80"));
-    db.session()
+    engine
+        .session()
         .run(r#"append to faculty (name = "A", rank = "r1")"#)
         .unwrap();
     clock.advance_to(d("02/01/81"));
-    db.session()
+    engine
+        .session()
         .run(r#"range of f is faculty delete f where f.name = "A""#)
         .unwrap();
     clock.advance_to(d("02/01/82"));
-    db.session()
+    engine
+        .session()
         .run(r#"append to faculty (name = "B", rank = "r2")"#)
         .unwrap();
     // Point probes.
-    let count_as_of = |db: &mut Database, day: &str| {
-        db.session()
+    let count_as_of = |engine: &Arc<Engine>, day: &str| {
+        engine
+            .session()
             .query(&format!(
                 r#"range of f is faculty retrieve (f.name) as of "{day}""#
             ))
             .unwrap()
             .len()
     };
-    assert_eq!(count_as_of(&mut db, "06/01/80"), 1);
+    assert_eq!(count_as_of(&engine, "06/01/80"), 1);
     assert_eq!(
-        count_as_of(&mut db, "06/01/81"),
+        count_as_of(&engine, "06/01/81"),
         1,
         "A's validity closed, version still stored"
     );
-    assert_eq!(count_as_of(&mut db, "06/01/82"), 2);
+    assert_eq!(count_as_of(&engine, "06/01/82"), 2);
     // Window sees every version current at some point inside it.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of f is faculty
@@ -238,7 +252,7 @@ fn as_of_through_windows() {
     names.dedup();
     assert_eq!(names, ["A", "B"]);
     // Backwards window rejected.
-    let err = db
+    let err = engine
         .session()
         .query(r#"range of f is faculty retrieve (f.name) as of "12/31/82" through "01/01/80""#)
         .unwrap_err();
@@ -247,23 +261,24 @@ fn as_of_through_windows() {
 
 #[test]
 fn destroy_then_query_fails_cleanly() {
-    let (mut db, _c) = db();
-    let out = db.session().run("destroy faculty").unwrap();
+    let (engine, _c) = db();
+    let out = engine.session().run("destroy faculty").unwrap();
     assert!(matches!(out[0], ExecOutcome::Destroyed));
-    let err = db.session().run("range of f is faculty").unwrap_err();
+    let err = engine.session().run("range of f is faculty").unwrap_err();
     assert!(matches!(err, DbError::Catalog(_)));
-    assert!(db.session().run("destroy faculty").is_err());
+    assert!(engine.session().run("destroy faculty").is_err());
 }
 
 #[test]
 fn diagnostics_name_the_problem() {
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     clock.advance_to(d("02/01/80"));
-    db.session()
+    engine
+        .session()
         .run(r#"append to faculty (name = "A", rank = "r1")"#)
         .unwrap();
-    let mut expect_err = |q: &str, needle: &str| {
-        let err = db.session().query(q).unwrap_err().to_string();
+    let expect_err = |q: &str, needle: &str| {
+        let err = engine.session().query(q).unwrap_err().to_string();
         assert!(
             err.contains(needle),
             "query {q:?}\n  error {err:?}\n  wanted {needle:?}"
@@ -290,12 +305,12 @@ fn diagnostics_name_the_problem() {
 
 #[test]
 fn printer_renders_paper_style_tables() {
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     clock.advance_to(d("02/01/80"));
-    db.session()
+    engine.session()
         .run(r#"append to faculty (name = "Merrie", rank = "associate") valid from "09/01/77" to forever"#)
         .unwrap();
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of f is faculty retrieve (f.name, f.rank)"#)
         .unwrap();
@@ -307,8 +322,8 @@ fn printer_renders_paper_style_tables() {
 
 #[test]
 fn empty_results_are_well_formed() {
-    let (mut db, _c) = db();
-    let res = db
+    let (engine, _c) = db();
+    let res = engine
         .session()
         .query(r#"range of f is faculty retrieve (f.rank) where f.name = "nobody""#)
         .unwrap();
@@ -322,7 +337,7 @@ fn empty_results_are_well_formed() {
 fn retrieve_into_materializes_derived_relations() {
     // §4.4's closure property, executable: a bitemporal query result is
     // itself a temporal relation that further queries range over.
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     for (day, stmt) in [
         (
             "02/01/80",
@@ -340,11 +355,11 @@ fn retrieve_into_materializes_derived_relations() {
         ),
     ] {
         clock.advance_to(d(day));
-        db.session().run(stmt).unwrap();
+        engine.session().run(stmt).unwrap();
     }
     // Materialize Merrie's *complete* bitemporal history — every
     // version ever stored — via an `as of … through …` window.
-    let out = db
+    let out = engine
         .session()
         .run(
             r#"range of f is faculty
@@ -357,10 +372,13 @@ fn retrieve_into_materializes_derived_relations() {
         "{:?}",
         out[1]
     );
-    assert_eq!(db.classify("merrie_hist"), Some(DatabaseClass::Temporal));
+    assert_eq!(
+        engine.with_db(|db| db.classify("merrie_hist")),
+        Some(DatabaseClass::Temporal)
+    );
     // Query the derived relation — including by rollback, since it kept
     // its transaction timestamps.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of m is merrie_hist
@@ -368,33 +386,41 @@ fn retrieve_into_materializes_derived_relations() {
         )
         .unwrap();
     assert_eq!(res.column_strings(0), ["associate"]);
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of m is merrie_hist retrieve (m.rank) when m overlap "06/01/82""#)
         .unwrap();
     assert_eq!(res.column_strings(0), ["full"]);
     // A projection with an explicit valid clause keeps both timestamps
     // (the source is temporal), so it materializes as temporal too…
-    db.session()
+    engine
+        .session()
         .run(
             r#"range of f is faculty
                retrieve into full_profs (f.name) valid from start of f to forever
                where f.rank = "full""#,
         )
         .unwrap();
-    assert_eq!(db.classify("full_profs"), Some(DatabaseClass::Temporal));
+    assert_eq!(
+        engine.with_db(|db| db.classify("full_profs")),
+        Some(DatabaseClass::Temporal)
+    );
     // …and an aggregate materializes as a static one.
-    db.session()
+    engine
+        .session()
         .run(r#"range of f is faculty retrieve into counts (n = count(f.name))"#)
         .unwrap();
-    assert_eq!(db.classify("counts"), Some(DatabaseClass::Static));
-    let res = db
+    assert_eq!(
+        engine.with_db(|db| db.classify("counts")),
+        Some(DatabaseClass::Static)
+    );
+    let res = engine
         .session()
         .query("range of c is counts retrieve (c.n)")
         .unwrap();
     assert_eq!(res.column_strings(0), ["3"]);
     // Name collisions are rejected.
-    let err = db
+    let err = engine
         .session()
         .run(r#"range of f is faculty retrieve into counts (n = count(f.name))"#)
         .unwrap_err();
@@ -404,8 +430,9 @@ fn retrieve_into_materializes_derived_relations() {
 #[test]
 fn aggregate_queries() {
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create payroll (name = str, salary = int) as temporal")
         .unwrap();
     for (i, (name, sal)) in [("A", 3000i64), ("B", 4000), ("C", 5000), ("D", 4400)]
@@ -413,14 +440,15 @@ fn aggregate_queries() {
         .enumerate()
     {
         clock.advance_to(d("01/01/80") + 1 + i as i64);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to payroll (name = "{name}", salary = {sal})"#
             ))
             .unwrap();
     }
     // Count/sum/avg/min/max over the qualifying rows.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of p is payroll
@@ -438,7 +466,7 @@ fn aggregate_queries() {
     assert_eq!(row.tuple.get(4).as_int(), Some(5000));
     assert!(row.validity.is_none() && row.tx.is_none());
     // Aggregates respect where and when clauses.
-    let res = db
+    let res = engine
         .session()
         .query(
             r#"range of p is payroll
@@ -449,24 +477,24 @@ fn aggregate_queries() {
         .unwrap();
     assert_eq!(res.rows[0].tuple.get(0).as_int(), Some(3));
     // count over an empty set is 0; min over an empty set is undefined.
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of p is payroll retrieve (n = count(p.name)) where p.name = "zz""#)
         .unwrap();
     assert_eq!(res.rows[0].tuple.get(0).as_int(), Some(0));
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of p is payroll retrieve (lo = min(p.salary)) where p.name = "zz""#)
         .unwrap();
     assert!(res.is_empty());
     // Mixed plain/aggregate target lists rejected (no grouping).
-    let err = db
+    let err = engine
         .session()
         .query(r#"range of p is payroll retrieve (p.name, count(p.name))"#)
         .unwrap_err();
     assert!(err.to_string().contains("grouping"), "{err}");
     // Non-numeric sums rejected at analysis.
-    let err = db
+    let err = engine
         .session()
         .query(r#"range of p is payroll retrieve (sum(p.name))"#)
         .unwrap_err();
@@ -479,8 +507,9 @@ fn user_defined_time_compares_as_dates() {
     // input and output functions" — but ordering comparisons on date
     // attributes must still work, with string literals coerced to dates.
     let clock = Arc::new(ManualClock::new(d("01/01/83")));
-    let mut db = Database::in_memory(clock.clone());
-    db.session()
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
         .run("create promotion (name = str, effective = date) as temporal event")
         .unwrap();
     for (i, (name, eff)) in [
@@ -492,28 +521,29 @@ fn user_defined_time_compares_as_dates() {
     .enumerate()
     {
         clock.advance_to(d("01/01/83") + 1 + i as i64);
-        db.session()
+        engine
+            .session()
             .run(&format!(
                 r#"append to promotion (name = "{name}", effective = "{eff}")
                    valid at "{eff}""#
             ))
             .unwrap();
     }
-    let names = |db: &mut Database, q: &str| -> Vec<String> {
-        let mut v = db.session().query(q).unwrap().column_strings(0);
+    let names = |engine: &Arc<Engine>, q: &str| -> Vec<String> {
+        let mut v = engine.session().query(q).unwrap().column_strings(0);
         v.sort();
         v
     };
     assert_eq!(
         names(
-            &mut db,
+            &engine,
             r#"range of p is promotion retrieve (p.name) where p.effective < "01/01/83""#
         ),
         ["Merrie", "Tom"]
     );
     assert_eq!(
         names(
-            &mut db,
+            &engine,
             r#"range of p is promotion retrieve (p.name) where p.effective >= "12/05/82""#
         ),
         ["Mike", "Tom"]
@@ -521,19 +551,19 @@ fn user_defined_time_compares_as_dates() {
     // The coerced literal works on either side of the comparison.
     assert_eq!(
         names(
-            &mut db,
+            &engine,
             r#"range of p is promotion retrieve (p.name) where "12/05/82" = p.effective"#
         ),
         ["Tom"]
     );
     // min/max aggregate over dates.
-    let res = db
+    let res = engine
         .session()
         .query(r#"range of p is promotion retrieve (first = min(p.effective))"#)
         .unwrap();
     assert_eq!(res.column_strings(0), ["12/01/82"]);
     // Invalid date literals against date attributes are rejected.
-    assert!(db
+    assert!(engine
         .session()
         .query(r#"range of p is promotion retrieve (p.name) where p.effective = "not a date""#)
         .is_err());
@@ -541,9 +571,10 @@ fn user_defined_time_compares_as_dates() {
 
 #[test]
 fn comments_and_case_insensitive_keywords() {
-    let (mut db, clock) = db();
+    let (engine, clock) = db();
     clock.advance_to(d("02/01/80"));
-    db.session()
+    engine
+        .session()
         .run(
             r#"
         # load one professor
