@@ -72,12 +72,80 @@ pub enum Expr {
 impl Expr {
     /// Evaluates to a value.
     pub fn eval<'a>(&'a self, tuple: &'a Tuple) -> CoreResult<&'a Value> {
+        self.eval_values(tuple.values())
+    }
+
+    /// Evaluates against the values of a flat tuple, for callers that
+    /// reuse one buffer across many tuples.
+    pub fn eval_values<'a>(&'a self, values: &'a [Value]) -> CoreResult<&'a Value> {
         match self {
-            Expr::Attr(i) => tuple
-                .try_get(*i)
+            Expr::Attr(i) => values
+                .get(*i)
                 .ok_or_else(|| CoreError::Invalid(format!("attribute index {i} out of range"))),
             Expr::Const(v) => Ok(v),
         }
+    }
+}
+
+/// Writes the name of index `i` — an attribute of a flat tuple, or a
+/// range variable of a `when` environment.
+pub type NameFn<'a> = dyn Fn(&mut fmt::Formatter<'_>, usize) -> fmt::Result + 'a;
+
+/// The default name of index `i`: `$i`.
+pub(crate) fn index_name(f: &mut fmt::Formatter<'_>, i: usize) -> fmt::Result {
+    write!(f, "${i}")
+}
+
+/// An expression or predicate rendered with caller-chosen names for its
+/// indices (see [`Predicate::named`]).  Plain `Display` prints index `i`
+/// as `$i`.
+pub struct Named<'a, T: ?Sized> {
+    pub(crate) item: &'a T,
+    pub(crate) name: &'a NameFn<'a>,
+}
+
+impl fmt::Display for Named<'_, Expr> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.item {
+            Expr::Attr(i) => (self.name)(f, *i),
+            Expr::Const(v @ (Value::Str(_) | Value::Date(_))) => write!(f, "\"{v}\""),
+            Expr::Const(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+impl fmt::Display for Named<'_, Predicate> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.name;
+        match self.item {
+            Predicate::True => f.write_str("true"),
+            Predicate::Cmp(op, a, b) => {
+                write!(
+                    f,
+                    "{} {op} {}",
+                    Named { item: a, name },
+                    Named { item: b, name }
+                )
+            }
+            Predicate::And(a, b) => {
+                // `or` binds looser than `and`: bracket it inside one.
+                let side = |p: &Predicate, f: &mut fmt::Formatter<'_>| match p {
+                    Predicate::Or(..) => write!(f, "({})", p.named(name)),
+                    _ => write!(f, "{}", p.named(name)),
+                };
+                side(a, f)?;
+                f.write_str(" and ")?;
+                side(b, f)
+            }
+            Predicate::Or(a, b) => write!(f, "{} or {}", a.named(name), b.named(name)),
+            Predicate::Not(a) => write!(f, "not ({})", a.named(name)),
+        }
+    }
+}
+
+impl fmt::Display for Predicate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.named(&index_name).fmt(f)
     }
 }
 
@@ -99,10 +167,16 @@ pub enum Predicate {
 impl Predicate {
     /// Evaluates against a flat tuple.
     pub fn eval(&self, tuple: &Tuple) -> CoreResult<bool> {
+        self.eval_values(tuple.values())
+    }
+
+    /// Evaluates against the values of a flat tuple, for callers that
+    /// reuse one buffer across many tuples.
+    pub fn eval_values(&self, values: &[Value]) -> CoreResult<bool> {
         match self {
             Predicate::True => Ok(true),
             Predicate::Cmp(op, a, b) => {
-                let (a, b) = (a.eval(tuple)?, b.eval(tuple)?);
+                let (a, b) = (a.eval_values(values)?, b.eval_values(values)?);
                 if a.attr_type() != b.attr_type() {
                     return Err(CoreError::Invalid(format!(
                         "cannot compare {} with {}",
@@ -112,10 +186,16 @@ impl Predicate {
                 }
                 Ok(op.holds(a.cmp(b)))
             }
-            Predicate::And(a, b) => Ok(a.eval(tuple)? && b.eval(tuple)?),
-            Predicate::Or(a, b) => Ok(a.eval(tuple)? || b.eval(tuple)?),
-            Predicate::Not(a) => Ok(!a.eval(tuple)?),
+            Predicate::And(a, b) => Ok(a.eval_values(values)? && b.eval_values(values)?),
+            Predicate::Or(a, b) => Ok(a.eval_values(values)? || b.eval_values(values)?),
+            Predicate::Not(a) => Ok(!a.eval_values(values)?),
         }
+    }
+
+    /// Renders with attribute `i` written by `name` (`explain` passes
+    /// `var.attr` names).
+    pub fn named<'a>(&'a self, name: &'a NameFn<'a>) -> Named<'a, Predicate> {
+        Named { item: self, name }
     }
 
     /// Convenience: `attr = constant` (the paper's
@@ -171,6 +251,26 @@ mod tests {
         assert!(q.eval(&t).unwrap());
         assert!(!q.clone().not().eval(&t).unwrap());
         assert!(Predicate::True.eval(&t).unwrap());
+    }
+
+    #[test]
+    fn display_quotes_strings_and_parenthesises_or_and_not() {
+        let p = Predicate::attr_eq(0, "Merrie")
+            .and(Predicate::Cmp(
+                CmpOp::Lt,
+                Expr::Attr(3),
+                Expr::Const(Value::Int(7)),
+            ))
+            .and(Predicate::attr_eq(1, "a").or(Predicate::attr_eq(1, "b").not()));
+        assert_eq!(
+            p.to_string(),
+            r#"$0 = "Merrie" and $3 < 7 and ($1 = "a" or not ($1 = "b"))"#
+        );
+        let names = |f: &mut fmt::Formatter<'_>, i: usize| write!(f, "f.a{i}");
+        assert_eq!(
+            Predicate::attr_eq(2, "x").named(&names).to_string(),
+            r#"f.a2 = "x""#
+        );
     }
 
     #[test]

@@ -20,6 +20,8 @@ use std::fmt;
 use chronos_core::error::{CoreError, CoreResult};
 use chronos_core::period::Period;
 
+use crate::expr::{index_name, NameFn, Named};
+
 /// A temporal expression over the valid times of range variables.
 #[derive(Clone, PartialEq, Debug)]
 pub enum TemporalExpr {
@@ -71,18 +73,34 @@ impl TemporalExpr {
     pub fn extend(self, other: TemporalExpr) -> TemporalExpr {
         TemporalExpr::Extend(Box::new(self), Box::new(other))
     }
+
+    /// Renders with range variable `i` written by `name`.
+    pub fn named<'a>(&'a self, name: &'a NameFn<'a>) -> Named<'a, TemporalExpr> {
+        Named { item: self, name }
+    }
+}
+
+impl fmt::Display for Named<'_, TemporalExpr> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.name;
+        match self.item {
+            TemporalExpr::Var(i) => name(f, *i),
+            TemporalExpr::Const(p) => write!(f, "{p}"),
+            TemporalExpr::StartOf(e) => write!(f, "start of {}", e.named(name)),
+            TemporalExpr::EndOf(e) => write!(f, "end of {}", e.named(name)),
+            TemporalExpr::Extend(a, b) => {
+                write!(f, "({} extend {})", a.named(name), b.named(name))
+            }
+            TemporalExpr::Intersect(a, b) => {
+                write!(f, "({} overlap {})", a.named(name), b.named(name))
+            }
+        }
+    }
 }
 
 impl fmt::Display for TemporalExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TemporalExpr::Var(i) => write!(f, "${i}"),
-            TemporalExpr::Const(p) => write!(f, "{p}"),
-            TemporalExpr::StartOf(e) => write!(f, "start of {e}"),
-            TemporalExpr::EndOf(e) => write!(f, "end of {e}"),
-            TemporalExpr::Extend(a, b) => write!(f, "({a} extend {b})"),
-            TemporalExpr::Intersect(a, b) => write!(f, "({a} overlap {b})"),
-        }
+        self.named(&index_name).fmt(f)
     }
 }
 
@@ -123,6 +141,46 @@ impl TemporalPred {
     #[must_use]
     pub fn and(self, other: TemporalPred) -> TemporalPred {
         TemporalPred::And(Box::new(self), Box::new(other))
+    }
+
+    /// Renders with range variable `i` written by `name` (`explain`
+    /// passes the variable names).
+    pub fn named<'a>(&'a self, name: &'a NameFn<'a>) -> Named<'a, TemporalPred> {
+        Named { item: self, name }
+    }
+}
+
+impl fmt::Display for Named<'_, TemporalPred> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = self.name;
+        match self.item {
+            TemporalPred::True => f.write_str("true"),
+            TemporalPred::Overlap(a, b) => {
+                write!(f, "{} overlap {}", a.named(name), b.named(name))
+            }
+            TemporalPred::Precede(a, b) => {
+                write!(f, "{} precede {}", a.named(name), b.named(name))
+            }
+            TemporalPred::Equal(a, b) => write!(f, "{} equal {}", a.named(name), b.named(name)),
+            TemporalPred::And(a, b) => {
+                // `or` binds looser than `and`: bracket it inside one.
+                let side = |p: &TemporalPred, f: &mut fmt::Formatter<'_>| match p {
+                    TemporalPred::Or(..) => write!(f, "({})", p.named(name)),
+                    _ => write!(f, "{}", p.named(name)),
+                };
+                side(a, f)?;
+                f.write_str(" and ")?;
+                side(b, f)
+            }
+            TemporalPred::Or(a, b) => write!(f, "{} or {}", a.named(name), b.named(name)),
+            TemporalPred::Not(a) => write!(f, "not ({})", a.named(name)),
+        }
+    }
+}
+
+impl fmt::Display for TemporalPred {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.named(&index_name).fmt(f)
     }
 }
 
@@ -187,6 +245,35 @@ mod tests {
             TemporalPred::Or(Box::new(TemporalPred::Not(Box::new(t))), Box::new(p))
                 .eval(&env)
                 .unwrap()
+        );
+    }
+
+    #[test]
+    fn display_names_variables() {
+        let pred = TemporalPred::Overlap(TemporalExpr::Var(0), TemporalExpr::Var(1).start_of())
+            .and(TemporalPred::Not(Box::new(TemporalPred::Precede(
+                TemporalExpr::Var(0),
+                TemporalExpr::Var(1),
+            ))));
+        assert_eq!(
+            pred.to_string(),
+            "$0 overlap start of $1 and not ($0 precede $1)"
+        );
+        let either = TemporalPred::Or(
+            Box::new(TemporalPred::Equal(
+                TemporalExpr::Var(0),
+                TemporalExpr::Var(1),
+            )),
+            Box::new(TemporalPred::True),
+        );
+        assert_eq!(
+            TemporalPred::True.and(either).to_string(),
+            "true and ($0 equal $1 or true)"
+        );
+        let names = |f: &mut fmt::Formatter<'_>, i: usize| f.write_str(["f1", "f2"][i]);
+        assert_eq!(
+            pred.named(&names).to_string(),
+            "f1 overlap start of f2 and not (f1 precede f2)"
         );
     }
 

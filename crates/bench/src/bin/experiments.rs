@@ -54,6 +54,7 @@
 //! Set `EXPERIMENTS_ONLY=<ids>` (comma-separated, e.g. `T10,T11,T13`) to
 //! run a subset.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -65,6 +66,9 @@ use chronos_core::relation::StaticOp;
 use chronos_db::{Database, Engine};
 use chronos_storage::codec;
 use chronos_storage::table::StoredBitemporalTable;
+use chronos_tquel::analyze::analyze_retrieve;
+use chronos_tquel::ast::Statement;
+use chronos_tquel::exec::execute_plan;
 
 fn heading(s: &str) {
     println!("\n{}", "-".repeat(72));
@@ -596,6 +600,36 @@ fn t7_tquel_throughput() {
         });
         println!("{:>20} | {:>12.1} | {:>6}", name, ns as f64 / 1e3, rows);
     }
+
+    // The ablation: the join's own plan with nothing pushed, so every
+    // combination of the two scans is tested.  It runs without parse,
+    // analysis or a session around it, which only flatters this row.
+    let mut ranges = HashMap::new();
+    let mut join = None;
+    for stmt in chronos_tquel::parse_program(&shapes[3].1).expect("parses") {
+        match stmt {
+            Statement::RangeDecl { var, relation } => {
+                ranges.insert(var, relation);
+            }
+            Statement::Retrieve(r) => join = Some(r),
+            _ => {}
+        }
+    }
+    let join = join.expect("the join shape is a retrieve");
+    engine.with_db(|db| {
+        let mut plan = analyze_retrieve(&join, &ranges, db).expect("analyzes");
+        plan.filters.clear();
+        let rows = execute_plan(&plan, db).expect("query").len();
+        let ns = time_ns(10, || {
+            std::hint::black_box(execute_plan(&plan, db).expect("query"));
+        });
+        println!(
+            "{:>20} | {:>12.1} | {:>6}",
+            "join, nothing pushed",
+            ns as f64 / 1e3,
+            rows
+        );
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -15,6 +15,10 @@
 //! * a rollback (`as of`) query over a static-rollback relation yields a
 //!   **pure static relation** (paper §4.2).
 //!
+//! Analysis also splits the top-level conjuncts of `where` and `when`
+//! per range variable ([`VarFilter`]), so the evaluator can narrow each
+//! variable's rows before it forms the product.
+//!
 //! Default timestamps follow the paper's worked examples: when no
 //! `valid` clause is given, a derived tuple's valid time is the
 //! intersection of the valid times of the variables appearing in the
@@ -73,7 +77,7 @@ pub enum ValidPlan {
     /// `valid at e` — the result is event-stamped.
     At(TemporalExpr),
     /// `valid from e1 to e2` — the result period is
-    /// `[start of e1, end of e2)`.
+    /// `[start of e1, start of e2)`: the `to` bound is exclusive.
     FromTo(TemporalExpr, TemporalExpr),
 }
 
@@ -84,6 +88,18 @@ pub enum TargetPlan {
     Attr(usize),
     /// Aggregate over the flat attribute at this index.
     Aggregate(AggFunc, usize),
+}
+
+/// The conjuncts of `where` and `when` that mention one range variable
+/// only, rebased onto that variable's own row.
+#[derive(Clone, PartialEq, Debug)]
+pub struct VarFilter {
+    /// The variable, as an index into [`RetrievePlan::vars`].
+    pub var: usize,
+    /// `where` conjuncts over the variable's own tuple.
+    pub predicate: Predicate,
+    /// `when` conjuncts over the variable's own valid period (`Var(0)`).
+    pub when: TemporalPred,
 }
 
 /// An executable retrieve plan.
@@ -105,6 +121,12 @@ pub struct RetrievePlan {
     pub predicate: Predicate,
     /// The `when` predicate over variable valid times.
     pub when: TemporalPred,
+    /// Per-variable filters, at most one per variable: each variable's
+    /// own conjuncts of `predicate` and `when`, plus the constant
+    /// equalities that equi-join conjuncts imply for it.  They only
+    /// narrow the product's inputs — `predicate` and `when` still decide
+    /// every answer, so clearing this changes no result.
+    pub filters: Vec<VarFilter>,
     /// The `valid` clause, if any.
     pub valid: Option<ValidPlan>,
     /// The resolved `as of` clause, if any.
@@ -225,6 +247,8 @@ pub fn analyze_retrieve(
         None => TemporalPred::True,
     };
 
+    let filters = push_down(&vars, &predicate, &when);
+
     // Lower the valid clause.
     let valid = match &stmt.valid {
         Some(ValidClause::At(e)) => Some(ValidPlan::At(lower_texpr(e, &vars, &var_index)?)),
@@ -288,6 +312,7 @@ pub fn analyze_retrieve(
         target_vars,
         predicate,
         when,
+        filters,
         valid,
         as_of,
         result_valid,
@@ -295,6 +320,210 @@ pub fn analyze_retrieve(
         result_signature,
         out_schema,
     })
+}
+
+/// Splits the top-level conjuncts of `predicate` and `when` into
+/// per-variable filters.  A conjunct goes to a variable's filter iff it
+/// mentions that variable and no other; one that spans two variables
+/// (an `or` among them) or none stays in the full predicate only.
+fn push_down(vars: &[VarBinding], predicate: &Predicate, when: &TemporalPred) -> Vec<VarFilter> {
+    let owner = |flat: usize| {
+        vars.iter()
+            .position(|v| (v.offset..v.offset + v.info.schema.arity()).contains(&flat))
+            .expect("analysis resolves every attribute to a variable")
+    };
+    let mut wheres = Vec::new();
+    where_conjuncts(predicate, &mut wheres);
+    let implied = implied_equalities(&wheres);
+
+    let mut filters: Vec<VarFilter> = (0..vars.len())
+        .map(|var| VarFilter {
+            var,
+            predicate: Predicate::True,
+            when: TemporalPred::True,
+        })
+        .collect();
+    for c in wheres.into_iter().chain(&implied) {
+        let mut attrs = Vec::new();
+        pred_attrs(c, &mut attrs);
+        let Some((&first, rest)) = attrs.split_first() else {
+            continue;
+        };
+        let var = owner(first);
+        if rest.iter().all(|&a| owner(a) == var) {
+            let f = &mut filters[var];
+            f.predicate = match std::mem::replace(&mut f.predicate, Predicate::True) {
+                Predicate::True => rebase_pred(c, vars[var].offset),
+                acc => acc.and(rebase_pred(c, vars[var].offset)),
+            };
+        }
+    }
+    let mut whens = Vec::new();
+    when_conjuncts(when, &mut whens);
+    for c in whens {
+        let mut used = Vec::new();
+        tpred_vars(c, &mut used);
+        if let Some((&var, rest)) = used.split_first() {
+            if rest.iter().all(|&v| v == var) {
+                let f = &mut filters[var];
+                f.when = match std::mem::replace(&mut f.when, TemporalPred::True) {
+                    TemporalPred::True => rebase_tpred(c),
+                    acc => acc.and(rebase_tpred(c)),
+                };
+            }
+        }
+    }
+    filters.retain(|f| f.predicate != Predicate::True || f.when != TemporalPred::True);
+    filters
+}
+
+fn where_conjuncts<'p>(p: &'p Predicate, out: &mut Vec<&'p Predicate>) {
+    match p {
+        Predicate::And(a, b) => {
+            where_conjuncts(a, out);
+            where_conjuncts(b, out);
+        }
+        Predicate::True => {}
+        other => out.push(other),
+    }
+}
+
+fn when_conjuncts<'p>(p: &'p TemporalPred, out: &mut Vec<&'p TemporalPred>) {
+    match p {
+        TemporalPred::And(a, b) => {
+            when_conjuncts(a, out);
+            when_conjuncts(b, out);
+        }
+        TemporalPred::True => {}
+        other => out.push(other),
+    }
+}
+
+/// The `a = const` conjuncts that top-level `a = b` and `b = const`
+/// conjuncts imply (transitively), other than those already present.
+/// Sound because `=` on [`Value`]s is an equivalence and analysis gives
+/// both sides of every comparison one type.
+fn implied_equalities(conjuncts: &[&Predicate]) -> Vec<Predicate> {
+    let mut links = Vec::new();
+    let mut known: Vec<(usize, &Value)> = Vec::new();
+    for c in conjuncts {
+        match c {
+            Predicate::Cmp(CmpOp::Eq, Expr::Attr(a), Expr::Attr(b)) => links.push((*a, *b)),
+            Predicate::Cmp(CmpOp::Eq, Expr::Attr(a), Expr::Const(v))
+            | Predicate::Cmp(CmpOp::Eq, Expr::Const(v), Expr::Attr(a))
+                if !known.contains(&(*a, v)) =>
+            {
+                known.push((*a, v));
+            }
+            _ => {}
+        }
+    }
+    let explicit = known.len();
+    let mut i = 0;
+    while i < known.len() {
+        let (attr, v) = known[i];
+        for &(a, b) in &links {
+            let other = match attr {
+                x if x == a => b,
+                x if x == b => a,
+                _ => continue,
+            };
+            if !known.contains(&(other, v)) {
+                known.push((other, v));
+            }
+        }
+        i += 1;
+    }
+    known[explicit..]
+        .iter()
+        .map(|&(a, v)| Predicate::attr_eq(a, v.clone()))
+        .collect()
+}
+
+fn pred_attrs(p: &Predicate, out: &mut Vec<usize>) {
+    match p {
+        Predicate::True => {}
+        Predicate::Cmp(_, a, b) => {
+            for e in [a, b] {
+                if let Expr::Attr(i) = e {
+                    out.push(*i);
+                }
+            }
+        }
+        Predicate::And(a, b) | Predicate::Or(a, b) => {
+            pred_attrs(a, out);
+            pred_attrs(b, out);
+        }
+        Predicate::Not(a) => pred_attrs(a, out),
+    }
+}
+
+fn rebase_pred(p: &Predicate, offset: usize) -> Predicate {
+    let expr = |e: &Expr| match e {
+        Expr::Attr(i) => Expr::Attr(i - offset),
+        c => c.clone(),
+    };
+    match p {
+        Predicate::True => Predicate::True,
+        Predicate::Cmp(op, a, b) => Predicate::Cmp(*op, expr(a), expr(b)),
+        Predicate::And(a, b) => rebase_pred(a, offset).and(rebase_pred(b, offset)),
+        Predicate::Or(a, b) => rebase_pred(a, offset).or(rebase_pred(b, offset)),
+        Predicate::Not(a) => rebase_pred(a, offset).not(),
+    }
+}
+
+fn tpred_vars(p: &TemporalPred, out: &mut Vec<usize>) {
+    match p {
+        TemporalPred::True => {}
+        TemporalPred::Overlap(a, b) | TemporalPred::Precede(a, b) | TemporalPred::Equal(a, b) => {
+            texpr_vars(a, out);
+            texpr_vars(b, out);
+        }
+        TemporalPred::And(a, b) | TemporalPred::Or(a, b) => {
+            tpred_vars(a, out);
+            tpred_vars(b, out);
+        }
+        TemporalPred::Not(a) => tpred_vars(a, out),
+    }
+}
+
+fn texpr_vars(e: &TemporalExpr, out: &mut Vec<usize>) {
+    match e {
+        TemporalExpr::Var(i) => out.push(*i),
+        TemporalExpr::Const(_) => {}
+        TemporalExpr::StartOf(a) | TemporalExpr::EndOf(a) => texpr_vars(a, out),
+        TemporalExpr::Extend(a, b) | TemporalExpr::Intersect(a, b) => {
+            texpr_vars(a, out);
+            texpr_vars(b, out);
+        }
+    }
+}
+
+/// Rebases a one-variable `when` conjunct onto that variable's period
+/// alone: every `Var(i)` becomes `Var(0)`.
+fn rebase_tpred(p: &TemporalPred) -> TemporalPred {
+    let pred = |p: &TemporalPred| Box::new(rebase_tpred(p));
+    match p {
+        TemporalPred::True => TemporalPred::True,
+        TemporalPred::Overlap(a, b) => TemporalPred::Overlap(rebase_texpr(a), rebase_texpr(b)),
+        TemporalPred::Precede(a, b) => TemporalPred::Precede(rebase_texpr(a), rebase_texpr(b)),
+        TemporalPred::Equal(a, b) => TemporalPred::Equal(rebase_texpr(a), rebase_texpr(b)),
+        TemporalPred::And(a, b) => TemporalPred::And(pred(a), pred(b)),
+        TemporalPred::Or(a, b) => TemporalPred::Or(pred(a), pred(b)),
+        TemporalPred::Not(a) => TemporalPred::Not(pred(a)),
+    }
+}
+
+fn rebase_texpr(e: &TemporalExpr) -> TemporalExpr {
+    let expr = |e: &TemporalExpr| Box::new(rebase_texpr(e));
+    match e {
+        TemporalExpr::Var(_) => TemporalExpr::Var(0),
+        TemporalExpr::Const(p) => TemporalExpr::Const(*p),
+        TemporalExpr::StartOf(a) => TemporalExpr::StartOf(expr(a)),
+        TemporalExpr::EndOf(a) => TemporalExpr::EndOf(expr(a)),
+        TemporalExpr::Extend(a, b) => TemporalExpr::Extend(expr(a), expr(b)),
+        TemporalExpr::Intersect(a, b) => TemporalExpr::Intersect(expr(a), expr(b)),
+    }
 }
 
 struct Binder<'a> {
@@ -614,5 +843,108 @@ pub fn analyze_valid_const(v: &ValidClause) -> TquelResult<ValidPlan> {
             lower_texpr(a, &vars, &var_index)?,
             lower_texpr(b, &vars, &var_index)?,
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use chronos_core::schema::faculty_schema;
+
+    use super::*;
+    use crate::ast::Statement;
+    use crate::parser::parse_statement;
+    use crate::provider::SourceRow;
+
+    /// A catalog of one temporal `faculty (name, rank)`; nothing scans.
+    struct Faculty;
+
+    impl RelationProvider for Faculty {
+        fn info(&self, relation: &str) -> Option<RelationInfo> {
+            (relation == "faculty").then(|| RelationInfo {
+                schema: faculty_schema(),
+                class: RelationClass::Temporal,
+                signature: TemporalSignature::Interval,
+            })
+        }
+
+        fn scan(&self, _: &str, _: Option<&AsOfSpec>) -> TquelResult<Arc<Vec<SourceRow>>> {
+            unreachable!("analysis never scans")
+        }
+    }
+
+    fn filters(retrieve: &str) -> Vec<VarFilter> {
+        let Ok(Statement::Retrieve(stmt)) = parse_statement(retrieve) else {
+            panic!("not a retrieve: {retrieve}");
+        };
+        let ranges: HashMap<String, String> = [("f1", "faculty"), ("f2", "faculty")]
+            .into_iter()
+            .map(|(v, r)| (v.to_string(), r.to_string()))
+            .collect();
+        analyze_retrieve(&stmt, &ranges, &Faculty)
+            .expect("analyzes")
+            .filters
+    }
+
+    fn only_where(var: usize, predicate: Predicate) -> VarFilter {
+        VarFilter {
+            var,
+            predicate,
+            when: TemporalPred::True,
+        }
+    }
+
+    #[test]
+    fn each_variable_keeps_its_own_conjuncts_rebased_onto_its_tuple() {
+        let got = filters(
+            r#"retrieve (f1.rank) where f1.name = "Merrie" and f2.name = "Tom"
+               when f1 overlap start of f2"#,
+        );
+        assert_eq!(
+            got,
+            [
+                only_where(0, Predicate::attr_eq(0, "Merrie")),
+                only_where(1, Predicate::attr_eq(0, "Tom")),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_equi_join_carries_a_constant_to_the_other_side() {
+        let got = filters(r#"retrieve (f1.rank) where f1.name = f2.name and f2.name = "k""#);
+        assert_eq!(
+            got,
+            [
+                only_where(0, Predicate::attr_eq(0, "k")),
+                only_where(1, Predicate::attr_eq(0, "k")),
+            ]
+        );
+    }
+
+    #[test]
+    fn conjuncts_over_two_variables_or_none_are_not_pushed() {
+        let got = filters(
+            r#"retrieve (f1.rank) where (f1.rank = "full" or f2.rank = "full")
+               and "a" = "b" and f1.rank < f2.rank"#,
+        );
+        assert_eq!(got, []);
+    }
+
+    #[test]
+    fn a_one_variable_when_conjunct_is_rebased_onto_its_period() {
+        let got = filters(
+            r#"retrieve (f1.rank) where (f2.name = "a" or f2.rank = "b")
+               when f2 overlap "01/01/80" and f1 precede f2"#,
+        );
+        let day = Period::instant(date("01/01/80").expect("valid"));
+        assert_eq!(
+            got,
+            [VarFilter {
+                var: 1,
+                predicate: Predicate::attr_eq(0, "a").or(Predicate::attr_eq(1, "b")),
+                when: TemporalPred::Overlap(TemporalExpr::Var(0), TemporalExpr::Const(day)),
+            }]
+        );
     }
 }

@@ -1,10 +1,16 @@
 //! The tuple-calculus evaluator.
 //!
-//! A retrieve is evaluated as the paper (and Quel) define it: the
-//! cartesian product of the range variables' row sets, filtered by the
-//! `where` predicate over attribute values and the `when` predicate over
-//! valid times, then projected through the target list with derived
-//! timestamps.
+//! A retrieve is answered as the paper (and Quel) define it: the
+//! combinations of the range variables' rows that satisfy the `where`
+//! predicate over attribute values and the `when` predicate over valid
+//! times, projected through the target list with derived timestamps.
+//!
+//! The evaluator does not form the whole cartesian product.  Each scan
+//! is first narrowed by its variable's own conjuncts (the plan's
+//! [`VarFilter`](crate::analyze::VarFilter)s); the product then runs over the
+//! narrowed inputs and re-checks the full `where` and `when` on every
+//! combination.  Narrowing keeps each scan's order, so the qualifying
+//! combinations come out in the same order as over the full product.
 //!
 //! Derived timestamps (§4.4's closure property — "this derived relation
 //! is a temporal relation, so further temporal relations can be derived
@@ -18,9 +24,14 @@
 //! Rows whose derived valid period is empty hold at no time and are
 //! dropped.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::collections::HashSet;
+use std::fmt;
+use std::sync::Arc;
 
+use chronos_algebra::expr::Predicate;
+use chronos_algebra::when::TemporalPred;
 use chronos_core::period::Period;
 use chronos_core::relation::Validity;
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
@@ -31,7 +42,7 @@ use chronos_core::value::Value;
 
 use chronos_obs::{noop_recorder, Recorder};
 
-use crate::analyze::{analyze_retrieve, RetrievePlan, TargetPlan, ValidPlan};
+use crate::analyze::{analyze_retrieve, RetrievePlan, TargetPlan, ValidPlan, VarFilter};
 use crate::ast::{AggFunc, Retrieve};
 use crate::error::{TquelError, TquelResult};
 use crate::provider::{RelationProvider, SourceRow};
@@ -91,18 +102,22 @@ pub fn execute_plan(
 }
 
 /// Executes an analyzed plan, recording per-operator spans (scan,
-/// product, aggregate) into `recorder`.
+/// filter, product, aggregate) into `recorder`.
 pub fn execute_plan_traced(
     plan: &RetrievePlan,
     provider: &dyn RelationProvider,
     recorder: &Recorder,
 ) -> TquelResult<ResultRelation> {
     let exec_span = recorder.span("tquel/exec");
-    // Scan each range variable (shared row sets — a caching provider
-    // hands the same Arc to every retrieve at the same coordinate).
-    let mut scans: Vec<std::sync::Arc<Vec<SourceRow>>> = Vec::with_capacity(plan.vars.len());
+    // One slot per variable, filled in binding order, so each narrowed
+    // input can borrow its scan while the later ones run.  The scans
+    // are shared row sets: a caching provider hands the same Arc to
+    // every retrieve at the same coordinate.
+    let scans: Vec<OnceCell<Arc<Vec<SourceRow>>>> =
+        plan.vars.iter().map(|_| OnceCell::new()).collect();
+    let mut inputs: Vec<Vec<&SourceRow>> = Vec::with_capacity(plan.vars.len());
     let mut estimates: Vec<Option<u64>> = Vec::with_capacity(plan.vars.len());
-    for v in &plan.vars {
+    for (vi, (v, slot)) in plan.vars.iter().zip(&scans).enumerate() {
         let span = recorder.span("tquel/scan");
         span.detail(format!("{} over {}", v.name, v.relation));
         // Statistics describe the current state, so estimates only apply
@@ -118,9 +133,13 @@ pub fn execute_plan_traced(
         estimates.push(est);
         let rows = provider.scan(&v.relation, plan.as_of.as_ref())?;
         span.rows_out(rows.len() as u64);
-        scans.push(rows);
+        let rows = slot.get_or_init(|| rows);
+        inputs.push(match plan.filters.iter().find(|f| f.var == vi) {
+            Some(filter) => narrow(plan, filter, rows, recorder)?,
+            None => rows.iter().collect(),
+        });
     }
-    let combinations: u64 = scans.iter().map(|s| s.len() as u64).product();
+    let combinations: u64 = inputs.iter().map(|rows| rows.len() as u64).product();
     // The product's input estimate is the product of the per-scan
     // estimates — defined only when every scan had one.
     let est_combinations: Option<u64> = estimates
@@ -134,7 +153,7 @@ pub fn execute_plan_traced(
         if let Some(est) = est_combinations {
             span.rows_est(est);
         }
-        let result = execute_aggregate(plan, &scans)?;
+        let result = execute_aggregate(plan, &inputs)?;
         span.rows_out(result.len() as u64);
         exec_span.rows_out(result.len() as u64);
         return Ok(result);
@@ -155,61 +174,19 @@ pub fn execute_plan_traced(
     type RowKey = (Tuple, Option<Validity>, Option<(TimePoint, TimePoint)>);
     let mut rows: Vec<ResultRow> = Vec::new();
     let mut seen: HashSet<RowKey> = HashSet::new();
-
-    // Cartesian product via an index vector (no recursion, no clones of
-    // the scans).
-    if scans.iter().any(|s| s.is_empty()) {
-        product_span.rows_out(0);
-        exec_span.rows_out(0);
-        return Ok(ResultRelation {
-            schema: plan.out_schema.clone(),
-            kind,
-            signature: plan.result_signature,
-            rows,
-        });
-    }
-    let mut idx = vec![0usize; scans.len()];
-    'product: loop {
-        let combo: Vec<&SourceRow> = idx.iter().zip(&scans).map(|(&i, s)| &s[i]).collect();
-
-        // Flat tuple and period environment.
-        let mut values = Vec::new();
-        for r in &combo {
-            values.extend_from_slice(r.tuple.values());
-        }
-        let flat = Tuple::new(values);
-        let env: Vec<Period> = combo
-            .iter()
-            .map(|r| r.validity.map_or(Period::ALWAYS, |v| v.period()))
-            .collect();
-
-        if plan.predicate.eval(&flat)? && plan.when.eval(&env)? {
-            if let Some(row) = derive_row(plan, &combo, &flat, &env)? {
-                let key = (
-                    row.tuple.clone(),
-                    row.validity,
-                    row.tx.map(|p| (p.start(), p.end())),
-                );
-                if seen.insert(key) {
-                    rows.push(row);
-                }
+    for_each_match(plan, &inputs, |combo, flat, env| {
+        if let Some(row) = derive_row(plan, combo, flat, env)? {
+            let key = (
+                row.tuple.clone(),
+                row.validity,
+                row.tx.map(|p| (p.start(), p.end())),
+            );
+            if seen.insert(key) {
+                rows.push(row);
             }
         }
-
-        // Advance the odometer.
-        let mut d = scans.len();
-        loop {
-            if d == 0 {
-                break 'product;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < scans[d].len() {
-                break;
-            }
-            idx[d] = 0;
-        }
-    }
+        Ok(())
+    })?;
 
     product_span.rows_out(rows.len() as u64);
     exec_span.rows_out(rows.len() as u64);
@@ -219,6 +196,102 @@ pub fn execute_plan_traced(
         signature: plan.result_signature,
         rows,
     })
+}
+
+/// A row's valid period; rows without valid time hold always.
+fn valid_period(row: &SourceRow) -> Period {
+    row.validity.map_or(Period::ALWAYS, |v| v.period())
+}
+
+/// The rows of `scan` that pass `filter`, in scan order, under a
+/// `tquel/filter` span naming the pushed conjuncts.
+fn narrow<'a>(
+    plan: &RetrievePlan,
+    filter: &VarFilter,
+    scan: &'a [SourceRow],
+    recorder: &Recorder,
+) -> TquelResult<Vec<&'a SourceRow>> {
+    let span = recorder.span("tquel/filter");
+    if recorder.is_enabled() {
+        span.detail(describe(plan, filter));
+    }
+    span.rows_in(scan.len() as u64);
+    let mut kept = Vec::new();
+    for row in scan {
+        if filter.predicate.eval(&row.tuple)?
+            && filter.when.eval(std::slice::from_ref(&valid_period(row)))?
+        {
+            kept.push(row);
+        }
+    }
+    span.rows_out(kept.len() as u64);
+    Ok(kept)
+}
+
+/// `where f.name = "Merrie" when f overlap …` — a filter's conjuncts in
+/// the variable's own names.
+fn describe(plan: &RetrievePlan, filter: &VarFilter) -> String {
+    let v = &plan.vars[filter.var];
+    let attr = |f: &mut fmt::Formatter<'_>, i: usize| {
+        write!(f, "{}.{}", v.name, v.info.schema.attribute(i).name())
+    };
+    let var = |f: &mut fmt::Formatter<'_>, _| f.write_str(&v.name);
+    let mut parts = Vec::new();
+    if filter.predicate != Predicate::True {
+        parts.push(format!("where {}", filter.predicate.named(&attr)));
+    }
+    if filter.when != TemporalPred::True {
+        parts.push(format!("when {}", filter.when.named(&var)));
+    }
+    parts.join(" ")
+}
+
+/// Calls `visit` for every combination of `inputs` (one row per
+/// variable, the last variable varying fastest) that satisfies the
+/// plan's full `where` and `when`, passing the rows, the flat tuple's
+/// values and the valid-time environment.  The three buffers are
+/// allocated once; a step rewrites only the variables whose row changed.
+fn for_each_match<'a>(
+    plan: &RetrievePlan,
+    inputs: &[Vec<&'a SourceRow>],
+    mut visit: impl FnMut(&[&'a SourceRow], &[Value], &[Period]) -> TquelResult<()>,
+) -> TquelResult<()> {
+    if inputs.iter().any(Vec::is_empty) {
+        return Ok(());
+    }
+    let mut idx = vec![0usize; inputs.len()];
+    let mut combo: Vec<&SourceRow> = inputs.iter().map(|rows| rows[0]).collect();
+    let mut flat: Vec<Value> = combo
+        .iter()
+        .flat_map(|r| r.tuple.values())
+        .cloned()
+        .collect();
+    let mut env: Vec<Period> = combo.iter().map(|r| valid_period(r)).collect();
+    loop {
+        if plan.predicate.eval_values(&flat)? && plan.when.eval(&env)? {
+            visit(&combo, &flat, &env)?;
+        }
+        // Advance the odometer; variables `d..` move to a new row.
+        let mut d = inputs.len();
+        loop {
+            if d == 0 {
+                return Ok(());
+            }
+            d -= 1;
+            idx[d] += 1;
+            if idx[d] < inputs[d].len() {
+                break;
+            }
+            idx[d] = 0;
+        }
+        for v in d..inputs.len() {
+            let row = inputs[v][idx[v]];
+            let at = plan.vars[v].offset;
+            combo[v] = row;
+            flat[at..at + row.tuple.arity()].clone_from_slice(row.tuple.values());
+            env[v] = valid_period(row);
+        }
+    }
 }
 
 /// Running state of one aggregate target.
@@ -306,7 +379,7 @@ impl AggState {
 /// value aggregate is undefined over an empty set).
 fn execute_aggregate(
     plan: &RetrievePlan,
-    scans: &[std::sync::Arc<Vec<SourceRow>>],
+    inputs: &[Vec<&SourceRow>],
 ) -> TquelResult<ResultRelation> {
     let mut states: Vec<(AggState, usize)> = plan
         .targets
@@ -320,39 +393,12 @@ fn execute_aggregate(
             TargetPlan::Attr(_) => unreachable!("analysis rejects mixed target lists"),
         })
         .collect();
-
-    if !scans.iter().any(|s| s.is_empty()) {
-        let mut idx = vec![0usize; scans.len()];
-        'product: loop {
-            let combo: Vec<&SourceRow> = idx.iter().zip(scans).map(|(&i, s)| &s[i]).collect();
-            let mut values = Vec::new();
-            for r in &combo {
-                values.extend_from_slice(r.tuple.values());
-            }
-            let flat = Tuple::new(values);
-            let env: Vec<Period> = combo
-                .iter()
-                .map(|r| r.validity.map_or(Period::ALWAYS, |v| v.period()))
-                .collect();
-            if plan.predicate.eval(&flat)? && plan.when.eval(&env)? {
-                for (state, flat_idx) in &mut states {
-                    state.observe(flat.get(*flat_idx))?;
-                }
-            }
-            let mut d = scans.len();
-            loop {
-                if d == 0 {
-                    break 'product;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < scans[d].len() {
-                    break;
-                }
-                idx[d] = 0;
-            }
+    for_each_match(plan, inputs, |_, flat, _| {
+        for (state, flat_idx) in &mut states {
+            state.observe(&flat[*flat_idx])?;
         }
-    }
+        Ok(())
+    })?;
 
     let mut values = Vec::with_capacity(states.len());
     let mut defined = true;
@@ -382,7 +428,7 @@ fn execute_aggregate(
 fn derive_row(
     plan: &RetrievePlan,
     combo: &[&SourceRow],
-    flat: &Tuple,
+    flat: &[Value],
     env: &[Period],
 ) -> TquelResult<Option<ResultRow>> {
     // Valid time.
@@ -463,7 +509,7 @@ fn derive_row(
         .targets
         .iter()
         .map(|(_, t)| match t {
-            TargetPlan::Attr(flat_idx) => flat.get(*flat_idx).clone(),
+            TargetPlan::Attr(flat_idx) => flat[*flat_idx].clone(),
             TargetPlan::Aggregate(..) => {
                 unreachable!("aggregated plans take the aggregate path")
             }

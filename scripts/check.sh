@@ -96,6 +96,27 @@ EOF
 ) || die "explain smoke: batch script failed"
 [ "$(grep -c 'tquel/exec' <<<"$explain_out")" -eq 5 ] \
   || die "explain smoke: expected 5 span trees" "$explain_out"
+# A two-variable join: each variable's own conjunct narrows its scan,
+# and explain names it in a tquel/filter span under that scan.
+join_out=$(./target/release/chronos --batch <<'EOF'
+create t_rel (name = str, rank = str) as temporal
+
+append to t_rel (name = "Merrie", rank = "full")
+
+append to t_rel (name = "Tom", rank = "associate")
+
+range of t is t_rel
+range of u is t_rel
+
+explain retrieve (t.rank) where t.name = "Merrie" and u.name = "Tom" when t overlap start of u
+EOF
+) || die "explain smoke: join batch script failed"
+[ "$(grep -c 'tquel/filter' <<<"$join_out")" -eq 2 ] \
+  || die "explain smoke: expected 2 tquel/filter spans" "$join_out"
+grep -q 'tquel/filter \[where t.name = "Merrie"\]' <<<"$join_out" \
+  || die "explain smoke: t's pushed conjunct not named" "$join_out"
+grep -q 'tquel/filter \[where u.name = "Tom"\]' <<<"$join_out" \
+  || die "explain smoke: u's pushed conjunct not named" "$join_out"
 # Sessions read transaction-time relations as of their snapshot pin,
 # so the rollback and temporal trees show the tx-index stab.
 grep -q 'storage/asof' <<<"$explain_out" \

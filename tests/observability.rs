@@ -141,6 +141,107 @@ fn explain_omits_timings_but_keeps_the_span_tree() {
     }
 }
 
+/// The `explain` report of one statement over two `faculty` variables.
+fn explain_two_vars(engine: &Arc<Engine>, retrieve: &str) -> String {
+    let outcomes = engine
+        .session()
+        .run(&format!(
+            "range of f1 is faculty\nrange of f2 is faculty\nexplain {retrieve}"
+        ))
+        .expect("explain runs");
+    match &outcomes[2] {
+        ExecOutcome::Explained {
+            profile: false,
+            report,
+        } => report.clone(),
+        other => panic!("expected an explain report, got {other:?}"),
+    }
+}
+
+/// The `tquel/filter` lines of a report, each checked to sit directly
+/// under its `tquel/scan` and to narrow that scan's rows.
+fn filter_lines(report: &str) -> Vec<&str> {
+    let count = |line: &str, key: &str| -> u64 {
+        let at = line
+            .find(key)
+            .unwrap_or_else(|| panic!("no {key} in {line}"));
+        let digits: String = line[at + key.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("a row count")
+    };
+    let indent = |line: &str| line.len() - line.trim_start().len();
+    let lines: Vec<&str> = report.lines().collect();
+    let mut filters = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if !line.contains("tquel/filter") {
+            continue;
+        }
+        let scan = lines[..i]
+            .iter()
+            .rev()
+            .find(|l| l.contains("tquel/scan"))
+            .expect("a filter follows its scan");
+        assert_eq!(
+            indent(line),
+            indent(scan) + 2,
+            "not under its scan:\n{report}"
+        );
+        assert_eq!(
+            count(line, "rows_in="),
+            count(scan, "rows_out="),
+            "{report}"
+        );
+        assert!(
+            count(line, "rows_out=") < count(line, "rows_in="),
+            "{report}"
+        );
+        filters.push(*line);
+    }
+    filters
+}
+
+#[test]
+fn explain_names_the_conjuncts_pushed_to_each_variable() {
+    let (engine, _clock) = figure8_db();
+    // The paper's §4.4 query: each variable keeps its own name test.
+    let report = explain_two_vars(
+        &engine,
+        r#"retrieve (f1.rank) where f1.name = "Merrie" and f2.name = "Tom"
+           when f1 overlap start of f2"#,
+    );
+    let filters = filter_lines(&report);
+    assert_eq!(filters.len(), 2, "{report}");
+    assert!(
+        filters[0].contains(r#"[where f1.name = "Merrie"]"#),
+        "{report}"
+    );
+    assert!(
+        filters[1].contains(r#"[where f2.name = "Tom"]"#),
+        "{report}"
+    );
+
+    // An equi-join: f2's constant equality is derived from f1's.
+    let report = explain_two_vars(
+        &engine,
+        r#"retrieve (f1.rank, r2 = f2.rank) where f1.name = f2.name and f1.name = "Tom"
+           when f1 overlap f2"#,
+    );
+    let filters = filter_lines(&report);
+    assert_eq!(filters.len(), 2, "{report}");
+    assert!(
+        filters[0].contains(r#"[where f1.name = "Tom"]"#),
+        "{report}"
+    );
+    assert!(
+        filters[1].contains(r#"[where f2.name = "Tom"]"#),
+        "{report}"
+    );
+    // The join conjunct spans both variables and is pushed to neither.
+    assert!(!report.contains("f1.name = f2.name"), "{report}");
+}
+
 fn built_table(transactions: usize, seed: u64) -> StoredBitemporalTable {
     let w = generate(&WorkloadSpec {
         entities: (transactions / 4).max(8),
