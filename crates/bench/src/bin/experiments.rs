@@ -43,9 +43,11 @@
 //!   literal variation of the same statement shape);
 //! * **T16** — frozen segments: bytes/version and as-of point-query
 //!   latency of the delta-coded, mmap-backed segment format against
-//!   the pure paged heap, swept over version-chain length (the
-//!   tentpole claim: ≤1.3× duplication and ≥2× point-lookup speedup
-//!   at chain length 32), recorded in `BENCH_storage.json`;
+//!   the paged heap with its key index, swept over version-chain
+//!   length (gated: ≤1.3× duplication at chain length 32, byte-identical
+//!   answers, a segment lookup touching one chain and a heap lookup
+//!   decoding only the versions stored at the probe; both latencies are
+//!   reported, neither is gated), recorded in `BENCH_storage.json`;
 //! * **T17** — physical storage shape: version-chain length swept
 //!   against the measured duplication factor and bytes/version of the
 //!   paged heap (the numbers `sys$pages`, `/storage`, and `analyze`
@@ -64,6 +66,7 @@ use chronos_core::clock::ManualClock;
 use chronos_core::prelude::*;
 use chronos_core::relation::StaticOp;
 use chronos_db::{Database, Engine};
+use chronos_obs::Recorder;
 use chronos_storage::codec;
 use chronos_storage::table::StoredBitemporalTable;
 use chronos_tquel::analyze::analyze_retrieve;
@@ -658,9 +661,12 @@ fn t8_query_cache() {
         }
         engine
     };
+    // Unkeyed: a keyed read goes to the key index and bypasses the
+    // cache, so only a whole-relation scan shows what the cache saves.
     let as_of = chronos_core::calendar::Date::from_chronon(Chronon::new(1100));
     let query = format!(
-        r#"range of f is faculty retrieve (f.rank) where f.name = "prof00007" as of "{as_of}""#
+        r#"range of f is faculty retrieve (n = count(f.name)) where f.rank = "assistant"
+           as of "{as_of}""#
     );
 
     let uncached = || {
@@ -1834,9 +1840,12 @@ fn t16_drive(table: &mut StoredBitemporalTable, keys: usize, chain: usize) -> Ve
 
 /// Freezes one of two identically-driven tables and measures both
 /// physical shape (bytes/version, duplication) and as-of point-lookup
-/// latency, heap vs segment.  The tentpole's acceptance bar — ≤1.3×
-/// duplication and ≥2× lookup speedup at chain length 32 — is
-/// asserted here, so a codec or skip-path regression fails the run.
+/// latency, heap vs segment.  Asserted, so a codec or access-path
+/// regression fails the run: ≤1.3× duplication at chain length 32,
+/// byte-identical answers, a segment lookup touching exactly one chain,
+/// and a heap lookup decoding only the versions stored at the probe.
+/// The latencies are printed and recorded, not gated: both paths cost
+/// a key's versions, and which is faster depends on chain length.
 fn t16_frozen_segments() -> Vec<T16Row> {
     heading("T16: frozen segments — bytes/version + as-of point lookup, heap vs segments");
     println!(
@@ -1852,6 +1861,10 @@ fn t16_frozen_segments() -> Vec<T16Row> {
         let mut frozen = StoredBitemporalTable::in_memory(schema, TemporalSignature::Interval);
         let days = t16_drive(&mut heap_only, KEYS, chain);
         t16_drive(&mut frozen, KEYS, chain);
+        let heap_recorder = Arc::new(Recorder::new());
+        heap_only.set_recorder(Arc::clone(&heap_recorder));
+        let seg_recorder = Arc::new(Recorder::new());
+        frozen.set_recorder(Arc::clone(&seg_recorder));
 
         let seg_path =
             std::env::temp_dir().join(format!("chronos-t16-{}-{chain}.seg", std::process::id()));
@@ -1865,8 +1878,9 @@ fn t16_frozen_segments() -> Vec<T16Row> {
         let seg_stats = frozen.segments()[0].stats();
 
         // As-of point probes in the middle of history: every key is
-        // alive, so the heap must stab + decode + filter a full
-        // timeslice while the segment walks one delta chain.
+        // alive with `chain` versions, one of them stored at the probe.
+        // The heap picks that one from the key index by period before
+        // decoding; the segment walks the key's delta chain.
         let probes: Vec<(Value, Chronon)> = (0..64)
             .map(|i| {
                 (
@@ -1891,6 +1905,21 @@ fn t16_frozen_segments() -> Vec<T16Row> {
             a.sort();
             b.sort();
             assert_eq!(a, b, "heap and segment answers must be byte-identical");
+            assert_eq!(a.len(), 1, "one version of {key} is stored as of {t}");
+            let heap = t16_trace(&heap_recorder, || heap_only.lookup_key_as_of(key, *t));
+            let read = heap.span_named("storage/asof").expect("keyed read span");
+            assert_eq!(read.detail, "key index");
+            assert_eq!(
+                (read.rows_in, heap.delta.index_probes),
+                (Some(1), 1),
+                "a heap lookup decodes only the version stored at the probe"
+            );
+            let seg = t16_trace(&seg_recorder, || frozen.lookup_key_as_of(key, *t));
+            assert_eq!(
+                (seg.delta.segment_hits, seg.delta.segment_skips),
+                (1, 0),
+                "a segment lookup touches one chain"
+            );
         }
         let mut i = 0usize;
         let heap_ns = time_ns(64, || {
@@ -1905,6 +1934,11 @@ fn t16_frozen_segments() -> Vec<T16Row> {
             std::hint::black_box(frozen.lookup_key_as_of(key, *t).expect("segment lookup"));
         });
         let speedup_x1000 = heap_ns * 1000 / seg_ns.max(1);
+        assert!(
+            chain != 32 || seg_stats.dup_factor_x1000 <= 1300,
+            "segment duplication at chain 32 must stay ≤1.3x: {}",
+            seg_stats.dup_factor_x1000
+        );
         println!(
             "{:>6} | {:>8} | {:>8} | {:>7} | {:>7} | {:>9} | {:>9} | {:>7.2}x",
             chain,
@@ -1916,17 +1950,6 @@ fn t16_frozen_segments() -> Vec<T16Row> {
             seg_ns,
             speedup_x1000 as f64 / 1000.0,
         );
-        if chain == 32 {
-            assert!(
-                seg_stats.dup_factor_x1000 <= 1300,
-                "segment duplication at chain 32 must stay ≤1.3x: {}",
-                seg_stats.dup_factor_x1000
-            );
-            assert!(
-                speedup_x1000 >= 2000,
-                "segment point lookups at chain 32 must be ≥2x faster: {speedup_x1000}"
-            );
-        }
         rows.push(T16Row {
             chain_len: chain,
             keys: KEYS,
@@ -1943,10 +1966,21 @@ fn t16_frozen_segments() -> Vec<T16Row> {
         drop(frozen);
         let _ = std::fs::remove_file(&seg_path);
     }
-    println!("(the heap re-stores what a key's versions share and stabs a whole");
-    println!(" timeslice per lookup; the segment stores prefix/suffix deltas and");
-    println!(" walks one chain found by bloom filter + binary search)");
+    println!("(the heap re-stores what a key's versions share and decodes the one");
+    println!(" version its key index picks by period; the segment stores prefix/suffix");
+    println!(" deltas and decodes the one chain found by bloom filter + binary search)");
     rows
+}
+
+/// The trace of one lookup on a table routed to `recorder`.
+fn t16_trace<T>(
+    recorder: &Recorder,
+    lookup: impl FnOnce() -> chronos_storage::StorageResult<T>,
+) -> chronos_obs::TraceReport {
+    let before = recorder.snapshot();
+    recorder.begin_trace();
+    lookup().expect("lookup");
+    recorder.end_trace(&before).expect("capture active")
 }
 
 /// Emits the T17 sweep and the T16 heap-vs-segment comparison as

@@ -21,11 +21,12 @@ use chronos_core::clock::Clock;
 use chronos_core::relation::HistoricalOp;
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::taxonomy::DatabaseClass;
+use chronos_core::value::Value;
 use chronos_obs::export::{Health, ObsServer};
 use chronos_obs::{EventJournal, JournalStats, MetricsSnapshot, Recorder};
 use chronos_storage::txn::TxnManager;
 use chronos_storage::wal::{Wal, WalRecord};
-use chronos_tquel::provider::{AsOfSpec, RelationInfo, RelationProvider, SourceRow};
+use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationInfo, RelationProvider, SourceRow};
 use chronos_tquel::TquelError;
 
 use crate::cache::{CacheStats, QueryCache, DEFAULT_CACHE_CAPACITY};
@@ -1388,6 +1389,27 @@ fn reject_system_as_of(relation: &str, as_of: Option<&AsOfSpec>) -> Result<(), T
     Ok(())
 }
 
+impl Database {
+    /// One user relation read by [`Relation::scan`], errors in the
+    /// evaluator's terms.
+    fn scan_relation(
+        &self,
+        relation: &str,
+        as_of: Option<&AsOfSpec>,
+        key: Option<&Value>,
+    ) -> Result<Arc<Vec<SourceRow>>, TquelError> {
+        let rel = self
+            .relations
+            .get(relation)
+            .ok_or_else(|| TquelError::Semantic(format!("unknown relation {relation:?}")))?;
+        rel.scan(as_of, key).map(Arc::new).map_err(|e| match e {
+            DbError::Tquel(t) => t,
+            DbError::Core(c) => TquelError::Core(c),
+            other => TquelError::Semantic(other.to_string()),
+        })
+    }
+}
+
 impl RelationProvider for Database {
     fn info(&self, relation: &str) -> Option<RelationInfo> {
         if is_system(relation) {
@@ -1434,15 +1456,7 @@ impl RelationProvider for Database {
         }
         self.recorder.count(|m| &m.cache_misses);
         span.detail(format!("{relation} (cache miss)"));
-        let rel = self
-            .relations
-            .get(relation)
-            .ok_or_else(|| TquelError::Semantic(format!("unknown relation {relation:?}")))?;
-        let rows = rel.scan(as_of).map(Arc::new).map_err(|e| match e {
-            DbError::Tquel(t) => t,
-            DbError::Core(c) => TquelError::Core(c),
-            other => TquelError::Semantic(other.to_string()),
-        })?;
+        let rows = self.scan_relation(relation, as_of, None)?;
         {
             // A coordinate strictly below the next commit time can never
             // be rewritten (transaction time is append-only and the
@@ -1461,6 +1475,29 @@ impl RelationProvider for Database {
                 self.recorder.count(|m| &m.cache_evictions);
             }
         }
+        span.rows_out(rows.len() as u64);
+        Ok(rows)
+    }
+
+    /// With a key, the relation's keyed read, which bypasses the scan
+    /// cache: it costs the key's versions, and a cached whole-relation
+    /// entry would serve a frozen coordinate's rows as first scanned.
+    /// Without one (and for `sys$` projections), the cached [`scan`].
+    ///
+    /// [`scan`]: RelationProvider::scan
+    fn access(
+        &self,
+        relation: &str,
+        request: &AccessRequest<'_>,
+    ) -> Result<Arc<Vec<SourceRow>>, TquelError> {
+        let Some(key) = request.key.filter(|_| !is_system(relation)) else {
+            return self.scan(relation, request.as_of);
+        };
+        let span = self.recorder.span("db/scan");
+        if self.recorder.is_enabled() {
+            span.detail(format!("{relation} (keyed, uncached)"));
+        }
+        let rows = self.scan_relation(relation, request.as_of, Some(key))?;
         span.rows_out(rows.len() as u64);
         Ok(rows)
     }

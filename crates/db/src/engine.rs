@@ -55,7 +55,7 @@ use std::time::Instant;
 use chronos_core::chronon::Chronon;
 use chronos_core::relation::HistoricalOp;
 use chronos_obs::trace::Recorder;
-use chronos_tquel::provider::{AsOfSpec, RelationInfo, RelationProvider, SourceRow};
+use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationInfo, RelationProvider, SourceRow};
 use chronos_tquel::TquelResult;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 
@@ -533,17 +533,29 @@ impl RelationProvider for PinnedProvider<'_> {
     }
 
     fn scan(&self, relation: &str, as_of: Option<&AsOfSpec>) -> TquelResult<Arc<Vec<SourceRow>>> {
+        self.access(relation, &AccessRequest { as_of, key: None })
+    }
+
+    fn access(
+        &self,
+        relation: &str,
+        request: &AccessRequest<'_>,
+    ) -> TquelResult<Arc<Vec<SourceRow>>> {
         if !self.clamps(relation) {
-            return self.db.scan(relation, as_of);
+            return self.db.access(relation, request);
         }
-        let clamped = match as_of {
+        let clamped = match request.as_of {
             None => AsOfSpec::At(self.pin),
             Some(AsOfSpec::At(t)) => AsOfSpec::At((*t).min(self.pin)),
             Some(AsOfSpec::Through(t1, t2)) => {
                 AsOfSpec::Through((*t1).min(self.pin), (*t2).min(self.pin))
             }
         };
-        self.db.scan(relation, Some(&clamped))
+        let request = AccessRequest {
+            as_of: Some(&clamped),
+            key: request.key,
+        };
+        self.db.access(relation, &request)
     }
 
     fn estimated_rows(&self, relation: &str) -> Option<u64> {

@@ -238,36 +238,42 @@ impl Relation {
     }
 
     /// Scans the relation for the evaluator, applying an `as of`
-    /// specification when the class supports it.  The table's own spans
-    /// name the access path (`tx-index stab`, `tx-index overlap`, heap
-    /// scan).
-    pub fn scan(&self, as_of: Option<&AsOfSpec>) -> DbResult<Vec<SourceRow>> {
+    /// specification when the class supports it; with a `key`, only the
+    /// rows whose first attribute is `key`, in the order the unkeyed
+    /// scan lists them, read through the table's key indexes.  The
+    /// table's own spans name the access path (`tx-index stab`,
+    /// `tx-index overlap`, `key index`, heap scan).
+    pub fn scan(&self, as_of: Option<&AsOfSpec>, key: Option<&Value>) -> DbResult<Vec<SourceRow>> {
         let valid_time = has_valid_time(self.class);
         let tx_time = has_transaction_time(self.class);
-        let rows = match as_of {
-            Some(_) if !tx_time => {
+        let table = &self.table;
+        let rows = match (as_of, key) {
+            (Some(_), _) if !tx_time => {
                 return Err(DbError::Capability(format!(
                     "'as of' on a {} relation (no transaction time)",
                     self.class
                 )))
             }
-            Some(AsOfSpec::At(t)) => self.table.rows_at(*t)?,
-            Some(AsOfSpec::Through(t1, t2)) => {
-                self.table.rows_during(Period::clamped(*t1, t2.succ()))?
+            (Some(AsOfSpec::At(t)), None) => table.rows_at(*t)?,
+            (Some(AsOfSpec::At(t)), Some(key)) => table.lookup_key_as_of(key, *t)?,
+            (Some(AsOfSpec::Through(t1, t2)), key) => {
+                let window = Period::clamped(*t1, t2.succ());
+                match key {
+                    None => table.rows_during(window)?,
+                    Some(key) => table.lookup_key_during(key, window)?,
+                }
             }
             // Only a temporal scan shows transaction periods, which live
             // on the heap; every other class reads the current state in
             // reference order straight off the table's current-row index.
-            None if valid_time && tx_time => self
-                .table
+            (None, key) if valid_time && tx_time => table
                 .scan_rows()?
                 .into_iter()
-                .filter(|row| row.is_current())
+                .filter(|row| row.is_current() && key.is_none_or(|k| row.tuple.get(0) == k))
                 .collect(),
-            None => {
-                return Ok(self
-                    .table
-                    .current_entries(None, CurrentOrder::Reference)
+            (None, key) => {
+                return Ok(table
+                    .current_entries(key, CurrentOrder::Reference)
                     .into_iter()
                     .map(|row| SourceRow {
                         tuple: row.tuple.clone(),
@@ -317,11 +323,11 @@ mod tests {
             let t1 = Chronon::new(100);
             rel.validate(t1, std::slice::from_ref(&insert)).unwrap();
             rel.apply(t1, std::slice::from_ref(&insert)).unwrap();
-            assert_eq!(rel.scan(None).unwrap().len(), 1, "{class}");
+            assert_eq!(rel.scan(None, None).unwrap().len(), 1, "{class}");
             let t2 = Chronon::new(200);
             rel.validate(t2, std::slice::from_ref(&remove)).unwrap();
             rel.apply(t2, std::slice::from_ref(&remove)).unwrap();
-            assert!(rel.scan(None).unwrap().is_empty(), "{class}");
+            assert!(rel.scan(None, None).unwrap().is_empty(), "{class}");
             // The class alone decides whether the superseded version stays.
             let kept = usize::from(has_transaction_time(class));
             assert_eq!(rel.stored_tuples(), kept, "{class}");
@@ -336,7 +342,7 @@ mod tests {
             let mut rel = Relation::new(faculty_schema(), class, TemporalSignature::Interval);
             rel.apply(Chronon::new(100), std::slice::from_ref(&insert))
                 .unwrap();
-            let row = rel.scan(None).unwrap().remove(0);
+            let row = rel.scan(None, None).unwrap().remove(0);
             assert_eq!(row.validity.is_some(), has_valid_time(class), "{class}");
             assert_eq!(
                 row.tx.is_some(),
@@ -361,7 +367,7 @@ mod tests {
             rel.apply(Chronon::new(30), &[insert(6), insert(7)])
                 .unwrap();
             let scanned: Vec<_> = rel
-                .scan(None)
+                .scan(None, None)
                 .unwrap()
                 .into_iter()
                 .map(|r| r.tuple)
@@ -423,7 +429,9 @@ mod tests {
     fn as_of_rejected_without_transaction_time() {
         for class in [RelationClass::Static, RelationClass::Historical] {
             let rel = Relation::new(faculty_schema(), class, TemporalSignature::Interval);
-            let err = rel.scan(Some(&AsOfSpec::At(Chronon::new(5)))).unwrap_err();
+            let err = rel
+                .scan(Some(&AsOfSpec::At(Chronon::new(5))), None)
+                .unwrap_err();
             assert_eq!(
                 err.to_string(),
                 DbError::Capability(format!(
@@ -450,27 +458,30 @@ mod tests {
         rel.apply(Chronon::new(30), &[drop_merrie]).unwrap();
         rel.apply(Chronon::new(40), &[rehire]).unwrap();
         assert_eq!(
-            rel.scan(Some(&AsOfSpec::At(Chronon::new(15))))
+            rel.scan(Some(&AsOfSpec::At(Chronon::new(15))), None)
                 .unwrap()
                 .len(),
             1
         );
         assert_eq!(
-            rel.scan(Some(&AsOfSpec::At(Chronon::new(25))))
+            rel.scan(Some(&AsOfSpec::At(Chronon::new(25))), None)
                 .unwrap()
                 .len(),
             2
         );
         assert_eq!(
-            rel.scan(Some(&AsOfSpec::At(Chronon::new(35))))
+            rel.scan(Some(&AsOfSpec::At(Chronon::new(35))), None)
                 .unwrap()
                 .len(),
             1
         );
-        assert_eq!(rel.scan(None).unwrap().len(), 2);
+        assert_eq!(rel.scan(None, None).unwrap().len(), 2);
         // Through a window spanning both of Merrie's tenures sees her once.
         let through = rel
-            .scan(Some(&AsOfSpec::Through(Chronon::new(15), Chronon::new(45))))
+            .scan(
+                Some(&AsOfSpec::Through(Chronon::new(15), Chronon::new(45))),
+                None,
+            )
             .unwrap();
         assert_eq!(through.len(), 2);
         assert!(through

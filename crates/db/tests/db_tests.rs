@@ -498,8 +498,10 @@ fn explain_shows_estimated_vs_actual_after_analyze() {
     build_figure_8(&engine, &clock);
     let mut s = engine.session();
     s.run("analyze faculty").unwrap();
+    // Unkeyed: the estimate describes a whole-relation scan, so a keyed
+    // scan (`f.name = "Mike"`) shows its actual row count alone.
     let out = s
-        .run(r#"range of f is faculty explain retrieve (f.rank) where f.name = "Mike""#)
+        .run(r#"range of f is faculty explain retrieve (f.rank) where f.rank = "full""#)
         .unwrap();
     let report = match &out[1] {
         ExecOutcome::Explained { report, .. } => report.clone(),
@@ -508,6 +510,16 @@ fn explain_shows_estimated_vs_actual_after_analyze() {
     assert!(
         report.contains("est="),
         "explain should show the statistics-based estimate: {report}"
+    );
+    let out = s
+        .run(r#"range of f is faculty explain retrieve (f.rank) where f.name = "Mike""#)
+        .unwrap();
+    let ExecOutcome::Explained { report, .. } = &out[1] else {
+        panic!("expected Explained, got {out:?}");
+    };
+    assert!(
+        report.contains(r#"[key name = "Mike"]"#) && !report.contains("est="),
+        "a keyed scan shows no whole-relation estimate: {report}"
     );
 }
 

@@ -91,8 +91,13 @@ impl<S: PageStore> HeapFile<S> {
 
     /// Reads the record at `rid`.
     pub fn get(&self, rid: RecordId) -> StorageResult<Vec<u8>> {
-        self.pool
-            .with_page(rid.page, |p| p.get(rid.slot).map(<[u8]>::to_vec))?
+        self.with_record(rid, <[u8]>::to_vec)
+    }
+
+    /// Runs `f` on the record at `rid` in place, without copying it out
+    /// of its page.
+    pub fn with_record<R>(&self, rid: RecordId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
+        self.pool.with_page(rid.page, |p| p.get(rid.slot).map(f))?
     }
 
     /// Deletes the record at `rid`.

@@ -220,20 +220,22 @@ fn bloom_probe(bitmap: &[u8], m_bits: u64, key: &[u8]) -> bool {
     bloom_bits(key, m_bits).all(|bit| bitmap[(bit / 8) as usize] & (1 << (bit % 8)) != 0)
 }
 
-/// The bytes a chain is keyed by: the codec encoding of the row's first
+/// The bytes a chain is keyed by: the key bytes of the row's first
 /// attribute (empty for zero-arity tuples).
 pub fn key_bytes(tuple: &Tuple) -> Vec<u8> {
-    let mut buf = Vec::new();
-    if let Some(v) = tuple.try_get(0) {
-        put_value(&mut buf, v);
-    }
-    buf
+    tuple.try_get(0).map(value_key_bytes).unwrap_or_default()
 }
 
-/// Key bytes for a probe value (point lookups).
+/// Key bytes for a probe value (point lookups): its codec encoding,
+/// with the floats that `=` equates (`-0.0` and `0.0`, every NaN)
+/// encoded alike, so values equal as keys share one chain.
 pub fn value_key_bytes(v: &Value) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_value(&mut buf, v);
+    match v {
+        Value::Float(x) if *x == 0.0 => put_value(&mut buf, &Value::Float(0.0)),
+        Value::Float(x) if x.is_nan() => put_value(&mut buf, &Value::Float(f64::NAN)),
+        v => put_value(&mut buf, v),
+    }
     buf
 }
 

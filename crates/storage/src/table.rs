@@ -21,7 +21,10 @@
 //!   table's only copy of the current state: modifications address
 //!   current rows by content, a `delete` or `replace` that names a key
 //!   finds its rows here without reading a heap page, and a scan of the
-//!   latest state walks it in order.
+//!   latest state walks it in order;
+//! * a **key index** — every heap version by key, with its transaction
+//!   period: a keyed read at a past coordinate decodes only that key's
+//!   versions stored then (frozen segments have their own key directory).
 //!
 //! Above a row-count threshold, full scans and index-probe
 //! materialisations fan out over scoped threads, one heap page (or
@@ -231,6 +234,9 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     next_seq: u64,
     /// Transaction-time periods of every row.
     tx_index: IntervalTree<RecordId>,
+    /// Every heap version by key (first attribute): its transaction
+    /// period and record, kept in step with `tx_index`.
+    versions: HashMap<Value, Vec<(Period, RecordId)>>,
     /// Valid-time periods of every row.
     valid_index: IntervalTree<RecordId>,
     last_commit: Option<Chronon>,
@@ -270,6 +276,7 @@ impl StoredBitemporalTable<MemPager> {
             current_index: HashMap::new(),
             next_seq: 0,
             tx_index: IntervalTree::new(),
+            versions: HashMap::new(),
             valid_index: IntervalTree::new(),
             last_commit: None,
             transactions: 0,
@@ -349,6 +356,7 @@ impl StoredBitemporalTable<MemPager> {
                 .heap
                 .insert(&encode_row(&row.tuple, row.validity, row.tx))?;
             table.tx_index.insert(row.tx, rid);
+            table.index_version(&row.tuple, row.tx, rid);
             table.valid_index.insert(row.validity.period(), rid);
             if row.is_current() {
                 table.index_current(row.tuple, row.validity, rid);
@@ -511,6 +519,11 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         Ok(chunks.into_iter().flat_map(|(_, rows)| rows).collect())
     }
 
+    /// Decodes the heap record at `rid` in place.
+    fn decode_at(&self, rid: RecordId) -> StorageResult<BitemporalRow> {
+        self.heap.with_record(rid, decode_row)?
+    }
+
     /// Decodes `rids` (already in deterministic order) and keeps rows
     /// passing `keep`, fanning out over contiguous chunks when the list
     /// is large.  Chunk results are concatenated in order, so output is
@@ -523,11 +536,16 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     where
         F: Fn(&BitemporalRow) -> bool + Sync,
     {
-        let workers = worker_count(rids.len() / 1024);
-        if rids.len() < self.parallel_threshold || workers <= 1 {
+        // Below the threshold, skip asking the OS for a CPU count.
+        let workers = if rids.len() < self.parallel_threshold {
+            1
+        } else {
+            worker_count(rids.len() / 1024)
+        };
+        if workers <= 1 {
             let mut out = Vec::new();
             for &rid in rids {
-                let row = decode_row(&self.heap.get(rid)?)?;
+                let row = self.decode_at(rid)?;
                 if keep(&row) {
                     out.push(row);
                 }
@@ -544,6 +562,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
                     s.spawn(move || -> StorageResult<Vec<BitemporalRow>> {
                         let mut local = Vec::with_capacity(slice.len());
                         for &rid in slice {
+                            // Copy out, then decode outside the pool latch.
                             let row = decode_row(&self.heap.get(rid)?)?;
                             if keep(&row) {
                                 local.push(row);
@@ -652,7 +671,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     pub fn current_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
         self.current
             .values()
-            .map(|entry| decode_row(&self.heap.get(entry.rid)?))
+            .map(|entry| self.decode_at(entry.rid))
             .collect()
     }
 
@@ -749,38 +768,86 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         Ok(rows)
     }
 
-    /// As-of point lookup by first-attribute key: the query the segment
-    /// skip machinery is built for.  Segments outside the as-of's
-    /// transaction-time range, and segments whose bloom filter rules the
-    /// key out, are skipped without materialising a single tuple; a
-    /// matching chain is found by directory key compare and only then
-    /// decoded.  The heap tail falls back to a tx-index stab plus a
-    /// decode-and-filter (there is no key index on the heap).
+    /// [`rows_at`](Self::rows_at) restricted to the rows whose first
+    /// attribute is `key`, in the same order, at the cost of the key's
+    /// versions.  Segments outside the as-of's transaction-time range,
+    /// and segments whose bloom filter rules the key out, are skipped
+    /// without materialising a single tuple; a matching chain is found
+    /// by directory key compare and only then decoded.  On the heap the
+    /// key index yields the key's versions: those stored at `as_of` are
+    /// picked by period, and only they are decoded.
     pub fn lookup_key_as_of(
         &self,
         key: &Value,
         as_of: Chronon,
     ) -> StorageResult<Vec<BitemporalRow>> {
-        let span = self.recorder.span("storage/point-lookup");
-        let key_bytes = segment::value_key_bytes(key);
+        self.lookup_key(key, |seg| seg.covers(as_of), |tx| tx.contains(as_of))
+    }
+
+    /// [`rows_during`](Self::rows_during) restricted to the rows whose
+    /// first attribute is `key`, in the same order — the key's versions
+    /// whose transaction period overlaps `window`.
+    pub fn lookup_key_during(
+        &self,
+        key: &Value,
+        window: Period,
+    ) -> StorageResult<Vec<BitemporalRow>> {
+        self.lookup_key(
+            key,
+            |seg| seg.covers_window(window),
+            |tx| tx.overlaps(window),
+        )
+    }
+
+    /// The versions of `key` whose transaction period passes `stored`:
+    /// the matching chain of every segment `covers` admits (in attach
+    /// order), then the heap's in record order.  A heap version is
+    /// decoded only once its period qualifies; the span's `rows_in`
+    /// counts those decodes.
+    fn lookup_key(
+        &self,
+        key: &Value,
+        covers: impl Fn(&Segment) -> bool,
+        stored: impl Fn(Period) -> bool,
+    ) -> StorageResult<Vec<BitemporalRow>> {
+        let span = self.recorder.span("storage/asof");
+        span.detail("key index");
         let mut rows = Vec::new();
-        for seg in &self.segments {
-            if !seg.covers(as_of) || !seg.may_contain(&key_bytes) {
-                self.recorder.count(|m| &m.segment_skips);
-                continue;
-            }
-            match seg.find_chain(&key_bytes) {
-                None => self.recorder.count(|m| &m.segment_bloom_fps),
-                Some(idx) => {
-                    self.recorder.count(|m| &m.segment_hits);
-                    rows.extend(seg.chain_rows_at(idx, as_of)?);
+        if !self.segments.is_empty() {
+            let key_bytes = segment::value_key_bytes(key);
+            for seg in &self.segments {
+                if !covers(seg) || !seg.may_contain(&key_bytes) {
+                    self.recorder.count(|m| &m.segment_skips);
+                    continue;
+                }
+                match seg.find_chain(&key_bytes) {
+                    None => self.recorder.count(|m| &m.segment_bloom_fps),
+                    Some(idx) => {
+                        self.recorder.count(|m| &m.segment_hits);
+                        rows.extend(
+                            seg.chain_rows(idx)?
+                                .into_iter()
+                                .filter(|row| stored(row.tx)),
+                        );
+                    }
                 }
             }
         }
-        let rids = self.heap_rids_at(as_of);
-        rows.extend(
-            self.decode_rows_filtered(&rids, |row| row.tuple.try_get(0).is_some_and(|v| v == key))?,
-        );
+        self.recorder.count(|m| &m.index_probes);
+        let mut rids: Vec<RecordId> = self
+            .versions
+            .get(key)
+            .into_iter()
+            .flatten()
+            .filter(|(tx, _)| stored(*tx))
+            .map(|(_, rid)| *rid)
+            .collect();
+        rids.sort_unstable();
+        span.rows_in(rids.len() as u64);
+        rows.reserve(rids.len());
+        for rid in rids {
+            rows.push(self.decode_at(rid)?);
+        }
         span.rows_out(rows.len() as u64);
         Ok(rows)
     }
@@ -993,15 +1060,55 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         let tx = Period::from_start(tx_time);
         let rid = self.heap.insert(&encode_row(tuple, validity, tx))?;
         self.tx_index.insert(tx, rid);
+        self.index_version(tuple, tx, rid);
         self.valid_index.insert(validity.period(), rid);
         Ok(rid)
+    }
+
+    /// Adds the heap version at `rid` to the key index.
+    fn index_version(&mut self, tuple: &Tuple, tx: Period, rid: RecordId) {
+        // Clone the key only for its first version.
+        let key = tuple.get(0);
+        match self.versions.get_mut(key) {
+            Some(bucket) => bucket.push((tx, rid)),
+            None => {
+                self.versions.insert(key.clone(), vec![(tx, rid)]);
+            }
+        }
+    }
+
+    /// The key index's entry for the heap version at `rid`.
+    fn version_entry(
+        &mut self,
+        tuple: &Tuple,
+        rid: RecordId,
+    ) -> (&mut Vec<(Period, RecordId)>, usize) {
+        let bucket = self
+            .versions
+            .get_mut(tuple.get(0))
+            .expect("key index in sync");
+        // From the back: the version a commit closes is usually recent.
+        let at = bucket
+            .iter()
+            .rposition(|(_, r)| *r == rid)
+            .expect("key index in sync");
+        (bucket, at)
+    }
+
+    /// Removes the heap version at `rid` from the key index.
+    fn unindex_version(&mut self, tuple: &Tuple, rid: RecordId) {
+        let (bucket, at) = self.version_entry(tuple, rid);
+        bucket.swap_remove(at);
+        if bucket.is_empty() {
+            self.versions.remove(tuple.get(0));
+        }
     }
 
     /// Supersedes the open version at `rid`: its transaction period is
     /// closed at `tx_time`, or the version is dropped outright where the
     /// table keeps none.
     fn heap_close(&mut self, rid: RecordId, tx_time: Chronon) -> StorageResult<()> {
-        let row = decode_row(&self.heap.get(rid)?)?;
+        let row = self.decode_at(rid)?;
         let closed = match self.superseded {
             Superseded::Dropped => {
                 self.heap.delete(rid)?;
@@ -1022,9 +1129,14 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         );
         // Reindex under the (possibly moved) record id and closed
         // transaction period.
-        if let Some((closed_tx, moved)) = closed {
-            self.tx_index.insert(closed_tx, moved);
-            self.valid_index.insert(row.validity.period(), moved);
+        match closed {
+            Some((closed_tx, moved)) => {
+                self.tx_index.insert(closed_tx, moved);
+                self.valid_index.insert(row.validity.period(), moved);
+                let (bucket, at) = self.version_entry(&row.tuple, rid);
+                bucket[at] = (closed_tx, moved);
+            }
+            None => self.unindex_version(&row.tuple, rid),
         }
         Ok(())
     }
@@ -1068,7 +1180,8 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// recovery rebuilds the full heap and discards stale segments, so
     /// an interrupted freeze is simply redone later.
     pub fn freeze_into(&mut self, path: &Path) -> StorageResult<Option<FreezeReport>> {
-        let span = self.recorder.span("storage/freeze");
+        let recorder = Arc::clone(&self.recorder);
+        let span = recorder.span("storage/freeze");
         let mut victims: Vec<(RecordId, BitemporalRow)> = Vec::new();
         let mut scan_err = None;
         self.heap.scan(|rid, bytes| match decode_row(bytes) {
@@ -1093,6 +1206,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         for (rid, row) in victims {
             self.heap.delete(rid)?;
             assert!(self.tx_index.remove(row.tx, &rid), "tx index in sync");
+            self.unindex_version(&row.tuple, rid);
             assert!(
                 self.valid_index.remove(row.validity.period(), &rid),
                 "valid index in sync"
@@ -1512,6 +1626,51 @@ mod tests {
                     "lookup({key}) as of {at}"
                 );
             }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// `-0.0 = 0.0`, so a keyed read of either finds both — on the heap
+    /// and in a segment alike.
+    #[test]
+    fn keys_equal_under_eq_share_a_lookup() {
+        use chronos_core::schema::Attribute;
+        use chronos_core::value::AttrType;
+        let schema = Schema::new(vec![
+            Attribute::new("x", AttrType::Float),
+            Attribute::new("tag", AttrType::Str),
+        ])
+        .unwrap();
+        let mut t = StoredBitemporalTable::in_memory(schema, TemporalSignature::Interval);
+        let row = |x: f64, tag: &str| Tuple::new(vec![Value::Float(x), Value::str(tag)]);
+        let forever = Validity::Interval(Period::ALWAYS);
+        let commit = |t: &mut StoredBitemporalTable, tick, ops: &[HistoricalOp]| {
+            t.try_commit(Chronon::new(tick), ops).unwrap();
+        };
+        commit(&mut t, 10, &[HistoricalOp::insert(row(0.0, "a"), forever)]);
+        commit(&mut t, 20, &[HistoricalOp::insert(row(-0.0, "b"), forever)]);
+        // Close both, so that a freeze moves them into a segment.
+        let gone =
+            [row(0.0, "a"), row(-0.0, "b")].map(|r| HistoricalOp::remove(RowSelector::tuple(r)));
+        commit(&mut t, 30, &gone);
+        let at = Chronon::new(25);
+        let tags = |t: &StoredBitemporalTable, key: f64| -> Vec<String> {
+            let mut tags: Vec<String> = t
+                .lookup_key_as_of(&Value::Float(key), at)
+                .unwrap()
+                .iter()
+                .map(|r| r.tuple.get(1).to_string())
+                .collect();
+            tags.sort();
+            tags
+        };
+        for key in [0.0, -0.0] {
+            assert_eq!(tags(&t, key), ["a", "b"], "heap, key {key}");
+        }
+        let path = seg_path("signed-zero");
+        t.freeze_into(&path).unwrap().expect("two closed versions");
+        for key in [0.0, -0.0] {
+            assert_eq!(tags(&t, key), ["a", "b"], "segment, key {key}");
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -474,6 +474,19 @@ proptest! {
                 }
             }
         }
+        // Keyed reads over a window agree between the twins too.
+        let windows = commits.windows(2).map(|w| (w[0], w[1]));
+        for (from, to) in windows.chain(commits.first().map(|&c| (c - 1, c + 100))) {
+            let window = Period::new(from, to).unwrap();
+            for name in NAMES {
+                let k = Value::str(name);
+                let mut x = heap_only.lookup_key_during(&k, window).unwrap();
+                let mut y = frozen.lookup_key_during(&k, window).unwrap();
+                x.sort_by_key(row_key);
+                y.sort_by_key(row_key);
+                prop_assert_eq!(x, y, "lookup_during({}) over {}", name, window);
+            }
+        }
         if report.is_some() {
             std::fs::remove_file(&path).unwrap();
         }

@@ -100,6 +100,9 @@ pub struct VarFilter {
     pub predicate: Predicate,
     /// `when` conjuncts over the variable's own valid period (`Var(0)`).
     pub when: TemporalPred,
+    /// The constant of the first conjunct `attribute 0 = constant` among
+    /// them: the key the variable's relation is read by.
+    pub key: Option<Value>,
 }
 
 /// An executable retrieve plan.
@@ -341,6 +344,7 @@ fn push_down(vars: &[VarBinding], predicate: &Predicate, when: &TemporalPred) ->
             var,
             predicate: Predicate::True,
             when: TemporalPred::True,
+            key: None,
         })
         .collect();
     for c in wheres.into_iter().chain(&implied) {
@@ -352,9 +356,13 @@ fn push_down(vars: &[VarBinding], predicate: &Predicate, when: &TemporalPred) ->
         let var = owner(first);
         if rest.iter().all(|&a| owner(a) == var) {
             let f = &mut filters[var];
+            let c = rebase_pred(c, vars[var].offset);
+            if f.key.is_none() {
+                f.key = key_constant(&c).cloned();
+            }
             f.predicate = match std::mem::replace(&mut f.predicate, Predicate::True) {
-                Predicate::True => rebase_pred(c, vars[var].offset),
-                acc => acc.and(rebase_pred(c, vars[var].offset)),
+                Predicate::True => c,
+                acc => acc.and(c),
             };
         }
     }
@@ -375,6 +383,15 @@ fn push_down(vars: &[VarBinding], predicate: &Predicate, when: &TemporalPred) ->
     }
     filters.retain(|f| f.predicate != Predicate::True || f.when != TemporalPred::True);
     filters
+}
+
+/// The constant of a conjunct `attribute 0 = constant`.
+fn key_constant(c: &Predicate) -> Option<&Value> {
+    match c {
+        Predicate::Cmp(CmpOp::Eq, Expr::Attr(0), Expr::Const(k))
+        | Predicate::Cmp(CmpOp::Eq, Expr::Const(k), Expr::Attr(0)) => Some(k),
+        _ => None,
+    }
 }
 
 fn where_conjuncts<'p>(p: &'p Predicate, out: &mut Vec<&'p Predicate>) {
@@ -890,6 +907,7 @@ mod tests {
     fn only_where(var: usize, predicate: Predicate) -> VarFilter {
         VarFilter {
             var,
+            key: key_constant(&predicate).cloned(),
             predicate,
             when: TemporalPred::True,
         }
@@ -923,6 +941,36 @@ mod tests {
     }
 
     #[test]
+    fn the_key_is_the_first_constant_equality_on_attribute_0() {
+        let keys = |retrieve: &str| -> Vec<(usize, Option<Value>)> {
+            filters(retrieve)
+                .into_iter()
+                .map(|f| (f.var, f.key))
+                .collect()
+        };
+        // Not the first conjunct: the first one on attribute 0.
+        assert_eq!(
+            keys(
+                r#"retrieve (f1.rank) where f1.rank = "full" and "b" = f1.name and f1.name = "c""#
+            ),
+            [(0, Some(Value::str("b")))]
+        );
+        // Derived through an equi-join; f2's own conjunct comes first.
+        assert_eq!(
+            keys(r#"retrieve (f1.rank) where f1.name = f2.name and f2.name = "k""#),
+            [(0, Some(Value::str("k"))), (1, Some(Value::str("k")))]
+        );
+        // A disjunction, an inequality or another attribute pins no key.
+        assert_eq!(
+            keys(
+                r#"retrieve (f1.rank) where (f1.name = "a" or f1.name = "b")
+                   and f2.name != "c" and f2.rank = "full""#
+            ),
+            [(0, None), (1, None)]
+        );
+    }
+
+    #[test]
     fn conjuncts_over_two_variables_or_none_are_not_pushed() {
         let got = filters(
             r#"retrieve (f1.rank) where (f1.rank = "full" or f2.rank = "full")
@@ -944,6 +992,7 @@ mod tests {
                 var: 1,
                 predicate: Predicate::attr_eq(0, "a").or(Predicate::attr_eq(1, "b")),
                 when: TemporalPred::Overlap(TemporalExpr::Var(0), TemporalExpr::Const(day)),
+                key: None,
             }]
         );
     }

@@ -5,12 +5,16 @@
 //! predicate over attribute values and the `when` predicate over valid
 //! times, projected through the target list with derived timestamps.
 //!
-//! The evaluator does not form the whole cartesian product.  Each scan
-//! is first narrowed by its variable's own conjuncts (the plan's
-//! [`VarFilter`](crate::analyze::VarFilter)s); the product then runs over the
+//! The evaluator does not form the whole cartesian product.  Each
+//! variable's relation is read through one
+//! [`access`](RelationProvider::access) request carrying the variable's
+//! key constant, so the provider may return only that key's rows; the
+//! rows are then narrowed by the variable's own conjuncts (the plan's
+//! [`VarFilter`](crate::analyze::VarFilter)s); the product runs over the
 //! narrowed inputs and re-checks the full `where` and `when` on every
-//! combination.  Narrowing keeps each scan's order, so the qualifying
-//! combinations come out in the same order as over the full product.
+//! combination.  Reading by key and narrowing both keep each scan's
+//! order, so the qualifying combinations come out in the same order as
+//! over the full product.
 //!
 //! Derived timestamps (§4.4's closure property — "this derived relation
 //! is a temporal relation, so further temporal relations can be derived
@@ -45,7 +49,7 @@ use chronos_obs::{noop_recorder, Recorder};
 use crate::analyze::{analyze_retrieve, RetrievePlan, TargetPlan, ValidPlan, VarFilter};
 use crate::ast::{AggFunc, Retrieve};
 use crate::error::{TquelError, TquelResult};
-use crate::provider::{RelationProvider, SourceRow};
+use crate::provider::{AccessRequest, RelationProvider, SourceRow};
 
 /// One row of a query result, carrying whatever timestamps the result
 /// class has.
@@ -118,11 +122,27 @@ pub fn execute_plan_traced(
     let mut inputs: Vec<Vec<&SourceRow>> = Vec::with_capacity(plan.vars.len());
     let mut estimates: Vec<Option<u64>> = Vec::with_capacity(plan.vars.len());
     for (vi, (v, slot)) in plan.vars.iter().zip(&scans).enumerate() {
+        let filter = plan.filters.iter().find(|f| f.var == vi);
+        let key = filter.and_then(|f| f.key.as_ref());
         let span = recorder.span("tquel/scan");
-        span.detail(format!("{} over {}", v.name, v.relation));
-        // Statistics describe the current state, so estimates only apply
-        // to non-rollback scans; `as of` operators show actuals alone.
-        let est = if plan.as_of.is_none() {
+        if recorder.is_enabled() {
+            let attr = |f: &mut fmt::Formatter<'_>, i: usize| {
+                f.write_str(v.info.schema.attribute(i).name())
+            };
+            span.detail(match key {
+                Some(k) => format!(
+                    "{} over {} [key {}]",
+                    v.name,
+                    v.relation,
+                    Predicate::attr_eq(0, k.clone()).named(&attr)
+                ),
+                None => format!("{} over {}", v.name, v.relation),
+            });
+        }
+        // Statistics describe a whole current-state scan, so estimates
+        // only apply to unkeyed, non-rollback scans; keyed and `as of`
+        // operators show actuals alone.
+        let est = if plan.as_of.is_none() && key.is_none() {
             provider.estimated_rows(&v.relation)
         } else {
             None
@@ -131,10 +151,14 @@ pub fn execute_plan_traced(
             span.rows_est(est);
         }
         estimates.push(est);
-        let rows = provider.scan(&v.relation, plan.as_of.as_ref())?;
+        let request = AccessRequest {
+            as_of: plan.as_of.as_ref(),
+            key,
+        };
+        let rows = provider.access(&v.relation, &request)?;
         span.rows_out(rows.len() as u64);
         let rows = slot.get_or_init(|| rows);
-        inputs.push(match plan.filters.iter().find(|f| f.var == vi) {
+        inputs.push(match filter {
             Some(filter) => narrow(plan, filter, rows, recorder)?,
             None => rows.iter().collect(),
         });

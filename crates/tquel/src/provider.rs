@@ -4,7 +4,9 @@
 //! [`RelationProvider`], which `chronos-db` implements over its catalog.
 //! A scan yields [`SourceRow`]s — tuples with whatever timestamps the
 //! relation's class carries — optionally rolled back by an
-//! [`AsOfSpec`].
+//! [`AsOfSpec`].  The evaluator asks through [`RelationProvider::access`],
+//! whose [`AccessRequest`] may also carry a key the provider can use to
+//! read less.
 
 use std::sync::Arc;
 
@@ -13,6 +15,7 @@ use chronos_core::period::Period;
 use chronos_core::relation::Validity;
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::tuple::Tuple;
+use chronos_core::value::Value;
 
 use crate::error::TquelResult;
 
@@ -54,6 +57,16 @@ pub struct SourceRow {
     pub tx: Option<Period>,
 }
 
+/// What the evaluator asks of one range variable's relation.
+#[derive(Clone, Copy, Debug)]
+pub struct AccessRequest<'a> {
+    /// The resolved `as of` clause, if any.
+    pub as_of: Option<&'a AsOfSpec>,
+    /// A constant every answer's first attribute equals (the variable's
+    /// own `name = "k"` conjunct); rows with another key may be left out.
+    pub key: Option<&'a Value>,
+}
+
 /// Access to relations by name.
 pub trait RelationProvider {
     /// Catalog lookup.
@@ -71,6 +84,19 @@ pub trait RelationProvider {
     /// serve repeated scans of the same bitemporal coordinate without
     /// copying the row set.
     fn scan(&self, relation: &str, as_of: Option<&AsOfSpec>) -> TquelResult<Arc<Vec<SourceRow>>>;
+
+    /// The rows the evaluator reads for one range variable: at least the
+    /// rows of `scan(relation, request.as_of)` whose first attribute
+    /// equals `request.key` (all of them without a key), in the scan's
+    /// relative order.  The evaluator re-checks every predicate, so a
+    /// provider may return more — the default ignores the key.
+    fn access(
+        &self,
+        relation: &str,
+        request: &AccessRequest<'_>,
+    ) -> TquelResult<Arc<Vec<SourceRow>>> {
+        self.scan(relation, request.as_of)
+    }
 
     /// Estimated row count for a *current-state* scan of `relation`,
     /// from whatever statistics the provider keeps (`chronos-db` answers

@@ -96,8 +96,9 @@ EOF
 ) || die "explain smoke: batch script failed"
 [ "$(grep -c 'tquel/exec' <<<"$explain_out")" -eq 5 ] \
   || die "explain smoke: expected 5 span trees" "$explain_out"
-# A two-variable join: each variable's own conjunct narrows its scan,
-# and explain names it in a tquel/filter span under that scan.
+# A two-variable join: each variable's key constant is handed to its
+# scan, and its own conjunct narrows the rows; explain names the key on
+# each tquel/scan line and the conjunct in a tquel/filter span under it.
 join_out=$(./target/release/chronos --batch <<'EOF'
 create t_rel (name = str, rank = str) as temporal
 
@@ -117,8 +118,13 @@ grep -q 'tquel/filter \[where t.name = "Merrie"\]' <<<"$join_out" \
   || die "explain smoke: t's pushed conjunct not named" "$join_out"
 grep -q 'tquel/filter \[where u.name = "Tom"\]' <<<"$join_out" \
   || die "explain smoke: u's pushed conjunct not named" "$join_out"
+grep -q 'tquel/scan \[t over t_rel \[key name = "Merrie"\]\]' <<<"$join_out" \
+  || die "explain smoke: t's scan does not name its key" "$join_out"
+grep -q 'tquel/scan \[u over t_rel \[key name = "Tom"\]\]' <<<"$join_out" \
+  || die "explain smoke: u's scan does not name its key" "$join_out"
 # Sessions read transaction-time relations as of their snapshot pin,
-# so the rollback and temporal trees show the tx-index stab.
+# so the rollback and temporal trees show the tx-index stab (and the
+# keyed profile the key index).
 grep -q 'storage/asof' <<<"$explain_out" \
   || die "explain smoke: storage span missing" "$explain_out"
 grep -q 'counters:' <<<"$explain_out" \

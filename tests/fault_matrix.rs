@@ -174,7 +174,7 @@ fn a_commit_that_fails_while_applied_leaves_index_and_heap_agreeing() {
                 r#"range of f is {rel} delete f where f.rank = "full""#
             ))
             .unwrap_or_else(|e| panic!("{class}: unkeyed delete after the failure: {e}"));
-        let rows = engine.with_db(|db| db.relation(&rel).unwrap().scan(None).unwrap());
+        let rows = engine.with_db(|db| db.relation(&rel).unwrap().scan(None, None).unwrap());
         assert!(
             rows.iter().all(|row| {
                 // Nothing is current any more (valid-time classes keep the

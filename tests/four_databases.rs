@@ -822,7 +822,7 @@ fn full_scan_matching(
 ) -> Vec<(Tuple, Option<Validity>)> {
     db.relation(rel)
         .expect("defined")
-        .scan(None)
+        .scan(None, None)
         .expect("scan")
         .into_iter()
         .filter(|row| pred.eval(&row.tuple).expect("typed by the analyzer"))
@@ -1046,7 +1046,7 @@ fn an_oversized_tuple_is_refused_at_validation_and_leaves_no_trace() {
         );
     }
     let scans =
-        |db: &Database| CLASSES.map(|(rel, _)| db.relation(rel).unwrap().scan(None).unwrap());
+        |db: &Database| CLASSES.map(|(rel, _)| db.relation(rel).unwrap().scan(None, None).unwrap());
     let live = engine.with_db(scans);
     engine.checkpoint().expect("checkpoint");
     drop(engine);

@@ -1,7 +1,10 @@
 //! Narrowing is invisible: a retrieve evaluated over inputs narrowed by
 //! each range variable's own conjuncts answers exactly as the same plan
 //! with nothing pushed — the same rows in the same order, the same
-//! valid and transaction periods, the same error text.
+//! valid and transaction periods, the same error text.  The pushed plan
+//! also reads each keyed variable's relation by its key through
+//! `Database::access`, while the unpushed one reads it whole, so this
+//! compares keyed against unkeyed reads as well.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -84,11 +84,15 @@ fn profile_names_the_access_path_for_a_figure8_rollback_query() {
     for needle in ["tquel/parse", "tquel/analyze", "tquel/exec", "db/scan"] {
         assert!(report.contains(needle), "missing {needle} in:\n{report}");
     }
-    // The rollback coordinate was answered by the transaction-time
-    // index — the report names the path the storage layer took.
+    // The keyed rollback read was answered by the key index — the
+    // report names the path the storage layer took, and the key.
     assert!(
-        report.contains("storage/asof") && report.contains("tx-index stab"),
+        report.contains("storage/asof") && report.contains("key index"),
         "access path not named in:\n{report}"
+    );
+    assert!(
+        report.contains(r#"f over faculty [key name = "Tom"]"#),
+        "key not named in:\n{report}"
     );
     assert!(
         report.contains("counters:"),
@@ -100,9 +104,11 @@ fn profile_names_the_access_path_for_a_figure8_rollback_query() {
     let after = engine.stats();
     assert!(
         after.metrics.index_probes > before.metrics.index_probes,
-        "profile reported a stab but index_probes did not advance"
+        "profile reported a probe but index_probes did not advance"
     );
-    assert!(after.metrics.cache_misses > before.metrics.cache_misses);
+    // A keyed read bypasses the scan cache.
+    assert_eq!(after.metrics.cache_misses, before.metrics.cache_misses);
+    assert_eq!(after.metrics.cache_hits, before.metrics.cache_hits);
 
     // Both exposition formats carry the instrument.
     let prom = after.to_prometheus();
@@ -159,7 +165,8 @@ fn explain_two_vars(engine: &Arc<Engine>, retrieve: &str) -> String {
 }
 
 /// The `tquel/filter` lines of a report, each checked to sit directly
-/// under its `tquel/scan` and to narrow that scan's rows.
+/// under its `tquel/scan` and to keep no more than that scan's rows (a
+/// keyed scan already returns only its key's rows).
 fn filter_lines(report: &str) -> Vec<&str> {
     let count = |line: &str, key: &str| -> u64 {
         let at = line
@@ -194,7 +201,7 @@ fn filter_lines(report: &str) -> Vec<&str> {
             "{report}"
         );
         assert!(
-            count(line, "rows_out=") < count(line, "rows_in="),
+            count(line, "rows_out=") <= count(line, "rows_in="),
             "{report}"
         );
         filters.push(*line);
@@ -221,6 +228,13 @@ fn explain_names_the_conjuncts_pushed_to_each_variable() {
         filters[1].contains(r#"[where f2.name = "Tom"]"#),
         "{report}"
     );
+    // Each variable's relation was read by its key: the scans name it.
+    for scan in [
+        r#"f1 over faculty [key name = "Merrie"]"#,
+        r#"f2 over faculty [key name = "Tom"]"#,
+    ] {
+        assert!(report.contains(scan), "{scan} missing:\n{report}");
+    }
 
     // An equi-join: f2's constant equality is derived from f1's.
     let report = explain_two_vars(
@@ -236,6 +250,11 @@ fn explain_names_the_conjuncts_pushed_to_each_variable() {
     );
     assert!(
         filters[1].contains(r#"[where f2.name = "Tom"]"#),
+        "{report}"
+    );
+    // The derived constant is f2's key too.
+    assert!(
+        report.contains(r#"f2 over faculty [key name = "Tom"]"#),
         "{report}"
     );
     // The join conjunct spans both variables and is pushed to neither.
