@@ -1,26 +1,27 @@
 //! E17 — historical timeslice (τ_t, "more sophisticated operations"):
-//! heap scan vs the valid-time interval tree, plus the bitemporal point
-//! query composing both axes.
+//! heap scan vs a filter of the current-row index, plus the bitemporal
+//! point query composing both axes.
 //!
 //! ## Measurement asymmetry
 //!
-//! The scan and index variants do *not* do the same per-row work, and
+//! The scan and filter variants do *not* do the same per-row work, and
 //! the asymmetry cuts both ways:
 //!
 //! * `heap_scan` decodes **every** stored row (page-sequential reads,
 //!   cheap per row) and then filters — cost ∝ history size;
-//! * `valid_interval_tree` touches only rows whose valid period covers
-//!   the probe, but pays a tree stab, a sort of the matching record
-//!   ids, and a **random** heap access + decode per hit — cost ∝
-//!   answer size with a higher per-row constant.
+//! * `current_row_filter` tests the validity of every *current* row in
+//!   memory without decoding it, then pays a sort of the matching
+//!   record ids and a **random** heap access + decode per hit — cost ∝
+//!   current rows plus answer size, the latter with a higher per-row
+//!   constant.
 //!
-//! With few hits the index wins outright; as the answer approaches the
+//! With few hits the filter wins outright; as the answer approaches the
 //! whole table the scan's sequential advantage reasserts itself.  To
-//! keep the comparison honest, `valid_tree_materialized` measures the
-//! index probe *including* full row materialization into an owned
-//! `Vec` (exactly what a query executor consumes) rather than just the
-//! hit count, and `heap_scan_parallel` gives the scan side its best
-//! shot: the morsel-driven parallel scan over heap pages.
+//! keep the comparison honest, `current_filter_materialized` measures
+//! the filter *including* full row materialization into an owned `Vec`
+//! (exactly what a query executor consumes) rather than just the hit
+//! count, and `heap_scan_parallel` gives the scan side its best shot:
+//! the morsel-driven parallel scan over heap pages.
 //!
 //! Every variant additionally declares its **rows produced** (computed
 //! once, outside the timed loop) as the Criterion throughput, so the
@@ -96,17 +97,15 @@ fn bench_timeslice(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("valid_interval_tree", n),
-            &table,
-            |b, t| b.iter(|| t.current_valid_at(probe).expect("ok").len()),
-        );
-        // Index probe including row materialization: the hits are moved
+        group.bench_with_input(BenchmarkId::new("current_row_filter", n), &table, |b, t| {
+            b.iter(|| t.current_valid_at(probe).expect("ok").len())
+        });
+        // Filter including row materialization: the hits are moved
         // into a fresh owned Vec (tuple clones included), matching what
         // an executor keeps, so the variant's cost is comparable to the
         // scan variants above rather than to a bare count.
         group.bench_with_input(
-            BenchmarkId::new("valid_tree_materialized", n),
+            BenchmarkId::new("current_filter_materialized", n),
             &table,
             |b, t| {
                 b.iter(|| {

@@ -15,8 +15,8 @@
 //!   historical states vs a bitemporal table);
 //! * **T3 (E16)** — rollback (`as of`) query latency: linear scan vs the
 //!   transaction-time interval tree;
-//! * **T4 (E17)** — historical timeslice latency: scan vs the valid-time
-//!   interval tree;
+//! * **T4 (E17)** — historical timeslice latency: scan vs a filter of the
+//!   current-row index;
 //! * **T5 (E18)** — the measured capability matrix of the four database
 //!   classes (Figure 10/11, measured rather than asserted);
 //! * **T6 (E20)** — coalescing cost and compression;
@@ -393,19 +393,19 @@ fn t3_rollback_query() {
 }
 
 // ---------------------------------------------------------------------
-// T4 — timeslice latency: scan vs valid-time interval tree
+// T4 — timeslice latency: scan vs current-row filter
 // ---------------------------------------------------------------------
 
 fn t4_timeslice() {
-    heading("T4 (E17): historical timeslice — heap scan vs valid interval tree");
+    heading("T4 (E17): historical timeslice — heap scan vs current-row filter");
     println!(
         "{:>6} | {:>8} | {:>8} | {:>12} | {:>12} | {:>8}",
-        "txns", "rows", "valid", "scan µs", "indexed µs", "speedup"
+        "txns", "rows", "valid", "scan µs", "filter µs", "speedup"
     );
     for &n in &[256usize, 1024, 4096, 16384] {
         let (_, stored) = build_pair(n);
         // Probe early in valid time: most current rows are not yet valid
-        // there, so a good access path touches few of them.
+        // there, so a good access path decodes few of them.
         let probe = Chronon::new(940);
         let hits = stored.current_valid_at(probe).expect("ok").len();
         let scan_ns = time_ns(10, || {

@@ -543,7 +543,7 @@ impl Database {
         let wal_len_before = match &self.wal {
             Some(wal) => {
                 let mut wal = wal.lock();
-                let len = wal.len()?;
+                let len = wal.logical_len();
                 let rec = WalRecord {
                     rel_id,
                     tx_time,

@@ -62,7 +62,7 @@ impl<S: PageStore> HeapFile<S> {
                 data.len()
             )));
         }
-        // Try the hint page, then a bounded scan, then allocate.
+        // Try the hint page, then every page in order, then allocate.
         let n = self.pool.num_pages();
         let candidates = std::iter::once(self.insert_hint)
             .chain(0..n)

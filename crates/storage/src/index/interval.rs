@@ -1,8 +1,8 @@
 //! A dynamic interval tree.
 //!
-//! Rollback (`as of t`) and timeslice (`valid at t`) queries are stabbing
-//! queries: *which rows' periods contain the instant t?*  A linear scan
-//! is Θ(n); this tree answers in O(log n + k).
+//! Rollback (`as of t`) is a stabbing query: *which rows' transaction
+//! periods contain the instant t?*  A linear scan is Θ(n); this tree
+//! answers in O(log n + k).
 //!
 //! The structure is a treap (randomized BST) keyed by
 //! `(start, end, sequence)` with a `max_end` augmentation per subtree.

@@ -1,9 +1,9 @@
 //! Index structures.
 //!
 //! * [`interval`] — a randomized interval tree (treap with `max_end`
-//!   augmentation) answering stabbing and overlap queries over valid-time
-//!   and transaction-time periods, the access paths behind the paper's
-//!   rollback and timeslice operations.
+//!   augmentation) answering stabbing and overlap queries over
+//!   transaction-time periods, the access path behind the paper's
+//!   rollback operation.
 
 pub mod interval;
 

@@ -15,8 +15,8 @@
 //! * [`heap`] — heap files of records over pages;
 //! * [`wal`] — a write-ahead log with checksummed frames, replay
 //!   recovery, and tolerance of torn tails;
-//! * [`index`] — an interval tree for valid-time and transaction-time
-//!   stabbing and overlap queries;
+//! * [`index`] — an interval tree for transaction-time stabbing and
+//!   overlap queries;
 //! * [`txn`] — monotonic commit-timestamp allocation over a
 //!   [`Clock`](chronos_core::clock::Clock);
 //! * [`table`] — [`table::StoredBitemporalTable`], a durable,

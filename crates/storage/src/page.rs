@@ -146,16 +146,13 @@ impl Page {
     }
 
     /// True iff a record of `len` bytes fits (reusing a dead slot when
-    /// one exists).
+    /// one exists).  O(1): the header counts the dead slots.
     pub fn fits(&self, len: usize) -> bool {
-        let slot_cost = if self.dead_slot().is_some() {
-            0
-        } else {
-            SLOT_SIZE
-        };
+        let slot_cost = if self.dead_slots() > 0 { 0 } else { SLOT_SIZE };
         len + slot_cost <= self.free_space()
     }
 
+    /// The lowest tombstoned slot, if any.
     fn dead_slot(&self) -> Option<u16> {
         if self.dead_slots() == 0 {
             return None;
@@ -174,7 +171,12 @@ impl Page {
                 data.len()
             )));
         }
-        if !self.fits(data.len()) {
+        // The slot to reuse is looked up here, not trusted from the
+        // header count, so an image whose count disagrees with its
+        // directory can never be written past its free space.
+        let reused = self.dead_slot();
+        let slot_cost = if reused.is_some() { 0 } else { SLOT_SIZE };
+        if data.len() + slot_cost > self.free_space() {
             return Err(StorageError::PageFull {
                 needed: data.len() + SLOT_SIZE,
                 available: self.free_space(),
@@ -185,7 +187,7 @@ impl Page {
         let new_end = self.free_end() as usize - data.len();
         self.buf[new_end..new_end + data.len()].copy_from_slice(data);
         self.set_free_end(new_end as u16);
-        let slot = match self.dead_slot() {
+        let slot = match reused {
             Some(s) => {
                 self.set_dead_slots(self.dead_slots() - 1);
                 s
@@ -237,15 +239,22 @@ impl Page {
         self.iter().count()
     }
 
-    /// Rewrites record data contiguously at the end of the page,
-    /// reclaiming space from deleted records.  Slot numbers are stable.
+    /// Rewrites record data contiguously at the end of the page, in
+    /// slot order, reclaiming space from deleted records.  Slot numbers
+    /// are stable.  The records are read from one copy of the page
+    /// image, since the new layout may overwrite any old position.
     pub fn compact(&mut self) {
-        let live: Vec<(u16, Vec<u8>)> = self.iter().map(|(s, d)| (s, d.to_vec())).collect();
+        let image: [u8; PAGE_SIZE] = self.buf[..].try_into().expect("a page image");
         let mut end = PAGE_SIZE;
-        for (slot, data) in &live {
-            end -= data.len();
-            self.buf[end..end + data.len()].copy_from_slice(data);
-            self.set_slot_entry(*slot, end as u16, data.len() as u16);
+        for slot in 0..self.slot_count() {
+            let (off, len) = self.slot_entry(slot);
+            if off == 0 && len == 0 {
+                continue;
+            }
+            let (off, len) = (off as usize, len as usize);
+            end -= len;
+            self.buf[end..end + len].copy_from_slice(&image[off..off + len]);
+            self.set_slot_entry(slot, end as u16, len as u16);
         }
         self.set_free_end(end as u16);
     }
@@ -254,6 +263,7 @@ impl Page {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn insert_get_delete() {
@@ -333,6 +343,98 @@ mod tests {
         assert_eq!(q.page_no(), 3);
         assert_eq!(q.get(s).unwrap(), b"persisted");
         assert!(Page::from_bytes(BytesMut::from(&b"short"[..])).is_err());
+    }
+
+    /// The directory-scan definition `fits` had before the header's
+    /// dead-slot count was trusted: a tombstone anywhere in the
+    /// directory saves the new record its slot entry.
+    fn oracle_fits(p: &Page, len: usize) -> bool {
+        let tombstone = (0..p.slot_count()).any(|s| p.slot_entry(s) == (0, 0));
+        len + if tombstone { 0 } else { SLOT_SIZE } <= p.free_space()
+    }
+
+    /// The per-record-copy `compact` the one-copy version replaced.
+    fn oracle_compact(p: &mut Page) {
+        let live: Vec<(u16, Vec<u8>)> = p.iter().map(|(s, d)| (s, d.to_vec())).collect();
+        let mut end = PAGE_SIZE;
+        for (slot, data) in &live {
+            end -= data.len();
+            p.buf[end..end + data.len()].copy_from_slice(data);
+            p.set_slot_entry(*slot, end as u16, data.len() as u16);
+        }
+        p.set_free_end(end as u16);
+    }
+
+    /// Compacts `p` both ways and checks the images agree byte for byte.
+    fn compact_against_oracle(p: &mut Page) -> Result<(), TestCaseError> {
+        let mut want = p.clone();
+        oracle_compact(&mut want);
+        p.compact();
+        prop_assert_eq!(p.as_bytes(), want.as_bytes());
+        Ok(())
+    }
+
+    #[derive(Clone, Debug)]
+    enum PageOp {
+        Insert(usize),
+        Delete(usize),
+        /// Delete and reinsert on the same page, compacting when the
+        /// page is full — what `HeapFile::update` does to a page.
+        Update(usize, usize),
+        Compact,
+    }
+
+    fn arb_page_ops() -> impl Strategy<Value = Vec<PageOp>> {
+        let op = prop_oneof![
+            4 => (0usize..1200).prop_map(PageOp::Insert),
+            2 => (0usize..64).prop_map(PageOp::Delete),
+            3 => ((0usize..64), (0usize..1200)).prop_map(|(i, n)| PageOp::Update(i, n)),
+            1 => Just(PageOp::Compact),
+        ];
+        prop::collection::vec(op, 1..80)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `fits` reads the header count yet agrees with the directory
+        /// scan, and `compact` lays out the same image as the
+        /// per-record copy, over random insert/delete/update/compact
+        /// sequences.
+        #[test]
+        fn fits_and_compact_match_their_oracles(ops in arb_page_ops()) {
+            let mut p = Page::new(1);
+            for (i, op) in ops.into_iter().enumerate() {
+                let fill = [i as u8];
+                match op {
+                    PageOp::Insert(len) => {
+                        let fits = p.fits(len);
+                        prop_assert_eq!(p.insert(&fill.repeat(len)).is_ok(), fits);
+                    }
+                    PageOp::Delete(nth) => {
+                        let live: Vec<u16> = p.iter().map(|(s, _)| s).collect();
+                        if let Some(&slot) = live.get(nth % live.len().max(1)) {
+                            p.delete(slot).unwrap();
+                        }
+                    }
+                    PageOp::Update(nth, len) => {
+                        let live: Vec<u16> = p.iter().map(|(s, _)| s).collect();
+                        if let Some(&slot) = live.get(nth % live.len().max(1)) {
+                            p.delete(slot).unwrap();
+                            if !p.fits(len) {
+                                compact_against_oracle(&mut p)?;
+                            }
+                            let fits = p.fits(len);
+                            prop_assert_eq!(p.insert(&fill.repeat(len)).is_ok(), fits);
+                        }
+                    }
+                    PageOp::Compact => compact_against_oracle(&mut p)?,
+                }
+                for len in [0, 1, 100, 1000, 4000, MAX_RECORD] {
+                    prop_assert_eq!(p.fits(len), oracle_fits(&p, len), "fits({}) after op {}", len, i);
+                }
+            }
+        }
     }
 
     #[test]

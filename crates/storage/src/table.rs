@@ -13,15 +13,15 @@
 //!
 //! * a **transaction-time interval tree** — the rollback operation
 //!   (`as of t`) is a stabbing query;
-//! * a **valid-time interval tree** — historical timeslices
-//!   (`valid at t`) are stabbing queries;
 //! * a **current-row index** — the rows of the current historical state
-//!   in the order they were inserted, each with the heap record holding
-//!   it, and a directory of them by key (first attribute).  It is the
-//!   table's only copy of the current state: modifications address
-//!   current rows by content, a `delete` or `replace` that names a key
-//!   finds its rows here without reading a heap page, and a scan of the
-//!   latest state walks it in order;
+//!   in the order they were inserted, each with its validity and the
+//!   heap record holding it, and a directory of them by key (first
+//!   attribute).  It is the table's only copy of the current state:
+//!   modifications address current rows by content, a `delete` or
+//!   `replace` that names a key finds its rows here without reading a
+//!   heap page, a scan of the latest state walks it in order, and a
+//!   timeslice of the current state (`valid at t`) filters it by
+//!   validity before decoding a row;
 //! * a **key index** — every heap version by key, with its transaction
 //!   period: a keyed read at a past coordinate decodes only that key's
 //!   versions stored then (frozen segments have their own key directory).
@@ -156,7 +156,7 @@ pub(crate) fn shared_bytes(a: &[u8], b: &[u8]) -> usize {
 pub enum Superseded {
     /// The version stays, its transaction period closed at the commit.
     Closed,
-    /// The version is deleted from the heap and both interval trees.
+    /// The version is deleted from the heap and its indexes.
     Dropped,
 }
 
@@ -237,8 +237,6 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     /// Every heap version by key (first attribute): its transaction
     /// period and record, kept in step with `tx_index`.
     versions: HashMap<Value, Vec<(Period, RecordId)>>,
-    /// Valid-time periods of every row.
-    valid_index: IntervalTree<RecordId>,
     last_commit: Option<Chronon>,
     transactions: usize,
     parallel_threshold: usize,
@@ -277,7 +275,6 @@ impl StoredBitemporalTable<MemPager> {
             next_seq: 0,
             tx_index: IntervalTree::new(),
             versions: HashMap::new(),
-            valid_index: IntervalTree::new(),
             last_commit: None,
             transactions: 0,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
@@ -312,11 +309,11 @@ impl StoredBitemporalTable<MemPager> {
     }
 
     /// Reconstructs a table from checkpointed rows, rebuilding the heap,
-    /// both interval trees and the current-row index.  The rows are
-    /// untrusted: each must fit the schema and signature, start no later
-    /// than `last_commit`, be current if the table keeps no closed
-    /// versions, and — if current — be a row a commit could have
-    /// inserted beside the current rows before it.
+    /// the transaction-time tree, the key index and the current-row
+    /// index.  The rows are untrusted: each must fit the schema and
+    /// signature, start no later than `last_commit`, be current if the
+    /// table keeps no closed versions, and — if current — be a row a
+    /// commit could have inserted beside the current rows before it.
     pub fn from_rows(
         schema: Schema,
         signature: TemporalSignature,
@@ -357,7 +354,6 @@ impl StoredBitemporalTable<MemPager> {
                 .insert(&encode_row(&row.tuple, row.validity, row.tx))?;
             table.tx_index.insert(row.tx, rid);
             table.index_version(&row.tuple, row.tx, rid);
-            table.valid_index.insert(row.validity.period(), rid);
             if row.is_current() {
                 table.index_current(row.tuple, row.validity, rid);
             }
@@ -852,31 +848,39 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         Ok(rows)
     }
 
-    /// Historical timeslice of the *current* state at `t`, answered by
-    /// the valid-time interval tree.
+    /// Historical timeslice of the *current* state at `t`, in heap
+    /// order.
     pub fn current_valid_at(&self, t: Chronon) -> StorageResult<Vec<BitemporalRow>> {
-        let span = self.recorder.span("storage/timeslice");
-        span.detail("valid-interval-tree stab");
-        let mut rids = Vec::new();
-        self.recorder.count(|m| &m.index_probes);
-        self.valid_index
-            .stab(TimePoint::at(t), |_, rid| rids.push(*rid));
-        rids.sort_unstable();
-        let rows =
-            self.decode_rows_filtered(&rids, |row| row.is_current() && row.validity.valid_at(t))?;
-        span.rows_out(rows.len() as u64);
-        Ok(rows)
+        self.current_where("current-row stab", |validity| validity.valid_at(t))
     }
 
-    /// Rows whose valid period overlaps `q` in the current state.
+    /// Rows whose valid period overlaps `q` in the current state, in
+    /// heap order.
     pub fn current_overlapping(&self, q: Period) -> StorageResult<Vec<BitemporalRow>> {
+        self.current_where("current-row overlap", |validity| {
+            validity.period().overlaps(q)
+        })
+    }
+
+    /// The current rows whose validity passes `keep`, in heap order:
+    /// the current-row index is filtered in memory, and only the rows
+    /// it keeps are decoded.
+    fn current_where(
+        &self,
+        detail: &'static str,
+        keep: impl Fn(Validity) -> bool,
+    ) -> StorageResult<Vec<BitemporalRow>> {
         let span = self.recorder.span("storage/timeslice");
-        span.detail("valid-interval-tree overlap");
-        let mut rids = Vec::new();
+        span.detail(detail);
         self.recorder.count(|m| &m.index_probes);
-        self.valid_index.overlapping(q, |_, rid| rids.push(*rid));
+        let mut rids: Vec<RecordId> = self
+            .current
+            .values()
+            .filter(|entry| keep(entry.validity))
+            .map(|entry| entry.rid)
+            .collect();
         rids.sort_unstable();
-        let rows = self.decode_rows_filtered(&rids, |row| row.is_current())?;
+        let rows = self.decode_rows_filtered(&rids, |_| true)?;
         span.rows_out(rows.len() as u64);
         Ok(rows)
     }
@@ -983,14 +987,15 @@ impl<S: PageStore> StoredBitemporalTable<S> {
 
     /// Applies a transaction [`validate`](Self::validate) has just
     /// accepted (a caller that keeps its own log appends in between).
-    /// Each op does its fallible work first — the heap and both interval
-    /// trees — and only then touches the current-row index: an op the
-    /// heap refuses leaves the index as it was before it, still agreeing
-    /// with the heap.  (Only an op that fails after it has already closed
-    /// a version does not; the heap is in memory and `validate` has
-    /// checked that every version fits, so nothing short of an injected
-    /// fault gets that far.)  Nothing is copied, and an op costs the
-    /// current rows of the key it names, not the current state.
+    /// Each op does its fallible work first — the heap, the
+    /// transaction-time tree and the key index — and only then touches
+    /// the current-row index: an op the heap refuses leaves the index as
+    /// it was before it, still agreeing with the heap.  (Only an op that
+    /// fails after it has already closed a version does not; the heap is
+    /// in memory and `validate` has checked that every version fits, so
+    /// nothing short of an injected fault gets that far.)  Nothing is
+    /// copied, and an op costs the current rows of the key it names, not
+    /// the current state.
     pub fn apply_validated(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> StorageResult<()> {
         // Clone the handle so the span's borrow doesn't pin `self`.
         let recorder = Arc::clone(&self.recorder);
@@ -1050,7 +1055,8 @@ impl<S: PageStore> StoredBitemporalTable<S> {
             .collect()
     }
 
-    /// Stores a new open version and indexes both of its periods.
+    /// Stores a new open version and indexes its transaction period and
+    /// key.
     fn heap_insert(
         &mut self,
         tuple: &Tuple,
@@ -1061,7 +1067,6 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         let rid = self.heap.insert(&encode_row(tuple, validity, tx))?;
         self.tx_index.insert(tx, rid);
         self.index_version(tuple, tx, rid);
-        self.valid_index.insert(validity.period(), rid);
         Ok(rid)
     }
 
@@ -1123,16 +1128,11 @@ impl<S: PageStore> StoredBitemporalTable<S> {
             }
         };
         assert!(self.tx_index.remove(row.tx, &rid), "tx index in sync");
-        assert!(
-            self.valid_index.remove(row.validity.period(), &rid),
-            "valid index in sync"
-        );
         // Reindex under the (possibly moved) record id and closed
         // transaction period.
         match closed {
             Some((closed_tx, moved)) => {
                 self.tx_index.insert(closed_tx, moved);
-                self.valid_index.insert(row.validity.period(), moved);
                 let (bucket, at) = self.version_entry(&row.tuple, rid);
                 bucket[at] = (closed_tx, moved);
             }
@@ -1207,10 +1207,6 @@ impl<S: PageStore> StoredBitemporalTable<S> {
             self.heap.delete(rid)?;
             assert!(self.tx_index.remove(row.tx, &rid), "tx index in sync");
             self.unindex_version(&row.tuple, rid);
-            assert!(
-                self.valid_index.remove(row.validity.period(), &rid),
-                "valid index in sync"
-            );
         }
         span.detail(format!(
             "froze {} version(s) in {} chain(s), {} bytes",
@@ -1957,5 +1953,101 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(t.stored_tuples(), before);
         assert_eq!(t.transactions(), 6);
+    }
+
+    /// A `point_read`-shaped history: 400 keys, each appended once and
+    /// then replaced three times — the row's validity cut where the new
+    /// salary starts and the new fact inserted — one commit per
+    /// statement, with the keys in a fresh shuffled order each round.
+    fn drive_point_read_shaped(t: &mut StoredBitemporalTable) {
+        const KEYS: usize = 400;
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % bound
+        };
+        let row = |k: usize, dept: u64, salary: u64| {
+            Tuple::new(vec![
+                Value::str(format!("k{k:05}")),
+                Value::str(format!("d{dept:02}")),
+                Value::Int(salary as i64),
+            ])
+        };
+        let mut tx = Chronon::new(3652);
+        let mut current: Vec<Option<(Tuple, Chronon)>> = vec![None; KEYS];
+        let mut order: Vec<usize> = (0..KEYS).collect();
+        for version in 0..4u64 {
+            for i in (1..KEYS).rev() {
+                order.swap(i, next(i as u64 + 1) as usize);
+            }
+            for &k in &order {
+                let salary = 1_000 * (version + 1) + next(1_000);
+                let ops = if version == 0 {
+                    let from = Chronon::new(next(300) as i64);
+                    let new = row(k, next(20), salary);
+                    current[k] = Some((new.clone(), from));
+                    vec![HistoricalOp::insert(new, Period::from_start(from))]
+                } else {
+                    let (old, start) = current[k].take().expect("key was appended");
+                    let from = start + (300 + next(100) as i64);
+                    let mut values = old.values().to_vec();
+                    values[2] = Value::Int(salary as i64);
+                    let new = Tuple::new(values);
+                    current[k] = Some((new.clone(), from));
+                    vec![
+                        HistoricalOp::set_validity(
+                            RowSelector::exact(old, Period::from_start(start)),
+                            Period::new(start, from).unwrap(),
+                        ),
+                        HistoricalOp::insert(new, Period::from_start(from)),
+                    ]
+                };
+                t.try_commit(tx, &ops).unwrap();
+                tx = tx + 1;
+            }
+        }
+    }
+
+    /// Where every version lands is a contract — heap order is scan
+    /// order — so a change to page fitting or compaction must leave
+    /// every record id, the record it holds and the page count exactly
+    /// as they were.
+    #[test]
+    fn placement_of_a_point_read_history_is_pinned() {
+        use chronos_core::schema::Attribute;
+        use chronos_core::value::AttrType;
+        let schema = Schema::new(vec![
+            Attribute::new("name", AttrType::Str),
+            Attribute::new("dept", AttrType::Str),
+            Attribute::new("salary", AttrType::Int),
+        ])
+        .unwrap();
+        let mut t = StoredBitemporalTable::in_memory(schema, TemporalSignature::Interval);
+        drive_point_read_shaped(&mut t);
+        // FNV-1a over every (page, slot, record) in scan order, then the
+        // page count.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut feed = |bytes: &[u8]| {
+            for &b in bytes {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut versions = 0;
+        t.heap
+            .scan(|rid, record| {
+                feed(&rid.page.to_le_bytes());
+                feed(&rid.slot.to_le_bytes());
+                feed(record);
+                versions += 1;
+            })
+            .unwrap();
+        feed(&t.heap_pages().to_le_bytes());
+        assert_eq!(
+            (versions, t.heap_pages(), digest),
+            (2800, 11, 0x9fed_7e34_5479_a491),
+            "placement drifted"
+        );
     }
 }

@@ -381,6 +381,44 @@ proptest! {
     }
 }
 
+/// Commits `script` to `t`, each transaction's ops built from the
+/// table's own current state, and returns the commit times it
+/// accepted; a transaction the table refuses is skipped.
+fn drive_script(t: &mut StoredBitemporalTable, script: &[Vec<ScriptOp>]) -> Vec<Chronon> {
+    let mut tx_time = Chronon::new(1000);
+    let mut commits = Vec::new();
+    for tx in script {
+        let current = t.current();
+        let rows = current.rows();
+        let ops: Vec<HistoricalOp> = tx
+            .iter()
+            .filter_map(|s| match s {
+                ScriptOp::Insert(n, r, a, len) => Some(HistoricalOp::insert(
+                    tuple([NAMES[*n], RANKS[*r]]),
+                    validity(*a, *len),
+                )),
+                ScriptOp::RemoveNth(i) => rows.get(i % rows.len().max(1)).map(|row| {
+                    HistoricalOp::remove(RowSelector::exact(row.tuple.clone(), row.validity))
+                }),
+                ScriptOp::RestampNth(i, a, len) => rows.get(i % rows.len().max(1)).map(|row| {
+                    HistoricalOp::set_validity(
+                        RowSelector::exact(row.tuple.clone(), row.validity),
+                        validity(*a, *len),
+                    )
+                }),
+            })
+            .collect();
+        if ops.is_empty() {
+            continue;
+        }
+        if t.try_commit(tx_time, &ops).is_ok() {
+            commits.push(tx_time);
+        }
+        tx_time = tx_time + 3;
+    }
+    commits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -392,49 +430,8 @@ proptest! {
         let mut heap_only =
             StoredBitemporalTable::in_memory(schema.clone(), TemporalSignature::Interval);
         let mut frozen = StoredBitemporalTable::in_memory(schema, TemporalSignature::Interval);
-
-        let mut tx_time = Chronon::new(1000);
-        let mut commits = Vec::new();
-        for tx in &script {
-            let mut ops = Vec::new();
-            for s in tx {
-                // Replay through the heap table's own validation: an op
-                // the reference semantics accept is applied to both.
-                match s {
-                    ScriptOp::Insert(n, r, a, len) => {
-                        ops.push(HistoricalOp::insert(
-                            tuple([NAMES[*n], RANKS[*r]]),
-                            validity(*a, *len),
-                        ));
-                    }
-                    ScriptOp::RemoveNth(i) => {
-                        let current = heap_only.current();
-                        let rows = current.rows();
-                        if rows.is_empty() { continue; }
-                        let row = &rows[i % rows.len()];
-                        ops.push(HistoricalOp::remove(
-                            RowSelector::exact(row.tuple.clone(), row.validity),
-                        ));
-                    }
-                    ScriptOp::RestampNth(i, a, len) => {
-                        let current = heap_only.current();
-                        let rows = current.rows();
-                        if rows.is_empty() { continue; }
-                        let row = &rows[i % rows.len()];
-                        ops.push(HistoricalOp::set_validity(
-                            RowSelector::exact(row.tuple.clone(), row.validity),
-                            validity(*a, *len),
-                        ));
-                    }
-                }
-            }
-            if ops.is_empty() { continue; }
-            if heap_only.try_commit(tx_time, &ops).is_ok() {
-                frozen.try_commit(tx_time, &ops).expect("tables in lockstep");
-                commits.push(tx_time);
-            }
-            tx_time = tx_time + 3;
-        }
+        let commits = drive_script(&mut heap_only, &script);
+        prop_assert_eq!(drive_script(&mut frozen, &script), commits, "tables in lockstep");
 
         let path = unique_seg_path("diff");
         let report = frozen.freeze_into(&path).unwrap();
@@ -489,6 +486,89 @@ proptest! {
         }
         if report.is_some() {
             std::fs::remove_file(&path).unwrap();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Timeslices of the current state vs a filtered full scan
+// ---------------------------------------------------------------------
+
+/// `current_valid_at` and `current_overlapping` answer exactly what a
+/// full scan filtered to the current rows does, in the scan's order.
+fn assert_current_slices_match_scan(
+    t: &StoredBitemporalTable,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    let rows = t.scan_rows().unwrap();
+    let current = |keep: &dyn Fn(&BitemporalRow) -> bool| -> Vec<BitemporalRow> {
+        rows.iter()
+            .filter(|r| r.is_current() && keep(r))
+            .cloned()
+            .collect()
+    };
+    for probe in (-10i64..=520).step_by(15).map(Chronon::new) {
+        prop_assert_eq!(
+            t.current_valid_at(probe).unwrap(),
+            current(&|r| r.validity.valid_at(probe)),
+            "{}: valid at {}",
+            context,
+            probe
+        );
+    }
+    for (from, to) in [
+        (-50, 0),
+        (0, 1),
+        (40, 160),
+        (150, 151),
+        (299, 420),
+        (480, 900),
+    ] {
+        let q = Period::new(Chronon::new(from), Chronon::new(to)).unwrap();
+        prop_assert_eq!(
+            t.current_overlapping(q).unwrap(),
+            current(&|r| r.validity.period().overlaps(q)),
+            "{}: overlapping {}",
+            context,
+            q
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Both timeslices of the current state filter the current-row index
+    /// by validity; they must agree with the heap, row for row and in
+    /// order, for both fates of a superseded version, after a freeze and
+    /// after a restore from rows.
+    #[test]
+    fn current_slices_equal_a_filtered_scan(script in arb_script()) {
+        for superseded in [Superseded::Closed, Superseded::Dropped] {
+            let schema = faculty_schema();
+            let mut t = StoredBitemporalTable::new(schema.clone(), TemporalSignature::Interval, superseded);
+            drive_script(&mut t, &script);
+            assert_current_slices_match_scan(&t, &format!("{superseded:?}"))?;
+
+            let path = unique_seg_path("slices");
+            let report = t.freeze_into(&path).unwrap();
+            assert_current_slices_match_scan(&t, &format!("{superseded:?} frozen"))?;
+
+            let restored = StoredBitemporalTable::from_rows(
+                schema,
+                TemporalSignature::Interval,
+                superseded,
+                t.scan_rows().unwrap(),
+                t.last_commit(),
+                t.transactions(),
+            )
+            .unwrap();
+            assert_current_slices_match_scan(&restored, &format!("{superseded:?} restored"))?;
+            prop_assert_eq!(restored.current(), t.current());
+            if report.is_some() {
+                std::fs::remove_file(&path).unwrap();
+            }
         }
     }
 }

@@ -137,8 +137,8 @@ fn assert_keyed_reads_restrict(engine: &Engine, stage: &str) -> Result<(), TestC
 }
 
 fn cases() -> ProptestConfig {
-    // Durable commits fsync, so tier-1 runs a small sample; the full
-    // sweep is `PROPTEST_CASES=1024 cargo test --test keyed_access`.
+    // Durable commits fsync, so tier-1 runs a small sample; the nightly
+    // CI job sweeps `PROPTEST_CASES=2048 cargo test --test keyed_access`.
     ProptestConfig::with_cases(
         std::env::var("PROPTEST_CASES")
             .ok()

@@ -193,7 +193,8 @@ fn render(query: &Query) -> (String, HashMap<String, String>) {
 }
 
 fn cases() -> ProptestConfig {
-    // The full sweep is `PROPTEST_CASES=2048 cargo test --test narrowing`.
+    // The nightly CI job sweeps `PROPTEST_CASES=2048 cargo test --test
+    // narrowing`.
     ProptestConfig::with_cases(
         std::env::var("PROPTEST_CASES")
             .ok()
