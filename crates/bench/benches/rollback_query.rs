@@ -4,7 +4,7 @@
 use chronos_bench::workload::{generate, WorkloadSpec};
 use chronos_core::chronon::Chronon;
 use chronos_core::prelude::*;
-use chronos_storage::table::StoredBitemporalTable;
+use chronos_storage::table::{Read, StoredBitemporalTable, TxSelect};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn build(n: usize) -> StoredBitemporalTable {
@@ -34,7 +34,7 @@ fn bench_rollback_query(c: &mut Criterion) {
             })
         });
         group.bench_with_input(BenchmarkId::new("tx_interval_tree", n), &table, |b, t| {
-            b.iter(|| t.rows_at(probe).expect("ok").len())
+            b.iter(|| t.read(&Read::tx(TxSelect::At(probe))).expect("ok").len())
         });
         group.bench_with_input(
             BenchmarkId::new("materialize_historical_state", n),

@@ -20,8 +20,7 @@
 //! keep the comparison honest, `current_filter_materialized` measures
 //! the filter *including* full row materialization into an owned `Vec`
 //! (exactly what a query executor consumes) rather than just the hit
-//! count, and `heap_scan_parallel` gives the scan side its best shot:
-//! the morsel-driven parallel scan over heap pages.
+//! count.
 //!
 //! Every variant additionally declares its **rows produced** (computed
 //! once, outside the timed loop) as the Criterion throughput, so the
@@ -33,7 +32,7 @@
 use chronos_bench::workload::{generate, WorkloadSpec};
 use chronos_core::chronon::Chronon;
 use chronos_core::prelude::*;
-use chronos_storage::table::StoredBitemporalTable;
+use chronos_storage::table::{Read, StoredBitemporalTable, TxSelect};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn build(n: usize) -> StoredBitemporalTable {
@@ -51,26 +50,26 @@ fn build(n: usize) -> StoredBitemporalTable {
     t
 }
 
-/// Same table with the parallel threshold dropped to zero, so every
-/// scan takes the morsel-driven path regardless of size.
-fn build_parallel(n: usize) -> StoredBitemporalTable {
-    let mut t = build(n);
-    t.set_parallel_threshold(0);
-    t
-}
-
 fn bench_timeslice(c: &mut Criterion) {
     let mut group = c.benchmark_group("timeslice");
     for &n in &[256usize, 1024, 4096] {
         let table = build(n);
         let probe = Chronon::new(940);
+        let slice = Read {
+            valid: Some(Period::instant(probe)),
+            ..Read::tx(TxSelect::Open)
+        };
         let as_of = Chronon::new(1000 + (n as i64) / 4);
+        let point = Read {
+            tx: TxSelect::At(as_of),
+            ..slice
+        };
         // Rows produced per variant, computed once outside the timed
         // loops: the timeslice answer is identical across access paths,
         // so per-row throughput is directly comparable.
         let stored = table.stored_tuples() as u64;
-        let produced = table.current_valid_at(probe).expect("ok").len() as u64;
-        let bitemp_produced = table.valid_at_as_of(probe, as_of).expect("ok").len() as u64;
+        let produced = table.read(&slice).expect("ok").len() as u64;
+        let bitemp_produced = table.read(&point).expect("ok").len() as u64;
         eprintln!(
             "timeslice n={n}: stored={stored} rows, timeslice answer={produced} rows, \
              bitemporal answer={bitemp_produced} rows"
@@ -84,32 +83,19 @@ fn bench_timeslice(c: &mut Criterion) {
                     .count()
             })
         });
-        let parallel = build_parallel(n);
-        group.bench_with_input(
-            BenchmarkId::new("heap_scan_parallel", n),
-            &parallel,
-            |b, t| {
-                b.iter(|| {
-                    let rows = t.scan_rows().expect("ok");
-                    rows.into_iter()
-                        .filter(|r| r.is_current() && r.validity.valid_at(probe))
-                        .count()
-                })
-            },
-        );
         group.bench_with_input(BenchmarkId::new("current_row_filter", n), &table, |b, t| {
-            b.iter(|| t.current_valid_at(probe).expect("ok").len())
+            b.iter(|| t.read(&slice).expect("ok").len())
         });
         // Filter including row materialization: the hits are moved
         // into a fresh owned Vec (tuple clones included), matching what
         // an executor keeps, so the variant's cost is comparable to the
-        // scan variants above rather than to a bare count.
+        // scan variant above rather than to a bare count.
         group.bench_with_input(
             BenchmarkId::new("current_filter_materialized", n),
             &table,
             |b, t| {
                 b.iter(|| {
-                    let rows = t.current_valid_at(probe).expect("ok");
+                    let rows = t.read(&slice).expect("ok");
                     let materialized: Vec<(chronos_core::tuple::Tuple, Validity)> =
                         rows.into_iter().map(|r| (r.tuple, r.validity)).collect();
                     materialized.len()
@@ -120,7 +106,7 @@ fn bench_timeslice(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("bitemporal_point_query", n),
             &table,
-            |b, t| b.iter(|| t.valid_at_as_of(probe, as_of).expect("ok").len()),
+            |b, t| b.iter(|| t.read(&point).expect("ok").len()),
         );
     }
     group.finish();

@@ -68,7 +68,7 @@ use chronos_core::relation::StaticOp;
 use chronos_db::{Database, Engine};
 use chronos_obs::Recorder;
 use chronos_storage::codec;
-use chronos_storage::table::StoredBitemporalTable;
+use chronos_storage::table::{Read, StoredBitemporalTable, TxSelect};
 use chronos_tquel::analyze::analyze_retrieve;
 use chronos_tquel::ast::Statement;
 use chronos_tquel::exec::execute_plan;
@@ -366,7 +366,8 @@ fn t3_rollback_query() {
         // must stay cheap in as history accumulates.
         let probe = Chronon::new(1000 + (n as i64) / 8);
         assert_eq!(reference.rollback(probe), stored.rollback(probe));
-        let alive = stored.rows_at(probe).expect("ok").len();
+        let at = Read::tx(TxSelect::At(probe));
+        let alive = stored.read(&at).expect("ok").len();
         // Scan path: decode every stored version, keep those alive at
         // the probe (what a store without a tx index must do).
         let scan_ns = time_ns(10, || {
@@ -376,7 +377,7 @@ fn t3_rollback_query() {
         });
         // Index path: stab the transaction-time interval tree.
         let index_ns = time_ns(10, || {
-            std::hint::black_box(stored.rows_at(probe).expect("ok"));
+            std::hint::black_box(stored.read(&at).expect("ok"));
         });
         println!(
             "{:>6} | {:>8} | {:>8} | {:>12.1} | {:>12.1} | {:>7.1}x",
@@ -407,7 +408,11 @@ fn t4_timeslice() {
         // Probe early in valid time: most current rows are not yet valid
         // there, so a good access path decodes few of them.
         let probe = Chronon::new(940);
-        let hits = stored.current_valid_at(probe).expect("ok").len();
+        let slice = Read {
+            valid: Some(Period::instant(probe)),
+            ..Read::tx(TxSelect::Open)
+        };
+        let hits = stored.read(&slice).expect("ok").len();
         let scan_ns = time_ns(10, || {
             let rows = stored.scan_rows().expect("ok");
             let valid: Vec<_> = rows
@@ -417,7 +422,7 @@ fn t4_timeslice() {
             std::hint::black_box(valid);
         });
         let index_ns = time_ns(10, || {
-            std::hint::black_box(stored.current_valid_at(probe).expect("ok"));
+            std::hint::black_box(stored.read(&slice).expect("ok"));
         });
         println!(
             "{:>6} | {:>8} | {:>8} | {:>12.1} | {:>12.1} | {:>7.1}x",

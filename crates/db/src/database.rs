@@ -24,6 +24,7 @@ use chronos_core::taxonomy::DatabaseClass;
 use chronos_core::value::Value;
 use chronos_obs::export::{Health, ObsServer};
 use chronos_obs::{EventJournal, JournalStats, MetricsSnapshot, Recorder};
+use chronos_storage::table::{Read, TxSelect};
 use chronos_storage::txn::TxnManager;
 use chronos_storage::wal::{Wal, WalRecord};
 use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationInfo, RelationProvider, SourceRow};
@@ -827,7 +828,7 @@ impl Database {
             .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))?;
         let class = rel.class().database_class();
         let mut stats: Vec<(String, i64)> = Vec::new();
-        let all = rel.table().scan_rows()?;
+        let all = rel.table().read(&Read::tx(TxSelect::Any))?;
         let current = all.iter().filter(|row| row.is_current()).count();
         push_stat(&mut stats, "rows", current as i64);
         push_stat(&mut stats, "versions", all.len() as i64);

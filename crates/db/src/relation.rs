@@ -36,7 +36,7 @@ use chronos_core::relation::temporal::{BitemporalRow, TemporalStore};
 use chronos_core::relation::{HistoricalOp, Validity};
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::value::Value;
-use chronos_storage::table::{CurrentOrder, StoredBitemporalTable, Superseded};
+use chronos_storage::table::{CurrentOrder, Read, StoredBitemporalTable, Superseded, TxSelect};
 use chronos_storage::{StorageError, StorageResult};
 
 use crate::error::{DbError, DbResult};
@@ -156,7 +156,7 @@ impl Relation {
     /// order of the current state where they are dropped.
     pub(crate) fn image_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
         if has_transaction_time(self.class) {
-            self.table.scan_rows()
+            self.table.read(&Read::tx(TxSelect::Any))
         } else {
             self.table.current_rows()
         }
@@ -240,39 +240,29 @@ impl Relation {
     /// Scans the relation for the evaluator, applying an `as of`
     /// specification when the class supports it; with a `key`, only the
     /// rows whose first attribute is `key`, in the order the unkeyed
-    /// scan lists them, read through the table's key indexes.  The
-    /// table's own spans name the access path (`tx-index stab`,
-    /// `tx-index overlap`, `key index`, heap scan).
+    /// scan lists them.  An `as of` on a class without transaction time
+    /// is refused.  The current state of a class that shows no
+    /// transaction periods comes straight off the table's current-row
+    /// index in reference order; every other scan is one
+    /// [`read`](StoredBitemporalTable::read) of the table, whose span
+    /// names the access path it took (`tx-index stab`, `tx-index
+    /// overlap`, `key index`, `current-row map`).
     pub fn scan(&self, as_of: Option<&AsOfSpec>, key: Option<&Value>) -> DbResult<Vec<SourceRow>> {
         let valid_time = has_valid_time(self.class);
         let tx_time = has_transaction_time(self.class);
-        let table = &self.table;
-        let rows = match (as_of, key) {
-            (Some(_), _) if !tx_time => {
+        let tx = match as_of {
+            Some(_) if !tx_time => {
                 return Err(DbError::Capability(format!(
                     "'as of' on a {} relation (no transaction time)",
                     self.class
                 )))
             }
-            (Some(AsOfSpec::At(t)), None) => table.rows_at(*t)?,
-            (Some(AsOfSpec::At(t)), Some(key)) => table.lookup_key_as_of(key, *t)?,
-            (Some(AsOfSpec::Through(t1, t2)), key) => {
-                let window = Period::clamped(*t1, t2.succ());
-                match key {
-                    None => table.rows_during(window)?,
-                    Some(key) => table.lookup_key_during(key, window)?,
-                }
-            }
-            // Only a temporal scan shows transaction periods, which live
-            // on the heap; every other class reads the current state in
-            // reference order straight off the table's current-row index.
-            (None, key) if valid_time && tx_time => table
-                .scan_rows()?
-                .into_iter()
-                .filter(|row| row.is_current() && key.is_none_or(|k| row.tuple.get(0) == k))
-                .collect(),
-            (None, key) => {
-                return Ok(table
+            Some(AsOfSpec::At(t)) => TxSelect::At(*t),
+            Some(AsOfSpec::Through(t1, t2)) => TxSelect::During(Period::clamped(*t1, t2.succ())),
+            None if valid_time && tx_time => TxSelect::Open,
+            None => {
+                return Ok(self
+                    .table
                     .current_entries(key, CurrentOrder::Reference)
                     .into_iter()
                     .map(|row| SourceRow {
@@ -283,6 +273,11 @@ impl Relation {
                     .collect())
             }
         };
+        let rows = self.table.read(&Read {
+            tx,
+            key,
+            valid: None,
+        })?;
         // A window over hidden transaction time can hold several versions
         // of one tuple; the pure static result shows it once.
         let collapse = !valid_time && matches!(as_of, Some(AsOfSpec::Through(..)));

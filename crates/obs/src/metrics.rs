@@ -2,7 +2,7 @@
 //! latency histograms, snapshotted into a plain serializable struct.
 //!
 //! Counters are relaxed `AtomicU64`s — a single uncontended RMW per
-//! increment, safe to call from the morsel-scan worker threads.
+//! increment, safe to call from any thread.
 //! Histograms use power-of-two nanosecond buckets (bucket *i* covers
 //! `[2^i, 2^(i+1))` ns) so recording is a `leading_zeros` plus one
 //! atomic increment, with percentiles estimated from bucket upper
@@ -189,7 +189,6 @@ pub struct MetricsSnapshot {
     pub pager_page_writes: u64,
     pub wal_appends: u64,
     pub wal_fsyncs: u64,
-    pub heap_morsels_claimed: u64,
     pub heap_rows_scanned: u64,
     pub index_probes: u64,
     /// Frozen-segment reads that consulted a segment's map.
@@ -245,13 +244,12 @@ impl MetricsSnapshot {
     /// `(name, value)` pairs for every plain counter, in exposition
     /// order.  Keeping this as the single enumeration point means the
     /// JSON and Prometheus renderings can never drift apart.
-    pub fn counters(&self) -> [(&'static str, u64); 25] {
+    pub fn counters(&self) -> [(&'static str, u64); 24] {
         [
             ("pager_page_reads", self.pager_page_reads),
             ("pager_page_writes", self.pager_page_writes),
             ("wal_appends", self.wal_appends),
             ("wal_fsyncs", self.wal_fsyncs),
-            ("heap_morsels_claimed", self.heap_morsels_claimed),
             ("heap_rows_scanned", self.heap_rows_scanned),
             ("index_probes", self.index_probes),
             ("segment_hits", self.segment_hits),
@@ -317,7 +315,6 @@ impl MetricsSnapshot {
             pager_page_writes: self.pager_page_writes - earlier.pager_page_writes,
             wal_appends: self.wal_appends - earlier.wal_appends,
             wal_fsyncs: self.wal_fsyncs - earlier.wal_fsyncs,
-            heap_morsels_claimed: self.heap_morsels_claimed - earlier.heap_morsels_claimed,
             heap_rows_scanned: self.heap_rows_scanned - earlier.heap_rows_scanned,
             index_probes: self.index_probes - earlier.index_probes,
             segment_hits: self.segment_hits - earlier.segment_hits,

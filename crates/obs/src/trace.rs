@@ -83,7 +83,6 @@ pub struct Instruments {
     pub pager_page_writes: Counter,
     pub wal_appends: Counter,
     pub wal_fsyncs: Counter,
-    pub heap_morsels_claimed: Counter,
     pub heap_rows_scanned: Counter,
     pub index_probes: Counter,
     /// Frozen-segment reads that consulted a segment's map.
@@ -230,7 +229,6 @@ impl Recorder {
             pager_page_writes: m.pager_page_writes.get(),
             wal_appends: m.wal_appends.get(),
             wal_fsyncs: m.wal_fsyncs.get(),
-            heap_morsels_claimed: m.heap_morsels_claimed.get(),
             heap_rows_scanned: m.heap_rows_scanned.get(),
             index_probes: m.index_probes.get(),
             segment_hits: m.segment_hits.get(),
@@ -520,10 +518,9 @@ impl TraceReport {
             out.push('\n');
         }
         out.push_str(&format!(
-            "counters: rows_scanned={} morsels={} index_probes={} cache_hits={} \
+            "counters: rows_scanned={} index_probes={} cache_hits={} \
              cache_misses={} page_reads={}\n",
             self.delta.heap_rows_scanned,
-            self.delta.heap_morsels_claimed,
             self.delta.index_probes,
             self.delta.cache_hits,
             self.delta.cache_misses,
@@ -616,7 +613,7 @@ mod tests {
         let report = r.end_trace(&before).expect("capture active");
         assert_eq!(
             report.render(false),
-            "counters: rows_scanned=0 morsels=0 index_probes=2 cache_hits=0 cache_misses=0 \
+            "counters: rows_scanned=0 index_probes=2 cache_hits=0 cache_misses=0 \
              page_reads=0\n"
         );
     }

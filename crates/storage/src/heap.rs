@@ -161,27 +161,6 @@ impl<S: PageStore> HeapFile<S> {
         self.scan(|rid, data| out.push((rid, data.to_vec())))?;
         Ok(out)
     }
-
-    /// Copies the live records of one page, in slot order.
-    ///
-    /// This is the morsel unit of the parallel scan: the page latch is
-    /// held only while bytes are copied out; decoding happens in the
-    /// caller, outside the buffer-pool lock.
-    pub fn page_records(&self, page_no: u32) -> StorageResult<Vec<(RecordId, Vec<u8>)>> {
-        self.pool.with_page(page_no, |p| {
-            p.iter()
-                .map(|(slot, data)| {
-                    (
-                        RecordId {
-                            page: page_no,
-                            slot,
-                        },
-                        data.to_vec(),
-                    )
-                })
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]

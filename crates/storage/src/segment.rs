@@ -831,15 +831,6 @@ impl Segment {
         Ok(out)
     }
 
-    /// Rows of the chain at `idx` stored as of `t`.
-    pub fn chain_rows_at(&self, idx: usize, t: Chronon) -> StorageResult<Vec<BitemporalRow>> {
-        Ok(self
-            .chain_rows(idx)?
-            .into_iter()
-            .filter(|row| row.tx.contains(t))
-            .collect())
-    }
-
     /// Physical statistics for `sys$pages` and the T16 experiment.
     pub fn stats(&self) -> SegmentStats {
         let stored = (self.dir_len + self.body_len) as u64;
@@ -979,8 +970,9 @@ mod tests {
         assert!(seg.find_chain(&merrie).is_some());
         let ghost = value_key_bytes(&Value::str("Ghost"));
         assert!(seg.find_chain(&ghost).is_none());
-        let at = seg.chain_rows_at(seg.find_chain(&merrie).unwrap(), Chronon::new(15));
-        assert_eq!(at.unwrap().len(), 1);
+        let chain = seg.chain_rows(seg.find_chain(&merrie).unwrap()).unwrap();
+        let at_15 = chain.iter().filter(|r| r.tx.contains(Chronon::new(15)));
+        assert_eq!(at_15.count(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -26,10 +26,13 @@
 //!   period: a keyed read at a past coordinate decodes only that key's
 //!   versions stored then (frozen segments have their own key directory).
 //!
-//! Above a row-count threshold, full scans and index-probe
-//! materialisations fan out over scoped threads, one heap page (or
-//! record-id chunk) per morsel, with byte-identical output order to the
-//! sequential path.
+//! Every read goes through one function, [`StoredBitemporalTable::read`]:
+//! a [`Read`] names a transaction-time selection (every version, the
+//! open ones, those stored at an instant or over a window), optionally a
+//! key and a valid-time window — rollback and timeslice as two
+//! selections on one relation — and the table picks the index that
+//! answers it.  Every answer lists frozen segments first, then the heap
+//! in record order.
 //!
 //! Semantics are defined by `chronos-core`'s reference stores: every
 //! commit is validated by exactly the reference transition rules — run on
@@ -42,7 +45,6 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use chronos_core::value::Value;
@@ -199,20 +201,75 @@ pub enum CurrentOrder {
     Heap,
 }
 
-/// Default row count below which scans stay sequential (thread spawn
-/// and morsel bookkeeping cost more than they save on small tables).
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 4096;
+/// Which stored versions a [`Read`] selects by transaction time.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TxSelect {
+    /// Every version, closed or open.
+    Any,
+    /// The open versions: the current state.
+    Open,
+    /// The versions stored as of `t` — the rollback operation (`as of t`).
+    At(Chronon),
+    /// The versions whose transaction period overlaps the window
+    /// (`as of … through …`).
+    During(Period),
+}
 
-/// Upper bound on scan workers; morsels are claimed dynamically so
-/// stragglers self-balance.
-const MAX_SCAN_WORKERS: usize = 8;
+impl TxSelect {
+    /// True iff a version stored over `tx` is selected.
+    fn admits(self, tx: Period) -> bool {
+        match self {
+            TxSelect::Any => true,
+            TxSelect::Open => tx.end() == TimePoint::PlusInfinity,
+            TxSelect::At(t) => tx.contains(t),
+            TxSelect::During(window) => tx.overlaps(window),
+        }
+    }
 
-fn worker_count(tasks: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(MAX_SCAN_WORKERS)
-        .min(tasks.max(1))
+    /// False when no version in `seg` can be selected.  A segment holds
+    /// only closed versions.
+    fn may_hold(self, seg: &Segment) -> bool {
+        match self {
+            TxSelect::Any => true,
+            TxSelect::Open => false,
+            TxSelect::At(t) => seg.covers(t),
+            TxSelect::During(window) => seg.covers_window(window),
+        }
+    }
+}
+
+/// One read of a [`StoredBitemporalTable`]: a selection on each time
+/// axis of the bitemporal relation, and optionally a key.
+#[derive(Clone, Copy, Debug)]
+pub struct Read<'a> {
+    /// Which versions, by transaction time.
+    pub tx: TxSelect,
+    /// Only the versions whose first attribute is this key.
+    pub key: Option<&'a Value>,
+    /// Only the versions whose valid period overlaps this one; the
+    /// timeslice `valid at t` is [`Period::instant`]`(t)`.
+    pub valid: Option<Period>,
+}
+
+impl Read<'_> {
+    /// Every version `tx` selects: any key, any validity.
+    pub fn tx(tx: TxSelect) -> Self {
+        Read {
+            tx,
+            key: None,
+            valid: None,
+        }
+    }
+
+    fn admits_validity(&self, validity: Validity) -> bool {
+        self.valid
+            .is_none_or(|valid| validity.period().overlaps(valid))
+    }
+
+    /// True iff the read selects `row` (its key already matched).
+    fn admits(&self, row: &BitemporalRow) -> bool {
+        self.tx.admits(row.tx) && self.admits_validity(row.validity)
+    }
 }
 
 /// A durable, index-accelerated temporal relation.
@@ -239,7 +296,6 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     versions: HashMap<Value, Vec<(Period, RecordId)>>,
     last_commit: Option<Chronon>,
     transactions: usize,
-    parallel_threshold: usize,
     /// Frozen history: immutable, delta-encoded, mmap-backed segments
     /// holding versions whose transaction period is wholly past.  The
     /// heap keeps only the mutable tail; reads merge both.  Segments
@@ -277,7 +333,6 @@ impl StoredBitemporalTable<MemPager> {
             versions: HashMap::new(),
             last_commit: None,
             transactions: 0,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             segments: Vec::new(),
             recorder: Arc::new(Recorder::disabled()),
         }
@@ -370,8 +425,8 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         self.rel_id
     }
 
-    /// Routes this table's instruments (access-path spans, scan morsels,
-    /// pager and WAL I/O) into `recorder`.
+    /// Routes this table's instruments (access-path spans, pager and WAL
+    /// I/O) into `recorder`.
     pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
         self.heap.pool().set_recorder(Arc::clone(&recorder));
         if let Some(wal) = &mut self.wal {
@@ -380,139 +435,155 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         self.recorder = recorder;
     }
 
-    /// All physical rows: frozen segments first (in key order per
-    /// segment), then the heap tail.  Dispatches to the parallel scan
-    /// above the row-count threshold.
-    pub fn scan_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
-        let span = self.recorder.span("storage/scan");
-        let parallel = self.heap.len() >= self.parallel_threshold && self.heap.pages() > 1;
-        span.detail(if parallel {
-            "parallel heap scan"
-        } else {
-            "sequential heap scan"
+    /// The one read of the table: every version `read` selects, frozen
+    /// segments first (in attach order, each in chain order), then the
+    /// heap in record order.  The path follows the request:
+    ///
+    /// * a key takes the key index — of the key's heap versions only
+    ///   those whose transaction period qualifies are decoded — and each
+    ///   segment's key directory;
+    /// * otherwise `At` stabs, and `During` overlaps, the
+    ///   transaction-time tree;
+    /// * `Open` filters the current-row index by validity before a row
+    ///   is decoded (segments hold closed versions only);
+    /// * `Any` walks the heap.
+    ///
+    /// A segment whose transaction-time range or bloom filter rules the
+    /// read out is skipped without decoding a row.  The span's `rows_in`
+    /// counts the heap records decoded.
+    pub fn read(&self, read: &Read) -> StorageResult<Vec<BitemporalRow>> {
+        let span = self.recorder.span(match read.tx {
+            TxSelect::Any => "storage/scan",
+            TxSelect::Open => "storage/current",
+            TxSelect::At(_) | TxSelect::During(_) => "storage/asof",
         });
-        let mut rows = self.segment_rows()?;
-        rows.extend(if parallel {
-            self.scan_rows_parallel()
+        let mut rows = self.segment_rows(read)?;
+        let mut rids = Vec::new();
+        let heap_walk = match (read.key, read.tx) {
+            (Some(key), tx) => {
+                span.detail("key index");
+                let versions = self.versions.get(key).into_iter().flatten();
+                let stored = versions.filter(|(period, _)| tx.admits(*period));
+                rids.extend(stored.map(|(_, rid)| *rid));
+                false
+            }
+            (None, TxSelect::Any) => {
+                span.detail("heap scan");
+                true
+            }
+            (None, TxSelect::Open) => {
+                span.detail("current-row map");
+                let open = self.current.values();
+                let valid = open.filter(|entry| read.admits_validity(entry.validity));
+                rids.extend(valid.map(|entry| entry.rid));
+                false
+            }
+            (None, TxSelect::At(t)) => {
+                span.detail("tx-index stab");
+                self.tx_index
+                    .stab(TimePoint::at(t), |_, rid| rids.push(*rid));
+                false
+            }
+            (None, TxSelect::During(window)) => {
+                span.detail("tx-index overlap");
+                self.tx_index.overlapping(window, |_, rid| rids.push(*rid));
+                false
+            }
+        };
+        let decoded = if heap_walk {
+            rows.reserve(self.heap.len());
+            let mut err = None;
+            self.heap.scan(|_, bytes| match decode_row(bytes) {
+                Ok(row) if read.admits(&row) => rows.push(row),
+                Ok(_) => {}
+                Err(e) => err = Some(e),
+            })?;
+            if let Some(e) = err {
+                return Err(e);
+            }
+            let scanned = self.heap.len() as u64;
+            self.recorder.count_n(|m| &m.heap_rows_scanned, scanned);
+            scanned
         } else {
-            self.scan_rows_sequential()
-        }?);
+            self.recorder.count(|m| &m.index_probes);
+            rids.sort_unstable();
+            rows.reserve(rids.len());
+            for &rid in &rids {
+                let row = self.decode_at(rid)?;
+                if read.admits(&row) {
+                    rows.push(row);
+                }
+            }
+            rids.len() as u64
+        };
+        span.rows_in(decoded);
         span.rows_out(rows.len() as u64);
         Ok(rows)
     }
 
-    /// Every row held by frozen segments, in attach order (empty while
-    /// nothing is frozen — the overwhelmingly common case).
-    pub fn segment_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
+    /// The segment rows `read` selects, in attach order: of each segment
+    /// that may hold one, the key's chain or every chain.
+    fn segment_rows(&self, read: &Read) -> StorageResult<Vec<BitemporalRow>> {
+        let mut out = Vec::new();
         if self.segments.is_empty() {
-            return Ok(Vec::new());
+            return Ok(out);
         }
-        let mut out = Vec::new();
+        let key = read.key.map(segment::value_key_bytes);
         for seg in &self.segments {
-            self.recorder.count(|m| &m.segment_hits);
-            out.extend(seg.rows()?);
-        }
-        Ok(out)
-    }
-
-    /// Segment rows stored as of `t`, skipping segments whose
-    /// transaction-time range excludes `t` without touching their maps.
-    fn segment_rows_at(&self, t: Chronon) -> StorageResult<Vec<BitemporalRow>> {
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            if !seg.covers(t) {
+            if !read.tx.may_hold(seg) || key.as_ref().is_some_and(|k| !seg.may_contain(k)) {
                 self.recorder.count(|m| &m.segment_skips);
                 continue;
             }
+            let rows = match &key {
+                None => seg.rows()?,
+                Some(k) => match seg.find_chain(k) {
+                    Some(idx) => seg.chain_rows(idx)?,
+                    None => {
+                        self.recorder.count(|m| &m.segment_bloom_fps);
+                        continue;
+                    }
+                },
+            };
             self.recorder.count(|m| &m.segment_hits);
-            for idx in 0..seg.chains() as usize {
-                out.extend(seg.chain_rows_at(idx, t)?);
-            }
+            out.extend(rows.into_iter().filter(|row| read.admits(row)));
         }
         Ok(out)
     }
 
-    /// Segment rows whose transaction period overlaps `window`.
-    fn segment_rows_during(&self, window: Period) -> StorageResult<Vec<BitemporalRow>> {
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            if !seg.covers_window(window) {
-                self.recorder.count(|m| &m.segment_skips);
-                continue;
-            }
-            self.recorder.count(|m| &m.segment_hits);
-            out.extend(
-                seg.rows()?
-                    .into_iter()
-                    .filter(|row| row.tx.overlaps(window)),
-            );
-        }
-        Ok(out)
+    /// Every stored version: [`read`](Self::read) of [`TxSelect::Any`].
+    /// Kept as a name because the frozen benchmark calls it.
+    #[doc(hidden)]
+    pub fn scan_rows(&self) -> StorageResult<Vec<BitemporalRow>> {
+        self.read(&Read::tx(TxSelect::Any))
     }
 
-    /// Single-threaded full scan in page order (the reference path the
-    /// parallel scan is differentially tested against).
-    pub fn scan_rows_sequential(&self) -> StorageResult<Vec<BitemporalRow>> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        let mut err = None;
-        self.heap.scan(|_, bytes| match decode_row(bytes) {
-            Ok(row) => out.push(row),
-            Err(e) => err = Some(e),
-        })?;
-        match err {
-            Some(e) => Err(e),
-            None => {
-                self.recorder
-                    .count_n(|m| &m.heap_rows_scanned, out.len() as u64);
-                Ok(out)
-            }
-        }
+    /// The versions stored at `as_of` that are valid at `valid`.  Kept as
+    /// a name because the frozen benchmark calls it.
+    #[doc(hidden)]
+    pub fn valid_at_as_of(
+        &self,
+        valid: Chronon,
+        as_of: Chronon,
+    ) -> StorageResult<Vec<BitemporalRow>> {
+        let valid = Some(Period::instant(valid));
+        self.read(&Read {
+            valid,
+            ..Read::tx(TxSelect::At(as_of))
+        })
     }
 
-    /// Morsel-driven parallel full scan: workers claim heap pages from
-    /// a shared counter, copy the page's records under the pool latch,
-    /// and decode outside it.  Output order (page, then slot) is
-    /// identical to [`scan_rows_sequential`](Self::scan_rows_sequential).
-    pub fn scan_rows_parallel(&self) -> StorageResult<Vec<BitemporalRow>> {
-        let pages = self.heap.pages();
-        let workers = worker_count(pages as usize);
-        if workers <= 1 {
-            return self.scan_rows_sequential();
-        }
-        let next_page = AtomicU32::new(0);
-        let heap = &self.heap;
-        let recorder = &self.recorder;
-        let mut chunks: Vec<(u32, Vec<BitemporalRow>)> = Vec::with_capacity(pages as usize);
-        std::thread::scope(|s| -> StorageResult<()> {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| -> StorageResult<Vec<(u32, Vec<BitemporalRow>)>> {
-                        let mut local = Vec::new();
-                        loop {
-                            let page = next_page.fetch_add(1, Ordering::Relaxed);
-                            if page >= pages {
-                                break;
-                            }
-                            recorder.count(|m| &m.heap_morsels_claimed);
-                            let records = heap.page_records(page)?;
-                            let mut rows = Vec::with_capacity(records.len());
-                            for (_, bytes) in &records {
-                                rows.push(decode_row(bytes)?);
-                            }
-                            recorder.count_n(|m| &m.heap_rows_scanned, rows.len() as u64);
-                            local.push((page, rows));
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            for h in handles {
-                chunks.extend(h.join().expect("scan worker panicked")?);
-            }
-            Ok(())
-        })?;
-        chunks.sort_unstable_by_key(|(page, _)| *page);
-        Ok(chunks.into_iter().flat_map(|(_, rows)| rows).collect())
+    /// The versions of `key` stored at `as_of`.  Kept as a name because
+    /// the frozen benchmark calls it.
+    #[doc(hidden)]
+    pub fn lookup_key_as_of(
+        &self,
+        key: &Value,
+        as_of: Chronon,
+    ) -> StorageResult<Vec<BitemporalRow>> {
+        self.read(&Read {
+            key: Some(key),
+            ..Read::tx(TxSelect::At(as_of))
+        })
     }
 
     /// Decodes the heap record at `rid` in place.
@@ -520,69 +591,13 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         self.heap.with_record(rid, decode_row)?
     }
 
-    /// Decodes `rids` (already in deterministic order) and keeps rows
-    /// passing `keep`, fanning out over contiguous chunks when the list
-    /// is large.  Chunk results are concatenated in order, so output is
-    /// byte-identical to the sequential loop.
-    fn decode_rows_filtered<F>(
-        &self,
-        rids: &[RecordId],
-        keep: F,
-    ) -> StorageResult<Vec<BitemporalRow>>
-    where
-        F: Fn(&BitemporalRow) -> bool + Sync,
-    {
-        // Below the threshold, skip asking the OS for a CPU count.
-        let workers = if rids.len() < self.parallel_threshold {
-            1
-        } else {
-            worker_count(rids.len() / 1024)
-        };
-        if workers <= 1 {
-            let mut out = Vec::new();
-            for &rid in rids {
-                let row = self.decode_at(rid)?;
-                if keep(&row) {
-                    out.push(row);
-                }
-            }
-            return Ok(out);
-        }
-        let chunk = rids.len().div_ceil(workers);
-        let keep = &keep;
-        let mut out = Vec::with_capacity(rids.len());
-        std::thread::scope(|s| -> StorageResult<()> {
-            let handles: Vec<_> = rids
-                .chunks(chunk)
-                .map(|slice| {
-                    s.spawn(move || -> StorageResult<Vec<BitemporalRow>> {
-                        let mut local = Vec::with_capacity(slice.len());
-                        for &rid in slice {
-                            // Copy out, then decode outside the pool latch.
-                            let row = decode_row(&self.heap.get(rid)?)?;
-                            if keep(&row) {
-                                local.push(row);
-                            }
-                        }
-                        Ok(local)
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("decode worker panicked")?);
-            }
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
     /// Fallible rollback (the trait method panics on storage errors): the
-    /// historical state rebuilt from the timestamps of the rows
-    /// [stored as of `t`](Self::rows_at), at the cost of that answer.
+    /// historical state rebuilt from the timestamps of the rows stored as
+    /// of `t`, at the cost of that [`read`](Self::read).
     pub fn try_rollback(&self, t: Chronon) -> StorageResult<HistoricalRelation> {
         let span = self.recorder.span("storage/rollback");
         let mut out = HistoricalRelation::new(self.schema.clone(), self.signature);
-        for row in self.rows_at(t)? {
+        for row in self.read(&Read::tx(TxSelect::At(t)))? {
             out.insert(row.tuple, row.validity)
                 .map_err(StorageError::Core)?;
         }
@@ -597,15 +612,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         self.try_rollback(t)
     }
 
-    /// Row count below which scans stay sequential.  Tests lower this
-    /// to force the parallel path on small tables.
-    pub fn set_parallel_threshold(&mut self, rows: usize) {
-        self.parallel_threshold = rows;
-    }
-
-    /// Heap pages backing the table — each page is one morsel of the
-    /// parallel scan, so `heap_morsels_claimed` advances by exactly
-    /// this much per parallel scan.
+    /// Heap pages backing the table.
     pub fn heap_pages(&self) -> u32 {
         self.heap.pages()
     }
@@ -705,184 +712,6 @@ impl<S: PageStore> StoredBitemporalTable<S> {
             rid,
         };
         self.current.insert(seq, entry);
-    }
-
-    /// Rows stored as of transaction time `t`: frozen segments (range-
-    /// skipped) plus the heap tail via the transaction-time index.
-    pub fn rows_at(&self, t: Chronon) -> StorageResult<Vec<BitemporalRow>> {
-        let span = self.recorder.span("storage/asof");
-        span.detail("tx-index stab");
-        let mut rows = self.segment_rows_at(t)?;
-        rows.extend(self.decode_rows_filtered(&self.heap_rids_at(t), |_| true)?);
-        span.rows_out(rows.len() as u64);
-        Ok(rows)
-    }
-
-    /// The heap records stored as of `t`, in record order
-    /// (deterministic): one stab of the transaction-time tree.
-    fn heap_rids_at(&self, t: Chronon) -> Vec<RecordId> {
-        let mut rids = Vec::new();
-        self.recorder.count(|m| &m.index_probes);
-        self.tx_index
-            .stab(TimePoint::at(t), |_, rid| rids.push(*rid));
-        rids.sort_unstable();
-        rids
-    }
-
-    /// Rows whose transaction period overlaps `window` (`as of …
-    /// through …`).
-    pub fn rows_during(&self, window: Period) -> StorageResult<Vec<BitemporalRow>> {
-        let span = self.recorder.span("storage/asof");
-        span.detail("tx-index overlap");
-        let mut rows = self.segment_rows_during(window)?;
-        let mut rids = Vec::new();
-        self.recorder.count(|m| &m.index_probes);
-        self.tx_index.overlapping(window, |_, rid| rids.push(*rid));
-        rids.sort_unstable();
-        rows.extend(self.decode_rows_filtered(&rids, |_| true)?);
-        span.rows_out(rows.len() as u64);
-        Ok(rows)
-    }
-
-    /// Bitemporal point query through the indexes: rows valid at `valid`
-    /// as stored at `as_of`.
-    pub fn valid_at_as_of(
-        &self,
-        valid: Chronon,
-        as_of: Chronon,
-    ) -> StorageResult<Vec<BitemporalRow>> {
-        let span = self.recorder.span("storage/bitemporal-point");
-        span.detail("tx-index stab + valid filter");
-        let mut rows: Vec<BitemporalRow> = self
-            .segment_rows_at(as_of)?
-            .into_iter()
-            .filter(|row| row.validity.valid_at(valid))
-            .collect();
-        let rids = self.heap_rids_at(as_of);
-        rows.extend(self.decode_rows_filtered(&rids, |row| row.validity.valid_at(valid))?);
-        span.rows_out(rows.len() as u64);
-        Ok(rows)
-    }
-
-    /// [`rows_at`](Self::rows_at) restricted to the rows whose first
-    /// attribute is `key`, in the same order, at the cost of the key's
-    /// versions.  Segments outside the as-of's transaction-time range,
-    /// and segments whose bloom filter rules the key out, are skipped
-    /// without materialising a single tuple; a matching chain is found
-    /// by directory key compare and only then decoded.  On the heap the
-    /// key index yields the key's versions: those stored at `as_of` are
-    /// picked by period, and only they are decoded.
-    pub fn lookup_key_as_of(
-        &self,
-        key: &Value,
-        as_of: Chronon,
-    ) -> StorageResult<Vec<BitemporalRow>> {
-        self.lookup_key(key, |seg| seg.covers(as_of), |tx| tx.contains(as_of))
-    }
-
-    /// [`rows_during`](Self::rows_during) restricted to the rows whose
-    /// first attribute is `key`, in the same order — the key's versions
-    /// whose transaction period overlaps `window`.
-    pub fn lookup_key_during(
-        &self,
-        key: &Value,
-        window: Period,
-    ) -> StorageResult<Vec<BitemporalRow>> {
-        self.lookup_key(
-            key,
-            |seg| seg.covers_window(window),
-            |tx| tx.overlaps(window),
-        )
-    }
-
-    /// The versions of `key` whose transaction period passes `stored`:
-    /// the matching chain of every segment `covers` admits (in attach
-    /// order), then the heap's in record order.  A heap version is
-    /// decoded only once its period qualifies; the span's `rows_in`
-    /// counts those decodes.
-    fn lookup_key(
-        &self,
-        key: &Value,
-        covers: impl Fn(&Segment) -> bool,
-        stored: impl Fn(Period) -> bool,
-    ) -> StorageResult<Vec<BitemporalRow>> {
-        let span = self.recorder.span("storage/asof");
-        span.detail("key index");
-        let mut rows = Vec::new();
-        if !self.segments.is_empty() {
-            let key_bytes = segment::value_key_bytes(key);
-            for seg in &self.segments {
-                if !covers(seg) || !seg.may_contain(&key_bytes) {
-                    self.recorder.count(|m| &m.segment_skips);
-                    continue;
-                }
-                match seg.find_chain(&key_bytes) {
-                    None => self.recorder.count(|m| &m.segment_bloom_fps),
-                    Some(idx) => {
-                        self.recorder.count(|m| &m.segment_hits);
-                        rows.extend(
-                            seg.chain_rows(idx)?
-                                .into_iter()
-                                .filter(|row| stored(row.tx)),
-                        );
-                    }
-                }
-            }
-        }
-        self.recorder.count(|m| &m.index_probes);
-        let mut rids: Vec<RecordId> = self
-            .versions
-            .get(key)
-            .into_iter()
-            .flatten()
-            .filter(|(tx, _)| stored(*tx))
-            .map(|(_, rid)| *rid)
-            .collect();
-        rids.sort_unstable();
-        span.rows_in(rids.len() as u64);
-        rows.reserve(rids.len());
-        for rid in rids {
-            rows.push(self.decode_at(rid)?);
-        }
-        span.rows_out(rows.len() as u64);
-        Ok(rows)
-    }
-
-    /// Historical timeslice of the *current* state at `t`, in heap
-    /// order.
-    pub fn current_valid_at(&self, t: Chronon) -> StorageResult<Vec<BitemporalRow>> {
-        self.current_where("current-row stab", |validity| validity.valid_at(t))
-    }
-
-    /// Rows whose valid period overlaps `q` in the current state, in
-    /// heap order.
-    pub fn current_overlapping(&self, q: Period) -> StorageResult<Vec<BitemporalRow>> {
-        self.current_where("current-row overlap", |validity| {
-            validity.period().overlaps(q)
-        })
-    }
-
-    /// The current rows whose validity passes `keep`, in heap order:
-    /// the current-row index is filtered in memory, and only the rows
-    /// it keeps are decoded.
-    fn current_where(
-        &self,
-        detail: &'static str,
-        keep: impl Fn(Validity) -> bool,
-    ) -> StorageResult<Vec<BitemporalRow>> {
-        let span = self.recorder.span("storage/timeslice");
-        span.detail(detail);
-        self.recorder.count(|m| &m.index_probes);
-        let mut rids: Vec<RecordId> = self
-            .current
-            .values()
-            .filter(|entry| keep(entry.validity))
-            .map(|entry| entry.rid)
-            .collect();
-        rids.sort_unstable();
-        let rows = self.decode_rows_filtered(&rids, |_| true)?;
-        span.rows_out(rows.len() as u64);
-        Ok(rows)
     }
 
     /// Validates a transaction through the reference semantics without
@@ -1370,15 +1199,25 @@ mod tests {
         assert_eq!(merrie.len(), 1);
         assert_eq!(merrie[0].tuple.get(1).as_str(), Some("associate"));
         // current timeslice at 12/05/82 → full (corrected history).
-        let rows = stored.current_valid_at(d("12/05/82")).unwrap();
+        let valid = Some(Period::instant(d("12/05/82")));
+        let rows = stored
+            .read(&Read {
+                valid,
+                ..Read::tx(TxSelect::Open)
+            })
+            .unwrap();
         let merrie: Vec<_> = rows
             .iter()
             .filter(|r| r.tuple.get(0).as_str() == Some("Merrie"))
             .collect();
         assert_eq!(merrie[0].tuple.get(1).as_str(), Some("full"));
         // overlap scan.
-        let q = Period::new(d("01/01/83"), d("01/01/84")).unwrap();
-        assert_eq!(stored.current_overlapping(q).unwrap().len(), 3);
+        let valid = Period::new(d("01/01/83"), d("01/01/84"));
+        let overlapping = Read {
+            valid,
+            ..Read::tx(TxSelect::Open)
+        };
+        assert_eq!(stored.read(&overlapping).unwrap().len(), 3);
     }
 
     #[test]
@@ -1513,24 +1352,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_scan_matches_sequential_in_order() {
-        let mut t = StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
-        drive_many(&mut t, 200);
-        t.set_parallel_threshold(1); // force the parallel paths
-        assert!(t.heap.pages() > 1, "workload spans several pages");
-        let seq = t.scan_rows_sequential().unwrap();
-        let par = t.scan_rows_parallel().unwrap();
-        assert_eq!(seq, par, "parallel scan must preserve page/slot order");
-        assert_eq!(t.scan_rows().unwrap(), seq);
-        // Index-probe materialisation also goes parallel below threshold.
-        let at = Chronon::new(155);
-        let rows = t.rows_at(at).unwrap();
-        assert!(!rows.is_empty());
-        let slice = t.current_valid_at(Chronon::new(42)).unwrap();
-        assert!(!slice.is_empty());
-    }
-
     fn seg_path(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
@@ -1578,7 +1399,7 @@ mod tests {
         // reference on every probe.
         let probe = d("12/10/82");
         assert_eq!(
-            sorted_encodings(&t.rows_at(probe).unwrap()),
+            sorted_encodings(&t.read(&Read::tx(TxSelect::At(probe))).unwrap()),
             sorted_encodings(
                 &before
                     .iter()

@@ -11,7 +11,7 @@ use chronos_core::schema::faculty_schema;
 use chronos_core::timepoint::TimePoint;
 use chronos_storage::codec;
 use chronos_storage::index::IntervalTree;
-use chronos_storage::table::{StoredBitemporalTable, Superseded};
+use chronos_storage::table::{Read, StoredBitemporalTable, Superseded, TxSelect};
 use chronos_storage::wal::{decode_record, encode_record, WalRecord};
 use chronos_storage::StorageError;
 use proptest::prelude::*;
@@ -456,11 +456,12 @@ proptest! {
                     frozen.rollback(probe),
                     "rollback at {}", probe
                 );
-                let mut x = heap_only.rows_at(probe).unwrap();
-                let mut y = frozen.rows_at(probe).unwrap();
+                let at = Read::tx(TxSelect::At(probe));
+                let mut x = heap_only.read(&at).unwrap();
+                let mut y = frozen.read(&at).unwrap();
                 x.sort_by_key(row_key);
                 y.sort_by_key(row_key);
-                prop_assert_eq!(x, y, "rows_at {}", probe);
+                prop_assert_eq!(x, y, "read at {}", probe);
                 for name in NAMES {
                     let k = Value::str(name);
                     let mut x = heap_only.lookup_key_as_of(&k, probe).unwrap();
@@ -477,8 +478,12 @@ proptest! {
             let window = Period::new(from, to).unwrap();
             for name in NAMES {
                 let k = Value::str(name);
-                let mut x = heap_only.lookup_key_during(&k, window).unwrap();
-                let mut y = frozen.lookup_key_during(&k, window).unwrap();
+                let during = Read {
+                    key: Some(&k),
+                    ..Read::tx(TxSelect::During(window))
+                };
+                let mut x = heap_only.read(&during).unwrap();
+                let mut y = frozen.read(&during).unwrap();
                 x.sort_by_key(row_key);
                 y.sort_by_key(row_key);
                 prop_assert_eq!(x, y, "lookup_during({}) over {}", name, window);
@@ -491,47 +496,97 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Timeslices of the current state vs a filtered full scan
+// Every read vs a filtered full scan
 // ---------------------------------------------------------------------
 
-/// `current_valid_at` and `current_overlapping` answer exactly what a
-/// full scan filtered to the current rows does, in the scan's order.
-fn assert_current_slices_match_scan(
+/// A valid-time restriction of a read, with its reference predicate.
+#[derive(Clone, Copy, Debug)]
+enum ValidProbe {
+    None,
+    At(Chronon),
+    Over(Period),
+}
+
+impl ValidProbe {
+    fn period(self) -> Option<Period> {
+        match self {
+            ValidProbe::None => None,
+            ValidProbe::At(t) => Some(Period::instant(t)),
+            ValidProbe::Over(q) => Some(q),
+        }
+    }
+
+    fn admits(self, validity: Validity) -> bool {
+        match self {
+            ValidProbe::None => true,
+            ValidProbe::At(t) => validity.valid_at(t),
+            ValidProbe::Over(q) => validity.period().overlaps(q),
+        }
+    }
+}
+
+fn tx_admits(tx: TxSelect, row: &BitemporalRow) -> bool {
+    match tx {
+        TxSelect::Any => true,
+        TxSelect::Open => row.is_current(),
+        TxSelect::At(t) => row.tx.contains(t),
+        TxSelect::During(window) => row.tx.overlaps(window),
+    }
+}
+
+/// Every read — each transaction-time selection, with no key, a key
+/// the scripts write and one they never do, and with no valid-time
+/// restriction, an instant or a window — answers exactly what a full
+/// scan filtered by the reference predicates does, in the scan's order.
+fn assert_reads_match_filtered_scan(
     t: &StoredBitemporalTable,
     context: &str,
 ) -> Result<(), TestCaseError> {
     let rows = t.scan_rows().unwrap();
-    let current = |keep: &dyn Fn(&BitemporalRow) -> bool| -> Vec<BitemporalRow> {
-        rows.iter()
-            .filter(|r| r.is_current() && keep(r))
-            .cloned()
-            .collect()
-    };
-    for probe in (-10i64..=520).step_by(15).map(Chronon::new) {
-        prop_assert_eq!(
-            t.current_valid_at(probe).unwrap(),
-            current(&|r| r.validity.valid_at(probe)),
-            "{}: valid at {}",
-            context,
-            probe
-        );
-    }
-    for (from, to) in [
-        (-50, 0),
-        (0, 1),
-        (40, 160),
-        (150, 151),
-        (299, 420),
-        (480, 900),
-    ] {
-        let q = Period::new(Chronon::new(from), Chronon::new(to)).unwrap();
-        prop_assert_eq!(
-            t.current_overlapping(q).unwrap(),
-            current(&|r| r.validity.period().overlaps(q)),
-            "{}: overlapping {}",
-            context,
-            q
-        );
+    let period = |from: i64, to: i64| Period::new(Chronon::new(from), Chronon::new(to)).unwrap();
+    let mut txs = vec![TxSelect::Any, TxSelect::Open];
+    txs.extend([999, 1000, 1004, 1013, 1030].map(|t| TxSelect::At(Chronon::new(t))));
+    txs.extend(
+        [(990, 1001), (1003, 1010), (1000, 1100)].map(|(a, b)| TxSelect::During(period(a, b))),
+    );
+    let mut valids = vec![ValidProbe::None];
+    valids.extend(
+        (-10i64..=520)
+            .step_by(15)
+            .map(|t| ValidProbe::At(Chronon::new(t))),
+    );
+    valids.extend(
+        [
+            (-50, 0),
+            (0, 1),
+            (40, 160),
+            (150, 151),
+            (299, 420),
+            (480, 900),
+        ]
+        .map(|(a, b)| ValidProbe::Over(period(a, b))),
+    );
+    let (present, absent) = (Value::str(NAMES[0]), Value::str("Nobody"));
+    for tx in txs {
+        for key in [None, Some(&present), Some(&absent)] {
+            for valid in &valids {
+                let expected: Vec<BitemporalRow> = rows
+                    .iter()
+                    .filter(|r| {
+                        tx_admits(tx, r)
+                            && key.is_none_or(|k| r.tuple.get(0) == k)
+                            && valid.admits(r.validity)
+                    })
+                    .cloned()
+                    .collect();
+                let read = Read {
+                    tx,
+                    key,
+                    valid: valid.period(),
+                };
+                prop_assert_eq!(t.read(&read).unwrap(), expected, "{}: {:?}", context, read);
+            }
+        }
     }
     Ok(())
 }
@@ -539,21 +594,20 @@ fn assert_current_slices_match_scan(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Both timeslices of the current state filter the current-row index
-    /// by validity; they must agree with the heap, row for row and in
-    /// order, for both fates of a superseded version, after a freeze and
-    /// after a restore from rows.
+    /// Every read agrees with the full scan, row for row and in order,
+    /// for both fates of a superseded version, after a freeze and after
+    /// a restore from rows.
     #[test]
     fn current_slices_equal_a_filtered_scan(script in arb_script()) {
         for superseded in [Superseded::Closed, Superseded::Dropped] {
             let schema = faculty_schema();
             let mut t = StoredBitemporalTable::new(schema.clone(), TemporalSignature::Interval, superseded);
             drive_script(&mut t, &script);
-            assert_current_slices_match_scan(&t, &format!("{superseded:?}"))?;
+            assert_reads_match_filtered_scan(&t, &format!("{superseded:?}"))?;
 
             let path = unique_seg_path("slices");
             let report = t.freeze_into(&path).unwrap();
-            assert_current_slices_match_scan(&t, &format!("{superseded:?} frozen"))?;
+            assert_reads_match_filtered_scan(&t, &format!("{superseded:?} frozen"))?;
 
             let restored = StoredBitemporalTable::from_rows(
                 schema,
@@ -564,7 +618,7 @@ proptest! {
                 t.transactions(),
             )
             .unwrap();
-            assert_current_slices_match_scan(&restored, &format!("{superseded:?} restored"))?;
+            assert_reads_match_filtered_scan(&restored, &format!("{superseded:?} restored"))?;
             prop_assert_eq!(restored.current(), t.current());
             if report.is_some() {
                 std::fs::remove_file(&path).unwrap();

@@ -127,6 +127,10 @@ grep -q 'tquel/scan \[u over t_rel \[key name = "Tom"\]\]' <<<"$join_out" \
 # keyed profile the key index).
 grep -q 'storage/asof' <<<"$explain_out" \
   || die "explain smoke: storage span missing" "$explain_out"
+grep -q 'tx-index stab' <<<"$explain_out" \
+  || die "explain smoke: as-of read did not stab the tx index" "$explain_out"
+grep -q 'key index' <<<"$explain_out" \
+  || die "explain smoke: keyed read did not use the key index" "$explain_out"
 grep -q 'counters:' <<<"$explain_out" \
   || die "explain smoke: counter line missing" "$explain_out"
 # T10 asserts the slow-query wrapper stays within the <5% overhead

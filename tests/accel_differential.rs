@@ -1,7 +1,6 @@
 //! Differential properties of the acceleration layer: rollback through
-//! the transaction-time index and frozen segments, morsel-driven
-//! parallel scans, and the bitemporal query cache must all be
-//! *observationally invisible* —
+//! the transaction-time index and frozen segments, and the bitemporal
+//! query cache must all be *observationally invisible* —
 //! byte-identical answers to the reference paths on every generated
 //! history, at every probe time.
 
@@ -151,51 +150,6 @@ proptest! {
         }
         drop(frozen);
         let _ = std::fs::remove_file(&segment);
-    }
-
-    /// Parallel scans return byte-identical output (same rows, same
-    /// order) as the sequential paths, across full scans and every
-    /// index-probe materialization.
-    #[test]
-    fn parallel_scans_are_invisible(spec in arb_spec()) {
-        let w = generate(&spec);
-        let mut seq =
-            StoredBitemporalTable::in_memory(w.schema.clone(), TemporalSignature::Interval);
-        let mut par =
-            StoredBitemporalTable::in_memory(w.schema.clone(), TemporalSignature::Interval);
-        par.set_parallel_threshold(0); // every scan takes the morsel path
-        for tx in &w.transactions {
-            seq.try_commit(tx.tx_time, &tx.ops).expect("valid");
-            par.try_commit(tx.tx_time, &tx.ops).expect("valid");
-        }
-        prop_assert_eq!(seq.scan_rows_sequential().expect("ok"), par.scan_rows().expect("ok"));
-        prop_assert_eq!(
-            par.scan_rows_sequential().expect("ok"),
-            par.scan_rows_parallel().expect("ok")
-        );
-        for probe in [Chronon::new(995), Chronon::new(1015), Chronon::new(1080)] {
-            prop_assert_eq!(
-                seq.rows_at(probe).expect("ok"),
-                par.rows_at(probe).expect("ok")
-            );
-            prop_assert_eq!(
-                seq.current_valid_at(probe).expect("ok"),
-                par.current_valid_at(probe).expect("ok")
-            );
-            prop_assert_eq!(
-                seq.valid_at_as_of(Chronon::new(990), probe).expect("ok"),
-                par.valid_at_as_of(Chronon::new(990), probe).expect("ok")
-            );
-        }
-        let window = Period::new(Chronon::new(1000), Chronon::new(1050)).expect("window");
-        prop_assert_eq!(
-            seq.rows_during(window).expect("ok"),
-            par.rows_during(window).expect("ok")
-        );
-        prop_assert_eq!(
-            seq.current_overlapping(window).expect("ok"),
-            par.current_overlapping(window).expect("ok")
-        );
     }
 
     /// The query cache is transparent: a database answering retrieves

@@ -17,7 +17,7 @@ use chronos_core::schema::{faculty_schema, RelationClass, TemporalSignature};
 use chronos_core::taxonomy::{classify, DatabaseClass};
 use chronos_core::tuple::{tuple, Tuple};
 use chronos_db::{Database, Engine, ExecOutcome};
-use chronos_storage::table::CurrentOrder;
+use chronos_storage::table::{CurrentOrder, Read, TxSelect};
 use chronos_tquel::provider::{AsOfSpec, RelationProvider};
 use proptest::prelude::*;
 
@@ -938,9 +938,16 @@ fn physical_state(db: &Database, dir: &std::path::Path, rel: &str) -> String {
          commits {} last {:?}\nwal {} bytes",
         table.current().rows(),
         table.scan_rows().expect("heap"),
-        [d("02/01/80"), d("07/01/82"), d("01/01/90")].map(|t| table.rows_at(t).expect("tx")),
         [d("02/01/80"), d("07/01/82"), d("01/01/90")]
-            .map(|t| table.current_valid_at(t).expect("valid")),
+            .map(|t| table.read(&Read::tx(TxSelect::At(t))).expect("tx")),
+        [d("02/01/80"), d("07/01/82"), d("01/01/90")].map(|t| {
+            let valid = Some(Period::instant(t));
+            let slice = Read {
+                valid,
+                ..Read::tx(TxSelect::Open)
+            };
+            table.read(&slice).expect("valid")
+        }),
         table.current_entries(None, CurrentOrder::Reference),
         keys.map(|k| table.current_entries(Some(&k.into()), CurrentOrder::Heap)),
         table.transactions(),

@@ -22,7 +22,7 @@ use chronos_core::tuple::tuple;
 use chronos_core::value::Value;
 use chronos_db::{Database, Engine, ExecOutcome};
 use chronos_storage::table::CurrentOrder;
-use chronos_tquel::provider::{AsOfSpec, SourceRow};
+use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationProvider, SourceRow};
 use proptest::prelude::*;
 
 const CLASSES: [(&str, RelationClass); 4] = [
@@ -240,4 +240,61 @@ fn a_keyed_past_read_shows_a_later_close() {
         tx_of(&keyed),
         [Period::clamped(open[0].start(), TimePoint::at(closing))]
     );
+}
+
+/// A keyed read of a temporal relation's current state — no `as of`, no
+/// session pin — decodes only the key's open versions: storage answers
+/// it from the key index instead of scanning the heap.
+#[test]
+fn a_keyed_current_read_decodes_only_the_keys_open_versions() {
+    let clock = Arc::new(ManualClock::new(Chronon::new(100)));
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .exclusive(|db| {
+            db.create_relation(
+                "t_rel",
+                faculty_schema(),
+                RelationClass::Temporal,
+                TemporalSignature::Interval,
+            )
+        })
+        .expect("writer")
+        .expect("create");
+    // 20 keys, each appended and then replaced twice: 60 versions, of
+    // which each key has one open.
+    let forever = Validity::Interval(Period::ALWAYS);
+    for round in 0..3 {
+        for k in 0..20 {
+            clock.tick(1);
+            let row = |round: usize| tuple([format!("k{k}"), format!("r{round}")]);
+            let mut ops = vec![HistoricalOp::insert(row(round), forever)];
+            if round > 0 {
+                ops.insert(
+                    0,
+                    HistoricalOp::remove(RowSelector::exact(row(round - 1), forever)),
+                );
+            }
+            engine.commit("t_rel", &ops).expect("commit");
+        }
+    }
+    engine.with_db(|db| {
+        let recorder = db.recorder();
+        let before = recorder.snapshot();
+        recorder.begin_trace();
+        let key = Value::str("k7");
+        let request = AccessRequest {
+            as_of: None,
+            key: Some(&key),
+        };
+        let rows = db.access("t_rel", &request).expect("read");
+        let report = recorder.end_trace(&before).expect("capture active");
+        assert_eq!(
+            rows.iter().map(|r| r.tuple.clone()).collect::<Vec<_>>(),
+            [tuple(["k7", "r2"])]
+        );
+        let read = report.span_named("storage/current").expect("storage span");
+        assert_eq!(read.detail, "key index");
+        assert_eq!(read.rows_in, Some(1), "decoded more than k7's open version");
+        assert_eq!(report.delta.heap_rows_scanned, 0, "scanned the heap");
+    });
 }

@@ -295,36 +295,6 @@ fn rollback_reads_the_past_by_one_tx_index_stab() {
 }
 
 #[test]
-fn parallel_scan_aggregates_morsel_counters_without_loss() {
-    let mut table = built_table(2048, 7);
-    table.set_parallel_threshold(0);
-    let recorder = Arc::new(Recorder::new());
-    table.set_recorder(Arc::clone(&recorder));
-    let pages = u64::from(table.heap_pages());
-    assert!(pages > 1, "workload too small to span heap pages");
-
-    let before = recorder.snapshot();
-    let rows = table.scan_rows_parallel().expect("scan");
-    let after = recorder.snapshot();
-    let scanned = after.heap_rows_scanned - before.heap_rows_scanned;
-    let morsels = after.heap_morsels_claimed - before.heap_morsels_claimed;
-
-    // Per-worker counts aggregate to exactly the rows returned: no
-    // increment is lost to the thread fan-out.
-    assert_eq!(scanned, rows.len() as u64, "rows counted ≠ rows returned");
-    if morsels > 0 {
-        // Each heap page is one morsel and is claimed exactly once.
-        assert_eq!(morsels, pages, "pages claimed ≠ pages present");
-    }
-    // (morsels == 0 only on a single-core host, where the parallel
-    // entry point legitimately falls back to the sequential scan.)
-
-    // And the parallel path stays observationally invisible.
-    let sequential = table.scan_rows_sequential().expect("scan");
-    assert_eq!(rows, sequential);
-}
-
-#[test]
 fn engine_stats_tracks_commits_and_cache_traffic() {
     let (engine, _clock) = figure8_db();
     let stats = engine.stats();
