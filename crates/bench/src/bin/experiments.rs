@@ -22,7 +22,6 @@
 //! * **T6 (E20)** — coalescing cost and compression;
 //! * **T7 (E19)** — TQuel end-to-end latency for the paper's four query
 //!   shapes;
-//! * **T8** — the bitemporal query cache;
 //! * **T10** — the operational surface: `/metrics` scrape latency under
 //!   concurrent query load, and the slow-query wrapper's overhead at
 //!   the disabled threshold (`u64::MAX`);
@@ -130,9 +129,6 @@ fn main() {
     }
     if want("T7") {
         t7_tquel_throughput();
-    }
-    if want("T8") {
-        t8_query_cache();
     }
     let mut t10_stats = None;
     if want("T10") {
@@ -638,88 +634,6 @@ fn t7_tquel_throughput() {
             rows
         );
     });
-}
-
-// ---------------------------------------------------------------------
-// T8 — the bitemporal query cache
-// ---------------------------------------------------------------------
-
-fn t8_query_cache() {
-    heading("T8: bitemporal query cache — repeated retrieves at one coordinate");
-    let build = || {
-        let clock = Arc::new(ManualClock::new(Chronon::new(900)));
-        let engine = Engine::start(Database::in_memory(clock.clone()));
-        engine
-            .session()
-            .run("create faculty (name = str, rank = str) as temporal")
-            .expect("create");
-        for i in 0..300 {
-            clock.tick(1);
-            engine
-                .session()
-                .run(&format!(
-                    r#"append to faculty (name = "prof{i:05}", rank = "assistant")
-                       valid from "{}" to forever"#,
-                    chronos_core::calendar::Date::from_chronon(Chronon::new(900 + i))
-                ))
-                .expect("append");
-        }
-        engine
-    };
-    // Unkeyed: a keyed read goes to the key index and bypasses the
-    // cache, so only a whole-relation scan shows what the cache saves.
-    let as_of = chronos_core::calendar::Date::from_chronon(Chronon::new(1100));
-    let query = format!(
-        r#"range of f is faculty retrieve (n = count(f.name)) where f.rank = "assistant"
-           as of "{as_of}""#
-    );
-
-    let uncached = || {
-        let engine = build();
-        // Cache disabled: every retrieve rescans.
-        engine
-            .exclusive(|db| db.set_cache_capacity(0))
-            .expect("disable the cache");
-        engine
-    };
-    let expected = uncached().session().query(&query).expect("query");
-    let session_src = uncached();
-    let cold_ns = {
-        let mut s = session_src.session();
-        time_ns(20, || {
-            std::hint::black_box(s.query(&query).expect("query"));
-        })
-    };
-
-    let warm = build();
-    warm.session().query(&query).expect("warm the cache");
-    let warm_ns = {
-        let mut s = warm.session();
-        time_ns(20, || {
-            std::hint::black_box(s.query(&query).expect("query"));
-        })
-    };
-    assert_eq!(warm.session().query(&query).expect("query"), expected);
-    let stats = warm.stats();
-    println!(
-        "{:>12} | {:>12} | {:>8} | {:>6} | {:>6} | {:>7} | {:>7}",
-        "uncached µs", "cached µs", "speedup", "hits", "misses", "entries", "epochs"
-    );
-    println!(
-        "{:>12.1} | {:>12.1} | {:>7.1}x | {:>6} | {:>6} | {:>7} | {:>7}",
-        cold_ns as f64 / 1e3,
-        warm_ns as f64 / 1e3,
-        cold_ns as f64 / warm_ns.max(1) as f64,
-        stats.cache.hits,
-        stats.cache.misses,
-        stats.cache_entries,
-        stats.cache.epoch_bumps
-    );
-    // The recorder mirrors the cache counters, so both surfaces agree.
-    assert_eq!(stats.metrics.cache_hits, stats.cache.hits);
-    assert_eq!(stats.metrics.cache_misses, stats.cache.misses);
-    println!("(the cache serves the scan behind an Arc; commits bump the relation's");
-    println!(" epoch, so modified relations are rescanned on next retrieve)");
 }
 
 // ---------------------------------------------------------------------

@@ -21,7 +21,6 @@ use chronos_core::clock::Clock;
 use chronos_core::relation::HistoricalOp;
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::taxonomy::DatabaseClass;
-use chronos_core::value::Value;
 use chronos_obs::export::{Health, ObsServer};
 use chronos_obs::{EventJournal, JournalStats, MetricsSnapshot, Recorder};
 use chronos_storage::table::{Read, TxSelect};
@@ -30,7 +29,6 @@ use chronos_storage::wal::{Wal, WalRecord};
 use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationInfo, RelationProvider, SourceRow};
 use chronos_tquel::TquelError;
 
-use crate::cache::{CacheStats, QueryCache, DEFAULT_CACHE_CAPACITY};
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{
@@ -66,10 +64,6 @@ pub struct Database {
     /// writer can fsync a batch *after* releasing the database's write
     /// lock (readers proceed during the fsync; see `crate::engine`).
     wal: Option<Arc<Mutex<Wal>>>,
-    /// Memoized relation scans ([`RelationProvider::scan`] takes
-    /// `&self`, hence the mutex).  `Arc`-shared so the HTTP exporter
-    /// can read cache stats without borrowing the database.
-    cache: Arc<Mutex<QueryCache>>,
     /// Engine instruments and trace spans, shared with every relation
     /// store, the shared WAL, and the TQuel executor.
     recorder: Arc<Recorder>,
@@ -120,7 +114,6 @@ impl Database {
             txn: TxnManager::new(Arc::clone(&clock)),
             dir: None,
             wal: None,
-            cache: Arc::new(Mutex::new(QueryCache::new(DEFAULT_CACHE_CAPACITY))),
             recorder: Arc::new(Recorder::new()),
             // Nothing to recover: ready from the first instant.
             health: Arc::new(Health::ready_now()),
@@ -267,7 +260,6 @@ impl Database {
             txn: TxnManager::resuming_after(Arc::clone(&clock), last_commit),
             dir: Some(dir.to_path_buf()),
             wal: Some(Arc::new(Mutex::new(wal))),
-            cache: Arc::clone(&obs.cache),
             recorder,
             health: Arc::clone(&obs.health),
             clock,
@@ -394,9 +386,8 @@ impl Database {
             },
         };
         if outcome.path.is_some() {
-            // The relation's physical shape changed: stale every cached
-            // scan, journal the migration, and resample the exporters.
-            self.bump_epoch(name, "freeze");
+            // The relation's physical shape changed: journal the
+            // migration and resample the exporters.
             self.recorder.emit_event(
                 "relation_frozen",
                 &[
@@ -437,7 +428,6 @@ impl Database {
         let mut rel = Relation::new(schema, class, signature);
         rel.set_recorder(Arc::clone(&self.recorder));
         self.relations.insert(name.to_string(), rel);
-        self.bump_epoch(name, "create");
         self.persist_catalog()?;
         self.record_catalog_sample(self.txn.peek_now());
         Ok(())
@@ -451,7 +441,6 @@ impl Database {
         }
         self.relations.remove(name);
         self.telemetry.forget_tablestats(name);
-        self.bump_epoch(name, "destroy");
         self.persist_catalog()?;
         self.record_catalog_sample(self.txn.peek_now());
         Ok(())
@@ -465,25 +454,6 @@ impl Database {
             )));
         }
         Ok(())
-    }
-
-    /// Invalidates cached scans of `relation` and journals why.  A
-    /// commit bumps only the epoch (frozen fully-past entries keep
-    /// serving); structural reasons (create, destroy, materialize)
-    /// bump the generation, which stales frozen entries too.
-    fn bump_epoch(&self, relation: &str, reason: &str) {
-        {
-            let mut cache = self.cache.lock();
-            if reason == "commit" {
-                cache.bump_epoch(relation);
-            } else {
-                cache.bump_generation(relation);
-            }
-        }
-        self.recorder.emit_event(
-            "cache_epoch_bump",
-            &[("relation", relation.into()), ("reason", reason.into())],
-        );
     }
 
     fn persist_catalog(&self) -> DbResult<()> {
@@ -571,7 +541,6 @@ impl Database {
                 format!("commit apply failed after write-ahead (log rolled back): {e}"),
             )));
         }
-        self.bump_epoch(relation, "commit");
         recorder.count(|m| &m.commits);
         recorder.record_latency(|m| &m.commit_latency, started.elapsed().as_nanos() as u64);
         // Commits are the only points where tuple counts change, so a
@@ -600,11 +569,10 @@ impl Database {
     }
 
     /// Unified engine statistics: every instrument in the metrics
-    /// registry plus the query-cache section.  This is the sole stats
-    /// surface (the former `cache_stats` accessor is gone; read the
-    /// `cache` section here instead).
+    /// registry plus the journal and telemetry sections.  This is the
+    /// sole stats surface.
     pub fn engine_stats(&self) -> EngineStats {
-        crate::observe::engine_stats_from(&self.recorder, &self.cache, &self.telemetry)
+        crate::observe::engine_stats_from(&self.recorder, &self.telemetry)
     }
 
     /// The database's readiness flags (`/healthz` + `/readyz`).
@@ -623,7 +591,6 @@ impl Database {
             Arc::new(DbObsSource {
                 recorder: Arc::clone(&self.recorder),
                 health: Arc::clone(&self.health),
-                cache: Arc::clone(&self.cache),
                 telemetry: Arc::clone(&self.telemetry),
                 registry: Arc::clone(&self.registry),
                 physical: Arc::clone(&self.physical),
@@ -637,12 +604,6 @@ impl Database {
     /// `u64::MAX` (the default) disables capture.
     pub fn set_slow_query_threshold_ns(&self, ns: u64) {
         self.recorder.slowlog().set_threshold_ns(ns);
-    }
-
-    /// Replaces the query cache with one holding `capacity` scans
-    /// (0 disables caching).  Existing entries and counters are reset.
-    pub fn set_cache_capacity(&mut self, capacity: usize) {
-        *self.cache.lock() = QueryCache::new(capacity);
     }
 
     /// Materializes a derived relation under `name` — the executable
@@ -710,7 +671,6 @@ impl Database {
             .map_err(DbError::Catalog)?;
         relation.set_recorder(Arc::clone(&self.recorder));
         self.relations.insert(name.to_string(), relation);
-        self.bump_epoch(name, "materialize");
         self.persist_catalog()?;
         // Derived timestamps aren't reproducible from the log; capture
         // them (and everything else) in a checkpoint right away.
@@ -782,7 +742,6 @@ impl Database {
             interval,
             Arc::clone(&self.recorder),
             Arc::clone(&self.health),
-            Arc::clone(&self.cache),
             Arc::clone(&self.telemetry),
             Arc::clone(&self.registry),
             Arc::clone(&self.clock),
@@ -868,9 +827,7 @@ impl Database {
         Ok(count)
     }
 
-    /// Scan of one system relation.  System scans bypass the query
-    /// cache: telemetry is volatile and never bumps relation epochs, so
-    /// a cached entry would serve stale history.
+    /// Scan of one system relation.
     fn scan_system(
         &self,
         relation: &str,
@@ -898,12 +855,6 @@ impl Database {
                             chronos_core::value::Value::Int(e.p50_ns.min(i64::MAX as u64) as i64),
                             chronos_core::value::Value::Int(e.p99_ns.min(i64::MAX as u64) as i64),
                             chronos_core::value::Value::Int(e.rows_out.min(i64::MAX as u64) as i64),
-                            chronos_core::value::Value::Int(
-                                e.cache_hits.min(i64::MAX as u64) as i64
-                            ),
-                            chronos_core::value::Value::Int(
-                                e.cache_misses.min(i64::MAX as u64) as i64
-                            ),
                         ]),
                         validity: None,
                         tx: None,
@@ -1390,27 +1341,6 @@ fn reject_system_as_of(relation: &str, as_of: Option<&AsOfSpec>) -> Result<(), T
     Ok(())
 }
 
-impl Database {
-    /// One user relation read by [`Relation::scan`], errors in the
-    /// evaluator's terms.
-    fn scan_relation(
-        &self,
-        relation: &str,
-        as_of: Option<&AsOfSpec>,
-        key: Option<&Value>,
-    ) -> Result<Arc<Vec<SourceRow>>, TquelError> {
-        let rel = self
-            .relations
-            .get(relation)
-            .ok_or_else(|| TquelError::Semantic(format!("unknown relation {relation:?}")))?;
-        rel.scan(as_of, key).map(Arc::new).map_err(|e| match e {
-            DbError::Tquel(t) => t,
-            DbError::Core(c) => TquelError::Core(c),
-            other => TquelError::Semantic(other.to_string()),
-        })
-    }
-}
-
 impl RelationProvider for Database {
     fn info(&self, relation: &str) -> Option<RelationInfo> {
         if is_system(relation) {
@@ -1428,79 +1358,36 @@ impl RelationProvider for Database {
         relation: &str,
         as_of: Option<&AsOfSpec>,
     ) -> Result<Arc<Vec<SourceRow>>, TquelError> {
-        if is_system(relation) {
-            return self.scan_system(relation, as_of);
-        }
-        let span = self.recorder.span("db/scan");
-        let cached = {
-            let mut cache = self.cache.lock();
-            let before = cache.stats();
-            let got = cache.get(relation, as_of);
-            // Mirror the cache's own accounting (a stale entry dropped
-            // on lookup counts as an invalidation; a frozen entry
-            // served across an epoch bump counts as a frozen hit) into
-            // the registry.
-            let after = cache.stats();
-            if after.invalidations > before.invalidations {
-                self.recorder.count(|m| &m.cache_invalidations);
-            }
-            if after.frozen_hits > before.frozen_hits {
-                self.recorder.count(|m| &m.cache_frozen_hits);
-            }
-            got
-        };
-        if let Some(rows) = cached {
-            self.recorder.count(|m| &m.cache_hits);
-            span.detail(format!("{relation} (cache hit)"));
-            span.rows_out(rows.len() as u64);
-            return Ok(rows);
-        }
-        self.recorder.count(|m| &m.cache_misses);
-        span.detail(format!("{relation} (cache miss)"));
-        let rows = self.scan_relation(relation, as_of, None)?;
-        {
-            // A coordinate strictly below the next commit time can never
-            // be rewritten (transaction time is append-only and the
-            // commit clock is monotone), so the entry is frozen: it
-            // outlives commit epoch bumps and only structural changes
-            // drop it.
-            let frozen = match as_of {
-                Some(AsOfSpec::At(t)) => *t < self.txn.peek_now(),
-                Some(AsOfSpec::Through(_, t2)) => *t2 < self.txn.peek_now(),
-                None => false,
-            };
-            let mut cache = self.cache.lock();
-            let before = cache.stats();
-            cache.insert(relation, as_of, Arc::clone(&rows), frozen);
-            if cache.stats().evictions > before.evictions {
-                self.recorder.count(|m| &m.cache_evictions);
-            }
-        }
-        span.rows_out(rows.len() as u64);
-        Ok(rows)
+        self.access(relation, &AccessRequest { as_of, key: None })
     }
 
-    /// With a key, the relation's keyed read, which bypasses the scan
-    /// cache: it costs the key's versions, and a cached whole-relation
-    /// entry would serve a frozen coordinate's rows as first scanned.
-    /// Without one (and for `sys$` projections), the cached [`scan`].
-    ///
-    /// [`scan`]: RelationProvider::scan
+    /// One [`Relation::scan`] of the relation's store, errors in the
+    /// evaluator's terms: with a key, the key index; without one, the
+    /// whole relation at the coordinate.  `sys$` projections ignore the
+    /// key.
     fn access(
         &self,
         relation: &str,
         request: &AccessRequest<'_>,
     ) -> Result<Arc<Vec<SourceRow>>, TquelError> {
-        let Some(key) = request.key.filter(|_| !is_system(relation)) else {
-            return self.scan(relation, request.as_of);
-        };
+        if is_system(relation) {
+            return self.scan_system(relation, request.as_of);
+        }
+        let rel = self
+            .relations
+            .get(relation)
+            .ok_or_else(|| TquelError::Semantic(format!("unknown relation {relation:?}")))?;
         let span = self.recorder.span("db/scan");
         if self.recorder.is_enabled() {
-            span.detail(format!("{relation} (keyed, uncached)"));
+            span.detail(relation.to_string());
         }
-        let rows = self.scan_relation(relation, request.as_of, Some(key))?;
+        let rows = rel.scan(request.as_of, request.key).map_err(|e| match e {
+            DbError::Tquel(t) => t,
+            DbError::Core(c) => TquelError::Core(c),
+            other => TquelError::Semantic(other.to_string()),
+        })?;
         span.rows_out(rows.len() as u64);
-        Ok(rows)
+        Ok(Arc::new(rows))
     }
 
     fn estimated_rows(&self, relation: &str) -> Option<u64> {
@@ -1514,16 +1401,14 @@ impl RelationProvider for Database {
     }
 }
 
-/// Serializable point-in-time snapshot of every engine instrument plus
-/// the query-cache section, returned by [`Database::engine_stats`].
+/// Serializable point-in-time snapshot of every engine instrument,
+/// returned by [`Database::engine_stats`].
 #[derive(Debug, Clone)]
 pub struct EngineStats {
     /// The metrics registry (pager, WAL, scans, rollback, commits …).
     pub metrics: MetricsSnapshot,
-    /// Query-cache counters since construction.
-    pub cache: CacheStats,
-    /// Live query-cache entries right now.
-    pub cache_entries: usize,
+    #[doc(hidden)]
+    pub cache: NoCache,
     /// Event-journal counters (seq, rotations, retention); `None` for
     /// in-memory databases, which have no journal.
     pub journal: Option<JournalStats>,
@@ -1531,22 +1416,24 @@ pub struct EngineStats {
     pub telemetry: TelemetryStats,
 }
 
+/// Always zero: the engine has no scan cache.  The frozen chronobench
+/// harness still reads these three fields, so the struct stays until
+/// the benchmark stops reading them (ROADMAP item 1a).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoCache {
+    pub hits: u64,
+    pub misses: u64,
+    pub frozen_hits: u64,
+}
+
 impl EngineStats {
     /// Hand-rolled JSON object (the workspace deliberately has no
     /// serde).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"metrics\": {}, \"cache\": {{\"hits\": {}, \"misses\": {}, \
-             \"invalidations\": {}, \"evictions\": {}, \"epoch_bumps\": {}, \
-             \"frozen_hits\": {}, \"entries\": {}}}, \"journal\": {}, \"telemetry\": {}}}",
+            "{{\"metrics\": {}, \"journal\": {}, \"telemetry\": {}}}",
             self.metrics.to_json(),
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.invalidations,
-            self.cache.evictions,
-            self.cache.epoch_bumps,
-            self.cache.frozen_hits,
-            self.cache_entries,
             match &self.journal {
                 Some(j) => j.to_json(),
                 None => "null".to_string(),
@@ -1556,28 +1443,16 @@ impl EngineStats {
     }
 
     /// Prometheus text exposition: the registry families plus
-    /// `chronos_query_cache_*`, journal, and telemetry gauges.
+    /// session, journal, and telemetry gauges.
     pub fn to_prometheus(&self) -> String {
         let mut out = self.metrics.to_prometheus();
-        for (name, v) in [
-            ("query_cache_hits", self.cache.hits),
-            ("query_cache_misses", self.cache.misses),
-            ("query_cache_invalidations", self.cache.invalidations),
-            ("query_cache_evictions", self.cache.evictions),
-            ("query_cache_epoch_bumps", self.cache.epoch_bumps),
-            ("query_cache_frozen_hits", self.cache.frozen_hits),
-            ("query_cache_entries", self.cache_entries as u64),
-            (
-                "active_sessions",
-                self.metrics
-                    .sessions_opened
-                    .saturating_sub(self.metrics.sessions_closed),
-            ),
-        ] {
-            out.push_str(&format!(
-                "# TYPE chronos_{name} gauge\nchronos_{name} {v}\n"
-            ));
-        }
+        let active = self
+            .metrics
+            .sessions_opened
+            .saturating_sub(self.metrics.sessions_closed);
+        out.push_str(&format!(
+            "# TYPE chronos_active_sessions gauge\nchronos_active_sessions {active}\n"
+        ));
         if let Some(j) = &self.journal {
             for (name, v) in [
                 ("journal_seq", j.seq),

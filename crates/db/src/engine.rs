@@ -53,6 +53,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use chronos_core::chronon::Chronon;
+use chronos_core::period::Period;
 use chronos_core::relation::HistoricalOp;
 use chronos_obs::trace::Recorder;
 use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationInfo, RelationProvider, SourceRow};
@@ -505,8 +506,11 @@ impl Core {
 ///
 /// Relations with transaction time (rollback, temporal) are read `as
 /// of min(requested, pin)` — a query can look further back than its
-/// snapshot but never past it.  Classes without transaction time and
-/// the `sys$` projections pass through unclamped (read committed).
+/// snapshot but never past it — and each version shows its transaction
+/// end as known at the pin: an end committed after the pin reads `∞`.
+/// So a pinned read is repeatable, keyed or not.  Classes without
+/// transaction time and the `sys$` projections pass through unclamped
+/// (read committed).
 pub(crate) struct PinnedProvider<'a> {
     db: &'a Database,
     pin: Chronon,
@@ -516,14 +520,6 @@ impl<'a> PinnedProvider<'a> {
     /// `db` read through the snapshot `pin`.
     pub(crate) fn new(db: &'a Database, pin: Chronon) -> Self {
         PinnedProvider { db, pin }
-    }
-
-    fn clamps(&self, relation: &str) -> bool {
-        !crate::introspect::is_system(relation)
-            && self
-                .db
-                .info(relation)
-                .is_some_and(|i| crate::relation::has_transaction_time(i.class))
     }
 }
 
@@ -541,21 +537,40 @@ impl RelationProvider for PinnedProvider<'_> {
         relation: &str,
         request: &AccessRequest<'_>,
     ) -> TquelResult<Arc<Vec<SourceRow>>> {
-        if !self.clamps(relation) {
+        // `sys$` projections are not in the catalog, so they pass too.
+        if !self
+            .db
+            .classify(relation)
+            .is_some_and(|c| c.supports_rollback())
+        {
             return self.db.access(relation, request);
         }
+        let pin = self.pin;
         let clamped = match request.as_of {
-            None => AsOfSpec::At(self.pin),
-            Some(AsOfSpec::At(t)) => AsOfSpec::At((*t).min(self.pin)),
-            Some(AsOfSpec::Through(t1, t2)) => {
-                AsOfSpec::Through((*t1).min(self.pin), (*t2).min(self.pin))
-            }
+            None => AsOfSpec::At(pin),
+            Some(AsOfSpec::At(t)) => AsOfSpec::At((*t).min(pin)),
+            Some(AsOfSpec::Through(t1, t2)) => AsOfSpec::Through((*t1).min(pin), (*t2).min(pin)),
         };
         let request = AccessRequest {
             as_of: Some(&clamped),
             key: request.key,
         };
-        self.db.access(relation, &request)
+        let rows = self.db.access(relation, &request)?;
+        let after_pin = |row: &SourceRow| {
+            row.tx
+                .and_then(|tx| tx.end().finite())
+                .is_some_and(|end| end > pin)
+        };
+        if !rows.iter().any(after_pin) {
+            return Ok(rows);
+        }
+        let mut rows = Arc::unwrap_or_clone(rows);
+        for row in &mut rows {
+            if after_pin(row) {
+                row.tx = row.tx.map(|tx| Period::from_start(tx.start()));
+            }
+        }
+        Ok(Arc::new(rows))
     }
 
     fn estimated_rows(&self, relation: &str) -> Option<u64> {

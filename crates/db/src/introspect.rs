@@ -4,7 +4,7 @@
 //! representation" — and nothing is more purely representational than
 //! the engine's own counters.  This module dogfoods the taxonomy by
 //! recording engine history *as* relations in the reserved `sys$`
-//! namespace, so operators ask "what was the cache hit rate as of
+//! namespace, so operators ask "how many commits had there been as of
 //! yesterday" in TQuel itself:
 //!
 //! | relation          | class            | contents                           |
@@ -51,7 +51,6 @@ use chronos_obs::export::Health;
 use chronos_obs::Recorder;
 use chronos_tquel::provider::{AsOfSpec, RelationInfo, SourceRow};
 
-use crate::cache::QueryCache;
 use crate::database::EngineStats;
 
 /// The reserved system-relation namespace.
@@ -827,8 +826,7 @@ fn periods_of(ats: impl Iterator<Item = Chronon>) -> Vec<Period> {
 }
 
 /// Flattens an [`EngineStats`] into the `sys$stats` metric set: every
-/// registry counter, the query-cache section, the derived session
-/// gauge, and the histograms' p50/p99.  Values saturate into `i64`
+/// registry counter, the derived session gauge, and the histograms' p50/p99.  Values saturate into `i64`
 /// (the engine will not live long enough to overflow them honestly).
 pub fn flatten_stats(stats: &EngineStats) -> Vec<(&'static str, i64)> {
     fn clamp(v: u64) -> i64 {
@@ -840,16 +838,6 @@ pub fn flatten_stats(stats: &EngineStats) -> Vec<(&'static str, i64)> {
         .iter()
         .map(|(name, v)| (*name, clamp(*v)))
         .collect();
-    out.push(("query_cache_hits", clamp(stats.cache.hits)));
-    out.push(("query_cache_misses", clamp(stats.cache.misses)));
-    out.push((
-        "query_cache_invalidations",
-        clamp(stats.cache.invalidations),
-    ));
-    out.push(("query_cache_evictions", clamp(stats.cache.evictions)));
-    out.push(("query_cache_epoch_bumps", clamp(stats.cache.epoch_bumps)));
-    out.push(("query_cache_frozen_hits", clamp(stats.cache.frozen_hits)));
-    out.push(("query_cache_entries", clamp(stats.cache_entries as u64)));
     out.push((
         "active_sessions",
         clamp(
@@ -1032,8 +1020,6 @@ pub fn system_info(name: &str) -> Option<RelationInfo> {
                 Attribute::new("p50_ns", AttrType::Int),
                 Attribute::new("p99_ns", AttrType::Int),
                 Attribute::new("rows_out", AttrType::Int),
-                Attribute::new("cache_hits", AttrType::Int),
-                Attribute::new("cache_misses", AttrType::Int),
             ]),
             RelationClass::Static,
             TemporalSignature::Interval,
@@ -1118,7 +1104,6 @@ impl StatsSampler {
         interval: Duration,
         recorder: Arc<Recorder>,
         health: Arc<Health>,
-        cache: Arc<Mutex<QueryCache>>,
         telemetry: Arc<TelemetryStore>,
         registry: Arc<SessionRegistry>,
         clock: Arc<dyn Clock>,
@@ -1135,7 +1120,7 @@ impl StatsSampler {
             .name("chronos-sampler".to_string())
             .spawn(move || {
                 while !stop_flag.load(Ordering::Acquire) {
-                    let stats = crate::observe::engine_stats_from(&recorder, &cache, &telemetry);
+                    let stats = crate::observe::engine_stats_from(&recorder, &telemetry);
                     let at = clock.now();
                     telemetry.record_stats(at, &stats);
                     registry.record_sample(at);
@@ -1193,7 +1178,6 @@ mod tests {
         let mut stats = EngineStats {
             metrics: Default::default(),
             cache: Default::default(),
-            cache_entries: 0,
             journal: None,
             telemetry: TelemetryStore::new(4).stats(),
         };

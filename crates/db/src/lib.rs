@@ -25,7 +25,6 @@
 //! "#).unwrap();
 //! ```
 
-pub mod cache;
 pub mod catalog;
 pub mod checkpoint;
 pub mod database;

@@ -2,7 +2,7 @@
 //!
 //! [`ObsBootstrap`] bundles the `Arc`-shared engine handles the HTTP
 //! exporter reads — recorder (metrics, slow log, journal), readiness
-//! flags, and the query cache — *independently of the `Database` value
+//! flags, telemetry, sessions and physical snapshots — *independently of the `Database` value
 //! itself*.  That indirection is what lets an exporter start **before**
 //! recovery: create a bootstrap, serve it (`/healthz` answers 503),
 //! then pass it to [`Database::open_with_obs`], which marks the
@@ -18,12 +18,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use chronos_obs::export::{serve, Health, ObsServer, ObsSource};
 use chronos_obs::Recorder;
 
-use crate::cache::{QueryCache, DEFAULT_CACHE_CAPACITY};
 use crate::database::EngineStats;
 use crate::introspect::{PhysicalStore, SessionRegistry, TelemetryStore};
 
@@ -34,7 +31,6 @@ use crate::introspect::{PhysicalStore, SessionRegistry, TelemetryStore};
 pub struct ObsBootstrap {
     pub(crate) recorder: Arc<Recorder>,
     pub(crate) health: Arc<Health>,
-    pub(crate) cache: Arc<Mutex<QueryCache>>,
     pub(crate) telemetry: Arc<TelemetryStore>,
     pub(crate) registry: Arc<SessionRegistry>,
     pub(crate) physical: Arc<PhysicalStore>,
@@ -52,7 +48,6 @@ impl ObsBootstrap {
         ObsBootstrap {
             recorder: Arc::new(Recorder::new()),
             health: Arc::new(Health::starting()),
-            cache: Arc::new(Mutex::new(QueryCache::new(DEFAULT_CACHE_CAPACITY))),
             telemetry: Arc::new(TelemetryStore::default()),
             registry: Arc::new(SessionRegistry::default()),
             physical: Arc::new(PhysicalStore::default()),
@@ -104,7 +99,6 @@ impl ObsBootstrap {
             Arc::new(DbObsSource {
                 recorder: Arc::clone(&self.recorder),
                 health: Arc::clone(&self.health),
-                cache: Arc::clone(&self.cache),
                 telemetry: Arc::clone(&self.telemetry),
                 registry: Arc::clone(&self.registry),
                 physical: Arc::clone(&self.physical),
@@ -118,7 +112,6 @@ impl ObsBootstrap {
 pub(crate) struct DbObsSource {
     pub(crate) recorder: Arc<Recorder>,
     pub(crate) health: Arc<Health>,
-    pub(crate) cache: Arc<Mutex<QueryCache>>,
     pub(crate) telemetry: Arc<TelemetryStore>,
     pub(crate) registry: Arc<SessionRegistry>,
     pub(crate) physical: Arc<PhysicalStore>,
@@ -126,11 +119,11 @@ pub(crate) struct DbObsSource {
 
 impl ObsSource for DbObsSource {
     fn prometheus(&self) -> String {
-        engine_stats_from(&self.recorder, &self.cache, &self.telemetry).to_prometheus()
+        engine_stats_from(&self.recorder, &self.telemetry).to_prometheus()
     }
 
     fn stats_json(&self) -> String {
-        engine_stats_from(&self.recorder, &self.cache, &self.telemetry).to_json()
+        engine_stats_from(&self.recorder, &self.telemetry).to_json()
     }
 
     fn slow_json(&self) -> String {
@@ -194,16 +187,10 @@ impl ObsSource for DbObsSource {
 
 /// Builds the unified stats snapshot from the shared handles (also the
 /// body of [`Database::engine_stats`](crate::Database::engine_stats)).
-pub(crate) fn engine_stats_from(
-    recorder: &Recorder,
-    cache: &Mutex<QueryCache>,
-    telemetry: &TelemetryStore,
-) -> EngineStats {
-    let cache = cache.lock();
+pub(crate) fn engine_stats_from(recorder: &Recorder, telemetry: &TelemetryStore) -> EngineStats {
     EngineStats {
         metrics: recorder.snapshot(),
-        cache: cache.stats(),
-        cache_entries: cache.len(),
+        cache: Default::default(),
         journal: recorder.journal().map(|j| j.stats()),
         telemetry: telemetry.stats(),
     }

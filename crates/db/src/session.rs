@@ -329,8 +329,8 @@ impl Session {
     ///
     /// With the recorder enabled, every statement's execution is folded
     /// into the query-fingerprint store under its literal-normalized
-    /// hash (calls, latency, rows out, cache hits/misses — the
-    /// `sys$queries` projection).  When additionally the statement's
+    /// hash (calls, latency, rows out — the `sys$queries`
+    /// projection).  When additionally the statement's
     /// wall time meets the recorder's slow-log threshold, its rendered
     /// span tree plus counter deltas — the `profile` artifact — is
     /// admitted to the bounded slow-query ring and a `slow_query` event
@@ -353,8 +353,6 @@ impl Session {
         // stays gated behind the slow log being armed.
         let capture = recorder.slowlog().is_enabled();
         let threshold = recorder.slowlog().threshold_ns();
-        let hits_before = recorder.instruments().cache_hits.get();
-        let misses_before = recorder.instruments().cache_misses.get();
         let before = capture.then(|| {
             let snapshot = recorder.snapshot();
             recorder.begin_trace();
@@ -387,22 +385,12 @@ impl Session {
         }
         let (_, hash, normalized) = self.fp_memo.as_ref().expect("memo just filled");
         let hash = *hash;
-        recorder.fingerprints().record(
+        recorder.fingerprints().record_execution(
             hash,
             normalized,
             statement_kind(stmt),
             elapsed_ns,
             rows_out,
-            recorder
-                .instruments()
-                .cache_hits
-                .get()
-                .saturating_sub(hits_before),
-            recorder
-                .instruments()
-                .cache_misses
-                .get()
-                .saturating_sub(misses_before),
             report.as_ref().and_then(access_path_of).as_deref(),
         );
         if let Some(report) = report {
@@ -481,14 +469,12 @@ impl Session {
         // factors its operators exposed.
         if recorder.is_enabled() {
             let (hash, normalized) = chronos_tquel::fingerprint(inner);
-            recorder.fingerprints().record(
+            recorder.fingerprints().record_execution(
                 hash,
                 &normalized,
                 statement_kind(inner),
                 elapsed_ns,
                 rows_out,
-                0,
-                0,
                 report.as_ref().and_then(access_path_of).as_deref(),
             );
             if let Some(report) = &report {
@@ -813,8 +799,8 @@ fn statement_kind(stmt: &Statement) -> &'static str {
 }
 
 /// The access-path label a traced execution exposed: the detail of the
-/// deepest storage-layer span (scan strategy, tx-index stab, cache
-/// hit).  `None` when the capture recorded no such span.
+/// deepest storage-layer span (scan strategy, tx-index stab, key
+/// index).  `None` when the capture recorded no such span.
 fn access_path_of(report: &chronos_obs::trace::TraceReport) -> Option<String> {
     report
         .spans

@@ -2,7 +2,7 @@
 //!
 //! An [`EventJournal`] is a JSONL file (`events.jsonl`, kept beside the
 //! WAL) recording engine lifecycle events — WAL append/fsync batches,
-//! recovery start/stop, checkpoint builds, cache epoch bumps, slow-query
+//! recovery start/stop, checkpoint builds, segment freezes, slow-query
 //! admissions.  Each line is one self-contained JSON object:
 //!
 //! ```text

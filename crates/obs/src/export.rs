@@ -19,7 +19,7 @@
 //!
 //! The server knows nothing about the database: it reads everything
 //! through the [`ObsSource`] trait, which the `db` crate implements over
-//! its `Arc`-shared recorder, health state, and query cache.  Requests
+//! its `Arc`-shared recorder, health state, and telemetry.  Requests
 //! are handled one at a time on a single background thread — the
 //! endpoints are all cheap snapshot reads, and a scrape interval is
 //! orders of magnitude longer than a response.

@@ -9,8 +9,6 @@
 //!
 //! * call count and a latency histogram (p50/p99 over all calls);
 //! * total rows returned;
-//! * cache hits and misses attributed to the statement (counter deltas
-//!   around execution);
 //! * the last access path a traced execution took (`-` until a capture
 //!   runs — tracing is not forced onto the hot path);
 //! * the worst estimated-vs-actual row-count misestimation any operator
@@ -47,10 +45,6 @@ pub struct FingerprintStats {
     pub p99_ns: u64,
     /// Total rows returned by all calls.
     pub rows_out: u64,
-    /// Query-cache hits attributed to this shape.
-    pub cache_hits: u64,
-    /// Query-cache misses attributed to this shape.
-    pub cache_misses: u64,
     /// Access path of the most recent *traced* execution (`-` until
     /// one runs).
     pub access_path: String,
@@ -66,8 +60,6 @@ struct Entry {
     calls: u64,
     latency: LatencyHistogram,
     rows_out: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     access_path: String,
     worst_misestimate_x1000: u64,
 }
@@ -83,8 +75,6 @@ impl Entry {
             p50_ns: snap.percentile(50.0).unwrap_or(0),
             p99_ns: snap.percentile(99.0).unwrap_or(0),
             rows_out: self.rows_out,
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
             access_path: self.access_path.clone(),
             worst_misestimate_x1000: self.worst_misestimate_x1000,
         }
@@ -113,9 +103,11 @@ impl QueryFingerprints {
         }
     }
 
-    /// Records one execution of a statement with the given normalized
-    /// text.  `access_path` is `Some` only when the execution ran under
-    /// a trace capture (the path the spans named).
+    /// [`record_execution`](Self::record_execution) under its former
+    /// signature, whose two counts are ignored.  The frozen chronobench
+    /// harness still calls it; it goes when the harness stops (ROADMAP
+    /// item 1a).
+    #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
@@ -124,8 +116,23 @@ impl QueryFingerprints {
         kind: &'static str,
         duration_ns: u64,
         rows_out: u64,
-        cache_hits: u64,
-        cache_misses: u64,
+        _: u64,
+        _: u64,
+        access_path: Option<&str>,
+    ) {
+        self.record_execution(hash, statement, kind, duration_ns, rows_out, access_path);
+    }
+
+    /// Records one execution of a statement with the given normalized
+    /// text.  `access_path` is `Some` only when the execution ran under
+    /// a trace capture (the path the spans named).
+    pub fn record_execution(
+        &self,
+        hash: u64,
+        statement: &str,
+        kind: &'static str,
+        duration_ns: u64,
+        rows_out: u64,
         access_path: Option<&str>,
     ) {
         let mut inner = self.inner.lock().unwrap();
@@ -149,8 +156,6 @@ impl QueryFingerprints {
                     calls: 0,
                     latency: LatencyHistogram::default(),
                     rows_out: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
                     access_path: "-".to_string(),
                     worst_misestimate_x1000: 0,
                 });
@@ -160,8 +165,6 @@ impl QueryFingerprints {
         entry.calls += 1;
         entry.latency.record_ns(duration_ns);
         entry.rows_out += rows_out;
-        entry.cache_hits += cache_hits;
-        entry.cache_misses += cache_misses;
         if let Some(path) = access_path {
             entry.access_path = path.to_string();
         }
@@ -210,7 +213,6 @@ impl QueryFingerprints {
             out.push_str(&format!(
                 "{{\"fingerprint\": \"{:016x}\", \"kind\": \"{}\", \"calls\": {}, \
                  \"p50_ns\": {}, \"p99_ns\": {}, \"rows_out\": {}, \
-                 \"cache_hits\": {}, \"cache_misses\": {}, \
                  \"worst_misestimate_x1000\": {}, \"access_path\": \"{}\", \
                  \"statement\": \"{}\"}}",
                 e.hash,
@@ -219,8 +221,6 @@ impl QueryFingerprints {
                 e.p50_ns,
                 e.p99_ns,
                 e.rows_out,
-                e.cache_hits,
-                e.cache_misses,
                 e.worst_misestimate_x1000,
                 escape_json(&e.access_path),
                 escape_json(&e.statement)
@@ -268,52 +268,37 @@ mod tests {
     #[test]
     fn aggregates_by_hash() {
         let store = QueryFingerprints::new(8);
-        store.record(
+        store.record_execution(
             42,
             "retrieve (f.rank) where f.name = \"?\"",
             "retrieve",
             100,
             1,
-            0,
-            1,
             None,
         );
-        store.record(
+        store.record_execution(
             42,
             "retrieve (f.rank) where f.name = \"?\"",
             "retrieve",
             300,
             2,
-            1,
-            0,
             None,
         );
-        store.record(
-            7,
-            "append to faculty (name = \"?\")",
-            "append",
-            50,
-            0,
-            0,
-            0,
-            None,
-        );
+        store.record_execution(7, "append to faculty (name = \"?\")", "append", 50, 0, None);
         let entries = store.entries();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].calls, 2, "most-called first");
         assert_eq!(entries[0].rows_out, 3);
-        assert_eq!(entries[0].cache_hits, 1);
-        assert_eq!(entries[0].cache_misses, 1);
         assert_eq!(entries[0].access_path, "-");
     }
 
     #[test]
     fn eviction_drops_the_least_called() {
         let store = QueryFingerprints::new(2);
-        store.record(1, "a", "retrieve", 1, 0, 0, 0, None);
-        store.record(1, "a", "retrieve", 1, 0, 0, 0, None);
-        store.record(2, "b", "retrieve", 1, 0, 0, 0, None);
-        store.record(3, "c", "retrieve", 1, 0, 0, 0, None);
+        store.record_execution(1, "a", "retrieve", 1, 0, None);
+        store.record_execution(1, "a", "retrieve", 1, 0, None);
+        store.record_execution(2, "b", "retrieve", 1, 0, None);
+        store.record_execution(3, "c", "retrieve", 1, 0, None);
         let entries = store.entries();
         assert_eq!(entries.len(), 2);
         assert!(entries.iter().any(|e| e.hash == 1), "head survives");
@@ -323,7 +308,7 @@ mod tests {
     #[test]
     fn misestimate_keeps_the_worst_and_ignores_unknown() {
         let store = QueryFingerprints::new(4);
-        store.record(9, "q", "retrieve", 1, 0, 0, 0, Some("heap scan"));
+        store.record_execution(9, "q", "retrieve", 1, 0, Some("heap scan"));
         store.record_misestimate(9, 2_000);
         store.record_misestimate(9, 1_500);
         store.record_misestimate(404, 9_000); // evicted/unknown: no-op
@@ -335,14 +320,12 @@ mod tests {
     #[test]
     fn json_is_well_formed_with_hostile_text() {
         let store = QueryFingerprints::new(4);
-        store.record(
+        store.record_execution(
             1,
             "retrieve (f.name) where f.name = \"M\\\"er\nrie\"",
             "retrieve",
             10,
             1,
-            0,
-            0,
             Some("path \"quoted\""),
         );
         validate_json(&store.to_json()).unwrap();

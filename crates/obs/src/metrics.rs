@@ -197,11 +197,6 @@ pub struct MetricsSnapshot {
     pub segment_skips: u64,
     /// Bloom probes that passed but found no chain in the directory.
     pub segment_bloom_fps: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    pub cache_invalidations: u64,
-    pub cache_frozen_hits: u64,
     pub commits: u64,
     pub sessions_opened: u64,
     pub sessions_closed: u64,
@@ -244,7 +239,7 @@ impl MetricsSnapshot {
     /// `(name, value)` pairs for every plain counter, in exposition
     /// order.  Keeping this as the single enumeration point means the
     /// JSON and Prometheus renderings can never drift apart.
-    pub fn counters(&self) -> [(&'static str, u64); 24] {
+    pub fn counters(&self) -> [(&'static str, u64); 19] {
         [
             ("pager_page_reads", self.pager_page_reads),
             ("pager_page_writes", self.pager_page_writes),
@@ -255,11 +250,6 @@ impl MetricsSnapshot {
             ("segment_hits", self.segment_hits),
             ("segment_skips", self.segment_skips),
             ("segment_bloom_fps", self.segment_bloom_fps),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("cache_evictions", self.cache_evictions),
-            ("cache_invalidations", self.cache_invalidations),
-            ("cache_frozen_hits", self.cache_frozen_hits),
             ("commits", self.commits),
             ("sessions_opened", self.sessions_opened),
             ("sessions_closed", self.sessions_closed),
@@ -320,11 +310,6 @@ impl MetricsSnapshot {
             segment_hits: self.segment_hits - earlier.segment_hits,
             segment_skips: self.segment_skips - earlier.segment_skips,
             segment_bloom_fps: self.segment_bloom_fps - earlier.segment_bloom_fps,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            cache_evictions: self.cache_evictions - earlier.cache_evictions,
-            cache_invalidations: self.cache_invalidations - earlier.cache_invalidations,
-            cache_frozen_hits: self.cache_frozen_hits - earlier.cache_frozen_hits,
             commits: self.commits - earlier.commits,
             sessions_opened: self.sessions_opened - earlier.sessions_opened,
             sessions_closed: self.sessions_closed - earlier.sessions_closed,
@@ -580,18 +565,18 @@ mod tests {
     #[test]
     fn snapshot_json_and_prometheus_render() {
         let s = MetricsSnapshot {
-            cache_hits: 3,
+            index_probes: 3,
             commits: 7,
             ..Default::default()
         };
         let json = s.to_json();
-        assert!(json.contains("\"cache_hits\": 3"));
+        assert!(json.contains("\"index_probes\": 3"));
         assert!(json.contains("\"commits\": 7"));
         assert!(json.contains("\"commit_latency\""));
         assert!(json.contains("\"p999_ns\": 0"));
         assert!(json.contains("\"buckets\": []"));
         let prom = s.to_prometheus();
-        assert!(prom.contains("chronos_cache_hits 3"));
+        assert!(prom.contains("chronos_index_probes 3"));
         assert!(prom.contains("# TYPE chronos_commits counter"));
         assert!(prom.contains("chronos_commit_latency_ns_count 0"));
     }

@@ -91,11 +91,6 @@ pub struct Instruments {
     pub segment_skips: Counter,
     /// Bloom probes that passed but found no chain in the directory.
     pub segment_bloom_fps: Counter,
-    pub cache_hits: Counter,
-    pub cache_misses: Counter,
-    pub cache_evictions: Counter,
-    pub cache_invalidations: Counter,
-    pub cache_frozen_hits: Counter,
     pub commits: Counter,
     pub sessions_opened: Counter,
     pub sessions_closed: Counter,
@@ -234,11 +229,6 @@ impl Recorder {
             segment_hits: m.segment_hits.get(),
             segment_skips: m.segment_skips.get(),
             segment_bloom_fps: m.segment_bloom_fps.get(),
-            cache_hits: m.cache_hits.get(),
-            cache_misses: m.cache_misses.get(),
-            cache_evictions: m.cache_evictions.get(),
-            cache_invalidations: m.cache_invalidations.get(),
-            cache_frozen_hits: m.cache_frozen_hits.get(),
             commits: m.commits.get(),
             sessions_opened: m.sessions_opened.get(),
             sessions_closed: m.sessions_closed.get(),
@@ -518,13 +508,8 @@ impl TraceReport {
             out.push('\n');
         }
         out.push_str(&format!(
-            "counters: rows_scanned={} index_probes={} cache_hits={} \
-             cache_misses={} page_reads={}\n",
-            self.delta.heap_rows_scanned,
-            self.delta.index_probes,
-            self.delta.cache_hits,
-            self.delta.cache_misses,
-            self.delta.pager_page_reads,
+            "counters: rows_scanned={} index_probes={} page_reads={}\n",
+            self.delta.heap_rows_scanned, self.delta.index_probes, self.delta.pager_page_reads,
         ));
         out
     }
@@ -558,7 +543,7 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let r = Recorder::disabled();
-        r.count(|m| &m.cache_hits);
+        r.count(|m| &m.commits);
         r.count_n(|m| &m.heap_rows_scanned, 100);
         r.record_latency(|m| &m.commit_latency, 42);
         r.begin_trace();
@@ -613,8 +598,7 @@ mod tests {
         let report = r.end_trace(&before).expect("capture active");
         assert_eq!(
             report.render(false),
-            "counters: rows_scanned=0 index_probes=2 cache_hits=0 cache_misses=0 \
-             page_reads=0\n"
+            "counters: rows_scanned=0 index_probes=2 page_reads=0\n"
         );
     }
 

@@ -114,9 +114,7 @@ pub fn execute_plan_traced(
 ) -> TquelResult<ResultRelation> {
     let exec_span = recorder.span("tquel/exec");
     // One slot per variable, filled in binding order, so each narrowed
-    // input can borrow its scan while the later ones run.  The scans
-    // are shared row sets: a caching provider hands the same Arc to
-    // every retrieve at the same coordinate.
+    // input can borrow its scan while the later ones run.
     let scans: Vec<OnceCell<Arc<Vec<SourceRow>>>> =
         plan.vars.iter().map(|_| OnceCell::new()).collect();
     let mut inputs: Vec<Vec<&SourceRow>> = Vec::with_capacity(plan.vars.len());

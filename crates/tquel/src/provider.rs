@@ -32,11 +32,7 @@ pub struct RelationInfo {
 }
 
 /// A resolved `as of` clause.
-///
-/// `Hash`/`Eq` matter beyond the usual derives: the pair
-/// `(relation name, Option<AsOfSpec>)` is the key of `chronos-db`'s
-/// bitemporal query cache.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AsOfSpec {
     /// `as of t`: the state stored at transaction time `t`.
     At(Chronon),
@@ -80,9 +76,8 @@ pub trait RelationProvider {
     /// * temporal: rows with validity and transaction periods, filtered
     ///   to those stored as of the given time (or current).
     ///
-    /// The rows come back behind an [`Arc`] so a caching provider can
-    /// serve repeated scans of the same bitemporal coordinate without
-    /// copying the row set.
+    /// The rows come back behind an [`Arc`], so a provider can hand
+    /// over a row set it already holds without copying it.
     fn scan(&self, relation: &str, as_of: Option<&AsOfSpec>) -> TquelResult<Arc<Vec<SourceRow>>>;
 
     /// The rows the evaluator reads for one range variable: at least the

@@ -196,6 +196,12 @@ grep -q 'session/statement' <<<"$obs_out" \
 # The event journal the run produced must be well-formed JSONL.
 ./target/release/chronos --check-jsonl "$obs_dir/db/events.jsonl" \
   || die "obs smoke: events.jsonl malformed"
+# There is no scan cache: no gauge family for it, no journal line per
+# commit for it.
+! grep -q 'chronos_query_cache_' <<<"$obs_out" \
+  || die "obs smoke: /metrics still exports a query-cache family" "$obs_out"
+! grep -q '"event": "cache_epoch_bump"' "$obs_dir/db/events.jsonl" \
+  || die "obs smoke: events.jsonl still journals cache_epoch_bump"
 
 echo "==> temporal introspection smoke (sys\$stats via TQuel + /history)"
 intro_dir=$(mktemp -d)
@@ -272,7 +278,8 @@ range of ts is sys$tablestats
 retrieve (ts.stat, ts.value) where ts.relation = "faculty" and ts.stat = "versions"
 
 range of q is sys$queries
-retrieve (q.statement, q.calls) where q.kind = "retrieve"
+retrieve (q.fingerprint, q.statement, q.kind, q.calls, q.p50_ns, q.p99_ns, q.rows_out)
+  where q.kind = "retrieve"
 
 \top
 \obs /queries
@@ -283,14 +290,21 @@ grep -q 'analyzed faculty' <<<"$wa_out" \
   || die "analytics smoke: analyze produced no confirmation" "$wa_out"
 grep -q 'versions | 2' <<<"$wa_out" \
   || die "analytics smoke: sys\$tablestats missing the versions stat" "$wa_out"
+# sys$queries has exactly these seven columns: the retrieve above
+# fails on a dropped one, this header on a renamed one, and the
+# /queries check below on a leftover cache count.
+grep -Eq '^fingerprint +\| statement +\| kind +\| calls +\| p50_ns +\| p99_ns +\| rows_out$' <<<"$wa_out" \
+  || die "analytics smoke: sys\$queries columns changed" "$wa_out"
 # Two literal variations of the same retrieve shape: one fingerprint,
 # two calls, literals normalized to "?".
-grep -Eq 'f\.name = "\?" *\| 2' <<<"$wa_out" \
+grep -Eq 'f\.name = "\?" *\| retrieve *\| 2 ' <<<"$wa_out" \
   || die "analytics smoke: fingerprint dedup failed" "$wa_out"
 grep -q '200 /queries' <<<"$wa_out" \
   || die "analytics smoke: /queries not 200" "$wa_out"
 grep -q '"queries"' <<<"$wa_out" \
   || die "analytics smoke: /queries body missing the queries list" "$wa_out"
+! grep -q '"cache_' <<<"$wa_out" \
+  || die "analytics smoke: /queries still reports cache counts" "$wa_out"
 grep -q 'workload fingerprints' <<<"$wa_out" \
   || die "analytics smoke: \\top missing the fingerprint section" "$wa_out"
 # --stats-json: one engine-stats snapshot on stdout, well-formed JSON.

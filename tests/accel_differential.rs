@@ -1,15 +1,13 @@
 //! Differential properties of the acceleration layer: rollback through
-//! the transaction-time index and frozen segments, and the bitemporal
-//! query cache must all be *observationally invisible* —
+//! the transaction-time index and frozen segments must be
+//! *observationally invisible* —
 //! byte-identical answers to the reference paths on every generated
 //! history, at every probe time.
 
 use chronos_bench::workload::{self, generate, WorkloadSpec};
 use chronos_core::chronon::Chronon;
-use chronos_core::clock::ManualClock;
 use chronos_core::prelude::*;
 use chronos_core::relation::StaticOp;
-use chronos_db::{Database, Engine};
 use chronos_storage::table::StoredBitemporalTable;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -150,71 +148,5 @@ proptest! {
         }
         drop(frozen);
         let _ = std::fs::remove_file(&segment);
-    }
-
-    /// The query cache is transparent: a database answering retrieves
-    /// through the cache gives the same results as one with the cache
-    /// disabled, across interleaved appends (which must invalidate) and
-    /// repeated probes at current and historical coordinates.
-    #[test]
-    fn query_cache_is_transparent(
-        seed in any::<u64>(),
-        rounds in 1usize..5,
-        appends_per_round in 1usize..6,
-    ) {
-        let mk = |capacity: usize| {
-            let clock = std::sync::Arc::new(ManualClock::new(Chronon::new(900)));
-            let mut db = Database::in_memory(clock.clone());
-            db.set_cache_capacity(capacity);
-            let engine = Engine::start(db);
-            engine.session()
-                .run("create faculty (name = str, rank = str) as temporal")
-                .expect("create");
-            (clock, engine)
-        };
-        let (clock_a, cached) = mk(8);
-        let (clock_b, uncached) = mk(0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut appended = 0usize;
-        for _ in 0..rounds {
-            for _ in 0..appends_per_round {
-                let stmt = format!(
-                    r#"append to faculty (name = "prof{appended:05}", rank = "assistant")"#
-                );
-                clock_a.tick(1);
-                clock_b.tick(1);
-                cached.session().run(&stmt).expect("append cached");
-                uncached.session().run(&stmt).expect("append uncached");
-                appended += 1;
-            }
-            // Probe current state and a random historical coordinate,
-            // twice each so the second cached probe is a genuine hit.
-            let as_of = chronos_core::calendar::Date::from_chronon(
-                Chronon::new(900 + rng.gen_range(0..(appended as i64 + 1))),
-            );
-            let queries = [
-                "range of f is faculty retrieve (f.rank) sorted".to_string(),
-                format!(r#"range of f is faculty retrieve (f.name) as of "{as_of}""#),
-            ];
-            for q in &queries {
-                for _ in 0..2 {
-                    let a = cached.session().query(q);
-                    let b = uncached.session().query(q);
-                    match (a, b) {
-                        (Ok(a), Ok(b)) => prop_assert_eq!(a.rows, b.rows, "diverged on {}", q),
-                        (Err(_), Err(_)) => {}
-                        (a, b) => prop_assert!(
-                            false,
-                            "one side errored on {}: cached={:?} uncached={:?}",
-                            q, a.is_ok(), b.is_ok()
-                        ),
-                    }
-                }
-            }
-        }
-        // The cached database actually cached something.
-        let stats = cached.stats().cache;
-        prop_assert!(stats.hits > 0, "no cache hits in {} rounds", rounds);
-        prop_assert_eq!(uncached.stats().cache.hits, 0);
     }
 }

@@ -610,16 +610,6 @@ fn scanned(db: &Database, rel: &str, as_of: Option<&AsOfSpec>) -> Result<Vec<Row
         .map_err(|e| e.to_string())
 }
 
-/// A past read of a temporal relation shows when each version was
-/// stored; whether it also shows a later commit closing it depends on
-/// whether the scan cache answered (entries below the commit clock are
-/// frozen — the finding PR 11 recorded), so only the start is compared.
-fn since(rows: Vec<Row>) -> Vec<Row> {
-    rows.into_iter()
-        .map(|(t, v, tx)| (t, v, tx.map(|p| Period::clamped(p.start(), p.start()))))
-        .collect()
-}
-
 /// Every read the class allows agrees with the oracle, row for row and
 /// in order; every read it must refuse is refused.
 fn assert_agrees(
@@ -632,17 +622,15 @@ fn assert_agrees(
     let first = commits.first().copied().unwrap_or(Chronon::new(0));
     for &t in commits.iter().step_by(3).chain(commits.last()) {
         for probe in [t.pred(), t, t.succ()] {
-            let at = scanned(db, rel, Some(&AsOfSpec::At(probe))).map(since);
-            let through = scanned(db, rel, Some(&AsOfSpec::Through(first, probe))).map(since);
+            let at = scanned(db, rel, Some(&AsOfSpec::At(probe)));
+            let through = scanned(db, rel, Some(&AsOfSpec::Through(first, probe)));
             match oracle.stored_during(Period::instant(probe)) {
                 Some(expect) => {
-                    prop_assert_eq!(at, Ok(since(expect)), "{} as of {}", rel, probe);
+                    prop_assert_eq!(at, Ok(expect), "{} as of {}", rel, probe);
                     let window = Period::clamped(first, probe.succ());
                     prop_assert_eq!(
                         through,
-                        Ok(since(
-                            oracle.stored_during(window).expect("has transaction time")
-                        )),
+                        Ok(oracle.stored_during(window).expect("has transaction time")),
                         "{} as of {} through {}",
                         rel,
                         first,

@@ -20,7 +20,7 @@ use chronos_core::schema::{faculty_schema, RelationClass, TemporalSignature};
 use chronos_core::timepoint::TimePoint;
 use chronos_core::tuple::tuple;
 use chronos_core::value::Value;
-use chronos_db::{Database, Engine, ExecOutcome};
+use chronos_db::{Database, Engine, ExecOutcome, Session};
 use chronos_storage::table::CurrentOrder;
 use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationProvider, SourceRow};
 use proptest::prelude::*;
@@ -196,9 +196,9 @@ proptest! {
     }
 }
 
-/// A keyed past read of a temporal relation shows the version's
-/// transaction period as it is now: once a later commit closes the
-/// version, the same read shows the closed end.
+/// A past read of a temporal relation shows the version's transaction
+/// period as it is now: once a later commit closes the version, the
+/// same read shows the closed end, keyed or not.
 #[test]
 fn a_keyed_past_read_shows_a_later_close() {
     let clock = Arc::new(ManualClock::new(Chronon::new(100)));
@@ -230,16 +230,63 @@ fn a_keyed_past_read_shows_a_later_close() {
     let open = tx_of(&keyed);
     assert_eq!(open.len(), 1);
     assert_eq!(open[0].end(), TimePoint::PlusInfinity);
-    // The unkeyed read leaves an entry for this past coordinate in the
-    // scan cache; the keyed read must not be answered from it.
     assert_eq!(tx_of(&unkeyed), open);
     clock.tick(10);
     let closing = engine.with_db(Database::now);
     run(r#"range of f is faculty replace f (rank = "full") where f.name = "Tom""#);
-    assert_eq!(
-        tx_of(&keyed),
-        [Period::clamped(open[0].start(), TimePoint::at(closing))]
-    );
+    let closed = [Period::clamped(open[0].start(), TimePoint::at(closing))];
+    assert_eq!(tx_of(&keyed), closed);
+    assert_eq!(tx_of(&unkeyed), closed);
+}
+
+/// A session pinned before another session's closing commit reads the
+/// version open, keyed or not, before and after that commit: an end
+/// committed after the pin reads `∞`.  Refreshing the pin shows the
+/// close.
+#[test]
+fn a_pinned_read_does_not_see_a_later_close() {
+    let clock = Arc::new(ManualClock::new(Chronon::new(100)));
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    let run = |stmt: &str| {
+        engine
+            .session()
+            .run(stmt)
+            .unwrap_or_else(|e| panic!("{stmt}: {e}"))
+    };
+    run("create faculty (name = str, rank = str) as temporal");
+    run(r#"append to faculty (name = "Tom", rank = "associate")"#);
+    let stored = engine
+        .with_db(Database::last_commit_time)
+        .expect("Tom committed");
+    let mut pinned = engine.session();
+    let past = chronos_core::calendar::Date::from_chronon(stored);
+    let keyed =
+        format!(r#"range of f is faculty retrieve (f.rank) where f.name = "Tom" as of "{past}""#);
+    let unkeyed = format!(r#"range of f is faculty retrieve (f.rank) as of "{past}""#);
+    let tx_of = |session: &mut Session, src: &str| -> Vec<Period> {
+        match session
+            .run(src)
+            .unwrap_or_else(|e| panic!("{src}: {e}"))
+            .pop()
+        {
+            Some(ExecOutcome::Retrieved(r)) => {
+                r.rows.iter().map(|r| r.tx.expect("temporal")).collect()
+            }
+            other => panic!("{src}: {other:?}"),
+        }
+    };
+    let open = [Period::from_start(stored)];
+    assert_eq!(tx_of(&mut pinned, &keyed), open);
+    assert_eq!(tx_of(&mut pinned, &unkeyed), open);
+    clock.tick(20);
+    let closing = engine.with_db(Database::now);
+    run(r#"range of f is faculty replace f (rank = "full") where f.name = "Tom""#);
+    assert_eq!(tx_of(&mut pinned, &keyed), open);
+    assert_eq!(tx_of(&mut pinned, &unkeyed), open);
+    pinned.refresh();
+    let closed = [Period::clamped(stored, closing)];
+    assert_eq!(tx_of(&mut pinned, &keyed), closed);
+    assert_eq!(tx_of(&mut pinned, &unkeyed), closed);
 }
 
 /// A keyed read of a temporal relation's current state — no `as of`, no
