@@ -100,9 +100,6 @@ fn approx_row_bytes(t: &Tuple) -> usize {
 }
 
 fn main() {
-    // A crash-matrix child re-execs this binary with the fault armed;
-    // it runs the workload and never returns.
-    chronos_bench::fault_matrix::maybe_run_child();
     println!("ChronosDB experiments (paper: Snodgrass & Ahn, SIGMOD 1985)");
     let only = std::env::var("EXPERIMENTS_ONLY").ok();
     let want = |id: &str| {
@@ -163,9 +160,6 @@ fn main() {
             t16_rows.as_deref().unwrap_or(&[]),
         );
     }
-    if want("faults") {
-        faults_matrix();
-    }
     if t10_stats.is_some() || t11_stats.is_some() || t13_stats.is_some() || t14_stats.is_some() {
         write_bench_observability_json(
             t10_stats.as_ref(),
@@ -175,48 +169,6 @@ fn main() {
         );
     }
     println!("\nDone.  These tables are recorded in EXPERIMENTS.md.");
-}
-
-// ---------------------------------------------------------------------
-// faults — the crash/unwind fault matrix (EXPERIMENTS_ONLY=faults)
-// ---------------------------------------------------------------------
-
-/// Runs the full fault matrix: every registered crash site crashes a
-/// re-exec'd child mid-workload and the recovered state is verified
-/// against the oracle, then every site is re-run in unwind (injected
-/// `Err`) mode in-process.  Exits non-zero if any site fails.
-fn faults_matrix() {
-    heading("faults — deterministic fault-injection matrix (crash + unwind)");
-    let exe = std::env::current_exe().expect("own executable path");
-    println!(
-        "crash matrix ({} sites):",
-        chronos_obs::fault::CRASH_SITES.len()
-    );
-    let crash = chronos_bench::fault_matrix::run_crash_matrix(&exe, &[]);
-    match &crash {
-        Ok(lines) => {
-            for l in lines {
-                println!("  {l}");
-            }
-        }
-        Err(e) => eprintln!("  FAILED: {e}"),
-    }
-    println!(
-        "unwind matrix ({} sites):",
-        chronos_obs::fault::CRASH_SITES.len()
-    );
-    let unwind = chronos_bench::fault_matrix::run_unwind_matrix();
-    match &unwind {
-        Ok(lines) => {
-            for l in lines {
-                println!("  {l}");
-            }
-        }
-        Err(e) => eprintln!("  FAILED: {e}"),
-    }
-    if crash.is_err() || unwind.is_err() {
-        std::process::exit(1);
-    }
 }
 
 // ---------------------------------------------------------------------

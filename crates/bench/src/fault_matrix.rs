@@ -26,9 +26,7 @@
 //! Both modes drive the workload through an [`Engine`], the one path
 //! every session takes, so each commit is one group-commit batch.
 //!
-//! Drivers: `tests/fault_matrix.rs` (tier-1) and
-//! `EXPERIMENTS_ONLY=faults cargo run --bin experiments --release`
-//! (the single-command form documented in the README).
+//! Driver: `tests/fault_matrix.rs` (tier-1).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

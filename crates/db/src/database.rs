@@ -18,9 +18,10 @@ use parking_lot::Mutex;
 
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::Clock;
-use chronos_core::relation::HistoricalOp;
+use chronos_core::relation::{HistoricalOp, Validity};
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::taxonomy::DatabaseClass;
+use chronos_core::value::Value;
 use chronos_obs::export::{Health, ObsServer};
 use chronos_obs::{EventJournal, JournalStats, MetricsSnapshot, Recorder};
 use chronos_storage::table::{Read, TxSelect};
@@ -32,11 +33,11 @@ use chronos_tquel::TquelError;
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{
-    is_system, system_info, CatalogRow, PhysicalStore, SessionRegistry, StatsSampler,
-    TelemetryStats, TelemetryStore,
+    clamp, is_system, static_row, system_info, system_relation, CatalogRow, PhysicalStore,
+    SessionRegistry, StatsSampler, SystemRow, TelemetryStats, TelemetryStore,
 };
 use crate::observe::{DbObsSource, ObsBootstrap};
-use crate::relation::Relation;
+use crate::relation::{has_transaction_time, Relation};
 
 /// Closed versions a relation accumulates before a checkpoint freezes
 /// them into an immutable segment.
@@ -440,9 +441,11 @@ impl Database {
             return Err(DbError::Catalog(format!("unknown relation {name:?}")));
         }
         self.relations.remove(name);
-        self.telemetry.forget_tablestats(name);
+        // The relation's statistics end here; their past stays.
+        let at = self.txn.peek_now();
+        self.telemetry.record_tablestats(at, name, Vec::new());
         self.persist_catalog()?;
-        self.record_catalog_sample(self.txn.peek_now());
+        self.record_catalog_sample(at);
         Ok(())
     }
 
@@ -705,7 +708,9 @@ impl Database {
         let stats = self.engine_stats();
         self.telemetry.record_stats(at, &stats);
         self.record_catalog_sample(at);
-        self.registry.record_sample(at);
+        self.telemetry
+            .sessions
+            .record(at, |_| Some(self.registry.sessions()));
         self.refresh_physical_snapshots();
         at
     }
@@ -730,7 +735,7 @@ impl Database {
                 }
             })
             .collect();
-        self.telemetry.record_catalog(at, rows);
+        self.telemetry.catalog.record(at, |_| Some(rows));
     }
 
     /// Starts the background stats sampler on `interval`.  Restarting
@@ -805,16 +810,16 @@ impl Database {
         }
         // Physical accounting, measured off the heap for every class.
         let physical = rel.table().physical_stats()?;
-        push_stat(&mut stats, "bytes", clamp_i64(physical.bytes_on_disk));
+        push_stat(&mut stats, "bytes", clamp(physical.bytes_on_disk));
         push_stat(
             &mut stats,
             "bytes_per_version",
-            clamp_i64(physical.bytes_per_version),
+            clamp(physical.bytes_per_version),
         );
         push_stat(
             &mut stats,
             "dup_factor_x1000",
-            clamp_i64(physical.dup_factor_x1000),
+            clamp(physical.dup_factor_x1000),
         );
         let count = stats.len();
         let at = self.txn.peek_now();
@@ -827,122 +832,115 @@ impl Database {
         Ok(count)
     }
 
-    /// Scan of one system relation.
+    /// Scan of one system relation.  Its declared class decides whether
+    /// `as of` applies: the analyzer already refuses it over relations
+    /// without transaction time, and this keeps direct provider calls
+    /// honest.
     fn scan_system(
         &self,
         relation: &str,
         as_of: Option<&AsOfSpec>,
     ) -> Result<Arc<Vec<SourceRow>>, TquelError> {
+        let Some(decl) = system_relation(relation) else {
+            return Err(TquelError::Semantic(format!(
+                "unknown relation {relation:?}"
+            )));
+        };
+        if as_of.is_some() && !has_transaction_time(decl.class) {
+            return Err(TquelError::Semantic(format!(
+                "{relation} has no transaction time: rollback (as of) does not apply"
+            )));
+        }
         let span = self.recorder.span("db/scan");
         span.detail(format!("{relation} (system)"));
+        let (t, class) = (&self.telemetry, decl.class);
         let rows = match relation {
-            "sys$stats" => self.telemetry.stats_scan(as_of),
-            "sys$tablestats" => self.telemetry.tablestats_scan(as_of),
-            "sys$relations" => self.telemetry.catalog_scan(as_of),
-            "sys$sessions" => self.registry.sessions_scan(as_of),
-            "sys$queries" => {
-                reject_system_as_of(relation, as_of)?;
-                self.recorder
-                    .fingerprints()
-                    .entries()
+            "sys$stats" => t.stats.rows(as_of, class),
+            "sys$tablestats" => t.tablestats.rows(as_of, class),
+            "sys$relations" => t.catalog.rows(as_of, class),
+            // The current state is the live registry, not the last sample.
+            "sys$sessions" if as_of.is_none() => {
+                let now = self.txn.peek_now();
+                let live = self.registry.sessions();
+                live.iter().map(|r| r.source_row(now)).collect()
+            }
+            "sys$sessions" => t.sessions.rows(as_of, class),
+            "sys$queries" => self
+                .recorder
+                .fingerprints()
+                .entries()
+                .iter()
+                .map(|e| {
+                    static_row(vec![
+                        Value::str(format!("{:016x}", e.hash)),
+                        Value::str(&e.statement),
+                        Value::str(e.kind),
+                        Value::Int(clamp(e.calls)),
+                        Value::Int(clamp(e.p50_ns)),
+                        Value::Int(clamp(e.p99_ns)),
+                        Value::Int(clamp(e.rows_out)),
+                    ])
+                })
+                .collect(),
+            "sys$connections" => self.registry.connections_scan(),
+            "sys$slow" => self
+                .recorder
+                .slowlog()
+                .entries()
+                .iter()
+                .map(|e| SourceRow {
+                    validity: Some(Validity::Event(Chronon::new(e.at_tick))),
+                    ..static_row(vec![
+                        Value::Int(e.seq as i64),
+                        Value::Int(clamp(e.duration_ns)),
+                        Value::str(&e.statement),
+                    ])
+                })
+                .collect(),
+            "sys$events" => match self.recorder.journal() {
+                Some(journal) => journal
+                    .tail_lines(chronos_obs::export::DEFAULT_EVENTS_TAIL)
                     .iter()
-                    .map(|e| SourceRow {
-                        tuple: chronos_core::tuple::Tuple::new(vec![
-                            chronos_core::value::Value::str(format!("{:016x}", e.hash)),
-                            chronos_core::value::Value::str(&e.statement),
-                            chronos_core::value::Value::str(e.kind),
-                            chronos_core::value::Value::Int(e.calls.min(i64::MAX as u64) as i64),
-                            chronos_core::value::Value::Int(e.p50_ns.min(i64::MAX as u64) as i64),
-                            chronos_core::value::Value::Int(e.p99_ns.min(i64::MAX as u64) as i64),
-                            chronos_core::value::Value::Int(e.rows_out.min(i64::MAX as u64) as i64),
-                        ]),
-                        validity: None,
-                        tx: None,
+                    .filter_map(|line| chronos_obs::parse_event_summary(line))
+                    .map(|(seq, ts_ns, event)| {
+                        static_row(vec![
+                            Value::Int(clamp(seq)),
+                            Value::Int(clamp(ts_ns)),
+                            Value::str(&event),
+                        ])
                     })
-                    .collect()
-            }
-            "sys$connections" => {
-                reject_system_as_of(relation, as_of)?;
-                self.registry.connections_scan()
-            }
-            "sys$slow" => {
-                reject_system_as_of(relation, as_of)?;
-                self.recorder
-                    .slowlog()
-                    .entries()
-                    .iter()
-                    .map(|e| SourceRow {
-                        tuple: chronos_core::tuple::Tuple::new(vec![
-                            chronos_core::value::Value::Int(e.seq as i64),
-                            chronos_core::value::Value::Int(
-                                e.duration_ns.min(i64::MAX as u64) as i64
-                            ),
-                            chronos_core::value::Value::str(&e.statement),
-                        ]),
-                        validity: Some(chronos_core::relation::Validity::Event(Chronon::new(
-                            e.at_tick,
-                        ))),
-                        tx: None,
-                    })
-                    .collect()
-            }
-            "sys$events" => {
-                reject_system_as_of(relation, as_of)?;
-                match self.recorder.journal() {
-                    Some(journal) => journal
-                        .tail_lines(chronos_obs::export::DEFAULT_EVENTS_TAIL)
-                        .iter()
-                        .filter_map(|line| chronos_obs::parse_event_summary(line))
-                        .map(|(seq, ts_ns, event)| SourceRow {
-                            tuple: chronos_core::tuple::Tuple::new(vec![
-                                chronos_core::value::Value::Int(seq.min(i64::MAX as u64) as i64),
-                                chronos_core::value::Value::Int(ts_ns.min(i64::MAX as u64) as i64),
-                                chronos_core::value::Value::str(&event),
-                            ]),
-                            validity: None,
-                            tx: None,
-                        })
-                        .collect(),
-                    None => Vec::new(),
-                }
-            }
-            "sys$wal" => {
-                reject_system_as_of(relation, as_of)?;
-                self.wal_stat_rows()
-                    .into_iter()
-                    .map(|(stat, value, detail)| SourceRow {
-                        tuple: chronos_core::tuple::Tuple::new(vec![
-                            chronos_core::value::Value::str(stat),
-                            chronos_core::value::Value::Int(value),
-                            chronos_core::value::Value::str(detail),
-                        ]),
-                        validity: None,
-                        tx: None,
-                    })
-                    .collect()
-            }
-            "sys$pages" => {
-                reject_system_as_of(relation, as_of)?;
-                self.pages_rows()
-                    .iter()
-                    .map(|r| SourceRow {
-                        tuple: chronos_core::tuple::Tuple::new(vec![
-                            chronos_core::value::Value::str(&r.relation),
-                            chronos_core::value::Value::str(&r.class),
-                            chronos_core::value::Value::Int(r.pages),
-                            chronos_core::value::Value::Int(r.bytes_disk),
-                            chronos_core::value::Value::Int(r.records),
-                            chronos_core::value::Value::Int(r.occupancy_x1000),
-                            chronos_core::value::Value::Int(r.versions),
-                            chronos_core::value::Value::Int(r.bytes_per_version),
-                            chronos_core::value::Value::Int(r.dup_factor_x1000),
-                        ]),
-                        validity: None,
-                        tx: None,
-                    })
-                    .collect()
-            }
-            other => return Err(TquelError::Semantic(format!("unknown relation {other:?}"))),
+                    .collect(),
+                None => Vec::new(),
+            },
+            "sys$wal" => self
+                .wal_stat_rows()
+                .into_iter()
+                .map(|(stat, value, detail)| {
+                    static_row(vec![
+                        Value::str(stat),
+                        Value::Int(value),
+                        Value::str(detail),
+                    ])
+                })
+                .collect(),
+            "sys$pages" => self
+                .pages_rows()
+                .iter()
+                .map(|r| {
+                    static_row(vec![
+                        Value::str(&r.relation),
+                        Value::str(&r.class),
+                        Value::Int(r.pages),
+                        Value::Int(r.bytes_disk),
+                        Value::Int(r.records),
+                        Value::Int(r.occupancy_x1000),
+                        Value::Int(r.versions),
+                        Value::Int(r.bytes_per_version),
+                        Value::Int(r.dup_factor_x1000),
+                    ])
+                })
+                .collect(),
+            other => unreachable!("{other} is declared but has no scan"),
         };
         span.rows_out(rows.len() as u64);
         Ok(Arc::new(rows))
@@ -975,29 +973,29 @@ impl Database {
         };
         push("durable", 1, String::new());
         push("frames", scan.frames.len() as i64, String::new());
-        push("bytes", clamp_i64(scan.total_len), String::new());
-        push("valid_bytes", clamp_i64(scan.valid_len), String::new());
+        push("bytes", clamp(scan.total_len), String::new());
+        push("valid_bytes", clamp(scan.valid_len), String::new());
         push(
             "synced_bytes",
-            clamp_i64(wal.synced_len()),
+            clamp(wal.synced_len()),
             "fsynced watermark".into(),
         );
         push(
             "pending_bytes",
-            clamp_i64(wal.pending_bytes()),
+            clamp(wal.pending_bytes()),
             "staged, awaiting group fsync".into(),
         );
         let (lsn_first, lsn_last) = scan.lsn_range().unwrap_or((0, 0));
         push("lsn_first", lsn_first, String::new());
         push("lsn_last", lsn_last, String::new());
         let (inserts, removes, set_validities) = scan.op_totals();
-        push("ops_insert", clamp_i64(inserts), String::new());
-        push("ops_remove", clamp_i64(removes), String::new());
-        push("ops_set_validity", clamp_i64(set_validities), String::new());
+        push("ops_insert", clamp(inserts), String::new());
+        push("ops_remove", clamp(removes), String::new());
+        push("ops_set_validity", clamp(set_validities), String::new());
         for (class, frames, bytes) in scan.classes() {
             push(
                 &format!("frames_{class}"),
-                clamp_i64(frames),
+                clamp(frames),
                 format!("{bytes} bytes"),
             );
         }
@@ -1008,15 +1006,11 @@ impl Database {
             }
             TailState::Corrupt { reason, .. } => reason.clone(),
         };
-        push(
-            "tail_bad_bytes",
-            clamp_i64(scan.tail.bad_bytes()),
-            tail_detail,
-        );
-        push("truncations", clamp_i64(wal.truncations()), String::new());
+        push("tail_bad_bytes", clamp(scan.tail.bad_bytes()), tail_detail);
+        push("truncations", clamp(wal.truncations()), String::new());
         push(
             "last_truncation_bytes",
-            clamp_i64(wal.last_truncation_bytes()),
+            clamp(wal.last_truncation_bytes()),
             String::new(),
         );
         rows
@@ -1040,16 +1034,16 @@ impl Database {
                     relation: name.clone(),
                     class: "segment".to_string(),
                     pages: 0,
-                    bytes_disk: clamp_i64(s.file_bytes),
-                    records: clamp_i64(s.versions),
-                    occupancy_x1000: clamp_i64(
+                    bytes_disk: clamp(s.file_bytes),
+                    records: clamp(s.versions),
+                    occupancy_x1000: clamp(
                         (s.stored_bytes * 1000)
                             .checked_div(s.file_bytes)
                             .unwrap_or(0),
                     ),
-                    versions: clamp_i64(s.versions),
-                    bytes_per_version: clamp_i64(s.bytes_per_version),
-                    dup_factor_x1000: clamp_i64(s.dup_factor_x1000),
+                    versions: clamp(s.versions),
+                    bytes_per_version: clamp(s.bytes_per_version),
+                    dup_factor_x1000: clamp(s.dup_factor_x1000),
                 });
             }
             let Ok(p) = rel.table().physical_stats() else {
@@ -1059,12 +1053,12 @@ impl Database {
                 relation: name.clone(),
                 class: entry.class.to_string(),
                 pages: i64::from(p.pages),
-                bytes_disk: clamp_i64(p.bytes_on_disk),
-                records: clamp_i64(p.versions),
-                occupancy_x1000: clamp_i64(p.occupancy_x1000),
-                versions: clamp_i64(p.versions),
-                bytes_per_version: clamp_i64(p.bytes_per_version),
-                dup_factor_x1000: clamp_i64(p.dup_factor_x1000),
+                bytes_disk: clamp(p.bytes_on_disk),
+                records: clamp(p.versions),
+                occupancy_x1000: clamp(p.occupancy_x1000),
+                versions: clamp(p.versions),
+                bytes_per_version: clamp(p.bytes_per_version),
+                dup_factor_x1000: clamp(p.dup_factor_x1000),
             });
         }
         if let Some(dir) = &self.dir {
@@ -1076,7 +1070,7 @@ impl Database {
                     relation: format!("file:{file}"),
                     class: "file".to_string(),
                     pages: 0,
-                    bytes_disk: clamp_i64(meta.len()),
+                    bytes_disk: clamp(meta.len()),
                     records: 0,
                     occupancy_x1000: 0,
                     versions: 0,
@@ -1096,7 +1090,7 @@ impl Database {
                         relation: format!("file:segments/{}", entry.file_name().to_string_lossy()),
                         class: "file".to_string(),
                         pages: 0,
-                        bytes_disk: clamp_i64(meta.len()),
+                        bytes_disk: clamp(meta.len()),
                         records: 0,
                         occupancy_x1000: 0,
                         versions: 0,
@@ -1144,10 +1138,6 @@ struct PagesRow {
     versions: i64,
     bytes_per_version: i64,
     dup_factor_x1000: i64,
-}
-
-fn clamp_i64(v: u64) -> i64 {
-    v.min(i64::MAX as u64) as i64
 }
 
 /// Renders the `sys$wal` rows as the `/wal` JSON document, so the
@@ -1330,17 +1320,6 @@ fn push_overlap_histogram(
     }
 }
 
-/// The analyzer already rejects `as of` over relations without
-/// transaction time; this backstop keeps direct provider calls honest.
-fn reject_system_as_of(relation: &str, as_of: Option<&AsOfSpec>) -> Result<(), TquelError> {
-    if as_of.is_some() {
-        return Err(TquelError::Semantic(format!(
-            "{relation} has no transaction time: rollback (as of) does not apply"
-        )));
-    }
-    Ok(())
-}
-
 impl RelationProvider for Database {
     fn info(&self, relation: &str) -> Option<RelationInfo> {
         if is_system(relation) {
@@ -1446,12 +1425,9 @@ impl EngineStats {
     /// session, journal, and telemetry gauges.
     pub fn to_prometheus(&self) -> String {
         let mut out = self.metrics.to_prometheus();
-        let active = self
-            .metrics
-            .sessions_opened
-            .saturating_sub(self.metrics.sessions_closed);
         out.push_str(&format!(
-            "# TYPE chronos_active_sessions gauge\nchronos_active_sessions {active}\n"
+            "# TYPE chronos_active_sessions gauge\nchronos_active_sessions {}\n",
+            self.metrics.active_sessions()
         ));
         if let Some(j) = &self.journal {
             for (name, v) in [

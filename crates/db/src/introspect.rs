@@ -5,7 +5,8 @@
 //! the engine's own counters.  This module dogfoods the taxonomy by
 //! recording engine history *as* relations in the reserved `sys$`
 //! namespace, so operators ask "how many commits had there been as of
-//! yesterday" in TQuel itself:
+//! yesterday" in TQuel itself.  `SYSTEM_RELATIONS` declares all ten
+//! once — name, class, signature, columns:
 //!
 //! | relation          | class            | contents                           |
 //! |-------------------|------------------|------------------------------------|
@@ -20,17 +21,19 @@
 //! | `sys$wal`         | static           | physical WAL frame/watermark stats |
 //! | `sys$pages`       | static           | per-relation heap/page statistics  |
 //!
-//! `sys$stats` rows carry both timestamps: validity is the sampling
-//! event, and the transaction period of sample *i* is
-//! `[at_i, at_{i+1})` (the last sample extends to `forever`), so an
-//! `as of t` rollback query answers with the counter values that were
-//! current at `t`.  `sys$relations` is sampled synchronously at every
+//! The four relations with transaction time are rollback relations in
+//! the paper's sense (§4.2): sequences of past states indexed by
+//! transaction time.  Each is one `SampleRing` in the
+//! [`TelemetryStore`]: state *i* is current over `[at_i, at_{i+1})`
+//! (the newest to `forever`), so `as of t` answers with the state
+//! current at `t`.  The class decides how an answer is stamped:
+//! temporal rows carry their state's period, static-rollback rows come
+//! back pure static.  `sys$relations` is sampled synchronously at every
 //! catalog-visible mutation (commits, DDL), which makes its rollback
-//! view exact without any background mirror.
-//!
-//! The [`TelemetryStore`] holds both sample rings, bounded in memory
-//! with optional JSONL spill beside the WAL; the [`StatsSampler`] is
-//! the background thread that feeds it on a configurable interval.
+//! view exact without any background mirror; the [`StatsSampler`] is
+//! the background thread that samples `sys$stats` and `sys$sessions`
+//! on a configurable interval.  Evicted `sys$stats` states spill to
+//! JSONL beside the WAL.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -48,7 +51,7 @@ use chronos_core::schema::{Attribute, RelationClass, Schema, TemporalSignature};
 use chronos_core::tuple::Tuple;
 use chronos_core::value::{AttrType, Value};
 use chronos_obs::export::Health;
-use chronos_obs::Recorder;
+use chronos_obs::{MetricsSnapshot, Recorder};
 use chronos_tquel::provider::{AsOfSpec, RelationInfo, SourceRow};
 
 use crate::database::EngineStats;
@@ -61,18 +64,261 @@ pub fn is_system(name: &str) -> bool {
     name.starts_with(SYS_PREFIX)
 }
 
-/// Samples each ring retains in memory before spilling/dropping.
+/// States each ring retains in memory before spilling/dropping.
 pub const DEFAULT_TELEMETRY_CAPACITY: usize = 256;
 
-/// One sampled `engine_stats()` snapshot, flattened to `(metric, value)`
-/// pairs (the tall/narrow shape lets TQuel select and aggregate single
-/// metrics with ordinary `where` clauses).
-#[derive(Debug, Clone)]
-pub struct StatSample {
-    /// Transaction-clock reading when the sample was taken.
-    pub at: Chronon,
-    /// Flattened metric values, in exposition order.
-    pub metrics: Vec<(&'static str, i64)>,
+/// One system relation's declaration.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SystemRelation {
+    pub name: &'static str,
+    pub class: RelationClass,
+    pub signature: TemporalSignature,
+    pub columns: &'static [(&'static str, AttrType)],
+}
+
+const fn sys(
+    name: &'static str,
+    class: RelationClass,
+    signature: TemporalSignature,
+    columns: &'static [(&'static str, AttrType)],
+) -> SystemRelation {
+    SystemRelation {
+        name,
+        class,
+        signature,
+        columns,
+    }
+}
+
+const INT: AttrType = AttrType::Int;
+const STR: AttrType = AttrType::Str;
+
+/// The ten system relations, in name order (the CLI's `\d` lists them
+/// after user relations).  `event` is a TQuel keyword (`as event`), so
+/// `sys$events` and `sys$queries` name that column `kind`.
+pub(crate) static SYSTEM_RELATIONS: [SystemRelation; 10] = {
+    use RelationClass::{Historical, Static, StaticRollback, Temporal};
+    use TemporalSignature::{Event, Interval};
+    [
+        sys(
+            "sys$connections",
+            Static,
+            Interval,
+            &[
+                ("conn", INT),
+                ("peer", STR),
+                ("session", INT),
+                ("requests", INT),
+                ("bytes_in", INT),
+                ("bytes_out", INT),
+            ],
+        ),
+        sys(
+            "sys$events",
+            Static,
+            Interval,
+            &[("seq", INT), ("ts_ns", INT), ("kind", STR)],
+        ),
+        // Physical heap/page stats: one row per relation (plus rows for
+        // the on-disk files: checkpoint, catalog, wal, journal).
+        sys(
+            "sys$pages",
+            Static,
+            Interval,
+            &[
+                ("relation", STR),
+                ("class", STR),
+                ("pages", INT),
+                ("bytes_disk", INT),
+                ("records", INT),
+                ("occupancy_x1000", INT),
+                ("versions", INT),
+                ("bytes_per_version", INT),
+                ("dup_factor_x1000", INT),
+            ],
+        ),
+        sys(
+            "sys$queries",
+            Static,
+            Interval,
+            &[
+                ("fingerprint", STR),
+                ("statement", STR),
+                ("kind", STR),
+                ("calls", INT),
+                ("p50_ns", INT),
+                ("p99_ns", INT),
+                ("rows_out", INT),
+            ],
+        ),
+        sys(
+            "sys$relations",
+            StaticRollback,
+            Interval,
+            &[
+                ("name", STR),
+                ("class", STR),
+                ("tuples", INT),
+                ("bytes", INT),
+            ],
+        ),
+        sys(
+            "sys$sessions",
+            StaticRollback,
+            Interval,
+            &[
+                ("session", INT),
+                ("pin", INT),
+                ("statements", INT),
+                ("idle_ns", INT),
+                ("trace_id", STR),
+            ],
+        ),
+        sys(
+            "sys$slow",
+            Historical,
+            Event,
+            &[("seq", INT), ("duration_ns", INT), ("statement", STR)],
+        ),
+        sys(
+            "sys$stats",
+            Temporal,
+            Event,
+            &[("metric", STR), ("value", INT)],
+        ),
+        sys(
+            "sys$tablestats",
+            Temporal,
+            Event,
+            &[("relation", STR), ("stat", STR), ("value", INT)],
+        ),
+        // Physical WAL introspection: one row per stat, with a free-form
+        // detail column (tail state, truncation info).
+        sys(
+            "sys$wal",
+            Static,
+            Interval,
+            &[("stat", STR), ("value", INT), ("detail", STR)],
+        ),
+    ]
+};
+
+/// The declaration of the system relation `name`, if there is one.
+pub(crate) fn system_relation(name: &str) -> Option<&'static SystemRelation> {
+    SYSTEM_RELATIONS.iter().find(|r| r.name == name)
+}
+
+/// Catalog/provider metadata for the system relations; `None` for
+/// unknown `sys$` names (they surface as ordinary unknown relations).
+pub fn system_info(name: &str) -> Option<RelationInfo> {
+    let r = system_relation(name)?;
+    let attributes = r.columns.iter().map(|&(n, t)| Attribute::new(n, t));
+    Some(RelationInfo {
+        schema: Schema::new(attributes.collect()).expect("system schemas are well-formed"),
+        class: r.class,
+        signature: r.signature,
+    })
+}
+
+/// Names of the system relations, in name order.
+pub fn system_relation_names() -> [&'static str; 10] {
+    SYSTEM_RELATIONS.map(|r| r.name)
+}
+
+/// One row of a system relation's state, rendered for the provider at
+/// the transaction time `at` its state became current.
+pub(crate) trait SystemRow {
+    fn source_row(&self, at: Chronon) -> SourceRow;
+}
+
+/// A rollback relation held in memory: the states one system relation
+/// passed through, each stamped with the transaction time it became
+/// current, bounded to the newest `capacity`.
+pub(crate) struct SampleRing<R> {
+    capacity: usize,
+    states: Mutex<VecDeque<(Chronon, Vec<R>)>>,
+}
+
+impl<R: SystemRow> SampleRing<R> {
+    fn new(capacity: usize) -> SampleRing<R> {
+        SampleRing {
+            capacity: capacity.max(1),
+            states: Mutex::new(VecDeque::new()),
+        }
+    }
+
+    /// States currently retained.
+    pub fn len(&self) -> usize {
+        self.states.lock().len()
+    }
+
+    /// Records `next(newest state)` as current from `at` (the newest
+    /// state is empty before the first); `None` records nothing.  A
+    /// state at (or behind) the newest chronon replaces it — newest
+    /// wins, which keeps the ring strictly increasing in `at` and gives
+    /// `as of` one answer.  Returns the state evicted past capacity.
+    pub fn record(
+        &self,
+        at: Chronon,
+        next: impl FnOnce(&[R]) -> Option<Vec<R>>,
+    ) -> Option<(Chronon, Vec<R>)> {
+        let mut ring = self.states.lock();
+        let state = next(ring.back().map_or(&[], |(_, s)| s.as_slice()))?;
+        match ring.back_mut() {
+            Some(last) if at <= last.0 => last.1 = state,
+            _ => ring.push_back((at, state)),
+        }
+        (ring.len() > self.capacity)
+            .then(|| ring.pop_front())
+            .flatten()
+    }
+
+    /// Reads the newest state (empty before the first).
+    pub fn latest<T>(&self, read: impl FnOnce(&[R]) -> T) -> T {
+        read(self.states.lock().back().map_or(&[], |(_, s)| s.as_slice()))
+    }
+
+    /// Every retained state, oldest first.
+    pub fn each(&self, mut visit: impl FnMut(Chronon, &[R])) {
+        for (at, state) in self.states.lock().iter() {
+            visit(*at, state);
+        }
+    }
+
+    /// The `as of` answer: the rows of each selected state — with no
+    /// `as of` the newest, at `t` the one current at `t`, through a
+    /// window every one whose period overlaps it.  The class stamps
+    /// them: a temporal relation's rows carry their state's period as
+    /// transaction time, a static-rollback relation's rows come back
+    /// pure static and deduplicated.
+    pub fn rows(&self, as_of: Option<&AsOfSpec>, class: RelationClass) -> Vec<SourceRow> {
+        let ring = self.states.lock();
+        let mut out: Vec<SourceRow> = Vec::new();
+        for (i, (at, state)) in ring.iter().enumerate() {
+            let period = match ring.get(i + 1) {
+                Some((next, _)) => Period::clamped(*at, *next),
+                None => Period::from_start(*at),
+            };
+            let selected = match as_of {
+                None => i + 1 == ring.len(),
+                Some(AsOfSpec::At(t)) => period.contains(*t),
+                Some(AsOfSpec::Through(t1, t2)) => period.overlaps(Period::clamped(*t1, t2.succ())),
+            };
+            if !selected {
+                continue;
+            }
+            for row in state {
+                let mut row = row.source_row(*at);
+                if class == RelationClass::Temporal {
+                    row.tx = Some(period);
+                    out.push(row);
+                } else if !out.iter().any(|r| r.tuple == row.tuple) {
+                    out.push(row);
+                }
+            }
+        }
+        out
+    }
 }
 
 /// One catalog entry as seen at a sampling point.
@@ -82,13 +328,6 @@ pub struct CatalogRow {
     pub class: String,
     pub tuples: i64,
     pub bytes: i64,
-}
-
-/// The catalog as a whole at one sampling point.
-#[derive(Debug, Clone)]
-struct CatalogSample {
-    at: Chronon,
-    rows: Vec<CatalogRow>,
 }
 
 /// One per-relation statistic as collected by `analyze`.
@@ -104,13 +343,6 @@ pub struct TableStatRow {
     /// row — its valid-time event (carried forward unchanged when later
     /// analyzes of *other* relations produce new samples).
     pub analyzed_at: Chronon,
-}
-
-/// All relations' statistics as known after one `analyze`.
-#[derive(Debug, Clone)]
-struct TableStatsSample {
-    at: Chronon,
-    rows: Vec<TableStatRow>,
 }
 
 /// Counters describing the telemetry subsystem itself, surfaced through
@@ -147,14 +379,20 @@ impl TelemetryStats {
     }
 }
 
-/// Bounded rings of engine-history samples backing the `sys$stats` and
-/// `sys$relations` system relations.  `Arc`-shared between the
-/// `Database`, the background sampler, and the HTTP exporter.
+/// The rings behind the four system relations with transaction time.
+/// `Arc`-shared between the `Database`, the background sampler, and the
+/// HTTP exporter.
 pub struct TelemetryStore {
-    capacity: usize,
-    stats: Mutex<VecDeque<StatSample>>,
-    catalog: Mutex<VecDeque<CatalogSample>>,
-    tablestats: Mutex<VecDeque<TableStatsSample>>,
+    /// `sys$stats`: flattened `engine_stats()` snapshots, `(metric,
+    /// value)` in exposition order.
+    pub(crate) stats: SampleRing<(String, i64)>,
+    /// `sys$relations`: the catalog at every catalog-visible mutation.
+    pub(crate) catalog: SampleRing<CatalogRow>,
+    /// `sys$tablestats`: every relation's statistics after each
+    /// `analyze` or `destroy`.
+    pub(crate) tablestats: SampleRing<TableStatRow>,
+    /// `sys$sessions`' past: every live session at each sample.
+    pub(crate) sessions: SampleRing<SessionRow>,
     spill_path: Mutex<Option<PathBuf>>,
     samples_taken: AtomicU64,
     samples_spilled: AtomicU64,
@@ -168,13 +406,13 @@ impl Default for TelemetryStore {
 }
 
 impl TelemetryStore {
-    /// A store retaining up to `capacity` samples per ring.
+    /// A store retaining up to `capacity` states per ring.
     pub fn new(capacity: usize) -> TelemetryStore {
         TelemetryStore {
-            capacity: capacity.max(1),
-            stats: Mutex::new(VecDeque::new()),
-            catalog: Mutex::new(VecDeque::new()),
-            tablestats: Mutex::new(VecDeque::new()),
+            stats: SampleRing::new(capacity),
+            catalog: SampleRing::new(capacity),
+            tablestats: SampleRing::new(capacity),
+            sessions: SampleRing::new(capacity),
             spill_path: Mutex::new(None),
             samples_taken: AtomicU64::new(0),
             samples_spilled: AtomicU64::new(0),
@@ -204,172 +442,69 @@ impl TelemetryStore {
         TelemetryStats {
             samples_taken: self.samples_taken.load(Ordering::Relaxed),
             samples_spilled: self.samples_spilled.load(Ordering::Relaxed),
-            stats_retained: self.stats.lock().len(),
-            catalog_retained: self.catalog.lock().len(),
-            capacity: self.capacity,
+            stats_retained: self.stats.len(),
+            catalog_retained: self.catalog.len(),
+            capacity: self.stats.capacity,
             sampler_running: self.sampler_running(),
         }
     }
 
     /// Records one flattened `engine_stats()` snapshot at transaction
-    /// time `at`.  Samples at (or behind) the newest recorded chronon
-    /// replace it — "newest wins" keeps the ring strictly increasing in
-    /// `at`, which is what gives `as of` queries a well-defined answer.
+    /// time `at`, spilling the state it evicts.
     pub fn record_stats(&self, at: Chronon, stats: &EngineStats) {
         let metrics = flatten_stats(stats);
         self.samples_taken.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.stats.lock();
-        if let Some(last) = ring.back_mut() {
-            if at <= last.at {
-                let at = last.at;
-                *last = StatSample { at, metrics };
-                return;
-            }
-        }
-        ring.push_back(StatSample { at, metrics });
-        if ring.len() > self.capacity {
-            if let Some(evicted) = ring.pop_front() {
-                drop(ring);
-                self.spill(&evicted);
-            }
+        if let Some(evicted) = self.stats.record(at, |_| Some(metrics)) {
+            self.spill(evicted);
         }
     }
 
-    /// Records the catalog's state at transaction time `at` (same
-    /// newest-wins clamping as [`record_stats`](Self::record_stats)).
-    pub fn record_catalog(&self, at: Chronon, rows: Vec<CatalogRow>) {
-        let mut ring = self.catalog.lock();
-        if let Some(last) = ring.back_mut() {
-            if at <= last.at {
-                let at = last.at;
-                *last = CatalogSample { at, rows };
-                return;
-            }
-        }
-        ring.push_back(CatalogSample { at, rows });
-        if ring.len() > self.capacity {
-            ring.pop_front();
-        }
-    }
-
-    /// Records the statistics `analyze <relation>` collected at
-    /// transaction time `at`.  The new sample carries forward the
-    /// previous sample's rows for every *other* relation (with their
-    /// original `analyzed_at`) and replaces the analyzed relation's —
-    /// so the newest sample always holds the complete statistics state,
-    /// and `as of` shows how a relation's shape evolved across
-    /// successive analyzes.  Same newest-wins clamping as
-    /// [`record_stats`](Self::record_stats).
+    /// Records `relation`'s statistics as collected at transaction time
+    /// `at` (`analyze`), or their end (`destroy`, with no `stats`).  The
+    /// new state carries forward every *other* relation's rows with
+    /// their original `analyzed_at`, so the newest state is the complete
+    /// statistics state and `as of` shows how a relation's shape evolved
+    /// — and, past a `destroy`, that it had one.
     pub fn record_tablestats(&self, at: Chronon, relation: &str, stats: Vec<(String, i64)>) {
-        let mut ring = self.tablestats.lock();
-        let mut rows: Vec<TableStatRow> = ring
-            .back()
-            .map(|s| {
-                s.rows
-                    .iter()
-                    .filter(|r| r.relation != relation)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        rows.extend(stats.into_iter().map(|(stat, value)| TableStatRow {
-            relation: relation.to_string(),
-            stat,
-            value,
-            analyzed_at: at,
-        }));
-        rows.sort_by(|a, b| a.relation.cmp(&b.relation).then(a.stat.cmp(&b.stat)));
-        if let Some(last) = ring.back_mut() {
-            if at <= last.at {
-                let at = last.at;
-                *last = TableStatsSample { at, rows };
-                return;
+        self.tablestats.record(at, |prev| {
+            if stats.is_empty() && !prev.iter().any(|r| r.relation == relation) {
+                return None;
             }
-        }
-        ring.push_back(TableStatsSample { at, rows });
-        if ring.len() > self.capacity {
-            ring.pop_front();
-        }
-    }
-
-    /// Drops every statistic recorded for `relation` (called on
-    /// `destroy`, so a recreated relation starts unanalyzed).
-    pub fn forget_tablestats(&self, relation: &str) {
-        let mut ring = self.tablestats.lock();
-        for s in ring.iter_mut() {
-            s.rows.retain(|r| r.relation != relation);
-        }
+            let mut rows: Vec<TableStatRow> = prev
+                .iter()
+                .filter(|r| r.relation != relation)
+                .cloned()
+                .collect();
+            rows.extend(stats.into_iter().map(|(stat, value)| TableStatRow {
+                relation: relation.to_string(),
+                stat,
+                value,
+                analyzed_at: at,
+            }));
+            rows.sort_by(|a, b| a.relation.cmp(&b.relation).then(a.stat.cmp(&b.stat)));
+            Some(rows)
+        });
     }
 
     /// The latest recorded value of one statistic for `relation`
     /// (`None` until the relation is analyzed) — the planner-facing
     /// lookup behind `RelationProvider::estimated_rows`.
     pub fn latest_tablestat(&self, relation: &str, stat: &str) -> Option<i64> {
-        let ring = self.tablestats.lock();
-        ring.back().and_then(|s| {
-            s.rows
-                .iter()
+        self.tablestats.latest(|rows| {
+            rows.iter()
                 .find(|r| r.relation == relation && r.stat == stat)
                 .map(|r| r.value)
         })
     }
 
-    /// The `sys$tablestats` scan: tall `(relation, stat, value)` rows.
-    /// Validity is the `analyze` collection event; the transaction
-    /// period of sample *i* is `[at_i, at_{i+1})`, the newest extending
-    /// to `forever` — the same currency semantics as `sys$stats`.
-    pub fn tablestats_scan(&self, as_of: Option<&AsOfSpec>) -> Vec<SourceRow> {
-        let ring = self.tablestats.lock();
-        let periods = periods_of(ring.iter().map(|s| s.at));
-        let selected: Vec<usize> = match as_of {
-            None => (!ring.is_empty())
-                .then(|| ring.len() - 1)
-                .into_iter()
-                .collect(),
-            Some(AsOfSpec::At(t)) => ring
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, s)| s.at <= *t)
-                .map(|(i, _)| i)
-                .into_iter()
-                .collect(),
-            Some(AsOfSpec::Through(t1, t2)) => {
-                let window = Period::clamped(*t1, t2.succ());
-                periods
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.overlaps(window))
-                    .map(|(i, _)| i)
-                    .collect()
-            }
-        };
-        let mut rows = Vec::new();
-        for i in selected {
-            let s = &ring[i];
-            for r in &s.rows {
-                rows.push(SourceRow {
-                    tuple: Tuple::new(vec![
-                        Value::str(&r.relation),
-                        Value::str(&r.stat),
-                        Value::Int(r.value),
-                    ]),
-                    validity: Some(Validity::Event(r.analyzed_at)),
-                    tx: Some(periods[i]),
-                });
-            }
-        }
-        rows
-    }
-
     /// Appends an evicted sample to the spill file (best effort — the
     /// telemetry plane never fails an engine operation).
-    fn spill(&self, sample: &StatSample) {
+    fn spill(&self, (at, metrics): (Chronon, Vec<(String, i64)>)) {
         let Some(path) = self.spill_path.lock().clone() else {
             return;
         };
-        let mut line = format!("{{\"at\": {}", sample.at.ticks());
-        for (name, value) in &sample.metrics {
+        let mut line = format!("{{\"at\": {}", at.ticks());
+        for (name, value) in &metrics {
             line.push_str(&format!(", \"{name}\": {value}"));
         }
         line.push_str("}\n");
@@ -385,108 +520,103 @@ impl TelemetryStore {
         }
     }
 
-    /// The `sys$stats` scan: tall `(metric, value)` rows.  Validity is
-    /// the sampling event; the transaction period of sample *i* is
-    /// `[at_i, at_{i+1})`, the newest extending to `forever`.
-    pub fn stats_scan(&self, as_of: Option<&AsOfSpec>) -> Vec<SourceRow> {
-        let ring = self.stats.lock();
-        let samples: Vec<&StatSample> = match as_of {
-            // Current state: the newest sample only.
-            None => ring.back().into_iter().collect(),
-            // State as of t: the newest sample taken at or before t.
-            Some(AsOfSpec::At(t)) => ring.iter().rev().find(|s| s.at <= *t).into_iter().collect(),
-            // Every sample whose currency period overlaps [t1, t2].
-            Some(AsOfSpec::Through(t1, t2)) => {
-                let window = Period::clamped(*t1, t2.succ());
-                let periods = sample_periods(&ring);
-                ring.iter()
-                    .zip(periods)
-                    .filter(|(_, p)| p.overlaps(window))
-                    .map(|(s, _)| s)
-                    .collect()
-            }
-        };
-        let periods = sample_periods(&ring);
-        let mut rows = Vec::new();
-        for s in samples {
-            let idx = ring
-                .iter()
-                .position(|r| r.at == s.at)
-                .expect("sample in ring");
-            let tx = periods[idx];
-            for (metric, value) in &s.metrics {
-                rows.push(SourceRow {
-                    tuple: Tuple::new(vec![Value::str(metric), Value::Int(*value)]),
-                    validity: Some(Validity::Event(s.at)),
-                    tx: Some(tx),
-                });
-            }
-        }
-        rows
-    }
-
     /// The last `n` sampled values of `metric`, oldest first (the
     /// `/history` endpoint body).
     pub fn history(&self, metric: &str, n: usize) -> Vec<(Chronon, i64)> {
-        let ring = self.stats.lock();
-        let mut out: Vec<(Chronon, i64)> = ring
-            .iter()
-            .rev()
-            .filter_map(|s| {
-                s.metrics
-                    .iter()
-                    .find(|(name, _)| *name == metric)
-                    .map(|(_, v)| (s.at, *v))
-            })
-            .take(n)
-            .collect();
-        out.reverse();
-        out
+        let mut out: Vec<(Chronon, i64)> = Vec::new();
+        self.stats.each(|at, metrics| {
+            if let Some((_, v)) = metrics.iter().find(|(name, _)| name == metric) {
+                out.push((at, *v));
+            }
+        });
+        out.split_off(out.len().saturating_sub(n))
     }
+}
 
-    /// The `sys$relations` scan.  Rollback semantics: every result is a
-    /// pure static relation (no timestamps on the rows).
-    pub fn catalog_scan(&self, as_of: Option<&AsOfSpec>) -> Vec<SourceRow> {
-        let ring = self.catalog.lock();
-        let mut rows: Vec<&CatalogRow> = Vec::new();
-        match as_of {
-            None => {
-                if let Some(s) = ring.back() {
-                    rows.extend(s.rows.iter());
-                }
-            }
-            Some(AsOfSpec::At(t)) => {
-                if let Some(s) = ring.iter().rev().find(|s| s.at <= *t) {
-                    rows.extend(s.rows.iter());
-                }
-            }
-            Some(AsOfSpec::Through(t1, t2)) => {
-                let window = Period::clamped(*t1, t2.succ());
-                let periods = catalog_periods(&ring);
-                for (s, p) in ring.iter().zip(periods) {
-                    if p.overlaps(window) {
-                        for row in &s.rows {
-                            if !rows.contains(&row) {
-                                rows.push(row);
-                            }
-                        }
-                    }
-                }
-            }
+/// A `sys$stats` row: validity is the sampling event.
+impl SystemRow for (String, i64) {
+    fn source_row(&self, at: Chronon) -> SourceRow {
+        SourceRow {
+            tuple: Tuple::new(vec![Value::str(&self.0), Value::Int(self.1)]),
+            validity: Some(Validity::Event(at)),
+            tx: None,
         }
-        rows.into_iter()
-            .map(|r| SourceRow {
-                tuple: Tuple::new(vec![
-                    Value::str(&r.name),
-                    Value::str(&r.class),
-                    Value::Int(r.tuples),
-                    Value::Int(r.bytes),
-                ]),
-                validity: None,
-                tx: None,
-            })
-            .collect()
     }
+}
+
+impl SystemRow for CatalogRow {
+    fn source_row(&self, _: Chronon) -> SourceRow {
+        static_row(vec![
+            Value::str(&self.name),
+            Value::str(&self.class),
+            Value::Int(self.tuples),
+            Value::Int(self.bytes),
+        ])
+    }
+}
+
+/// A `sys$tablestats` row: validity is the statistic's `analyze` event.
+impl SystemRow for TableStatRow {
+    fn source_row(&self, _: Chronon) -> SourceRow {
+        SourceRow {
+            tuple: Tuple::new(vec![
+                Value::str(&self.relation),
+                Value::str(&self.stat),
+                Value::Int(self.value),
+            ]),
+            validity: Some(Validity::Event(self.analyzed_at)),
+            tx: None,
+        }
+    }
+}
+
+impl SystemRow for SessionRow {
+    fn source_row(&self, _: Chronon) -> SourceRow {
+        static_row(vec![
+            Value::Int(clamp(self.session_id)),
+            Value::Int(self.pin_ticks),
+            Value::Int(clamp(self.statements)),
+            Value::Int(clamp(self.idle_ns)),
+            Value::str(&self.trace_id),
+        ])
+    }
+}
+
+/// A row with no timestamps.
+pub(crate) fn static_row(values: Vec<Value>) -> SourceRow {
+    SourceRow {
+        tuple: Tuple::new(values),
+        validity: None,
+        tx: None,
+    }
+}
+
+/// Saturates a counter into `i64` (the engine will not live long enough
+/// to overflow one honestly).
+pub(crate) fn clamp(v: u64) -> i64 {
+    v.min(i64::MAX as u64) as i64
+}
+
+/// Flattens an [`EngineStats`] into the `sys$stats` metric set: every
+/// registry counter, the active-session count, the gauges, and each
+/// histogram's p50/p99.
+pub fn flatten_stats(stats: &EngineStats) -> Vec<(String, i64)> {
+    let m = &stats.metrics;
+    let mut out: Vec<(String, i64)> = m
+        .counters()
+        .iter()
+        .chain(&[("active_sessions", m.active_sessions())])
+        .chain(&m.gauges())
+        .map(|(name, v)| (name.to_string(), clamp(*v)))
+        .collect();
+    for (name, h) in m.histograms() {
+        let unit = MetricsSnapshot::histogram_unit(name);
+        for p in [50, 99] {
+            let v = h.percentile(f64::from(p)).unwrap_or(0);
+            out.push((format!("{name}_p{p}{unit}"), clamp(v)));
+        }
+    }
+    out
 }
 
 /// One registered session's state, as reported by `sys$sessions`,
@@ -531,15 +661,8 @@ struct LiveSession {
     trace_id: String,
 }
 
-/// The session samples ring entry: every registered session's state at
-/// one transaction-time coordinate.
-struct SessionSample {
-    at: Chronon,
-    rows: Vec<SessionRow>,
-}
-
-/// Live registry of engine sessions and network connections, with a
-/// bounded sample ring giving `sys$sessions` a rollback (`as of`) view.
+/// Live registry of engine sessions and network connections (the
+/// sampled past of `sys$sessions` lives in the [`TelemetryStore`]).
 ///
 /// `Arc`-shared between the `Database` (scans, sampling), the `Engine`
 /// (session registration), the TQuel service (connection registration),
@@ -550,26 +673,22 @@ pub struct SessionRegistry {
     next_conn: AtomicU64,
     sessions: Mutex<BTreeMap<u64, LiveSession>>,
     connections: Mutex<BTreeMap<u64, ConnRow>>,
-    samples: Mutex<VecDeque<SessionSample>>,
-    capacity: usize,
 }
 
 impl Default for SessionRegistry {
     fn default() -> Self {
-        SessionRegistry::new(DEFAULT_TELEMETRY_CAPACITY)
+        SessionRegistry::new()
     }
 }
 
 impl SessionRegistry {
-    /// A registry retaining up to `capacity` session samples.
-    pub fn new(capacity: usize) -> SessionRegistry {
+    /// An empty registry.
+    pub fn new() -> SessionRegistry {
         SessionRegistry {
             next_session: AtomicU64::new(1),
             next_conn: AtomicU64::new(1),
             sessions: Mutex::new(BTreeMap::new()),
             connections: Mutex::new(BTreeMap::new()),
-            samples: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
         }
     }
 
@@ -661,88 +780,20 @@ impl SessionRegistry {
         self.connections.lock().values().cloned().collect()
     }
 
-    /// Records every live session's state at transaction time `at`
-    /// (same newest-wins clamping as the telemetry rings), giving the
-    /// `as of` view its coordinates.
-    pub fn record_sample(&self, at: Chronon) {
-        let rows = self.sessions();
-        let mut ring = self.samples.lock();
-        if let Some(last) = ring.back_mut() {
-            if at <= last.at {
-                let at = last.at;
-                *last = SessionSample { at, rows };
-                return;
-            }
-        }
-        ring.push_back(SessionSample { at, rows });
-        if ring.len() > self.capacity {
-            ring.pop_front();
-        }
-    }
-
-    /// The `sys$sessions` scan.  Current state reads the live table;
-    /// `as of` reads the sample ring with the same currency-period
-    /// semantics as `sys$stats` (`[at_i, at_{i+1})`, newest to
-    /// forever).  Rollback semantics: rows come back pure static.
-    pub fn sessions_scan(&self, as_of: Option<&AsOfSpec>) -> Vec<SourceRow> {
-        let rows: Vec<SessionRow> = match as_of {
-            None => self.sessions(),
-            Some(AsOfSpec::At(t)) => {
-                let ring = self.samples.lock();
-                ring.iter()
-                    .rev()
-                    .find(|s| s.at <= *t)
-                    .map(|s| s.rows.clone())
-                    .unwrap_or_default()
-            }
-            Some(AsOfSpec::Through(t1, t2)) => {
-                let window = Period::clamped(*t1, t2.succ());
-                let ring = self.samples.lock();
-                let periods = periods_of(ring.iter().map(|s| s.at));
-                let mut out: Vec<SessionRow> = Vec::new();
-                for (s, p) in ring.iter().zip(periods) {
-                    if p.overlaps(window) {
-                        for row in &s.rows {
-                            if !out.contains(row) {
-                                out.push(row.clone());
-                            }
-                        }
-                    }
-                }
-                out
-            }
-        };
-        rows.iter()
-            .map(|r| SourceRow {
-                tuple: Tuple::new(vec![
-                    Value::Int(r.session_id.min(i64::MAX as u64) as i64),
-                    Value::Int(r.pin_ticks),
-                    Value::Int(r.statements.min(i64::MAX as u64) as i64),
-                    Value::Int(r.idle_ns.min(i64::MAX as u64) as i64),
-                    Value::str(&r.trace_id),
-                ]),
-                validity: None,
-                tx: None,
-            })
-            .collect()
-    }
-
     /// The `sys$connections` scan (live only; connections have no
     /// sampled history).
     pub fn connections_scan(&self) -> Vec<SourceRow> {
         self.connections()
             .iter()
-            .map(|c| SourceRow {
-                tuple: Tuple::new(vec![
-                    Value::Int(c.conn_id.min(i64::MAX as u64) as i64),
+            .map(|c| {
+                static_row(vec![
+                    Value::Int(clamp(c.conn_id)),
                     Value::str(&c.peer),
-                    Value::Int(c.session_id.min(i64::MAX as u64) as i64),
-                    Value::Int(c.requests.min(i64::MAX as u64) as i64),
-                    Value::Int(c.bytes_in.min(i64::MAX as u64) as i64),
-                    Value::Int(c.bytes_out.min(i64::MAX as u64) as i64),
-                ]),
-                validity: None,
-                tx: None,
+                    Value::Int(clamp(c.session_id)),
+                    Value::Int(clamp(c.requests)),
+                    Value::Int(clamp(c.bytes_in)),
+                    Value::Int(clamp(c.bytes_out)),
+                ])
             })
             .collect()
     }
@@ -798,109 +849,10 @@ impl std::fmt::Debug for SessionRegistry {
 impl std::fmt::Debug for TelemetryStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TelemetryStore")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.stats.capacity)
             .field("samples_taken", &self.samples_taken.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
-}
-
-/// Currency period of each sample: `[at_i, at_{i+1})`, the newest
-/// extending to `forever`.
-fn sample_periods(ring: &VecDeque<StatSample>) -> Vec<Period> {
-    periods_of(ring.iter().map(|s| s.at))
-}
-
-fn catalog_periods(ring: &VecDeque<CatalogSample>) -> Vec<Period> {
-    periods_of(ring.iter().map(|s| s.at))
-}
-
-fn periods_of(ats: impl Iterator<Item = Chronon>) -> Vec<Period> {
-    let ats: Vec<Chronon> = ats.collect();
-    ats.iter()
-        .enumerate()
-        .map(|(i, &at)| match ats.get(i + 1) {
-            Some(&next) => Period::clamped(at, next),
-            None => Period::from_start(at),
-        })
-        .collect()
-}
-
-/// Flattens an [`EngineStats`] into the `sys$stats` metric set: every
-/// registry counter, the derived session gauge, and the histograms' p50/p99.  Values saturate into `i64`
-/// (the engine will not live long enough to overflow them honestly).
-pub fn flatten_stats(stats: &EngineStats) -> Vec<(&'static str, i64)> {
-    fn clamp(v: u64) -> i64 {
-        v.min(i64::MAX as u64) as i64
-    }
-    let mut out: Vec<(&'static str, i64)> = stats
-        .metrics
-        .counters()
-        .iter()
-        .map(|(name, v)| (*name, clamp(*v)))
-        .collect();
-    out.push((
-        "active_sessions",
-        clamp(
-            stats
-                .metrics
-                .sessions_opened
-                .saturating_sub(stats.metrics.sessions_closed),
-        ),
-    ));
-    for (name, v) in stats.metrics.gauges() {
-        out.push((name, clamp(v)));
-    }
-    for (name_p50, name_p99, h) in [
-        (
-            "commit_latency_p50_ns",
-            "commit_latency_p99_ns",
-            &stats.metrics.commit_latency,
-        ),
-        (
-            "query_latency_p50_ns",
-            "query_latency_p99_ns",
-            &stats.metrics.query_latency,
-        ),
-        (
-            "group_batch_size_p50",
-            "group_batch_size_p99",
-            &stats.metrics.group_batch_size,
-        ),
-        (
-            "commit_queue_wait_p50_ns",
-            "commit_queue_wait_p99_ns",
-            &stats.metrics.commit_queue_wait,
-        ),
-        (
-            "commit_lock_wait_p50_ns",
-            "commit_lock_wait_p99_ns",
-            &stats.metrics.commit_lock_wait,
-        ),
-        (
-            "commit_apply_p50_ns",
-            "commit_apply_p99_ns",
-            &stats.metrics.commit_apply,
-        ),
-        (
-            "commit_fsync_p50_ns",
-            "commit_fsync_p99_ns",
-            &stats.metrics.commit_fsync,
-        ),
-        (
-            "commit_ack_p50_ns",
-            "commit_ack_p99_ns",
-            &stats.metrics.commit_ack,
-        ),
-        (
-            "read_lock_wait_p50_ns",
-            "read_lock_wait_p99_ns",
-            &stats.metrics.read_lock_wait,
-        ),
-    ] {
-        out.push((name_p50, clamp(h.percentile(50.0).unwrap_or(0))));
-        out.push((name_p99, clamp(h.percentile(99.0).unwrap_or(0))));
-    }
-    out
 }
 
 /// Shared snapshot of the physical-storage observability documents the
@@ -945,148 +897,6 @@ impl PhysicalStore {
     }
 }
 
-/// Catalog/provider metadata for the system relations; `None` for
-/// unknown `sys$` names (they surface as ordinary unknown relations).
-pub fn system_info(name: &str) -> Option<RelationInfo> {
-    let (schema, class, signature) = match name {
-        "sys$stats" => (
-            Schema::new(vec![
-                Attribute::new("metric", AttrType::Str),
-                Attribute::new("value", AttrType::Int),
-            ]),
-            RelationClass::Temporal,
-            TemporalSignature::Event,
-        ),
-        "sys$relations" => (
-            Schema::new(vec![
-                Attribute::new("name", AttrType::Str),
-                Attribute::new("class", AttrType::Str),
-                Attribute::new("tuples", AttrType::Int),
-                Attribute::new("bytes", AttrType::Int),
-            ]),
-            RelationClass::StaticRollback,
-            TemporalSignature::Interval,
-        ),
-        "sys$slow" => (
-            Schema::new(vec![
-                Attribute::new("seq", AttrType::Int),
-                Attribute::new("duration_ns", AttrType::Int),
-                Attribute::new("statement", AttrType::Str),
-            ]),
-            RelationClass::Historical,
-            TemporalSignature::Event,
-        ),
-        // "kind" not "event": `event` is a TQuel keyword (`as event`),
-        // so it cannot name an attribute.
-        "sys$events" => (
-            Schema::new(vec![
-                Attribute::new("seq", AttrType::Int),
-                Attribute::new("ts_ns", AttrType::Int),
-                Attribute::new("kind", AttrType::Str),
-            ]),
-            RelationClass::Static,
-            TemporalSignature::Interval,
-        ),
-        "sys$sessions" => (
-            Schema::new(vec![
-                Attribute::new("session", AttrType::Int),
-                Attribute::new("pin", AttrType::Int),
-                Attribute::new("statements", AttrType::Int),
-                Attribute::new("idle_ns", AttrType::Int),
-                Attribute::new("trace_id", AttrType::Str),
-            ]),
-            RelationClass::StaticRollback,
-            TemporalSignature::Interval,
-        ),
-        "sys$connections" => (
-            Schema::new(vec![
-                Attribute::new("conn", AttrType::Int),
-                Attribute::new("peer", AttrType::Str),
-                Attribute::new("session", AttrType::Int),
-                Attribute::new("requests", AttrType::Int),
-                Attribute::new("bytes_in", AttrType::Int),
-                Attribute::new("bytes_out", AttrType::Int),
-            ]),
-            RelationClass::Static,
-            TemporalSignature::Interval,
-        ),
-        // "kind" for the same reason as sys$events: `event` is reserved.
-        "sys$queries" => (
-            Schema::new(vec![
-                Attribute::new("fingerprint", AttrType::Str),
-                Attribute::new("statement", AttrType::Str),
-                Attribute::new("kind", AttrType::Str),
-                Attribute::new("calls", AttrType::Int),
-                Attribute::new("p50_ns", AttrType::Int),
-                Attribute::new("p99_ns", AttrType::Int),
-                Attribute::new("rows_out", AttrType::Int),
-            ]),
-            RelationClass::Static,
-            TemporalSignature::Interval,
-        ),
-        "sys$tablestats" => (
-            Schema::new(vec![
-                Attribute::new("relation", AttrType::Str),
-                Attribute::new("stat", AttrType::Str),
-                Attribute::new("value", AttrType::Int),
-            ]),
-            RelationClass::Temporal,
-            TemporalSignature::Event,
-        ),
-        // Physical WAL introspection: one row per stat, with a free-form
-        // detail column (tail state, truncation info).
-        "sys$wal" => (
-            Schema::new(vec![
-                Attribute::new("stat", AttrType::Str),
-                Attribute::new("value", AttrType::Int),
-                Attribute::new("detail", AttrType::Str),
-            ]),
-            RelationClass::Static,
-            TemporalSignature::Interval,
-        ),
-        // Physical heap/page stats: one row per relation (plus rows for
-        // the on-disk files: checkpoint, catalog, wal, journal).
-        "sys$pages" => (
-            Schema::new(vec![
-                Attribute::new("relation", AttrType::Str),
-                Attribute::new("class", AttrType::Str),
-                Attribute::new("pages", AttrType::Int),
-                Attribute::new("bytes_disk", AttrType::Int),
-                Attribute::new("records", AttrType::Int),
-                Attribute::new("occupancy_x1000", AttrType::Int),
-                Attribute::new("versions", AttrType::Int),
-                Attribute::new("bytes_per_version", AttrType::Int),
-                Attribute::new("dup_factor_x1000", AttrType::Int),
-            ]),
-            RelationClass::Static,
-            TemporalSignature::Interval,
-        ),
-        _ => return None,
-    };
-    Some(RelationInfo {
-        schema: schema.expect("system schemas are well-formed"),
-        class,
-        signature,
-    })
-}
-
-/// Names of the system relations, in name order (the CLI's `\d` lists
-/// them after user relations).
-pub fn system_relation_names() -> [&'static str; 10] {
-    [
-        "sys$connections",
-        "sys$events",
-        "sys$pages",
-        "sys$queries",
-        "sys$relations",
-        "sys$sessions",
-        "sys$slow",
-        "sys$stats",
-        "sys$tablestats",
-        "sys$wal",
-    ]
-}
-
 /// The background stats sampler: a thread that snapshots
 /// `engine_stats()` into the [`TelemetryStore`] on a fixed interval.
 /// Stopping (or dropping) joins the thread; the lifecycle is journaled
@@ -1123,7 +933,7 @@ impl StatsSampler {
                     let stats = crate::observe::engine_stats_from(&recorder, &telemetry);
                     let at = clock.now();
                     telemetry.record_stats(at, &stats);
-                    registry.record_sample(at);
+                    telemetry.sessions.record(at, |_| Some(registry.sessions()));
                     // Sleep in short slices so stop() stays responsive
                     // even with multi-second intervals.
                     let mut remaining = interval;
@@ -1195,7 +1005,8 @@ mod tests {
 
         let commits_at = |as_of: Option<&AsOfSpec>| -> Vec<i64> {
             store
-                .stats_scan(as_of)
+                .stats
+                .rows(as_of, RelationClass::Temporal)
                 .iter()
                 .filter(|r| r.tuple.get(0).as_str() == Some("commits"))
                 .map(|r| r.tuple.get(1).as_int().unwrap())
@@ -1230,7 +1041,10 @@ mod tests {
         assert_eq!(st.samples_taken, 10);
         // Same chronon: the later sample replaces the earlier.
         store.record_stats(Chronon::new(9), &sample(9, 42));
-        let rows = store.stats_scan(Some(&AsOfSpec::At(Chronon::new(9))));
+        let rows = store.stats.rows(
+            Some(&AsOfSpec::At(Chronon::new(9))),
+            RelationClass::Temporal,
+        );
         let commits: Vec<i64> = rows
             .iter()
             .filter(|r| r.tuple.get(0).as_str() == Some("commits"))
@@ -1269,21 +1083,26 @@ mod tests {
             tuples,
             bytes: tuples * 64,
         };
-        store.record_catalog(Chronon::new(10), vec![row("faculty", 1)]);
-        store.record_catalog(Chronon::new(20), vec![row("faculty", 2), row("dept", 1)]);
+        let catalog =
+            |as_of: Option<&AsOfSpec>| store.catalog.rows(as_of, RelationClass::StaticRollback);
+        store
+            .catalog
+            .record(Chronon::new(10), |_| Some(vec![row("faculty", 1)]));
+        store.catalog.record(Chronon::new(20), |_| {
+            Some(vec![row("faculty", 2), row("dept", 1)])
+        });
         // Rollback rows are pure static: no timestamps.
-        let current = store.catalog_scan(None);
+        let current = catalog(None);
         assert_eq!(current.len(), 2);
         assert!(current
             .iter()
             .all(|r| r.validity.is_none() && r.tx.is_none()));
-        let then = store.catalog_scan(Some(&AsOfSpec::At(Chronon::new(15))));
+        let then = catalog(Some(&AsOfSpec::At(Chronon::new(15))));
         assert_eq!(then.len(), 1);
         assert_eq!(then[0].tuple.get(0).as_str(), Some("faculty"));
         assert_eq!(then[0].tuple.get(2).as_int(), Some(1));
         // A window spanning both samples unions (and dedups) the rows.
-        let window =
-            store.catalog_scan(Some(&AsOfSpec::Through(Chronon::new(10), Chronon::new(25))));
+        let window = catalog(Some(&AsOfSpec::Through(Chronon::new(10), Chronon::new(25))));
         assert_eq!(window.len(), 3);
     }
 
@@ -1307,33 +1126,46 @@ mod tests {
 
     #[test]
     fn session_registry_tracks_live_state_and_answers_as_of() {
-        let reg = SessionRegistry::new(8);
+        let reg = SessionRegistry::new();
+        let store = TelemetryStore::new(8);
+        let record_sample = |at: i64| {
+            store
+                .sessions
+                .record(Chronon::new(at), |_| Some(reg.sessions()))
+        };
+        // The current state is the live registry; `as of` reads samples.
+        let sessions_scan = |as_of: Option<&AsOfSpec>| match as_of {
+            None => reg
+                .sessions()
+                .iter()
+                .map(|r| r.source_row(Chronon::new(0)))
+                .collect(),
+            Some(_) => store.sessions.rows(as_of, RelationClass::StaticRollback),
+        };
         let a = reg.register_session(5);
         let b = reg.register_session(5);
         assert_ne!(a, b);
         reg.note_statement(a, "t-cli");
         reg.note_statement(a, "t-cli2");
         reg.session_refreshed(b, 9);
-        reg.record_sample(Chronon::new(10));
+        record_sample(10);
         reg.deregister_session(b);
-        reg.record_sample(Chronon::new(20));
+        record_sample(20);
 
         // Live scan: only session `a` remains, with its latest trace.
-        let live = reg.sessions_scan(None);
+        let live = sessions_scan(None);
         assert_eq!(live.len(), 1);
         assert_eq!(live[0].tuple.get(0).as_int(), Some(a as i64));
         assert_eq!(live[0].tuple.get(2).as_int(), Some(2));
         assert_eq!(live[0].tuple.get(4).as_str(), Some("t-cli2"));
         // As of the first sample: both sessions, b refreshed to pin 9.
-        let then = reg.sessions_scan(Some(&AsOfSpec::At(Chronon::new(15))));
+        let then = sessions_scan(Some(&AsOfSpec::At(Chronon::new(15))));
         assert_eq!(then.len(), 2);
         assert!(then.iter().any(
             |r| r.tuple.get(0).as_int() == Some(b as i64) && r.tuple.get(1).as_int() == Some(9)
         ));
         // Before any sample was taken: nothing was current.
-        assert!(reg
-            .sessions_scan(Some(&AsOfSpec::At(Chronon::new(1))))
-            .is_empty());
+        assert!(sessions_scan(Some(&AsOfSpec::At(Chronon::new(1)))).is_empty());
         // Rollback rows are pure static.
         assert!(then.iter().all(|r| r.validity.is_none() && r.tx.is_none()));
     }
@@ -1365,7 +1197,8 @@ mod tests {
 
         let value_of = |as_of: Option<&AsOfSpec>, rel: &str, stat: &str| -> Option<i64> {
             store
-                .tablestats_scan(as_of)
+                .tablestats
+                .rows(as_of, RelationClass::Temporal)
                 .iter()
                 .find(|r| {
                     r.tuple.get(0).as_str() == Some(rel) && r.tuple.get(1).as_str() == Some(stat)
@@ -1385,18 +1218,23 @@ mod tests {
             None
         );
         // Valid time is the collection event, carried forward unchanged.
-        let current = store.tablestats_scan(None);
+        let current = store.tablestats.rows(None, RelationClass::Temporal);
         let dept = current
             .iter()
             .find(|r| r.tuple.get(0).as_str() == Some("dept"))
             .unwrap();
         assert_eq!(dept.validity, Some(Validity::Event(Chronon::new(20))));
-        // Planner lookup sees the newest value; destroy forgets.
+        // Planner lookup sees the newest value; destroy ends it…
         assert_eq!(store.latest_tablestat("faculty", "versions"), Some(18));
         assert_eq!(store.latest_tablestat("faculty", "nope"), None);
-        store.forget_tablestats("faculty");
+        store.record_tablestats(Chronon::new(40), "faculty", Vec::new());
         assert_eq!(store.latest_tablestat("faculty", "rows"), None);
         assert_eq!(store.latest_tablestat("dept", "rows"), Some(3));
+        // …without rewriting the past.
+        assert_eq!(
+            value_of(Some(&AsOfSpec::At(Chronon::new(35))), "faculty", "rows"),
+            Some(9)
+        );
     }
 
     #[test]

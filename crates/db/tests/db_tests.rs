@@ -537,6 +537,32 @@ fn connections_as_of_rejection_names_the_relation() {
     );
 }
 
+/// Every declared system relation scans through the provider, and the
+/// provider refuses `as of` — by name — on exactly those whose declared
+/// class has no transaction time (over TQuel the analyzer refuses
+/// first; this is the backstop for direct provider calls).
+#[test]
+fn provider_refuses_as_of_on_system_relations_without_transaction_time() {
+    use chronos_tquel::provider::{AsOfSpec, RelationProvider};
+    let (engine, _clock) = fresh_db();
+    engine.with_db(|db| {
+        for name in chronos_db::system_relation_names() {
+            let class = db.info(name).expect("declared").class;
+            assert!(db.scan(name, None).is_ok(), "{name} scans");
+            let rolled_back = db.scan(name, Some(&AsOfSpec::At(d("01/01/80"))));
+            if class.database_class().supports_rollback() {
+                assert!(rolled_back.is_ok(), "{name} rolls back");
+            } else {
+                let err = rolled_back.expect_err(name).to_string();
+                assert!(
+                    err.contains(&format!("{name} has no transaction time")),
+                    "{err}"
+                );
+            }
+        }
+    });
+}
+
 /// Reads the `sys$wal` system relation into `stat -> value`.
 fn sys_wal_map(engine: &Arc<Engine>) -> std::collections::HashMap<String, i64> {
     let res = engine

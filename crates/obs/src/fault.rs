@@ -25,7 +25,7 @@
 //!   harness injects crashes into spawned child processes.
 //!
 //! The catalog of sites the engine declares is [`CRASH_SITES`]; the
-//! fault matrix (`tests/fault_matrix.rs`, `experiments` mode `faults`)
+//! fault matrix (`tests/fault_matrix.rs`)
 //! iterates over it and verifies workload → crash → recover → verify
 //! for every entry.
 

@@ -290,6 +290,23 @@ impl MetricsSnapshot {
         ]
     }
 
+    /// The unit suffix of the histogram family `name`: `_ns` for the
+    /// latency families, none for `group_batch_size` (commits per
+    /// batch).  Both the Prometheus family names and the `sys$stats`
+    /// percentile names carry it.
+    pub fn histogram_unit(name: &str) -> &'static str {
+        if name == "group_batch_size" {
+            ""
+        } else {
+            "_ns"
+        }
+    }
+
+    /// Sessions opened and not yet closed.
+    pub fn active_sessions(&self) -> u64 {
+        self.sessions_opened.saturating_sub(self.sessions_closed)
+    }
+
     /// True iff no instrument ever fired — the disabled-recorder
     /// invariant asserted by the figures smoke check.
     pub fn is_zero(&self) -> bool {
@@ -394,13 +411,7 @@ impl MetricsSnapshot {
             ));
         }
         for (plain, h) in self.histograms() {
-            // Latency families carry an explicit `_ns` unit suffix;
-            // `group_batch_size` reads in commits per batch.
-            let name = if plain == "group_batch_size" {
-                plain.to_string()
-            } else {
-                format!("{plain}_ns")
-            };
+            let name = format!("{plain}{}", Self::histogram_unit(plain));
             out.push_str(&format!("# TYPE chronos_{name} histogram\n"));
             let mut cumulative = 0u64;
             for (i, &c) in h.buckets.iter().enumerate() {

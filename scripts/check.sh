@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: build, tests, lints, bench smoke, fault matrix, and
-# the CLI smoke suites.  Run from anywhere.
+# Full local gate: build, tests (the fault matrix among them), lints,
+# bench smoke, and the CLI smoke suites.  Run from anywhere.
 #
 #   CHRONOS_SKIP_BENCH=1 scripts/check.sh    # skip the criterion smoke
 #
@@ -56,10 +56,6 @@ else
   echo "==> bench smoke (cargo bench -p chronos-bench -- --test)"
   cargo bench -p chronos-bench --offline -- --test
 fi
-
-echo "==> fault matrix (every crash site: workload -> crash -> recover -> verify)"
-EXPERIMENTS_ONLY=faults ./target/release/experiments \
-  || die "fault matrix failed"
 
 echo "==> observability smoke (explain per relation class + overhead budget)"
 # One explain per relation class through the CLI; the span tree must

@@ -5,8 +5,7 @@
 //! re-executes this test binary filtered down to [`crash_child_entry`],
 //! which the armed fault kills with exit code 86.
 //!
-//! The matrix itself lives in `chronos_bench::fault_matrix`, shared
-//! with `EXPERIMENTS_ONLY=faults cargo run --bin experiments`.
+//! The matrix itself lives in `chronos_bench::fault_matrix`.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};

@@ -450,3 +450,296 @@ fn an_embedded_session_is_listed_in_sys_sessions_while_open() {
     );
     assert_eq!(ids, [other.session_id() as i64]);
 }
+
+/// Renders one answer row as `tuple | valid | tx` (`-` for an axis the
+/// answer does not carry).
+fn render_row(row: &chronos_tquel::exec::ResultRow) -> String {
+    let axis = |a: Option<String>| a.unwrap_or_else(|| "-".to_string());
+    format!(
+        "{} | {} | {}",
+        row.tuple,
+        axis(row.validity.map(|v| v.to_string())),
+        axis(row.tx.map(|p| p.to_string()))
+    )
+}
+
+/// The four system relations with history, read three ways each — the
+/// current state, `as of t`, and `as of t1 through t2` — through engine
+/// sessions in TQuel.  Every answer is pinned whole: its rows, their
+/// order, and the transaction period of each row where the relation's
+/// class has transaction time (`sys$stats`, `sys$tablestats`; the
+/// static-rollback `sys$relations` and `sys$sessions` answer with pure
+/// static rows).
+#[test]
+fn system_relations_with_history_answer_current_as_of_and_through_reads() {
+    let clock = Arc::new(ManualClock::new(d("01/01/80")));
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    let run = |session: &mut chronos_db::Session, day: &str, trace: &str, stmt: &str| {
+        clock.advance_to(d(day));
+        session.set_trace_id(trace);
+        session.run(stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+    };
+    let sample = |day: &str| {
+        clock.advance_to(d(day));
+        engine.with_db(Database::sample_now);
+    };
+    let mut w = engine.session();
+    run(
+        &mut w,
+        "01/01/80",
+        "w1",
+        "create faculty (name = str, rank = str) as temporal",
+    );
+    run(
+        &mut w,
+        "01/05/80",
+        "w2",
+        r#"append to faculty (name = "Merrie", rank = "associate")"#,
+    );
+    run(&mut w, "01/10/80", "w3", "analyze faculty");
+    sample("02/01/80");
+    let mut r = engine.session();
+    run(
+        &mut w,
+        "02/10/80",
+        "w4",
+        r#"append to faculty (name = "Tom", rank = "full")"#,
+    );
+    run(
+        &mut w,
+        "02/12/80",
+        "w5",
+        "create dept (name = str) as static",
+    );
+    run(&mut w, "02/15/80", "w6", "analyze dept");
+    r.refresh();
+    run(
+        &mut r,
+        "02/16/80",
+        "r1",
+        "range of f is faculty retrieve (f.name)",
+    );
+    sample("03/01/80");
+    drop(r);
+    run(
+        &mut w,
+        "03/10/80",
+        "w7",
+        r#"append to faculty (name = "Jane", rank = "assistant")"#,
+    );
+    run(&mut w, "03/12/80", "w8", "analyze faculty");
+    sample("04/01/80");
+    clock.advance_to(d("05/01/80"));
+
+    let reads = [
+        "",
+        r#"as of "02/20/80""#,
+        r#"as of "02/20/80" through "03/15/80""#,
+    ];
+    let table: [(&str, [&[&str]; 3]); 4] = [
+        (
+            r#"range of x is sys$stats
+               retrieve (x.metric, x.value)
+               where x.metric = "commits" or x.metric = "sessions_opened""#,
+            [
+                &[
+                    "(commits, 3) | 04/01/80 | [04/01/80, ∞)",
+                    "(sessions_opened, 2) | 04/01/80 | [04/01/80, ∞)",
+                ],
+                &[
+                    "(commits, 1) | 02/01/80 | [02/01/80, 03/01/80)",
+                    "(sessions_opened, 1) | 02/01/80 | [02/01/80, 03/01/80)",
+                ],
+                &[
+                    "(commits, 1) | 02/01/80 | [02/01/80, 03/01/80)",
+                    "(sessions_opened, 1) | 02/01/80 | [02/01/80, 03/01/80)",
+                    "(commits, 2) | 03/01/80 | [03/01/80, 04/01/80)",
+                    "(sessions_opened, 2) | 03/01/80 | [03/01/80, 04/01/80)",
+                ],
+            ],
+        ),
+        (
+            r#"range of x is sys$relations retrieve (x.name, x.class, x.tuples, x.bytes)"#,
+            [
+                &[
+                    "(dept, static, 0, 0) | - | -",
+                    "(faculty, temporal, 3, 8192) | - | -",
+                ],
+                &[
+                    "(dept, static, 0, 0) | - | -",
+                    "(faculty, temporal, 2, 8192) | - | -",
+                ],
+                &[
+                    "(dept, static, 0, 0) | - | -",
+                    "(faculty, temporal, 2, 8192) | - | -",
+                    "(faculty, temporal, 3, 8192) | - | -",
+                ],
+            ],
+        ),
+        (
+            r#"range of x is sys$tablestats
+               retrieve (x.relation, x.stat, x.value)
+               where x.stat = "rows" or x.stat = "versions""#,
+            [
+                &[
+                    "(dept, rows, 0) | 02/15/80 | [03/12/80, ∞)",
+                    "(dept, versions, 0) | 02/15/80 | [03/12/80, ∞)",
+                    "(faculty, rows, 3) | 03/12/80 | [03/12/80, ∞)",
+                    "(faculty, versions, 3) | 03/12/80 | [03/12/80, ∞)",
+                ],
+                &[
+                    "(dept, rows, 0) | 02/15/80 | [02/15/80, 03/12/80)",
+                    "(dept, versions, 0) | 02/15/80 | [02/15/80, 03/12/80)",
+                    "(faculty, rows, 1) | 01/10/80 | [02/15/80, 03/12/80)",
+                    "(faculty, versions, 1) | 01/10/80 | [02/15/80, 03/12/80)",
+                ],
+                &[
+                    "(dept, rows, 0) | 02/15/80 | [02/15/80, 03/12/80)",
+                    "(dept, versions, 0) | 02/15/80 | [02/15/80, 03/12/80)",
+                    "(faculty, rows, 1) | 01/10/80 | [02/15/80, 03/12/80)",
+                    "(faculty, versions, 1) | 01/10/80 | [02/15/80, 03/12/80)",
+                    "(dept, rows, 0) | 02/15/80 | [03/12/80, ∞)",
+                    "(dept, versions, 0) | 02/15/80 | [03/12/80, ∞)",
+                    "(faculty, rows, 3) | 03/12/80 | [03/12/80, ∞)",
+                    "(faculty, versions, 3) | 03/12/80 | [03/12/80, ∞)",
+                ],
+            ],
+        ),
+        (
+            r#"range of x is sys$sessions
+               retrieve (x.session, x.pin, x.statements, x.trace_id)"#,
+            [
+                &["(1, 3721, 8, w8) | - | -", "(3, 3721, 20, q) | - | -"],
+                &["(1, 3656, 3, w3) | - | -"],
+                &[
+                    "(1, 3656, 3, w3) | - | -",
+                    "(1, 3692, 6, w6) | - | -",
+                    "(2, 3692, 2, r1) | - | -",
+                ],
+            ],
+        ),
+    ];
+    let mut q = engine.session();
+    for (query, expected) in table {
+        for (read, want) in reads.iter().zip(expected) {
+            q.set_trace_id("q");
+            let got: Vec<String> = q
+                .query(&format!("{query} {read}"))
+                .unwrap_or_else(|e| panic!("{query} {read}: {e}"))
+                .rows
+                .iter()
+                .map(render_row)
+                .collect();
+            assert_eq!(got, want, "{query} {read}");
+        }
+    }
+
+    // The full `sys$stats` metric set, in exposition order: 19
+    // counters, the derived session gauge, 2 gauges, and 9 p50/p99
+    // pairs.
+    let names = q
+        .query("range of s is sys$stats retrieve (s.metric)")
+        .expect("metric names")
+        .column_strings(0);
+    assert_eq!(
+        names,
+        [
+            "pager_page_reads",
+            "pager_page_writes",
+            "wal_appends",
+            "wal_fsyncs",
+            "heap_rows_scanned",
+            "index_probes",
+            "segment_hits",
+            "segment_skips",
+            "segment_bloom_fps",
+            "commits",
+            "sessions_opened",
+            "sessions_closed",
+            "group_commit_batches",
+            "group_fsyncs_saved",
+            "submit_stalls",
+            "net_requests",
+            "net_errors",
+            "net_bytes_in",
+            "net_bytes_out",
+            "active_sessions",
+            "commit_queue_depth",
+            "commit_queue_hwm",
+            "commit_latency_p50_ns",
+            "commit_latency_p99_ns",
+            "query_latency_p50_ns",
+            "query_latency_p99_ns",
+            "group_batch_size_p50",
+            "group_batch_size_p99",
+            "commit_queue_wait_p50_ns",
+            "commit_queue_wait_p99_ns",
+            "commit_lock_wait_p50_ns",
+            "commit_lock_wait_p99_ns",
+            "commit_apply_p50_ns",
+            "commit_apply_p99_ns",
+            "commit_fsync_p50_ns",
+            "commit_fsync_p99_ns",
+            "commit_ack_p50_ns",
+            "commit_ack_p99_ns",
+            "read_lock_wait_p50_ns",
+            "read_lock_wait_p99_ns",
+        ]
+    );
+}
+
+/// `destroy` ends a relation's statistics at its transaction time
+/// without rewriting the past: `sys$tablestats` still shows them `as
+/// of` a time before the destroy, the current state and the planner's
+/// lookup no longer do, and a recreated relation starts unanalyzed.
+#[test]
+fn destroy_keeps_the_past_of_sys_tablestats() {
+    let clock = Arc::new(ManualClock::new(d("01/01/77")));
+    let engine = Engine::start(Database::in_memory(clock.clone()));
+    engine
+        .session()
+        .run("create people (name = str) as temporal")
+        .expect("create");
+    step(
+        &engine,
+        &clock,
+        "03/01/77",
+        r#"append to people (name = "Merrie")"#,
+    );
+    step(&engine, &clock, "06/01/77", "analyze people");
+    step(&engine, &clock, "01/01/80", "destroy people");
+
+    let people_rows = |read: &str| -> Vec<i64> {
+        engine
+            .session()
+            .query(&format!(
+                r#"range of t is sys$tablestats
+                   retrieve (t.value) where t.relation = "people" and t.stat = "rows" {read}"#
+            ))
+            .expect("sys$tablestats")
+            .rows
+            .iter()
+            .map(|r| r.tuple.get(0).as_int().expect("int value"))
+            .collect()
+    };
+    let latest = || engine.with_db(|db| db.telemetry().latest_tablestat("people", "rows"));
+    assert_eq!(people_rows(r#"as of "01/01/78""#), [1], "the past is kept");
+    assert_eq!(people_rows(""), Vec::<i64>::new(), "destroy ends the stats");
+    assert_eq!(latest(), None);
+    // The catalog's rollback view agrees: people existed as of 78.
+    let then = engine
+        .session()
+        .query(r#"range of r is sys$relations retrieve (r.name) as of "01/01/78""#)
+        .expect("sys$relations")
+        .column_strings(0);
+    assert_eq!(then, ["people"]);
+
+    step(
+        &engine,
+        &clock,
+        "02/01/80",
+        "create people (name = str) as temporal",
+    );
+    assert_eq!(latest(), None, "a recreated relation starts unanalyzed");
+    assert_eq!(people_rows(""), Vec::<i64>::new());
+}
