@@ -73,7 +73,8 @@ pub enum Step {
 /// The fixed workload: 6 commits around one checkpoint, plus a query.
 /// It exercises every registered crash site — WAL appends (commits),
 /// WAL reset + checkpoint save (the checkpoint), pager allocate/read
-/// and heap insert (physical applies), and the journal (every step).
+/// and heap insert (physical applies), and the journal (the open's
+/// recovery events and the checkpoint's).
 pub const STEPS: &[Step] = &[
     Step::Stmt(
         "01/01/80",
@@ -260,9 +261,10 @@ pub fn site_specs() -> Vec<SiteSpec> {
         spec("checkpoint.save.pre_write", 1, None),
         spec("checkpoint.save.pre_rename", 1, None),
         spec("checkpoint.save.post_rename", 1, None),
-        // The journal emits from the first open on; hit 6 lands inside
-        // the commit stretch of the workload.
-        spec("journal.emit", 6, None),
+        // Commits journal nothing, so the open's two recovery events
+        // are hits 1–2 and hit 3 is `db_checkpoint_start`, after three
+        // durable commits.
+        spec("journal.emit", 3, None),
         // The freeze step runs once, at the end of the workload; all 6
         // commits are durable when it dies, and the heap stays
         // authoritative at every point in the segment's tmp → fsync →

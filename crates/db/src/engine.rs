@@ -463,13 +463,6 @@ impl Core {
                         self.recorder
                             .count_n(|m| &m.group_fsyncs_saved, applied - 1);
                     }
-                    self.recorder.emit_event(
-                        "group_commit",
-                        &[
-                            ("batch", applied.into()),
-                            ("fsyncs_saved", applied.saturating_sub(1).into()),
-                        ],
-                    );
                 }
                 let ack_started = Instant::now();
                 for (reply, result) in acks {

@@ -1,16 +1,18 @@
 //! Structured lifecycle event journal.
 //!
 //! An [`EventJournal`] is a JSONL file (`events.jsonl`, kept beside the
-//! WAL) recording engine lifecycle events — WAL append/fsync batches,
-//! recovery start/stop, checkpoint builds, segment freezes, slow-query
-//! admissions.  Each line is one self-contained JSON object:
+//! WAL) recording rare engine lifecycle events — recovery start/stop,
+//! checkpoint builds, segment freezes, slow-query admissions (commits
+//! are not journaled: the WAL's frames are their record).  Each line is
+//! one self-contained JSON object:
 //!
 //! ```text
 //! {"seq": 12, "ts_ns": 48211094, "event": "recovery", "frames_replayed": 3, ...}
 //! ```
 //!
 //! * `seq` is a strictly increasing admission number (never reset, not
-//!   even by rotation), so consumers can detect gaps.
+//!   by rotation and not by reopening: an open resumes after the last
+//!   line on disk), so consumers can detect gaps.
 //! * `ts_ns` is a **monotonic** timestamp: nanoseconds since the journal
 //!   was opened, read from [`Instant`].  Wall-clock time is deliberately
 //!   absent — the engine's own notion of time is the transaction clock,
@@ -28,7 +30,7 @@
 //! `check.sh` JSONL gate).
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -122,7 +124,7 @@ struct JournalInner {
 /// `engine_stats()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalStats {
-    /// Admission numbers handed out so far.
+    /// Admission numbers handed out so far, over the journal's life.
     pub seq: u64,
     /// Rotations performed since the journal was opened.
     pub rotations: u64,
@@ -155,12 +157,7 @@ impl EventJournal {
     /// Opens (appending to, creating if needed) the journal at `path`
     /// with the default rotation threshold.
     pub fn open(path: &Path) -> std::io::Result<EventJournal> {
-        Self::open_with_max(path, DEFAULT_JOURNAL_MAX_BYTES)
-    }
-
-    /// Opens the journal, rotating once the file exceeds `max_bytes`.
-    pub fn open_with_max(path: &Path, max_bytes: u64) -> std::io::Result<EventJournal> {
-        Self::open_with_retention(path, max_bytes, DEFAULT_JOURNAL_GENERATIONS)
+        Self::open_with_retention(path, DEFAULT_JOURNAL_MAX_BYTES, DEFAULT_JOURNAL_GENERATIONS)
     }
 
     /// Opens the journal with an explicit rotation threshold and number
@@ -172,6 +169,12 @@ impl EventJournal {
     ) -> std::io::Result<EventJournal> {
         let file = OpenOptions::new().append(true).create(true).open(path)?;
         let bytes = file.metadata()?.len();
+        // `seq` is global across opens: resume after the newest line on
+        // disk (the rotated `.1` holds it when the live file is empty).
+        let seq = [path.to_path_buf(), generation_path(path, 1)]
+            .iter()
+            .find_map(|p| last_seq(p))
+            .map_or(0, |last| last + 1);
         Ok(EventJournal {
             path: path.to_path_buf(),
             max_bytes: max_bytes.max(1),
@@ -179,29 +182,11 @@ impl EventJournal {
             origin: Instant::now(),
             inner: Mutex::new(JournalInner {
                 file,
-                seq: 0,
+                seq,
                 bytes,
                 rotations: 0,
             }),
         })
-    }
-
-    /// The journal's live file path (`<path>.1` .. `<path>.k` are the
-    /// rotated generations, `.1` newest).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Path of rotated generation `i` (1-based).
-    fn generation_path(&self, i: usize) -> PathBuf {
-        let mut rotated = self.path.as_os_str().to_owned();
-        rotated.push(format!(".{i}"));
-        PathBuf::from(rotated)
-    }
-
-    /// Admission numbers handed out so far.
-    pub fn seq(&self) -> u64 {
-        self.inner.lock().unwrap().seq
     }
 
     /// Snapshot of the journal's counters and configuration.
@@ -280,12 +265,12 @@ impl EventJournal {
     /// renames the live file to `<path>.1`, and starts a fresh one.
     fn rotate(&self, inner: &mut JournalInner) -> std::io::Result<()> {
         for i in (1..self.generations).rev() {
-            let from = self.generation_path(i);
+            let from = generation_path(&self.path, i);
             if from.exists() {
-                std::fs::rename(&from, self.generation_path(i + 1))?;
+                std::fs::rename(&from, generation_path(&self.path, i + 1))?;
             }
         }
-        std::fs::rename(&self.path, self.generation_path(1))?;
+        std::fs::rename(&self.path, generation_path(&self.path, 1))?;
         inner.file = OpenOptions::new()
             .append(true)
             .create(true)
@@ -301,7 +286,7 @@ impl EventJournal {
         let _inner = self.inner.lock().unwrap();
         let mut lines: Vec<String> = Vec::new();
         for i in (1..=self.generations).rev() {
-            if let Ok(text) = std::fs::read_to_string(self.generation_path(i)) {
+            if let Ok(text) = std::fs::read_to_string(generation_path(&self.path, i)) {
                 lines.extend(
                     text.lines()
                         .filter(|l| !l.trim().is_empty())
@@ -321,6 +306,37 @@ impl EventJournal {
         } else {
             lines
         }
+    }
+}
+
+/// Path of rotated generation `i` (1-based) of the journal at `path`.
+fn generation_path(path: &Path, i: usize) -> PathBuf {
+    let mut rotated = path.as_os_str().to_owned();
+    rotated.push(format!(".{i}"));
+    PathBuf::from(rotated)
+}
+
+/// The `seq` of the last line of the journal file at `path`, read from
+/// the file's tail (widened until it holds a whole line).
+fn last_seq(path: &Path) -> Option<u64> {
+    let mut file = File::open(path).ok()?;
+    let len = file.metadata().ok()?.len();
+    let mut window = 4096;
+    loop {
+        let start = len.saturating_sub(window);
+        let mut tail = Vec::new();
+        file.seek(SeekFrom::Start(start)).ok()?;
+        file.read_to_end(&mut tail).ok()?;
+        // A window that starts mid-file may cut its first line.
+        let last = String::from_utf8_lossy(&tail)
+            .lines()
+            .skip(usize::from(start > 0))
+            .filter_map(parse_event_summary)
+            .last();
+        if last.is_some() || start == 0 {
+            return last.map(|(seq, _, _)| seq);
+        }
+        window *= 4;
     }
 }
 
@@ -594,7 +610,7 @@ mod tests {
     #[test]
     fn rotation_by_size_keeps_two_generations_and_global_seq() {
         let path = temp_path("rotate");
-        let j = EventJournal::open_with_max(&path, 256).unwrap();
+        let j = EventJournal::open_with_retention(&path, 256, DEFAULT_JOURNAL_GENERATIONS).unwrap();
         for i in 0..40 {
             j.emit("fill", &[("i", (i as u64).into())]);
         }
@@ -609,7 +625,7 @@ mod tests {
         // rotation spends one extra seq on its journal_rotate marker.
         let stats = j.stats();
         assert!(stats.rotations >= 1);
-        assert_eq!(j.seq(), 40 + stats.rotations);
+        assert_eq!(stats.seq, 40 + stats.rotations);
         assert_eq!(stats.generations, DEFAULT_JOURNAL_GENERATIONS);
         assert!(live.contains("\"i\": 39"));
         // The fresh file opens with the rotation marker.

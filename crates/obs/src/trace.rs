@@ -13,7 +13,7 @@
 //! read — which is what lets the figure-regeneration binaries run
 //! with instrumented code and byte-identical output.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -130,9 +130,8 @@ pub struct Recorder {
     /// statement, priced in EXPERIMENTS.md T14).
     fingerprints: QueryFingerprints,
     /// Lifecycle event sink, present only on databases that attached a
-    /// journal (durable ones); `has_journal` is the lock-free fast path.
+    /// journal (durable ones).
     journal: Mutex<Option<Arc<EventJournal>>>,
-    has_journal: AtomicBool,
 }
 
 impl Default for Recorder {
@@ -151,7 +150,6 @@ impl Recorder {
             slowlog: SlowLog::default(),
             fingerprints: QueryFingerprints::default(),
             journal: Mutex::new(None),
-            has_journal: AtomicBool::new(false),
         }
     }
 
@@ -164,7 +162,6 @@ impl Recorder {
             slowlog: SlowLog::default(),
             fingerprints: QueryFingerprints::default(),
             journal: Mutex::new(None),
-            has_journal: AtomicBool::new(false),
         }
     }
 
@@ -193,25 +190,17 @@ impl Recorder {
     /// [`emit_event`](Self::emit_event) calls append to it.
     pub fn set_journal(&self, journal: Arc<EventJournal>) {
         *self.journal.lock().unwrap() = Some(journal);
-        self.has_journal.store(true, Ordering::Release);
     }
 
     /// The attached journal, if any.
     pub fn journal(&self) -> Option<Arc<EventJournal>> {
-        if !self.has_journal.load(Ordering::Acquire) {
-            return None;
-        }
         self.journal.lock().unwrap().clone()
     }
 
     /// Appends one lifecycle event to the journal, if one is attached.
-    /// One relaxed-ish atomic load when none is — the common case for
-    /// in-memory databases and the figure binaries.
-    #[inline]
+    /// Events are rare (opens, checkpoints, freezes, slow queries), so
+    /// the journal slot's lock is no hot-path cost.
     pub fn emit_event(&self, event: &str, fields: &[(&str, EventValue)]) {
-        if !self.has_journal.load(Ordering::Acquire) {
-            return;
-        }
         if let Some(journal) = self.journal.lock().unwrap().as_ref() {
             journal.emit(event, fields);
         }

@@ -253,14 +253,6 @@ impl Wal {
         }
         self.logical_len += frame.len() as u64;
         self.recorder.count(|m| &m.wal_appends);
-        self.recorder.emit_event(
-            "wal_append",
-            &[
-                ("rel_id", u64::from(rec.rel_id).into()),
-                ("ops", rec.ops.len().into()),
-                ("frame_bytes", frame.len().into()),
-            ],
-        );
         Ok(())
     }
 

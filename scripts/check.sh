@@ -198,6 +198,10 @@ grep -q 'session/statement' <<<"$obs_out" \
   || die "obs smoke: /metrics still exports a query-cache family" "$obs_out"
 ! grep -q '"event": "cache_epoch_bump"' "$obs_dir/db/events.jsonl" \
   || die "obs smoke: events.jsonl still journals cache_epoch_bump"
+# The WAL is the commit journal: a commit writes its frame and no
+# journal line.
+! grep -q '"event": "\(wal_append\|group_commit\)"' "$obs_dir/db/events.jsonl" \
+  || die "obs smoke: events.jsonl journals a per-commit line"
 
 echo "==> temporal introspection smoke (sys\$stats via TQuel + /history)"
 intro_dir=$(mktemp -d)

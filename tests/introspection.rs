@@ -361,7 +361,7 @@ fn background_sampler_and_system_relations_on_a_durable_database() {
         .query(r#"range of e is sys$events retrieve (e.kind, e.seq)"#)
         .expect("sys$events");
     let events = res.column_strings(0);
-    assert!(events.iter().any(|e| e == "wal_append"), "{events:?}");
+    assert!(events.iter().any(|e| e == "recovery"), "{events:?}");
     assert!(events.iter().any(|e| e == "sampler_stop"), "{events:?}");
 
     // …and sys$slow the slow-query ring, with the capture clock reading

@@ -5,15 +5,15 @@
 //! Every HTTP interaction here goes through [`chronos_obs::http_get`],
 //! a raw-TCP GET — there is no HTTP client dependency to hide behind.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::relation::temporal::TemporalStore as _;
-use chronos_db::{Database, Engine, ObsBootstrap};
-use chronos_obs::{http_get, validate_json, validate_jsonl, SLOWLOG_DISABLED};
+use chronos_db::{Database, Engine, ObsBootstrap, Session};
+use chronos_obs::{http_get, validate_json, validate_jsonl, EventJournal, SLOWLOG_DISABLED};
 
 fn d(s: &str) -> Chronon {
     date(s).unwrap()
@@ -414,8 +414,87 @@ fn recovery_event_matches_the_replayed_table_state() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The journal's `seq` is global across opens: an open resumes after the
+/// last line on disk, widening its tail window past a long line, and
+/// reads the rotated `.1` when the live file is empty.
 #[test]
-fn wal_appends_and_checkpoints_are_journaled() {
+fn journal_seq_resumes_across_reopens() {
+    let dir = temp_dir("journal-seq");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("events.jsonl");
+    let seqs = |path: &Path| -> Vec<u64> {
+        std::fs::read_to_string(path)
+            .expect("journal")
+            .lines()
+            .map(|l| field_u64(l, "seq"))
+            .collect()
+    };
+    for (round, n) in [(0, 3), (1, 2), (2, 1)] {
+        let journal = EventJournal::open(&path).expect("open");
+        for _ in 0..n {
+            // A line longer than the first tail window (4 KiB) makes the
+            // next open widen it.
+            journal.emit("tick", &[("pad", "x".repeat(5000 * round).into())]);
+        }
+    }
+    assert_eq!(seqs(&path), [0, 1, 2, 3, 4, 5]);
+    std::fs::rename(&path, dir.join("events.jsonl.1")).unwrap();
+    EventJournal::open(&path).expect("reopen").emit("tick", &[]);
+    assert_eq!(seqs(&path), [6]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The WAL frame count, read through `sys$wal`.
+fn wal_frames(session: &mut Session) -> i64 {
+    let res = session
+        .query(r#"range of w is sys$wal retrieve (w.value) where w.stat = "frames""#)
+        .expect("sys$wal");
+    res.column_strings(0)[0].parse().expect("frame count")
+}
+
+/// A commit's durable footprint is its WAL frame alone: commits through
+/// an engine session leave `events.jsonl` at its length, while `sys$wal`
+/// counts one more frame per commit and the group-commit metrics still
+/// advance.
+#[test]
+fn a_commit_adds_no_journal_bytes() {
+    const N: usize = 5;
+    let dir = temp_dir("commit-footprint");
+    let clock = Arc::new(ManualClock::new(d("01/01/80")));
+    let engine = Engine::start(Database::open(&dir, clock.clone()).expect("open"));
+    let mut session = engine.session();
+    session
+        .run("create faculty (name = str, rank = str) as temporal")
+        .expect("create");
+    let journal_len = || {
+        std::fs::metadata(dir.join("events.jsonl"))
+            .expect("journal")
+            .len()
+    };
+    let (bytes, frames) = (journal_len(), wal_frames(&mut session));
+    let before = engine.stats().metrics;
+    for i in 0..N {
+        clock.advance_to(d(&format!("0{}/01/80", i + 2)));
+        session
+            .run(&format!(
+                r#"append to faculty (name = "p{i}", rank = "assistant")"#
+            ))
+            .expect("append");
+    }
+    let after = engine.stats().metrics;
+    assert_eq!(journal_len(), bytes, "a commit journaled a line");
+    assert_eq!(wal_frames(&mut session), frames + N as i64);
+    assert!(after.group_commit_batches > before.group_commit_batches);
+    // The batch-size histogram sums commits per batch.
+    let batched = |m: &chronos_obs::MetricsSnapshot| m.group_batch_size.total_ns;
+    assert_eq!(batched(&after) - batched(&before), N as u64);
+    drop(session);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn recovery_and_checkpoints_are_journaled_and_commits_are_not() {
     let dir = temp_dir("journal");
     {
         let clock = Arc::new(ManualClock::new(d("01/01/80")));
@@ -433,9 +512,8 @@ fn wal_appends_and_checkpoints_are_journaled() {
     }
     let journal = std::fs::read_to_string(dir.join("events.jsonl")).expect("journal");
     validate_jsonl(&journal).expect("well-formed");
-    // The whole journal, in order.  Journal lines are most of a data
-    // directory's bytes, so the one commit journals one log append and
-    // one group commit, nothing more.
+    // The whole journal, in order.  The journal keeps rare events
+    // only: the commit's record is its WAL frame, so it adds no line.
     let events: Vec<&str> = journal
         .lines()
         .map(|l| {
@@ -448,8 +526,6 @@ fn wal_appends_and_checkpoints_are_journaled() {
         [
             "recovery_start",
             "recovery",
-            "wal_append",
-            "group_commit",
             "db_checkpoint_start",
             "db_checkpoint_finish",
         ],
