@@ -43,9 +43,10 @@
 //!                          appended to the `sys$stats` system relation
 //!                          (queryable in TQuel, served at /history)
 //! --stats-json             one-shot mode: open the database (replaying
-//!                          its WAL if durable), print one engine-stats
-//!                          snapshot as JSON to stdout, exit — the same
-//!                          document /stats serves, without a server
+//!                          its WAL if durable), print the engine's
+//!                          statistics as `sys$stats` rows in JSON to
+//!                          stdout, exit — the same document /stats
+//!                          serves, without a server
 //! --get ADDR PATH          one-shot mode: HTTP GET PATH from a running
 //!                          exporter at ADDR, print status + body, exit
 //! --check-jsonl FILE       one-shot mode: validate FILE as JSONL
@@ -86,7 +87,9 @@ use std::sync::Arc;
 
 use chronos_core::calendar::date;
 use chronos_core::clock::{Clock, ManualClock, SystemClock};
-use chronos_db::{Database, Engine, ExecOutcome, ObsBootstrap, QueryClient, QueryServer};
+use chronos_db::{
+    introspect, Database, Engine, ExecOutcome, ObsBootstrap, QueryClient, QueryServer,
+};
 use chronos_obs::export::ObsServer;
 use chronos_tquel::printer::render;
 
@@ -333,9 +336,10 @@ fn main() {
         }
     };
     if args.stats_json {
-        // One-shot: the engine-stats snapshot (the /stats document) on
-        // stdout, then exit — scriptable without binding an exporter.
-        println!("{}", db.engine_stats().to_json());
+        // One-shot: the /stats document on stdout, then exit —
+        // scriptable without binding an exporter.
+        let rows = introspect::stats_rows(&db.engine_stats(), db.now());
+        println!("{}", introspect::document(&[("sys$stats", &rows)]));
         return;
     }
     if let Some(ns) = args.slow_threshold_ns {

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::Clock;
-use chronos_core::relation::{HistoricalOp, Validity};
+use chronos_core::relation::HistoricalOp;
 use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::taxonomy::DatabaseClass;
 use chronos_core::value::Value;
@@ -33,10 +33,10 @@ use chronos_tquel::TquelError;
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
 use crate::introspect::{
-    clamp, is_system, static_row, system_info, system_relation, CatalogRow, PhysicalStore,
-    SessionRegistry, StatsSampler, SystemRow, TelemetryStats, TelemetryStore,
+    clamp, event_rows, is_system, query_rows, slow_rows, static_row, system_info, system_relation,
+    CatalogRow, SessionRegistry, StatsSampler, TelemetryStats, TelemetryStore,
 };
-use crate::observe::{DbObsSource, ObsBootstrap};
+use crate::observe::{EngineSlot, ObsBootstrap};
 use crate::relation::{has_transaction_time, Relation};
 
 /// Closed versions a relation accumulates before a checkpoint freezes
@@ -80,10 +80,12 @@ pub struct Database {
     /// `sys$connections`; `Arc`-shared with the engine, the TQuel
     /// service, and the HTTP exporter (`/sessions`).
     registry: Arc<SessionRegistry>,
-    /// Physical-storage snapshot documents served on `/wal` and
-    /// `/storage`; `Arc`-shared with the HTTP exporter and refreshed by
-    /// [`Database::refresh_physical_snapshots`].
-    physical: Arc<PhysicalStore>,
+    /// The engine this database runs under, once [`Engine::start`]
+    /// fills it; `Arc`-shared with the HTTP exporter, which reads
+    /// `sys$wal` and `sys$pages` through it.
+    ///
+    /// [`Engine::start`]: crate::Engine::start
+    pub(crate) engine: Arc<EngineSlot>,
     /// The background stats sampler, when started.
     sampler: Option<StatsSampler>,
     /// Closed-version count at which a checkpoint freezes a relation's
@@ -121,12 +123,11 @@ impl Database {
             clock,
             telemetry: Arc::new(TelemetryStore::default()),
             registry: Arc::new(SessionRegistry::default()),
-            physical: Arc::new(PhysicalStore::default()),
+            engine: Arc::default(),
             sampler: None,
             freeze_threshold: DEFAULT_FREEZE_THRESHOLD,
         };
         db.record_catalog_sample(db.txn.peek_now());
-        db.refresh_physical_snapshots();
         db
     }
 
@@ -266,12 +267,11 @@ impl Database {
             clock,
             telemetry,
             registry: Arc::clone(&obs.registry),
-            physical: Arc::clone(&obs.physical),
+            engine: Arc::clone(&obs.engine),
             sampler: None,
             freeze_threshold: DEFAULT_FREEZE_THRESHOLD,
         };
         db.record_catalog_sample(db.txn.peek_now());
-        db.refresh_physical_snapshots();
         Ok(db)
     }
 
@@ -338,8 +338,6 @@ impl Database {
         for name in to_freeze {
             self.freeze_relation(&name)?;
         }
-        // The checkpoint just rewrote the on-disk shape wholesale.
-        self.refresh_physical_snapshots();
         Ok(())
     }
 
@@ -388,7 +386,7 @@ impl Database {
         };
         if outcome.path.is_some() {
             // The relation's physical shape changed: journal the
-            // migration and resample the exporters.
+            // migration.
             self.recorder.emit_event(
                 "relation_frozen",
                 &[
@@ -398,7 +396,6 @@ impl Database {
                     ("file_bytes", outcome.file_bytes.into()),
                 ],
             );
-            self.refresh_physical_snapshots();
         }
         Ok(outcome)
     }
@@ -589,16 +586,14 @@ impl Database {
     /// clones of the engine handles and keeps serving until dropped;
     /// it never borrows the database.
     pub fn serve_observability(&self, addr: &str) -> std::io::Result<ObsServer> {
-        chronos_obs::export::serve(
-            addr,
-            Arc::new(DbObsSource {
-                recorder: Arc::clone(&self.recorder),
-                health: Arc::clone(&self.health),
-                telemetry: Arc::clone(&self.telemetry),
-                registry: Arc::clone(&self.registry),
-                physical: Arc::clone(&self.physical),
-            }),
-        )
+        ObsBootstrap {
+            recorder: Arc::clone(&self.recorder),
+            health: Arc::clone(&self.health),
+            telemetry: Arc::clone(&self.telemetry),
+            registry: Arc::clone(&self.registry),
+            engine: Arc::clone(&self.engine),
+        }
+        .serve(addr)
     }
 
     /// Sets the slow-query admission threshold: statements at least
@@ -711,7 +706,6 @@ impl Database {
         self.telemetry
             .sessions
             .record(at, |_| Some(self.registry.sessions()));
-        self.refresh_physical_snapshots();
         at
     }
 
@@ -859,87 +853,17 @@ impl Database {
             "sys$tablestats" => t.tablestats.rows(as_of, class),
             "sys$relations" => t.catalog.rows(as_of, class),
             // The current state is the live registry, not the last sample.
-            "sys$sessions" if as_of.is_none() => {
-                let now = self.txn.peek_now();
-                let live = self.registry.sessions();
-                live.iter().map(|r| r.source_row(now)).collect()
-            }
+            "sys$sessions" if as_of.is_none() => self.registry.sessions_scan(),
             "sys$sessions" => t.sessions.rows(as_of, class),
-            "sys$queries" => self
-                .recorder
-                .fingerprints()
-                .entries()
-                .iter()
-                .map(|e| {
-                    static_row(vec![
-                        Value::str(format!("{:016x}", e.hash)),
-                        Value::str(&e.statement),
-                        Value::str(e.kind),
-                        Value::Int(clamp(e.calls)),
-                        Value::Int(clamp(e.p50_ns)),
-                        Value::Int(clamp(e.p99_ns)),
-                        Value::Int(clamp(e.rows_out)),
-                    ])
-                })
-                .collect(),
+            "sys$queries" => query_rows(self.recorder.fingerprints()),
             "sys$connections" => self.registry.connections_scan(),
-            "sys$slow" => self
-                .recorder
-                .slowlog()
-                .entries()
-                .iter()
-                .map(|e| SourceRow {
-                    validity: Some(Validity::Event(Chronon::new(e.at_tick))),
-                    ..static_row(vec![
-                        Value::Int(e.seq as i64),
-                        Value::Int(clamp(e.duration_ns)),
-                        Value::str(&e.statement),
-                    ])
-                })
-                .collect(),
-            "sys$events" => match self.recorder.journal() {
-                Some(journal) => journal
-                    .tail_lines(chronos_obs::export::DEFAULT_EVENTS_TAIL)
-                    .iter()
-                    .filter_map(|line| chronos_obs::parse_event_summary(line))
-                    .map(|(seq, ts_ns, event)| {
-                        static_row(vec![
-                            Value::Int(clamp(seq)),
-                            Value::Int(clamp(ts_ns)),
-                            Value::str(&event),
-                        ])
-                    })
-                    .collect(),
-                None => Vec::new(),
-            },
-            "sys$wal" => self
-                .wal_stat_rows()
-                .into_iter()
-                .map(|(stat, value, detail)| {
-                    static_row(vec![
-                        Value::str(stat),
-                        Value::Int(value),
-                        Value::str(detail),
-                    ])
-                })
-                .collect(),
-            "sys$pages" => self
-                .pages_rows()
-                .iter()
-                .map(|r| {
-                    static_row(vec![
-                        Value::str(&r.relation),
-                        Value::str(&r.class),
-                        Value::Int(r.pages),
-                        Value::Int(r.bytes_disk),
-                        Value::Int(r.records),
-                        Value::Int(r.occupancy_x1000),
-                        Value::Int(r.versions),
-                        Value::Int(r.bytes_per_version),
-                        Value::Int(r.dup_factor_x1000),
-                    ])
-                })
-                .collect(),
+            "sys$slow" => slow_rows(self.recorder.slowlog()),
+            "sys$events" => event_rows(
+                self.recorder.journal().as_deref(),
+                chronos_obs::export::DEFAULT_EVENTS_TAIL,
+            ),
+            "sys$wal" => self.wal_rows(),
+            "sys$pages" => self.pages_rows(),
             other => unreachable!("{other} is declared but has no scan"),
         };
         span.rows_out(rows.len() as u64);
@@ -950,53 +874,50 @@ impl Database {
     /// offline frame walk of the log file combined with the live
     /// handle's watermarks.  The walk runs under the WAL lock, so the
     /// view is quiesced against concurrent appends.
-    fn wal_stat_rows(&self) -> Vec<(String, i64, String)> {
+    pub(crate) fn wal_rows(&self) -> Vec<SourceRow> {
         use chronos_storage::inspect::{scan_wal, TailState};
-        let mut rows: Vec<(String, i64, String)> = Vec::new();
-        let mut push =
-            |stat: &str, value: i64, detail: String| rows.push((stat.to_string(), value, detail));
+        let mut rows = Vec::new();
+        let mut push = |stat: &str, value: i64, detail: &str| {
+            rows.push(static_row(vec![
+                Value::str(stat),
+                Value::Int(value),
+                Value::str(detail),
+            ]));
+        };
         let Some(wal) = &self.wal else {
-            push(
-                "durable",
-                0,
-                "in-memory database: no write-ahead log".into(),
-            );
+            push("durable", 0, "in-memory database: no write-ahead log");
             return rows;
         };
         let wal = wal.lock();
         let scan = match scan_wal(wal.path()) {
             Ok(scan) => scan,
             Err(e) => {
-                push("durable", 1, format!("wal unreadable: {e}"));
+                push("durable", 1, &format!("wal unreadable: {e}"));
                 return rows;
             }
         };
-        push("durable", 1, String::new());
-        push("frames", scan.frames.len() as i64, String::new());
-        push("bytes", clamp(scan.total_len), String::new());
-        push("valid_bytes", clamp(scan.valid_len), String::new());
-        push(
-            "synced_bytes",
-            clamp(wal.synced_len()),
-            "fsynced watermark".into(),
-        );
+        push("durable", 1, "");
+        push("frames", scan.frames.len() as i64, "");
+        push("bytes", clamp(scan.total_len), "");
+        push("valid_bytes", clamp(scan.valid_len), "");
+        push("synced_bytes", clamp(wal.synced_len()), "fsynced watermark");
         push(
             "pending_bytes",
             clamp(wal.pending_bytes()),
-            "staged, awaiting group fsync".into(),
+            "staged, awaiting group fsync",
         );
         let (lsn_first, lsn_last) = scan.lsn_range().unwrap_or((0, 0));
-        push("lsn_first", lsn_first, String::new());
-        push("lsn_last", lsn_last, String::new());
+        push("lsn_first", lsn_first, "");
+        push("lsn_last", lsn_last, "");
         let (inserts, removes, set_validities) = scan.op_totals();
-        push("ops_insert", clamp(inserts), String::new());
-        push("ops_remove", clamp(removes), String::new());
-        push("ops_set_validity", clamp(set_validities), String::new());
+        push("ops_insert", clamp(inserts), "");
+        push("ops_remove", clamp(removes), "");
+        push("ops_set_validity", clamp(set_validities), "");
         for (class, frames, bytes) in scan.classes() {
             push(
                 &format!("frames_{class}"),
                 clamp(frames),
-                format!("{bytes} bytes"),
+                &format!("{bytes} bytes"),
             );
         }
         let tail_detail = match &scan.tail {
@@ -1006,19 +927,27 @@ impl Database {
             }
             TailState::Corrupt { reason, .. } => reason.clone(),
         };
-        push("tail_bad_bytes", clamp(scan.tail.bad_bytes()), tail_detail);
-        push("truncations", clamp(wal.truncations()), String::new());
+        push("tail_bad_bytes", clamp(scan.tail.bad_bytes()), &tail_detail);
+        push("truncations", clamp(wal.truncations()), "");
         push(
             "last_truncation_bytes",
             clamp(wal.last_truncation_bytes()),
-            String::new(),
+            "",
         );
         rows
     }
 
     /// The wide per-relation rows behind `sys$pages` (plus pseudo-rows,
     /// class `file`, sizing the durable directory's on-disk files).
-    fn pages_rows(&self) -> Vec<PagesRow> {
+    pub(crate) fn pages_rows(&self) -> Vec<SourceRow> {
+        // relation, class, then pages, bytes_disk, records,
+        // occupancy_x1000, versions, bytes_per_version, dup_factor_x1000.
+        let row = |relation: &str, class: &str, numbers: [i64; 7]| {
+            let mut values = vec![Value::str(relation), Value::str(class)];
+            values.extend(numbers.map(Value::Int));
+            static_row(values)
+        };
+        let file_row = |name: &str, bytes: u64| row(name, "file", [0, clamp(bytes), 0, 0, 0, 0, 0]);
         let mut rows = Vec::new();
         for (name, entry) in self.catalog.iter() {
             let rel = self
@@ -1030,53 +959,43 @@ impl Database {
             // ≈1000 where the heap duplicates).
             for seg in rel.table().segments() {
                 let s = seg.stats();
-                rows.push(PagesRow {
-                    relation: name.clone(),
-                    class: "segment".to_string(),
-                    pages: 0,
-                    bytes_disk: clamp(s.file_bytes),
-                    records: clamp(s.versions),
-                    occupancy_x1000: clamp(
-                        (s.stored_bytes * 1000)
-                            .checked_div(s.file_bytes)
-                            .unwrap_or(0),
-                    ),
-                    versions: clamp(s.versions),
-                    bytes_per_version: clamp(s.bytes_per_version),
-                    dup_factor_x1000: clamp(s.dup_factor_x1000),
-                });
+                let occupancy = (s.stored_bytes * 1000).checked_div(s.file_bytes);
+                rows.push(row(
+                    name,
+                    "segment",
+                    [
+                        0,
+                        clamp(s.file_bytes),
+                        clamp(s.versions),
+                        clamp(occupancy.unwrap_or(0)),
+                        clamp(s.versions),
+                        clamp(s.bytes_per_version),
+                        clamp(s.dup_factor_x1000),
+                    ],
+                ));
             }
             let Ok(p) = rel.table().physical_stats() else {
                 continue;
             };
-            rows.push(PagesRow {
-                relation: name.clone(),
-                class: entry.class.to_string(),
-                pages: i64::from(p.pages),
-                bytes_disk: clamp(p.bytes_on_disk),
-                records: clamp(p.versions),
-                occupancy_x1000: clamp(p.occupancy_x1000),
-                versions: clamp(p.versions),
-                bytes_per_version: clamp(p.bytes_per_version),
-                dup_factor_x1000: clamp(p.dup_factor_x1000),
-            });
+            rows.push(row(
+                name,
+                &entry.class.to_string(),
+                [
+                    i64::from(p.pages),
+                    clamp(p.bytes_on_disk),
+                    clamp(p.versions),
+                    clamp(p.occupancy_x1000),
+                    clamp(p.versions),
+                    clamp(p.bytes_per_version),
+                    clamp(p.dup_factor_x1000),
+                ],
+            ));
         }
         if let Some(dir) = &self.dir {
             for file in ["catalog", "checkpoint", "wal", "events.jsonl"] {
-                let Ok(meta) = std::fs::metadata(dir.join(file)) else {
-                    continue;
-                };
-                rows.push(PagesRow {
-                    relation: format!("file:{file}"),
-                    class: "file".to_string(),
-                    pages: 0,
-                    bytes_disk: clamp(meta.len()),
-                    records: 0,
-                    occupancy_x1000: 0,
-                    versions: 0,
-                    bytes_per_version: 0,
-                    dup_factor_x1000: 0,
-                });
+                if let Ok(meta) = std::fs::metadata(dir.join(file)) {
+                    rows.push(file_row(&format!("file:{file}"), meta.len()));
+                }
             }
             if let Ok(entries) = std::fs::read_dir(dir.join("segments")) {
                 let mut seg_files: Vec<_> = entries
@@ -1086,37 +1005,12 @@ impl Database {
                 seg_files.sort_by_key(|e| e.file_name());
                 for entry in seg_files {
                     let Ok(meta) = entry.metadata() else { continue };
-                    rows.push(PagesRow {
-                        relation: format!("file:segments/{}", entry.file_name().to_string_lossy()),
-                        class: "file".to_string(),
-                        pages: 0,
-                        bytes_disk: clamp(meta.len()),
-                        records: 0,
-                        occupancy_x1000: 0,
-                        versions: 0,
-                        bytes_per_version: 0,
-                        dup_factor_x1000: 0,
-                    });
+                    let name = format!("file:segments/{}", entry.file_name().to_string_lossy());
+                    rows.push(file_row(&name, meta.len()));
                 }
             }
         }
         rows
-    }
-
-    /// Recomputes the `/wal` and `/storage` exporter documents from the
-    /// current physical state.  Runs at open, at every explicit or
-    /// checkpoint-driven sample — the endpoints are "as of last
-    /// sample", like `/stats`.
-    pub fn refresh_physical_snapshots(&self) {
-        self.physical
-            .set_wal_json(wal_json_doc(&self.wal_stat_rows()));
-        self.physical
-            .set_storage_json(storage_json_doc(&self.pages_rows()));
-    }
-
-    /// The physical-snapshot store serving `/wal` + `/storage`.
-    pub fn physical_store(&self) -> &Arc<PhysicalStore> {
-        &self.physical
     }
 }
 
@@ -1124,64 +1018,6 @@ impl Drop for Database {
     fn drop(&mut self) {
         self.stop_stats_sampler();
     }
-}
-
-/// One `sys$pages` row; also one object of the `/storage` document.
-#[derive(Debug, Clone)]
-struct PagesRow {
-    relation: String,
-    class: String,
-    pages: i64,
-    bytes_disk: i64,
-    records: i64,
-    occupancy_x1000: i64,
-    versions: i64,
-    bytes_per_version: i64,
-    dup_factor_x1000: i64,
-}
-
-/// Renders the `sys$wal` rows as the `/wal` JSON document, so the
-/// endpoint and the system relation agree field for field.
-fn wal_json_doc(rows: &[(String, i64, String)]) -> String {
-    let mut out = String::from("{\"wal\": [");
-    for (i, (stat, value, detail)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"stat\": \"{}\", \"value\": {value}, \"detail\": \"{}\"}}",
-            chronos_obs::events::escape_json(stat),
-            chronos_obs::events::escape_json(detail)
-        ));
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Renders the `sys$pages` rows as the `/storage` JSON document.
-fn storage_json_doc(rows: &[PagesRow]) -> String {
-    let mut out = String::from("{\"storage\": [");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"relation\": \"{}\", \"class\": \"{}\", \"pages\": {}, \
-             \"bytes_disk\": {}, \"records\": {}, \"occupancy_x1000\": {}, \
-             \"versions\": {}, \"bytes_per_version\": {}, \"dup_factor_x1000\": {}}}",
-            chronos_obs::events::escape_json(&r.relation),
-            chronos_obs::events::escape_json(&r.class),
-            r.pages,
-            r.bytes_disk,
-            r.records,
-            r.occupancy_x1000,
-            r.versions,
-            r.bytes_per_version,
-            r.dup_factor_x1000
-        ));
-    }
-    out.push_str("]}");
-    out
 }
 
 fn push_stat(stats: &mut Vec<(String, i64)>, name: &str, value: i64) {
@@ -1391,6 +1227,10 @@ pub struct EngineStats {
     /// Event-journal counters (seq, rotations, retention); `None` for
     /// in-memory databases, which have no journal.
     pub journal: Option<JournalStats>,
+    /// The slow-query log's admission threshold (`u64::MAX`: disabled).
+    pub slowlog_threshold_ns: u64,
+    /// Statements the slow-query log ever admitted.
+    pub slowlog_admitted: u64,
     /// Telemetry-subsystem counters (samples, spill, sampler state).
     pub telemetry: TelemetryStats,
 }
@@ -1407,20 +1247,6 @@ pub struct NoCache {
 }
 
 impl EngineStats {
-    /// Hand-rolled JSON object (the workspace deliberately has no
-    /// serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"metrics\": {}, \"journal\": {}, \"telemetry\": {}}}",
-            self.metrics.to_json(),
-            match &self.journal {
-                Some(j) => j.to_json(),
-                None => "null".to_string(),
-            },
-            self.telemetry.to_json()
-        )
-    }
-
     /// Prometheus text exposition: the registry families plus
     /// session, journal, and telemetry gauges.
     pub fn to_prometheus(&self) -> String {

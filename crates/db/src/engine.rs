@@ -133,6 +133,7 @@ struct Core {
 impl Engine {
     /// Wraps `db` and starts the group-commit writer thread.
     pub fn start(db: Database) -> Arc<Engine> {
+        let slot = Arc::clone(&db.engine);
         let core = Arc::new(Core {
             recorder: Arc::clone(db.recorder()),
             registry: Arc::clone(db.session_registry()),
@@ -150,10 +151,13 @@ impl Engine {
             .name("chronos-writer".into())
             .spawn(move || loop_core.writer_loop())
             .expect("spawn group-commit writer");
-        Arc::new(Engine {
+        let engine = Arc::new(Engine {
             core,
             writer: StdMutex::new(Some(handle)),
-        })
+        });
+        // The exporter reads live storage through this handle.
+        *slot.lock() = Arc::downgrade(&engine);
+        engine
     }
 
     /// Opens a snapshot-pinned session.  The pin is the durable

@@ -34,6 +34,12 @@
 //! the background thread that samples `sys$stats` and `sys$sessions`
 //! on a configurable interval.  Evicted `sys$stats` states spill to
 //! JSONL beside the WAL.
+//!
+//! Every JSON endpoint of the HTTP exporter is a rendering of these
+//! relations: [`document`] renders rows under their relation's declared
+//! attribute names, and the endpoint's rows come from the same builders
+//! a TQuel scan uses — so `/wal` and a `retrieve` over `sys$wal` cannot
+//! disagree.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
@@ -50,8 +56,9 @@ use chronos_core::relation::Validity;
 use chronos_core::schema::{Attribute, RelationClass, Schema, TemporalSignature};
 use chronos_core::tuple::Tuple;
 use chronos_core::value::{AttrType, Value};
+use chronos_obs::events::escape_json;
 use chronos_obs::export::Health;
-use chronos_obs::{MetricsSnapshot, Recorder};
+use chronos_obs::{EventJournal, MetricsSnapshot, QueryFingerprints, Recorder, SlowLog};
 use chronos_tquel::provider::{AsOfSpec, RelationInfo, SourceRow};
 
 use crate::database::EngineStats;
@@ -113,11 +120,12 @@ pub(crate) static SYSTEM_RELATIONS: [SystemRelation; 10] = {
                 ("bytes_out", INT),
             ],
         ),
+        // `detail` holds the journal line's other fields, as JSON.
         sys(
             "sys$events",
             Static,
             Interval,
-            &[("seq", INT), ("ts_ns", INT), ("kind", STR)],
+            &[("seq", INT), ("ts_ns", INT), ("kind", STR), ("detail", STR)],
         ),
         // Physical heap/page stats: one row per relation (plus rows for
         // the on-disk files: checkpoint, catalog, wal, journal).
@@ -149,6 +157,8 @@ pub(crate) static SYSTEM_RELATIONS: [SystemRelation; 10] = {
                 ("p50_ns", INT),
                 ("p99_ns", INT),
                 ("rows_out", INT),
+                ("worst_misestimate_x1000", INT),
+                ("access_path", STR),
             ],
         ),
         sys(
@@ -178,7 +188,14 @@ pub(crate) static SYSTEM_RELATIONS: [SystemRelation; 10] = {
             "sys$slow",
             Historical,
             Event,
-            &[("seq", INT), ("duration_ns", INT), ("statement", STR)],
+            &[
+                ("seq", INT),
+                ("duration_ns", INT),
+                ("statement", STR),
+                ("session", INT),
+                ("trace_id", STR),
+                ("report", STR),
+            ],
         ),
         sys(
             "sys$stats",
@@ -278,13 +295,6 @@ impl<R: SystemRow> SampleRing<R> {
         read(self.states.lock().back().map_or(&[], |(_, s)| s.as_slice()))
     }
 
-    /// Every retained state, oldest first.
-    pub fn each(&self, mut visit: impl FnMut(Chronon, &[R])) {
-        for (at, state) in self.states.lock().iter() {
-            visit(*at, state);
-        }
-    }
-
     /// The `as of` answer: the rows of each selected state — with no
     /// `as of` the newest, at `t` the one current at `t`, through a
     /// window every one whose period overlaps it.  The class stamps
@@ -361,22 +371,6 @@ pub struct TelemetryStats {
     pub capacity: usize,
     /// Whether the background sampler thread is running.
     pub sampler_running: bool,
-}
-
-impl TelemetryStats {
-    /// Hand-rolled JSON object (the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"samples_taken\": {}, \"samples_spilled\": {}, \"stats_retained\": {}, \
-             \"catalog_retained\": {}, \"capacity\": {}, \"sampler_running\": {}}}",
-            self.samples_taken,
-            self.samples_spilled,
-            self.stats_retained,
-            self.catalog_retained,
-            self.capacity,
-            self.sampler_running
-        )
-    }
 }
 
 /// The rings behind the four system relations with transaction time.
@@ -520,16 +514,14 @@ impl TelemetryStore {
         }
     }
 
-    /// The last `n` sampled values of `metric`, oldest first (the
-    /// `/history` endpoint body).
-    pub fn history(&self, metric: &str, n: usize) -> Vec<(Chronon, i64)> {
-        let mut out: Vec<(Chronon, i64)> = Vec::new();
-        self.stats.each(|at, metrics| {
-            if let Some((_, v)) = metrics.iter().find(|(name, _)| name == metric) {
-                out.push((at, *v));
-            }
-        });
-        out.split_off(out.len().saturating_sub(n))
+    /// The `/history` rows: the last `n` retained `sys$stats` rows of
+    /// `metric`, oldest first, each stamped as a read through the whole
+    /// retained window stamps it.
+    pub(crate) fn history_rows(&self, metric: &str, n: usize) -> Vec<SourceRow> {
+        let window = AsOfSpec::Through(Chronon::MIN, Chronon::MAX);
+        let mut rows = self.stats.rows(Some(&window), RelationClass::Temporal);
+        rows.retain(|r| r.tuple.get(0).as_str() == Some(metric));
+        rows.split_off(rows.len().saturating_sub(n))
     }
 }
 
@@ -598,8 +590,9 @@ pub(crate) fn clamp(v: u64) -> i64 {
 }
 
 /// Flattens an [`EngineStats`] into the `sys$stats` metric set: every
-/// registry counter, the active-session count, the gauges, and each
-/// histogram's p50/p99.
+/// registry counter, the active-session count, the gauges, each
+/// histogram's sample count, total and p50/p99/p999, the slow log's
+/// threshold and admissions, and the journal and telemetry counters.
 pub fn flatten_stats(stats: &EngineStats) -> Vec<(String, i64)> {
     let m = &stats.metrics;
     let mut out: Vec<(String, i64)> = m
@@ -611,16 +604,171 @@ pub fn flatten_stats(stats: &EngineStats) -> Vec<(String, i64)> {
         .collect();
     for (name, h) in m.histograms() {
         let unit = MetricsSnapshot::histogram_unit(name);
-        for p in [50, 99] {
-            let v = h.percentile(f64::from(p)).unwrap_or(0);
-            out.push((format!("{name}_p{p}{unit}"), clamp(v)));
+        out.push((format!("{name}_samples"), clamp(h.samples)));
+        out.push((format!("{name}_total{unit}"), clamp(h.total_ns)));
+        for (p, label) in [(50.0, "50"), (99.0, "99"), (99.9, "999")] {
+            let v = h.percentile(p).unwrap_or(0);
+            out.push((format!("{name}_p{label}{unit}"), clamp(v)));
         }
     }
+    let t = &stats.telemetry;
+    let journal = stats.journal.iter().flat_map(|j| {
+        [
+            ("journal_seq", j.seq),
+            ("journal_rotations", j.rotations),
+            ("journal_generations", j.generations as u64),
+            ("journal_max_bytes", j.max_bytes),
+        ]
+    });
+    let rest = [
+        ("slowlog_threshold_ns", stats.slowlog_threshold_ns),
+        ("slowlog_admitted", stats.slowlog_admitted),
+    ]
+    .into_iter()
+    .chain(journal)
+    .chain([
+        ("telemetry_samples_taken", t.samples_taken),
+        ("telemetry_samples_spilled", t.samples_spilled),
+        ("telemetry_stats_retained", t.stats_retained as u64),
+        ("telemetry_catalog_retained", t.catalog_retained as u64),
+        ("telemetry_capacity", t.capacity as u64),
+        ("telemetry_sampler_running", u64::from(t.sampler_running)),
+    ]);
+    out.extend(rest.map(|(name, v)| (name.to_string(), clamp(v))));
     out
 }
 
-/// One registered session's state, as reported by `sys$sessions`,
-/// `/sessions`, and the CLI's `\sessions`.
+/// The `/stats` rows: `stats` flattened into the `sys$stats` rows a
+/// sample taken at `at` would record.
+pub fn stats_rows(stats: &EngineStats, at: Chronon) -> Vec<SourceRow> {
+    flatten_stats(stats)
+        .iter()
+        .map(|metric| SourceRow {
+            tx: Some(Period::from_start(at)),
+            ..metric.source_row(at)
+        })
+        .collect()
+}
+
+/// `sys$slow`: the slow log's ring, oldest first, each row an event at
+/// its admission's clock reading.
+pub(crate) fn slow_rows(log: &SlowLog) -> Vec<SourceRow> {
+    log.entries()
+        .iter()
+        .map(|e| SourceRow {
+            validity: Some(Validity::Event(Chronon::new(e.at_tick))),
+            ..static_row(vec![
+                Value::Int(clamp(e.seq)),
+                Value::Int(clamp(e.duration_ns)),
+                Value::str(&e.statement),
+                Value::Int(clamp(e.session_id)),
+                Value::str(&e.trace_id),
+                Value::str(&e.report),
+            ])
+        })
+        .collect()
+}
+
+/// `sys$queries`: one row per fingerprint, most-called first.
+pub(crate) fn query_rows(store: &QueryFingerprints) -> Vec<SourceRow> {
+    store
+        .entries()
+        .iter()
+        .map(|e| {
+            static_row(vec![
+                Value::str(format!("{:016x}", e.hash)),
+                Value::str(&e.statement),
+                Value::str(e.kind),
+                Value::Int(clamp(e.calls)),
+                Value::Int(clamp(e.p50_ns)),
+                Value::Int(clamp(e.p99_ns)),
+                Value::Int(clamp(e.rows_out)),
+                Value::Int(clamp(e.worst_misestimate_x1000)),
+                Value::str(&e.access_path),
+            ])
+        })
+        .collect()
+}
+
+/// `sys$events` over the journal's last `n` lines, oldest first.  A
+/// TQuel scan of `sys$events` reads the last
+/// [`DEFAULT_EVENTS_TAIL`](chronos_obs::export::DEFAULT_EVENTS_TAIL)
+/// lines, which is also what `/events` shows without `?n=`.
+pub(crate) fn event_rows(journal: Option<&EventJournal>, n: usize) -> Vec<SourceRow> {
+    let Some(journal) = journal else {
+        return Vec::new();
+    };
+    journal
+        .tail_lines(n)
+        .iter()
+        .filter_map(|line| chronos_obs::parse_event_summary(line))
+        .map(|(seq, ts_ns, kind, detail)| {
+            static_row(vec![
+                Value::Int(clamp(seq)),
+                Value::Int(clamp(ts_ns)),
+                Value::str(kind),
+                Value::str(detail),
+            ])
+        })
+        .collect()
+}
+
+/// Renders system relations' rows as one JSON document — the body of
+/// every JSON endpoint.  The document has one member per relation,
+/// named as the relation, holding its rows in order.  A row is an
+/// object keyed by the relation's declared attribute names, followed by
+/// `valid_at` (an event) or `valid_from`/`valid_to` (an interval) when
+/// the row carries valid time, and `tx_from`/`tx_to` when it carries
+/// transaction time.  Times are chronon ticks; an unbounded end is
+/// `null`.
+pub fn document(relations: &[(&str, &[SourceRow])]) -> String {
+    let mut out = String::from("{");
+    for (i, (name, rows)) in relations.iter().enumerate() {
+        let decl = system_relation(name).expect("documents render declared system relations");
+        out.push_str(&format!("{}\"{name}\": [", if i > 0 { ", " } else { "" }));
+        for (j, row) in rows.iter().enumerate() {
+            let mut fields: Vec<String> = decl
+                .columns
+                .iter()
+                .zip(row.tuple.values())
+                .map(|(&(attr, _), value)| match value {
+                    Value::Int(v) => format!("\"{attr}\": {v}"),
+                    text => format!("\"{attr}\": \"{}\"", escape_json(&text.to_string())),
+                })
+                .collect();
+            match row.validity {
+                Some(Validity::Event(at)) => fields.push(format!("\"valid_at\": {}", at.ticks())),
+                Some(Validity::Interval(p)) => fields.extend(period_fields("valid", p)),
+                None => {}
+            }
+            fields.extend(row.tx.into_iter().flat_map(|tx| period_fields("tx", tx)));
+            out.push_str(&format!(
+                "{}{{{}}}",
+                if j > 0 { ", " } else { "" },
+                fields.join(", ")
+            ));
+        }
+        out.push(']');
+    }
+    out.push('}');
+    out
+}
+
+/// `<axis>_from` and `<axis>_to` of `period`, in ticks (`null` when
+/// unbounded).
+fn period_fields(axis: &str, period: Period) -> [String; 2] {
+    let ticks = |p: chronos_core::timepoint::TimePoint| {
+        p.finite()
+            .map_or_else(|| "null".to_string(), |c| c.ticks().to_string())
+    };
+    [
+        format!("\"{axis}_from\": {}", ticks(period.start())),
+        format!("\"{axis}_to\": {}", ticks(period.end())),
+    ]
+}
+
+/// One registered session's state, as reported by `sys$sessions` (and
+/// so `/sessions`) and the CLI's `\sessions`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionRow {
     /// Engine-unique session id (1-based; 0 means "unregistered").
@@ -780,6 +928,15 @@ impl SessionRegistry {
         self.connections.lock().values().cloned().collect()
     }
 
+    /// The live `sys$sessions` rows (its past is sampled into the
+    /// [`TelemetryStore`]).
+    pub fn sessions_scan(&self) -> Vec<SourceRow> {
+        self.sessions()
+            .iter()
+            .map(|r| r.source_row(Chronon::ZERO))
+            .collect()
+    }
+
     /// The `sys$connections` scan (live only; connections have no
     /// sampled history).
     pub fn connections_scan(&self) -> Vec<SourceRow> {
@@ -796,44 +953,6 @@ impl SessionRegistry {
                 ])
             })
             .collect()
-    }
-
-    /// Hand-rolled JSON body for the `/sessions` HTTP endpoint.
-    pub fn to_json(&self) -> String {
-        use chronos_obs::events::escape_json;
-        let mut out = String::from("{\"sessions\": [");
-        for (i, s) in self.sessions().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"session\": {}, \"pin\": {}, \"statements\": {}, \
-                 \"idle_ns\": {}, \"trace_id\": \"{}\"}}",
-                s.session_id,
-                s.pin_ticks,
-                s.statements,
-                s.idle_ns,
-                escape_json(&s.trace_id)
-            ));
-        }
-        out.push_str("], \"connections\": [");
-        for (i, c) in self.connections().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"conn\": {}, \"peer\": \"{}\", \"session\": {}, \
-                 \"requests\": {}, \"bytes_in\": {}, \"bytes_out\": {}}}",
-                c.conn_id,
-                escape_json(&c.peer),
-                c.session_id,
-                c.requests,
-                c.bytes_in,
-                c.bytes_out
-            ));
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -852,48 +971,6 @@ impl std::fmt::Debug for TelemetryStore {
             .field("capacity", &self.stats.capacity)
             .field("samples_taken", &self.samples_taken.load(Ordering::Relaxed))
             .finish_non_exhaustive()
-    }
-}
-
-/// Shared snapshot of the physical-storage observability documents the
-/// exporter serves on `/wal` and `/storage`.  The database refreshes
-/// both strings at every telemetry sample and checkpoint; the exporter
-/// thread only ever reads, so the endpoints stay cheap and never borrow
-/// the engine ("as of last sample" semantics, like `/stats`).
-#[derive(Debug)]
-pub struct PhysicalStore {
-    wal_json: Mutex<String>,
-    storage_json: Mutex<String>,
-}
-
-impl Default for PhysicalStore {
-    fn default() -> PhysicalStore {
-        PhysicalStore {
-            wal_json: Mutex::new("{\"wal\": []}".to_string()),
-            storage_json: Mutex::new("{\"storage\": []}".to_string()),
-        }
-    }
-}
-
-impl PhysicalStore {
-    /// Replaces the `/wal` document.
-    pub fn set_wal_json(&self, doc: String) {
-        *self.wal_json.lock() = doc;
-    }
-
-    /// The current `/wal` document.
-    pub fn wal_json(&self) -> String {
-        self.wal_json.lock().clone()
-    }
-
-    /// Replaces the `/storage` document.
-    pub fn set_storage_json(&self, doc: String) {
-        *self.storage_json.lock() = doc;
-    }
-
-    /// The current `/storage` document.
-    pub fn storage_json(&self) -> String {
-        self.storage_json.lock().clone()
     }
 }
 
@@ -989,6 +1066,8 @@ mod tests {
             metrics: Default::default(),
             cache: Default::default(),
             journal: None,
+            slowlog_threshold_ns: u64::MAX,
+            slowlog_admitted: 0,
             telemetry: TelemetryStore::new(4).stats(),
         };
         stats.metrics.commits = commits as u64;
@@ -1112,16 +1191,21 @@ mod tests {
         for i in 1..=5 {
             store.record_stats(Chronon::new(i), &sample(i, i * 10));
         }
-        let h = store.history("commits", 3);
+        let h: Vec<(Option<Validity>, i64)> = store
+            .history_rows("commits", 3)
+            .iter()
+            .map(|r| (r.validity, r.tuple.get(1).as_int().unwrap()))
+            .collect();
+        let event = |t| Some(Validity::Event(Chronon::new(t)));
+        assert_eq!(h, vec![(event(3), 30), (event(4), 40), (event(5), 50)]);
+        // Each row carries its sample's currency; the newest is open.
         assert_eq!(
-            h,
-            vec![
-                (Chronon::new(3), 30),
-                (Chronon::new(4), 40),
-                (Chronon::new(5), 50)
-            ]
+            document(&[("sys$stats", &store.history_rows("commits", 2))]),
+            "{\"sys$stats\": [\
+             {\"metric\": \"commits\", \"value\": 40, \"valid_at\": 4, \"tx_from\": 4, \"tx_to\": 5}, \
+             {\"metric\": \"commits\", \"value\": 50, \"valid_at\": 5, \"tx_from\": 5, \"tx_to\": null}]}"
         );
-        assert!(store.history("no_such_metric", 3).is_empty());
+        assert!(store.history_rows("no_such_metric", 3).is_empty());
     }
 
     #[test]
@@ -1135,11 +1219,7 @@ mod tests {
         };
         // The current state is the live registry; `as of` reads samples.
         let sessions_scan = |as_of: Option<&AsOfSpec>| match as_of {
-            None => reg
-                .sessions()
-                .iter()
-                .map(|r| r.source_row(Chronon::new(0)))
-                .collect(),
+            None => reg.sessions_scan(),
             Some(_) => store.sessions.rows(as_of, RelationClass::StaticRollback),
         };
         let a = reg.register_session(5);
@@ -1174,7 +1254,7 @@ mod tests {
     fn session_registry_connections_and_json() {
         let reg = SessionRegistry::default();
         let s = reg.register_session(0);
-        let c = reg.register_connection("127.0.0.1:9999".to_string(), s);
+        let c = reg.register_connection("127.0.0.1:9999 \"quoted\"".to_string(), s);
         reg.record_conn_io(c, 64, 128);
         reg.record_conn_io(c, 10, 20);
         let conns = reg.connections_scan();
@@ -1182,7 +1262,18 @@ mod tests {
         assert_eq!(conns[0].tuple.get(3).as_int(), Some(2));
         assert_eq!(conns[0].tuple.get(4).as_int(), Some(74));
         assert_eq!(conns[0].tuple.get(5).as_int(), Some(148));
-        chronos_obs::validate_json(&reg.to_json()).unwrap();
+        // `/sessions` renders both relations under their attribute
+        // names, escaping the hostile peer.
+        let doc = document(&[
+            ("sys$sessions", &reg.sessions_scan()),
+            ("sys$connections", &conns),
+        ]);
+        chronos_obs::validate_json(&doc).unwrap();
+        assert!(doc.starts_with("{\"sys$sessions\": [{\"session\": 1, \"pin\": 0,"));
+        assert!(doc.ends_with(
+            "\"sys$connections\": [{\"conn\": 1, \"peer\": \"127.0.0.1:9999 \\\"quoted\\\"\", \
+             \"session\": 1, \"requests\": 2, \"bytes_in\": 74, \"bytes_out\": 148}]}"
+        ));
         reg.deregister_connection(c);
         assert!(reg.connections_scan().is_empty());
     }

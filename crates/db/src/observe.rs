@@ -2,27 +2,44 @@
 //!
 //! [`ObsBootstrap`] bundles the `Arc`-shared engine handles the HTTP
 //! exporter reads — recorder (metrics, slow log, journal), readiness
-//! flags, telemetry, sessions and physical snapshots — *independently of the `Database` value
-//! itself*.  That indirection is what lets an exporter start **before**
-//! recovery: create a bootstrap, serve it (`/healthz` answers 503),
-//! then pass it to [`Database::open_with_obs`], which marks the
-//! readiness flags as the catalog, checkpoint image, and WAL replay
-//! complete — flipping the endpoint to 200 with no server restart.
+//! flags, telemetry, sessions, and a weak handle to the engine —
+//! *independently of the `Database` value itself*.  That indirection is
+//! what lets an exporter start **before** recovery: create a bootstrap,
+//! serve it (`/healthz` answers 503), then pass it to
+//! [`Database::open_with_obs`], which marks the readiness flags as the
+//! catalog, checkpoint image, and WAL replay complete — flipping the
+//! endpoint to 200 with no server restart.
 //!
 //! For the common case (observe an already-open database),
 //! [`Database::serve_observability`] does the same wiring from the
 //! database's own handles.
 //!
-//! [`Database::open_with_obs`]: crate::Database::open_with_obs
-//! [`Database::serve_observability`]: crate::Database::serve_observability
+//! Every JSON endpoint is the rows of its `sys$` relation(s), built by
+//! the row builders a TQuel scan uses and rendered by
+//! [`introspect::document`](crate::introspect::document).  `/wal` and
+//! `/storage` read live storage (`sys$wal`, `sys$pages`) and `/stats`
+//! the engine's clock, all through the engine handle [`Engine::start`]
+//! fills; until then they answer 503 `starting`.  A scrape opens no
+//! session, records no span, and moves no counter.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use chronos_obs::export::{serve, Health, ObsServer, ObsSource};
+use parking_lot::Mutex;
+
+use chronos_obs::export::{serve, Endpoint, Health, ObsServer, ObsSource};
 use chronos_obs::Recorder;
+use chronos_tquel::provider::SourceRow;
 
-use crate::database::EngineStats;
-use crate::introspect::{PhysicalStore, SessionRegistry, TelemetryStore};
+use crate::database::{Database, EngineStats};
+use crate::engine::Engine;
+use crate::introspect::{
+    document, event_rows, query_rows, slow_rows, stats_rows, SessionRegistry, TelemetryStore,
+};
+
+/// The engine a database runs under, as the exporter reaches it: empty
+/// until [`Engine::start`] fills it, and weak, so a running exporter
+/// never keeps an engine alive.
+pub(crate) type EngineSlot = Mutex<Weak<Engine>>;
 
 /// Pre-created engine handles shared between a [`Database`] and the
 /// exporter serving it.
@@ -33,7 +50,7 @@ pub struct ObsBootstrap {
     pub(crate) health: Arc<Health>,
     pub(crate) telemetry: Arc<TelemetryStore>,
     pub(crate) registry: Arc<SessionRegistry>,
-    pub(crate) physical: Arc<PhysicalStore>,
+    pub(crate) engine: Arc<EngineSlot>,
 }
 
 impl Default for ObsBootstrap {
@@ -50,7 +67,7 @@ impl ObsBootstrap {
             health: Arc::new(Health::starting()),
             telemetry: Arc::new(TelemetryStore::default()),
             registry: Arc::new(SessionRegistry::default()),
-            physical: Arc::new(PhysicalStore::default()),
+            engine: Arc::default(),
         }
     }
 
@@ -85,14 +102,10 @@ impl ObsBootstrap {
         &self.registry
     }
 
-    /// The shared physical-storage snapshot (`/wal` + `/storage`).
-    pub fn physical(&self) -> &Arc<PhysicalStore> {
-        &self.physical
-    }
-
     /// Starts the HTTP exporter over these handles.  Endpoints answer
     /// immediately; `/healthz` stays 503 until a database opened with
-    /// this bootstrap finishes recovery.
+    /// this bootstrap finishes recovery, and `/stats`, `/wal` and
+    /// `/storage` until an engine runs it.
     pub fn serve(&self, addr: &str) -> std::io::Result<ObsServer> {
         serve(
             addr,
@@ -101,20 +114,30 @@ impl ObsBootstrap {
                 health: Arc::clone(&self.health),
                 telemetry: Arc::clone(&self.telemetry),
                 registry: Arc::clone(&self.registry),
-                physical: Arc::clone(&self.physical),
+                engine: Arc::clone(&self.engine),
             }),
         )
     }
 }
 
 /// The exporter's view of a database: everything it serves is computed
-/// from `Arc`-shared handles, so it never borrows the `Database`.
-pub(crate) struct DbObsSource {
-    pub(crate) recorder: Arc<Recorder>,
-    pub(crate) health: Arc<Health>,
-    pub(crate) telemetry: Arc<TelemetryStore>,
-    pub(crate) registry: Arc<SessionRegistry>,
-    pub(crate) physical: Arc<PhysicalStore>,
+/// from `Arc`-shared handles, so it never borrows the `Database` except
+/// through the engine, for the documents that read storage.
+struct DbObsSource {
+    recorder: Arc<Recorder>,
+    health: Arc<Health>,
+    telemetry: Arc<TelemetryStore>,
+    registry: Arc<SessionRegistry>,
+    engine: Arc<EngineSlot>,
+}
+
+impl DbObsSource {
+    /// `read` over the running engine's database; `None` before
+    /// [`Engine::start`] (or after the engine stopped).
+    fn with_db<R>(&self, read: impl FnOnce(&Database) -> R) -> Option<R> {
+        let engine = self.engine.lock().upgrade()?;
+        Some(engine.with_db(read))
+    }
 }
 
 impl ObsSource for DbObsSource {
@@ -122,62 +145,30 @@ impl ObsSource for DbObsSource {
         engine_stats_from(&self.recorder, &self.telemetry).to_prometheus()
     }
 
-    fn stats_json(&self) -> String {
-        engine_stats_from(&self.recorder, &self.telemetry).to_json()
-    }
-
-    fn slow_json(&self) -> String {
-        self.recorder.slowlog().to_json()
-    }
-
-    fn queries_json(&self) -> String {
-        self.recorder.fingerprints().to_json()
-    }
-
-    fn events_json(&self, n: usize) -> String {
-        match self.recorder.journal() {
-            Some(journal) => {
-                // Each tail line is already one well-formed JSON object.
-                let lines = journal.tail_lines(n);
-                let mut out = String::from("{\"events\": [");
-                for (i, line) in lines.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(line.trim());
-                }
-                out.push_str("]}");
-                out
+    fn document(&self, endpoint: Endpoint<'_>) -> Option<String> {
+        let one = |relation, rows: Vec<SourceRow>| document(&[(relation, &rows)]);
+        Some(match endpoint {
+            Endpoint::Stats => {
+                let now = self.with_db(Database::now)?;
+                let stats = engine_stats_from(&self.recorder, &self.telemetry);
+                one("sys$stats", stats_rows(&stats, now))
             }
-            None => "{\"events\": []}".to_string(),
-        }
-    }
-
-    fn history_json(&self, metric: &str, n: usize) -> String {
-        let mut out = format!(
-            "{{\"metric\": \"{}\", \"samples\": [",
-            chronos_obs::events::escape_json(metric)
-        );
-        for (i, (at, value)) in self.telemetry.history(metric, n).iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+            Endpoint::Slow => one("sys$slow", slow_rows(self.recorder.slowlog())),
+            Endpoint::Queries => one("sys$queries", query_rows(self.recorder.fingerprints())),
+            Endpoint::Sessions => document(&[
+                ("sys$sessions", &self.registry.sessions_scan()),
+                ("sys$connections", &self.registry.connections_scan()),
+            ]),
+            Endpoint::Events { n } => one(
+                "sys$events",
+                event_rows(self.recorder.journal().as_deref(), n),
+            ),
+            Endpoint::History { metric, n } => {
+                one("sys$stats", self.telemetry.history_rows(metric, n))
             }
-            out.push_str(&format!("{{\"at\": {}, \"value\": {value}}}", at.ticks()));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    fn sessions_json(&self) -> String {
-        self.registry.to_json()
-    }
-
-    fn wal_json(&self) -> String {
-        self.physical.wal_json()
-    }
-
-    fn storage_json(&self) -> String {
-        self.physical.storage_json()
+            Endpoint::Wal => one("sys$wal", self.with_db(Database::wal_rows)?),
+            Endpoint::Storage => one("sys$pages", self.with_db(Database::pages_rows)?),
+        })
     }
 
     fn health(&self) -> &Health {
@@ -192,6 +183,8 @@ pub(crate) fn engine_stats_from(recorder: &Recorder, telemetry: &TelemetryStore)
         metrics: recorder.snapshot(),
         cache: Default::default(),
         journal: recorder.journal().map(|j| j.stats()),
+        slowlog_threshold_ns: recorder.slowlog().threshold_ns(),
+        slowlog_admitted: recorder.slowlog().admitted(),
         telemetry: telemetry.stats(),
     }
 }

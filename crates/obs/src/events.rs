@@ -134,16 +134,6 @@ pub struct JournalStats {
     pub max_bytes: u64,
 }
 
-impl JournalStats {
-    /// Hand-rolled JSON object (the workspace has no serde).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\": {}, \"rotations\": {}, \"generations\": {}, \"max_bytes\": {}}}",
-            self.seq, self.rotations, self.generations, self.max_bytes
-        )
-    }
-}
-
 /// Append-only JSONL journal of engine lifecycle events.
 pub struct EventJournal {
     path: PathBuf,
@@ -334,16 +324,18 @@ fn last_seq(path: &Path) -> Option<u64> {
             .filter_map(parse_event_summary)
             .last();
         if last.is_some() || start == 0 {
-            return last.map(|(seq, _, _)| seq);
+            return last.map(|(seq, ..)| seq);
         }
         window *= 4;
     }
 }
 
-/// Extracts `(seq, ts_ns, event)` from the fixed prefix every journal
-/// line starts with; `None` for lines that don't carry it.  Event names
-/// are engine-chosen identifiers, so no unescaping is needed.
-pub fn parse_event_summary(line: &str) -> Option<(u64, u64, String)> {
+/// Extracts `(seq, ts_ns, event, detail)` from a journal line: the
+/// fixed prefix every line starts with, and as `detail` the line's
+/// other fields as one JSON object (`{}` when it has none); `None` for
+/// lines that don't carry the prefix.  Event names are engine-chosen
+/// identifiers, so no unescaping is needed.
+pub fn parse_event_summary(line: &str) -> Option<(u64, u64, String, String)> {
     fn field_u64(line: &str, key: &str) -> Option<u64> {
         let at = line.find(key)? + key.len();
         let digits: String = line[at..]
@@ -356,8 +348,10 @@ pub fn parse_event_summary(line: &str) -> Option<(u64, u64, String)> {
     let ts_ns = field_u64(line, "\"ts_ns\": ")?;
     let key = "\"event\": \"";
     let at = line.find(key)? + key.len();
-    let end = line[at..].find('"')?;
-    Some((seq, ts_ns, line[at..at + end].to_string()))
+    let end = at + line[at..].find('"')?;
+    let rest = line[end + 1..].trim_end();
+    let detail = format!("{{{}", rest.strip_prefix(", ").unwrap_or(rest));
+    Some((seq, ts_ns, line[at..end].to_string(), detail))
 }
 
 impl std::fmt::Debug for EventJournal {
@@ -578,6 +572,16 @@ mod tests {
         assert_eq!(validate_jsonl(&text).unwrap(), 3);
         assert!(text.contains("\"event\": \"recovery\""));
         assert!(text.contains("\\\"quoted\\\""));
+        // A line's other fields are its detail, itself well-formed JSON.
+        let details: Vec<String> = text
+            .lines()
+            .map(|line| parse_event_summary(line).unwrap().3)
+            .collect();
+        assert_eq!(details[0], "{\"frames_replayed\": 3}");
+        assert_eq!(details[2], "{}");
+        for detail in &details {
+            validate_json(detail).unwrap();
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -673,7 +677,7 @@ mod tests {
         let mut last = None;
         let mut saw_rotate = false;
         for line in &tail {
-            let (seq, _ts, event) = parse_event_summary(line).unwrap();
+            let (seq, _ts, event, _) = parse_event_summary(line).unwrap();
             if let Some(prev) = last {
                 assert!(seq > prev, "seq must strictly increase across generations");
             }

@@ -1,28 +1,31 @@
 //! The embedded HTTP observability exporter.
 //!
 //! A zero-dependency HTTP/1.1 server over [`std::net::TcpListener`]
-//! serving eleven read-only endpoints:
+//! serving eleven read-only endpoints.  Eight are JSON documents, each
+//! the rows of the `sys$` system relation(s) it names, rendered by the
+//! one renderer in the `db` crate's `introspect` module:
 //!
 //! | endpoint               | body                                   | status    |
 //! |------------------------|----------------------------------------|-----------|
 //! | `/metrics`             | Prometheus text exposition             | 200       |
-//! | `/stats`               | engine stats JSON                      | 200       |
-//! | `/slow`                | slow-query log JSON                    | 200       |
-//! | `/queries`             | query-fingerprint workload JSON        | 200       |
-//! | `/sessions`            | live session/connection JSON           | 200       |
-//! | `/events?n=N`          | last N event-journal entries (JSON)    | 200       |
-//! | `/history?metric=&n=`  | sampled metric history (JSON)          | 200       |
-//! | `/wal`                 | physical WAL statistics (JSON)         | 200       |
-//! | `/storage`             | per-relation page/heap stats (JSON)    | 200       |
+//! | `/stats`               | `sys$stats` rows, live                 | 200 / 503 |
+//! | `/slow`                | `sys$slow`                             | 200       |
+//! | `/queries`             | `sys$queries`                          | 200       |
+//! | `/sessions`            | `sys$sessions` + `sys$connections`     | 200       |
+//! | `/events?n=N`          | `sys$events`, the journal's last N     | 200       |
+//! | `/history?metric=&n=`  | `sys$stats` rows of one metric, last N | 200       |
+//! | `/wal`                 | `sys$wal`                              | 200 / 503 |
+//! | `/storage`             | `sys$pages`                            | 200 / 503 |
 //! | `/healthz`             | `ok` / `starting`                      | 200 / 503 |
 //! | `/readyz`              | readiness detail JSON                  | 200 / 503 |
 //!
 //! The server knows nothing about the database: it reads everything
 //! through the [`ObsSource`] trait, which the `db` crate implements over
-//! its `Arc`-shared recorder, health state, and telemetry.  Requests
-//! are handled one at a time on a single background thread — the
-//! endpoints are all cheap snapshot reads, and a scrape interval is
-//! orders of magnitude longer than a response.
+//! its `Arc`-shared recorder, health state, telemetry and engine.  A
+//! document the source cannot render yet (its engine is not running)
+//! answers 503 `starting`, like `/healthz`.  Requests are handled one at
+//! a time on a single background thread — a scrape interval is orders
+//! of magnitude longer than a response.
 //!
 //! [`http_get`] is the matching `curl`-equivalent raw-TCP client, used
 //! by the CLI helper mode, the integration tests, and `check.sh`.
@@ -106,51 +109,36 @@ impl Health {
     }
 }
 
+/// A JSON endpoint: the system relation(s) whose rows it renders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Endpoint<'a> {
+    /// `/stats`: `sys$stats` rows of the engine's statistics now.
+    Stats,
+    /// `/slow`: `sys$slow`.
+    Slow,
+    /// `/queries`: `sys$queries`.
+    Queries,
+    /// `/sessions`: `sys$sessions` and `sys$connections`.
+    Sessions,
+    /// `/events?n=N`: `sys$events` over the journal's last `n` lines.
+    Events { n: usize },
+    /// `/history?metric=&n=`: the last `n` retained `sys$stats` rows
+    /// of `metric`.
+    History { metric: &'a str, n: usize },
+    /// `/wal`: `sys$wal`.
+    Wal,
+    /// `/storage`: `sys$pages`.
+    Storage,
+}
+
 /// What the exporter serves.  Implemented by the `db` crate over its
 /// shared engine handles; the server itself holds no database borrow.
 pub trait ObsSource: Send + Sync {
     /// `/metrics`: Prometheus text exposition.
     fn prometheus(&self) -> String;
-    /// `/stats`: engine statistics JSON.
-    fn stats_json(&self) -> String;
-    /// `/slow`: slow-query log JSON.
-    fn slow_json(&self) -> String;
-    /// `/queries`: query-fingerprint workload aggregates JSON.
-    /// Sources without a fingerprint store report an empty list.
-    fn queries_json(&self) -> String {
-        "{\"queries\": []}".to_string()
-    }
-    /// `/events?n=N`: last `n` event-journal entries as a JSON array of
-    /// objects.  Sources without a journal return `{"events": []}`.
-    fn events_json(&self, n: usize) -> String {
-        let _ = n;
-        "{\"events\": []}".to_string()
-    }
-    /// `/history?metric=&n=`: the last `n` sampled values of `metric`
-    /// from the telemetry store, as `{"metric": ..., "samples": [...]}`.
-    fn history_json(&self, metric: &str, n: usize) -> String {
-        let _ = n;
-        format!(
-            "{{\"metric\": \"{}\", \"samples\": []}}",
-            crate::events::escape_json(metric)
-        )
-    }
-    /// `/sessions`: live session and connection introspection JSON.
-    /// Sources without an engine session registry report empty lists.
-    fn sessions_json(&self) -> String {
-        "{\"sessions\": [], \"connections\": []}".to_string()
-    }
-    /// `/wal`: physical WAL statistics (the `sys$wal` rows as JSON).
-    /// Sources without a physical snapshot report an empty list.
-    fn wal_json(&self) -> String {
-        "{\"wal\": []}".to_string()
-    }
-    /// `/storage`: per-relation page/heap statistics (the `sys$pages`
-    /// rows as JSON).  Sources without a physical snapshot report an
-    /// empty list.
-    fn storage_json(&self) -> String {
-        "{\"storage\": []}".to_string()
-    }
+    /// The body of one JSON endpoint; `None` while the engine the
+    /// document reads is not running yet.
+    fn document(&self, endpoint: Endpoint<'_>) -> Option<String>;
     /// Readiness for `/healthz` + `/readyz`.
     fn health(&self) -> &Health;
 }
@@ -259,65 +247,63 @@ fn handle_connection(mut stream: TcpStream, source: &dyn ObsSource) -> std::io::
         Some((p, q)) => (p, q),
         None => (path, ""),
     };
-    match path {
-        "/metrics" => respond(&mut stream, 200, "OK", PROM, &source.prometheus()),
-        "/stats" => respond(&mut stream, 200, "OK", JSON, &source.stats_json()),
-        "/slow" => respond(&mut stream, 200, "OK", JSON, &source.slow_json()),
-        "/queries" => respond(&mut stream, 200, "OK", JSON, &source.queries_json()),
-        "/sessions" => respond(&mut stream, 200, "OK", JSON, &source.sessions_json()),
-        "/wal" => respond(&mut stream, 200, "OK", JSON, &source.wal_json()),
-        "/storage" => respond(&mut stream, 200, "OK", JSON, &source.storage_json()),
-        "/events" => {
-            let n = query_param(query, "n")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(DEFAULT_EVENTS_TAIL);
-            respond(&mut stream, 200, "OK", JSON, &source.events_json(n))
-        }
-        "/history" => match query_param(query, "metric") {
-            Some(metric) if !metric.is_empty() => {
-                let n = query_param(query, "n")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(DEFAULT_HISTORY_TAIL);
-                respond(
-                    &mut stream,
-                    200,
-                    "OK",
-                    JSON,
-                    &source.history_json(&metric, n),
-                )
-            }
-            _ => respond(
+    let param = |key| query_param(query, key);
+    let tail = |default| param("n").and_then(|v| v.parse().ok()).unwrap_or(default);
+    let metric = param("metric").unwrap_or_default();
+    let endpoint = match path {
+        "/metrics" => return respond(&mut stream, 200, "OK", PROM, &source.prometheus()),
+        "/stats" => Endpoint::Stats,
+        "/slow" => Endpoint::Slow,
+        "/queries" => Endpoint::Queries,
+        "/sessions" => Endpoint::Sessions,
+        "/wal" => Endpoint::Wal,
+        "/storage" => Endpoint::Storage,
+        "/events" => Endpoint::Events {
+            n: tail(DEFAULT_EVENTS_TAIL),
+        },
+        "/history" if !metric.is_empty() => Endpoint::History {
+            metric: &metric,
+            n: tail(DEFAULT_HISTORY_TAIL),
+        },
+        "/history" => {
+            return respond(
                 &mut stream,
                 400,
                 "Bad Request",
                 "text/plain",
                 "missing ?metric= parameter\n",
-            ),
-        },
-        "/healthz" => {
-            if source.health().ready() {
-                respond(&mut stream, 200, "OK", "text/plain", "ok\n")
-            } else {
-                respond(
-                    &mut stream,
-                    503,
-                    "Service Unavailable",
-                    "text/plain",
-                    "starting\n",
-                )
-            }
+            )
         }
+        "/healthz" if source.health().ready() => {
+            return respond(&mut stream, 200, "OK", "text/plain", "ok\n")
+        }
+        "/healthz" => return starting(&mut stream),
         "/readyz" => {
             let health = source.health();
             let body = health.to_json();
-            if health.ready() {
+            return if health.ready() {
                 respond(&mut stream, 200, "OK", JSON, &body)
             } else {
                 respond(&mut stream, 503, "Service Unavailable", JSON, &body)
-            }
+            };
         }
-        _ => respond(&mut stream, 404, "Not Found", "text/plain", "not found\n"),
+        _ => return respond(&mut stream, 404, "Not Found", "text/plain", "not found\n"),
+    };
+    match source.document(endpoint) {
+        Some(body) => respond(&mut stream, 200, "OK", JSON, &body),
+        None => starting(&mut stream),
     }
+}
+
+/// The 503 answer of an endpoint whose engine is not running yet.
+fn starting(stream: &mut TcpStream) -> std::io::Result<()> {
+    respond(
+        stream,
+        503,
+        "Service Unavailable",
+        "text/plain",
+        "starting\n",
+    )
 }
 
 /// Default tail length for `/events` when `?n=` is absent.
@@ -417,17 +403,10 @@ mod tests {
         fn prometheus(&self) -> String {
             "# TYPE chronos_commits counter\nchronos_commits 7\n".to_string()
         }
-        fn stats_json(&self) -> String {
-            "{\"metrics\": {}}".to_string()
-        }
-        fn slow_json(&self) -> String {
-            "[]".to_string()
-        }
-        fn events_json(&self, n: usize) -> String {
-            format!("{{\"requested\": {n}, \"events\": []}}")
-        }
-        fn history_json(&self, metric: &str, n: usize) -> String {
-            format!("{{\"metric\": \"{metric}\", \"requested\": {n}, \"samples\": []}}")
+        fn document(&self, endpoint: Endpoint<'_>) -> Option<String> {
+            // The engine-backed documents are not available yet.
+            (!matches!(endpoint, Endpoint::Wal | Endpoint::Storage))
+                .then(|| format!("{endpoint:?}"))
         }
         fn health(&self) -> &Health {
             &self.health
@@ -447,32 +426,20 @@ mod tests {
         let (status, body) = http_get(&addr, "/metrics").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("chronos_commits 7"));
-        // JSON bodies come back newline-terminated.
-        assert_eq!(
-            http_get(&addr, "/stats").unwrap(),
-            (200, "{\"metrics\": {}}\n".into())
-        );
-        assert_eq!(http_get(&addr, "/slow").unwrap(), (200, "[]\n".into()));
-        // The default queries body for sources without a fingerprint store.
-        assert_eq!(
-            http_get(&addr, "/queries").unwrap(),
-            (200, "{\"queries\": []}\n".into())
-        );
-        // The default sessions body for sources without a registry.
-        assert_eq!(
-            http_get(&addr, "/sessions").unwrap(),
-            (200, "{\"sessions\": [], \"connections\": []}\n".into())
-        );
-        // The default physical-storage bodies for sources without a
-        // snapshot store.
-        assert_eq!(
-            http_get(&addr, "/wal").unwrap(),
-            (200, "{\"wal\": []}\n".into())
-        );
-        assert_eq!(
-            http_get(&addr, "/storage").unwrap(),
-            (200, "{\"storage\": []}\n".into())
-        );
+        // Each JSON endpoint asks the source for its document; bodies
+        // come back newline-terminated.
+        for (path, doc) in [
+            ("/stats", "Stats"),
+            ("/slow", "Slow"),
+            ("/queries", "Queries"),
+            ("/sessions", "Sessions"),
+        ] {
+            assert_eq!(http_get(&addr, path).unwrap(), (200, format!("{doc}\n")));
+        }
+        // A document the source cannot render yet answers 503.
+        for path in ["/wal", "/storage"] {
+            assert_eq!(http_get(&addr, path).unwrap(), (503, "starting\n".into()));
+        }
         assert_eq!(http_get(&addr, "/healthz").unwrap(), (200, "ok\n".into()));
         let (status, body) = http_get(&addr, "/readyz").unwrap();
         assert_eq!(status, 200);
@@ -494,16 +461,16 @@ mod tests {
         let addr = server.addr().to_string();
         let (status, body) = http_get(&addr, "/events?n=5").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("\"requested\": 5"));
+        assert_eq!(body, "Events { n: 5 }\n");
         // Default n when the parameter is absent or malformed.
-        let (_, body) = http_get(&addr, "/events").unwrap();
-        assert!(body.contains(&format!("\"requested\": {DEFAULT_EVENTS_TAIL}")));
-        let (_, body) = http_get(&addr, "/events?n=bogus").unwrap();
-        assert!(body.contains(&format!("\"requested\": {DEFAULT_EVENTS_TAIL}")));
+        let default = format!("Events {{ n: {DEFAULT_EVENTS_TAIL} }}\n");
+        assert_eq!(http_get(&addr, "/events").unwrap().1, default);
+        assert_eq!(http_get(&addr, "/events?n=bogus").unwrap().1, default);
         let (status, body) = http_get(&addr, "/history?metric=commits&n=3").unwrap();
         assert_eq!(status, 200);
-        assert!(body.contains("\"metric\": \"commits\""));
-        assert!(body.contains("\"requested\": 3"));
+        assert_eq!(body, "History { metric: \"commits\", n: 3 }\n");
+        let (_, body) = http_get(&addr, "/history?metric=commits").unwrap();
+        assert!(body.contains(&format!("n: {DEFAULT_HISTORY_TAIL}")));
         // metric is mandatory.
         assert_eq!(http_get(&addr, "/history").unwrap().0, 400);
         assert_eq!(http_get(&addr, "/history?n=3").unwrap().0, 400);

@@ -17,12 +17,11 @@
 //!
 //! The store is bounded: when full, a new fingerprint evicts the
 //! least-called entry (the workload's long tail), never the head.
-//! Surfaced as the `sys$queries` system relation, the `/queries` HTTP
-//! endpoint, and the CLI's `\top`.
+//! Surfaced as the `sys$queries` system relation (which the `/queries`
+//! HTTP endpoint renders) and the CLI's `\top`.
 
 use std::sync::Mutex;
 
-use crate::events::escape_json;
 use crate::metrics::LatencyHistogram;
 
 /// Fingerprints the store retains.
@@ -203,33 +202,6 @@ impl QueryFingerprints {
         self.inner.lock().unwrap().clear();
     }
 
-    /// Hand-rolled JSON object (the `/queries` endpoint body).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"queries\": [");
-        for (i, e) in self.entries().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"fingerprint\": \"{:016x}\", \"kind\": \"{}\", \"calls\": {}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"rows_out\": {}, \
-                 \"worst_misestimate_x1000\": {}, \"access_path\": \"{}\", \
-                 \"statement\": \"{}\"}}",
-                e.hash,
-                e.kind,
-                e.calls,
-                e.p50_ns,
-                e.p99_ns,
-                e.rows_out,
-                e.worst_misestimate_x1000,
-                escape_json(&e.access_path),
-                escape_json(&e.statement)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Human-readable rendering (the CLI's `\top` workload section).
     pub fn render(&self) -> String {
         let entries = self.entries();
@@ -263,7 +235,6 @@ impl std::fmt::Debug for QueryFingerprints {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::validate_json;
 
     #[test]
     fn aggregates_by_hash() {
@@ -319,23 +290,21 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_with_hostile_text() {
+        // The store keeps hostile text verbatim; `sys$queries`'
+        // renderer escapes it.
         let store = QueryFingerprints::new(4);
-        store.record_execution(
-            1,
-            "retrieve (f.name) where f.name = \"M\\\"er\nrie\"",
-            "retrieve",
-            10,
-            1,
-            Some("path \"quoted\""),
-        );
-        validate_json(&store.to_json()).unwrap();
+        let statement = "retrieve (f.name) where f.name = \"M\\\"er\nrie\"";
+        store.record_execution(1, statement, "retrieve", 10, 1, Some("path \"quoted\""));
+        let e = &store.entries()[0];
+        assert_eq!(e.statement, statement);
+        assert_eq!(e.access_path, "path \"quoted\"");
     }
 
     #[test]
     fn empty_render_and_json() {
         let store = QueryFingerprints::default();
         assert!(store.is_empty());
-        assert_eq!(store.to_json(), "{\"queries\": []}");
+        assert!(store.entries().is_empty());
         assert!(store.render().contains("no query fingerprints"));
     }
 }

@@ -22,7 +22,7 @@ pub mod trace;
 pub use events::{
     parse_event_summary, validate_json, validate_jsonl, EventJournal, EventValue, JournalStats,
 };
-pub use export::{http_get, serve, Health, ObsServer, ObsSource};
+pub use export::{http_get, serve, Endpoint, Health, ObsServer, ObsSource};
 pub use fingerprint::{FingerprintStats, QueryFingerprints};
 pub use metrics::{Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use slowlog::{SlowEntry, SlowLog, SLOWLOG_DISABLED};

@@ -182,7 +182,8 @@ impl HistogramSnapshot {
 }
 
 /// Every named counter in the engine, snapshotted.  Field order is the
-/// exposition order for both the Prometheus text format and JSON.
+/// exposition order for both the Prometheus text format and the
+/// `sys$stats` metrics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub pager_page_reads: u64,
@@ -238,7 +239,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// `(name, value)` pairs for every plain counter, in exposition
     /// order.  Keeping this as the single enumeration point means the
-    /// JSON and Prometheus renderings can never drift apart.
+    /// `sys$stats` and Prometheus renderings can never drift apart.
     pub fn counters(&self) -> [(&'static str, u64); 19] {
         [
             ("pager_page_reads", self.pager_page_reads),
@@ -273,7 +274,7 @@ impl MetricsSnapshot {
     }
 
     /// `(name, snapshot)` pairs for every histogram, in exposition
-    /// order — the single enumeration point for the JSON and
+    /// order — the single enumeration point for the `sys$stats` and
     /// Prometheus renderings.  `group_batch_size` reads in commits per
     /// batch, everything else in nanoseconds.
     pub fn histograms(&self) -> [(&'static str, &HistogramSnapshot); 9] {
@@ -351,49 +352,6 @@ impl MetricsSnapshot {
             commit_ack: self.commit_ack.since(&earlier.commit_ack),
             read_lock_wait: self.read_lock_wait.since(&earlier.read_lock_wait),
         }
-    }
-
-    /// Hand-rolled JSON object (the workspace deliberately has no
-    /// serde); numbers only, so no escaping is needed.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.counters().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {v}"));
-        }
-        for (name, v) in self.gauges() {
-            out.push_str(&format!(", \"{name}\": {v}"));
-        }
-        for (name, h) in self.histograms() {
-            out.push_str(&format!(
-                ", \"{name}\": {{\"samples\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"buckets\": [",
-                h.samples,
-                h.total_ns,
-                h.percentile(50.0).unwrap_or(0),
-                h.percentile(99.0).unwrap_or(0),
-                h.percentile(99.9).unwrap_or(0)
-            ));
-            // Explicit upper bounds so scrapers need not hard-code the
-            // power-of-two bucketing; empty buckets are elided.
-            let mut first = true;
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c > 0 {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    first = false;
-                    out.push_str(&format!(
-                        "{{\"le_ns\": {}, \"count\": {c}}}",
-                        HistogramSnapshot::bucket_upper_bound(i)
-                    ));
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push('}');
-        out
     }
 
     /// Prometheus text exposition (one `chronos_*` family per
@@ -478,14 +436,11 @@ mod tests {
         assert_eq!(s.percentile(90.0), Some(128));
         assert_eq!(s.percentile(99.0), Some(1 << 20)); // bucket 19 upper bound
         assert_eq!(s.percentile(99.9), Some(1 << 20));
-        // The JSON form carries the explicit bucket bounds.
-        let m = MetricsSnapshot {
-            query_latency: s.clone(),
-            ..Default::default()
-        };
-        let json = m.to_json();
-        assert!(json.contains("{\"le_ns\": 128, \"count\": 90}"));
-        assert!(json.contains(&format!("{{\"le_ns\": {}, \"count\": 10}}", 1u64 << 20)));
+        // The buckets carry the explicit bounds.
+        assert_eq!(s.buckets[6], 90);
+        assert_eq!(HistogramSnapshot::bucket_upper_bound(6), 128);
+        assert_eq!(s.buckets[19], 10);
+        assert_eq!(HistogramSnapshot::bucket_upper_bound(19), 1 << 20);
         assert_eq!(s.mean_ns(), Some((90 * 100 + 10 * 1_000_000) / 100));
     }
 
@@ -580,12 +535,13 @@ mod tests {
             commits: 7,
             ..Default::default()
         };
-        let json = s.to_json();
-        assert!(json.contains("\"index_probes\": 3"));
-        assert!(json.contains("\"commits\": 7"));
-        assert!(json.contains("\"commit_latency\""));
-        assert!(json.contains("\"p999_ns\": 0"));
-        assert!(json.contains("\"buckets\": []"));
+        let counters = s.counters();
+        assert!(counters.contains(&("index_probes", 3)));
+        assert!(counters.contains(&("commits", 7)));
+        let (name, latency) = s.histograms()[0];
+        assert_eq!(name, "commit_latency");
+        assert_eq!(latency.percentile(99.9), None);
+        assert!(latency.buckets.iter().all(|&c| c == 0));
         let prom = s.to_prometheus();
         assert!(prom.contains("chronos_index_probes 3"));
         assert!(prom.contains("# TYPE chronos_commits counter"));
@@ -595,8 +551,8 @@ mod tests {
     #[test]
     fn gauge_enumeration_is_consistent_across_renderings() {
         // The queue-depth gauge pair must appear, under the same names,
-        // in the enumeration point, the JSON body, and the Prometheus
-        // exposition — the no-drift invariant for every scraper.
+        // in the enumeration point and the Prometheus exposition — the
+        // no-drift invariant for every scraper.
         let s = MetricsSnapshot {
             commit_queue_depth: 3,
             commit_queue_hwm: 9,
@@ -606,13 +562,8 @@ mod tests {
         assert_eq!(gauges.len(), 2);
         assert_eq!(gauges[0], ("commit_queue_depth", 3));
         assert_eq!(gauges[1], ("commit_queue_hwm", 9));
-        let json = s.to_json();
         let prom = s.to_prometheus();
         for (name, v) in gauges {
-            assert!(
-                json.contains(&format!("\"{name}\": {v}")),
-                "JSON missing gauge {name}"
-            );
             assert!(
                 prom.contains(&format!("# TYPE chronos_{name} gauge")),
                 "Prometheus missing gauge TYPE line for {name}"

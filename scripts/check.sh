@@ -150,6 +150,7 @@ create faculty (name = str, rank = str) as temporal
 
 append to faculty (name = "Merrie", rank = "associate")
 
+\obs /wal
 \sample
 \obs /healthz
 \obs /metrics
@@ -171,12 +172,15 @@ grep -q '^200 /slow' <<<"$obs_out" \
   || die "obs smoke: /slow not 200" "$obs_out"
 grep -q '^200 /sessions' <<<"$obs_out" \
   || die "obs smoke: /sessions not 200" "$obs_out"
-grep -q '"sessions"' <<<"$obs_out" \
-  || die "obs smoke: /sessions body missing the sessions list" "$obs_out"
+grep -qF '{"sys$sessions": [' <<<"$obs_out" \
+  || die "obs smoke: /sessions body missing the sys\$sessions rows" "$obs_out"
 grep -q '^200 /wal' <<<"$obs_out" \
   || die "obs smoke: /wal not 200" "$obs_out"
 grep -q '"stat": "frames"' <<<"$obs_out" \
   || die "obs smoke: /wal body missing the frame stats" "$obs_out"
+# /wal reads the live log: the commit's frame shows before any \sample.
+grep -m1 -A1 '^200 /wal' <<<"$obs_out" | grep -qF '"stat": "frames", "value": 1,' \
+  || die "obs smoke: /wal before \\sample does not show the commit's frame" "$obs_out"
 grep -q '^200 /storage' <<<"$obs_out" \
   || die "obs smoke: /storage not 200" "$obs_out"
 grep -q '"relation": "faculty"' <<<"$obs_out" \
@@ -236,8 +240,8 @@ grep -q 'top operators' <<<"$intro_out" \
   || die "introspection smoke: \\top produced nothing" "$intro_out"
 grep -q '200 /stats' <<<"$intro_out" \
   || die "introspection smoke: /stats not 200" "$intro_out"
-grep -q '"telemetry"' <<<"$intro_out" \
-  || die "introspection smoke: /stats missing telemetry section" "$intro_out"
+grep -q '"metric": "telemetry_samples_taken"' <<<"$intro_out" \
+  || die "introspection smoke: /stats missing the telemetry counters" "$intro_out"
 grep -q '200 /history' <<<"$intro_out" \
   || die "introspection smoke: /history not 200" "$intro_out"
 grep -q '"metric": "commits"' <<<"$intro_out" \
@@ -278,7 +282,8 @@ range of ts is sys$tablestats
 retrieve (ts.stat, ts.value) where ts.relation = "faculty" and ts.stat = "versions"
 
 range of q is sys$queries
-retrieve (q.fingerprint, q.statement, q.kind, q.calls, q.p50_ns, q.p99_ns, q.rows_out)
+retrieve (q.fingerprint, q.statement, q.kind, q.calls, q.p50_ns, q.p99_ns, q.rows_out,
+          q.worst_misestimate_x1000, q.access_path)
   where q.kind = "retrieve"
 
 \top
@@ -290,10 +295,10 @@ grep -q 'analyzed faculty' <<<"$wa_out" \
   || die "analytics smoke: analyze produced no confirmation" "$wa_out"
 grep -q 'versions | 2' <<<"$wa_out" \
   || die "analytics smoke: sys\$tablestats missing the versions stat" "$wa_out"
-# sys$queries has exactly these seven columns: the retrieve above
+# sys$queries has exactly these nine columns: the retrieve above
 # fails on a dropped one, this header on a renamed one, and the
 # /queries check below on a leftover cache count.
-grep -Eq '^fingerprint +\| statement +\| kind +\| calls +\| p50_ns +\| p99_ns +\| rows_out$' <<<"$wa_out" \
+grep -Eq '^fingerprint +\| statement +\| kind +\| calls +\| p50_ns +\| p99_ns +\| rows_out +\| worst_misestimate_x1000 +\| access_path$' <<<"$wa_out" \
   || die "analytics smoke: sys\$queries columns changed" "$wa_out"
 # Two literal variations of the same retrieve shape: one fingerprint,
 # two calls, literals normalized to "?".
@@ -301,19 +306,19 @@ grep -Eq 'f\.name = "\?" *\| retrieve *\| 2 ' <<<"$wa_out" \
   || die "analytics smoke: fingerprint dedup failed" "$wa_out"
 grep -q '200 /queries' <<<"$wa_out" \
   || die "analytics smoke: /queries not 200" "$wa_out"
-grep -q '"queries"' <<<"$wa_out" \
-  || die "analytics smoke: /queries body missing the queries list" "$wa_out"
+grep -qF '{"sys$queries": [' <<<"$wa_out" \
+  || die "analytics smoke: /queries body missing the sys\$queries rows" "$wa_out"
 ! grep -q '"cache_' <<<"$wa_out" \
   || die "analytics smoke: /queries still reports cache counts" "$wa_out"
 grep -q 'workload fingerprints' <<<"$wa_out" \
   || die "analytics smoke: \\top missing the fingerprint section" "$wa_out"
-# --stats-json: one engine-stats snapshot on stdout, well-formed JSON.
+# --stats-json: the /stats document on stdout, well-formed JSON.
 ./target/release/chronos --stats-json "$wa_dir/db" > "$wa_dir/stats.json" \
   || die "analytics smoke: --stats-json failed"
 ./target/release/chronos --check-jsonl "$wa_dir/stats.json" \
   || die "analytics smoke: --stats-json output malformed"
-grep -q '"metrics"' "$wa_dir/stats.json" \
-  || die "analytics smoke: --stats-json missing the metrics section"
+grep -qF '{"sys$stats": [{"metric": "pager_page_reads"' "$wa_dir/stats.json" \
+  || die "analytics smoke: --stats-json missing the sys\$stats rows"
 
 echo "==> TQuel service smoke (--serve / --connect over loopback)"
 svc_dir=$(mktemp -d)
@@ -364,8 +369,8 @@ grep -q 'tr-check-1' <<<"$slow_body" \
   || die "service smoke: trace id missing from the slow-query log" "$slow_body"
 sessions_body=$(./target/release/chronos --get "$svc_obs" /sessions) \
   || die "service smoke: GET /sessions failed"
-grep -q '"sessions"' <<<"$sessions_body" \
-  || die "service smoke: /sessions body missing the sessions list" "$sessions_body"
+grep -qF '{"sys$sessions": [' <<<"$sessions_body" \
+  || die "service smoke: /sessions body missing the sys\$sessions rows" "$sessions_body"
 # A statement error over the wire must exit non-zero, like local batch.
 if echo 'retrieve (zzz.name)' | ./target/release/chronos --batch --connect "$svc_addr" >/dev/null 2>&1; then
   die "service smoke: remote statement error did not exit non-zero"

@@ -11,7 +11,8 @@ use std::time::Duration;
 use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
-use chronos_db::{Database, Engine, ObsBootstrap};
+use chronos_db::introspect::flatten_stats;
+use chronos_db::{Database, Engine, ObsBootstrap, QueryClient, QueryServer};
 use chronos_obs::{http_get, validate_json};
 
 fn d(s: &str) -> Chronon {
@@ -337,7 +338,7 @@ fn background_sampler_and_system_relations_on_a_durable_database() {
     let (status, events) = http_get(&addr, "/events?n=50").expect("GET /events");
     assert_eq!(status, 200);
     validate_json(&events).expect("untorn /events JSON");
-    assert!(events.contains("\"event\": \"sampler_start\""), "{events}");
+    assert!(events.contains("\"kind\": \"sampler_start\""), "{events}");
 
     engine
         .exclusive(|db| db.stop_stats_sampler())
@@ -350,7 +351,11 @@ fn background_sampler_and_system_relations_on_a_durable_database() {
     let stats = engine.stats();
     assert!(stats.telemetry.samples_taken >= 2);
     assert!(!stats.telemetry.sampler_running);
-    assert!(stats.to_json().contains("\"telemetry\""));
+    let taken = (
+        "telemetry_samples_taken".to_string(),
+        stats.telemetry.samples_taken as i64,
+    );
+    assert!(flatten_stats(&stats).contains(&taken));
     assert!(stats
         .to_prometheus()
         .contains("chronos_telemetry_samples_taken"));
@@ -635,8 +640,10 @@ fn system_relations_with_history_answer_current_as_of_and_through_reads() {
     }
 
     // The full `sys$stats` metric set, in exposition order: 19
-    // counters, the derived session gauge, 2 gauges, and 9 p50/p99
-    // pairs.
+    // counters, the derived session gauge, 2 gauges, each of the 9
+    // histograms' samples/total/p50/p99/p999, the slow log's threshold
+    // and admissions, and the telemetry counters (an in-memory database
+    // has no journal, so no journal counters).
     let names = q
         .query("range of s is sys$stats retrieve (s.metric)")
         .expect("metric names")
@@ -666,24 +673,59 @@ fn system_relations_with_history_answer_current_as_of_and_through_reads() {
             "active_sessions",
             "commit_queue_depth",
             "commit_queue_hwm",
+            "commit_latency_samples",
+            "commit_latency_total_ns",
             "commit_latency_p50_ns",
             "commit_latency_p99_ns",
+            "commit_latency_p999_ns",
+            "query_latency_samples",
+            "query_latency_total_ns",
             "query_latency_p50_ns",
             "query_latency_p99_ns",
+            "query_latency_p999_ns",
+            "group_batch_size_samples",
+            "group_batch_size_total",
             "group_batch_size_p50",
             "group_batch_size_p99",
+            "group_batch_size_p999",
+            "commit_queue_wait_samples",
+            "commit_queue_wait_total_ns",
             "commit_queue_wait_p50_ns",
             "commit_queue_wait_p99_ns",
+            "commit_queue_wait_p999_ns",
+            "commit_lock_wait_samples",
+            "commit_lock_wait_total_ns",
             "commit_lock_wait_p50_ns",
             "commit_lock_wait_p99_ns",
+            "commit_lock_wait_p999_ns",
+            "commit_apply_samples",
+            "commit_apply_total_ns",
             "commit_apply_p50_ns",
             "commit_apply_p99_ns",
+            "commit_apply_p999_ns",
+            "commit_fsync_samples",
+            "commit_fsync_total_ns",
             "commit_fsync_p50_ns",
             "commit_fsync_p99_ns",
+            "commit_fsync_p999_ns",
+            "commit_ack_samples",
+            "commit_ack_total_ns",
             "commit_ack_p50_ns",
             "commit_ack_p99_ns",
+            "commit_ack_p999_ns",
+            "read_lock_wait_samples",
+            "read_lock_wait_total_ns",
             "read_lock_wait_p50_ns",
             "read_lock_wait_p99_ns",
+            "read_lock_wait_p999_ns",
+            "slowlog_threshold_ns",
+            "slowlog_admitted",
+            "telemetry_samples_taken",
+            "telemetry_samples_spilled",
+            "telemetry_stats_retained",
+            "telemetry_catalog_retained",
+            "telemetry_capacity",
+            "telemetry_sampler_running",
         ]
     );
 }
@@ -742,4 +784,333 @@ fn destroy_keeps_the_past_of_sys_tablestats() {
     );
     assert_eq!(latest(), None, "a recreated relation starts unanalyzed");
     assert_eq!(people_rows(""), Vec::<i64>::new());
+}
+
+/// An engine over a durable database with one relation of each class,
+/// an exporter started before recovery (as the CLI does), a slow log
+/// admitting every statement, and one open network connection — so
+/// every `sys$` relation an endpoint renders has rows.
+struct Scraped {
+    dir: PathBuf,
+    clock: Arc<ManualClock>,
+    engine: Arc<Engine>,
+    exporter: chronos_obs::ObsServer,
+    service: QueryServer,
+    client: QueryClient,
+}
+
+fn scraped(name: &str) -> Scraped {
+    let dir = temp_dir(name);
+    let clock = Arc::new(ManualClock::new(d("01/01/80")));
+    let obs = ObsBootstrap::new();
+    let exporter = obs.serve("127.0.0.1:0").expect("serve");
+    let db = Database::open_with_obs(&dir, clock.clone(), &obs).expect("open");
+    db.set_slow_query_threshold_ns(0);
+    let engine = Engine::start(db);
+    let mut session = engine.session();
+    session
+        .run(
+            "create s (name = str) as static
+             create r (name = str) as rollback
+             create h (name = str) as historical
+             create t (name = str) as temporal",
+        )
+        .expect("create");
+    clock.advance_to(d("02/01/80"));
+    for rel in ["s", "r", "h", "t"] {
+        session
+            .run(&format!(r#"append to {rel} (name = "Merrie")"#))
+            .expect("append");
+    }
+    let service = QueryServer::serve(Arc::clone(&engine), "127.0.0.1:0").expect("service");
+    let mut client = QueryClient::connect(&service.addr().to_string()).expect("connect");
+    assert!(client.execute("range of x is s").expect("execute").ok);
+    let x = Scraped {
+        dir,
+        clock,
+        engine,
+        exporter,
+        service,
+        client,
+    };
+    x.settle();
+    x
+}
+
+impl Scraped {
+    /// Waits until the engine's instruments stop moving: the writer
+    /// records a commit's ack, and the service a response's bytes, after
+    /// the caller already has its answer.
+    fn settle(&self) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut last = self.engine.stats().metrics;
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = self.engine.stats().metrics;
+            if now == last {
+                return;
+            }
+            assert!(std::time::Instant::now() < deadline, "never settled");
+            last = now;
+        }
+    }
+
+    /// GETs `path`, which must answer 200 (and, but for `/metrics` and
+    /// `/healthz`, with well-formed JSON).
+    fn get(&self, path: &str) -> String {
+        let (status, body) = http_get(&self.exporter.addr().to_string(), path).expect("GET");
+        assert_eq!(status, 200, "{path}: {body}");
+        if !matches!(path, "/metrics" | "/healthz") {
+            validate_json(&body).unwrap_or_else(|e| panic!("{path}: {e}\n{body}"));
+        }
+        body
+    }
+
+    fn finish(self) {
+        drop(self.client);
+        self.service.shutdown();
+        self.exporter.shutdown();
+        drop(self.engine);
+        std::fs::remove_dir_all(&self.dir).unwrap();
+    }
+}
+
+/// Every attribute of `relation`, retrieved in TQuel straight over the
+/// database (no session, so the read registers nothing), each row
+/// rendered as a JSON object independently of the exporter's renderer.
+fn retrieve_json(engine: &Engine, relation: &str, tail: &str) -> Vec<String> {
+    use chronos_core::relation::Validity;
+    use chronos_core::value::Value;
+    use chronos_tquel::provider::RelationProvider;
+    let names: Vec<String> = engine.with_db(|db| {
+        let info = db.info(relation).expect("declared");
+        let names = info
+            .schema
+            .attributes()
+            .iter()
+            .map(|a| a.name().to_string());
+        names.collect()
+    });
+    let targets: Vec<String> = names.iter().map(|n| format!("v.{n}")).collect();
+    let text = format!("retrieve ({}) {tail}", targets.join(", "));
+    let Ok(chronos_tquel::ast::Statement::Retrieve(retrieve)) =
+        chronos_tquel::parse_statement(&text)
+    else {
+        panic!("{text} does not parse");
+    };
+    let ranges = [("v".to_string(), relation.to_string())].into();
+    let result = engine.with_db(|db| {
+        let plan = chronos_tquel::analyze::analyze_retrieve(&retrieve, &ranges, db)
+            .unwrap_or_else(|e| panic!("{text}: {e}"));
+        chronos_tquel::exec::execute_plan(&plan, db).unwrap_or_else(|e| panic!("{text}: {e}"))
+    });
+    let ticks = |p: chronos_core::timepoint::TimePoint| {
+        p.finite()
+            .map_or("null".to_string(), |c| c.ticks().to_string())
+    };
+    let mut rows: Vec<String> = result
+        .rows
+        .iter()
+        .map(|row| {
+            let mut fields: Vec<String> = names
+                .iter()
+                .zip(row.tuple.values())
+                .map(|(name, value)| match value {
+                    Value::Int(v) => format!("\"{name}\": {v}"),
+                    other => format!(
+                        "\"{name}\": \"{}\"",
+                        chronos_obs::events::escape_json(other.as_str().expect("str"))
+                    ),
+                })
+                .collect();
+            match row.validity {
+                Some(Validity::Event(at)) => fields.push(format!("\"valid_at\": {}", at.ticks())),
+                Some(Validity::Interval(p)) => panic!("no sys$ relation has intervals: {p}"),
+                None => {}
+            }
+            if let Some(tx) = row.tx {
+                fields.push(format!("\"tx_from\": {}", ticks(tx.start())));
+                fields.push(format!("\"tx_to\": {}", ticks(tx.end())));
+            }
+            idle_blind(&format!("{{{}}}", fields.join(", ")))
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// The rows of `relation` in a document body, each as its JSON text,
+/// sorted.
+fn body_rows(body: &str, relation: &str) -> Vec<String> {
+    let key = format!("\"{relation}\": [");
+    let start = body
+        .find(&key)
+        .unwrap_or_else(|| panic!("{relation} missing from {body}"))
+        + key.len();
+    let (mut rows, mut depth, mut row_start) = (Vec::new(), 0, 0);
+    let (mut in_string, mut escaped) = (false, false);
+    for (i, c) in body[start..].char_indices() {
+        let at = start + i;
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' if depth == 0 => (row_start, depth) = (at, 1),
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    rows.push(idle_blind(&body[row_start..=at]));
+                }
+            }
+            ']' if depth == 0 => {
+                rows.sort();
+                return rows;
+            }
+            _ => {}
+        }
+    }
+    panic!("{relation} unterminated in {body}")
+}
+
+/// `idle_ns` is a clock reading: it moves between any two reads of a
+/// live session, so the comparison blinds it.
+fn idle_blind(row: &str) -> String {
+    match row.find("\"idle_ns\": ") {
+        Some(at) => {
+            let digits = row[at + 11..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            format!("{}\"idle_ns\": _{}", &row[..at], &row[at + 11 + digits..])
+        }
+        None => row.to_string(),
+    }
+}
+
+/// Each JSON endpoint is the rows of its `sys$` relation(s): its body
+/// equals a TQuel retrieve of every attribute, right after open and
+/// again after two more commits.  Each check GETs the endpoints first,
+/// then takes a sample — `/stats` is the engine's statistics now, which
+/// a sample taken now records into `sys$stats` — and reads `/history`
+/// (the sampled window) after it.  No sample runs between the commits
+/// and the second check's GETs, so a `/wal` or `/storage` document
+/// cached at the last sample would show the old frames and sizes.
+#[test]
+fn every_endpoint_renders_its_system_relation() {
+    let x = scraped("every-endpoint");
+    for check in 0..2 {
+        if check == 1 {
+            x.clock.advance_to(d("03/01/80"));
+            for name in ["Tom", "Jane"] {
+                x.engine
+                    .session()
+                    .run(&format!(r#"append to t (name = "{name}")"#))
+                    .expect("commit");
+            }
+            x.settle();
+        }
+        let endpoints: [(&str, &[&str]); 7] = [
+            ("/stats", &["sys$stats"]),
+            ("/slow", &["sys$slow"]),
+            ("/queries", &["sys$queries"]),
+            ("/sessions", &["sys$sessions", "sys$connections"]),
+            ("/events", &["sys$events"]),
+            ("/wal", &["sys$wal"]),
+            ("/storage", &["sys$pages"]),
+        ];
+        let mut read: Vec<(&str, &[&str], &str, String)> = endpoints
+            .iter()
+            .map(|&(path, relations)| (path, relations, "", x.get(path)))
+            .collect();
+        x.engine.with_db(Database::sample_now);
+        read.push((
+            "/history",
+            &["sys$stats"],
+            r#"where v.metric = "commits" as of "01/01/80" through "01/01/99""#,
+            x.get("/history?metric=commits&n=1000"),
+        ));
+        for (path, relations, tail, body) in &read {
+            for relation in relations.iter() {
+                let rows = body_rows(body, relation);
+                assert!(
+                    !rows.is_empty(),
+                    "check {check}: {path} has no {relation} rows"
+                );
+                assert_eq!(
+                    rows,
+                    retrieve_json(&x.engine, relation, tail),
+                    "check {check}: {path} is not {relation}"
+                );
+            }
+        }
+        // Two commits later, the live WAL has two more frames.
+        assert!(
+            read[5].3.contains(&format!(
+                "\"stat\": \"frames\", \"value\": {},",
+                4 + 2 * check
+            )),
+            "check {check}: {}",
+            read[5].3
+        );
+    }
+    x.finish();
+}
+
+/// A scrape only reads: GETting every endpoint twice opens no session,
+/// records no span and no read-lock wait, and moves no counter.
+#[test]
+fn a_scrape_has_no_side_effects() {
+    let x = scraped("no-side-effects");
+    let observed = || {
+        let stats = x.engine.stats();
+        let ring: Vec<(&str, u64)> = x
+            .engine
+            .recorder()
+            .recent_events()
+            .iter()
+            .map(|e| (e.name, e.duration_ns))
+            .collect();
+        let sessions: Vec<u64> = x
+            .engine
+            .session_registry()
+            .sessions()
+            .iter()
+            .map(|s| s.session_id)
+            .collect();
+        (
+            sessions,
+            stats.metrics.read_lock_wait.samples,
+            stats.metrics.counters(),
+            ring,
+        )
+    };
+    let before = observed();
+    for _ in 0..2 {
+        for path in [
+            "/metrics",
+            "/stats",
+            "/slow",
+            "/queries",
+            "/sessions",
+            "/events",
+            "/history?metric=commits",
+            "/wal",
+            "/storage",
+            "/healthz",
+            "/readyz",
+        ] {
+            x.get(path);
+        }
+    }
+    let after = observed();
+    assert_eq!(before.0, after.0, "a scrape registered a session");
+    assert_eq!(before.1, after.1, "a scrape waited on the read lock");
+    assert_eq!(before.2, after.2, "a scrape moved a counter");
+    assert_eq!(before.3, after.3, "a scrape recorded a span");
+    x.finish();
 }
