@@ -26,6 +26,14 @@
 //! Both modes drive the workload through an [`Engine`], the one path
 //! every session takes, so each commit is one group-commit batch.
 //!
+//! A second, smaller matrix fires the checkpoint and log-reset sites
+//! ([`POLICY_SITES`]) inside the writer's own checkpoint, the one its
+//! policy writes once the log outgrows the floor (the policy workload
+//! asks for no checkpoint).  A crash there must lose no acknowledged
+//! commit; an injected error must fail no commit, and a later group
+//! must checkpoint again.  A site that fails every time, as on a full
+//! disk, must cost at most one attempt per floor of log.
+//!
 //! Driver: `tests/fault_matrix.rs` (tier-1).
 
 use std::path::{Path, PathBuf};
@@ -36,8 +44,9 @@ use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::relation::temporal::TemporalStore as _;
+use chronos_db::database::CHECKPOINT_LOG_FLOOR;
 use chronos_db::{Database, Engine, ObsBootstrap};
-use chronos_obs::fault::{self, FaultPlan};
+use chronos_obs::fault::{self, FaultAction, FaultPlan, StorageFaults};
 use chronos_obs::http_get;
 use chronos_storage::wal::Wal;
 
@@ -119,6 +128,56 @@ pub fn total_commits() -> usize {
         .iter()
         .filter(|s| matches!(s, Step::Stmt(_, stmt) if !stmt.starts_with("create")))
         .count()
+}
+
+/// Commits in the policy workload: enough long replaces that the log
+/// passes the checkpoint floor (16 KiB) twice.
+pub const POLICY_COMMITS: usize = 48;
+
+/// The sites a policy checkpoint passes through, in order.
+pub const POLICY_SITES: &[&str] = &[
+    "checkpoint.save.pre_write",
+    "checkpoint.save.pre_rename",
+    "checkpoint.save.post_rename",
+    "wal.reset.pre_truncate",
+    "wal.reset.post_truncate",
+];
+
+/// Step `i` of the policy workload at its own transaction time: the
+/// DDL (step 0), two appends, then replaces alternating between the two
+/// keys, each frame ~1 KiB.
+fn policy_step(engine: &Arc<Engine>, clock: &ManualClock, i: usize) -> Result<(), String> {
+    clock.advance_to(Chronon::new(d("01/01/80").ticks() + i as i64));
+    let rank = format!("r{i}-{}", "x".repeat(480));
+    let stmt = match i {
+        0 => "create faculty (name = str, rank = str) as temporal".to_string(),
+        1 | 2 => format!(r#"append to faculty (name = "k{i}", rank = "{rank}")"#),
+        _ => format!(
+            r#"range of f is faculty replace f (rank = "{rank}") where f.name = "k{}""#,
+            1 + i % 2
+        ),
+    };
+    engine
+        .session()
+        .run(&stmt)
+        .map(drop)
+        .map_err(|e| e.to_string())
+}
+
+/// Runs the policy workload's DDL and its first `commits` commits; the
+/// error names the first failing step.
+pub fn run_policy(engine: &Arc<Engine>, clock: &ManualClock, commits: usize) -> Result<(), String> {
+    (0..=commits)
+        .try_for_each(|i| policy_step(engine, clock, i).map_err(|e| format!("step {i}: {e}")))
+}
+
+/// The canonical rows of an in-memory oracle holding the first
+/// `commits` commits of the policy workload.
+pub fn policy_oracle_rows(commits: usize) -> Result<Vec<String>, String> {
+    let clock = Arc::new(ManualClock::new(d("01/01/80")));
+    let engine = Engine::start(Database::in_memory(Arc::clone(&clock) as _));
+    run_policy(&engine, &clock, commits).map_err(|e| format!("oracle {e}"))?;
+    engine.with_db(|db| canonical_rows(db, RELATION))
 }
 
 /// Runs `STEPS[from..]` through `engine`, advancing `clock` per step.
@@ -294,22 +353,46 @@ pub fn site_specs() -> Vec<SiteSpec> {
 /// armed site will kill it) and never return.  Call first thing in any
 /// binary that [`run_crash_matrix`] may re-execute.
 pub fn maybe_run_child() {
-    if std::env::var(CHILD_MARK_ENV).is_err() {
-        return;
+    if let Some((engine, clock)) = child_engine() {
+        child_exit(run_steps(&engine, &clock, 0));
     }
+}
+
+/// [`maybe_run_child`] for the policy workload, which
+/// [`run_policy_crash_matrix`] re-executes.  Each acknowledged commit
+/// prints `acked N` before the next one starts, so the parent knows
+/// which commits were promised durable.
+pub fn maybe_run_policy_child() {
+    if let Some((engine, clock)) = child_engine() {
+        child_exit((0..=POLICY_COMMITS).try_for_each(|i| {
+            policy_step(&engine, &clock, i).map_err(|e| (i, e))?;
+            println!("acked {i}");
+            Ok(())
+        }));
+    }
+}
+
+/// In a crash-matrix child, arms the fault from the environment and
+/// opens the child's database; `None` in any other process.
+fn child_engine() -> Option<(Arc<Engine>, Arc<ManualClock>)> {
+    std::env::var(CHILD_MARK_ENV).ok()?;
     let dir = PathBuf::from(std::env::var(CHILD_DIR_ENV).expect("child needs CHRONOS_FAULT_DIR"));
     fault::arm_from_env();
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
     let obs = ObsBootstrap::new();
-    let engine = match Database::open_with_obs(&dir, Arc::clone(&clock) as _, &obs) {
-        Ok(db) => Engine::start(db),
+    match Database::open_with_obs(&dir, Arc::clone(&clock) as _, &obs) {
+        Ok(db) => Some((Engine::start(db), clock)),
         Err(e) => {
             eprintln!("fault child: open failed: {e}");
             std::process::exit(3);
         }
-    };
+    }
+}
+
+/// Ends a child whose workload returned instead of being killed.
+fn child_exit(outcome: Result<(), (usize, String)>) -> ! {
     // A site on the writer thread kills the whole process all the same.
-    match run_steps(&engine, &clock, 0) {
+    match outcome {
         Ok(()) => {
             // The armed site never fired (or only unwound): the parent
             // treats exit 0 as "site not exercised" and fails the row.
@@ -323,28 +406,94 @@ pub fn maybe_run_child() {
     }
 }
 
+/// What a crash row's recovered state is checked against: the
+/// workload's commit count and its oracle for a durable prefix.
+struct Oracle {
+    commits: usize,
+    rows: fn(usize) -> Result<Vec<String>, String>,
+}
+
 /// Runs the crash matrix: for every site spec, spawn a child of
 /// `child_exe child_args..` with the fault armed, assert it dies with
 /// [`fault::CRASH_EXIT_CODE`], recover the directory, and verify.
 /// Returns one human-readable summary line per site, or a combined
 /// failure report.
 pub fn run_crash_matrix(child_exe: &Path, child_args: &[String]) -> Result<Vec<String>, String> {
+    let oracle = Oracle {
+        commits: total_commits(),
+        rows: oracle_rows,
+    };
+    crash_rows(child_exe, child_args, "", site_specs(), &oracle)
+}
+
+/// The crash matrix over the policy checkpoint: each of
+/// [`POLICY_SITES`] kills a [`maybe_run_policy_child`] at its first
+/// hit, which falls in the first checkpoint the writer's policy writes.
+/// Recovery must hold every commit the child saw acknowledged, and
+/// pass every check of [`run_crash_matrix`].
+pub fn run_policy_crash_matrix(
+    child_exe: &Path,
+    child_args: &[String],
+) -> Result<Vec<String>, String> {
+    let specs = POLICY_SITES
+        .iter()
+        .map(|&site| SiteSpec {
+            site,
+            hit: 1,
+            keep: None,
+        })
+        .collect();
+    let oracle = Oracle {
+        commits: POLICY_COMMITS,
+        rows: policy_oracle_rows,
+    };
+    crash_rows(child_exe, child_args, "policy.", specs, &oracle)
+}
+
+fn crash_rows(
+    child_exe: &Path,
+    child_args: &[String],
+    tag: &str,
+    specs: Vec<SiteSpec>,
+    oracle: &Oracle,
+) -> Result<Vec<String>, String> {
     let baseline = figures_digest();
+    matrix_rows(
+        "crash",
+        &specs,
+        |spec| spec.site,
+        |spec| {
+            let dir = matrix_dir(&format!("{tag}{}", spec.site));
+            run_one_site(child_exe, child_args, spec, &dir, oracle, &baseline)
+        },
+    )
+}
+
+/// Runs `one` on every row of a matrix, then clears any fault plan the
+/// rows left installed.  Returns one summary line per row, or a report
+/// naming (by `site`) every row that failed; `what` names the matrix.
+fn matrix_rows<T>(
+    what: &str,
+    rows: &[T],
+    site: impl Fn(&T) -> &str,
+    mut one: impl FnMut(&T) -> Result<String, String>,
+) -> Result<Vec<String>, String> {
     let mut summaries = Vec::new();
     let mut failures = Vec::new();
-    for spec in site_specs() {
-        match run_one_site(child_exe, child_args, &spec, &baseline) {
+    for row in rows {
+        match one(row) {
             Ok(line) => summaries.push(line),
-            Err(e) => failures.push(format!("{}: {e}", spec.site)),
+            Err(e) => failures.push(format!("{}: {e}", site(row))),
         }
     }
+    fault::clear();
     if failures.is_empty() {
         Ok(summaries)
     } else {
         Err(format!(
-            "{} of {} crash sites failed verification:\n  {}",
+            "{} of {} {what} sites failed verification:\n  {}",
             failures.len(),
-            site_specs().len(),
+            rows.len(),
             failures.join("\n  ")
         ))
     }
@@ -361,14 +510,15 @@ fn run_one_site(
     child_exe: &Path,
     child_args: &[String],
     spec: &SiteSpec,
+    dir: &Path,
+    oracle: &Oracle,
     figures_baseline: &str,
 ) -> Result<String, String> {
-    let dir = matrix_dir(spec.site);
     // 1 + 2: workload in a child, killed at the armed site.
     let mut cmd = Command::new(child_exe);
     cmd.args(child_args)
         .env(CHILD_MARK_ENV, "1")
-        .env(CHILD_DIR_ENV, &dir)
+        .env(CHILD_DIR_ENV, dir)
         .env("CHRONOS_FAULT_SITE", spec.site)
         .env("CHRONOS_FAULT_HIT", spec.hit.to_string())
         .env("CHRONOS_FAULT_MODE", "crash")
@@ -391,6 +541,12 @@ fn run_one_site(
             String::from_utf8_lossy(&out.stderr).trim()
         ));
     }
+    // The last commit the child printed as acknowledged, if it prints.
+    let acked = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.strip_prefix("acked ")?.parse::<usize>().ok())
+        .max()
+        .unwrap_or(0);
     // What is actually durable on disk, before recovery touches it.
     let on_disk = Wal::recover(&dir.join("wal")).map_err(|e| format!("pre-recovery scan: {e}"))?;
     let floor = chronos_db::checkpoint::load(&dir.join("checkpoint"))
@@ -414,7 +570,7 @@ fn run_one_site(
         return Err(format!("/readyz before recovery was {pre}, want 503"));
     }
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
-    let db = Database::open_with_obs(&dir, clock as _, &obs)
+    let db = Database::open_with_obs(dir, clock as _, &obs)
         .map_err(|e| format!("recovery failed: {e}"))?;
     let (post, _) = http_get(&addr, "/readyz").map_err(|e| format!("readyz post: {e}"))?;
     if post != 200 {
@@ -423,14 +579,19 @@ fn run_one_site(
 
     // 4a: oracle equality over the durable commit prefix.
     let commits = commits_in(&db);
-    if commits > total_commits() {
+    if commits > oracle.commits {
         return Err(format!(
             "recovered {commits} commits, workload only has {}",
-            total_commits()
+            oracle.commits
+        ));
+    }
+    if commits < acked {
+        return Err(format!(
+            "recovered {commits} commits, but {acked} were acknowledged"
         ));
     }
     let got = canonical_rows(&db, RELATION)?;
-    let want = oracle_rows(commits)?;
+    let want = (oracle.rows)(commits)?;
     if got != want {
         return Err(format!(
             "recovered state diverges from oracle at {commits} commits:\n  got: {got:#?}\n  want: {want:#?}"
@@ -468,10 +629,10 @@ fn run_one_site(
 
     drop(db);
     drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(dir);
     Ok(format!(
-        "{:<28} hit {} → crash; {} commits durable ({} replayed, {} skipped, {} torn bytes); oracle + journal + readyz + figures ok",
-        spec.site, spec.hit, commits, expect_replayed, expect_skipped, on_disk.torn_bytes
+        "{:<28} hit {} → crash; {} commits durable, {} seen acknowledged ({} replayed, {} skipped, {} torn bytes); oracle + journal + readyz + figures ok",
+        spec.site, spec.hit, commits, acked, expect_replayed, expect_skipped, on_disk.torn_bytes
     ))
 }
 
@@ -482,25 +643,7 @@ fn run_one_site(
 /// exactly the committed prefix, the workload retries to completion,
 /// and the final state equals the full oracle.
 pub fn run_unwind_matrix() -> Result<Vec<String>, String> {
-    let mut summaries = Vec::new();
-    let mut failures = Vec::new();
-    for spec in site_specs() {
-        match run_one_unwind(&spec) {
-            Ok(line) => summaries.push(line),
-            Err(e) => failures.push(format!("{}: {e}", spec.site)),
-        }
-    }
-    fault::clear();
-    if failures.is_empty() {
-        Ok(summaries)
-    } else {
-        Err(format!(
-            "{} of {} unwind sites failed verification:\n  {}",
-            failures.len(),
-            site_specs().len(),
-            failures.join("\n  ")
-        ))
-    }
+    matrix_rows("unwind", &site_specs(), |spec| spec.site, run_one_unwind)
 }
 
 fn run_one_unwind(spec: &SiteSpec) -> Result<String, String> {
@@ -593,5 +736,149 @@ fn run_one_unwind(spec: &SiteSpec) -> Result<String, String> {
     Ok(format!(
         "{:<28} {detail}; full-oracle equality ok",
         spec.site
+    ))
+}
+
+/// The site that fails every time in the policy unwind matrix's
+/// lasting-failure row.
+pub const LASTING_FAILURE_SITE: &str = "checkpoint.save.pre_write";
+
+/// The unwind matrix over the policy checkpoint.  Each of
+/// [`POLICY_SITES`] fails with an injected error at its first hit, in
+/// the first checkpoint the writer's policy writes.  No caller waits on
+/// that checkpoint, so every commit must still succeed; the failure
+/// must be counted (`checkpoint_failures`) and journaled
+/// (`db_checkpoint_failed`), a later group must checkpoint again, and
+/// the state must equal the full oracle, live and after a reopen.  One
+/// more row fails [`LASTING_FAILURE_SITE`] on every hit, as a full disk
+/// would: the commits must still succeed, and the policy must try at
+/// most once per [`CHECKPOINT_LOG_FLOOR`] of log, not once per group.
+pub fn run_policy_unwind_matrix() -> Result<Vec<String>, String> {
+    let rows: Vec<(&str, bool)> = POLICY_SITES
+        .iter()
+        .map(|&site| (site, false))
+        .chain([(LASTING_FAILURE_SITE, true)])
+        .collect();
+    matrix_rows(
+        "policy",
+        &rows,
+        |row| row.0,
+        |&(site, lasting)| run_one_policy_unwind(site, lasting),
+    )
+}
+
+/// A plan that fails every hit of one site: a lasting fault, such as a
+/// full disk.
+struct EveryHit(&'static str);
+
+impl StorageFaults for EveryHit {
+    fn decide(&self, site: &str, _hit: u64, _len: usize) -> FaultAction {
+        if site == self.0 {
+            FaultAction::Error
+        } else {
+            FaultAction::Proceed
+        }
+    }
+}
+
+fn run_one_policy_unwind(site: &'static str, lasting: bool) -> Result<String, String> {
+    let tag = if lasting { "lasting" } else { "unwind" };
+    let dir = matrix_dir(&format!("policy-{tag}.{site}"));
+    let clock = Arc::new(ManualClock::new(d("01/01/80")));
+    let engine = Database::open(&dir, Arc::clone(&clock) as _)
+        .map(Engine::start)
+        .map_err(|e| format!("open: {e}"))?;
+    if lasting {
+        fault::install(Arc::new(EveryHit(site)));
+    } else {
+        fault::install(Arc::new(FaultPlan::error_at(site, 1)));
+    }
+    let outcome = run_policy(&engine, &clock, POLICY_COMMITS);
+    // The writer checkpoints after a group's acks: a round trip through
+    // it lets the last group's checkpoint finish under the plan.
+    let drained = engine.exclusive(|_| ());
+    fault::clear();
+    outcome.map_err(|e| format!("{e}: a policy checkpoint's error failed a commit"))?;
+    drained.map_err(|e| format!("writer after the workload: {e}"))?;
+    let metrics = engine.stats().metrics;
+    let journal =
+        std::fs::read_to_string(dir.join("events.jsonl")).map_err(|e| format!("journal: {e}"))?;
+    let is = |line: &str, event: &str| line.contains(&format!("\"event\": \"{event}\""));
+    let failed: Vec<usize> = (journal.lines().enumerate())
+        .filter(|(_, l)| is(l, "db_checkpoint_failed"))
+        .map(|(i, _)| i)
+        .collect();
+    if failed.len() as u64 != metrics.checkpoint_failures {
+        return Err(format!(
+            "{} failures journaled, {} counted",
+            failed.len(),
+            metrics.checkpoint_failures
+        ));
+    }
+    let first_failed = *failed.first().ok_or("no failure was journaled")?;
+    if !journal
+        .lines()
+        .nth(first_failed)
+        .is_some_and(|l| l.contains(site))
+    {
+        return Err("the journaled failure does not name the site".into());
+    }
+    let detail = if lasting {
+        if metrics.checkpoints != 0 {
+            return Err(format!(
+                "{} checkpoints written past a site that always fails",
+                metrics.checkpoints
+            ));
+        }
+        // Every attempt failed, so the log still holds every commit; a
+        // retry per group would have tried once per commit.
+        drop(engine);
+        let log = Wal::recover(&dir.join("wal"))
+            .map_err(|e| format!("log scan: {e}"))?
+            .valid_len;
+        let bound = log / CHECKPOINT_LOG_FLOOR;
+        if metrics.checkpoint_failures > bound {
+            return Err(format!(
+                "{} attempts over {log} B of log, want at most {bound} (one per {CHECKPOINT_LOG_FLOOR} B)",
+                metrics.checkpoint_failures
+            ));
+        }
+        format!(
+            "fails every hit; {} attempts over {log} B of log (bound {bound})",
+            metrics.checkpoint_failures
+        )
+    } else {
+        if metrics.checkpoint_failures != 1 {
+            return Err(format!(
+                "{} policy checkpoints counted as failed, want 1",
+                metrics.checkpoint_failures
+            ));
+        }
+        if !journal
+            .lines()
+            .skip(first_failed)
+            .any(|l| is(l, "db_checkpoint_finish"))
+        {
+            return Err("no checkpoint finished after the failure".into());
+        }
+        let want = policy_oracle_rows(POLICY_COMMITS)?;
+        if engine.with_db(|db| canonical_rows(db, RELATION))? != want {
+            return Err("live state diverges from the full oracle".into());
+        }
+        drop(engine);
+        format!(
+            "error in a policy checkpoint; {} checkpoints written",
+            metrics.checkpoints
+        )
+    };
+    let db = Database::open(&dir, Arc::new(ManualClock::new(d("01/01/81"))) as _)
+        .map_err(|e| format!("reopen: {e}"))?;
+    if canonical_rows(&db, RELATION)? != policy_oracle_rows(POLICY_COMMITS)? {
+        return Err("durable state diverges from the full oracle".into());
+    }
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(format!(
+        "{site:<28} {detail}; {POLICY_COMMITS} commits ok; full-oracle equality ok"
     ))
 }

@@ -8,7 +8,11 @@
 //! complete physical state of every relation — including closed
 //! versions, which a temporal database may never forget — is written to
 //! a checksummed `checkpoint` file, and the log is truncated.  Reopening
-//! loads the checkpoint and replays only the log suffix.
+//! loads the checkpoint and replays only the log suffix.  Besides the
+//! explicit calls, the engine's writer checkpoints on its own once the
+//! log outgrows both the last checkpoint and
+//! [`CHECKPOINT_LOG_FLOOR`](crate::database::CHECKPOINT_LOG_FLOOR), so
+//! the suffix never exceeds max(floor, one checkpoint).
 //!
 //! The checkpoint preserves *everything* the log encoded: every stored
 //! version of every relation, all transaction counters and the last
@@ -36,17 +40,19 @@ const MAGIC: &[u8; 8] = b"CHRONCK2";
 /// Format 1 tagged each image with its class and had four layouts.
 const MAGIC_V1: &[u8; 8] = b"CHRONCKP";
 
-/// A loaded checkpoint: the per-relation images plus the WAL floor —
-/// the last commit time the checkpoint has already absorbed.  Replay
-/// skips log records at or below the floor, which makes recovery
-/// idempotent when a crash lands *between* checkpoint rename and WAL
-/// reset (the classic double-apply window: checkpoint and full log
-/// both on disk).
+/// A loaded checkpoint: the per-relation images, its length, and the
+/// WAL floor — the last commit time the checkpoint has already
+/// absorbed.  Replay skips log records at or below the floor, which
+/// makes recovery idempotent when a crash lands *between* checkpoint
+/// rename and WAL reset (the classic double-apply window: checkpoint
+/// and full log both on disk).
 pub struct Checkpoint {
     /// Last commit time captured by the images, if any commit happened.
     pub wal_floor: Option<Chronon>,
     /// `rel_id → image` for every relation at checkpoint time.
     pub images: BTreeMap<u32, RelationImage>,
+    /// Length of the encoded checkpoint, in bytes.
+    pub len: u64,
 }
 
 /// The checkpointed state of one relation, whatever its class: every
@@ -139,12 +145,14 @@ pub fn restore(entry: &CatalogEntry, image: RelationImage) -> StorageResult<Rela
 /// for every relation, framed with magic and CRC-32.  The file is
 /// written to a `.tmp` sibling, fsynced, and renamed into place, so a
 /// crash at any point leaves either the old checkpoint or the new one
-/// — never a torn mixture.
+/// — never a torn mixture.  The directory is fsynced after the rename,
+/// so once this returns the new checkpoint survives a power loss and
+/// the log it absorbed may be truncated.  Returns the file's length.
 pub fn save(
     path: &Path,
     wal_floor: Option<Chronon>,
     images: &BTreeMap<u32, RelationImage>,
-) -> StorageResult<()> {
+) -> StorageResult<u64> {
     let mut body = Vec::new();
     put_opt_chronon(&mut body, wal_floor);
     put_uvarint(&mut body, images.len() as u64);
@@ -165,8 +173,17 @@ pub fn save(
     }
     chronos_storage::fault::crash_point("checkpoint.save.pre_rename")?;
     std::fs::rename(&tmp, path)?;
+    // The rename is an entry in the directory, which the file's fsync
+    // does not cover.  Callers truncate the log next; were the rename
+    // still in the page cache, a power loss could keep that truncation
+    // and lose the checkpoint, and with it every commit since the last.
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()?;
     chronos_storage::fault::crash_point("checkpoint.save.post_rename")?;
-    Ok(())
+    Ok(out.len() as u64)
 }
 
 /// Loads a checkpoint file; absent file means no checkpoint.
@@ -212,7 +229,11 @@ pub fn decode(bytes: &[u8]) -> StorageResult<Checkpoint> {
     if !r.is_exhausted() {
         return Err(StorageError::Corrupt("trailing bytes in checkpoint".into()));
     }
-    Ok(Checkpoint { wal_floor, images })
+    Ok(Checkpoint {
+        wal_floor,
+        images,
+        len: bytes.len() as u64,
+    })
 }
 
 #[cfg(test)]
@@ -279,7 +300,15 @@ mod tests {
             (wal_floor, &images)
         );
         std::fs::remove_file(&path).expect("clean up");
-        (bytes, Checkpoint { wal_floor, images })
+        let len = bytes.len() as u64;
+        (
+            bytes,
+            Checkpoint {
+                wal_floor,
+                images,
+                len,
+            },
+        )
     }
 
     fn same(c: &Checkpoint) -> (Option<Chronon>, &BTreeMap<u32, RelationImage>) {

@@ -5,10 +5,10 @@
 //! thread, whose commits allocate a strictly monotonic transaction
 //! time from the [`TxnManager`], validate the operations, stage them
 //! ahead in the shared log (durable databases), apply them, and make
-//! the batch durable under one group fsync.  Reopening a
-//! durable database loads the catalog image and replays the log — the
-//! log *is* the temporal database, which is precisely the paper's
-//! append-only transaction-time semantics.
+//! the batch durable under one group fsync.  Reopening a durable
+//! database loads the catalog image and the last checkpoint and replays
+//! the log after it — the log *is* the temporal database, which is
+//! precisely the paper's append-only transaction-time semantics.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -39,9 +39,15 @@ use crate::introspect::{
 use crate::observe::{EngineSlot, ObsBootstrap};
 use crate::relation::{has_transaction_time, Relation};
 
-/// Closed versions a relation accumulates before a checkpoint freezes
-/// them into an immutable segment.
-pub const DEFAULT_FREEZE_THRESHOLD: usize = 128;
+/// Log bytes below which the writer never checkpoints on its own.
+///
+/// After each commit group the writer checkpoints once the log has
+/// grown past both this floor and the last checkpoint's length, so a
+/// reopen replays at most max(floor, one checkpoint) of log.  Replay
+/// costs ~0.13 µs per log byte, so 16 KiB replays in ~2 ms — about what
+/// starting the process costs; below it a checkpoint would cost more
+/// than it saves.
+pub const CHECKPOINT_LOG_FLOOR: u64 = 16 * 1024;
 
 /// Deletes stale segment files (best effort: segments are a cache).
 fn purge_segments(seg_dir: &Path) {
@@ -88,9 +94,13 @@ pub struct Database {
     pub(crate) engine: Arc<EngineSlot>,
     /// The background stats sampler, when started.
     sampler: Option<StatsSampler>,
-    /// Closed-version count at which a checkpoint freezes a relation's
-    /// history into an immutable segment.
-    freeze_threshold: usize,
+    /// Length of the checkpoint file this database last loaded or
+    /// wrote (0 without one): the checkpoint policy's yardstick.
+    checkpoint_len: u64,
+    /// Log length past which the writer's policy checkpoints:
+    /// max(floor, `checkpoint_len`), or, after a policy checkpoint
+    /// failed, the log's length then plus that much again.
+    checkpoint_due: u64,
 }
 
 /// What [`Database::freeze_relation`] did.
@@ -125,7 +135,8 @@ impl Database {
             registry: Arc::new(SessionRegistry::default()),
             engine: Arc::default(),
             sampler: None,
-            freeze_threshold: DEFAULT_FREEZE_THRESHOLD,
+            checkpoint_len: 0,
+            checkpoint_due: CHECKPOINT_LOG_FLOOR,
         };
         db.record_catalog_sample(db.txn.peek_now());
         db
@@ -154,7 +165,7 @@ impl Database {
         // they hold is also in the checkpoint image (capture merges
         // segments back in) or replayable from the log.  Recovery
         // therefore rebuilds the full heap and discards stale segment
-        // files wholesale; a later checkpoint re-freezes.
+        // files wholesale; only an explicit `freeze` writes new ones.
         purge_segments(&dir.join("segments"));
         let recorder = Arc::clone(&obs.recorder);
         // The lifecycle journal lives beside the WAL.  Journaling is
@@ -172,6 +183,8 @@ impl Database {
         // Start from the checkpoint image when one exists, otherwise
         // from empty stores; either way the log suffix replays on top.
         let checkpoint = crate::checkpoint::load(&dir.join("checkpoint"))?;
+        let checkpoint_len = checkpoint.as_ref().map_or(0, |c| c.len);
+        recorder.set_gauge(|m| &m.checkpoint_bytes, checkpoint_len);
         // A crash between checkpoint rename and WAL reset leaves the
         // full log beside a checkpoint that already contains its
         // effects; the floor tells replay which records to skip.
@@ -269,7 +282,8 @@ impl Database {
             registry: Arc::clone(&obs.registry),
             engine: Arc::clone(&obs.engine),
             sampler: None,
-            freeze_threshold: DEFAULT_FREEZE_THRESHOLD,
+            checkpoint_len,
+            checkpoint_due: CHECKPOINT_LOG_FLOOR.max(checkpoint_len),
         };
         db.record_catalog_sample(db.txn.peek_now());
         Ok(db)
@@ -281,6 +295,47 @@ impl Database {
     /// write-ahead log, bounding future recovery time.  Only meaningful
     /// on durable databases.
     pub fn checkpoint(&mut self) -> DbResult<()> {
+        self.write_checkpoint("explicit")
+    }
+
+    /// The checkpoint policy's rule, checked by the writer after each
+    /// commit group's fsync and acks: true once the log has grown past
+    /// both [`CHECKPOINT_LOG_FLOOR`] and the last checkpoint's length.
+    /// Replay then never exceeds max(floor, one checkpoint), and every
+    /// checkpoint is paid for by at least as many log bytes.  It reads
+    /// the log's in-memory length: no syscall per commit.
+    pub(crate) fn log_outgrew_checkpoint(&self) -> bool {
+        self.log_len() > self.checkpoint_due
+    }
+
+    /// The log's in-memory length (0 for an in-memory database).
+    fn log_len(&self) -> u64 {
+        self.wal.as_ref().map_or(0, |wal| wal.lock().logical_len())
+    }
+
+    /// The checkpoint the policy writes once
+    /// [`log_outgrew_checkpoint`](Self::log_outgrew_checkpoint) holds.
+    /// No caller waits on it, so a failure is journaled
+    /// (`db_checkpoint_failed`) and counted (`checkpoint_failures`),
+    /// never returned: the commits that triggered it are already
+    /// durable.  The next attempt waits for as much new log as a
+    /// checkpoint that succeeded would have, so a lasting failure (a
+    /// full disk) costs one attempt per max(floor, checkpoint) of log,
+    /// not one per commit group.
+    pub(crate) fn checkpoint_for_log(&mut self) {
+        if let Err(e) = self.write_checkpoint("log") {
+            self.checkpoint_due = self.log_len() + CHECKPOINT_LOG_FLOOR.max(self.checkpoint_len);
+            self.recorder.count(|m| &m.checkpoint_failures);
+            self.recorder.emit_event(
+                "db_checkpoint_failed",
+                &[("reason", "log".into()), ("error", e.to_string().into())],
+            );
+        }
+    }
+
+    /// Writes the checkpoint; `reason` is `explicit` (asked for) or
+    /// `log` (the writer's policy).
+    fn write_checkpoint(&mut self, reason: &'static str) -> DbResult<()> {
         let Some(dir) = self.dir.clone() else {
             return Err(DbError::Catalog(
                 "checkpoint requires a durable database".into(),
@@ -288,7 +343,10 @@ impl Database {
         };
         self.recorder.emit_event(
             "db_checkpoint_start",
-            &[("relations", self.relations.len().into())],
+            &[
+                ("relations", self.relations.len().into()),
+                ("reason", reason.into()),
+            ],
         );
         let mut images = std::collections::BTreeMap::new();
         for (name, entry) in self.catalog.iter() {
@@ -303,54 +361,41 @@ impl Database {
         // so this floor cleanly splits "absorbed by the images" from
         // "must replay" if a crash strands the full log next to the
         // new checkpoint.
-        crate::checkpoint::save(
+        let bytes = crate::checkpoint::save(
             &dir.join("checkpoint"),
             self.txn.last_commit_time(),
             &images,
         )?;
+        // `save` fsynced the directory after its rename, so the log
+        // truncation below can never outlive the checkpoint it relies on.
         let wal_bytes_truncated = match &self.wal {
             Some(wal) => {
                 let mut wal = wal.lock();
-                let len = wal.len().unwrap_or(0);
+                let len = wal.logical_len();
                 wal.reset()?;
                 len
             }
             None => 0,
         };
+        self.checkpoint_len = bytes;
+        self.checkpoint_due = CHECKPOINT_LOG_FLOOR.max(bytes);
+        self.recorder.count(|m| &m.checkpoints);
+        self.recorder.set_gauge(|m| &m.checkpoint_bytes, bytes);
         self.recorder.emit_event(
             "db_checkpoint_finish",
             &[
                 ("relations", self.relations.len().into()),
+                ("bytes", bytes.into()),
                 ("wal_bytes_truncated", wal_bytes_truncated.into()),
             ],
         );
-        // Heap rows whose transaction period closed are immutable
-        // forever; once enough pile up, freeze them into mmap-backed
-        // segments.  Doing it *after* the checkpoint image is durable
-        // keeps the heap authoritative: a crash anywhere in the freeze
-        // loses only a rebuildable cache.
-        let to_freeze: Vec<String> = self
-            .relations
-            .iter()
-            .filter(|(_, rel)| rel.table().frozen_version_count() >= self.freeze_threshold)
-            .map(|(name, _)| name.clone())
-            .collect();
-        for name in to_freeze {
-            self.freeze_relation(&name)?;
-        }
         Ok(())
-    }
-
-    /// Overrides the closed-version count at which [`checkpoint`]
-    /// (Self::checkpoint) auto-freezes a relation.
-    pub fn set_freeze_threshold(&mut self, versions: usize) {
-        self.freeze_threshold = versions;
     }
 
     /// Freezes `name`'s closed versions into an immutable mmap-backed
     /// segment under `dir/segments/`, leaving the mutable tail on the
-    /// pager.  Explicit counterpart of the checkpoint-time auto-freeze;
-    /// durable databases only.  What freezes is decided by the rows, not
+    /// pager.  Only the explicit `freeze` statement calls it; durable
+    /// databases only.  What freezes is decided by the rows, not
     /// the class: a relation with no closed versions (always the case
     /// where superseded versions are dropped) reports zero.
     pub fn freeze_relation(&mut self, name: &str) -> DbResult<FreezeOutcome> {

@@ -9,7 +9,7 @@
 //!   *snapshot* — the durable commit watermark at `begin` — and every
 //!   scan of a transaction-time relation is clamped to that pin, so a
 //!   session sees one consistent transaction-time state no matter how
-//!   many commits land underneath it (see [`PinnedProvider`]).
+//!   many commits land underneath it (see `PinnedProvider`).
 //!
 //! * **Writers** never touch the database directly.  All mutation is
 //!   funneled through a bounded submission queue drained by a single
@@ -25,7 +25,10 @@
 //! * **Exclusive operations** (DDL, `retrieve into`, checkpoints) run
 //!   alone on the writer thread between batches, with the write lock
 //!   held and the previous batch's fsync already on disk — this
-//!   serializes WAL resets against group syncs by construction.
+//!   serializes WAL resets against group syncs by construction.  The
+//!   writer's own checkpoint policy runs the same way, after a group's
+//!   acks, once the log outgrows the last checkpoint
+//!   (see `CHECKPOINT_LOG_FLOOR`).
 //!
 //! ## Visibility and the durable watermark
 //!
@@ -474,6 +477,12 @@ impl Core {
                 }
                 self.recorder
                     .record_latency(|m| &m.commit_ack, ack_started.elapsed().as_nanos() as u64);
+                // The checkpoint policy runs here, the way an exclusive
+                // request runs: alone, after the acks, with the batch's
+                // fsync on disk.
+                if applied > 0 && self.db.read().log_outgrew_checkpoint() {
+                    self.db.write().checkpoint_for_log();
+                }
             }
             Err(e) => {
                 // The staged frames are gone from the log but applied

@@ -30,7 +30,7 @@
 //! temporal rows carry their state's period, static-rollback rows come
 //! back pure static.  `sys$relations` is sampled synchronously at every
 //! catalog-visible mutation (commits, DDL), which makes its rollback
-//! view exact without any background mirror; the [`StatsSampler`] is
+//! view exact without any background mirror; the `StatsSampler` is
 //! the background thread that samples `sys$stats` and `sys$sessions`
 //! on a configurable interval.  Evicted `sys$stats` states spill to
 //! JSONL beside the WAL.

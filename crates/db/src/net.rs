@@ -1,9 +1,8 @@
 //! The TQuel network endpoint: a zero-dependency TCP query service.
 //!
 //! [`QueryServer`] accepts connections on a `TcpListener` and gives
-//! each one its own thread owning a snapshot-pinned
-//! [`Session`](crate::session::Session) — the wire-level
-//! twin of the embedded observability exporter in `chronos-obs`
+//! each one its own thread owning a snapshot-pinned [`Session`] — the
+//! wire-level twin of the embedded observability exporter in `chronos-obs`
 //! (single accept loop, stop-flag + connect-kick shutdown), but
 //! read-write and session-oriented.
 //!

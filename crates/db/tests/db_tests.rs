@@ -904,8 +904,8 @@ fn freeze_migrates_closed_versions_without_changing_answers() {
 }
 
 #[test]
-fn checkpoint_auto_freezes_past_the_threshold() {
-    let dir = std::env::temp_dir().join(format!("chronos-db-autofreeze-{}", std::process::id()));
+fn a_checkpoint_writes_no_segment_and_freeze_still_does() {
+    let dir = std::env::temp_dir().join(format!("chronos-db-nofreeze-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
     let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
@@ -915,16 +915,20 @@ fn checkpoint_auto_freezes_past_the_threshold() {
         .unwrap();
     build_figure_8(&engine, &clock);
 
-    // Below the threshold nothing freezes at checkpoint.
-    engine.exclusive(|db| db.set_freeze_threshold(4)).unwrap();
+    // A checkpoint over closed versions leaves them on the heap: the
+    // image already holds every row, so no segment duplicates them.
     engine.checkpoint().unwrap();
     assert!(std::fs::read_dir(dir.join("segments"))
         .map(|d| d.count() == 0)
         .unwrap_or(true));
+    engine.with_db(|db| {
+        let rel = db.relation("faculty").unwrap().table();
+        assert_eq!(rel.segment_versions(), 0);
+        assert_eq!(rel.frozen_version_count(), 3);
+    });
 
-    // At (or past) it, the checkpoint freezes automatically.
-    engine.exclusive(|db| db.set_freeze_threshold(3)).unwrap();
-    engine.checkpoint().unwrap();
+    // The explicit statement still freezes them.
+    engine.session().run("freeze faculty").unwrap();
     assert!(dir.join("segments/faculty-0.seg").is_file());
     engine.with_db(|db| {
         let rel = db.relation("faculty").unwrap().table();

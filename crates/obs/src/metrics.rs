@@ -206,6 +206,11 @@ pub struct MetricsSnapshot {
     /// Submissions that found the bounded writer queue full and had to
     /// block (backpressure events, not blocked nanoseconds).
     pub submit_stalls: u64,
+    /// Checkpoints written, explicit and the writer's policy alike.
+    pub checkpoints: u64,
+    /// Policy checkpoints that failed (journaled; the policy retries
+    /// once the log has grown by max(floor, checkpoint) again).
+    pub checkpoint_failures: u64,
     pub net_requests: u64,
     pub net_errors: u64,
     pub net_bytes_in: u64,
@@ -214,6 +219,8 @@ pub struct MetricsSnapshot {
     pub commit_queue_depth: u64,
     /// Deepest the writer queue has ever been (gauge high-watermark).
     pub commit_queue_hwm: u64,
+    /// Length of the checkpoint file last loaded or written (gauge).
+    pub checkpoint_bytes: u64,
     pub commit_latency: HistogramSnapshot,
     pub query_latency: HistogramSnapshot,
     /// Commits per group-commit batch.  Same power-of-two machinery as
@@ -240,7 +247,7 @@ impl MetricsSnapshot {
     /// `(name, value)` pairs for every plain counter, in exposition
     /// order.  Keeping this as the single enumeration point means the
     /// `sys$stats` and Prometheus renderings can never drift apart.
-    pub fn counters(&self) -> [(&'static str, u64); 19] {
+    pub fn counters(&self) -> [(&'static str, u64); 21] {
         [
             ("pager_page_reads", self.pager_page_reads),
             ("pager_page_writes", self.pager_page_writes),
@@ -257,6 +264,8 @@ impl MetricsSnapshot {
             ("group_commit_batches", self.group_commit_batches),
             ("group_fsyncs_saved", self.group_fsyncs_saved),
             ("submit_stalls", self.submit_stalls),
+            ("checkpoints", self.checkpoints),
+            ("checkpoint_failures", self.checkpoint_failures),
             ("net_requests", self.net_requests),
             ("net_errors", self.net_errors),
             ("net_bytes_in", self.net_bytes_in),
@@ -266,10 +275,11 @@ impl MetricsSnapshot {
 
     /// `(name, value)` pairs for every gauge (level readings, not
     /// monotone counts), in exposition order.
-    pub fn gauges(&self) -> [(&'static str, u64); 2] {
+    pub fn gauges(&self) -> [(&'static str, u64); 3] {
         [
             ("commit_queue_depth", self.commit_queue_depth),
             ("commit_queue_hwm", self.commit_queue_hwm),
+            ("checkpoint_bytes", self.checkpoint_bytes),
         ]
     }
 
@@ -334,6 +344,8 @@ impl MetricsSnapshot {
             group_commit_batches: self.group_commit_batches - earlier.group_commit_batches,
             group_fsyncs_saved: self.group_fsyncs_saved - earlier.group_fsyncs_saved,
             submit_stalls: self.submit_stalls - earlier.submit_stalls,
+            checkpoints: self.checkpoints - earlier.checkpoints,
+            checkpoint_failures: self.checkpoint_failures - earlier.checkpoint_failures,
             net_requests: self.net_requests - earlier.net_requests,
             net_errors: self.net_errors - earlier.net_errors,
             net_bytes_in: self.net_bytes_in - earlier.net_bytes_in,
@@ -342,6 +354,7 @@ impl MetricsSnapshot {
             // so the delta carries the later reading unchanged.
             commit_queue_depth: self.commit_queue_depth,
             commit_queue_hwm: self.commit_queue_hwm,
+            checkpoint_bytes: self.checkpoint_bytes,
             commit_latency: self.commit_latency.since(&earlier.commit_latency),
             query_latency: self.query_latency.since(&earlier.query_latency),
             group_batch_size: self.group_batch_size.since(&earlier.group_batch_size),
@@ -550,18 +563,21 @@ mod tests {
 
     #[test]
     fn gauge_enumeration_is_consistent_across_renderings() {
-        // The queue-depth gauge pair must appear, under the same names,
-        // in the enumeration point and the Prometheus exposition — the
-        // no-drift invariant for every scraper.
+        // The queue-depth gauge pair and the checkpoint length must
+        // appear, under the same names, in the enumeration point and the
+        // Prometheus exposition — the no-drift invariant for every
+        // scraper.
         let s = MetricsSnapshot {
             commit_queue_depth: 3,
             commit_queue_hwm: 9,
+            checkpoint_bytes: 4096,
             ..Default::default()
         };
         let gauges = s.gauges();
-        assert_eq!(gauges.len(), 2);
+        assert_eq!(gauges.len(), 3);
         assert_eq!(gauges[0], ("commit_queue_depth", 3));
         assert_eq!(gauges[1], ("commit_queue_hwm", 9));
+        assert_eq!(gauges[2], ("checkpoint_bytes", 4096));
         let prom = s.to_prometheus();
         for (name, v) in gauges {
             assert!(

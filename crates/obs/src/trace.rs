@@ -98,12 +98,18 @@ pub struct Instruments {
     pub group_fsyncs_saved: Counter,
     /// Submissions that found the bounded writer queue full.
     pub submit_stalls: Counter,
+    /// Checkpoints written (explicit and policy).
+    pub checkpoints: Counter,
+    /// Policy checkpoints that failed.
+    pub checkpoint_failures: Counter,
     pub net_requests: Counter,
     pub net_errors: Counter,
     pub net_bytes_in: Counter,
     pub net_bytes_out: Counter,
     /// Writer-queue depth (level + high-watermark).
     pub commit_queue_depth: Gauge,
+    /// Length of the checkpoint file last loaded or written.
+    pub checkpoint_bytes: Gauge,
     pub commit_latency: LatencyHistogram,
     pub query_latency: LatencyHistogram,
     /// Commits per group-commit batch (value is a count, not ns).
@@ -224,12 +230,15 @@ impl Recorder {
             group_commit_batches: m.group_commit_batches.get(),
             group_fsyncs_saved: m.group_fsyncs_saved.get(),
             submit_stalls: m.submit_stalls.get(),
+            checkpoints: m.checkpoints.get(),
+            checkpoint_failures: m.checkpoint_failures.get(),
             net_requests: m.net_requests.get(),
             net_errors: m.net_errors.get(),
             net_bytes_in: m.net_bytes_in.get(),
             net_bytes_out: m.net_bytes_out.get(),
             commit_queue_depth: m.commit_queue_depth.get(),
             commit_queue_hwm: m.commit_queue_depth.high_watermark(),
+            checkpoint_bytes: m.checkpoint_bytes.get(),
             commit_latency: m.commit_latency.snapshot(),
             query_latency: m.query_latency.snapshot(),
             group_batch_size: m.group_batch_size.snapshot(),

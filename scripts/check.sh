@@ -44,6 +44,9 @@ scripts/check-deps.sh
 echo "==> cargo clippy --workspace --all-targets -- -D warnings (tests, benches and examples too)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> rustdoc -D warnings (chronos-db, chronos-storage: no broken or private intra-doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p chronos-db -p chronos-storage
+
 echo "==> proptest regressions policy (counterexamples must be committed)"
 if [ -n "$(git status --porcelain -- '*.proptest-regressions' 2>/dev/null)" ]; then
   git status --porcelain -- '*.proptest-regressions'

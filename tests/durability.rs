@@ -447,3 +447,132 @@ fn mixed_classes_replay_correctly() {
     assert_eq!(stored, 2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Reads `"key": <digits>` out of one journal line.
+fn field_u64(line: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\": ");
+    let at = line
+        .find(&needle)
+        .unwrap_or_else(|| panic!("no {key} in {line}"));
+    line[at + needle.len()..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect::<String>()
+        .parse()
+        .unwrap_or_else(|_| panic!("bad {key} in {line}"))
+}
+
+/// The writer checkpoints once the log outgrows both the 16 KiB floor
+/// and the last checkpoint, so the log never holds more than
+/// max(16 KiB, one checkpoint) plus the group just committed, and a
+/// reopen replays no more than that.
+#[test]
+fn recovery_is_bounded_by_the_last_checkpoint() {
+    const FLOOR: u64 = 16 * 1024;
+    const KEYS: usize = 4;
+    const REPLACES: usize = 2_000;
+    let dir = temp_dir("bounded");
+    let len = |file: &str| std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+    let clock = Arc::new(ManualClock::new(d("01/01/80")));
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+    engine
+        .session()
+        .run("create faculty (name = str, rank = str) as temporal")
+        .unwrap();
+    for k in 0..KEYS {
+        clock.tick(1);
+        engine
+            .session()
+            .run(&format!(r#"append to faculty (name = "k{k}", rank = "r")"#))
+            .unwrap();
+    }
+    let mut session = engine.session();
+    let mut wal_before = len("wal");
+    for i in 0..REPLACES {
+        clock.tick(1);
+        session
+            .run(&format!(
+                r#"range of f is faculty replace f (rank = "r{i}") where f.name = "k{}""#,
+                i % KEYS
+            ))
+            .unwrap();
+        // Under the read lock the writer is between groups, so the log
+        // and the checkpoint are read as one state.
+        let (wal, checkpoint) = engine.with_db(|_| (len("wal"), len("checkpoint")));
+        // The frames of this commit's group, unless a checkpoint since
+        // emptied the log.
+        let group = wal.saturating_sub(wal_before);
+        assert!(
+            wal <= FLOOR.max(checkpoint) + group,
+            "after commit {i}: log {wal} B > max({FLOOR}, checkpoint {checkpoint} B) + group {group} B"
+        );
+        wal_before = wal;
+    }
+    let rows = |engine: &Arc<Engine>| {
+        engine.with_db(|db| {
+            let mut rows: Vec<String> = db
+                .relation("faculty")
+                .unwrap()
+                .table()
+                .scan_rows()
+                .unwrap()
+                .iter()
+                .map(|row| format!("{row:?}"))
+                .collect();
+            rows.sort();
+            rows
+        })
+    };
+    let acknowledged = rows(&engine);
+    // Each replace closes one version and adds two: the old fact ended
+    // now, the new one from now.
+    assert_eq!(acknowledged.len(), KEYS + 2 * REPLACES);
+    // Dropped without a checkpoint: the writer finished the last
+    // group's policy check before it stopped.
+    drop(session);
+    drop(engine);
+    let (wal, checkpoint) = (len("wal"), len("checkpoint"));
+    assert!(wal <= FLOOR.max(checkpoint), "log {wal} B at close");
+    // Amortized: the checkpoints wrote at most twice the log bytes
+    // appended (the ones they truncated plus the log left over).
+    let journal = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
+    let finished: Vec<&str> = journal
+        .lines()
+        .filter(|l| l.contains("\"event\": \"db_checkpoint_finish\""))
+        .collect();
+    assert!(!finished.is_empty(), "the log outgrew the floor");
+    let started = journal
+        .lines()
+        .filter(|l| l.contains("\"event\": \"db_checkpoint_start\""));
+    assert!(started.clone().all(|l| l.contains("\"reason\": \"log\"")));
+    assert_eq!(started.count(), finished.len());
+    let written: u64 = finished.iter().map(|l| field_u64(l, "bytes")).sum();
+    let appended: u64 = wal
+        + finished
+            .iter()
+            .map(|l| field_u64(l, "wal_bytes_truncated"))
+            .sum::<u64>();
+    assert!(
+        written <= 2 * appended,
+        "{written} B of checkpoints for {appended} B of log"
+    );
+
+    let engine = Engine::start(Database::open(&dir, clock).unwrap());
+    let journal = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
+    let recovery = journal
+        .lines()
+        .rfind(|l| l.contains("\"event\": \"recovery\""))
+        .expect("a recovery event");
+    // `truncated_at` is the intact log's length: every byte replay read.
+    let replayed = field_u64(recovery, "truncated_at");
+    assert_eq!(replayed, wal, "{recovery}");
+    assert!(replayed <= FLOOR.max(checkpoint), "{recovery}");
+    assert!(field_u64(recovery, "frames_replayed") > 0, "{recovery}");
+    assert_eq!(
+        rows(&engine),
+        acknowledged,
+        "every acknowledged row reads back"
+    );
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

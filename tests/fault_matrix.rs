@@ -52,6 +52,37 @@ fn every_crash_site_recovers_to_oracle_state() {
     assert_eq!(lines.len(), fault::CRASH_SITES.len());
 }
 
+/// Child entry point for the policy crash matrix (see
+/// [`crash_child_entry`]).
+#[test]
+fn policy_crash_child_entry() {
+    fm::maybe_run_policy_child();
+}
+
+/// A crash anywhere in a checkpoint the writer's policy writes loses no
+/// acknowledged commit, and the directory reopens to the oracle.
+#[test]
+fn a_crash_in_a_policy_checkpoint_loses_no_acknowledged_commit() {
+    let _g = fault_lock();
+    let exe = std::env::current_exe().expect("own executable path");
+    let args: Vec<String> = ["policy_crash_child_entry", "--exact", "--nocapture"]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    let lines = fm::run_policy_crash_matrix(&exe, &args).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(lines.len(), fm::POLICY_SITES.len());
+}
+
+/// An error in a policy checkpoint fails none of the commits; it is
+/// counted and journaled, and a later group checkpoints again.  A
+/// failure that lasts is tried at most once per floor of log.
+#[test]
+fn an_error_in_a_policy_checkpoint_fails_no_commit() {
+    let _g = fault_lock();
+    let lines = fm::run_policy_unwind_matrix().unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(lines.len(), fm::POLICY_SITES.len() + 1);
+}
+
 #[test]
 fn every_site_unwinds_gracefully() {
     let _g = fault_lock();

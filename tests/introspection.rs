@@ -639,8 +639,8 @@ fn system_relations_with_history_answer_current_as_of_and_through_reads() {
         }
     }
 
-    // The full `sys$stats` metric set, in exposition order: 19
-    // counters, the derived session gauge, 2 gauges, each of the 9
+    // The full `sys$stats` metric set, in exposition order: 21
+    // counters, the derived session gauge, 3 gauges, each of the 9
     // histograms' samples/total/p50/p99/p999, the slow log's threshold
     // and admissions, and the telemetry counters (an in-memory database
     // has no journal, so no journal counters).
@@ -666,6 +666,8 @@ fn system_relations_with_history_answer_current_as_of_and_through_reads() {
             "group_commit_batches",
             "group_fsyncs_saved",
             "submit_stalls",
+            "checkpoints",
+            "checkpoint_failures",
             "net_requests",
             "net_errors",
             "net_bytes_in",
@@ -673,6 +675,7 @@ fn system_relations_with_history_answer_current_as_of_and_through_reads() {
             "active_sessions",
             "commit_queue_depth",
             "commit_queue_hwm",
+            "checkpoint_bytes",
             "commit_latency_samples",
             "commit_latency_total_ns",
             "commit_latency_p50_ns",
