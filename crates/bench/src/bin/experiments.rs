@@ -22,24 +22,13 @@
 //! * **T6 (E20)** — coalescing cost and compression;
 //! * **T7 (E19)** — TQuel end-to-end latency for the paper's four query
 //!   shapes;
-//! * **T10** — the operational surface: `/metrics` scrape latency under
-//!   concurrent query load, and the slow-query wrapper's overhead at
-//!   the disabled threshold (`u64::MAX`);
-//! * **T11** — temporal introspection: the background stats sampler's
-//!   overhead on the timeslice workload, and the latency of querying
-//!   the telemetry itself (`retrieve` over `sys$stats`);
+//! * **T10** — what observability costs a statement: the whole
+//!   observability stack priced against `ObsBootstrap::disabled()` by
+//!   alternating pairs of `Session::run` + `render_outcomes` blocks
+//!   (gated: median ratio ≤ 1.05, its 95 % interval within ±0.02),
+//!   recorded in `BENCH_observability.json`;
 //! * **T12** — the concurrent MVCC query service: closed-loop snapshot
 //!   readers over loopback and group-commit write rounds;
-//! * **T13** — concurrency-aware observability: the full tracing +
-//!   telemetry stack (enabled recorder, per-statement trace ids, the
-//!   background sampler) priced against a disabled-recorder twin under
-//!   the 8-writer group-commit workload, with the writer-queue depth
-//!   trajectory and the per-stage commit latency decomposition;
-//! * **T14** — workload analytics: query fingerprinting plus `analyze`
-//!   statistics collection priced against a disabled-recorder twin on a
-//!   read-dominant workload over a 6000-version temporal relation,
-//!   with the fingerprint store's dedup verified (one entry for every
-//!   literal variation of the same statement shape);
 //! * **T16** — frozen segments: bytes/version and as-of point-query
 //!   latency of the delta-coded, mmap-backed segment format against
 //!   the paged heap with its key index, swept over version-chain
@@ -52,7 +41,7 @@
 //!   paged heap (the numbers `sys$pages`, `/storage`, and `analyze`
 //!   report), recorded in `BENCH_storage.json`.
 //!
-//! Set `EXPERIMENTS_ONLY=<ids>` (comma-separated, e.g. `T10,T11,T13`) to
+//! Set `EXPERIMENTS_ONLY=<ids>` (comma-separated, e.g. `T10,T12`) to
 //! run a subset.
 
 use std::collections::HashMap;
@@ -127,24 +116,11 @@ fn main() {
     if want("T7") {
         t7_tquel_throughput();
     }
-    let mut t10_stats = None;
     if want("T10") {
-        t10_stats = Some(t10_operational_surface());
-    }
-    let mut t11_stats = None;
-    if want("T11") {
-        t11_stats = Some(t11_temporal_introspection());
+        t10_observability_gate();
     }
     if want("T12") {
         t12_concurrent_service();
-    }
-    let mut t13_stats = None;
-    if want("T13") {
-        t13_stats = Some(t13_observability_overhead());
-    }
-    let mut t14_stats = None;
-    if want("T14") {
-        t14_stats = Some(t14_workload_analytics());
     }
     let mut t17_rows = None;
     if want("T17") {
@@ -158,14 +134,6 @@ fn main() {
         write_bench_storage_json(
             t17_rows.as_deref().unwrap_or(&[]),
             t16_rows.as_deref().unwrap_or(&[]),
-        );
-    }
-    if t10_stats.is_some() || t11_stats.is_some() || t13_stats.is_some() || t14_stats.is_some() {
-        write_bench_observability_json(
-            t10_stats.as_ref(),
-            t11_stats.as_ref(),
-            t13_stats.as_ref(),
-            t14_stats.as_ref(),
         );
     }
     println!("\nDone.  These tables are recorded in EXPERIMENTS.md.");
@@ -589,333 +557,240 @@ fn t7_tquel_throughput() {
 }
 
 // ---------------------------------------------------------------------
-// T10 — the operational surface: scrape latency and slow-log overhead
+// T10 — what observability costs a statement (EXPERIMENTS_ONLY=T10)
 // ---------------------------------------------------------------------
 
-/// The T10 measurements (serialized to BENCH_observability.json).
-struct T10Stats {
-    scrapes: usize,
-    scrape_p50_ns: u64,
-    scrape_p99_ns: u64,
-    statements: u32,
-    slowlog_disabled_overhead_ratio: f64,
+/// Keys and versions per key of the gate's relation (chronobench's
+/// `point_read` load: 400 keys × 4 versions, one commit each).
+const T10_KEYS: usize = 400;
+const T10_VERSIONS: usize = 4;
+/// Statements per timed block; one pair is one block on each side.
+const T10_BLOCK: usize = 300;
+const T10_MIN_PAIRS: usize = 20;
+const T10_MAX_PAIRS: usize = 400;
+/// The gate stops once the median's 95 % interval lies within this
+/// distance of the median on both sides.
+const T10_RESOLUTION: f64 = 0.02;
+/// The most the observability stack may add to a statement.
+const T10_BUDGET: f64 = 1.05;
+
+/// The distribution-free 95 % confidence interval of the median of
+/// `sorted`: order statistics k and n − k + 1 (1-based), with
+/// k = ⌊n/2 − 0.98√n⌋.
+fn median_ci(sorted: &[f64]) -> (f64, f64, f64) {
+    let n = sorted.len();
+    let k = ((n as f64 / 2.0 - 0.98 * (n as f64).sqrt()).floor() as usize).max(1);
+    (sorted[n / 2], sorted[k - 1], sorted[n - k])
 }
 
-fn t10_operational_surface() -> T10Stats {
-    heading("T10: operational surface — /metrics scrape latency, slow-log overhead");
-    let clock = Arc::new(ManualClock::new(Chronon::new(900)));
-    let engine = Engine::start(Database::in_memory(clock.clone()));
-    engine
-        .session()
-        .run("create faculty (name = str, rank = str) as temporal")
-        .expect("create");
-    for i in 0..200 {
-        clock.tick(1);
-        engine
-            .session()
-            .run(&format!(
-                r#"append to faculty (name = "prof{i:05}", rank = "assistant")
-                   valid from "{}" to forever"#,
-                chronos_core::calendar::Date::from_chronon(Chronon::new(900 + i))
-            ))
-            .expect("append");
+/// Runs one block of statements, from `first` on (wrapping), through
+/// `session` the way the server answers a request apart from the
+/// socket, returning its wall time.
+fn t10_block(session: &mut chronos_db::Session, statements: &[String], first: usize) -> u64 {
+    let start = Instant::now();
+    for j in first..first + T10_BLOCK {
+        let outcomes = session
+            .run(&statements[j % statements.len()])
+            .expect("gate statement");
+        std::hint::black_box(chronos_db::net::render_outcomes(&outcomes));
     }
-    let as_of = chronos_core::calendar::Date::from_chronon(Chronon::new(1000));
-    let query = format!(
-        r#"range of f is faculty retrieve (f.rank) where f.name = "prof00007" as of "{as_of}""#
-    );
+    start.elapsed().as_nanos() as u64
+}
 
-    // Scrape latency: a second thread GETs /metrics in a loop while
-    // this thread serves it a steady diet of retrieves.  The exporter
-    // reads only `Arc`-shared atomics and short-lived mutexes, so it
-    // never borrows the database itself.
-    let server = engine
-        .with_db(|db| db.serve_observability("127.0.0.1:0"))
-        .expect("serve");
-    let addr = server.addr().to_string();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let scraper = {
-        let (addr, stop) = (addr.clone(), Arc::clone(&stop));
-        std::thread::spawn(move || -> Vec<u64> {
-            let mut lat = Vec::new();
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let start = Instant::now();
-                let (status, body) = chronos_obs::http_get(&addr, "/metrics").expect("scrape");
-                lat.push(start.elapsed().as_nanos() as u64);
-                assert_eq!(status, 200, "scrape failed mid-load");
-                assert!(body.contains("chronos_"), "scrape body lost its metrics");
-            }
-            lat
-        })
-    };
-    let load_until = Instant::now() + std::time::Duration::from_millis(400);
-    let mut queries = 0usize;
+/// T10: the whole observability stack — enabled recorder, fingerprint
+/// store, session registry notes, stats sampler at 25 ms, slow log at
+/// its disabled default — priced per statement against
+/// `ObsBootstrap::disabled()`, by alternating pairs of blocks.
+fn t10_observability_gate() {
+    heading("T10: what observability costs a statement — alternating pairs vs a disabled recorder");
+    use chronos_core::calendar::Date;
+    let day = |c: Chronon| Date::from_chronon(c).to_string();
+
+    // One load, copied into two instances per side, so both sides read
+    // byte-identical directories.
+    let root = std::path::PathBuf::from("target/t10-obs-gate");
+    let _ = std::fs::remove_dir_all(&root);
+    let clock_start = chronos_core::calendar::date("01/01/80").expect("date");
+    let valid_base = chronos_core::calendar::date("01/01/70").expect("date");
     {
+        let clock = Arc::new(ManualClock::new(clock_start));
+        let db = Database::open(&root.join("load"), clock as _).expect("open load db");
+        let engine = Engine::start(db);
+        let mut s = engine.session();
+        s.run("create emp (name = str, dept = str, salary = int) as temporal")
+            .expect("create");
+        s.run("range of e is emp").expect("range");
+        for v in 0..T10_VERSIONS {
+            for k in 0..T10_KEYS {
+                let from = day(valid_base + (k % 300) as i64 + 350 * v as i64);
+                let salary = 1_000 * (v + 1) + k;
+                let src = if v == 0 {
+                    format!(
+                        r#"append to emp (name = "k{k:05}", dept = "d{:02}", salary = {salary}) valid from "{from}" to forever"#,
+                        k % 20
+                    )
+                } else {
+                    format!(
+                        r#"replace e (salary = {salary}) valid from "{from}" to forever where e.name = "k{k:05}""#
+                    )
+                };
+                s.run(&src).expect("load statement");
+            }
+        }
+        drop(s);
+        engine.shutdown();
+    }
+    let commits = (T10_KEYS * T10_VERSIONS) as i64;
+    let open = |name: &str, obs: &chronos_db::ObsBootstrap| {
+        let dir = root.join(name);
+        std::fs::create_dir_all(&dir).expect("instance dir");
+        for entry in std::fs::read_dir(root.join("load")).expect("load dir") {
+            let path = entry.expect("entry").path();
+            if path.is_file() {
+                std::fs::copy(&path, dir.join(path.file_name().expect("name"))).expect("copy");
+            }
+        }
+        let clock = Arc::new(ManualClock::new(clock_start));
+        let db = Database::open_with_obs(&dir, clock as _, obs).expect("open instance");
+        let engine = Engine::start(db);
         let mut session = engine.session();
-        while Instant::now() < load_until {
-            std::hint::black_box(session.query(&query).expect("query"));
-            queries += 1;
-        }
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let mut lat = scraper.join().expect("scraper thread");
-    server.shutdown();
-    lat.sort_unstable();
-    assert!(!lat.is_empty(), "no scrapes completed under load");
-    let p50 = lat[lat.len() / 2];
-    let p99 = lat[(lat.len() * 99 / 100).min(lat.len() - 1)];
-    println!(
-        "{:>8} | {:>8} | {:>13} | {:>13}",
-        "queries", "scrapes", "scrape p50 µs", "scrape p99 µs"
-    );
-    println!(
-        "{:>8} | {:>8} | {:>13.1} | {:>13.1}",
-        queries,
-        lat.len(),
-        p50 as f64 / 1e3,
-        p99 as f64 / 1e3
-    );
-
-    // Slow-log overhead: the monitored wrapper at the disabled
-    // threshold (the default, u64::MAX) against the plain execute
-    // path.  Interleaved min-of-9, same discipline as overhead_check.
-    let retrieve = format!(r#"retrieve (f.rank) where f.name = "prof00007" as of "{as_of}""#);
-    let stmt = chronos_tquel::parser::parse_statement(&retrieve).expect("parse");
-    assert_eq!(
-        engine.recorder().slowlog().threshold_ns(),
-        u64::MAX,
-        "slow log must be disabled for the overhead baseline"
-    );
-    let iters = 300u32;
-    let mut session = engine.session();
-    session.run("range of f is faculty").expect("range");
-    let (mut plain_ns, mut monitored_ns) = (u64::MAX, u64::MAX);
-    for _ in 0..9 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(session.execute(&stmt).expect("execute"));
-        }
-        plain_ns = plain_ns.min(start.elapsed().as_nanos() as u64);
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(session.execute_monitored(&stmt).expect("execute"));
-        }
-        monitored_ns = monitored_ns.min(start.elapsed().as_nanos() as u64);
-    }
-    assert!(
-        engine.recorder().slowlog().is_empty(),
-        "disabled slow log captured statements"
-    );
-    let ratio = monitored_ns as f64 / plain_ns.max(1) as f64;
-    assert!(
-        ratio < 1.05,
-        "disabled slow log overhead {ratio:.3} exceeds the 5% budget"
-    );
-    println!("slow-log overhead: disabled-threshold ratio {ratio:.3} — within budget (<1.05)");
-    T10Stats {
-        scrapes: lat.len(),
-        scrape_p50_ns: p50,
-        scrape_p99_ns: p99,
-        statements: iters,
-        slowlog_disabled_overhead_ratio: ratio,
-    }
-}
-
-// ---------------------------------------------------------------------
-// T11 — temporal introspection: the sampler's cost and the telemetry's
-// queryability
-// ---------------------------------------------------------------------
-
-/// The T11 measurements (serialized to BENCH_observability.json).
-struct T11Stats {
-    iters: u32,
-    sampler_overhead_ratio: f64,
-    samples_taken: u64,
-    telemetry_query_ns: u64,
-}
-
-fn t11_temporal_introspection() -> T11Stats {
-    heading("T11: temporal introspection — sampler overhead on the timeslice workload");
-    let clock = Arc::new(ManualClock::new(Chronon::new(900)));
-    let engine = Engine::start(Database::in_memory(clock.clone()));
-    engine
-        .session()
-        .run("create faculty (name = str, rank = str) as temporal")
-        .expect("create");
-    for i in 0..200 {
-        clock.tick(1);
-        engine
-            .session()
-            .run(&format!(
-                r#"append to faculty (name = "prof{i:05}", rank = "assistant")
-                   valid from "{}" to forever"#,
-                chronos_core::calendar::Date::from_chronon(Chronon::new(900 + i))
-            ))
-            .expect("append");
-    }
-    // The T4 shape through TQuel: a historical timeslice.
-    let day = chronos_core::calendar::Date::from_chronon(Chronon::new(1000));
-    let stmt = chronos_tquel::parser::parse_statement(&format!(
-        r#"retrieve (f.rank) where f.name = "prof00007" when f overlap "{day}""#
-    ))
-    .expect("parse");
-
-    // Sampler off vs on, interleaved min-of-9 (same discipline as
-    // overhead_check): the background thread snapshots engine_stats()
-    // every 5ms while the foreground runs the timeslice loop.
-    let iters = 300u32;
-    let run_loop = |engine: &Arc<Engine>| -> u64 {
-        let mut session = engine.session();
-        session.run("range of f is faculty").expect("range");
-        let start = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(session.execute(&stmt).expect("execute"));
-        }
-        start.elapsed().as_nanos() as u64
+        session.run("range of e is emp").expect("range");
+        (engine, session)
     };
-    std::hint::black_box(run_loop(&engine)); // warmup
-                                             // Paired rounds: each measures off and on adjacently (alternating
-                                             // which goes first, so frequency drift hits both sides alike) and
-                                             // contributes one ratio; the median ratio is immune to the odd
-                                             // preempted loop that a min-of-totals would let dominate.
-    let mut ratios = Vec::new();
-    for round in 0..15 {
-        let off_first = round % 2 == 0;
-        let mut off_ns = 0u64;
-        if off_first {
-            off_ns = run_loop(&engine);
-        }
+    let mut on: Vec<_> = (0..2)
+        .map(|i| open(&format!("on{i}"), &chronos_db::ObsBootstrap::new()))
+        .collect();
+    for (engine, _) in &on {
         engine
-            .exclusive(|db| db.start_stats_sampler(std::time::Duration::from_millis(5)))
+            .exclusive(|db| db.start_stats_sampler(std::time::Duration::from_millis(25)))
             .expect("writer")
             .expect("sampler");
-        let on_ns = run_loop(&engine);
-        engine
-            .exclusive(|db| db.stop_stats_sampler())
-            .expect("writer");
-        if !off_first {
-            off_ns = run_loop(&engine);
-        }
-        ratios.push(on_ns as f64 / off_ns.max(1) as f64);
     }
-    let samples_taken = engine.with_db(|db| db.telemetry().stats().samples_taken);
-    assert!(samples_taken > 0, "the sampler never sampled under load");
-    ratios.sort_by(f64::total_cmp);
-    let ratio = ratios[ratios.len() / 2];
+    let mut off: Vec<_> = (0..2)
+        .map(|i| open(&format!("off{i}"), &chronos_db::ObsBootstrap::disabled()))
+        .collect();
+    assert_eq!(
+        on[0].0.recorder().slowlog().threshold_ns(),
+        u64::MAX,
+        "the slow log must sit at its disabled default"
+    );
+
+    // `point_read`'s three keyed shapes over rotating keys: current,
+    // a valid-time timeslice, and a rollback to one of 8 instants of
+    // the load's transaction times.
+    let targets = "e.name, e.dept, e.salary";
+    let statements: Vec<String> = (0..3 * T10_KEYS)
+        .map(|i| {
+            let key = format!("k{:05}", i * 7 % T10_KEYS);
+            let head = format!(r#"retrieve ({targets}) where e.name = "{key}""#);
+            match i % 3 {
+                0 => head,
+                1 => format!(
+                    r#"{head} when e overlap "{}""#,
+                    day(valid_base + (i * 13 % (350 * T10_VERSIONS + 300)) as i64)
+                ),
+                _ => format!(
+                    r#"{head} as of "{}""#,
+                    day(clock_start + (commits - 1) * (1 + i as i64 % 8) / 8)
+                ),
+            }
+        })
+        .collect();
+
+    // Every instance answers every statement alike (this also warms
+    // them all before the first timed block).
+    let mut answered = 0;
+    for src in &statements {
+        let mut answers = on
+            .iter_mut()
+            .chain(off.iter_mut())
+            .map(|(_, s)| chronos_db::net::render_outcomes(&s.run(src).expect("gate statement")));
+        let first = answers.next().expect("four instances");
+        answered += usize::from(!first.ends_with("(0 rows)\n"));
+        for other in answers {
+            assert_eq!(other, first, "instances disagree on {src}");
+        }
+    }
     assert!(
-        ratio < 1.05,
-        "sampler-enabled overhead {ratio:.3} exceeds the 5% budget"
+        answered > statements.len() / 2,
+        "only {answered} of {} gate statements found a row",
+        statements.len()
     );
-    println!("sampler overhead: enabled-vs-off ratio {ratio:.3} — within budget (<1.05)");
 
-    // Querying the telemetry is an ordinary TQuel retrieve over
-    // sys$stats; measure its end-to-end latency.
-    engine.with_db(|db| db.sample_now());
-    let mut session = engine.session();
-    session.run("range of s is sys$stats").expect("range");
-    let tstmt =
-        chronos_tquel::parser::parse_statement(r#"retrieve (s.value) where s.metric = "commits""#)
-            .expect("parse");
-    let telemetry_query_ns = time_ns(50, || {
-        std::hint::black_box(session.execute(&tstmt).expect("telemetry query"));
-    });
-    drop(session);
-    println!(
-        "{:>8} | {:>13} | {:>8} | {:>18}",
-        "iters", "overhead", "samples", "sys$stats query µs"
-    );
-    println!(
-        "{:>8} | {:>12.3}x | {:>8} | {:>18.1}",
-        iters,
-        ratio,
-        samples_taken,
-        telemetry_query_ns as f64 / 1e3
-    );
-    T11Stats {
-        iters,
-        sampler_overhead_ratio: ratio,
-        samples_taken,
-        telemetry_query_ns,
-    }
-}
-
-/// Emits the T10/T11/T13/T14 stats as `BENCH_observability.json`.
-/// Hand-rolled JSON: the workspace deliberately has no serde.
-fn write_bench_observability_json(
-    t10: Option<&T10Stats>,
-    t11: Option<&T11Stats>,
-    t13: Option<&T13Stats>,
-    t14: Option<&T14Stats>,
-) {
-    let mut out = String::from("{\n  \"experiment\": \"T10+T11+T13+T14\",\n");
-    out.push_str("  \"description\": \"operational surface; temporal introspection; concurrency-aware observability; workload analytics\",\n");
-    out.push_str("  \"source\": \"engine metrics registry + embedded HTTP exporter\"");
-    if let Some(t) = t10 {
-        out.push_str(&format!(
-            ",\n  \"t10\": {{\"scrapes\": {}, \"scrape_p50_ns\": {}, \"scrape_p99_ns\": {}, \
-             \"statements\": {}, \"slowlog_disabled_overhead_ratio\": {:.4}}}",
-            t.scrapes,
-            t.scrape_p50_ns,
-            t.scrape_p99_ns,
-            t.statements,
-            t.slowlog_disabled_overhead_ratio
-        ));
-    }
-    if let Some(t) = t11 {
-        out.push_str(&format!(
-            ",\n  \"t11\": {{\"iters\": {}, \"sampler_overhead_ratio\": {:.4}, \
-             \"samples_taken\": {}, \"telemetry_query_ns\": {}}}",
-            t.iters, t.sampler_overhead_ratio, t.samples_taken, t.telemetry_query_ns
-        ));
-    }
-    if let Some(t) = t13 {
-        out.push_str(&format!(
-            ",\n  \"t13\": {{\"writers\": {}, \"rounds\": {}, \"enabled_ms_median\": {:.1}, \
-             \"disabled_ms_median\": {:.1}, \"overhead_ratio\": {:.4}, \"queue_hwm\": {}, \
-             \"queue_depth_peak_sampled\": {}, \"queue_depth_samples\": {}, \"stages\": [",
-            t.writers,
-            t.rounds,
-            t.enabled_ms,
-            t.disabled_ms,
-            t.overhead_ratio,
-            t.queue_hwm,
-            t.queue_depth_peak_sampled,
-            t.queue_depth_samples,
-        ));
-        for (i, s) in t.stages.iter().enumerate() {
-            out.push_str(&format!(
-                "{}{{\"stage\": \"{}\", \"samples\": {}, \"p50_ns\": {}, \"p99_ns\": {}}}",
-                if i > 0 { ", " } else { "" },
-                s.name,
-                s.samples,
-                s.p50_ns,
-                s.p99_ns
-            ));
+    let (mut ratios, mut off_ns) = (Vec::new(), Vec::new());
+    let (median, lo, hi, resolved) = loop {
+        let pair = ratios.len();
+        let first = pair * T10_BLOCK;
+        // Pair i uses instance i mod 2 of each side; which side runs
+        // first alternates every two pairs, so it is balanced on both
+        // instances.
+        let instance = pair % 2;
+        let (on_ns, off_block_ns) = if (pair / 2) % 2 == 0 {
+            let a = t10_block(&mut on[instance].1, &statements, first);
+            (a, t10_block(&mut off[instance].1, &statements, first))
+        } else {
+            let b = t10_block(&mut off[instance].1, &statements, first);
+            (t10_block(&mut on[instance].1, &statements, first), b)
+        };
+        ratios.push(on_ns as f64 / off_block_ns.max(1) as f64);
+        off_ns.push(off_block_ns);
+        if ratios.len() < T10_MIN_PAIRS {
+            continue;
         }
-        out.push_str("]}");
+        let mut sorted = ratios.clone();
+        sorted.sort_by(f64::total_cmp);
+        let (median, lo, hi) = median_ci(&sorted);
+        let resolved = (median - lo).max(hi - median) <= T10_RESOLUTION;
+        if resolved || ratios.len() >= T10_MAX_PAIRS {
+            break (median, lo, hi, resolved);
+        }
+    };
+    let pairs = ratios.len();
+    off_ns.sort_unstable();
+    let off_us = off_ns[pairs / 2] as f64 / T10_BLOCK as f64 / 1e3;
+
+    let samples_taken = on[0].0.with_db(|db| db.telemetry().stats().samples_taken);
+    assert!(samples_taken > 0, "the stats sampler never sampled");
+    for (engine, _) in &off {
+        assert!(
+            engine.stats().metrics.is_zero(),
+            "the disabled side recorded metrics"
+        );
     }
-    if let Some(t) = t14 {
-        out.push_str(&format!(
-            ",\n  \"t14\": {{\"rounds\": {}, \"queries_per_round\": {}, \"versions\": {}, \
-             \"enabled_ms_median\": {:.1}, \"disabled_ms_median\": {:.1}, \
-             \"overhead_ratio\": {:.4}, \"fingerprints\": {}, \"retrieve_calls\": {}, \
-             \"tablestats\": {}}}",
-            t.rounds,
-            t.queries_per_round,
-            t.versions,
-            t.enabled_ms,
-            t.disabled_ms,
-            t.overhead_ratio,
-            t.fingerprints,
-            t.retrieve_calls,
-            t.tablestats,
-        ));
-    }
-    out.push_str("\n}\n");
-    match std::fs::write("BENCH_observability.json", &out) {
+    drop((on, off));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let verdict = if !resolved {
+        "unresolved"
+    } else if median > T10_BUDGET {
+        "over budget"
+    } else {
+        "pass"
+    };
+    println!(
+        "{:>6} | {:>12} | {:>17} | {:>15}",
+        "pairs", "median ratio", "95% CI", "off µs/stmt"
+    );
+    println!("{pairs:>6} | {median:>12.4} | [{lo:.4}, {hi:.4}] | {off_us:>15.2}");
+    let doc = format!(
+        "{{\n  \"experiment\": \"T10 what observability costs a statement\",\n  \
+         \"unit\": \"Session::run + render_outcomes, {T10_BLOCK} statements per block\",\n  \
+         \"pairs\": {pairs},\n  \"median_ratio\": {median:.4},\n  \
+         \"ci95\": [{lo:.4}, {hi:.4}],\n  \"off_us_per_statement\": {off_us:.3},\n  \
+         \"budget\": {T10_BUDGET},\n  \"verdict\": \"{verdict}\"\n}}\n"
+    );
+    match std::fs::write("BENCH_observability.json", doc) {
         Ok(()) => println!("(wrote BENCH_observability.json)"),
         Err(e) => println!("(could not write BENCH_observability.json: {e})"),
     }
+    assert_eq!(
+        verdict, "pass",
+        "observability overhead {median:.4} [{lo:.4}, {hi:.4}] over {pairs} pairs \
+         (budget {T10_BUDGET}, resolution ±{T10_RESOLUTION})"
+    );
+    println!(
+        "observability overhead {median:.4} [{lo:.4}, {hi:.4}] over {pairs} pairs — within budget (≤{T10_BUDGET})"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -1116,403 +991,6 @@ fn t12_concurrent_service() {
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
     write_bench_concurrency_json(&reads, scaling, &writes, batch_p50, batch_p99);
-}
-
-// ---------------------------------------------------------------------
-// T13 — concurrency-aware observability: the tracing + telemetry stack
-// priced under the 8-writer group-commit workload (EXPERIMENTS_ONLY=T13)
-// ---------------------------------------------------------------------
-
-/// One per-stage row of the commit latency decomposition.
-struct T13StageRow {
-    name: &'static str,
-    samples: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-}
-
-/// The T13 measurements (serialized to BENCH_observability.json).
-struct T13Stats {
-    writers: usize,
-    rounds: usize,
-    /// Median per-round wall time with the full observability stack on.
-    enabled_ms: f64,
-    /// The same workload against the disabled-recorder twin.
-    disabled_ms: f64,
-    /// enabled / disabled — the price of observing the engine.
-    overhead_ratio: f64,
-    queue_hwm: u64,
-    queue_depth_peak_sampled: u64,
-    queue_depth_samples: usize,
-    stages: Vec<T13StageRow>,
-}
-
-/// One group-commit write round: `writers` no-think sessions, 50
-/// commits each.  With `traced`, every statement carries a
-/// client-chosen trace id (the `--connect --trace-id` path).
-fn t13_write_round(
-    engine: &Arc<chronos_db::Engine>,
-    writers: usize,
-    traced: bool,
-    round: usize,
-) -> f64 {
-    const COMMITS_EACH: usize = 50;
-    let barrier = Arc::new(std::sync::Barrier::new(writers + 1));
-    let mut handles = Vec::new();
-    for w in 0..writers {
-        let engine = Arc::clone(engine);
-        let barrier = Arc::clone(&barrier);
-        handles.push(std::thread::spawn(move || {
-            let mut session = engine.session();
-            barrier.wait();
-            for j in 0..COMMITS_EACH {
-                if traced {
-                    session.set_trace_id(format!("t13-r{round}-w{w}-s{j:03}"));
-                }
-                session
-                    .run(&format!(
-                        r#"append to faculty (name = "r{round}w{w}b{j:03}", rank = "associate")"#
-                    ))
-                    .expect("writer append");
-            }
-        }));
-    }
-    barrier.wait();
-    let t0 = Instant::now();
-    for h in handles {
-        h.join().expect("writer thread");
-    }
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-fn t13_observability_overhead() -> T13Stats {
-    heading(
-        "T13: concurrency-aware observability — tracing + telemetry under 8-writer group commit",
-    );
-    const WRITERS: usize = 8;
-    const ROUNDS: usize = 5;
-
-    // Two durable twins under target/: one with the default (enabled)
-    // recorder, client-chosen trace ids, and the background stats
-    // sampler — the full observability stack — and one whose recorder
-    // short-circuits every instrument.  Both pay the same real fsyncs.
-    let dir_on = std::path::PathBuf::from("target/t13-obs-on-db");
-    let dir_off = std::path::PathBuf::from("target/t13-obs-off-db");
-    let _ = std::fs::remove_dir_all(&dir_on);
-    let _ = std::fs::remove_dir_all(&dir_off);
-    let clock_on = Arc::new(ManualClock::new(Chronon::new(0)));
-    let mut db_on = Database::open(&dir_on, clock_on as _).expect("open t13 enabled db");
-    db_on
-        .start_stats_sampler(std::time::Duration::from_millis(25))
-        .expect("sampler");
-    let engine_on = chronos_db::Engine::start(db_on);
-    let clock_off = Arc::new(ManualClock::new(Chronon::new(0)));
-    let obs_off = chronos_db::ObsBootstrap::disabled();
-    let db_off =
-        Database::open_with_obs(&dir_off, clock_off as _, &obs_off).expect("open t13 disabled db");
-    let engine_off = chronos_db::Engine::start(db_off);
-    for engine in [&engine_on, &engine_off] {
-        engine
-            .session()
-            .run("create faculty (name = str, rank = str) as temporal")
-            .expect("create");
-    }
-
-    // Poll the writer-queue depth gauge on the observed twin while its
-    // rounds run: the trajectory the dashboards would graph.
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let poller = {
-        let (engine, stop) = (Arc::clone(&engine_on), Arc::clone(&stop));
-        std::thread::spawn(move || -> Vec<u64> {
-            let mut depths = Vec::new();
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                depths.push(engine.stats().metrics.commit_queue_depth);
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            depths
-        })
-    };
-
-    // One uncounted warmup pair, then paired rounds; the ratio of
-    // medians absorbs fsync jitter better than per-pair ratios.
-    t13_write_round(&engine_on, WRITERS, true, 99);
-    t13_write_round(&engine_off, WRITERS, false, 99);
-    let (mut on_ms, mut off_ms) = (Vec::new(), Vec::new());
-    for r in 0..ROUNDS {
-        on_ms.push(t13_write_round(&engine_on, WRITERS, true, r));
-        off_ms.push(t13_write_round(&engine_off, WRITERS, false, r));
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let depths = poller.join().expect("queue-depth poller");
-
-    // A few reads so the read-side contention timer has samples too.
-    {
-        let mut s = engine_on.session();
-        for _ in 0..10 {
-            s.refresh();
-            s.query("range of f is faculty retrieve (f.name)")
-                .expect("read round");
-        }
-    }
-
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        v[v.len() / 2]
-    };
-    let enabled_ms = median(&mut on_ms);
-    let disabled_ms = median(&mut off_ms);
-    let ratio = enabled_ms / disabled_ms.max(1e-9);
-
-    let stats = engine_on.stats();
-    let m = &stats.metrics;
-    assert!(
-        m.commit_queue_hwm > 0,
-        "8 writers never made the commit queue nonempty"
-    );
-    let stages: Vec<T13StageRow> = [
-        ("commit_queue_wait", &m.commit_queue_wait),
-        ("commit_lock_wait", &m.commit_lock_wait),
-        ("commit_apply", &m.commit_apply),
-        ("commit_fsync", &m.commit_fsync),
-        ("commit_ack", &m.commit_ack),
-        ("read_lock_wait", &m.read_lock_wait),
-    ]
-    .into_iter()
-    .map(|(name, h)| T13StageRow {
-        name,
-        samples: h.samples,
-        p50_ns: h.percentile(50.0).unwrap_or(0),
-        p99_ns: h.percentile(99.0).unwrap_or(0),
-    })
-    .collect();
-    for s in &stages {
-        // The read-side timer only fires on retrieves (checked above);
-        // every commit-side stage must have fired during the rounds.
-        assert!(
-            s.samples > 0,
-            "stage {} recorded no samples under the write rounds",
-            s.name
-        );
-    }
-    assert!(
-        engine_off.stats().metrics.is_zero(),
-        "the disabled twin recorded metrics"
-    );
-
-    println!(
-        "{:>8} | {:>12} | {:>13} | {:>8}",
-        "writers", "enabled ms", "disabled ms", "ratio"
-    );
-    println!("{WRITERS:>8} | {enabled_ms:>12.1} | {disabled_ms:>13.1} | {ratio:>8.3}");
-    assert!(
-        ratio < 1.05,
-        "observability overhead {ratio:.3} exceeds the 5% budget"
-    );
-    println!("tracing + telemetry overhead ratio {ratio:.3} — within budget (<1.05)");
-    let peak_sampled = depths.iter().copied().max().unwrap_or(0);
-    println!(
-        "writer queue: high-watermark {} (gauge), peak {} over {} sampled depths",
-        m.commit_queue_hwm,
-        peak_sampled,
-        depths.len()
-    );
-    println!("commit latency decomposition (enabled twin):");
-    for s in &stages {
-        println!(
-            "  {:>18}: {:>8} sample(s)  p50 {:>9} ns  p99 {:>9} ns",
-            s.name, s.samples, s.p50_ns, s.p99_ns
-        );
-    }
-
-    let queue_depth_samples = depths.len();
-    let t13 = T13Stats {
-        writers: WRITERS,
-        rounds: ROUNDS,
-        enabled_ms,
-        disabled_ms,
-        overhead_ratio: ratio,
-        queue_hwm: m.commit_queue_hwm,
-        queue_depth_peak_sampled: peak_sampled,
-        queue_depth_samples,
-        stages,
-    };
-    engine_on.shutdown();
-    engine_off.shutdown();
-    let _ = std::fs::remove_dir_all(&dir_on);
-    let _ = std::fs::remove_dir_all(&dir_off);
-    t13
-}
-
-// ---------------------------------------------------------------------
-// T14 — workload analytics: query fingerprinting + analyze statistics
-// priced against a disabled-recorder twin (EXPERIMENTS_ONLY=T14)
-// ---------------------------------------------------------------------
-
-/// The T14 measurements (serialized to BENCH_observability.json).
-struct T14Stats {
-    rounds: usize,
-    queries_per_round: usize,
-    /// Stored versions of the analyzed relation (chains of 3 per key).
-    versions: i64,
-    /// Best per-round wall time with fingerprinting + analyze on.
-    enabled_ms: f64,
-    /// The same workload against the disabled-recorder twin.
-    disabled_ms: f64,
-    /// enabled / disabled — the price of workload analytics.
-    overhead_ratio: f64,
-    /// Entries in the fingerprint store after all rounds.
-    fingerprints: usize,
-    /// Calls folded into the single retrieve-shaped fingerprint.
-    retrieve_calls: u64,
-    /// Statistics in the relation's latest `sys$tablestats` sample.
-    tablestats: usize,
-}
-
-/// One analytics round: `queries` same-shape retrieves with rotating
-/// literals, then one `analyze` pass over the relation.
-fn t14_round(engine: &Arc<Engine>, queries: usize, round: usize) -> f64 {
-    let t0 = Instant::now();
-    let mut s = engine.session();
-    for q in 0..queries {
-        let name = (round * queries + q) % 2000;
-        s.query(&format!(
-            r#"range of p is people retrieve (p.rank) where p.name = "p{name}""#
-        ))
-        .expect("t14 retrieve");
-    }
-    s.run("analyze people").expect("t14 analyze");
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-fn t14_workload_analytics() -> T14Stats {
-    heading("T14: workload analytics — query fingerprinting + analyze vs a disabled-recorder twin");
-    const ROUNDS: usize = 5;
-    const QUERIES: usize = 200;
-    const KEYS: usize = 2000;
-
-    // Durable twins under target/, populated identically: 2000 facts,
-    // then a sweeping replace — 6000 stored versions in chains of 3.
-    // The measured rounds are read-dominant (retrieves + analyze), so
-    // the twins differ only in the recorder the statements report into.
-    let dir_on = std::path::PathBuf::from("target/t14-analytics-on-db");
-    let dir_off = std::path::PathBuf::from("target/t14-analytics-off-db");
-    let _ = std::fs::remove_dir_all(&dir_on);
-    let _ = std::fs::remove_dir_all(&dir_off);
-    let clock_on = Arc::new(ManualClock::new(Chronon::new(0)));
-    let engine_on =
-        Engine::start(Database::open(&dir_on, clock_on.clone() as _).expect("open t14 enabled db"));
-    let clock_off = Arc::new(ManualClock::new(Chronon::new(0)));
-    let obs_off = chronos_db::ObsBootstrap::disabled();
-    let engine_off = Engine::start(
-        Database::open_with_obs(&dir_off, clock_off.clone() as _, &obs_off)
-            .expect("open t14 disabled db"),
-    );
-    for (engine, clock) in [(&engine_on, &clock_on), (&engine_off, &clock_off)] {
-        let mut s = engine.session();
-        s.run("create people (name = str, rank = str) as temporal")
-            .expect("create");
-        let mut program = String::new();
-        for i in 0..KEYS {
-            program.push_str(&format!(
-                "append to people (name = \"p{i}\", rank = \"junior\")\n"
-            ));
-        }
-        s.run(&program).expect("seed appends");
-        drop(s);
-        clock.advance_to(Chronon::new(1000));
-        engine
-            .session()
-            .run(r#"range of p is people replace p (rank = "senior") where p.rank = "junior""#)
-            .expect("seed replace");
-    }
-
-    // One uncounted warmup pair, then interleaved paired rounds.  The
-    // rounds are read-only, so noise is one-sided (scheduler stalls
-    // only ever slow a round down): comparing each side's *minimum*
-    // estimates the true cost, as overhead_check does for tight loops.
-    t14_round(&engine_on, QUERIES, 99);
-    t14_round(&engine_off, QUERIES, 99);
-    let (mut on_ms, mut off_ms) = (Vec::new(), Vec::new());
-    for r in 0..ROUNDS {
-        on_ms.push(t14_round(&engine_on, QUERIES, r));
-        off_ms.push(t14_round(&engine_off, QUERIES, r));
-    }
-
-    let best = |v: &[f64]| -> f64 { v.iter().copied().fold(f64::INFINITY, f64::min) };
-    let enabled_ms = best(&on_ms);
-    let disabled_ms = best(&off_ms);
-    let ratio = enabled_ms / disabled_ms.max(1e-9);
-
-    // Dedup: (ROUNDS+1) * QUERIES literal variations of one statement
-    // shape must have folded into a single retrieve-kind fingerprint.
-    let entries = engine_on.recorder().fingerprints().entries();
-    let retrieves: Vec<_> = entries.iter().filter(|e| e.kind == "retrieve").collect();
-    assert_eq!(
-        retrieves.len(),
-        1,
-        "literal variations split the fingerprint: {retrieves:#?}"
-    );
-    let retrieve_calls = retrieves[0].calls;
-    assert_eq!(retrieve_calls as usize, (ROUNDS + 1) * QUERIES);
-    assert!(
-        retrieves[0].statement.contains("\"?\""),
-        "literals survived normalization: {}",
-        retrieves[0].statement
-    );
-
-    // The analyze passes populated sys$tablestats, and the repeated
-    // samples agree (the relation did not change between rounds).
-    let stats_rel = engine_on
-        .session()
-        .query(r#"range of ts is sys$tablestats retrieve (ts.stat, ts.value) where ts.relation = "people""#)
-        .expect("tablestats query");
-    let versions = stats_rel
-        .rows
-        .iter()
-        .find(|r| r.tuple.get(0).to_string() == "versions")
-        .map(|r| r.tuple.get(1).to_string().parse::<i64>().expect("int"))
-        .expect("versions stat");
-    assert_eq!(
-        versions,
-        3 * KEYS as i64,
-        "analyze saw a different relation"
-    );
-    assert!(
-        engine_off.recorder().fingerprints().entries().is_empty(),
-        "the disabled twin recorded fingerprints"
-    );
-
-    println!(
-        "{:>8} | {:>12} | {:>13} | {:>8}",
-        "rounds", "enabled ms", "disabled ms", "ratio"
-    );
-    println!("{ROUNDS:>8} | {enabled_ms:>12.1} | {disabled_ms:>13.1} | {ratio:>8.3}");
-    assert!(
-        ratio < 1.05,
-        "workload-analytics overhead {ratio:.3} exceeds the 5% budget"
-    );
-    println!("fingerprinting + analyze overhead ratio {ratio:.3} — within budget (<1.05)");
-    println!(
-        "fingerprints: {} entries; retrieve shape folded {} calls; latest sample: {} statistics",
-        entries.len(),
-        retrieve_calls,
-        stats_rel.len()
-    );
-
-    let t14 = T14Stats {
-        rounds: ROUNDS,
-        queries_per_round: QUERIES,
-        versions,
-        enabled_ms,
-        disabled_ms,
-        overhead_ratio: ratio,
-        fingerprints: entries.len(),
-        retrieve_calls,
-        tablestats: stats_rel.len(),
-    };
-    let _ = std::fs::remove_dir_all(&dir_on);
-    let _ = std::fs::remove_dir_all(&dir_off);
-    t14
 }
 
 /// Emits the T12 sweep as `BENCH_concurrency.json` (hand-rolled JSON,

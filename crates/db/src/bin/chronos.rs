@@ -74,7 +74,8 @@
 //! \sessions          live sessions and connections (who is pinned where)
 //! \slow              the slow-query log (captured profiles)
 //! \sample            take one telemetry sample now (into sys$stats)
-//! \top               top operators by time over the recent span ring
+//! \top               query fingerprints by call count (per-operator
+//!                    time: `profile <statement>`)
 //! \obs PATH          GET PATH from this process's own exporter
 //! \q                 quit
 //! ```
@@ -562,18 +563,10 @@ fn repl(
                     ),
                     None => eprintln!("  \\sample is not available over --connect"),
                 },
-                Some("\\top") => {
-                    match shell.with_db(|db| {
-                        // Operators by time (the span ring), then the
-                        // workload's query fingerprints by call count.
-                        let mut top = render_top(db.recorder().recent_events());
-                        top.push_str(&db.recorder().fingerprints().render());
-                        top
-                    }) {
-                        Some(top) => print!("{top}"),
-                        None => eprintln!("  \\top is not available over --connect"),
-                    }
-                }
+                Some("\\top") => match shell.with_db(|db| db.recorder().fingerprints().render()) {
+                    Some(top) => print!("{top}"),
+                    None => eprintln!("  \\top is not available over --connect"),
+                },
                 Some("\\obs") => match (obs_server, parts.next()) {
                     (Some(server), Some(path)) => {
                         match chronos_obs::http_get(&server.addr().to_string(), path) {
@@ -647,33 +640,6 @@ fn render_sessions(
                 c.conn_id, c.session_id, c.requests, c.bytes_in, c.bytes_out, c.peer
             ));
         }
-    }
-    out
-}
-
-/// Aggregates the recorder's span ring into a "top operators" table:
-/// one row per span name with call count and accumulated wall time,
-/// hottest first.
-fn render_top(events: Vec<chronos_obs::RingEvent>) -> String {
-    if events.is_empty() {
-        return "  (no spans recorded yet — run some statements)\n".to_string();
-    }
-    let mut by_name: Vec<(&'static str, u64, u64)> = Vec::new();
-    for ev in &events {
-        match by_name.iter_mut().find(|(name, ..)| *name == ev.name) {
-            Some((_, count, total)) => {
-                *count += 1;
-                *total += ev.duration_ns;
-            }
-            None => by_name.push((ev.name, 1, ev.duration_ns)),
-        }
-    }
-    by_name.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
-    let mut out = format!("  top operators over the last {} span(s):\n", events.len());
-    for (name, count, total_ns) in by_name {
-        out.push_str(&format!(
-            "  {total_ns:>12} ns  {count:>6} call(s)  {name}\n"
-        ));
     }
     out
 }

@@ -197,11 +197,12 @@ impl Catalog {
         })
     }
 
-    /// Writes the catalog image to `path` (atomically via a temp file).
+    /// Writes the catalog image to `path` atomically and durably
+    /// (through the checkpoint's `replace_file`), so a relation whose
+    /// commits are fsynced in the log keeps its entry through a power
+    /// loss.
     pub fn save(&self, path: &Path) -> StorageResult<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, path)?;
+        crate::checkpoint::replace_file(path, &self.encode(), None)?;
         Ok(())
     }
 
@@ -279,12 +280,19 @@ mod tests {
     #[test]
     fn round_trips_through_disk() {
         let c = sample();
-        let mut path = std::env::temp_dir();
-        path.push(format!("chronos-catalog-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("chronos-catalog-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("catalog");
+        c.save(&path).unwrap();
+        // A second save replaces the first through the same temp file.
         c.save(&path).unwrap();
         let loaded = Catalog::load(&path).unwrap();
         assert_eq!(loaded, c);
-        std::fs::remove_file(&path).unwrap();
+        assert!(
+            !dir.join("catalog.tmp").exists(),
+            "the save left its temp file behind"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

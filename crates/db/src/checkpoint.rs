@@ -142,12 +142,10 @@ pub fn restore(entry: &CatalogEntry, image: RelationImage) -> StorageResult<Rela
 }
 
 /// Writes a checkpoint file: the WAL floor, then `(rel_id → image)`
-/// for every relation, framed with magic and CRC-32.  The file is
-/// written to a `.tmp` sibling, fsynced, and renamed into place, so a
-/// crash at any point leaves either the old checkpoint or the new one
-/// — never a torn mixture.  The directory is fsynced after the rename,
-/// so once this returns the new checkpoint survives a power loss and
-/// the log it absorbed may be truncated.  Returns the file's length.
+/// for every relation, framed with magic and CRC-32, through
+/// `replace_file`: once this returns the new checkpoint survives a
+/// power loss and the log it absorbed may be truncated.  Returns the
+/// file's length.
 pub fn save(
     path: &Path,
     wal_floor: Option<Chronon>,
@@ -164,26 +162,53 @@ pub fn save(
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&crc32(&body).to_le_bytes());
     out.extend_from_slice(&body);
+    replace_file(
+        path,
+        &out,
+        Some([
+            "checkpoint.save.pre_write",
+            "checkpoint.save.pre_rename",
+            "checkpoint.save.post_rename",
+        ]),
+    )?;
+    Ok(out.len() as u64)
+}
+
+/// Replaces the file at `path` with `bytes` durably: they are written
+/// to a `.tmp` sibling, fsynced, and renamed into place, so a crash at
+/// any point leaves either the old file or the new one — never a torn
+/// mixture.  The directory is fsynced after the rename, so once this
+/// returns the new file survives a power loss.  `sites` names the
+/// crash sites before the write, before the rename and after the
+/// directory fsync, for a file the fault matrix covers.
+pub(crate) fn replace_file(
+    path: &Path,
+    bytes: &[u8],
+    sites: Option<[&str; 3]>,
+) -> std::io::Result<()> {
+    let crash_point = |i: usize| match sites {
+        Some(sites) => chronos_storage::fault::crash_point(sites[i]),
+        None => Ok(()),
+    };
     let tmp = path.with_extension("tmp");
-    chronos_storage::fault::crash_point("checkpoint.save.pre_write")?;
+    crash_point(0)?;
     {
         let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, &out)?;
+        std::io::Write::write_all(&mut f, bytes)?;
         f.sync_all()?;
     }
-    chronos_storage::fault::crash_point("checkpoint.save.pre_rename")?;
+    crash_point(1)?;
     std::fs::rename(&tmp, path)?;
     // The rename is an entry in the directory, which the file's fsync
-    // does not cover.  Callers truncate the log next; were the rename
-    // still in the page cache, a power loss could keep that truncation
-    // and lose the checkpoint, and with it every commit since the last.
+    // does not cover: were it still in the page cache, a power loss
+    // could lose the new file while later writes that depend on it (a
+    // truncated log, fsynced commits to a new relation) survive.
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
     };
     std::fs::File::open(dir)?.sync_all()?;
-    chronos_storage::fault::crash_point("checkpoint.save.post_rename")?;
-    Ok(out.len() as u64)
+    crash_point(2)
 }
 
 /// Loads a checkpoint file; absent file means no checkpoint.

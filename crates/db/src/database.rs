@@ -1238,9 +1238,7 @@ impl RelationProvider for Database {
             .get(relation)
             .ok_or_else(|| TquelError::Semantic(format!("unknown relation {relation:?}")))?;
         let span = self.recorder.span("db/scan");
-        if self.recorder.is_enabled() {
-            span.detail(relation.to_string());
-        }
+        span.detail(relation);
         let rows = rel.scan(request.as_of, request.key).map_err(|e| match e {
             DbError::Tquel(t) => t,
             DbError::Core(c) => TquelError::Core(c),

@@ -132,15 +132,6 @@ pub struct Session {
     /// first one); echoed in wire responses and stamped on slow-log
     /// admissions and `slow_query` journal events.
     last_trace: String,
-    /// Single-entry fingerprint memo: the last fingerprinted statement
-    /// with its hash and normalized text.  Shell and driver loops
-    /// re-execute structurally identical statements, and a structural
-    /// equality check is far cheaper than the clone + unparse + hash it
-    /// replaces — the T10 overhead budget depends on this.  Statements
-    /// differing only in literals miss (their fingerprints coincide,
-    /// but the memo cannot know that without normalizing) and take the
-    /// full path.
-    fp_memo: Option<(Statement, u64, String)>,
 }
 
 impl Session {
@@ -154,7 +145,6 @@ impl Session {
             ranges: HashMap::new(),
             pending_trace: None,
             last_trace: String::new(),
-            fp_memo: None,
         }
     }
 
@@ -334,9 +324,9 @@ impl Session {
     /// wall time meets the recorder's slow-log threshold, its rendered
     /// span tree plus counter deltas — the `profile` artifact — is
     /// admitted to the bounded slow-query ring and a `slow_query` event
-    /// is journaled.  With the recorder disabled this is one atomic
-    /// load and a branch on top of [`execute`](Self::execute); the T10
-    /// and T14 experiments assert that overhead stays under 5%.
+    /// is journaled.  With the recorder disabled this is a registry note
+    /// and a branch on top of [`execute`](Self::execute); what the
+    /// enabled path adds is gated by the T10 experiment (≤ 5%).
     pub fn execute_monitored(&mut self, stmt: &Statement) -> DbResult<ExecOutcome> {
         self.engine
             .session_registry()
@@ -379,15 +369,10 @@ impl Session {
             Ok(ExecOutcome::Materialized { rows, .. }) => *rows as u64,
             _ => 0,
         };
-        if !self.fp_memo.as_ref().is_some_and(|(s, ..)| s == stmt) {
-            let (hash, normalized) = chronos_tquel::fingerprint(stmt);
-            self.fp_memo = Some((stmt.clone(), hash, normalized));
-        }
-        let (_, hash, normalized) = self.fp_memo.as_ref().expect("memo just filled");
-        let hash = *hash;
+        let (hash, normalized) = chronos_tquel::fingerprint(stmt);
         recorder.fingerprints().record_execution(
             hash,
-            normalized,
+            &normalized,
             statement_kind(stmt),
             elapsed_ns,
             rows_out,

@@ -222,7 +222,6 @@ pub struct MetricsSnapshot {
     /// Length of the checkpoint file last loaded or written (gauge).
     pub checkpoint_bytes: u64,
     pub commit_latency: HistogramSnapshot,
-    pub query_latency: HistogramSnapshot,
     /// Commits per group-commit batch.  Same power-of-two machinery as
     /// the latency histograms, but the recorded value is a *count*
     /// (commits covered by one WAL fsync), not nanoseconds.
@@ -287,10 +286,9 @@ impl MetricsSnapshot {
     /// order — the single enumeration point for the `sys$stats` and
     /// Prometheus renderings.  `group_batch_size` reads in commits per
     /// batch, everything else in nanoseconds.
-    pub fn histograms(&self) -> [(&'static str, &HistogramSnapshot); 9] {
+    pub fn histograms(&self) -> [(&'static str, &HistogramSnapshot); 8] {
         [
             ("commit_latency", &self.commit_latency),
-            ("query_latency", &self.query_latency),
             ("group_batch_size", &self.group_batch_size),
             ("commit_queue_wait", &self.commit_queue_wait),
             ("commit_lock_wait", &self.commit_lock_wait),
@@ -356,7 +354,6 @@ impl MetricsSnapshot {
             commit_queue_hwm: self.commit_queue_hwm,
             checkpoint_bytes: self.checkpoint_bytes,
             commit_latency: self.commit_latency.since(&earlier.commit_latency),
-            query_latency: self.query_latency.since(&earlier.query_latency),
             group_batch_size: self.group_batch_size.since(&earlier.group_batch_size),
             commit_queue_wait: self.commit_queue_wait.since(&earlier.commit_queue_wait),
             commit_lock_wait: self.commit_lock_wait.since(&earlier.commit_lock_wait),
@@ -470,23 +467,23 @@ mod tests {
             h.record_ns(1_000_000);
         }
         let m = MetricsSnapshot {
-            query_latency: h.snapshot(),
+            commit_latency: h.snapshot(),
             ..Default::default()
         };
         let text = m.to_prometheus();
-        assert!(text.contains("# TYPE chronos_query_latency_ns histogram"));
-        assert!(text.contains("chronos_query_latency_ns_bucket{le=\"128\"} 90"));
+        assert!(text.contains("# TYPE chronos_commit_latency_ns histogram"));
+        assert!(text.contains("chronos_commit_latency_ns_bucket{le=\"128\"} 90"));
         // Cumulative: the slow bucket reports 90 + 10, not 10.
         assert!(text.contains(&format!(
-            "chronos_query_latency_ns_bucket{{le=\"{}\"}} 100",
+            "chronos_commit_latency_ns_bucket{{le=\"{}\"}} 100",
             1u64 << 20
         )));
-        assert!(text.contains("chronos_query_latency_ns_bucket{le=\"+Inf\"} 100"));
+        assert!(text.contains("chronos_commit_latency_ns_bucket{le=\"+Inf\"} 100"));
         assert!(text.contains(&format!(
-            "chronos_query_latency_ns_sum {}",
+            "chronos_commit_latency_ns_sum {}",
             90 * 100 + 10 * 1_000_000
         )));
-        assert!(text.contains("chronos_query_latency_ns_count 100"));
+        assert!(text.contains("chronos_commit_latency_ns_count 100"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! * `u64::MAX` (the default, [`SLOWLOG_DISABLED`]) disables the log —
 //!   the statement path pays one relaxed load and a branch, nothing
-//!   else (the <5% disabled-overhead budget of EXPERIMENTS.md T9/T10);
+//!   else (priced with the rest of the stack by EXPERIMENTS.md T10);
 //! * `0` admits every statement (the determinism tests drive this);
 //! * anything in between is an operational slow-query threshold.
 //!

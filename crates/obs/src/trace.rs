@@ -3,17 +3,16 @@
 //! A span is an RAII guard ([`SpanGuard`]).  Creating one while a
 //! trace capture is active appends a record to the capture's span
 //! list at the current nesting depth; dropping it writes the measured
-//! wall time back.  Outside a capture, finished spans still land in a
-//! small ring-buffer event log (the last [`EVENT_RING_CAPACITY`]
-//! spans), so post-hoc debugging has *some* recent history even when
-//! nobody asked for a trace.
+//! wall time back.  Outside a capture a span records nothing: opening
+//! it is one relaxed load of the capture flag and a branch, and
+//! dropping it is a branch.
 //!
 //! A disabled recorder short-circuits every instrument to a branch on
 //! a plain bool — no atomics touched, no locks taken, no `Instant`
 //! read — which is what lets the figure-regeneration binaries run
 //! with instrumented code and byte-identical output.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -21,9 +20,6 @@ use crate::events::{EventJournal, EventValue};
 use crate::fingerprint::QueryFingerprints;
 use crate::metrics::{Counter, Gauge, LatencyHistogram, MetricsSnapshot};
 use crate::slowlog::SlowLog;
-
-/// How many finished spans the background event ring retains.
-pub const EVENT_RING_CAPACITY: usize = 256;
 
 /// Mint a process-unique request trace id (`t-<hex>`), for statements
 /// that arrived without a client-chosen one.  A plain counter keeps it
@@ -58,20 +54,11 @@ pub struct SpanRecord {
     pub rows_est: Option<u64>,
 }
 
-/// A finished span in the background event ring.
-#[derive(Debug, Clone)]
-pub struct RingEvent {
-    pub name: &'static str,
-    pub duration_ns: u64,
-}
-
 #[derive(Default)]
 struct TraceState {
     /// `Some` while a capture is active.
     capture: Option<Vec<SpanRecord>>,
     depth: usize,
-    ring: Vec<RingEvent>,
-    ring_next: usize,
 }
 
 /// Every named instrument in the engine.  Public fields: callers
@@ -111,7 +98,6 @@ pub struct Instruments {
     /// Length of the checkpoint file last loaded or written.
     pub checkpoint_bytes: Gauge,
     pub commit_latency: LatencyHistogram,
-    pub query_latency: LatencyHistogram,
     /// Commits per group-commit batch (value is a count, not ns).
     pub group_batch_size: LatencyHistogram,
     /// Commit-latency decomposition stages (all ns; see DESIGN §6d).
@@ -129,11 +115,17 @@ pub struct Recorder {
     enabled: bool,
     metrics: Instruments,
     trace: Mutex<TraceState>,
+    /// True while `trace.capture` is `Some`.  Written only under the
+    /// `trace` lock; [`span`](Self::span) reads it without the lock so
+    /// that a span outside a capture takes none.  `Relaxed` suffices:
+    /// the flag publishes no data (the capture itself is read under the
+    /// lock), and a capture's own spans run on the thread that began it.
+    capturing: AtomicBool,
     /// Slow-statement captures (disabled until a threshold is set).
     slowlog: SlowLog,
     /// Per-statement-shape workload aggregates (always on while the
     /// recorder is enabled; one mutex-guarded vector probe per
-    /// statement, priced in EXPERIMENTS.md T14).
+    /// statement, priced in EXPERIMENTS.md T10).
     fingerprints: QueryFingerprints,
     /// Lifecycle event sink, present only on databases that attached a
     /// journal (durable ones).
@@ -153,6 +145,7 @@ impl Recorder {
             enabled: true,
             metrics: Instruments::default(),
             trace: Mutex::new(TraceState::default()),
+            capturing: AtomicBool::new(false),
             slowlog: SlowLog::default(),
             fingerprints: QueryFingerprints::default(),
             journal: Mutex::new(None),
@@ -165,6 +158,7 @@ impl Recorder {
             enabled: false,
             metrics: Instruments::default(),
             trace: Mutex::new(TraceState::default()),
+            capturing: AtomicBool::new(false),
             slowlog: SlowLog::default(),
             fingerprints: QueryFingerprints::default(),
             journal: Mutex::new(None),
@@ -240,7 +234,6 @@ impl Recorder {
             commit_queue_hwm: m.commit_queue_depth.high_watermark(),
             checkpoint_bytes: m.checkpoint_bytes.get(),
             commit_latency: m.commit_latency.snapshot(),
-            query_latency: m.query_latency.snapshot(),
             group_batch_size: m.group_batch_size.snapshot(),
             commit_queue_wait: m.commit_queue_wait.snapshot(),
             commit_lock_wait: m.commit_lock_wait.snapshot(),
@@ -294,6 +287,7 @@ impl Recorder {
         let mut t = self.trace.lock().unwrap();
         t.capture = Some(Vec::new());
         t.depth = 0;
+        self.capturing.store(true, Ordering::Relaxed);
     }
 
     /// Stop capturing and return the span tree plus the metrics delta
@@ -303,83 +297,50 @@ impl Recorder {
         if !self.enabled {
             return None;
         }
-        let spans = self.trace.lock().unwrap().capture.take()?;
+        let mut t = self.trace.lock().unwrap();
+        self.capturing.store(false, Ordering::Relaxed);
+        let spans = t.capture.take()?;
+        drop(t);
         Some(TraceReport {
             spans,
             delta: self.snapshot().since(since),
         })
     }
 
-    /// Open a span.  The guard records wall time on drop.
+    /// Open a span.  Inside a capture the guard records wall time on
+    /// drop; outside one it records nothing.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        if !self.enabled {
-            return SpanGuard {
-                rec: None,
-                name,
-                index: None,
-                start: None,
-            };
+        if !self.enabled || !self.capturing.load(Ordering::Relaxed) {
+            return SpanGuard { open: None };
         }
         let mut t = self.trace.lock().unwrap();
         let depth = t.depth;
-        let index = t.capture.as_mut().map(|spans| {
-            spans.push(SpanRecord {
-                name,
-                detail: String::new(),
-                depth,
-                duration_ns: 0,
-                rows_in: None,
-                rows_out: None,
-                rows_est: None,
-            });
-            spans.len() - 1
+        let Some(spans) = t.capture.as_mut() else {
+            return SpanGuard { open: None };
+        };
+        spans.push(SpanRecord {
+            name,
+            detail: String::new(),
+            depth,
+            duration_ns: 0,
+            rows_in: None,
+            rows_out: None,
+            rows_est: None,
         });
-        if index.is_some() {
-            t.depth += 1;
-        }
+        let index = spans.len() - 1;
+        t.depth += 1;
         drop(t);
         SpanGuard {
-            rec: Some(self),
-            name,
-            index,
-            start: Some(Instant::now()),
+            open: Some((self, index, Instant::now())),
         }
     }
 
-    /// Copy of the background event ring, oldest first.
-    pub fn recent_events(&self) -> Vec<RingEvent> {
-        let t = self.trace.lock().unwrap();
-        let mut out = Vec::with_capacity(t.ring.len());
-        if t.ring.len() == EVENT_RING_CAPACITY {
-            out.extend_from_slice(&t.ring[t.ring_next..]);
-            out.extend_from_slice(&t.ring[..t.ring_next]);
-        } else {
-            out.extend_from_slice(&t.ring);
-        }
-        out
-    }
-
-    fn finish_span(&self, index: Option<usize>, name: &'static str, ns: u64) {
+    fn finish_span(&self, index: usize, ns: u64) {
         let mut t = self.trace.lock().unwrap();
-        if let Some(i) = index {
-            if let Some(spans) = t.capture.as_mut() {
-                if let Some(rec) = spans.get_mut(i) {
-                    rec.duration_ns = ns;
-                }
-            }
-            t.depth = t.depth.saturating_sub(1);
+        if let Some(rec) = t.capture.as_mut().and_then(|spans| spans.get_mut(index)) {
+            rec.duration_ns = ns;
         }
-        let ev = RingEvent {
-            name,
-            duration_ns: ns,
-        };
-        if t.ring.len() < EVENT_RING_CAPACITY {
-            t.ring.push(ev);
-        } else {
-            let slot = t.ring_next;
-            t.ring[slot] = ev;
-        }
-        t.ring_next = (t.ring_next + 1) % EVENT_RING_CAPACITY;
+        t.depth = t.depth.saturating_sub(1);
     }
 
     fn annotate(&self, index: usize, f: impl FnOnce(&mut SpanRecord)) {
@@ -402,46 +363,41 @@ impl std::fmt::Debug for Recorder {
 
 /// RAII span guard; see [`Recorder::span`].
 pub struct SpanGuard<'a> {
-    rec: Option<&'a Recorder>,
-    name: &'static str,
-    /// Position in the active capture, if one was running at entry.
-    index: Option<usize>,
-    start: Option<Instant>,
+    /// The recorder, the span's position in its capture and its start,
+    /// when a capture was running at entry.
+    open: Option<(&'a Recorder, usize, Instant)>,
 }
 
 impl SpanGuard<'_> {
+    fn annotate(&self, f: impl FnOnce(&mut SpanRecord)) {
+        if let Some((rec, index, _)) = self.open {
+            rec.annotate(index, f);
+        }
+    }
+
     /// Attach a free-form annotation (e.g. the access path chosen).
     pub fn detail(&self, detail: impl Into<String>) {
-        if let (Some(rec), Some(i)) = (self.rec, self.index) {
-            let d = detail.into();
-            rec.annotate(i, |r| r.detail = d);
-        }
+        self.annotate(|r| r.detail = detail.into());
     }
 
     pub fn rows_in(&self, n: u64) {
-        if let (Some(rec), Some(i)) = (self.rec, self.index) {
-            rec.annotate(i, |r| r.rows_in = Some(n));
-        }
+        self.annotate(|r| r.rows_in = Some(n));
     }
 
     pub fn rows_out(&self, n: u64) {
-        if let (Some(rec), Some(i)) = (self.rec, self.index) {
-            rec.annotate(i, |r| r.rows_out = Some(n));
-        }
+        self.annotate(|r| r.rows_out = Some(n));
     }
 
     /// Statistics-based row-count estimate for this operator.
     pub fn rows_est(&self, n: u64) {
-        if let (Some(rec), Some(i)) = (self.rec, self.index) {
-            rec.annotate(i, |r| r.rows_est = Some(n));
-        }
+        self.annotate(|r| r.rows_est = Some(n));
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let (Some(rec), Some(start)) = (self.rec, self.start) {
-            rec.finish_span(self.index, self.name, start.elapsed().as_nanos() as u64);
+        if let Some((rec, index, start)) = self.open {
+            rec.finish_span(index, start.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -552,7 +508,6 @@ mod tests {
         }
         assert!(r.end_trace(&MetricsSnapshot::default()).is_none());
         assert!(r.snapshot().is_zero());
-        assert!(r.recent_events().is_empty());
     }
 
     #[test]
@@ -623,23 +578,25 @@ mod tests {
     }
 
     #[test]
-    fn spans_outside_capture_land_in_ring() {
+    fn spans_outside_a_capture_record_nothing() {
         let r = Recorder::new();
-        for _ in 0..3 {
-            let _s = r.span("commit");
+        {
+            let s = r.span("commit");
+            s.rows_out(1);
         }
-        let events = r.recent_events();
-        assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.name == "commit"));
-    }
-
-    #[test]
-    fn ring_wraps_at_capacity() {
-        let r = Recorder::new();
-        for _ in 0..EVENT_RING_CAPACITY + 10 {
-            let _s = r.span("tick");
-        }
-        assert_eq!(r.recent_events().len(), EVENT_RING_CAPACITY);
+        // A span opened before the capture began is not part of it and
+        // leaves the capture's nesting alone when it closes inside it.
+        let early = r.span("early");
+        let before = r.snapshot();
+        r.begin_trace();
+        drop(r.span("scan"));
+        drop(early);
+        drop(r.span("filter"));
+        let report = r.end_trace(&before).expect("capture active");
+        let names: Vec<_> = report.spans.iter().map(|s| (s.name, s.depth)).collect();
+        assert_eq!(names, vec![("scan", 0), ("filter", 0)]);
+        drop(r.span("commit"));
+        assert!(r.end_trace(&before).is_none(), "no capture after end_trace");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! Two statements that differ only in their literals — `where f.name =
 //! "Merrie"` versus `where f.name = "Tom"`, `as of "12/10/82"` versus
 //! `as of "06/01/81"` — exercise the same plan and belong to the same
-//! workload entry.  [`normalize_statement`] rewrites an AST so every
-//! scalar literal (string, int, float) becomes the string `"?"` and
-//! every date literal becomes the date `"?"`, preserving everything
-//! structural: statement kind, range variables, relations, attribute
-//! names, operators, clause order, and nesting.  The normalized AST is
-//! then unparsed and hashed with FNV-1a (64-bit), giving a stable
-//! fingerprint plus a human-readable normalized text like
+//! workload entry.  The statement is unparsed with every scalar literal
+//! (string, int, float) written as the string `"?"` and every date
+//! literal as the date `"?"`, preserving everything structural:
+//! statement kind, range variables, relations, attribute names,
+//! operators, clause order, and nesting.  That text is hashed with
+//! FNV-1a (64-bit), giving a stable fingerprint plus a human-readable
+//! normalized text like
 //!
 //! ```text
 //! retrieve (f.rank) where f.name = "?" as of "?"
@@ -20,8 +20,8 @@
 //! ordinary string literal), it round-trips through the parser — a
 //! property the tests pin down.
 
-use crate::ast::*;
-use crate::unparse::unparse;
+use crate::ast::Statement;
+use crate::unparse::unparse_shape;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -43,119 +43,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Fingerprints a statement: returns the FNV-1a hash of the normalized
 /// text together with the normalized text itself.
 pub fn fingerprint(stmt: &Statement) -> (u64, String) {
-    let text = unparse(&normalize_statement(stmt));
+    let text = unparse_shape(stmt);
     (fnv1a(text.as_bytes()), text)
-}
-
-/// Rewrites `stmt` with every literal replaced by `"?"`, keeping the
-/// structure intact.  The result still parses.
-pub fn normalize_statement(stmt: &Statement) -> Statement {
-    match stmt {
-        Statement::RangeDecl { .. } | Statement::Create { .. } | Statement::Destroy { .. } => {
-            stmt.clone()
-        }
-        Statement::Analyze { .. } | Statement::Freeze { .. } => stmt.clone(),
-        Statement::Retrieve(r) => Statement::Retrieve(Retrieve {
-            into: r.into.clone(),
-            targets: r.targets.clone(),
-            valid: r.valid.as_ref().map(norm_valid),
-            where_clause: r.where_clause.as_ref().map(norm_where),
-            when_clause: r.when_clause.as_ref().map(norm_when),
-            as_of: r.as_of.as_ref().map(norm_as_of),
-        }),
-        Statement::Append {
-            relation,
-            assignments,
-            valid,
-        } => Statement::Append {
-            relation: relation.clone(),
-            assignments: assignments.iter().map(norm_assignment).collect(),
-            valid: valid.as_ref().map(norm_valid),
-        },
-        Statement::Delete { var, where_clause } => Statement::Delete {
-            var: var.clone(),
-            where_clause: where_clause.as_ref().map(norm_where),
-        },
-        Statement::Replace {
-            var,
-            assignments,
-            valid,
-            where_clause,
-        } => Statement::Replace {
-            var: var.clone(),
-            assignments: assignments.iter().map(norm_assignment).collect(),
-            valid: valid.as_ref().map(norm_valid),
-            where_clause: where_clause.as_ref().map(norm_where),
-        },
-        Statement::Explain { profile, inner } => Statement::Explain {
-            profile: *profile,
-            inner: Box::new(normalize_statement(inner)),
-        },
-    }
-}
-
-fn norm_operand(op: &Operand) -> Operand {
-    match op {
-        Operand::Attr(a) => Operand::Attr(a.clone()),
-        Operand::Str(_) | Operand::Int(_) | Operand::Float(_) => Operand::Str("?".into()),
-    }
-}
-
-fn norm_assignment(a: &Assignment) -> Assignment {
-    Assignment {
-        attr: a.attr.clone(),
-        value: norm_operand(&a.value),
-    }
-}
-
-fn norm_where(w: &WhereExpr) -> WhereExpr {
-    match w {
-        WhereExpr::Cmp(op, l, r) => WhereExpr::Cmp(*op, norm_operand(l), norm_operand(r)),
-        WhereExpr::And(l, r) => WhereExpr::And(Box::new(norm_where(l)), Box::new(norm_where(r))),
-        WhereExpr::Or(l, r) => WhereExpr::Or(Box::new(norm_where(l)), Box::new(norm_where(r))),
-        WhereExpr::Not(e) => WhereExpr::Not(Box::new(norm_where(e))),
-    }
-}
-
-fn norm_texpr(e: &TexprAst) -> TexprAst {
-    match e {
-        TexprAst::Var(v) => TexprAst::Var(v.clone()),
-        TexprAst::Date(_) => TexprAst::Date("?".into()),
-        TexprAst::Forever => TexprAst::Forever,
-        TexprAst::StartOf(inner) => TexprAst::StartOf(Box::new(norm_texpr(inner))),
-        TexprAst::EndOf(inner) => TexprAst::EndOf(Box::new(norm_texpr(inner))),
-        TexprAst::Extend(l, r) => {
-            TexprAst::Extend(Box::new(norm_texpr(l)), Box::new(norm_texpr(r)))
-        }
-        TexprAst::Overlap(l, r) => {
-            TexprAst::Overlap(Box::new(norm_texpr(l)), Box::new(norm_texpr(r)))
-        }
-    }
-}
-
-fn norm_when(w: &WhenExpr) -> WhenExpr {
-    match w {
-        WhenExpr::Overlap(l, r) => WhenExpr::Overlap(norm_texpr(l), norm_texpr(r)),
-        WhenExpr::Precede(l, r) => WhenExpr::Precede(norm_texpr(l), norm_texpr(r)),
-        WhenExpr::Equal(l, r) => WhenExpr::Equal(norm_texpr(l), norm_texpr(r)),
-        WhenExpr::And(l, r) => WhenExpr::And(Box::new(norm_when(l)), Box::new(norm_when(r))),
-        WhenExpr::Or(l, r) => WhenExpr::Or(Box::new(norm_when(l)), Box::new(norm_when(r))),
-        WhenExpr::Not(e) => WhenExpr::Not(Box::new(norm_when(e))),
-    }
-}
-
-fn norm_valid(v: &ValidClause) -> ValidClause {
-    match v {
-        ValidClause::At(e) => ValidClause::At(norm_texpr(e)),
-        ValidClause::FromTo(a, b) => ValidClause::FromTo(norm_texpr(a), norm_texpr(b)),
-    }
-}
-
-fn norm_as_of(a: &AsOfClause) -> AsOfClause {
-    AsOfClause {
-        at: norm_texpr(&a.at),
-        through: a.through.as_ref().map(norm_texpr),
-    }
 }
 
 #[cfg(test)]
@@ -201,11 +90,14 @@ mod tests {
             r#"retrieve (f1.rank) when f1 overlap start of f2 as of "12/10/82" through "12/20/82""#,
             "explain analyze faculty",
         ] {
-            let norm = normalize_statement(&parse_statement(src).unwrap());
-            let text = unparse(&norm);
+            let (hash, text) = fp(src);
             let reparsed = parse_statement(&text)
                 .unwrap_or_else(|e| panic!("normalized text unparseable: {text:?}: {e}"));
-            assert_eq!(reparsed, norm, "round trip changed the shape: {text}");
+            assert_eq!(
+                fingerprint(&reparsed),
+                (hash, text.clone()),
+                "round trip changed the shape: {text}"
+            );
         }
     }
 

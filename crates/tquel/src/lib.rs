@@ -46,5 +46,5 @@ pub mod token;
 pub mod unparse;
 
 pub use error::{TquelError, TquelResult};
-pub use fingerprint::{fingerprint, normalize_statement};
+pub use fingerprint::fingerprint;
 pub use parser::{parse_program, parse_statement};

@@ -18,28 +18,51 @@ use crate::ast::{
 /// Renders a statement as parseable TQuel.
 pub fn unparse(stmt: &Statement) -> String {
     let mut out = String::new();
+    print_statement(stmt, Literals::Keep, &mut out);
+    out
+}
+
+/// Renders a statement as parseable TQuel with every scalar and date
+/// literal written as `"?"`: the statement's literal-insensitive shape
+/// (see [`fingerprint`](crate::fingerprint::fingerprint)).
+pub(crate) fn unparse_shape(stmt: &Statement) -> String {
+    // Runs on every monitored statement: one allocation covers a
+    // typical shape, where growing from empty would take five.
+    let mut out = String::with_capacity(128);
+    print_statement(stmt, Literals::Mask, &mut out);
+    out
+}
+
+/// Whether literals are printed as written or masked as `"?"`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Literals {
+    Keep,
+    Mask,
+}
+
+fn print_statement(stmt: &Statement, lit: Literals, out: &mut String) {
     match stmt {
         Statement::RangeDecl { var, relation } => {
             let _ = write!(out, "range of {var} is {relation}");
         }
-        Statement::Retrieve(r) => unparse_retrieve(r, &mut out),
+        Statement::Retrieve(r) => unparse_retrieve(r, lit, out),
         Statement::Append {
             relation,
             assignments,
             valid,
         } => {
             let _ = write!(out, "append to {relation} ");
-            unparse_assignments(assignments, &mut out);
+            unparse_assignments(assignments, lit, out);
             if let Some(v) = valid {
                 out.push(' ');
-                unparse_valid(v, &mut out);
+                unparse_valid(v, lit, out);
             }
         }
         Statement::Delete { var, where_clause } => {
             let _ = write!(out, "delete {var}");
             if let Some(w) = where_clause {
                 out.push_str(" where ");
-                unparse_where(w, &mut out);
+                unparse_where(w, lit, out);
             }
         }
         Statement::Replace {
@@ -49,14 +72,14 @@ pub fn unparse(stmt: &Statement) -> String {
             where_clause,
         } => {
             let _ = write!(out, "replace {var} ");
-            unparse_assignments(assignments, &mut out);
+            unparse_assignments(assignments, lit, out);
             if let Some(v) = valid {
                 out.push(' ');
-                unparse_valid(v, &mut out);
+                unparse_valid(v, lit, out);
             }
             if let Some(w) = where_clause {
                 out.push_str(" where ");
-                unparse_where(w, &mut out);
+                unparse_where(w, lit, out);
             }
         }
         Statement::Create {
@@ -94,7 +117,7 @@ pub fn unparse(stmt: &Statement) -> String {
         }
         Statement::Explain { profile, inner } => {
             out.push_str(if *profile { "profile " } else { "explain " });
-            out.push_str(&unparse(inner));
+            print_statement(inner, lit, out);
         }
         Statement::Freeze { relation } => {
             let _ = write!(out, "freeze {relation}");
@@ -103,10 +126,9 @@ pub fn unparse(stmt: &Statement) -> String {
             let _ = write!(out, "analyze {relation}");
         }
     }
-    out
 }
 
-fn unparse_retrieve(r: &Retrieve, out: &mut String) {
+fn unparse_retrieve(r: &Retrieve, lit: Literals, out: &mut String) {
     out.push_str("retrieve ");
     if let Some(into) = &r.into {
         let _ = write!(out, "into {into} ");
@@ -121,22 +143,22 @@ fn unparse_retrieve(r: &Retrieve, out: &mut String) {
     out.push(')');
     if let Some(v) = &r.valid {
         out.push(' ');
-        unparse_valid(v, out);
+        unparse_valid(v, lit, out);
     }
     if let Some(w) = &r.where_clause {
         out.push_str(" where ");
-        unparse_where(w, out);
+        unparse_where(w, lit, out);
     }
     if let Some(w) = &r.when_clause {
         out.push_str(" when ");
-        unparse_when(w, out);
+        unparse_when(w, lit, out);
     }
     if let Some(AsOfClause { at, through }) = &r.as_of {
         out.push_str(" as of ");
-        unparse_texpr(at, out);
+        unparse_texpr(at, lit, out);
         if let Some(t) = through {
             out.push_str(" through ");
-            unparse_texpr(t, out);
+            unparse_texpr(t, lit, out);
         }
     }
 }
@@ -156,17 +178,19 @@ fn unparse_target(t: &Target, out: &mut String) {
 }
 
 fn unparse_attr(a: &AttrRef, out: &mut String) {
-    let _ = write!(out, "{}.{}", a.var, a.attr);
+    out.push_str(&a.var);
+    out.push('.');
+    out.push_str(&a.attr);
 }
 
-fn unparse_assignments(assignments: &[Assignment], out: &mut String) {
+fn unparse_assignments(assignments: &[Assignment], lit: Literals, out: &mut String) {
     out.push('(');
     for (i, a) in assignments.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         let _ = write!(out, "{} = ", a.attr);
-        unparse_operand(&a.value, out);
+        unparse_operand(&a.value, lit, out);
     }
     out.push(')');
 }
@@ -185,9 +209,12 @@ fn escape_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn unparse_operand(op: &Operand, out: &mut String) {
+fn unparse_operand(op: &Operand, lit: Literals, out: &mut String) {
     match op {
         Operand::Attr(a) => unparse_attr(a, out),
+        Operand::Str(_) | Operand::Int(_) | Operand::Float(_) if lit == Literals::Mask => {
+            out.push_str("\"?\"")
+        }
         Operand::Str(s) => escape_str(s, out),
         Operand::Int(i) => {
             let _ = write!(out, "{i}");
@@ -202,10 +229,10 @@ fn unparse_operand(op: &Operand, out: &mut String) {
     }
 }
 
-fn unparse_where(w: &WhereExpr, out: &mut String) {
+fn unparse_where(w: &WhereExpr, lit: Literals, out: &mut String) {
     match w {
         WhereExpr::Cmp(op, a, b) => {
-            unparse_operand(a, out);
+            unparse_operand(a, lit, out);
             let op = match op {
                 CmpOpAst::Eq => "=",
                 CmpOpAst::Ne => "!=",
@@ -214,132 +241,135 @@ fn unparse_where(w: &WhereExpr, out: &mut String) {
                 CmpOpAst::Gt => ">",
                 CmpOpAst::Ge => ">=",
             };
-            let _ = write!(out, " {op} ");
-            unparse_operand(b, out);
+            out.push(' ');
+            out.push_str(op);
+            out.push(' ');
+            unparse_operand(b, lit, out);
         }
         WhereExpr::And(a, b) => {
             out.push('(');
-            unparse_where(a, out);
+            unparse_where(a, lit, out);
             out.push_str(" and ");
-            unparse_where(b, out);
+            unparse_where(b, lit, out);
             out.push(')');
         }
         WhereExpr::Or(a, b) => {
             out.push('(');
-            unparse_where(a, out);
+            unparse_where(a, lit, out);
             out.push_str(" or ");
-            unparse_where(b, out);
+            unparse_where(b, lit, out);
             out.push(')');
         }
         WhereExpr::Not(a) => {
             out.push_str("not ");
-            unparse_where_primary(a, out);
+            unparse_where_primary(a, lit, out);
         }
     }
 }
 
-fn unparse_where_primary(w: &WhereExpr, out: &mut String) {
+fn unparse_where_primary(w: &WhereExpr, lit: Literals, out: &mut String) {
     match w {
         // Compounds under `not` must be parenthesized; And/Or already
         // self-parenthesize and Cmp/Not are primaries.
         WhereExpr::Cmp(..) => {
             out.push('(');
-            unparse_where(w, out);
+            unparse_where(w, lit, out);
             out.push(')');
         }
-        _ => unparse_where(w, out),
+        _ => unparse_where(w, lit, out),
     }
 }
 
-fn unparse_when(w: &WhenExpr, out: &mut String) {
+fn unparse_when(w: &WhenExpr, lit: Literals, out: &mut String) {
     match w {
         WhenExpr::Overlap(a, b) => {
-            unparse_texpr(a, out);
+            unparse_texpr(a, lit, out);
             out.push_str(" overlap ");
-            unparse_texpr(b, out);
+            unparse_texpr(b, lit, out);
         }
         WhenExpr::Precede(a, b) => {
-            unparse_texpr(a, out);
+            unparse_texpr(a, lit, out);
             out.push_str(" precede ");
-            unparse_texpr(b, out);
+            unparse_texpr(b, lit, out);
         }
         WhenExpr::Equal(a, b) => {
-            unparse_texpr(a, out);
+            unparse_texpr(a, lit, out);
             out.push_str(" equal ");
-            unparse_texpr(b, out);
+            unparse_texpr(b, lit, out);
         }
         WhenExpr::And(a, b) => {
             out.push('(');
-            unparse_when(a, out);
+            unparse_when(a, lit, out);
             out.push_str(" and ");
-            unparse_when(b, out);
+            unparse_when(b, lit, out);
             out.push(')');
         }
         WhenExpr::Or(a, b) => {
             out.push('(');
-            unparse_when(a, out);
+            unparse_when(a, lit, out);
             out.push_str(" or ");
-            unparse_when(b, out);
+            unparse_when(b, lit, out);
             out.push(')');
         }
         WhenExpr::Not(a) => {
             out.push_str("not ");
-            unparse_when_primary(a, out);
+            unparse_when_primary(a, lit, out);
         }
     }
 }
 
-fn unparse_when_primary(w: &WhenExpr, out: &mut String) {
+fn unparse_when_primary(w: &WhenExpr, lit: Literals, out: &mut String) {
     match w {
         WhenExpr::Overlap(..) | WhenExpr::Precede(..) | WhenExpr::Equal(..) => {
             out.push('(');
-            unparse_when(w, out);
+            unparse_when(w, lit, out);
             out.push(')');
         }
-        _ => unparse_when(w, out),
+        _ => unparse_when(w, lit, out),
     }
 }
 
-fn unparse_valid(v: &ValidClause, out: &mut String) {
+fn unparse_valid(v: &ValidClause, lit: Literals, out: &mut String) {
     match v {
         ValidClause::At(e) => {
             out.push_str("valid at ");
-            unparse_texpr(e, out);
+            unparse_texpr(e, lit, out);
         }
         ValidClause::FromTo(a, b) => {
             out.push_str("valid from ");
-            unparse_texpr(a, out);
+            unparse_texpr(a, lit, out);
             out.push_str(" to ");
-            unparse_texpr(b, out);
+            unparse_texpr(b, lit, out);
         }
     }
 }
 
-fn unparse_texpr(e: &TexprAst, out: &mut String) {
+fn unparse_texpr(e: &TexprAst, lit: Literals, out: &mut String) {
     match e {
         TexprAst::Var(v) => out.push_str(v),
+        TexprAst::Date(_) if lit == Literals::Mask => out.push_str("\"?\""),
         TexprAst::Date(d) => escape_str(d, out),
         TexprAst::Forever => out.push_str("forever"),
         TexprAst::StartOf(a) => {
             out.push_str("start of ");
-            unparse_texpr(a, out);
+            unparse_texpr(a, lit, out);
         }
         TexprAst::EndOf(a) => {
             out.push_str("end of ");
-            unparse_texpr(a, out);
+            unparse_texpr(a, lit, out);
         }
         TexprAst::Extend(a, b) => {
             out.push('(');
-            unparse_texpr(a, out);
+            unparse_texpr(a, lit, out);
             out.push_str(" extend ");
-            unparse_texpr(b, out);
+            unparse_texpr(b, lit, out);
             out.push(')');
         }
         TexprAst::Overlap(a, b) => {
             out.push('(');
-            unparse_texpr(a, out);
+            unparse_texpr(a, lit, out);
             out.push_str(" overlap ");
-            unparse_texpr(b, out);
+            unparse_texpr(b, lit, out);
             out.push(')');
         }
     }

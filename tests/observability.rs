@@ -302,3 +302,110 @@ fn engine_stats_tracks_commits() {
     assert_eq!(stats.metrics.commits, 4);
     assert_eq!(stats.metrics.commit_latency.samples, 4);
 }
+
+/// Concurrent writer sessions on a durable engine feed every
+/// commit-stage histogram and the writer-queue gauge, a read feeds the
+/// read-lock timer, `/metrics` answers while they commit, and a
+/// disabled-recorder twin running the same writes records nothing at
+/// all.
+#[test]
+fn concurrent_writes_feed_every_commit_stage_and_a_disabled_twin_stays_zero() {
+    const WRITERS: usize = 4;
+    const COMMITS_EACH: usize = 10;
+    let root = std::env::temp_dir().join(format!("chronos-obs-stages-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let write_rounds = |engine: &Arc<Engine>, scrape: Option<&str>| {
+        let barrier = std::sync::Barrier::new(WRITERS);
+        let (committed_tx, committed_rx) = std::sync::mpsc::channel();
+        let (scraped_tx, scraped_rx) = std::sync::mpsc::channel::<()>();
+        let mut scraped_rx = Some(scraped_rx);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (barrier, engine) = (&barrier, Arc::clone(engine));
+                let handshake = scraped_rx
+                    .take()
+                    .map(|scraped| (committed_tx.clone(), scraped));
+                s.spawn(move || {
+                    let mut session = engine.session();
+                    barrier.wait();
+                    for j in 0..COMMITS_EACH {
+                        session
+                            .run(&format!(r#"append to log (name = "w{w}c{j:02}")"#))
+                            .expect("writer append");
+                        // Writer 0 pauses after its first commit until
+                        // the scrape is done, so the scrape lands
+                        // between commits.
+                        if let (0, Some((committed, scraped))) = (j, &handshake) {
+                            committed.send(()).expect("main thread listens");
+                            scraped.recv().expect("main thread answers");
+                        }
+                    }
+                });
+            }
+            committed_rx.recv().expect("writer 0 committed");
+            if let Some(addr) = scrape {
+                let (status, body) = chronos_obs::http_get(addr, "/metrics").expect("GET /metrics");
+                assert_eq!(status, 200, "{body}");
+                assert!(body.contains("chronos_commits "), "{body}");
+            }
+            scraped_tx.send(()).expect("writer 0 waits");
+        });
+    };
+    let open = |name: &str, obs: &chronos_db::ObsBootstrap| {
+        let clock = Arc::new(ManualClock::new(date("01/01/80").expect("valid")));
+        let db = Database::open_with_obs(&root.join(name), clock, obs).expect("open");
+        let engine = Engine::start(db);
+        engine
+            .session()
+            .run("create log (name = str) as temporal")
+            .expect("create");
+        engine
+    };
+
+    let on = open("on", &chronos_db::ObsBootstrap::new());
+    let server = on
+        .with_db(|db| db.serve_observability("127.0.0.1:0"))
+        .expect("serve");
+    write_rounds(&on, Some(&server.addr().to_string()));
+    server.shutdown();
+    on.session()
+        .query("range of l is log retrieve (l.name)")
+        .expect("read back");
+    let m = on.stats().metrics;
+    assert_eq!(m.commits, (WRITERS * COMMITS_EACH) as u64);
+    assert!(
+        m.commit_queue_hwm > 0,
+        "the writer queue never held a commit"
+    );
+    for (stage, h) in [
+        ("commit_queue_wait", &m.commit_queue_wait),
+        ("commit_lock_wait", &m.commit_lock_wait),
+        ("commit_apply", &m.commit_apply),
+        ("commit_fsync", &m.commit_fsync),
+        ("commit_ack", &m.commit_ack),
+        ("read_lock_wait", &m.read_lock_wait),
+    ] {
+        assert!(h.samples > 0, "stage {stage} recorded no samples");
+    }
+
+    let off = open("off", &chronos_db::ObsBootstrap::disabled());
+    write_rounds(&off, None);
+    assert_eq!(
+        off.session()
+            .query("range of l is log retrieve (l.name)")
+            .expect("read back")
+            .len(),
+        WRITERS * COMMITS_EACH,
+        "the twin lost a write"
+    );
+    assert!(
+        off.stats().metrics.is_zero(),
+        "the disabled twin recorded metrics"
+    );
+    assert!(
+        off.recorder().fingerprints().is_empty(),
+        "the disabled twin recorded fingerprints"
+    );
+    drop((on, off));
+    let _ = std::fs::remove_dir_all(&root);
+}
