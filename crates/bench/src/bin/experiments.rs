@@ -26,7 +26,7 @@
 //!   observability stack priced against `ObsBootstrap::disabled()` by
 //!   alternating pairs of `Session::run` + `render_outcomes` blocks
 //!   (gated: median ratio ≤ 1.05, its 95 % interval within ±0.02),
-//!   recorded in `BENCH_observability.json`;
+//!   written to `target/t10-obs-gate/BENCH_observability.json`;
 //! * **T12** — the concurrent MVCC query service: closed-loop snapshot
 //!   readers over loopback and group-commit write rounds;
 //! * **T16** — frozen segments: bytes/version and as-of point-query
@@ -779,9 +779,12 @@ fn t10_observability_gate() {
          \"ci95\": [{lo:.4}, {hi:.4}],\n  \"off_us_per_statement\": {off_us:.3},\n  \
          \"budget\": {T10_BUDGET},\n  \"verdict\": \"{verdict}\"\n}}\n"
     );
-    match std::fs::write("BENCH_observability.json", doc) {
-        Ok(()) => println!("(wrote BENCH_observability.json)"),
-        Err(e) => println!("(could not write BENCH_observability.json: {e})"),
+    // Beside the gate's databases, not over the tracked trajectory file,
+    // so a gate run leaves the checkout as it found it.
+    let doc_path = root.join("BENCH_observability.json");
+    match std::fs::create_dir_all(&root).and_then(|()| std::fs::write(&doc_path, doc)) {
+        Ok(()) => println!("(wrote {})", doc_path.display()),
+        Err(e) => println!("(could not write {}: {e})", doc_path.display()),
     }
     assert_eq!(
         verdict, "pass",

@@ -118,16 +118,78 @@ impl FromStr for Date {
     }
 }
 
-impl fmt::Display for Date {
-    /// `mm/dd/yy` for 20th-century dates (as printed in the paper),
-    /// `mm/dd/yyyy` otherwise.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let text = if (1900..2000).contains(&self.year) {
-            format!("{:02}/{:02}/{:02}", self.month, self.day, self.year - 1900)
-        } else {
-            format!("{:02}/{:02}/{:04}", self.month, self.day, self.year)
+impl Date {
+    /// The text [`Display`](fmt::Display) pads: `mm/dd/yy` for
+    /// 20th-century dates (as printed in the paper), `mm/dd/yyyy`
+    /// otherwise — the year zero-padded to four places, a sign
+    /// included, as `{:04}` pads it.
+    pub fn text(self) -> DateText {
+        let mut text = DateText {
+            buf: [0; DateText::CAP],
+            len: 0,
         };
-        f.pad(&text)
+        text.push_digits(u32::from(self.month), 2);
+        text.push(b'/');
+        text.push_digits(u32::from(self.day), 2);
+        text.push(b'/');
+        if (1900..2000).contains(&self.year) {
+            text.push_digits((self.year - 1900) as u32, 2);
+        } else if self.year < 0 {
+            text.push(b'-');
+            text.push_digits(self.year.unsigned_abs(), 3);
+        } else {
+            text.push_digits(self.year as u32, 4);
+        }
+        text
+    }
+}
+
+/// A date's display text, held on the stack (see [`Date::text`]).
+#[derive(Clone, Copy, Debug)]
+pub struct DateText {
+    buf: [u8; DateText::CAP],
+    len: usize,
+}
+
+impl DateText {
+    /// `mm/dd/`, a sign and the ten digits of any `i32` year.
+    const CAP: usize = 17;
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("ASCII digits")
+    }
+
+    fn push(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    /// Appends `v` in decimal, zero-padded to at least `min` digits.
+    fn push_digits(&mut self, mut v: u32, min: usize) {
+        let mut digits = [b'0'; 10];
+        let mut n = 0;
+        loop {
+            digits[n] = b'0' + (v % 10) as u8;
+            v /= 10;
+            n += 1;
+            if v == 0 {
+                break;
+            }
+        }
+        for _ in n..min {
+            self.push(b'0');
+        }
+        for &d in digits[..n].iter().rev() {
+            self.push(d);
+        }
+    }
+}
+
+impl fmt::Display for Date {
+    /// Pads [`Date::text`].
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(self.text().as_str())
     }
 }
 
@@ -266,5 +328,24 @@ mod tests {
     fn display_past_2000_uses_four_digits() {
         let d = Date::new(2026, 7, 5).unwrap();
         assert_eq!(d.to_string(), "07/05/2026");
+    }
+
+    #[test]
+    fn display_agrees_with_the_general_formatter_and_pads() {
+        for year in [
+            -12_345, -1, 0, 7, 999, 1899, 1900, 1977, 1999, 2000, 9999, 10_000,
+        ] {
+            let d = Date::new(year, 2, 9).unwrap();
+            let want = if (1900..2000).contains(&year) {
+                format!("02/09/{:02}", year - 1900)
+            } else {
+                format!("02/09/{year:04}")
+            };
+            assert_eq!(d.to_string(), want);
+            assert_eq!(
+                format!("{d:>12}|{d:<12}|{d:^12}"),
+                format!("{want:>12}|{want:<12}|{want:^12}")
+            );
+        }
     }
 }

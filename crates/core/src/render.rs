@@ -8,23 +8,48 @@
 //! separate the non-temporal domains from the DBMS-maintained temporal
 //! domains").
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A column-aligned plain-text table.
+///
+/// Cells are formatted once, row-major, into one buffer — the header
+/// row first — and [`render_into`](Self::render_into) lays them out in
+/// one width pass, straight into the caller's buffer.
 #[derive(Clone, Debug, Default)]
 pub struct TextTable {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
+    /// Every cell's text, back to back.
+    text: String,
+    /// The end offset in `text` of each cell.
+    ends: Vec<usize>,
+    ncols: usize,
+    /// Data rows finished so far.
+    rows: usize,
     /// Column index before which the double bar `||` is drawn.
     double_bar_before: Option<usize>,
 }
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(headers: I) -> TextTable {
+    pub fn new<S: AsRef<str>, I: IntoIterator<Item = S>>(headers: I) -> TextTable {
+        let headers: Vec<S> = headers.into_iter().collect();
+        let mut table = TextTable::with_capacity(headers.len(), 0);
+        for header in &headers {
+            table.push_text(header.as_ref());
+        }
+        table
+    }
+
+    /// An empty table of `ncols` columns with room for `rows` data rows;
+    /// its first `ncols` [`push_cell`](Self::push_cell)s are the header.
+    pub fn with_capacity(ncols: usize, rows: usize) -> TextTable {
+        /// Bytes reserved per cell; a longer cell grows the buffer.
+        const CELL_BYTES: usize = 12;
+        let cells = ncols * (rows + 1);
         TextTable {
-            headers: headers.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
+            text: String::with_capacity(cells * CELL_BYTES),
+            ends: Vec::with_capacity(cells),
+            ncols,
+            rows: 0,
             double_bar_before: None,
         }
     }
@@ -37,76 +62,146 @@ impl TextTable {
         self
     }
 
-    /// Appends a row; short rows are padded with empty cells.
-    pub fn push_row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
-        let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
-        row.resize(self.headers.len(), String::new());
-        self.rows.push(row);
+    /// Appends one cell, formatted from `value`, to the row being
+    /// built (the header, until it has `ncols` cells); a cell past the
+    /// row's last column is dropped.  [`end_row`](Self::end_row) closes
+    /// the row.
+    pub fn push_cell(&mut self, value: impl fmt::Display) {
+        if !self.row_is_full() {
+            let _ = write!(self.text, "{value}");
+            self.ends.push(self.text.len());
+        }
+    }
+
+    /// [`push_cell`](Self::push_cell) for text that needs no formatting.
+    pub fn push_text(&mut self, text: &str) {
+        if !self.row_is_full() {
+            self.text.push_str(text);
+            self.ends.push(self.text.len());
+        }
+    }
+
+    fn row_is_full(&self) -> bool {
+        self.ends.len() == self.ncols * (self.rows + 2)
+    }
+
+    /// Closes the row being built, padding it with empty cells.
+    pub fn end_row(&mut self) {
+        let full = self.ncols * (self.rows + 2);
+        self.ends.resize(full, self.text.len());
+        self.rows += 1;
+    }
+
+    /// Appends a row; short rows are padded with empty cells, and cells
+    /// past the last column are dropped.
+    pub fn push_row<S: AsRef<str>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
+        for cell in cells.into_iter().take(self.ncols) {
+            self.push_text(cell.as_ref());
+        }
+        self.end_row();
     }
 
     /// Number of data rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows
     }
 
     /// True iff the table has no data rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows == 0
     }
 
     /// Renders the table with one space of padding, a header rule, and
     /// `|` column separators (`||` at the double bar).
     pub fn render(&self) -> String {
-        let ncols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| display_width(h)).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(ncols) {
-                widths[i] = widths[i].max(display_width(cell));
-            }
-        }
-        let sep_for = |i: usize| -> &'static str {
-            if self.double_bar_before == Some(i) {
-                " || "
-            } else if i == 0 {
-                ""
-            } else {
-                " | "
-            }
-        };
         let mut out = String::new();
-        let render_row = |cells: &[String], out: &mut String| {
-            for (i, w) in widths.iter().enumerate() {
-                out.push_str(sep_for(i));
-                let cell = cells.get(i).map(String::as_str).unwrap_or("");
-                out.push_str(cell);
-                for _ in 0..w.saturating_sub(display_width(cell)) {
-                    out.push(' ');
-                }
-            }
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        };
-        render_row(&self.headers, &mut out);
-        // Header rule.
-        let mut rule = String::new();
-        for (i, w) in widths.iter().enumerate() {
-            rule.push_str(match sep_for(i) {
-                " || " => "-++-",
-                " | " => "-+-",
-                _ => "",
-            });
-            for _ in 0..*w {
-                rule.push('-');
-            }
-        }
-        let _ = writeln!(out, "{rule}");
-        for row in &self.rows {
-            render_row(row, &mut out);
-        }
+        self.render_into(&mut out);
         out
     }
+
+    /// Appends [`render`](Self::render)'s text to `out`, growing it at
+    /// most once (with room left for a one-line footer).
+    pub fn render_into(&self, out: &mut String) {
+        /// Spare bytes reserved for a caller's footer line (a row count).
+        const FOOTER_BYTES: usize = 32;
+        let ncols = self.ncols;
+        let cells = ncols * (self.rows + 1);
+        assert!(
+            self.ends.len() >= cells,
+            "the first {ncols} cells of a table are its header"
+        );
+        let mut widths = vec![0usize; ncols];
+        let mut chars = 0;
+        let mut start = 0;
+        for (k, &end) in self.ends[..cells].iter().enumerate() {
+            let w = display_width(&self.text[start..end]);
+            widths[k % ncols] = widths[k % ncols].max(w);
+            chars += w;
+            start = end;
+        }
+        let sep = |i: usize| -> (&'static str, &'static str) {
+            if self.double_bar_before == Some(i) {
+                (" || ", "-++-")
+            } else if i == 0 {
+                ("", "")
+            } else {
+                (" | ", "-+-")
+            }
+        };
+        // Every line is at most this long, plus the bytes by which the
+        // cells' text outgrows their display width.
+        let line: usize =
+            widths.iter().sum::<usize>() + (0..ncols).map(|i| sep(i).0.len()).sum::<usize>() + 1;
+        out.reserve((self.rows + 2) * line + (self.text.len() - chars) + FOOTER_BYTES);
+
+        let mut start = 0;
+        let mut write_row = |ends: &[usize], out: &mut String| {
+            let row_start = out.len();
+            for (i, &end) in ends.iter().enumerate() {
+                let cell = &self.text[start..end];
+                start = end;
+                out.push_str(sep(i).0);
+                out.push_str(cell);
+                if i + 1 < ncols {
+                    fill(out, SPACES, widths[i] - display_width(cell));
+                }
+            }
+            let kept = out[row_start..].trim_end_matches(' ').len();
+            out.truncate(row_start + kept);
+            out.push('\n');
+        };
+        let mut rows = self.ends[..cells].chunks(ncols.max(1));
+        match rows.next() {
+            Some(header) => write_row(header, out),
+            None => out.push('\n'),
+        }
+        // Header rule.
+        for (i, &w) in widths.iter().enumerate() {
+            out.push_str(sep(i).1);
+            fill(out, DASHES, w);
+        }
+        out.push('\n');
+        if ncols == 0 {
+            // No cells: every data row is an empty line.
+            fill(out, NEWLINES, self.rows);
+        }
+        for row in rows {
+            write_row(row, out);
+        }
+    }
+}
+
+const SPACES: &str = "                                ";
+const DASHES: &str = "--------------------------------";
+const NEWLINES: &str = "\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n\n";
+
+/// Appends `n` copies of the one ASCII character `run` repeats.
+fn fill(out: &mut String, run: &str, mut n: usize) {
+    while n > run.len() {
+        out.push_str(run);
+        n -= run.len();
+    }
+    out.push_str(&run[..n]);
 }
 
 /// Character count treating the multi-byte `∞` and `✓` glyphs as width 1.

@@ -190,11 +190,41 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Str(s) => f.pad(s),
-            Value::Int(i) => f.pad(&i.to_string()),
-            Value::Float(x) => f.pad(&format!("{x}")),
+            Value::Int(i) => pad_inline(f, format_args!("{i}")),
+            Value::Float(x) => pad_inline(f, format_args!("{x}")),
             Value::Bool(b) => f.pad(if *b { "true" } else { "false" }),
-            Value::Date(c) => f.pad(&Date::from_chronon(*c).to_string()),
+            Value::Date(c) => fmt::Display::fmt(&Date::from_chronon(*c), f),
         }
+    }
+}
+
+/// Pads the text of `args` through `f` (width, fill, alignment, as
+/// for a string), formatting it on the stack when it fits.
+fn pad_inline(f: &mut fmt::Formatter<'_>, args: fmt::Arguments<'_>) -> fmt::Result {
+    /// Room for any integer and for most floats.
+    struct Inline {
+        buf: [u8; 40],
+        len: usize,
+    }
+    impl fmt::Write for Inline {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            let end = self.len + s.len();
+            self.buf
+                .get_mut(self.len..end)
+                .ok_or(fmt::Error)?
+                .copy_from_slice(s.as_bytes());
+            self.len = end;
+            Ok(())
+        }
+    }
+    let mut inline = Inline {
+        buf: [0; 40],
+        len: 0,
+    };
+    if fmt::Write::write_fmt(&mut inline, args).is_ok() {
+        f.pad(std::str::from_utf8(&inline.buf[..inline.len]).expect("whole characters"))
+    } else {
+        f.pad(&args.to_string())
     }
 }
 
@@ -268,6 +298,16 @@ mod tests {
         assert_eq!(Value::str("Merrie").to_string(), "Merrie");
         let d = crate::calendar::date("09/01/77").unwrap();
         assert_eq!(Value::Date(d).to_string(), "09/01/77");
+        // Numbers pad like strings (left-aligned by default), and a float
+        // too long for the stack buffer still prints whole.
+        assert_eq!(format!("{:6}|", Value::Int(-42)), "-42   |");
+        assert_eq!(
+            format!("{:>6}|", Value::Int(i64::MIN)),
+            "-9223372036854775808|"
+        );
+        assert_eq!(format!("{:>6}|", Value::Float(2.5)), "   2.5|");
+        assert_eq!(Value::Float(1e300).to_string(), format!("{}", 1e300));
+        assert_eq!(format!("{:>10}", Value::Date(d)), "  09/01/77");
     }
 
     #[test]

@@ -88,11 +88,8 @@ use std::sync::Arc;
 
 use chronos_core::calendar::date;
 use chronos_core::clock::{Clock, ManualClock, SystemClock};
-use chronos_db::{
-    introspect, Database, Engine, ExecOutcome, ObsBootstrap, QueryClient, QueryServer,
-};
+use chronos_db::{introspect, Database, Engine, ObsBootstrap, QueryClient, QueryServer};
 use chronos_obs::export::ObsServer;
-use chronos_tquel::printer::render;
 
 /// Parsed command line; `None` from [`Args::parse`] means a one-shot
 /// mode already ran (or usage was printed) and the process should exit.
@@ -420,7 +417,8 @@ impl Shell {
                 session.refresh();
                 match session.run(src) {
                     Ok(outcomes) => {
-                        print_outcomes(outcomes);
+                        // The same text the service answers with.
+                        print!("{}", chronos_db::net::render_outcomes(&outcomes));
                         true
                     }
                     Err(e) => {
@@ -642,59 +640,4 @@ fn render_sessions(
         }
     }
     out
-}
-
-/// Prints a statement batch's outcomes (the local-session twin of the
-/// service's `render_outcomes`).
-fn print_outcomes(outcomes: Vec<ExecOutcome>) {
-    for outcome in outcomes {
-        match outcome {
-            ExecOutcome::Retrieved(rel) => {
-                print!("{}", render(&rel));
-                println!(
-                    "({} row{})",
-                    rel.len(),
-                    if rel.len() == 1 { "" } else { "s" }
-                );
-            }
-            ExecOutcome::Appended(t) => {
-                println!(
-                    "appended (transaction time {})",
-                    chronos_core::calendar::Date::from_chronon(t)
-                );
-            }
-            ExecOutcome::Materialized { relation, rows } => {
-                println!("materialized {rows} row(s) into {relation}");
-            }
-            ExecOutcome::Deleted(n) => println!("deleted {n} row(s)"),
-            ExecOutcome::Replaced(n) => println!("replaced {n} row(s)"),
-            ExecOutcome::Created => println!("created"),
-            ExecOutcome::Destroyed => println!("destroyed"),
-            ExecOutcome::Explained { profile, report } => {
-                println!("{} plan:", if profile { "profile" } else { "explain" });
-                for line in report.lines() {
-                    println!("  {line}");
-                }
-            }
-            ExecOutcome::Analyzed { relation, stats } => {
-                println!("analyzed {relation} ({stats} statistic(s) into sys$tablestats)");
-            }
-            ExecOutcome::Frozen {
-                relation,
-                versions,
-                chains,
-                file_bytes,
-            } => {
-                if versions == 0 {
-                    println!("froze {relation}: nothing freezable");
-                } else {
-                    println!(
-                        "froze {relation}: {versions} version(s) in {chains} chain(s), \
-                         {file_bytes} bytes"
-                    );
-                }
-            }
-            ExecOutcome::Declared => {}
-        }
-    }
 }

@@ -867,7 +867,8 @@ impl SessionRegistry {
         if let Some(s) = self.sessions.lock().get_mut(&id) {
             s.statements += 1;
             s.last_active = std::time::Instant::now();
-            s.trace_id = trace_id.to_string();
+            s.trace_id.clear();
+            s.trace_id.push_str(trace_id);
         }
     }
 

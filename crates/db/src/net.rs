@@ -43,6 +43,7 @@
 //! [`QueryClient`] is the matching blocking client (used by the CLI's
 //! `--connect` mode and the bench harness).
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,7 +51,7 @@ use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Duration;
 
 use chronos_obs::Recorder;
-use chronos_tquel::printer::render;
+use chronos_tquel::printer::render_into;
 
 use crate::engine::Engine;
 use crate::introspect::SessionRegistry;
@@ -71,6 +72,10 @@ const STATUS_ERR: u8 = 1;
 
 /// How often blocked connection reads re-check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(250);
+
+/// Bytes a response frame starts with room for: a few rows of answer
+/// fit without growing it.
+const RESPONSE_START_BYTES: usize = 512;
 
 /// One response from the query service.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,9 +220,9 @@ fn serve_requests(
     registry: &SessionRegistry,
     conn_id: u64,
 ) -> std::io::Result<()> {
-    let mut buf: Vec<u8> = Vec::new();
+    let mut input = FrameReader::default();
     loop {
-        let (opcode, payload) = match read_frame(stream, stop, &mut buf) {
+        let (opcode, payload) = match input.next_frame(stream, stop) {
             Ok(Some(frame)) => frame,
             Ok(None) => return Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
@@ -227,8 +232,9 @@ fn serve_requests(
                 recorder.count(|m| &m.net_requests);
                 recorder.count(|m| &m.net_errors);
                 registry.record_conn_io(conn_id, 0, 0);
-                let body = format!("protocol error: {e}");
-                let _ = write_response(stream, STATUS_ERR, "", body.as_bytes());
+                let mut frame = ResponseFrame::new("");
+                let _ = write!(frame.body(), "protocol error: {e}");
+                let _ = frame.finish(STATUS_ERR).and_then(|f| send(stream, &f));
                 return Err(e);
             }
             Err(e) => return Err(e),
@@ -236,9 +242,13 @@ fn serve_requests(
         let frame_in = (4 + 1 + payload.len()) as u64;
         recorder.count(|m| &m.net_requests);
         recorder.count_n(|m| &m.net_bytes_in, frame_in);
-        let (status, trace, body) = match opcode {
-            OP_PING => (STATUS_OK, String::new(), "pong".to_string()),
-            OP_EXECUTE | OP_EXECUTE_PINNED => match decode_execute(&payload) {
+        let (status, frame) = match opcode {
+            OP_PING => {
+                let mut frame = ResponseFrame::new("");
+                frame.body().push_str("pong");
+                (STATUS_OK, frame)
+            }
+            OP_EXECUTE | OP_EXECUTE_PINNED => match decode_execute(payload) {
                 Ok((trace_id, src)) => {
                     if opcode == OP_EXECUTE {
                         // Each request is its own read transaction:
@@ -251,23 +261,81 @@ fn serve_requests(
                     // `run` resolved the trace id (client-chosen or
                     // minted); echo it either way so the client can
                     // correlate even a failed request.
-                    let trace = session.last_trace_id().to_string();
+                    let mut frame = ResponseFrame::new(session.last_trace_id());
                     match result {
-                        Ok(outcomes) => (STATUS_OK, trace, render_outcomes(&outcomes)),
-                        Err(e) => (STATUS_ERR, trace, e.to_string()),
+                        Ok(outcomes) => {
+                            render_outcomes_into(&outcomes, frame.body());
+                            (STATUS_OK, frame)
+                        }
+                        Err(e) => {
+                            let _ = write!(frame.body(), "{e}");
+                            (STATUS_ERR, frame)
+                        }
                     }
                 }
-                Err(msg) => (STATUS_ERR, String::new(), msg),
+                Err(msg) => {
+                    let mut frame = ResponseFrame::new("");
+                    frame.body().push_str(&msg);
+                    (STATUS_ERR, frame)
+                }
             },
-            other => (STATUS_ERR, String::new(), format!("unknown opcode {other}")),
+            other => {
+                let mut frame = ResponseFrame::new("");
+                let _ = write!(frame.body(), "unknown opcode {other}");
+                (STATUS_ERR, frame)
+            }
         };
         if status == STATUS_ERR {
             recorder.count(|m| &m.net_errors);
         }
-        let frame_out = (4 + 1 + 1 + trace.len() + body.len()) as u64;
-        write_response(stream, status, &trace, body.as_bytes())?;
+        let frame = frame.finish(status)?;
+        // Counted before it is sent, so a client that has its answer
+        // also sees it in the metrics.
+        let frame_out = frame.len() as u64;
         recorder.count_n(|m| &m.net_bytes_out, frame_out);
         registry.record_conn_io(conn_id, frame_in, frame_out);
+        send(stream, &frame)?;
+    }
+}
+
+/// A response frame built in one buffer: the header's place is held
+/// while the trace id and the body are written after it.
+struct ResponseFrame {
+    text: String,
+    trace_len: u8,
+}
+
+impl ResponseFrame {
+    /// `[u32 len][u8 status][u8 trace_len]`, filled in by `finish`.
+    const HEAD: &'static str = "\0\0\0\0\0\0";
+
+    fn new(trace: &str) -> ResponseFrame {
+        let trace_len = u8::try_from(trace.len()).expect("a trace id fits its length byte");
+        let mut text = String::with_capacity(RESPONSE_START_BYTES);
+        text.push_str(Self::HEAD);
+        text.push_str(trace);
+        ResponseFrame { text, trace_len }
+    }
+
+    /// The buffer the body is appended to.
+    fn body(&mut self) -> &mut String {
+        &mut self.text
+    }
+
+    /// The finished `[len][status][trace_len][trace_id][body]` frame.
+    fn finish(self, status: u8) -> std::io::Result<Vec<u8>> {
+        let mut frame = self.text.into_bytes();
+        let len = frame.len() - 4;
+        if len > MAX_FRAME_BYTES {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("frame too large ({len} bytes)"),
+            ));
+        }
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        frame[4] = status;
+        frame[5] = self.trace_len;
+        Ok(frame)
     }
 }
 
@@ -286,86 +354,86 @@ fn decode_execute(payload: &[u8]) -> Result<(&str, &str), String> {
     Ok((trace, src))
 }
 
-/// Writes one `[status][trace_len][trace_id][body]` response frame.
-fn write_response(
-    stream: &mut TcpStream,
-    status: u8,
-    trace: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    debug_assert!(trace.len() <= u8::MAX as usize);
-    let mut payload = Vec::with_capacity(1 + trace.len() + body.len());
-    payload.push(trace.len() as u8);
-    payload.extend_from_slice(trace.as_bytes());
-    payload.extend_from_slice(body);
-    write_frame(stream, status, &payload)
-}
-
-/// Extracts the next complete frame from `stream`, buffering partial
-/// reads in `buf` and re-checking `stop` every [`POLL_INTERVAL`].
-/// `Ok(None)` means orderly end (EOF between frames, or server stop);
-/// EOF with a partial frame buffered is an `InvalidData` error.
-fn read_frame(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-    buf: &mut Vec<u8>,
-) -> std::io::Result<Option<(u8, Vec<u8>)>> {
-    loop {
-        if buf.len() >= 4 {
-            let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-            if len == 0 || len > MAX_FRAME_BYTES {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad frame length {len}"),
-                ));
-            }
-            if buf.len() >= 4 + len {
-                let opcode = buf[4];
-                let payload = buf[5..4 + len].to_vec();
-                buf.drain(..4 + len);
-                return Ok(Some((opcode, payload)));
-            }
-        }
-        if stop.load(Ordering::Acquire) {
-            return Ok(None);
-        }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                // The peer hung up mid-frame.
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("truncated frame ({} bytes buffered at EOF)", buf.len()),
-                ));
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn write_frame(stream: &mut TcpStream, head: u8, payload: &[u8]) -> std::io::Result<()> {
-    let len = 1 + payload.len();
-    if len > MAX_FRAME_BYTES {
+/// The payload length of the complete frame at the front of `buf`, if
+/// one is there; a length word of 0 or over [`MAX_FRAME_BYTES`] is an
+/// `InvalidData` error.
+fn complete_frame(buf: &[u8]) -> std::io::Result<Option<usize>> {
+    let Some(word) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(word.try_into().expect("4 bytes")) as usize;
+    if len == 0 || len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("frame too large ({len} bytes)"),
+            format!("bad frame length {len}"),
         ));
     }
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&(len as u32).to_le_bytes());
-    frame.push(head);
-    frame.extend_from_slice(payload);
-    stream.write_all(&frame)?;
+    Ok((buf.len() >= 4 + len).then_some(len))
+}
+
+/// One connection's incoming bytes.  A frame is handed out in place,
+/// and its bytes are dropped when the next one is asked for.
+#[derive(Default)]
+struct FrameReader {
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` already handed out.
+    consumed: usize,
+}
+
+impl FrameReader {
+    /// The next frame's opcode and payload, reading `stream` as needed
+    /// and re-checking `stop` every [`POLL_INTERVAL`].  `Ok(None)` means
+    /// orderly end (EOF between frames, or server stop); EOF with a
+    /// partial frame buffered is an `InvalidData` error.
+    fn next_frame(
+        &mut self,
+        stream: &mut TcpStream,
+        stop: &AtomicBool,
+    ) -> std::io::Result<Option<(u8, &[u8])>> {
+        // A client waits for each answer, so the last frame is almost
+        // always all there was; only pipelined bytes need moving.
+        if self.consumed == self.buf.len() {
+            self.buf.clear();
+        } else {
+            self.buf.drain(..self.consumed);
+        }
+        self.consumed = 0;
+        loop {
+            if let Some(len) = complete_frame(&self.buf)? {
+                self.consumed = 4 + len;
+                return Ok(Some((self.buf[4], &self.buf[5..4 + len])));
+            }
+            if stop.load(Ordering::Acquire) {
+                return Ok(None);
+            }
+            let mut chunk = [0u8; 4096];
+            match stream.read(&mut chunk) {
+                Ok(0) => {
+                    if self.buf.is_empty() {
+                        return Ok(None);
+                    }
+                    // The peer hung up mid-frame.
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("truncated frame ({} bytes buffered at EOF)", self.buf.len()),
+                    ));
+                }
+                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    continue;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// Writes one whole frame.
+fn send(stream: &mut TcpStream, frame: &[u8]) -> std::io::Result<()> {
+    stream.write_all(frame)?;
     stream.flush()
 }
 
@@ -373,43 +441,46 @@ fn write_frame(stream: &mut TcpStream, head: u8, payload: &[u8]) -> std::io::Res
 /// the response body of a status-0 execute.
 pub fn render_outcomes(outcomes: &[ExecOutcome]) -> String {
     let mut out = String::new();
+    render_outcomes_into(outcomes, &mut out);
+    out
+}
+
+/// Appends [`render_outcomes`]' text to `out`.
+fn render_outcomes_into(outcomes: &[ExecOutcome], out: &mut String) {
     for outcome in outcomes {
-        match outcome {
+        // Writing into a `String` cannot fail.
+        let _ = match outcome {
             ExecOutcome::Retrieved(rel) => {
-                out.push_str(&render(rel));
-                out.push_str(&format!(
-                    "({} row{})\n",
-                    rel.len(),
-                    if rel.len() == 1 { "" } else { "s" }
-                ));
+                render_into(rel, out);
+                let plural = if rel.len() == 1 { "" } else { "s" };
+                writeln!(out, "({} row{plural})", rel.len())
             }
-            ExecOutcome::Appended(t) => {
-                out.push_str(&format!(
-                    "appended (transaction time {})\n",
-                    chronos_core::calendar::Date::from_chronon(*t)
-                ));
-            }
+            ExecOutcome::Appended(t) => writeln!(
+                out,
+                "appended (transaction time {})",
+                chronos_core::calendar::Date::from_chronon(*t)
+            ),
             ExecOutcome::Materialized { relation, rows } => {
-                out.push_str(&format!("materialized {rows} row(s) into {relation}\n"));
+                writeln!(out, "materialized {rows} row(s) into {relation}")
             }
-            ExecOutcome::Deleted(n) => out.push_str(&format!("deleted {n} row(s)\n")),
-            ExecOutcome::Replaced(n) => out.push_str(&format!("replaced {n} row(s)\n")),
-            ExecOutcome::Created => out.push_str("created\n"),
-            ExecOutcome::Destroyed => out.push_str("destroyed\n"),
+            ExecOutcome::Deleted(n) => writeln!(out, "deleted {n} row(s)"),
+            ExecOutcome::Replaced(n) => writeln!(out, "replaced {n} row(s)"),
+            ExecOutcome::Created => writeln!(out, "created"),
+            ExecOutcome::Destroyed => writeln!(out, "destroyed"),
             ExecOutcome::Explained { profile, report } => {
-                out.push_str(&format!(
-                    "{} plan:\n",
-                    if *profile { "profile" } else { "explain" }
-                ));
+                let kind = if *profile { "profile" } else { "explain" };
+                let _ = writeln!(out, "{kind} plan:");
                 for line in report.lines() {
-                    out.push_str(&format!("  {line}\n"));
+                    out.push_str("  ");
+                    out.push_str(line);
+                    out.push('\n');
                 }
+                Ok(())
             }
-            ExecOutcome::Analyzed { relation, stats } => {
-                out.push_str(&format!(
-                    "analyzed {relation} ({stats} statistic(s) into sys$tablestats)\n"
-                ));
-            }
+            ExecOutcome::Analyzed { relation, stats } => writeln!(
+                out,
+                "analyzed {relation} ({stats} statistic(s) into sys$tablestats)"
+            ),
             ExecOutcome::Frozen {
                 relation,
                 versions,
@@ -417,18 +488,18 @@ pub fn render_outcomes(outcomes: &[ExecOutcome]) -> String {
                 file_bytes,
             } => {
                 if *versions == 0 {
-                    out.push_str(&format!("froze {relation}: nothing freezable\n"));
+                    writeln!(out, "froze {relation}: nothing freezable")
                 } else {
-                    out.push_str(&format!(
+                    writeln!(
+                        out,
                         "froze {relation}: {versions} version(s) in {chains} chain(s), \
-                         {file_bytes} bytes\n"
-                    ));
+                         {file_bytes} bytes"
+                    )
                 }
             }
-            ExecOutcome::Declared => {}
-        }
+            ExecOutcome::Declared => Ok(()),
+        };
     }
-    out
 }
 
 /// A blocking client for the query service: one TCP connection, one
@@ -467,90 +538,91 @@ impl QueryClient {
     /// end-to-end correlation with the server's slow-query log,
     /// `sys$sessions`, and events journal.
     pub fn execute_traced(&mut self, src: &str, trace_id: &str) -> std::io::Result<Response> {
-        self.request(OP_EXECUTE, &encode_execute(src, trace_id)?)
+        self.execute_op(OP_EXECUTE, src, trace_id)
     }
 
     /// Executes a TQuel program under the session's pinned snapshot
     /// (taken at connect, or at the last plain `execute`).
     pub fn execute_pinned(&mut self, src: &str) -> std::io::Result<Response> {
-        self.request(OP_EXECUTE_PINNED, &encode_execute(src, "")?)
+        self.execute_op(OP_EXECUTE_PINNED, src, "")
     }
 
     /// Liveness probe; true iff the server answered `pong`.
     pub fn ping(&mut self) -> std::io::Result<bool> {
-        let r = self.request(OP_PING, b"")?;
+        let r = self.request(OP_PING, &[])?;
         Ok(r.ok && r.body == "pong")
     }
 
-    fn request(&mut self, opcode: u8, payload: &[u8]) -> std::io::Result<Response> {
-        write_frame(&mut self.stream, opcode, payload)?;
-        let (status, payload) = self.read_response()?;
-        // Every response leads with its trace-id prefix.
-        let Some((&tlen, rest)) = payload.split_first() else {
+    /// Sends an execute payload: `[u8 trace_len][trace_id][program]`.
+    fn execute_op(&mut self, opcode: u8, src: &str, trace_id: &str) -> std::io::Result<Response> {
+        let Ok(trace_len) = u8::try_from(trace_id.len()) else {
             return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "empty response frame",
+                std::io::ErrorKind::InvalidInput,
+                format!("trace id too long ({} bytes, max 255)", trace_id.len()),
             ));
         };
-        let tlen = tlen as usize;
-        if rest.len() < tlen {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("response trace id length {tlen} exceeds the payload"),
-            ));
-        }
-        Ok(Response {
-            ok: status == STATUS_OK,
-            trace_id: String::from_utf8_lossy(&rest[..tlen]).into_owned(),
-            body: String::from_utf8_lossy(&rest[tlen..]).into_owned(),
-        })
+        self.request(opcode, &[&[trace_len], trace_id.as_bytes(), src.as_bytes()])
     }
 
-    fn read_response(&mut self) -> std::io::Result<(u8, Vec<u8>)> {
-        loop {
-            if self.buf.len() >= 4 {
-                let len = u32::from_le_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
-                if len == 0 || len > MAX_FRAME_BYTES {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bad frame length {len}"),
-                    ));
-                }
-                if self.buf.len() >= 4 + len {
-                    let status = self.buf[4];
-                    let payload = self.buf[5..4 + len].to_vec();
-                    self.buf.drain(..4 + len);
-                    return Ok((status, payload));
-                }
+    /// Sends one frame whose payload is `parts` back to back, and reads
+    /// the answer.
+    fn request(&mut self, opcode: u8, parts: &[&[u8]]) -> std::io::Result<Response> {
+        let len = 1 + parts.iter().map(|p| p.len()).sum::<usize>();
+        if len > MAX_FRAME_BYTES {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("frame too large ({len} bytes)"),
+            ));
+        }
+        let mut frame = Vec::with_capacity(4 + len);
+        frame.extend_from_slice(&(len as u32).to_le_bytes());
+        frame.push(opcode);
+        for part in parts {
+            frame.extend_from_slice(part);
+        }
+        send(&mut self.stream, &frame)?;
+        let len = loop {
+            if let Some(len) = complete_frame(&self.buf)? {
+                break len;
             }
             let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
+            match self.stream.read(&mut chunk)? {
+                0 => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "server closed the connection",
                     ))
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) => return Err(e),
+                n => self.buf.extend_from_slice(&chunk[..n]),
             }
-        }
+        };
+        let response = parse_response(self.buf[4], &self.buf[5..4 + len]);
+        self.buf.drain(..4 + len);
+        response
     }
 }
 
-/// Builds an execute payload: `[u8 trace_len][trace_id][program]`.
-fn encode_execute(src: &str, trace_id: &str) -> std::io::Result<Vec<u8>> {
-    if trace_id.len() > u8::MAX as usize {
+/// A response frame's status byte and payload, which leads with its
+/// trace-id prefix.
+fn parse_response(status: u8, payload: &[u8]) -> std::io::Result<Response> {
+    let Some((&tlen, rest)) = payload.split_first() else {
         return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("trace id too long ({} bytes, max 255)", trace_id.len()),
+            std::io::ErrorKind::InvalidData,
+            "empty response frame",
+        ));
+    };
+    let tlen = tlen as usize;
+    if rest.len() < tlen {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("response trace id length {tlen} exceeds the payload"),
         ));
     }
-    let mut payload = Vec::with_capacity(1 + trace_id.len() + src.len());
-    payload.push(trace_id.len() as u8);
-    payload.extend_from_slice(trace_id.as_bytes());
-    payload.extend_from_slice(src.as_bytes());
-    Ok(payload)
+    Ok(Response {
+        ok: status == STATUS_OK,
+        trace_id: String::from_utf8_lossy(&rest[..tlen]).into_owned(),
+        body: String::from_utf8_lossy(&rest[tlen..]).into_owned(),
+    })
 }
 
 impl std::fmt::Debug for QueryClient {

@@ -126,12 +126,15 @@ pub struct Session {
     ranges: HashMap<String, String>,
     /// Trace id to attribute the next [`run`](Self::run) to
     /// (client-chosen, set via [`set_trace_id`](Self::set_trace_id));
-    /// consumed by the next `run`, which mints one otherwise.
-    pending_trace: Option<String>,
+    /// consumed by the next `run`, which mints one when it is empty.
+    pending_trace: String,
     /// Trace id of the most recent [`run`](Self::run) (empty before the
     /// first one); echoed in wire responses and stamped on slow-log
     /// admissions and `slow_query` journal events.
     last_trace: String,
+    /// The monitored statement's normalized text, rewritten in place
+    /// for each one.
+    fingerprint_text: String,
 }
 
 impl Session {
@@ -143,8 +146,9 @@ impl Session {
             pin,
             session_id,
             ranges: HashMap::new(),
-            pending_trace: None,
+            pending_trace: String::new(),
             last_trace: String::new(),
+            fingerprint_text: String::new(),
         }
     }
 
@@ -173,10 +177,10 @@ impl Session {
 
     /// Attributes the next [`run`](Self::run) to `trace_id` instead of
     /// a minted one (the TQuel service sets the client-chosen id here).
-    pub fn set_trace_id(&mut self, trace_id: impl Into<String>) {
-        let trace_id = trace_id.into();
+    pub fn set_trace_id(&mut self, trace_id: &str) {
         if !trace_id.is_empty() {
-            self.pending_trace = Some(trace_id);
+            self.pending_trace.clear();
+            self.pending_trace.push_str(trace_id);
         }
     }
 
@@ -191,10 +195,13 @@ impl Session {
     pub fn run(&mut self, src: &str) -> DbResult<Vec<ExecOutcome>> {
         // One trace id per request: the whole program runs under the
         // client-chosen id when one is pending, a minted one otherwise.
-        self.last_trace = self
-            .pending_trace
-            .take()
-            .unwrap_or_else(chronos_obs::next_trace_id);
+        // Both buffers are reused, so this allocates nothing once warm.
+        if self.pending_trace.is_empty() {
+            chronos_obs::mint_trace_id(&mut self.last_trace);
+        } else {
+            std::mem::swap(&mut self.last_trace, &mut self.pending_trace);
+            self.pending_trace.clear();
+        }
         let stmts = parse_program(src)?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in &stmts {
@@ -369,10 +376,9 @@ impl Session {
             Ok(ExecOutcome::Materialized { rows, .. }) => *rows as u64,
             _ => 0,
         };
-        let (hash, normalized) = chronos_tquel::fingerprint(stmt);
-        recorder.fingerprints().record_execution(
-            hash,
-            &normalized,
+        chronos_tquel::normalize_into(stmt, &mut self.fingerprint_text);
+        let hash = recorder.fingerprints().record_statement(
+            &self.fingerprint_text,
             statement_kind(stmt),
             elapsed_ns,
             rows_out,

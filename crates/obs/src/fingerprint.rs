@@ -27,6 +27,23 @@ use crate::metrics::LatencyHistogram;
 /// Fingerprints the store retains.
 pub const DEFAULT_FINGERPRINT_CAPACITY: usize = 128;
 
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The fingerprint of a normalized statement text: its FNV-1a hash —
+/// tiny, dependency-free, and stable across platforms and runs (unlike
+/// `DefaultHasher`, which is randomly seeded per process).
+pub fn shape_hash(text: &str) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &b in text.as_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// One fingerprint's aggregates, snapshotted for rendering.
 #[derive(Debug, Clone)]
 pub struct FingerprintStats {
@@ -134,8 +151,38 @@ impl QueryFingerprints {
         rows_out: u64,
         access_path: Option<&str>,
     ) {
+        self.fold(statement, || hash, kind, duration_ns, rows_out, access_path);
+    }
+
+    /// [`record_execution`](Self::record_execution) for the normalized
+    /// text alone, returning its fingerprint.  The text is hashed
+    /// ([`shape_hash`]) only when the store first meets it: a known
+    /// shape costs a string comparison, not a hash, per execution.
+    pub fn record_statement(
+        &self,
+        statement: &str,
+        kind: &'static str,
+        duration_ns: u64,
+        rows_out: u64,
+        access_path: Option<&str>,
+    ) -> u64 {
+        let hash = || shape_hash(statement);
+        self.fold(statement, hash, kind, duration_ns, rows_out, access_path)
+    }
+
+    /// Folds one execution into `statement`'s entry (made, under
+    /// `hash()`, if the store has none), returning the entry's hash.
+    fn fold(
+        &self,
+        statement: &str,
+        hash: impl FnOnce() -> u64,
+        kind: &'static str,
+        duration_ns: u64,
+        rows_out: u64,
+        access_path: Option<&str>,
+    ) -> u64 {
         let mut inner = self.inner.lock().unwrap();
-        let entry = match inner.iter_mut().find(|e| e.hash == hash) {
+        let entry = match inner.iter_mut().find(|e| e.statement == statement) {
             Some(e) => e,
             None => {
                 if inner.len() == self.capacity {
@@ -149,7 +196,7 @@ impl QueryFingerprints {
                     inner.swap_remove(victim);
                 }
                 inner.push(Entry {
-                    hash,
+                    hash: hash(),
                     statement: statement.to_string(),
                     kind,
                     calls: 0,
@@ -167,6 +214,7 @@ impl QueryFingerprints {
         if let Some(path) = access_path {
             entry.access_path = path.to_string();
         }
+        entry.hash
     }
 
     /// Records a per-operator estimated-vs-actual row-count ratio
@@ -235,6 +283,19 @@ impl std::fmt::Debug for QueryFingerprints {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_statement_is_hashed_when_first_met_and_shares_its_entry() {
+        let store = QueryFingerprints::new(8);
+        let text = "retrieve (f.rank) where f.name = \"?\"";
+        let hash = store.record_statement(text, "retrieve", 100, 1, None);
+        assert_eq!(hash, shape_hash(text));
+        store.record_execution(hash, text, "retrieve", 200, 1, None);
+        assert_eq!(store.record_statement(text, "retrieve", 300, 1, None), hash);
+        let entries = store.entries();
+        assert_eq!(entries.len(), 1);
+        assert_eq!((entries[0].hash, entries[0].calls), (hash, 3));
+    }
 
     #[test]
     fn aggregates_by_hash() {

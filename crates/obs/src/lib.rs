@@ -27,6 +27,6 @@ pub use fingerprint::{FingerprintStats, QueryFingerprints};
 pub use metrics::{Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use slowlog::{SlowEntry, SlowLog, SLOWLOG_DISABLED};
 pub use trace::{
-    misestimate_x1000, next_trace_id, noop_recorder, Instruments, Recorder, SpanGuard, SpanRecord,
-    TraceReport,
+    mint_trace_id, misestimate_x1000, next_trace_id, noop_recorder, Instruments, Recorder,
+    SpanGuard, SpanRecord, TraceReport,
 };

@@ -23,11 +23,20 @@ use crate::slowlog::SlowLog;
 
 /// Mint a process-unique request trace id (`t-<hex>`), for statements
 /// that arrived without a client-chosen one.  A plain counter keeps it
-/// zero-dependency, allocation-cheap, and collision-free within one
-/// server process — the scope a trace id must be unique in.
+/// zero-dependency and collision-free within one server process — the
+/// scope a trace id must be unique in.
 pub fn next_trace_id() -> String {
+    let mut id = String::new();
+    mint_trace_id(&mut id);
+    id
+}
+
+/// [`next_trace_id`] written over `out`, reusing its buffer.
+pub fn mint_trace_id(out: &mut String) {
+    use std::fmt::Write as _;
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    format!("t-{:08x}", NEXT.fetch_add(1, Ordering::Relaxed))
+    out.clear();
+    let _ = write!(out, "t-{:08x}", NEXT.fetch_add(1, Ordering::Relaxed));
 }
 
 /// A process-wide disabled recorder, for call sites that must accept a

@@ -20,31 +20,27 @@
 //! ordinary string literal), it round-trips through the parser — a
 //! property the tests pin down.
 
+use chronos_obs::fingerprint::shape_hash;
+
 use crate::ast::Statement;
 use crate::unparse::unparse_shape;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` — tiny, dependency-free, and stable across
-/// platforms and runs (unlike `DefaultHasher`, which is randomly
-/// seeded per process).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Fingerprints a statement: returns the FNV-1a hash of the normalized
 /// text together with the normalized text itself.
 pub fn fingerprint(stmt: &Statement) -> (u64, String) {
-    let text = unparse_shape(stmt);
-    (fnv1a(text.as_bytes()), text)
+    // One allocation covers a typical shape, where growing from empty
+    // would take five.
+    let mut text = String::with_capacity(128);
+    normalize_into(stmt, &mut text);
+    (shape_hash(&text), text)
+}
+
+/// Writes `stmt`'s normalized text over `text`, reusing its buffer:
+/// what a session runs for every monitored statement (the fingerprint
+/// store hashes a text only when it first meets it).
+pub fn normalize_into(stmt: &Statement, text: &mut String) {
+    text.clear();
+    unparse_shape(stmt, text);
 }
 
 #[cfg(test)]
@@ -117,7 +113,9 @@ mod tests {
     fn hash_is_stable_across_runs() {
         // FNV-1a is seedless: pin one value so accidental algorithm
         // changes (which would orphan persisted fingerprints) show up.
-        assert_eq!(fnv1a(b""), FNV_OFFSET);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(shape_hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(shape_hash("a"), 0xaf63_dc4c_8601_ec8c);
+        let (hash, text) = fp(r#"retrieve (f.rank) where f.name = "Merrie""#);
+        assert_eq!(hash, shape_hash(&text));
     }
 }

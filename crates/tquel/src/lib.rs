@@ -46,5 +46,5 @@ pub mod token;
 pub mod unparse;
 
 pub use error::{TquelError, TquelResult};
-pub use fingerprint::fingerprint;
+pub use fingerprint::{fingerprint, normalize_into};
 pub use parser::{parse_program, parse_statement};

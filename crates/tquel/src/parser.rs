@@ -40,8 +40,8 @@ use crate::ast::*;
 use crate::error::{TquelError, TquelResult};
 use crate::token::{lex, Keyword as K, Token, TokenKind as T};
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
@@ -71,8 +71,8 @@ pub fn parse_statement(src: &str) -> TquelResult<Statement> {
     Ok(stmt)
 }
 
-impl Parser {
-    fn peek(&self) -> &T {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &T<'a> {
         &self.tokens[self.pos].kind
     }
 
@@ -80,12 +80,11 @@ impl Parser {
         matches!(self.peek(), T::Eof)
     }
 
-    fn bump(&mut self) -> T {
-        let t = self.tokens[self.pos].kind.clone();
+    /// Moves past the current token (never past end of input).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn error(&self, message: impl Into<String>) -> TquelError {
@@ -114,7 +113,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: T) -> TquelResult<()> {
+    fn expect(&mut self, t: T<'_>) -> TquelResult<()> {
         if self.peek() == &t {
             self.bump();
             Ok(())
@@ -123,10 +122,15 @@ impl Parser {
         }
     }
 
+    /// An identifier the AST keeps: the one place a name is allocated.
     fn ident(&mut self) -> TquelResult<String> {
-        match self.peek() {
+        self.ident_str().map(str::to_owned)
+    }
+
+    /// An identifier, borrowed from the source.
+    fn ident_str(&mut self) -> TquelResult<&'a str> {
+        match *self.peek() {
             T::Ident(s) => {
-                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
@@ -207,7 +211,8 @@ impl Parser {
             None
         };
         self.expect(T::LParen)?;
-        let mut targets = vec![self.target()?];
+        let mut targets = Vec::with_capacity(4);
+        targets.push(self.target()?);
         while matches!(self.peek(), T::Comma) {
             self.bump();
             targets.push(self.target()?);
@@ -420,13 +425,19 @@ impl Parser {
         }
         self.expect(T::RParen)?;
         let class = if self.eat_kw(K::As) {
-            match self.bump() {
+            let class = match self.peek() {
                 T::Keyword(K::Static) => ClassAst::Static,
                 T::Keyword(K::Rollback) => ClassAst::Rollback,
                 T::Keyword(K::Historical) => ClassAst::Historical,
                 T::Keyword(K::Temporal) => ClassAst::Temporal,
-                _ => return Err(self.error("expected a relation class after 'as'")),
-            }
+                _ => {
+                    // Name the token after the offending one, as before.
+                    self.bump();
+                    return Err(self.error("expected a relation class after 'as'"));
+                }
+            };
+            self.bump();
+            class
         } else {
             ClassAst::Temporal
         };
@@ -445,8 +456,7 @@ impl Parser {
     }
 
     fn attr_type(&mut self) -> TquelResult<AttrType> {
-        let name = self.ident()?;
-        match name.as_str() {
+        match self.ident_str()? {
             "str" | "string" | "char" => Ok(AttrType::Str),
             "int" | "i4" | "integer" => Ok(AttrType::Int),
             "float" | "f8" => Ok(AttrType::Float),
@@ -506,18 +516,16 @@ impl Parser {
             return Ok(inner);
         }
         let left = self.operand()?;
-        let op = match self.bump() {
+        let op = match self.peek() {
             T::Eq => CmpOpAst::Eq,
             T::Ne => CmpOpAst::Ne,
             T::Lt => CmpOpAst::Lt,
             T::Le => CmpOpAst::Le,
             T::Gt => CmpOpAst::Gt,
             T::Ge => CmpOpAst::Ge,
-            _ => {
-                self.pos -= 1;
-                return Err(self.error("expected a comparison operator"));
-            }
+            _ => return Err(self.error("expected a comparison operator")),
         };
+        self.bump();
         let right = self.operand()?;
         Ok(WhereExpr::Cmp(op, left, right))
     }
@@ -531,7 +539,7 @@ impl Parser {
                 Ok(Operand::Attr(AttrRef { var, attr }))
             }
             T::Str(s) => {
-                let s = s.clone();
+                let s = s.to_string();
                 self.bump();
                 Ok(Operand::Str(s))
             }
@@ -584,7 +592,7 @@ impl Parser {
         }
         match self.peek() {
             T::Str(s) => {
-                let s = s.clone();
+                let s = s.to_string();
                 self.bump();
                 Ok(TexprAst::Date(s))
             }

@@ -5,61 +5,81 @@
 //! and 9 ("the double vertical bars separate the non-temporal domains
 //! from the DBMS-maintained temporal domains").
 
+use chronos_core::calendar::Date;
+use chronos_core::chronon::Chronon;
 use chronos_core::relation::Validity;
 use chronos_core::render::TextTable;
 use chronos_core::schema::TemporalSignature;
+use chronos_core::taxonomy::DatabaseClass;
+use chronos_core::timepoint::TimePoint;
+use chronos_core::value::Value;
 
 use crate::exec::ResultRelation;
 
 /// Renders a result relation as an aligned text table.
 pub fn render(rel: &ResultRelation) -> String {
+    let mut out = String::new();
+    render_into(rel, &mut out);
+    out
+}
+
+/// Appends [`render`]'s text to `out`: each cell is formatted once,
+/// and `out` grows at most once.
+pub fn render_into(rel: &ResultRelation, out: &mut String) {
     let has_valid = rel.rows.iter().any(|r| r.validity.is_some())
         || matches!(
             rel.kind,
-            chronos_core::taxonomy::DatabaseClass::Historical
-                | chronos_core::taxonomy::DatabaseClass::Temporal
+            DatabaseClass::Historical | DatabaseClass::Temporal
         );
-    let has_tx = rel.rows.iter().any(|r| r.tx.is_some())
-        || rel.kind == chronos_core::taxonomy::DatabaseClass::Temporal;
+    let has_tx = rel.rows.iter().any(|r| r.tx.is_some()) || rel.kind == DatabaseClass::Temporal;
+    let interval = rel.signature == TemporalSignature::Interval;
 
-    let mut headers: Vec<String> = rel
-        .schema
-        .attributes()
-        .iter()
-        .map(|a| a.name().to_string())
-        .collect();
-    let explicit = headers.len();
+    let attributes = rel.schema.attributes();
+    let valid_cols = match (has_valid, interval) {
+        (false, _) => 0,
+        (true, interval) => 1 + usize::from(interval),
+    };
+    let ncols = attributes.len() + valid_cols + if has_tx { 2 } else { 0 };
+    let mut table = TextTable::with_capacity(ncols, rel.rows.len());
+    if has_valid || has_tx {
+        table = table.with_double_bar_before(attributes.len());
+    }
+    for a in attributes {
+        table.push_text(a.name());
+    }
     if has_valid {
-        match rel.signature {
-            TemporalSignature::Event => headers.push("valid (at)".into()),
-            TemporalSignature::Interval => {
-                headers.push("valid (from)".into());
-                headers.push("valid (to)".into());
-            }
+        if interval {
+            table.push_text("valid (from)");
+            table.push_text("valid (to)");
+        } else {
+            table.push_text("valid (at)");
         }
     }
     if has_tx {
-        headers.push("tx (start)".into());
-        headers.push("tx (end)".into());
+        table.push_text("tx (start)");
+        table.push_text("tx (end)");
     }
-
-    let mut table = TextTable::new(headers);
-    if has_valid || has_tx {
-        table = table.with_double_bar_before(explicit);
-    }
+    // Each row's cells go in as they come; a row whose validity does
+    // not match the signature is padded or cut at its end.
     for row in &rel.rows {
-        let mut cells: Vec<String> = row.tuple.values().iter().map(ToString::to_string).collect();
+        for v in row.tuple.values() {
+            match v {
+                Value::Str(s) => table.push_text(s),
+                Value::Date(c) => push_date(&mut table, *c),
+                other => table.push_cell(other),
+            }
+        }
         if has_valid {
             match row.validity {
-                Some(Validity::Event(c)) => cells.push(c.to_string()),
+                Some(Validity::Event(c)) => push_date(&mut table, c),
                 Some(Validity::Interval(p)) => {
-                    cells.push(p.start().to_string());
-                    cells.push(p.end().to_string());
+                    push_point(&mut table, p.start());
+                    push_point(&mut table, p.end());
                 }
                 None => {
-                    cells.push(String::new());
-                    if rel.signature == TemporalSignature::Interval {
-                        cells.push(String::new());
+                    table.push_text("");
+                    if interval {
+                        table.push_text("");
                     }
                 }
             }
@@ -67,18 +87,30 @@ pub fn render(rel: &ResultRelation) -> String {
         if has_tx {
             match row.tx {
                 Some(p) => {
-                    cells.push(p.start().to_string());
-                    cells.push(p.end().to_string());
+                    push_point(&mut table, p.start());
+                    push_point(&mut table, p.end());
                 }
                 None => {
-                    cells.push(String::new());
-                    cells.push(String::new());
+                    table.push_text("");
+                    table.push_text("");
                 }
             }
         }
-        table.push_row(cells);
+        table.end_row();
     }
-    table.render()
+    table.render_into(out);
+}
+
+/// A date cell, written without the formatter: most cells are dates.
+fn push_date(table: &mut TextTable, c: Chronon) {
+    table.push_text(Date::from_chronon(c).text().as_str());
+}
+
+fn push_point(table: &mut TextTable, p: TimePoint) {
+    match p {
+        TimePoint::Finite(c) => push_date(table, c),
+        infinite => table.push_cell(infinite),
+    }
 }
 
 #[cfg(test)]
@@ -88,7 +120,6 @@ mod tests {
     use chronos_core::calendar::date;
     use chronos_core::period::Period;
     use chronos_core::schema::{Attribute, Schema};
-    use chronos_core::taxonomy::DatabaseClass;
     use chronos_core::tuple::tuple;
     use chronos_core::value::AttrType;
 

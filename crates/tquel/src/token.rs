@@ -4,29 +4,35 @@
 //! lowercase).  String literals are double-quoted; in temporal positions
 //! they carry date values (`as of "12/10/82"`), which the semantic
 //! analyzer interprets.
+//!
+//! Tokens borrow the source: an identifier is a slice of it, and so is
+//! a string literal unless it holds an escape.  The parser allocates a
+//! name once, when it builds the AST node that keeps it.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::error::{TquelError, TquelResult};
 
 /// A lexical token with its byte offset.
 #[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+pub struct Token<'a> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the first character.
     pub offset: usize,
 }
 
 /// Token kinds.
 #[derive(Clone, PartialEq, Debug)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// An identifier (relation, range variable, or attribute name).
-    Ident(String),
+    Ident(&'a str),
     /// A keyword.
     Keyword(Keyword),
-    /// A double-quoted string literal (unescaped content).
-    Str(String),
+    /// A double-quoted string literal (unescaped content; borrowed from
+    /// the source unless the literal holds an escape).
+    Str(Cow<'a, str>),
     /// An integer literal.
     Int(i64),
     /// A float literal.
@@ -55,7 +61,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier {s:?}"),
@@ -89,8 +95,13 @@ macro_rules! keywords {
         impl Keyword {
             /// Parses a keyword (case-insensitive).
             pub fn from_str_ci(s: &str) -> Option<Keyword> {
-                let lower = s.to_ascii_lowercase();
-                match lower.as_str() {
+                // Lowercased on the stack: no keyword is longer than 16
+                // bytes, so a longer word is an identifier.
+                let mut buf = [0u8; 16];
+                let lower = buf.get_mut(..s.len())?;
+                lower.copy_from_slice(s.as_bytes());
+                lower.make_ascii_lowercase();
+                match std::str::from_utf8(lower).ok()? {
                     $($text => Some(Keyword::$variant),)+
                     _ => None,
                 }
@@ -150,9 +161,12 @@ keywords! {
 }
 
 /// Tokenizes a source string.
-pub fn lex(src: &str) -> TquelResult<Vec<Token>> {
+pub fn lex(src: &str) -> TquelResult<Vec<Token<'_>>> {
     let bytes = src.as_bytes();
-    let mut tokens = Vec::new();
+    // Tokens are mostly separated by a space, so this holds a statement
+    // in one allocation; denser or longer text grows it (the cap keeps
+    // a long program, or one of comments, from reserving ahead).
+    let mut tokens = Vec::with_capacity((src.len() / 2 + 2).min(256));
     let mut i = 0usize;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -247,42 +261,8 @@ pub fn lex(src: &str) -> TquelResult<Vec<Token>> {
                 }
             }
             '"' => {
-                i += 1;
-                let mut content = String::new();
-                loop {
-                    match bytes.get(i) {
-                        None => {
-                            return Err(TquelError::Lex {
-                                message: "unterminated string literal".into(),
-                                offset: start,
-                            })
-                        }
-                        Some(b'"') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(b'\\') => {
-                            // Simple escapes: \" \\ \n \t
-                            match bytes.get(i + 1) {
-                                Some(b'"') => content.push('"'),
-                                Some(b'\\') => content.push('\\'),
-                                Some(b'n') => content.push('\n'),
-                                Some(b't') => content.push('\t'),
-                                _ => {
-                                    return Err(TquelError::Lex {
-                                        message: "bad escape in string".into(),
-                                        offset: i,
-                                    })
-                                }
-                            }
-                            i += 2;
-                        }
-                        Some(&b) => {
-                            content.push(b as char);
-                            i += 1;
-                        }
-                    }
-                }
+                let (content, end) = string_literal(src, start)?;
+                i = end;
                 tokens.push(Token {
                     kind: TokenKind::Str(content),
                     offset: start,
@@ -334,18 +314,22 @@ pub fn lex(src: &str) -> TquelResult<Vec<Token>> {
                 let text = &src[start..i];
                 let kind = match Keyword::from_str_ci(text) {
                     Some(k) => TokenKind::Keyword(k),
-                    None => TokenKind::Ident(text.to_string()),
+                    None => TokenKind::Ident(text),
                 };
                 tokens.push(Token {
                     kind,
                     offset: start,
                 });
             }
-            other => {
+            _ => {
+                let other = src[start..]
+                    .chars()
+                    .next()
+                    .expect("a character starts here");
                 return Err(TquelError::Lex {
                     message: format!("unexpected character {other:?}"),
                     offset: start,
-                })
+                });
             }
         }
     }
@@ -356,11 +340,65 @@ pub fn lex(src: &str) -> TquelResult<Vec<Token>> {
     Ok(tokens)
 }
 
+/// Lexes the string literal whose opening quote is at `start`,
+/// returning its content and the offset just past the closing quote.
+/// The content borrows `src` unless the literal holds an escape.
+fn string_literal(src: &str, start: usize) -> TquelResult<(Cow<'_, str>, usize)> {
+    let bytes = src.as_bytes();
+    // `run` is where the current stretch of plain text begins.
+    let mut run = start + 1;
+    let mut owned: Option<String> = None;
+    let mut i = run;
+    loop {
+        match bytes.get(i) {
+            None => {
+                return Err(TquelError::Lex {
+                    message: "unterminated string literal".into(),
+                    offset: start,
+                })
+            }
+            Some(b'"') => {
+                let content = match owned {
+                    None => Cow::Borrowed(&src[run..i]),
+                    Some(mut s) => {
+                        s.push_str(&src[run..i]);
+                        Cow::Owned(s)
+                    }
+                };
+                return Ok((content, i + 1));
+            }
+            Some(b'\\') => {
+                // Simple escapes: \" \\ \n \t
+                let unescaped = match bytes.get(i + 1) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'n') => '\n',
+                    Some(b't') => '\t',
+                    _ => {
+                        return Err(TquelError::Lex {
+                            message: "bad escape in string".into(),
+                            offset: i,
+                        })
+                    }
+                };
+                let s = owned.get_or_insert_with(String::new);
+                s.push_str(&src[run..i]);
+                s.push(unescaped);
+                i += 2;
+                run = i;
+            }
+            // `"` and `\` are ASCII, so every other byte, including
+            // each byte of a multi-byte character, is plain text.
+            Some(_) => i += 1,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -374,14 +412,14 @@ mod tests {
             vec![
                 Keyword(K::Retrieve),
                 LParen,
-                Ident("f".into()),
+                Ident("f"),
                 Dot,
-                Ident("rank".into()),
+                Ident("rank"),
                 RParen,
                 Keyword(K::Where),
-                Ident("f".into()),
+                Ident("f"),
                 Dot,
-                Ident("name".into()),
+                Ident("name"),
                 Eq,
                 Str("Merrie".into()),
                 Keyword(K::As),
@@ -420,9 +458,46 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_string_literals_keep_their_characters() {
+        assert_eq!(
+            kinds("\"café ∞\""),
+            vec![TokenKind::Str("café ∞".into()), TokenKind::Eof]
+        );
+        // Escapes around multi-byte characters.
+        assert_eq!(kinds(r#""∞\"é\\""#)[0], TokenKind::Str("∞\"é\\".into()));
+        // Only an escape makes the literal own its text.
+        assert!(matches!(
+            kinds("\"café\"")[0],
+            TokenKind::Str(Cow::Borrowed(_))
+        ));
+        assert!(matches!(
+            kinds(r#""a\tb""#)[0],
+            TokenKind::Str(Cow::Owned(_))
+        ));
+        // A stray non-ASCII character is named whole.
+        match lex("a é") {
+            Err(TquelError::Lex { message, offset }) => {
+                assert_eq!(offset, 2);
+                assert!(message.contains("'é'"), "{message}");
+            }
+            other => panic!("expected lex error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn keywords_longer_than_the_stack_buffer_are_identifiers() {
+        assert_eq!(
+            Keyword::from_str_ci("HISTORICAL"),
+            Some(Keyword::Historical)
+        );
+        assert_eq!(Keyword::from_str_ci("historicalhistorical"), None);
+        assert_eq!(Keyword::from_str_ci("é"), None);
+    }
+
+    #[test]
     fn dollar_continues_identifiers_for_system_relations() {
         let toks = kinds(r#"range of s is sys$stats retrieve (s.value)"#);
-        assert!(toks.contains(&TokenKind::Ident("sys$stats".into())));
+        assert!(toks.contains(&TokenKind::Ident("sys$stats")));
         // `$` still cannot *start* an identifier.
         assert!(lex("$stats").is_err());
     }
@@ -444,7 +519,7 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("f".into()),
+                TokenKind::Ident("f"),
                 TokenKind::Dot,
                 TokenKind::Int(2),
                 TokenKind::Float(1.5),

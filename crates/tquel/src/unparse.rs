@@ -25,12 +25,8 @@ pub fn unparse(stmt: &Statement) -> String {
 /// Renders a statement as parseable TQuel with every scalar and date
 /// literal written as `"?"`: the statement's literal-insensitive shape
 /// (see [`fingerprint`](crate::fingerprint::fingerprint)).
-pub(crate) fn unparse_shape(stmt: &Statement) -> String {
-    // Runs on every monitored statement: one allocation covers a
-    // typical shape, where growing from empty would take five.
-    let mut out = String::with_capacity(128);
-    print_statement(stmt, Literals::Mask, &mut out);
-    out
+pub(crate) fn unparse_shape(stmt: &Statement, out: &mut String) {
+    print_statement(stmt, Literals::Mask, out);
 }
 
 /// Whether literals are printed as written or masked as `"?"`.

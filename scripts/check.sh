@@ -10,6 +10,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The run must leave the checkout as it found it: nothing it builds,
+# measures or writes may land in a tracked or unignored file.
+status_before=$(git status --porcelain 2>/dev/null || true)
+
 workdirs=()
 cleanup() {
   if [ "${#workdirs[@]}" -gt 0 ]; then
@@ -645,5 +649,11 @@ EOF
 ) || die "segment smoke: reopen with a torn segment failed (heap must stay authoritative)"
 grep -q 'Merrie' <<<"$seg_rows" \
   || die "segment smoke: rows lost after reopening past a torn segment" "$seg_rows"
+
+echo "==> the checkout is as the run found it"
+status_after=$(git status --porcelain 2>/dev/null || true)
+[ "$status_after" = "$status_before" ] \
+  || die "check.sh changed the checkout (git status before, then after):" \
+         "$status_before" "---" "$status_after"
 
 echo "==> all checks passed"

@@ -837,8 +837,8 @@ fn scraped(name: &str) -> Scraped {
 
 impl Scraped {
     /// Waits until the engine's instruments stop moving: the writer
-    /// records a commit's ack, and the service a response's bytes, after
-    /// the caller already has its answer.
+    /// records a commit's ack after the caller already has its answer.
+    /// (The service counts a response's bytes before sending it.)
     fn settle(&self) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let mut last = self.engine.stats().metrics;

@@ -274,3 +274,24 @@ fn shutdown_unblocks_connected_clients() {
     );
     engine.shutdown();
 }
+
+#[test]
+fn a_response_is_counted_before_the_client_has_it() {
+    let (engine, server) = serve_fresh();
+    let mut client = QueryClient::connect(&server.addr().to_string()).expect("connect");
+    for src in [
+        r#"append to faculty (name = "Merrie", rank = "full")"#,
+        "range of f is faculty retrieve (f.name, f.rank)",
+        "retrieve (zzz.name)",
+    ] {
+        let before = engine.stats().metrics.net_bytes_out;
+        let r = client.execute(src).expect("execute");
+        // No sleep: the server counted the frame before sending it.
+        let after = engine.stats().metrics.net_bytes_out;
+        let frame = 4 + 1 + 1 + r.trace_id.len() + r.body.len();
+        assert_eq!(after - before, frame as u64, "{src}: {r:?}");
+    }
+    drop(client);
+    server.shutdown();
+    engine.shutdown();
+}

@@ -585,3 +585,44 @@ fn comments_and_case_insensitive_keywords() {
         )
         .unwrap();
 }
+
+#[test]
+fn non_ascii_strings_round_trip_and_keep_columns_aligned() {
+    let (engine, _c) = db();
+    engine
+        .session()
+        .run(r#"append to faculty (name = "café", rank = "∞-associate")"#)
+        .unwrap();
+    engine
+        .session()
+        .run(r#"append to faculty (name = "Tom", rank = "full")"#)
+        .unwrap();
+    let res = engine
+        .session()
+        .query(r#"range of f is faculty retrieve (f.name, f.rank) where f.name = "café""#)
+        .unwrap();
+    assert_eq!(res.column_strings(0), vec!["café"]);
+    let all = engine
+        .session()
+        .query("range of f is faculty retrieve (f.name, f.rank)")
+        .unwrap();
+    let text = render(&all);
+    assert!(
+        text.contains("café") && text.contains("∞-associate"),
+        "{text}"
+    );
+    // Every bar of every line sits at the same character column (the
+    // rule line draws a `+` where the others draw a `|`).
+    let bars = |line: &str| -> Vec<usize> {
+        line.chars()
+            .enumerate()
+            .filter(|&(_, c)| c == '|' || c == '+')
+            .map(|(i, _)| i)
+            .collect()
+    };
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "{text}");
+    for line in &lines[1..] {
+        assert_eq!(bars(line), bars(lines[0]), "{text}");
+    }
+}
