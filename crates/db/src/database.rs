@@ -23,7 +23,9 @@ use chronos_core::schema::{RelationClass, Schema, TemporalSignature};
 use chronos_core::taxonomy::DatabaseClass;
 use chronos_core::value::Value;
 use chronos_obs::export::{Health, ObsServer};
-use chronos_obs::{EventJournal, JournalStats, MetricsSnapshot, Recorder};
+use chronos_obs::{
+    prometheus, EventJournal, JournalStats, Metric, MetricsSnapshot, Reading, Recorder,
+};
 use chronos_storage::table::{Read, TxSelect};
 use chronos_storage::txn::TxnManager;
 use chronos_storage::wal::{Wal, WalRecord};
@@ -1289,42 +1291,64 @@ pub struct NoCache {
     pub frozen_hits: u64,
 }
 
+/// `[Metric; N]` from lines of `Kind name = value => "help",`.
+macro_rules! metric_list {
+    ($( $kind:ident $name:ident = $value:expr => $help:literal, )*) => {
+        [$( Metric::new(stringify!($name), Reading::$kind($value), $help), )*]
+    };
+}
+
 impl EngineStats {
-    /// Prometheus text exposition: the registry families plus
-    /// session, journal, and telemetry gauges.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = self.metrics.to_prometheus();
-        out.push_str(&format!(
-            "# TYPE chronos_active_sessions gauge\nchronos_active_sessions {}\n",
-            self.metrics.active_sessions()
-        ));
+    /// Every metric, in exposition order: the registry's declared table
+    /// with the derived session gauge after its counters, then the slow
+    /// log's, the journal's and the telemetry store's readings.
+    /// `/metrics` and `sys$stats` are two renderings of this one list.
+    pub fn metrics(&self) -> Vec<Metric<'_>> {
+        let mut all = self.metrics.metrics();
+        let [sessions] = metric_list! {
+            Gauge active_sessions = self.metrics.active_sessions()
+                => "Sessions opened and not yet closed.",
+        };
+        let counters = all.partition_point(|m| matches!(m.reading, Reading::Counter(_)));
+        all.insert(counters, sessions);
+        all.extend(metric_list! {
+            Gauge slowlog_threshold_ns = self.slowlog_threshold_ns
+                => "The slow-query log's admission threshold (u64::MAX: disabled).",
+            Counter slowlog_admitted = self.slowlog_admitted
+                => "Statements the slow-query log ever admitted.",
+        });
         if let Some(j) = &self.journal {
-            for (name, v) in [
-                ("journal_seq", j.seq),
-                ("journal_rotations", j.rotations),
-                ("journal_generations", j.generations as u64),
-            ] {
-                out.push_str(&format!(
-                    "# TYPE chronos_{name} gauge\nchronos_{name} {v}\n"
-                ));
-            }
+            all.extend(metric_list! {
+                Counter journal_seq = j.seq
+                    => "Event-journal sequence numbers handed out over its life.",
+                Counter journal_rotations = j.rotations
+                    => "Event-journal rotations since it was opened.",
+                Gauge journal_generations = j.generations as u64
+                    => "Rotated event-journal generations retained on disk.",
+                Gauge journal_max_bytes = j.max_bytes
+                    => "Event-journal size threshold per generation, in bytes.",
+            });
         }
-        for (name, v) in [
-            ("telemetry_samples_taken", self.telemetry.samples_taken),
-            ("telemetry_samples_spilled", self.telemetry.samples_spilled),
-            (
-                "telemetry_stats_retained",
-                self.telemetry.stats_retained as u64,
-            ),
-            (
-                "telemetry_sampler_running",
-                u64::from(self.telemetry.sampler_running),
-            ),
-        ] {
-            out.push_str(&format!(
-                "# TYPE chronos_{name} gauge\nchronos_{name} {v}\n"
-            ));
-        }
-        out
+        let t = &self.telemetry;
+        all.extend(metric_list! {
+            Counter telemetry_samples_taken = t.samples_taken
+                => "Stat samples ever recorded.",
+            Counter telemetry_samples_spilled = t.samples_spilled
+                => "Stat samples spilled to the JSONL file beside the WAL.",
+            Gauge telemetry_stats_retained = t.stats_retained as u64
+                => "Stat samples retained in memory.",
+            Gauge telemetry_catalog_retained = t.catalog_retained as u64
+                => "Catalog samples retained in memory.",
+            Gauge telemetry_capacity = t.capacity as u64
+                => "Samples each telemetry ring retains.",
+            Gauge telemetry_sampler_running = u64::from(t.sampler_running)
+                => "1 while the background stats sampler runs.",
+        });
+        all
+    }
+
+    /// Prometheus text exposition of [`metrics`](Self::metrics).
+    pub fn to_prometheus(&self) -> String {
+        prometheus(&self.metrics())
     }
 }

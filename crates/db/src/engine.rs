@@ -198,13 +198,15 @@ impl Engine {
 
     /// Takes the core's read lock, recording the acquisition wait into
     /// the `read_lock_wait` histogram (read-side contention with the
-    /// group-commit writer).
+    /// group-commit writer).  A disabled recorder reads no clock.
     pub(crate) fn read_db(&self) -> RwLockReadGuard<'_, Database> {
+        let recorder = &self.core.recorder;
+        if !recorder.is_enabled() {
+            return self.core.db.read();
+        }
         let started = Instant::now();
         let db = self.core.db.read();
-        self.core
-            .recorder
-            .record_latency(|m| &m.read_lock_wait, started.elapsed().as_nanos() as u64);
+        recorder.record_latency(|m| &m.read_lock_wait, started.elapsed().as_nanos() as u64);
         db
     }
 

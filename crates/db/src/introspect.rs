@@ -58,7 +58,7 @@ use chronos_core::tuple::Tuple;
 use chronos_core::value::{AttrType, Value};
 use chronos_obs::events::escape_json;
 use chronos_obs::export::Health;
-use chronos_obs::{EventJournal, MetricsSnapshot, QueryFingerprints, Recorder, SlowLog};
+use chronos_obs::{EventJournal, QueryFingerprints, Reading, Recorder, SlowLog};
 use chronos_tquel::provider::{AsOfSpec, RelationInfo, SourceRow};
 
 use crate::database::EngineStats;
@@ -589,52 +589,25 @@ pub(crate) fn clamp(v: u64) -> i64 {
     v.min(i64::MAX as u64) as i64
 }
 
-/// Flattens an [`EngineStats`] into the `sys$stats` metric set: every
-/// registry counter, the active-session count, the gauges, each
-/// histogram's sample count, total and p50/p99/p999, the slow log's
-/// threshold and admissions, and the journal and telemetry counters.
+/// Flattens an [`EngineStats`] into the `sys$stats` metric set: each
+/// of [`EngineStats::metrics`] by its name, except that a histogram
+/// becomes its sample count, total and p50/p99/p999.
 pub fn flatten_stats(stats: &EngineStats) -> Vec<(String, i64)> {
-    let m = &stats.metrics;
-    let mut out: Vec<(String, i64)> = m
-        .counters()
-        .iter()
-        .chain(&[("active_sessions", m.active_sessions())])
-        .chain(&m.gauges())
-        .map(|(name, v)| (name.to_string(), clamp(*v)))
-        .collect();
-    for (name, h) in m.histograms() {
-        let unit = MetricsSnapshot::histogram_unit(name);
-        out.push((format!("{name}_samples"), clamp(h.samples)));
-        out.push((format!("{name}_total{unit}"), clamp(h.total_ns)));
-        for (p, label) in [(50.0, "50"), (99.0, "99"), (99.9, "999")] {
-            let v = h.percentile(p).unwrap_or(0);
-            out.push((format!("{name}_p{label}{unit}"), clamp(v)));
+    let mut out = Vec::new();
+    for m in stats.metrics() {
+        match m.reading {
+            Reading::Counter(v) | Reading::Gauge(v) => out.push((m.name.to_string(), clamp(v))),
+            Reading::Histogram(h, unit) => {
+                let (name, unit) = (m.name, unit.suffix());
+                out.push((format!("{name}_samples"), clamp(h.samples)));
+                out.push((format!("{name}_total{unit}"), clamp(h.total_ns)));
+                for (p, label) in [(50.0, "50"), (99.0, "99"), (99.9, "999")] {
+                    let v = h.percentile(p).unwrap_or(0);
+                    out.push((format!("{name}_p{label}{unit}"), clamp(v)));
+                }
+            }
         }
     }
-    let t = &stats.telemetry;
-    let journal = stats.journal.iter().flat_map(|j| {
-        [
-            ("journal_seq", j.seq),
-            ("journal_rotations", j.rotations),
-            ("journal_generations", j.generations as u64),
-            ("journal_max_bytes", j.max_bytes),
-        ]
-    });
-    let rest = [
-        ("slowlog_threshold_ns", stats.slowlog_threshold_ns),
-        ("slowlog_admitted", stats.slowlog_admitted),
-    ]
-    .into_iter()
-    .chain(journal)
-    .chain([
-        ("telemetry_samples_taken", t.samples_taken),
-        ("telemetry_samples_spilled", t.samples_spilled),
-        ("telemetry_stats_retained", t.stats_retained as u64),
-        ("telemetry_catalog_retained", t.catalog_retained as u64),
-        ("telemetry_capacity", t.capacity as u64),
-        ("telemetry_sampler_running", u64::from(t.sampler_running)),
-    ]);
-    out.extend(rest.map(|(name, v)| (name.to_string(), clamp(v))));
     out
 }
 

@@ -809,6 +809,7 @@ fn literal_value(op: &Operand, expected: AttrType) -> DbResult<Value> {
         (Operand::Int(i), AttrType::Int) => Value::Int(*i),
         (Operand::Int(i), AttrType::Float) => Value::Float(*i as f64),
         (Operand::Float(x), AttrType::Float) => Value::Float(*x),
+        (Operand::Bool(b), AttrType::Bool) => Value::Bool(*b),
         (Operand::Str(s), AttrType::Bool) => match s.as_str() {
             "true" => Value::Bool(true),
             "false" => Value::Bool(false),

@@ -24,9 +24,12 @@ pub use events::{
 };
 pub use export::{http_get, serve, Endpoint, Health, ObsServer, ObsSource};
 pub use fingerprint::{FingerprintStats, QueryFingerprints};
-pub use metrics::{Counter, Gauge, HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
+pub use metrics::{
+    prometheus, Counter, Gauge, HistogramSnapshot, Instruments, LatencyHistogram, Metric,
+    MetricsSnapshot, Reading, Unit,
+};
 pub use slowlog::{SlowEntry, SlowLog, SLOWLOG_DISABLED};
 pub use trace::{
-    mint_trace_id, misestimate_x1000, next_trace_id, noop_recorder, Instruments, Recorder,
-    SpanGuard, SpanRecord, TraceReport,
+    mint_trace_id, misestimate_x1000, next_trace_id, noop_recorder, Recorder, SpanGuard,
+    SpanRecord, TraceReport,
 };

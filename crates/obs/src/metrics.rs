@@ -181,136 +181,182 @@ impl HistogramSnapshot {
     }
 }
 
-/// Every named counter in the engine, snapshotted.  Field order is the
-/// exposition order for both the Prometheus text format and the
-/// `sys$stats` metrics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    pub pager_page_reads: u64,
-    pub pager_page_writes: u64,
-    pub wal_appends: u64,
-    pub wal_fsyncs: u64,
-    pub heap_rows_scanned: u64,
-    pub index_probes: u64,
-    /// Frozen-segment reads that consulted a segment's map.
-    pub segment_hits: u64,
-    /// Frozen segments skipped wholesale (tx-range or bloom miss).
-    pub segment_skips: u64,
-    /// Bloom probes that passed but found no chain in the directory.
-    pub segment_bloom_fps: u64,
-    pub commits: u64,
-    pub sessions_opened: u64,
-    pub sessions_closed: u64,
-    pub group_commit_batches: u64,
-    pub group_fsyncs_saved: u64,
-    /// Submissions that found the bounded writer queue full and had to
-    /// block (backpressure events, not blocked nanoseconds).
-    pub submit_stalls: u64,
-    /// Checkpoints written, explicit and the writer's policy alike.
-    pub checkpoints: u64,
-    /// Policy checkpoints that failed (journaled; the policy retries
-    /// once the log has grown by max(floor, checkpoint) again).
-    pub checkpoint_failures: u64,
-    pub net_requests: u64,
-    pub net_errors: u64,
-    pub net_bytes_in: u64,
-    pub net_bytes_out: u64,
-    /// Writer-queue depth at the last submit/drain (gauge).
-    pub commit_queue_depth: u64,
-    /// Deepest the writer queue has ever been (gauge high-watermark).
-    pub commit_queue_hwm: u64,
-    /// Length of the checkpoint file last loaded or written (gauge).
-    pub checkpoint_bytes: u64,
-    pub commit_latency: HistogramSnapshot,
-    /// Commits per group-commit batch.  Same power-of-two machinery as
-    /// the latency histograms, but the recorded value is a *count*
-    /// (commits covered by one WAL fsync), not nanoseconds.
-    pub group_batch_size: HistogramSnapshot,
-    /// Commit-latency decomposition: submit-to-dequeue wait in the
-    /// bounded writer queue.
-    pub commit_queue_wait: HistogramSnapshot,
-    /// Commit-latency decomposition: writer thread waiting for the
-    /// database write lock.
-    pub commit_lock_wait: HistogramSnapshot,
-    /// Commit-latency decomposition: applying the batch under the lock.
-    pub commit_apply: HistogramSnapshot,
-    /// Commit-latency decomposition: the covering group fsync.
-    pub commit_fsync: HistogramSnapshot,
-    /// Commit-latency decomposition: acking the batch's sessions.
-    pub commit_ack: HistogramSnapshot,
-    /// Read-side contention: time spent acquiring the shared read lock.
-    pub read_lock_wait: HistogramSnapshot,
+/// What a histogram's samples are: the unit suffix its Prometheus
+/// family and its `sys$stats` totals and percentiles carry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// Nanoseconds (`_ns`).
+    Ns,
+    /// A plain count (no suffix).
+    Count,
+}
+
+impl Unit {
+    pub fn suffix(self) -> &'static str {
+        match self {
+            Unit::Ns => "_ns",
+            Unit::Count => "",
+        }
+    }
+}
+
+/// One metric's value, tagged with its kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reading<'a> {
+    /// A monotone count of events.
+    Counter(u64),
+    /// A level reading; a delta carries the later one.
+    Gauge(u64),
+    Histogram(&'a HistogramSnapshot, Unit),
+}
+
+/// One named, documented reading: a row of the metric table that
+/// `/metrics` and `sys$stats` both render.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Metric<'a> {
+    pub name: &'static str,
+    pub help: &'static str,
+    pub reading: Reading<'a>,
+}
+
+impl<'a> Metric<'a> {
+    pub fn new(name: &'static str, reading: Reading<'a>, help: &'static str) -> Metric<'a> {
+        Metric {
+            name,
+            help,
+            reading,
+        }
+    }
+}
+
+/// Declares every instrument of the registry once, and from that one
+/// list generates [`Instruments`] (the live atomics), [`MetricsSnapshot`]
+/// (their plain copy), the snapshot, `since`, `is_zero` and
+/// [`MetricsSnapshot::metrics`] (the enumeration both renderings walk).
+/// A gauge may name a second snapshot field for its high-watermark.
+macro_rules! declare_metrics {
+    (
+        counters { $( $counter:ident: $counter_help:literal, )* }
+        gauges { $( $gauge:ident: $gauge_help:literal $( / $hwm:ident: $hwm_help:literal )?, )* }
+        histograms { $( $hist:ident($unit:ident): $hist_help:literal, )* }
+    ) => {
+        /// Every named instrument in the engine.  Public fields: callers
+        /// increment through [`Recorder`](crate::Recorder) helpers so the
+        /// enabled check stays in one place, but tests may read them
+        /// directly.
+        #[derive(Default)]
+        pub struct Instruments {
+            $( #[doc = $counter_help] pub $counter: Counter, )*
+            $( #[doc = $gauge_help] pub $gauge: Gauge, )*
+            $( #[doc = $hist_help] pub $hist: LatencyHistogram, )*
+        }
+
+        /// Every instrument in the engine, snapshotted.  Field order is
+        /// the exposition order of `/metrics` and `sys$stats`.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( #[doc = $counter_help] pub $counter: u64, )*
+            $(
+                #[doc = $gauge_help] pub $gauge: u64,
+                $( #[doc = $hwm_help] pub $hwm: u64, )?
+            )*
+            $( #[doc = $hist_help] pub $hist: HistogramSnapshot, )*
+        }
+
+        impl Instruments {
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $counter: self.$counter.get(), )*
+                    $(
+                        $gauge: self.$gauge.get(),
+                        $( $hwm: self.$gauge.high_watermark(), )?
+                    )*
+                    $( $hist: self.$hist.snapshot(), )*
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every metric in exposition order, with its kind, unit and
+            /// help line.
+            pub fn metrics(&self) -> Vec<Metric<'_>> {
+                vec![
+                    $( Metric::new(
+                        stringify!($counter),
+                        Reading::Counter(self.$counter),
+                        $counter_help,
+                    ), )*
+                    $(
+                        Metric::new(stringify!($gauge), Reading::Gauge(self.$gauge), $gauge_help),
+                        $( Metric::new(stringify!($hwm), Reading::Gauge(self.$hwm), $hwm_help), )?
+                    )*
+                    $( Metric::new(
+                        stringify!($hist),
+                        Reading::Histogram(&self.$hist, Unit::$unit),
+                        $hist_help,
+                    ), )*
+                ]
+            }
+
+            /// Counter-wise difference against an earlier snapshot.
+            /// Gauges are level readings, so the delta carries the later
+            /// reading unchanged.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $counter: self.$counter - earlier.$counter, )*
+                    $(
+                        $gauge: self.$gauge,
+                        $( $hwm: self.$hwm, )?
+                    )*
+                    $( $hist: self.$hist.since(&earlier.$hist), )*
+                }
+            }
+        }
+    };
+}
+
+declare_metrics! {
+    counters {
+        pager_page_reads: "Heap pages read through the pager.",
+        pager_page_writes: "Heap pages written through the pager.",
+        wal_appends: "Records appended to the write-ahead log.",
+        wal_fsyncs: "Write-ahead log fsyncs.",
+        heap_rows_scanned: "Row versions read by whole-relation heap scans.",
+        index_probes: "Reads answered through an index instead of a heap scan.",
+        segment_hits: "Frozen-segment reads that consulted a segment's map.",
+        segment_skips: "Frozen segments skipped wholesale (tx-range or bloom miss).",
+        segment_bloom_fps: "Bloom probes that passed but found no chain in the directory.",
+        commits: "Transactions committed.",
+        sessions_opened: "Sessions opened.",
+        sessions_closed: "Sessions closed.",
+        group_commit_batches: "Group-commit batches written (one fsync each).",
+        group_fsyncs_saved: "Fsyncs saved by group commit: commits beyond the first in a batch.",
+        submit_stalls: "Submissions that found the bounded writer queue full and blocked.",
+        checkpoints: "Checkpoints written, explicit and the writer's policy alike.",
+        checkpoint_failures: "Policy checkpoints that failed (journaled; the policy retries).",
+        net_requests: "TQuel service requests read.",
+        net_errors: "TQuel service requests answered with an error.",
+        net_bytes_in: "TQuel service request bytes read.",
+        net_bytes_out: "TQuel service response bytes written.",
+    }
+    gauges {
+        commit_queue_depth: "Writer-queue depth at the last submit or drain."
+            / commit_queue_hwm: "Deepest the writer queue has ever been.",
+        checkpoint_bytes: "Length of the checkpoint file last loaded or written.",
+    }
+    histograms {
+        commit_latency(Ns): "One commit validated, logged and applied (before its fsync).",
+        group_batch_size(Count): "Commits per group-commit batch (one WAL fsync each).",
+        commit_queue_wait(Ns): "Commit stage: submit-to-dequeue wait in the writer queue.",
+        commit_lock_wait(Ns): "Commit stage: the writer waiting for the database write lock.",
+        commit_apply(Ns): "Commit stage: applying the batch under the lock.",
+        commit_fsync(Ns): "Commit stage: the covering group fsync.",
+        commit_ack(Ns): "Commit stage: acking the batch's sessions.",
+        read_lock_wait(Ns): "Time spent acquiring the shared read lock.",
+    }
 }
 
 impl MetricsSnapshot {
-    /// `(name, value)` pairs for every plain counter, in exposition
-    /// order.  Keeping this as the single enumeration point means the
-    /// `sys$stats` and Prometheus renderings can never drift apart.
-    pub fn counters(&self) -> [(&'static str, u64); 21] {
-        [
-            ("pager_page_reads", self.pager_page_reads),
-            ("pager_page_writes", self.pager_page_writes),
-            ("wal_appends", self.wal_appends),
-            ("wal_fsyncs", self.wal_fsyncs),
-            ("heap_rows_scanned", self.heap_rows_scanned),
-            ("index_probes", self.index_probes),
-            ("segment_hits", self.segment_hits),
-            ("segment_skips", self.segment_skips),
-            ("segment_bloom_fps", self.segment_bloom_fps),
-            ("commits", self.commits),
-            ("sessions_opened", self.sessions_opened),
-            ("sessions_closed", self.sessions_closed),
-            ("group_commit_batches", self.group_commit_batches),
-            ("group_fsyncs_saved", self.group_fsyncs_saved),
-            ("submit_stalls", self.submit_stalls),
-            ("checkpoints", self.checkpoints),
-            ("checkpoint_failures", self.checkpoint_failures),
-            ("net_requests", self.net_requests),
-            ("net_errors", self.net_errors),
-            ("net_bytes_in", self.net_bytes_in),
-            ("net_bytes_out", self.net_bytes_out),
-        ]
-    }
-
-    /// `(name, value)` pairs for every gauge (level readings, not
-    /// monotone counts), in exposition order.
-    pub fn gauges(&self) -> [(&'static str, u64); 3] {
-        [
-            ("commit_queue_depth", self.commit_queue_depth),
-            ("commit_queue_hwm", self.commit_queue_hwm),
-            ("checkpoint_bytes", self.checkpoint_bytes),
-        ]
-    }
-
-    /// `(name, snapshot)` pairs for every histogram, in exposition
-    /// order — the single enumeration point for the `sys$stats` and
-    /// Prometheus renderings.  `group_batch_size` reads in commits per
-    /// batch, everything else in nanoseconds.
-    pub fn histograms(&self) -> [(&'static str, &HistogramSnapshot); 8] {
-        [
-            ("commit_latency", &self.commit_latency),
-            ("group_batch_size", &self.group_batch_size),
-            ("commit_queue_wait", &self.commit_queue_wait),
-            ("commit_lock_wait", &self.commit_lock_wait),
-            ("commit_apply", &self.commit_apply),
-            ("commit_fsync", &self.commit_fsync),
-            ("commit_ack", &self.commit_ack),
-            ("read_lock_wait", &self.read_lock_wait),
-        ]
-    }
-
-    /// The unit suffix of the histogram family `name`: `_ns` for the
-    /// latency families, none for `group_batch_size` (commits per
-    /// batch).  Both the Prometheus family names and the `sys$stats`
-    /// percentile names carry it.
-    pub fn histogram_unit(name: &str) -> &'static str {
-        if name == "group_batch_size" {
-            ""
-        } else {
-            "_ns"
-        }
-    }
-
     /// Sessions opened and not yet closed.
     pub fn active_sessions(&self) -> u64 {
         self.sessions_opened.saturating_sub(self.sessions_closed)
@@ -319,87 +365,47 @@ impl MetricsSnapshot {
     /// True iff no instrument ever fired — the disabled-recorder
     /// invariant asserted by the figures smoke check.
     pub fn is_zero(&self) -> bool {
-        self.counters().iter().all(|(_, v)| *v == 0)
-            && self.gauges().iter().all(|(_, v)| *v == 0)
-            && self.histograms().iter().all(|(_, h)| h.samples == 0)
+        self.metrics().iter().all(|m| match m.reading {
+            Reading::Counter(v) | Reading::Gauge(v) => v == 0,
+            Reading::Histogram(h, _) => h.samples == 0,
+        })
     }
+}
 
-    /// Counter-wise difference against an earlier snapshot.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            pager_page_reads: self.pager_page_reads - earlier.pager_page_reads,
-            pager_page_writes: self.pager_page_writes - earlier.pager_page_writes,
-            wal_appends: self.wal_appends - earlier.wal_appends,
-            wal_fsyncs: self.wal_fsyncs - earlier.wal_fsyncs,
-            heap_rows_scanned: self.heap_rows_scanned - earlier.heap_rows_scanned,
-            index_probes: self.index_probes - earlier.index_probes,
-            segment_hits: self.segment_hits - earlier.segment_hits,
-            segment_skips: self.segment_skips - earlier.segment_skips,
-            segment_bloom_fps: self.segment_bloom_fps - earlier.segment_bloom_fps,
-            commits: self.commits - earlier.commits,
-            sessions_opened: self.sessions_opened - earlier.sessions_opened,
-            sessions_closed: self.sessions_closed - earlier.sessions_closed,
-            group_commit_batches: self.group_commit_batches - earlier.group_commit_batches,
-            group_fsyncs_saved: self.group_fsyncs_saved - earlier.group_fsyncs_saved,
-            submit_stalls: self.submit_stalls - earlier.submit_stalls,
-            checkpoints: self.checkpoints - earlier.checkpoints,
-            checkpoint_failures: self.checkpoint_failures - earlier.checkpoint_failures,
-            net_requests: self.net_requests - earlier.net_requests,
-            net_errors: self.net_errors - earlier.net_errors,
-            net_bytes_in: self.net_bytes_in - earlier.net_bytes_in,
-            net_bytes_out: self.net_bytes_out - earlier.net_bytes_out,
-            // Gauges are level readings; a difference is meaningless,
-            // so the delta carries the later reading unchanged.
-            commit_queue_depth: self.commit_queue_depth,
-            commit_queue_hwm: self.commit_queue_hwm,
-            checkpoint_bytes: self.checkpoint_bytes,
-            commit_latency: self.commit_latency.since(&earlier.commit_latency),
-            group_batch_size: self.group_batch_size.since(&earlier.group_batch_size),
-            commit_queue_wait: self.commit_queue_wait.since(&earlier.commit_queue_wait),
-            commit_lock_wait: self.commit_lock_wait.since(&earlier.commit_lock_wait),
-            commit_apply: self.commit_apply.since(&earlier.commit_apply),
-            commit_fsync: self.commit_fsync.since(&earlier.commit_fsync),
-            commit_ack: self.commit_ack.since(&earlier.commit_ack),
-            read_lock_wait: self.read_lock_wait.since(&earlier.read_lock_wait),
-        }
-    }
-
-    /// Prometheus text exposition (one `chronos_*` family per
-    /// instrument; histograms use the cumulative `_bucket` form).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in self.counters() {
-            out.push_str(&format!(
-                "# TYPE chronos_{name} counter\nchronos_{name} {v}\n"
-            ));
-        }
-        for (name, v) in self.gauges() {
-            out.push_str(&format!(
-                "# TYPE chronos_{name} gauge\nchronos_{name} {v}\n"
-            ));
-        }
-        for (plain, h) in self.histograms() {
-            let name = format!("{plain}{}", Self::histogram_unit(plain));
-            out.push_str(&format!("# TYPE chronos_{name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (i, &c) in h.buckets.iter().enumerate() {
-                cumulative += c;
-                if c > 0 {
-                    out.push_str(&format!(
-                        "chronos_{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                        HistogramSnapshot::bucket_upper_bound(i)
-                    ));
-                }
+/// Prometheus text exposition of `metrics`: one `chronos_*` family per
+/// metric, each with its `# HELP` and `# TYPE` line; histograms use the
+/// cumulative `_bucket` form.
+pub fn prometheus(metrics: &[Metric<'_>]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for m in metrics {
+        let (kind, unit) = match m.reading {
+            Reading::Counter(_) => ("counter", ""),
+            Reading::Gauge(_) => ("gauge", ""),
+            Reading::Histogram(_, unit) => ("histogram", unit.suffix()),
+        };
+        let name = format!("chronos_{}{unit}", m.name);
+        let _ = writeln!(out, "# HELP {name} {}\n# TYPE {name} {kind}", m.help);
+        match m.reading {
+            Reading::Counter(v) | Reading::Gauge(v) => {
+                let _ = writeln!(out, "{name} {v}");
             }
-            out.push_str(&format!(
-                "chronos_{name}_bucket{{le=\"+Inf\"}} {}\n",
-                h.samples
-            ));
-            out.push_str(&format!("chronos_{name}_sum {}\n", h.total_ns));
-            out.push_str(&format!("chronos_{name}_count {}\n", h.samples));
+            Reading::Histogram(h, _) => {
+                let mut cumulative = 0u64;
+                for (i, &c) in h.buckets.iter().enumerate() {
+                    cumulative += c;
+                    if c > 0 {
+                        let le = HistogramSnapshot::bucket_upper_bound(i);
+                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                    }
+                }
+                let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.samples);
+                let _ = writeln!(out, "{name}_sum {}", h.total_ns);
+                let _ = writeln!(out, "{name}_count {}", h.samples);
+            }
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -470,7 +476,7 @@ mod tests {
             commit_latency: h.snapshot(),
             ..Default::default()
         };
-        let text = m.to_prometheus();
+        let text = prometheus(&m.metrics());
         assert!(text.contains("# TYPE chronos_commit_latency_ns histogram"));
         assert!(text.contains("chronos_commit_latency_ns_bucket{le=\"128\"} 90"));
         // Cumulative: the slow bucket reports 90 + 10, not 10.
@@ -545,47 +551,79 @@ mod tests {
             commits: 7,
             ..Default::default()
         };
-        let counters = s.counters();
-        assert!(counters.contains(&("index_probes", 3)));
-        assert!(counters.contains(&("commits", 7)));
-        let (name, latency) = s.histograms()[0];
-        assert_eq!(name, "commit_latency");
-        assert_eq!(latency.percentile(99.9), None);
-        assert!(latency.buckets.iter().all(|&c| c == 0));
-        let prom = s.to_prometheus();
+        let metrics = s.metrics();
+        assert_eq!(metrics.len(), 21 + 3 + 8);
+        let find = |name| metrics.iter().find(|m| m.name == name).unwrap().reading;
+        assert_eq!(find("index_probes"), Reading::Counter(3));
+        assert_eq!(find("commits"), Reading::Counter(7));
+        assert_eq!(
+            find("commit_latency"),
+            Reading::Histogram(&s.commit_latency, Unit::Ns)
+        );
+        assert_eq!(
+            find("group_batch_size"),
+            Reading::Histogram(&s.group_batch_size, Unit::Count)
+        );
+        let prom = prometheus(&metrics);
         assert!(prom.contains("chronos_index_probes 3"));
-        assert!(prom.contains("# TYPE chronos_commits counter"));
+        assert!(prom.contains(
+            "# HELP chronos_commits Transactions committed.\n# TYPE chronos_commits counter\n"
+        ));
         assert!(prom.contains("chronos_commit_latency_ns_count 0"));
+        assert!(prom.contains("# TYPE chronos_group_batch_size histogram"));
+        let families = prom.lines().filter(|l| l.starts_with("# HELP ")).count();
+        assert_eq!(families, metrics.len(), "one help line per metric");
     }
 
     #[test]
     fn gauge_enumeration_is_consistent_across_renderings() {
-        // The queue-depth gauge pair and the checkpoint length must
-        // appear, under the same names, in the enumeration point and the
-        // Prometheus exposition — the no-drift invariant for every
-        // scraper.
-        let s = MetricsSnapshot {
-            commit_queue_depth: 3,
-            commit_queue_hwm: 9,
-            checkpoint_bytes: 4096,
-            ..Default::default()
-        };
-        let gauges = s.gauges();
-        assert_eq!(gauges.len(), 3);
-        assert_eq!(gauges[0], ("commit_queue_depth", 3));
-        assert_eq!(gauges[1], ("commit_queue_hwm", 9));
-        assert_eq!(gauges[2], ("checkpoint_bytes", 4096));
-        let prom = s.to_prometheus();
+        let instruments = Instruments::default();
+        instruments.commit_queue_depth.set(9);
+        instruments.commit_queue_depth.set(3);
+        instruments.checkpoint_bytes.set(4096);
+        let s = instruments.snapshot();
+        assert_eq!((s.commit_queue_depth, s.commit_queue_hwm), (3, 9));
+        let gauges: Vec<_> = s
+            .metrics()
+            .into_iter()
+            .filter_map(|m| match m.reading {
+                Reading::Gauge(v) => Some((m.name, v)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            gauges,
+            [
+                ("commit_queue_depth", 3),
+                ("commit_queue_hwm", 9),
+                ("checkpoint_bytes", 4096)
+            ]
+        );
+        let prom = prometheus(&s.metrics());
         for (name, v) in gauges {
-            assert!(
-                prom.contains(&format!("# TYPE chronos_{name} gauge")),
-                "Prometheus missing gauge TYPE line for {name}"
-            );
-            assert!(
-                prom.contains(&format!("chronos_{name} {v}")),
-                "Prometheus missing gauge sample for {name}"
-            );
+            assert!(prom.contains(&format!(
+                "# TYPE chronos_{name} gauge\nchronos_{name} {v}\n"
+            )));
         }
+    }
+
+    #[test]
+    fn since_subtracts_counters_and_histograms_and_keeps_gauges() {
+        let instruments = Instruments::default();
+        instruments.commits.add(2);
+        instruments.commit_queue_depth.set(5);
+        instruments.commit_apply.record_ns(10);
+        let early = instruments.snapshot();
+        instruments.commits.add(3);
+        instruments.commit_queue_depth.set(1);
+        instruments.commit_apply.record_ns(20);
+        let delta = instruments.snapshot().since(&early);
+        assert_eq!(delta.commits, 3);
+        assert_eq!((delta.commit_queue_depth, delta.commit_queue_hwm), (1, 5));
+        assert_eq!(
+            (delta.commit_apply.samples, delta.commit_apply.total_ns),
+            (1, 20)
+        );
     }
 
     #[test]

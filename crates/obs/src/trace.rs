@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use crate::events::{EventJournal, EventValue};
 use crate::fingerprint::QueryFingerprints;
-use crate::metrics::{Counter, Gauge, LatencyHistogram, MetricsSnapshot};
+use crate::metrics::{Counter, Gauge, Instruments, LatencyHistogram, MetricsSnapshot};
 use crate::slowlog::SlowLog;
 
 /// Mint a process-unique request trace id (`t-<hex>`), for statements
@@ -68,55 +68,6 @@ struct TraceState {
     /// `Some` while a capture is active.
     capture: Option<Vec<SpanRecord>>,
     depth: usize,
-}
-
-/// Every named instrument in the engine.  Public fields: callers
-/// increment through [`Recorder`] helpers so the enabled check stays
-/// in one place, but tests may read counters directly.
-#[derive(Default)]
-pub struct Instruments {
-    pub pager_page_reads: Counter,
-    pub pager_page_writes: Counter,
-    pub wal_appends: Counter,
-    pub wal_fsyncs: Counter,
-    pub heap_rows_scanned: Counter,
-    pub index_probes: Counter,
-    /// Frozen-segment reads that consulted a segment's map.
-    pub segment_hits: Counter,
-    /// Frozen segments skipped wholesale (tx-range or bloom miss).
-    pub segment_skips: Counter,
-    /// Bloom probes that passed but found no chain in the directory.
-    pub segment_bloom_fps: Counter,
-    pub commits: Counter,
-    pub sessions_opened: Counter,
-    pub sessions_closed: Counter,
-    pub group_commit_batches: Counter,
-    pub group_fsyncs_saved: Counter,
-    /// Submissions that found the bounded writer queue full.
-    pub submit_stalls: Counter,
-    /// Checkpoints written (explicit and policy).
-    pub checkpoints: Counter,
-    /// Policy checkpoints that failed.
-    pub checkpoint_failures: Counter,
-    pub net_requests: Counter,
-    pub net_errors: Counter,
-    pub net_bytes_in: Counter,
-    pub net_bytes_out: Counter,
-    /// Writer-queue depth (level + high-watermark).
-    pub commit_queue_depth: Gauge,
-    /// Length of the checkpoint file last loaded or written.
-    pub checkpoint_bytes: Gauge,
-    pub commit_latency: LatencyHistogram,
-    /// Commits per group-commit batch (value is a count, not ns).
-    pub group_batch_size: LatencyHistogram,
-    /// Commit-latency decomposition stages (all ns; see DESIGN §6d).
-    pub commit_queue_wait: LatencyHistogram,
-    pub commit_lock_wait: LatencyHistogram,
-    pub commit_apply: LatencyHistogram,
-    pub commit_fsync: LatencyHistogram,
-    pub commit_ack: LatencyHistogram,
-    /// Read-side shared-lock acquisition wait.
-    pub read_lock_wait: LatencyHistogram,
 }
 
 /// The engine-wide observability handle.
@@ -216,41 +167,7 @@ impl Recorder {
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let m = &self.metrics;
-        MetricsSnapshot {
-            pager_page_reads: m.pager_page_reads.get(),
-            pager_page_writes: m.pager_page_writes.get(),
-            wal_appends: m.wal_appends.get(),
-            wal_fsyncs: m.wal_fsyncs.get(),
-            heap_rows_scanned: m.heap_rows_scanned.get(),
-            index_probes: m.index_probes.get(),
-            segment_hits: m.segment_hits.get(),
-            segment_skips: m.segment_skips.get(),
-            segment_bloom_fps: m.segment_bloom_fps.get(),
-            commits: m.commits.get(),
-            sessions_opened: m.sessions_opened.get(),
-            sessions_closed: m.sessions_closed.get(),
-            group_commit_batches: m.group_commit_batches.get(),
-            group_fsyncs_saved: m.group_fsyncs_saved.get(),
-            submit_stalls: m.submit_stalls.get(),
-            checkpoints: m.checkpoints.get(),
-            checkpoint_failures: m.checkpoint_failures.get(),
-            net_requests: m.net_requests.get(),
-            net_errors: m.net_errors.get(),
-            net_bytes_in: m.net_bytes_in.get(),
-            net_bytes_out: m.net_bytes_out.get(),
-            commit_queue_depth: m.commit_queue_depth.get(),
-            commit_queue_hwm: m.commit_queue_depth.high_watermark(),
-            checkpoint_bytes: m.checkpoint_bytes.get(),
-            commit_latency: m.commit_latency.snapshot(),
-            group_batch_size: m.group_batch_size.snapshot(),
-            commit_queue_wait: m.commit_queue_wait.snapshot(),
-            commit_lock_wait: m.commit_lock_wait.snapshot(),
-            commit_apply: m.commit_apply.snapshot(),
-            commit_fsync: m.commit_fsync.snapshot(),
-            commit_ack: m.commit_ack.snapshot(),
-            read_lock_wait: m.read_lock_wait.snapshot(),
-        }
+        self.metrics.snapshot()
     }
 
     // ---- counter helpers (all gated on `enabled`) -------------------

@@ -665,6 +665,7 @@ fn operand_type(
         }
         Operand::Int(i) => Ok((Expr::Const(Value::Int(*i)), AttrType::Int)),
         Operand::Float(x) => Ok((Expr::Const(Value::Float(*x)), AttrType::Float)),
+        Operand::Bool(b) => Ok((Expr::Const(Value::Bool(*b)), AttrType::Bool)),
     }
 }
 

@@ -22,6 +22,8 @@ pub enum Operand {
     Int(i64),
     /// A float literal.
     Float(f64),
+    /// `true` or `false`.
+    Bool(bool),
 }
 
 /// Comparison operators (surface syntax).

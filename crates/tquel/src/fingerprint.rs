@@ -63,6 +63,10 @@ mod tests {
         let (h3, _) = fp("retrieve (f.a) where f.x = 3");
         let (h4, _) = fp("retrieve (f.a) where f.x = 99");
         assert_eq!(h3, h4);
+        // So do boolean literals.
+        let (h5, t5) = fp("retrieve (f.a) where f.b = true");
+        assert_eq!(h5, fp("retrieve (f.a) where f.b = false").0);
+        assert_eq!(t5, r#"retrieve (f.a) where f.b = "?""#);
     }
 
     #[test]

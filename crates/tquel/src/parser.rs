@@ -532,6 +532,15 @@ impl<'a> Parser<'a> {
 
     fn operand(&mut self) -> TquelResult<Operand> {
         match self.peek() {
+            // `true`/`false` not followed by `.`: a range variable may
+            // still carry either name.
+            T::Ident(word @ ("true" | "false"))
+                if !matches!(self.tokens.get(self.pos + 1).map(|t| &t.kind), Some(T::Dot)) =>
+            {
+                let b = *word == "true";
+                self.bump();
+                Ok(Operand::Bool(b))
+            }
             T::Ident(_) => {
                 let var = self.ident()?;
                 self.expect(T::Dot)?;

@@ -208,7 +208,9 @@ fn escape_str(s: &str, out: &mut String) {
 fn unparse_operand(op: &Operand, lit: Literals, out: &mut String) {
     match op {
         Operand::Attr(a) => unparse_attr(a, out),
-        Operand::Str(_) | Operand::Int(_) | Operand::Float(_) if lit == Literals::Mask => {
+        Operand::Str(_) | Operand::Int(_) | Operand::Float(_) | Operand::Bool(_)
+            if lit == Literals::Mask =>
+        {
             out.push_str("\"?\"")
         }
         Operand::Str(s) => escape_str(s, out),
@@ -222,6 +224,7 @@ fn unparse_operand(op: &Operand, lit: Literals, out: &mut String) {
             }
             out.push_str(&text);
         }
+        Operand::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }
 }
 
@@ -422,6 +425,9 @@ mod tests {
         round_trip(r#"retrieve (f.rank) as of "12/10/82" through "12/20/82""#);
         round_trip(r#"retrieve (f.a) where f.x = 3 and f.y = 2.5 and f.z != -7"#);
         round_trip(r#"retrieve into result (who = f.name)"#);
+        // A boolean literal, and a range variable that shares its name.
+        round_trip("append to h (b = true, c = false)");
+        round_trip("retrieve (true.b) where true.b = false and false.b != true");
     }
 
     #[test]

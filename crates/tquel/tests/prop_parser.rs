@@ -35,6 +35,7 @@ fn arb_operand() -> impl Strategy<Value = Operand> {
         any::<i64>().prop_map(Operand::Int),
         // Floats as exact quarters so text round-trips exactly.
         (-10_000i32..10_000).prop_map(|q| Operand::Float(f64::from(q) / 4.0)),
+        any::<bool>().prop_map(Operand::Bool),
     ]
 }
 

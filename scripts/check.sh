@@ -28,8 +28,9 @@ die() {
   exit 1
 }
 
-echo "==> cargo fmt --check"
+echo "==> cargo fmt --check (and the vendored crates, which it skips)"
 cargo fmt --check
+rustfmt --edition 2021 --check vendor/*/src/lib.rs
 
 echo "==> cargo build --release"
 cargo build --release --offline

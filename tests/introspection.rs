@@ -13,7 +13,7 @@ use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_db::introspect::flatten_stats;
 use chronos_db::{Database, Engine, ObsBootstrap, QueryClient, QueryServer};
-use chronos_obs::{http_get, validate_json};
+use chronos_obs::{http_get, validate_json, MetricsSnapshot, Reading};
 
 fn d(s: &str) -> Chronon {
     date(s).unwrap()
@@ -1059,6 +1059,59 @@ fn every_endpoint_renders_its_system_relation() {
     x.finish();
 }
 
+/// Every counter of the registry's declared table, by name.
+fn counters(metrics: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
+    metrics
+        .metrics()
+        .into_iter()
+        .filter_map(|m| match m.reading {
+            Reading::Counter(v) => Some((m.name, v)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// `/metrics` carries every `sys$stats` metric: a plain one as the
+/// family of its own name, a histogram's `_samples`, `_total` and
+/// `_pNN` rows under the histogram's family.
+#[test]
+fn metrics_names_every_sys_stats_metric() {
+    let x = scraped("metrics-covers-stats");
+    let stats = x.get("/stats");
+    let names: Vec<&str> = stats
+        .split("\"metric\": \"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').expect("closing quote")])
+        .collect();
+    assert!(names.contains(&"journal_max_bytes"), "{stats}");
+    let scrape = x.get("/metrics");
+    let family = |name: &str| {
+        let prefix = format!("# TYPE chronos_{name} ");
+        scrape.lines().find_map(|l| l.strip_prefix(&prefix))
+    };
+    let histogram_row = |name: &str| {
+        let stem = name.strip_suffix("_ns").unwrap_or(name);
+        ["_samples", "_total", "_p50", "_p99", "_p999"]
+            .iter()
+            .filter_map(|row| stem.strip_suffix(row))
+            .any(|base| {
+                [base.to_string(), format!("{base}_ns")]
+                    .iter()
+                    .any(|f| family(f) == Some("histogram"))
+            })
+    };
+    let missing: Vec<&str> = names
+        .iter()
+        .copied()
+        .filter(|name| family(name).is_none() && !histogram_row(name))
+        .collect();
+    assert!(missing.is_empty(), "/metrics lacks {missing:?}:\n{scrape}");
+    let helps = scrape.lines().filter(|l| l.starts_with("# HELP ")).count();
+    let types = scrape.lines().filter(|l| l.starts_with("# TYPE ")).count();
+    assert_eq!(helps, types, "a family without its help line:\n{scrape}");
+    x.finish();
+}
+
 /// A scrape only reads: GETting every endpoint twice opens no session,
 /// records no span and no read-lock wait, and moves no counter.
 #[test]
@@ -1076,7 +1129,7 @@ fn a_scrape_has_no_side_effects() {
         (
             sessions,
             stats.metrics.read_lock_wait.samples,
-            stats.metrics.counters(),
+            counters(&stats.metrics),
         )
     };
     let before = observed();

@@ -626,3 +626,39 @@ fn non_ascii_strings_round_trip_and_keep_columns_aligned() {
         assert_eq!(bars(line), bars(lines[0]), "{text}");
     }
 }
+
+/// `true` and `false` are boolean literals where an operand stands and
+/// no `.` follows: they assign, filter and survive a reopen of a
+/// durable database.
+#[test]
+fn boolean_literals_assign_filter_and_reopen() {
+    let dir = std::env::temp_dir().join(format!("chronos-e2e-bool-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let clock = Arc::new(ManualClock::new(d("01/01/80")));
+    let open = || Engine::start(Database::open(&dir, clock.clone()).unwrap());
+    let engine = open();
+    let mut s = engine.session();
+    s.run("create h (name = str, b = bool) as historical")
+        .unwrap();
+    s.run(r#"append to h (name = "Merrie", b = true)"#).unwrap();
+    s.run(r#"append to h (name = "Tom", b = false)"#).unwrap();
+    drop(s);
+    let falses = |engine: &Arc<Engine>| {
+        engine
+            .session()
+            .query("range of h is h retrieve (h.name, h.b) where h.b = false")
+            .unwrap()
+            .column_strings(0)
+    };
+    assert_eq!(falses(&engine), vec!["Tom"]);
+    drop(engine);
+    let engine = open();
+    assert_eq!(falses(&engine), vec!["Tom"]);
+    let trues = engine
+        .session()
+        .query("range of h is h retrieve (h.b) where h.b = true")
+        .unwrap();
+    assert_eq!(trues.column_strings(0), vec!["true"]);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
