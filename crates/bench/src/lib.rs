@@ -11,6 +11,5 @@
 //! * `cargo bench -p chronos-bench` runs the criterion benchmarks behind
 //!   those experiments.
 
-pub mod fault_matrix;
 pub mod figures;
 pub mod workload;

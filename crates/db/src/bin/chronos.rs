@@ -235,9 +235,6 @@ impl Args {
 }
 
 fn main() {
-    // Deterministic fault injection (CHRONOS_FAULT_SITE/HIT/MODE/KEEP):
-    // lets scripts crash-test the CLI's own open/commit/checkpoint paths.
-    chronos_obs::fault::arm_from_env();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match Args::parse(&argv) {
         Ok(Some(args)) => args,

@@ -11,6 +11,7 @@ use std::path::Path;
 
 use chronos_core::schema::{Attribute, RelationClass, Schema, TemporalSignature};
 use chronos_core::value::AttrType;
+use chronos_obs::Disk;
 use chronos_storage::codec::{crc32, put_bytes, put_uvarint, Reader};
 use chronos_storage::{StorageError, StorageResult};
 
@@ -83,6 +84,12 @@ impl Catalog {
             },
         );
         Ok(rel_id)
+    }
+
+    /// Makes every `rel_id` up to `rel_id` spent: no later definition
+    /// takes one of them.
+    pub fn reserve_ids_through(&mut self, rel_id: u32) {
+        self.next_rel_id = self.next_rel_id.max(rel_id + 1);
     }
 
     /// Removes a relation definition.  `rel_id`s are never reused, so
@@ -198,11 +205,11 @@ impl Catalog {
     }
 
     /// Writes the catalog image to `path` atomically and durably
-    /// (through the checkpoint's `replace_file`), so a relation whose
-    /// commits are fsynced in the log keeps its entry through a power
-    /// loss.
-    pub fn save(&self, path: &Path) -> StorageResult<()> {
-        crate::checkpoint::replace_file(path, &self.encode(), None)?;
+    /// (through the checkpoint's `replace_file` on `disk`), so a
+    /// relation whose commits are fsynced in the log keeps its entry
+    /// through a power loss.
+    pub fn save(&self, disk: &Disk, path: &Path) -> StorageResult<()> {
+        crate::checkpoint::replace_file(disk, path, &self.encode())?;
         Ok(())
     }
 
@@ -283,9 +290,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("chronos-catalog-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("catalog");
-        c.save(&path).unwrap();
+        c.save(&Disk::default(), &path).unwrap();
         // A second save replaces the first through the same temp file.
-        c.save(&path).unwrap();
+        c.save(&Disk::default(), &path).unwrap();
         let loaded = Catalog::load(&path).unwrap();
         assert_eq!(loaded, c);
         assert!(

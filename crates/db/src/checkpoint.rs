@@ -26,6 +26,7 @@ use std::path::Path;
 
 use chronos_core::chronon::Chronon;
 use chronos_core::relation::temporal::{BitemporalRow, TemporalStore as _};
+use chronos_obs::Disk;
 use chronos_storage::codec::{
     crc32, get_period, get_tuple, get_validity, put_ivarint, put_period, put_tuple, put_uvarint,
     put_validity, Reader,
@@ -143,10 +144,11 @@ pub fn restore(entry: &CatalogEntry, image: RelationImage) -> StorageResult<Rela
 
 /// Writes a checkpoint file: the WAL floor, then `(rel_id → image)`
 /// for every relation, framed with magic and CRC-32, through
-/// `replace_file`: once this returns the new checkpoint survives a
-/// power loss and the log it absorbed may be truncated.  Returns the
-/// file's length.
+/// `replace_file` on `disk`: once this returns the new checkpoint
+/// survives a power loss and the log it absorbed may be truncated.
+/// Returns the file's length.
 pub fn save(
+    disk: &Disk,
     path: &Path,
     wal_floor: Option<Chronon>,
     images: &BTreeMap<u32, RelationImage>,
@@ -162,43 +164,20 @@ pub fn save(
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&crc32(&body).to_le_bytes());
     out.extend_from_slice(&body);
-    replace_file(
-        path,
-        &out,
-        Some([
-            "checkpoint.save.pre_write",
-            "checkpoint.save.pre_rename",
-            "checkpoint.save.post_rename",
-        ]),
-    )?;
+    replace_file(disk, path, &out)?;
     Ok(out.len() as u64)
 }
 
-/// Replaces the file at `path` with `bytes` durably: they are written
-/// to a `.tmp` sibling, fsynced, and renamed into place, so a crash at
-/// any point leaves either the old file or the new one — never a torn
-/// mixture.  The directory is fsynced after the rename, so once this
-/// returns the new file survives a power loss.  `sites` names the
-/// crash sites before the write, before the rename and after the
-/// directory fsync, for a file the fault matrix covers.
-pub(crate) fn replace_file(
-    path: &Path,
-    bytes: &[u8],
-    sites: Option<[&str; 3]>,
-) -> std::io::Result<()> {
-    let crash_point = |i: usize| match sites {
-        Some(sites) => chronos_storage::fault::crash_point(sites[i]),
-        None => Ok(()),
-    };
+/// Replaces the file at `path` with `bytes` durably, through `disk`:
+/// they are written to a `.tmp` sibling, fsynced, and renamed into
+/// place, so a crash at any point leaves either the old file or the new
+/// one — never a torn mixture.  The directory is fsynced after the
+/// rename, so once this returns the new file survives a power loss.
+pub(crate) fn replace_file(disk: &Disk, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
-    crash_point(0)?;
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        std::io::Write::write_all(&mut f, bytes)?;
-        f.sync_all()?;
-    }
-    crash_point(1)?;
-    std::fs::rename(&tmp, path)?;
+    disk.write(&tmp, bytes)?;
+    disk.sync(&tmp)?;
+    disk.rename(&tmp, path)?;
     // The rename is an entry in the directory, which the file's fsync
     // does not cover: were it still in the page cache, a power loss
     // could lose the new file while later writes that depend on it (a
@@ -207,8 +186,7 @@ pub(crate) fn replace_file(
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
     };
-    std::fs::File::open(dir)?.sync_all()?;
-    crash_point(2)
+    disk.sync_dir(dir)
 }
 
 /// Loads a checkpoint file; absent file means no checkpoint.
@@ -318,7 +296,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("chronos-ckpt-prop-{tag}-{}", std::process::id()));
         let wal_floor = floor.map(Chronon::new);
-        save(&path, wal_floor, &images).expect("save");
+        save(&Disk::default(), &path, wal_floor, &images).expect("save");
         let bytes = std::fs::read(&path).expect("read back");
         assert_eq!(
             same(&load(&path).expect("load").expect("present")),

@@ -24,11 +24,12 @@ use chronos_core::taxonomy::DatabaseClass;
 use chronos_core::value::Value;
 use chronos_obs::export::{Health, ObsServer};
 use chronos_obs::{
-    prometheus, EventJournal, JournalStats, Metric, MetricsSnapshot, Reading, Recorder,
+    prometheus, Disk, EventJournal, JournalStats, Metric, MetricsSnapshot, Reading, Recorder,
 };
 use chronos_storage::table::{Read, TxSelect};
 use chronos_storage::txn::TxnManager;
 use chronos_storage::wal::{Wal, WalRecord};
+use chronos_storage::StorageError;
 use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationInfo, RelationProvider, SourceRow};
 use chronos_tquel::TquelError;
 
@@ -52,13 +53,13 @@ use crate::relation::{has_transaction_time, Relation};
 pub const CHECKPOINT_LOG_FLOOR: u64 = 16 * 1024;
 
 /// Deletes stale segment files (best effort: segments are a cache).
-fn purge_segments(seg_dir: &Path) {
+fn purge_segments(disk: &Disk, seg_dir: &Path) {
     let Ok(entries) = std::fs::read_dir(seg_dir) else {
         return;
     };
     for entry in entries.flatten() {
         if entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-            let _ = std::fs::remove_file(entry.path());
+            let _ = disk.remove(&entry.path());
         }
     }
 }
@@ -69,6 +70,9 @@ pub struct Database {
     relations: HashMap<String, Relation>,
     txn: TxnManager,
     dir: Option<PathBuf>,
+    /// Every write to `dir` goes through this handle (plain outside
+    /// tests; see [`Database::open_with_disk`]).
+    disk: Disk,
     /// The write-ahead log, shared behind a mutex so the group-commit
     /// writer can fsync a batch *after* releasing the database's write
     /// lock (readers proceed during the fsync; see `crate::engine`).
@@ -128,6 +132,7 @@ impl Database {
             relations: HashMap::new(),
             txn: TxnManager::new(Arc::clone(&clock)),
             dir: None,
+            disk: Disk::default(),
             wal: None,
             recorder: Arc::new(Recorder::new()),
             // Nothing to recover: ready from the first instant.
@@ -161,6 +166,18 @@ impl Database {
         clock: Arc<dyn Clock>,
         obs: &ObsBootstrap,
     ) -> DbResult<Database> {
+        Self::open_with_disk(dir, clock, obs, Disk::default())
+    }
+
+    /// [`open_with_obs`](Self::open_with_obs) writing through `disk`:
+    /// the way a test gives a database a recording or faulting handle
+    /// ([`Disk::recording`]).  Recovery's own writes go through it too.
+    pub fn open_with_disk(
+        dir: &Path,
+        clock: Arc<dyn Clock>,
+        obs: &ObsBootstrap,
+        disk: Disk,
+    ) -> DbResult<Database> {
         let started = std::time::Instant::now();
         std::fs::create_dir_all(dir).map_err(chronos_storage::StorageError::from)?;
         // Frozen segments are a rebuildable physical cache: every row
@@ -168,15 +185,15 @@ impl Database {
         // segments back in) or replayable from the log.  Recovery
         // therefore rebuilds the full heap and discards stale segment
         // files wholesale; only an explicit `freeze` writes new ones.
-        purge_segments(&dir.join("segments"));
+        purge_segments(&disk, &dir.join("segments"));
         let recorder = Arc::clone(&obs.recorder);
         // The lifecycle journal lives beside the WAL.  Journaling is
         // diagnostic: a journal that cannot be opened is skipped, never
         // a reason to refuse recovery.
-        if let Ok(journal) = EventJournal::open(&dir.join("events.jsonl")) {
+        if let Ok(journal) = EventJournal::open(&disk, &dir.join("events.jsonl")) {
             recorder.set_journal(Arc::new(journal));
         }
-        let catalog = Catalog::load(&dir.join("catalog"))?;
+        let mut catalog = Catalog::load(&dir.join("catalog"))?;
         obs.health.mark_catalog_loaded();
         recorder.emit_event(
             "recovery_start",
@@ -192,6 +209,12 @@ impl Database {
         // effects; the floor tells replay which records to skip.
         let wal_floor = checkpoint.as_ref().and_then(|c| c.wal_floor);
         let mut images = checkpoint.map(|c| c.images).unwrap_or_default();
+        // A crash between a materialization's checkpoint and its catalog
+        // save leaves rows under an id the catalog never handed out: no
+        // relation defined later may take it.
+        if let Some(&last) = images.keys().next_back() {
+            catalog.reserve_ids_through(last);
+        }
         obs.health.mark_checkpoint_loaded();
         let mut relations = HashMap::new();
         let mut by_id: HashMap<u32, String> = HashMap::new();
@@ -209,8 +232,7 @@ impl Database {
             relations.insert(name.clone(), rel);
             by_id.insert(entry.rel_id, name.clone());
         }
-        let wal_path = dir.join("wal");
-        let recovered = Wal::truncate_torn_tail(&wal_path)?;
+        let (mut wal, recovered) = Wal::open_recovered(&disk, &dir.join("wal"))?;
         if recovered.torn_bytes > 0 {
             // Graceful degradation, journaled: the torn tail (a crash
             // mid-append) was cut at the last valid record.
@@ -265,17 +287,18 @@ impl Database {
         );
         for rel in relations.values_mut() {
             rel.set_recorder(Arc::clone(&recorder));
+            rel.table_mut().set_disk(disk.clone());
         }
-        let mut wal = Wal::open(&wal_path)?;
         wal.set_recorder(Arc::clone(&recorder));
         let telemetry = Arc::clone(&obs.telemetry);
         // Evicted telemetry samples spill beside the WAL.
-        telemetry.set_spill_path(dir.join("telemetry.spill.jsonl"));
+        telemetry.set_spill(disk.clone(), dir.join("telemetry.spill.jsonl"));
         let db = Database {
             catalog,
             relations,
             txn: TxnManager::resuming_after(Arc::clone(&clock), last_commit),
             dir: Some(dir.to_path_buf()),
+            disk,
             wal: Some(Arc::new(Mutex::new(wal))),
             recorder,
             health: Arc::clone(&obs.health),
@@ -364,6 +387,7 @@ impl Database {
         // "must replay" if a crash strands the full log next to the
         // new checkpoint.
         let bytes = crate::checkpoint::save(
+            &self.disk,
             &dir.join("checkpoint"),
             self.txn.last_commit_time(),
             &images,
@@ -467,28 +491,55 @@ impl Database {
         signature: TemporalSignature,
     ) -> DbResult<()> {
         Self::reject_system_write(name)?;
-        self.catalog
-            .define(name, schema.clone(), class, signature)
-            .map_err(DbError::Catalog)?;
-        let mut rel = Relation::new(schema, class, signature);
-        rel.set_recorder(Arc::clone(&self.recorder));
-        self.relations.insert(name.to_string(), rel);
-        self.persist_catalog()?;
+        let rel = Relation::new(schema, class, signature);
+        self.define(name, rel, false)?;
         self.record_catalog_sample(self.txn.peek_now());
         Ok(())
+    }
+
+    /// Enters `rel` into the catalog under `name` and saves the catalog.
+    /// With `rows_first` (a materialized relation, whose rows no log
+    /// holds) a checkpoint holding its rows is written before the
+    /// catalog names it, so no crash leaves it empty.  If either write
+    /// fails, the database is left as it was, except that the relation's
+    /// id stays spent: a checkpoint may already hold rows under it.
+    fn define(&mut self, name: &str, mut rel: Relation, rows_first: bool) -> DbResult<()> {
+        use chronos_core::relation::temporal::TemporalStore as _;
+        let (table, class) = (rel.table(), rel.class());
+        let mut catalog = self.catalog.clone();
+        let rel_id = catalog
+            .define(name, table.schema().clone(), class, table.signature())
+            .map_err(DbError::Catalog)?;
+        rel.set_recorder(Arc::clone(&self.recorder));
+        rel.table_mut().set_disk(self.disk.clone());
+        let mut previous = std::mem::replace(&mut self.catalog, catalog);
+        self.relations.insert(name.to_string(), rel);
+        let rows = match rows_first && self.is_durable() {
+            true => self.checkpoint(),
+            false => Ok(()),
+        };
+        let saved = rows.and_then(|()| self.persist_catalog(&self.catalog));
+        if saved.is_err() {
+            previous.reserve_ids_through(rel_id);
+            self.catalog = previous;
+            self.relations.remove(name);
+        }
+        saved
     }
 
     /// Drops a relation and its store.
     pub fn destroy_relation(&mut self, name: &str) -> DbResult<()> {
         Self::reject_system_write(name)?;
-        if self.catalog.remove(name).is_none() {
+        let mut catalog = self.catalog.clone();
+        if catalog.remove(name).is_none() {
             return Err(DbError::Catalog(format!("unknown relation {name:?}")));
         }
+        self.persist_catalog(&catalog)?;
+        self.catalog = catalog;
         self.relations.remove(name);
         // The relation's statistics end here; their past stays.
         let at = self.txn.peek_now();
         self.telemetry.record_tablestats(at, name, Vec::new());
-        self.persist_catalog()?;
         self.record_catalog_sample(at);
         Ok(())
     }
@@ -503,9 +554,9 @@ impl Database {
         Ok(())
     }
 
-    fn persist_catalog(&self) -> DbResult<()> {
+    fn persist_catalog(&self, catalog: &Catalog) -> DbResult<()> {
         if let Some(dir) = &self.dir {
-            self.catalog.save(&dir.join("catalog"))?;
+            catalog.save(&self.disk, &dir.join("catalog"))?;
         }
         Ok(())
     }
@@ -578,15 +629,20 @@ impl Database {
             .expect("catalog and stores in sync");
         if let Err(e) = rel.table_mut().apply_validated(tx_time, ops) {
             // The transaction validated but the physical apply failed
-            // (an I/O fault in the heap/pager path).  The record is
+            // (an injected fault in the heap path).  The record is
             // already in the log; roll it back so the database never
-            // resurrects at reopen a commit it reported as failed.
+            // resurrects at reopen a commit it reported as failed.  A
+            // commit that failed after changing the table stays
+            // `PartlyApplied`, which poisons the engine.
             if let (Some(wal), Some(len)) = (&self.wal, wal_len_before) {
                 let _ = wal.lock().truncate_to(len);
             }
-            return Err(DbError::Storage(chronos_storage::StorageError::Corrupt(
-                format!("commit apply failed after write-ahead (log rolled back): {e}"),
-            )));
+            return Err(DbError::Storage(match e {
+                StorageError::PartlyApplied(_) => e,
+                e => StorageError::Corrupt(format!(
+                    "commit apply failed after write-ahead (log rolled back): {e}"
+                )),
+            }));
         }
         recorder.count(|m| &m.commits);
         recorder.record_latency(|m| &m.commit_latency, started.elapsed().as_nanos() as u64);
@@ -703,25 +759,17 @@ impl Database {
                 tx,
             });
         }
-        let mut relation = Relation::from_rows(
-            schema.clone(),
+        let relation = Relation::from_rows(
+            schema,
             class,
             result.signature,
             rows,
             commits.last().copied(),
             commits.len(),
         )?;
-        self.catalog
-            .define(name, schema, class, result.signature)
-            .map_err(DbError::Catalog)?;
-        relation.set_recorder(Arc::clone(&self.recorder));
-        self.relations.insert(name.to_string(), relation);
-        self.persist_catalog()?;
-        // Derived timestamps aren't reproducible from the log; capture
-        // them (and everything else) in a checkpoint right away.
-        if self.is_durable() {
-            self.checkpoint()?;
-        }
+        // Derived timestamps aren't reproducible from the log; a
+        // checkpoint captures them (and everything else) right away.
+        self.define(name, relation, true)?;
         self.record_catalog_sample(self.txn.peek_now());
         Ok(())
     }

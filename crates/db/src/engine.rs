@@ -47,7 +47,10 @@
 //! back but the in-memory state already applied them: the engine
 //! poisons itself — every later submission is refused with the
 //! original error and the process must reopen the database, which
-//! replays exactly the durable prefix.
+//! replays exactly the durable prefix.  A commit that fails after it
+//! changed its table (`StorageError::PartlyApplied`) poisons the engine
+//! the same way: its frame is rolled back, the rest of its batch is
+//! refused, and no checkpoint runs.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
@@ -59,6 +62,7 @@ use chronos_core::chronon::Chronon;
 use chronos_core::period::Period;
 use chronos_core::relation::HistoricalOp;
 use chronos_obs::trace::Recorder;
+use chronos_storage::StorageError;
 use chronos_tquel::provider::{AccessRequest, AsOfSpec, RelationInfo, RelationProvider, SourceRow};
 use chronos_tquel::TquelResult;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
@@ -298,9 +302,7 @@ impl Core {
         let mut stalled = false;
         loop {
             if let Some(msg) = &st.poisoned {
-                return Err(DbError::Service(format!(
-                    "engine poisoned by a durability failure ({msg}); reopen required"
-                )));
+                return Err(poisoned(msg));
             }
             if st.stopping {
                 return Err(DbError::Service("write service is shut down".into()));
@@ -408,6 +410,9 @@ impl Core {
             Vec::with_capacity(batch.len());
         let mut applied = 0u64;
         let mut max_tx: Option<Chronon> = None;
+        // Set when a commit failed after it had changed its table: the
+        // rest of the batch is refused and the engine poisons itself.
+        let mut torn: Option<String> = None;
         let wal = {
             let lock_started = Instant::now();
             let mut db = self.db.write();
@@ -430,10 +435,19 @@ impl Core {
                 // A failed statement (validation, unknown relation)
                 // rolls back its own staged frame inside the
                 // database; the rest of the batch is unaffected.
-                let result = db.commit_unsynced(&relation, &ops);
-                if let Ok(t) = &result {
-                    applied += 1;
-                    max_tx = Some(max_tx.map_or(*t, |m: Chronon| m.max(*t)));
+                let result = match &torn {
+                    Some(msg) => Err(poisoned(msg)),
+                    None => db.commit_unsynced(&relation, &ops),
+                };
+                match &result {
+                    Ok(t) => {
+                        applied += 1;
+                        max_tx = Some(max_tx.map_or(*t, |m: Chronon| m.max(*t)));
+                    }
+                    Err(e @ DbError::Storage(StorageError::PartlyApplied(_))) => {
+                        torn = Some(e.to_string());
+                    }
+                    Err(_) => {}
                 }
                 acks.push((reply, result));
             }
@@ -473,16 +487,22 @@ impl Core {
                             .count_n(|m| &m.group_fsyncs_saved, applied - 1);
                     }
                 }
+                if let Some(msg) = &torn {
+                    // Part of a commit is applied in memory and nowhere
+                    // in the log: refuse all further work before anyone
+                    // hears back, and write no checkpoint.
+                    self.poison(msg.clone());
+                }
                 let ack_started = Instant::now();
                 for (reply, result) in acks {
                     let _ = reply.send(result);
                 }
                 self.recorder
                     .record_latency(|m| &m.commit_ack, ack_started.elapsed().as_nanos() as u64);
-                // The checkpoint policy runs here, the way an exclusive
-                // request runs: alone, after the acks, with the batch's
-                // fsync on disk.
-                if applied > 0 && self.db.read().log_outgrew_checkpoint() {
+                if torn.is_none() && applied > 0 && self.db.read().log_outgrew_checkpoint() {
+                    // The checkpoint policy runs here, the way an
+                    // exclusive request runs: alone, after the acks,
+                    // with the batch's fsync on disk.
                     self.db.write().checkpoint_for_log();
                 }
             }
@@ -490,11 +510,7 @@ impl Core {
                 // The staged frames are gone from the log but applied
                 // in memory: refuse all further work.
                 let msg = e.to_string();
-                {
-                    let mut st = self.state.lock().expect("writer state poisoned");
-                    st.poisoned = Some(msg.clone());
-                }
-                self.cond.notify_all();
+                self.poison(msg.clone());
                 for (reply, result) in acks {
                     let _ = reply.send(match result {
                         Ok(_) => Err(DbError::Service(format!(
@@ -506,6 +522,20 @@ impl Core {
             }
         }
     }
+
+    /// Refuses every later submission: the in-memory state holds what
+    /// the log does not, and only a reopen replays the durable truth.
+    fn poison(&self, msg: String) {
+        self.state.lock().expect("writer state poisoned").poisoned = Some(msg);
+        self.cond.notify_all();
+    }
+}
+
+/// The error a poisoned engine answers every submission with.
+fn poisoned(msg: &str) -> DbError {
+    DbError::Service(format!(
+        "engine poisoned by a durability failure ({msg}); reopen required"
+    ))
 }
 
 /// A [`RelationProvider`] view of the core clamped to a snapshot pin —

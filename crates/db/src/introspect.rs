@@ -58,7 +58,7 @@ use chronos_core::tuple::Tuple;
 use chronos_core::value::{AttrType, Value};
 use chronos_obs::events::escape_json;
 use chronos_obs::export::Health;
-use chronos_obs::{EventJournal, QueryFingerprints, Reading, Recorder, SlowLog};
+use chronos_obs::{Disk, EventJournal, QueryFingerprints, Reading, Recorder, SlowLog};
 use chronos_tquel::provider::{AsOfSpec, RelationInfo, SourceRow};
 
 use crate::database::EngineStats;
@@ -387,7 +387,7 @@ pub struct TelemetryStore {
     pub(crate) tablestats: SampleRing<TableStatRow>,
     /// `sys$sessions`' past: every live session at each sample.
     pub(crate) sessions: SampleRing<SessionRow>,
-    spill_path: Mutex<Option<PathBuf>>,
+    spill: Mutex<Option<(Disk, PathBuf)>>,
     samples_taken: AtomicU64,
     samples_spilled: AtomicU64,
     sampler_running: AtomicBool,
@@ -407,7 +407,7 @@ impl TelemetryStore {
             catalog: SampleRing::new(capacity),
             tablestats: SampleRing::new(capacity),
             sessions: SampleRing::new(capacity),
-            spill_path: Mutex::new(None),
+            spill: Mutex::new(None),
             samples_taken: AtomicU64::new(0),
             samples_spilled: AtomicU64::new(0),
             sampler_running: AtomicBool::new(false),
@@ -415,10 +415,10 @@ impl TelemetryStore {
     }
 
     /// Enables JSONL spill: stat samples evicted from the ring are
-    /// appended to `path` (kept beside the WAL on durable databases)
-    /// instead of vanishing.
-    pub fn set_spill_path(&self, path: PathBuf) {
-        *self.spill_path.lock() = Some(path);
+    /// appended to `path` through `disk` (kept beside the WAL on
+    /// durable databases) instead of vanishing.
+    pub fn set_spill(&self, disk: Disk, path: PathBuf) {
+        *self.spill.lock() = Some((disk, path));
     }
 
     /// Marks the background sampler as running/stopped.
@@ -494,7 +494,7 @@ impl TelemetryStore {
     /// Appends an evicted sample to the spill file (best effort — the
     /// telemetry plane never fails an engine operation).
     fn spill(&self, (at, metrics): (Chronon, Vec<(String, i64)>)) {
-        let Some(path) = self.spill_path.lock().clone() else {
+        let Some((disk, path)) = self.spill.lock().clone() else {
             return;
         };
         let mut line = format!("{{\"at\": {}", at.ticks());
@@ -502,13 +502,8 @@ impl TelemetryStore {
             line.push_str(&format!(", \"{name}\": {value}"));
         }
         line.push_str("}\n");
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&path)
-        {
-            if f.write_all(line.as_bytes()).is_ok() {
+        if let Ok(mut f) = disk.open_append(&path) {
+            if f.append(line.as_bytes()).is_ok() {
                 self.samples_spilled.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1115,7 +1110,7 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         let store = TelemetryStore::new(2);
-        store.set_spill_path(path.clone());
+        store.set_spill(Disk::default(), path.clone());
         for i in 0..5 {
             store.record_stats(Chronon::new(i), &sample(i, i));
         }

@@ -29,11 +29,13 @@
 //! by the [`validate_json`] well-formedness validator (also used by the
 //! `check.sh` JSONL gate).
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::fault::{Disk, DiskFile};
 
 /// Default rotation threshold: 4 MiB per generation.
 pub const DEFAULT_JOURNAL_MAX_BYTES: u64 = 4 * 1024 * 1024;
@@ -114,7 +116,7 @@ pub fn escape_json(s: &str) -> String {
 }
 
 struct JournalInner {
-    file: File,
+    file: DiskFile,
     seq: u64,
     bytes: u64,
     rotations: u64,
@@ -136,6 +138,7 @@ pub struct JournalStats {
 
 /// Append-only JSONL journal of engine lifecycle events.
 pub struct EventJournal {
+    disk: Disk,
     path: PathBuf,
     max_bytes: u64,
     generations: usize,
@@ -145,20 +148,27 @@ pub struct EventJournal {
 
 impl EventJournal {
     /// Opens (appending to, creating if needed) the journal at `path`
-    /// with the default rotation threshold.
-    pub fn open(path: &Path) -> std::io::Result<EventJournal> {
-        Self::open_with_retention(path, DEFAULT_JOURNAL_MAX_BYTES, DEFAULT_JOURNAL_GENERATIONS)
+    /// with the default rotation threshold; every write goes through
+    /// `disk`.
+    pub fn open(disk: &Disk, path: &Path) -> std::io::Result<EventJournal> {
+        Self::open_with_retention(
+            disk,
+            path,
+            DEFAULT_JOURNAL_MAX_BYTES,
+            DEFAULT_JOURNAL_GENERATIONS,
+        )
     }
 
     /// Opens the journal with an explicit rotation threshold and number
     /// of rotated generations to retain (`<path>.1` .. `<path>.k`).
     pub fn open_with_retention(
+        disk: &Disk,
         path: &Path,
         max_bytes: u64,
         generations: usize,
     ) -> std::io::Result<EventJournal> {
-        let file = OpenOptions::new().append(true).create(true).open(path)?;
-        let bytes = file.metadata()?.len();
+        let file = disk.open_append(path)?;
+        let bytes = file.size()?;
         // `seq` is global across opens: resume after the newest line on
         // disk (the rotated `.1` holds it when the live file is empty).
         let seq = [path.to_path_buf(), generation_path(path, 1)]
@@ -166,6 +176,7 @@ impl EventJournal {
             .find_map(|p| last_seq(p))
             .map_or(0, |last| last + 1);
         Ok(EventJournal {
+            disk: disk.clone(),
             path: path.to_path_buf(),
             max_bytes: max_bytes.max(1),
             generations: generations.max(1),
@@ -209,7 +220,7 @@ impl EventJournal {
     /// that seq).  Write errors are swallowed.
     fn write_line(inner: &mut JournalInner, line: &str) {
         inner.seq += 1;
-        if inner.file.write_all(line.as_bytes()).is_ok() {
+        if inner.file.append(line.as_bytes()).is_ok() {
             inner.bytes += line.len() as u64;
         }
     }
@@ -218,11 +229,6 @@ impl EventJournal {
     /// is diagnostic, never a reason to fail the engine operation that
     /// emitted the event.
     pub fn emit(&self, event: &str, fields: &[(&str, EventValue)]) {
-        // An injected *error* here degrades to a dropped event — the
-        // same contract as a real journal write failure.
-        if crate::fault::crash_point("journal.emit").is_err() {
-            return;
-        }
         let ts_ns = self.origin.elapsed().as_nanos() as u64;
         let mut inner = self.inner.lock().unwrap();
         let line = Self::compose(inner.seq, ts_ns, event, fields);
@@ -257,14 +263,13 @@ impl EventJournal {
         for i in (1..self.generations).rev() {
             let from = generation_path(&self.path, i);
             if from.exists() {
-                std::fs::rename(&from, generation_path(&self.path, i + 1))?;
+                self.disk
+                    .rename(&from, &generation_path(&self.path, i + 1))?;
             }
         }
-        std::fs::rename(&self.path, generation_path(&self.path, 1))?;
-        inner.file = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&self.path)?;
+        self.disk
+            .rename(&self.path, &generation_path(&self.path, 1))?;
+        inner.file = self.disk.open_append(&self.path)?;
         inner.bytes = 0;
         Ok(())
     }
@@ -557,7 +562,7 @@ mod tests {
     #[test]
     fn every_emitted_line_is_well_formed_json() {
         let path = temp_path("wellformed");
-        let j = EventJournal::open(&path).unwrap();
+        let j = EventJournal::open(&Disk::default(), &path).unwrap();
         j.emit("recovery", &[("frames_replayed", 3u64.into())]);
         j.emit(
             "slow_query",
@@ -588,7 +593,7 @@ mod tests {
     #[test]
     fn seq_and_ts_are_monotonic() {
         let path = temp_path("monotonic");
-        let j = EventJournal::open(&path).unwrap();
+        let j = EventJournal::open(&Disk::default(), &path).unwrap();
         for _ in 0..5 {
             j.emit("tick", &[]);
         }
@@ -614,7 +619,13 @@ mod tests {
     #[test]
     fn rotation_by_size_keeps_two_generations_and_global_seq() {
         let path = temp_path("rotate");
-        let j = EventJournal::open_with_retention(&path, 256, DEFAULT_JOURNAL_GENERATIONS).unwrap();
+        let j = EventJournal::open_with_retention(
+            &Disk::default(),
+            &path,
+            256,
+            DEFAULT_JOURNAL_GENERATIONS,
+        )
+        .unwrap();
         for i in 0..40 {
             j.emit("fill", &[("i", (i as u64).into())]);
         }
@@ -652,7 +663,7 @@ mod tests {
             p.push(format!(".{i}"));
             let _ = std::fs::remove_file(PathBuf::from(p));
         }
-        let j = EventJournal::open_with_retention(&path, 128, 3).unwrap();
+        let j = EventJournal::open_with_retention(&Disk::default(), &path, 128, 3).unwrap();
         for i in 0..120 {
             j.emit("fill", &[("i", (i as u64).into())]);
         }

@@ -1,395 +1,468 @@
-//! Deterministic fault injection for the storage stack.
+//! The durable-file handle: every write a database makes to its
+//! directory goes through one [`Disk`], and so does the fault plan a
+//! test gives it.
 //!
-//! Durability claims are only as good as the crash schedule they were
-//! tested under.  This module gives the engine a *deterministic* one: a
-//! [`StorageFaults`] plan installed process-globally decides, for each
-//! named **crash site** the storage and recovery code passes through,
-//! whether execution proceeds, unwinds with an injected I/O error,
-//! tears a write short, or kills the process on the spot (exit code
-//! [`CRASH_EXIT_CODE`], so a torture harness can tell an injected crash
-//! from a genuine panic).
+//! A [`Disk`] performs eight kinds of operation ([`OpKind`]): create,
+//! append, write, sync, rename, sync-dir, truncate and remove.  The WAL,
+//! the checkpoint and catalog replacement, the event journal and the
+//! telemetry spill use nothing else to change a file.  Reads go to the
+//! file system directly: a power cut can lose writes, not reads.
 //!
-//! The registry lives in `chronos-obs` because it is the one crate
-//! every layer already depends on and it depends on nothing; the
-//! storage crate re-exports it as `chronos_storage::fault`.
+//! The default handle is plain: each call is the system call and one
+//! branch.  [`Disk::recording`] makes a handle that also records every
+//! operation it performs ([`Disk::ops`]), in the order the file system
+//! saw them, so a checker can replay the log into the disk states a
+//! power cut may leave.  [`Disk::inject`] arms a [`Fault`] on such a
+//! handle: fail the *n*-th operation of one kind on one file, once,
+//! from then on, or as a crash, after which the handle fails every call
+//! and changes nothing.  The plan belongs to the handle, and the handle
+//! to one database: no two databases share one.
 //!
-//! Design constraints:
-//!
-//! * **Zero cost when disarmed.**  Every site starts with one relaxed
-//!   atomic load; production binaries never take the slow path.
-//! * **Deterministic.**  Sites are hit in program order; the plan keys
-//!   on `(site, per-site hit count)`, so "fail the 3rd WAL append" is
-//!   reproducible byte-for-byte.
-//! * **Cross-process.**  [`arm_from_env`] arms a plan from
-//!   `CHRONOS_FAULT_*` environment variables, which is how the torture
-//!   harness injects crashes into spawned child processes.
-//!
-//! The catalog of sites the engine declares is [`CRASH_SITES`]; the
-//! fault matrix (`tests/fault_matrix.rs`)
-//! iterates over it and verifies workload → crash → recover → verify
-//! for every entry.
+//! The same plan can fail an in-memory step of a commit
+//! ([`Disk::unwind_point`]): nothing on disk, but the error paths of an
+//! apply need a way in too.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Exit code used for injected crashes, distinguishable from panics
-/// (101) and clean exits (0).
-pub const CRASH_EXIT_CODE: i32 = 86;
+/// The kinds of operation a [`Disk`] performs, plus the in-memory
+/// [`Unwind`](OpKind::Unwind) points a fault may name.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
+pub enum OpKind {
+    /// Opens a file for appending, creating it empty if absent.
+    Create,
+    /// Appends bytes to an open file.
+    Append,
+    /// Replaces a file's content (created if absent).
+    Write,
+    /// Flushes a file's data to stable storage.
+    Sync,
+    /// Renames a file (the fault key is the destination).
+    Rename,
+    /// Flushes a directory's entries to stable storage.
+    SyncDir,
+    /// Cuts a file to a length.
+    Truncate,
+    /// Removes a file.
+    Remove,
+    /// An in-memory step of a commit (the fault key is its name).
+    Unwind,
+}
 
-/// Every named crash site the engine declares, with the module that
-/// hosts it.  The fault matrix iterates this list; adding a site here
-/// without wiring `crash_point`/`write_decision` at the matching code
-/// path makes the matrix fail (the child completes without crashing).
-pub const CRASH_SITES: &[(&str, &str)] = &[
-    ("wal.append.pre_frame", "storage/wal.rs"),
-    ("wal.append.frame", "storage/wal.rs"),
-    ("wal.group_sync.pre", "storage/wal.rs"),
-    ("wal.group_fsync", "storage/wal.rs"),
-    ("wal.group_sync.post", "storage/wal.rs"),
-    ("wal.reset.pre_truncate", "storage/wal.rs"),
-    ("wal.reset.post_truncate", "storage/wal.rs"),
-    ("pager.read.miss", "storage/pager.rs"),
-    ("pager.allocate", "storage/pager.rs"),
-    ("heap.insert", "storage/heap.rs"),
-    ("table.commit.apply", "storage/table.rs"),
-    ("segment.write", "storage/segment.rs"),
-    ("segment.rename", "storage/segment.rs"),
-    ("segment.mmap_open", "storage/segment.rs"),
-    ("checkpoint.save.pre_write", "db/checkpoint.rs"),
-    ("checkpoint.save.pre_rename", "db/checkpoint.rs"),
-    ("checkpoint.save.post_rename", "db/checkpoint.rs"),
-    ("journal.emit", "obs/events.rs"),
-];
+/// One operation a recording [`Disk`] performed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Op {
+    Create(PathBuf),
+    Append(PathBuf, Vec<u8>),
+    Write(PathBuf, Vec<u8>),
+    Sync(PathBuf),
+    Rename(PathBuf, PathBuf),
+    SyncDir(PathBuf),
+    Truncate(PathBuf, u64),
+    Remove(PathBuf),
+}
 
-/// What happens when execution reaches an armed crash site.
+impl Op {
+    /// The operation's kind.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            Op::Create(_) => OpKind::Create,
+            Op::Append(..) => OpKind::Append,
+            Op::Write(..) => OpKind::Write,
+            Op::Sync(_) => OpKind::Sync,
+            Op::Rename(..) => OpKind::Rename,
+            Op::SyncDir(_) => OpKind::SyncDir,
+            Op::Truncate(..) => OpKind::Truncate,
+            Op::Remove(_) => OpKind::Remove,
+        }
+    }
+
+    /// The path a fault names the operation by: a rename's destination,
+    /// every other operation's one path.
+    pub fn path(&self) -> &Path {
+        match self {
+            Op::Create(p)
+            | Op::Append(p, _)
+            | Op::Write(p, _)
+            | Op::Sync(p)
+            | Op::SyncDir(p)
+            | Op::Truncate(p, _)
+            | Op::Remove(p)
+            | Op::Rename(_, p) => p,
+        }
+    }
+}
+
+/// The last component of `path`: the name a fault matches.
+pub fn file_name(path: &Path) -> &str {
+    path.file_name().and_then(|n| n.to_str()).unwrap_or("")
+}
+
+/// What a fault does once its operation comes round.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultAction {
-    /// Nothing: the site is not (yet) the one being faulted.
-    Proceed,
-    /// Unwind with an injected I/O error.
-    Error,
-    /// Kill the process immediately with [`CRASH_EXIT_CODE`].
+enum Effect {
+    /// Fail that one operation.
+    Once,
+    /// Fail it and every later one of its kind on its file.
+    Lasting,
+    /// Fail it and every later call of any kind: the process is gone.
     Crash,
-    /// For write sites only: persist the first `keep` bytes of the
-    /// buffer, then crash (or unwind, when `unwind` is set) — a torn
-    /// write.
-    Torn { keep: usize, unwind: bool },
 }
 
-/// A fault schedule: asked once per site execution, in program order.
-pub trait StorageFaults: Send + Sync {
-    /// Decides the fate of the `hit`-th (1-based) execution of `site`.
-    /// `len` is the buffer length at write sites, 0 elsewhere.
-    fn decide(&self, site: &str, hit: u64, len: usize) -> FaultAction;
-}
-
-/// The common plan: fault one site on its Nth hit.
+/// Fail the `nth` (1-based, counted from [`Disk::inject`]) operation of
+/// `kind` on the file named `file`.
 #[derive(Clone, Debug)]
-pub struct FaultPlan {
-    /// The site to fault (must match a [`CRASH_SITES`] name).
-    pub site: String,
-    /// 1-based hit number to fault on.
-    pub hit: u64,
-    /// `Some(k)`: tear the write after `k` bytes (write sites only).
-    pub torn_keep: Option<usize>,
-    /// `true`: unwind with an error instead of killing the process.
-    pub unwind: bool,
+pub struct Fault {
+    kind: OpKind,
+    file: String,
+    nth: u64,
+    effect: Effect,
+    seen: u64,
 }
 
-impl FaultPlan {
-    /// A plan that kills the process at the `hit`-th execution of `site`.
-    pub fn crash_at(site: &str, hit: u64) -> FaultPlan {
-        FaultPlan {
-            site: site.to_string(),
-            hit,
-            torn_keep: None,
-            unwind: false,
+impl Fault {
+    fn new(kind: OpKind, file: &str, nth: u64, effect: Effect) -> Fault {
+        Fault {
+            kind,
+            file: file.to_string(),
+            nth,
+            effect,
+            seen: 0,
         }
     }
 
-    /// A plan that injects an I/O error at the `hit`-th execution of
-    /// `site` instead of crashing.
-    pub fn error_at(site: &str, hit: u64) -> FaultPlan {
-        FaultPlan {
-            site: site.to_string(),
-            hit,
-            torn_keep: None,
-            unwind: true,
+    /// Fails that one operation with an injected error.
+    pub fn error(kind: OpKind, file: &str, nth: u64) -> Fault {
+        Fault::new(kind, file, nth, Effect::Once)
+    }
+
+    /// Fails that operation and every later one of its kind on its file,
+    /// as a full disk would.
+    pub fn lasting(kind: OpKind, file: &str, nth: u64) -> Fault {
+        Fault::new(kind, file, nth, Effect::Lasting)
+    }
+
+    /// Crashes at that operation: it and every later call fail, and
+    /// none of them changes anything.
+    pub fn crash(kind: OpKind, file: &str, nth: u64) -> Fault {
+        Fault::new(kind, file, nth, Effect::Crash)
+    }
+}
+
+#[derive(Default)]
+struct Plan {
+    faults: Vec<Fault>,
+    crashed: bool,
+    ops: Vec<Op>,
+}
+
+impl Plan {
+    /// Counts the operation against every armed fault; an error when
+    /// one fires or the disk has crashed.
+    fn admit(&mut self, kind: OpKind, name: &str) -> io::Result<()> {
+        if self.crashed {
+            return Err(io::Error::other(format!(
+                "injected crash: {kind:?} on {name} after the disk went away"
+            )));
+        }
+        let mut fired = None;
+        for f in self.faults.iter_mut() {
+            if f.kind == kind && f.file == name {
+                f.seen += 1;
+                if f.seen == f.nth || (f.effect == Effect::Lasting && f.seen > f.nth) {
+                    fired = Some(f.effect);
+                }
+            }
+        }
+        match fired {
+            None => Ok(()),
+            Some(effect) => {
+                self.crashed = effect == Effect::Crash;
+                Err(io::Error::other(format!(
+                    "injected fault: {kind:?} on {name}"
+                )))
+            }
         }
     }
 }
 
-impl StorageFaults for FaultPlan {
-    fn decide(&self, site: &str, hit: u64, len: usize) -> FaultAction {
-        if site != self.site || hit != self.hit {
-            return FaultAction::Proceed;
-        }
-        match self.torn_keep {
-            Some(keep) => FaultAction::Torn {
-                keep: keep.min(len),
-                unwind: self.unwind,
-            },
-            None if self.unwind => FaultAction::Error,
-            None => FaultAction::Crash,
+/// A database's handle on its directory (see the module docs).  Clones
+/// share one plan.
+#[derive(Clone, Default)]
+pub struct Disk {
+    plan: Option<Arc<Mutex<Plan>>>,
+}
+
+impl Disk {
+    /// A handle that records every operation and accepts faults.
+    pub fn recording() -> Disk {
+        Disk {
+            plan: Some(Arc::default()),
         }
     }
-}
 
-struct Registry {
-    plan: Option<Arc<dyn StorageFaults>>,
-    hits: HashMap<String, u64>,
-}
+    fn plan(&self) -> Option<MutexGuard<'_, Plan>> {
+        let plan = self.plan.as_ref()?;
+        Some(plan.lock().unwrap_or_else(PoisonError::into_inner))
+    }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+    /// Arms `fault`; its count starts now.
+    ///
+    /// # Panics
+    ///
+    /// On a plain handle, which carries no plan.
+    pub fn inject(&self, fault: Fault) {
+        self.plan()
+            .expect("faults need a recording disk")
+            .faults
+            .push(fault);
+    }
 
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        Mutex::new(Registry {
-            plan: None,
-            hits: HashMap::new(),
+    /// The operations performed so far, in order (none on a plain
+    /// handle).
+    pub fn ops(&self) -> Vec<Op> {
+        self.plan().map_or_else(Vec::new, |p| p.ops.clone())
+    }
+
+    /// How many operations have been performed so far.
+    pub fn op_count(&self) -> usize {
+        self.plan().map_or(0, |p| p.ops.len())
+    }
+
+    /// Runs `act` as one operation: admitted by the plan, then
+    /// performed, then recorded — all under the plan's lock, so the
+    /// record is the order the file system saw.
+    fn run<T>(
+        &self,
+        kind: OpKind,
+        path: &Path,
+        record: impl FnOnce() -> Op,
+        act: impl FnOnce() -> io::Result<T>,
+    ) -> io::Result<T> {
+        let Some(mut plan) = self.plan() else {
+            return act();
+        };
+        plan.admit(kind, file_name(path))?;
+        let out = act()?;
+        plan.ops.push(record());
+        Ok(out)
+    }
+
+    /// An in-memory step named `site` that a fault may fail.
+    pub fn unwind_point(&self, site: &str) -> io::Result<()> {
+        match self.plan() {
+            Some(mut plan) => plan.admit(OpKind::Unwind, site),
+            None => Ok(()),
+        }
+    }
+
+    /// Opens `path` for appending, creating it empty if absent.
+    pub fn open_append(&self, path: &Path) -> io::Result<DiskFile> {
+        let file = self.run(
+            OpKind::Create,
+            path,
+            || Op::Create(path.to_path_buf()),
+            || OpenOptions::new().append(true).create(true).open(path),
+        )?;
+        Ok(DiskFile {
+            file,
+            path: path.to_path_buf(),
+            disk: self.clone(),
         })
-    })
-}
-
-/// Installs a fault plan (replacing any previous one) and resets the
-/// per-site hit counters.
-pub fn install(plan: Arc<dyn StorageFaults>) {
-    let mut reg = registry().lock().expect("fault registry poisoned");
-    reg.plan = Some(plan);
-    reg.hits.clear();
-    ARMED.store(true, Ordering::SeqCst);
-}
-
-/// Removes the installed plan; every site reverts to zero-cost
-/// pass-through.
-pub fn clear() {
-    let mut reg = registry().lock().expect("fault registry poisoned");
-    reg.plan = None;
-    reg.hits.clear();
-    ARMED.store(false, Ordering::SeqCst);
-}
-
-/// True while a plan is installed.
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-fn decide(site: &str, len: usize) -> FaultAction {
-    let mut reg = registry().lock().expect("fault registry poisoned");
-    let Some(plan) = reg.plan.clone() else {
-        return FaultAction::Proceed;
-    };
-    let hit = reg.hits.entry(site.to_string()).or_insert(0);
-    *hit += 1;
-    let hit = *hit;
-    drop(reg);
-    plan.decide(site, hit, len)
-}
-
-/// The injected error returned by unwinding faults; recognizable by
-/// its message prefix.
-pub fn injected_error(site: &str) -> std::io::Error {
-    std::io::Error::other(format!("injected fault at {site}"))
-}
-
-/// Kills the process the way an injected crash does, after announcing
-/// the site on stderr (the torture harness greps for this line).
-pub fn crash_now(site: &str) -> ! {
-    eprintln!("chronos-fault: crashing at site {site}");
-    std::process::exit(CRASH_EXIT_CODE);
-}
-
-/// A non-write crash site.  Returns `Ok(())` when disarmed or when the
-/// plan lets this hit proceed; never returns on [`FaultAction::Crash`].
-pub fn crash_point(site: &str) -> std::io::Result<()> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return Ok(());
     }
-    match decide(site, 0) {
-        FaultAction::Proceed => Ok(()),
-        // A torn action at a non-write site degrades to an error/crash.
-        FaultAction::Error | FaultAction::Torn { unwind: true, .. } => Err(injected_error(site)),
-        FaultAction::Crash | FaultAction::Torn { unwind: false, .. } => crash_now(site),
+
+    /// Replaces the content of `path` with `bytes` (no sync).
+    pub fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.run(
+            OpKind::Write,
+            path,
+            || Op::Write(path.to_path_buf(), bytes.to_vec()),
+            || File::create(path)?.write_all(bytes),
+        )
+    }
+
+    /// Flushes the file at `path` to stable storage.
+    pub fn sync(&self, path: &Path) -> io::Result<()> {
+        self.run(
+            OpKind::Sync,
+            path,
+            || Op::Sync(path.to_path_buf()),
+            || File::open(path)?.sync_all(),
+        )
+    }
+
+    /// Renames `from` to `to`, replacing `to`.
+    pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.run(
+            OpKind::Rename,
+            to,
+            || Op::Rename(from.to_path_buf(), to.to_path_buf()),
+            || std::fs::rename(from, to),
+        )
+    }
+
+    /// Flushes the entries of directory `dir` (creations, renames,
+    /// removals) to stable storage.
+    pub fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.run(
+            OpKind::SyncDir,
+            dir,
+            || Op::SyncDir(dir.to_path_buf()),
+            || File::open(dir)?.sync_all(),
+        )
+    }
+
+    /// Removes the file at `path`.
+    pub fn remove(&self, path: &Path) -> io::Result<()> {
+        self.run(
+            OpKind::Remove,
+            path,
+            || Op::Remove(path.to_path_buf()),
+            || std::fs::remove_file(path),
+        )
     }
 }
 
-/// Peeks whether the *next* execution of `site` would kill the process
-/// (as opposed to proceeding or unwinding).  Does **not** consume a
-/// hit.  This lets a site that has staged unsynced bytes model a power
-/// cut — dropping the staged bytes from the file — before the
-/// subsequent [`crash_point`] fires, the same way torn-write sites
-/// persist their tear before dying.
-pub fn crash_imminent(site: &str) -> bool {
-    if !ARMED.load(Ordering::Relaxed) {
-        return false;
-    }
-    let reg = registry().lock().expect("fault registry poisoned");
-    let Some(plan) = reg.plan.clone() else {
-        return false;
-    };
-    let next_hit = reg.hits.get(site).copied().unwrap_or(0) + 1;
-    drop(reg);
-    matches!(
-        plan.decide(site, next_hit, 0),
-        FaultAction::Crash | FaultAction::Torn { unwind: false, .. }
-    )
+/// A file a [`Disk`] opened for appending; its writes go through the
+/// same handle.
+pub struct DiskFile {
+    file: File,
+    path: PathBuf,
+    disk: Disk,
 }
 
-/// The fate of a buffer about to be written at a write site.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IoFault {
-    /// Write the whole buffer, as normal.
-    Full,
-    /// Write only the first `keep` bytes, then crash (`unwind` false)
-    /// or return [`injected_error`] (`unwind` true).  The caller is
-    /// responsible for persisting the partial bytes *before* invoking
-    /// the aftermath, so the tear is actually on disk.
-    Torn { keep: usize, unwind: bool },
-}
+impl DiskFile {
+    /// The file's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
 
-/// A write crash site: decides whether the `len`-byte buffer about to
-/// be written is written whole, torn, or not at all.
-pub fn write_decision(site: &str, len: usize) -> std::io::Result<IoFault> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return Ok(IoFault::Full);
+    /// The file's length on the file system.
+    pub fn size(&self) -> io::Result<u64> {
+        Ok(self.file.metadata()?.len())
     }
-    match decide(site, len) {
-        FaultAction::Proceed => Ok(IoFault::Full),
-        FaultAction::Error => Err(injected_error(site)),
-        FaultAction::Crash => crash_now(site),
-        FaultAction::Torn { keep, unwind } => Ok(IoFault::Torn {
-            keep: keep.min(len),
-            unwind,
-        }),
-    }
-}
 
-/// Arms a [`FaultPlan`] from the environment, for fault injection into
-/// spawned processes:
-///
-/// * `CHRONOS_FAULT_SITE` — site name (required; absent means no-op);
-/// * `CHRONOS_FAULT_HIT` — 1-based hit number (default 1);
-/// * `CHRONOS_FAULT_MODE` — `crash` (default) or `error`;
-/// * `CHRONOS_FAULT_KEEP` — torn-write byte count (write sites).
-///
-/// Returns `true` when a plan was installed.
-pub fn arm_from_env() -> bool {
-    let Ok(site) = std::env::var("CHRONOS_FAULT_SITE") else {
-        return false;
-    };
-    if site.is_empty() {
-        return false;
+    /// Appends `bytes` (no sync).
+    pub fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let file = &mut self.file;
+        self.disk.run(
+            OpKind::Append,
+            &self.path,
+            || Op::Append(self.path.clone(), bytes.to_vec()),
+            || file.write_all(bytes),
+        )
     }
-    let hit = std::env::var("CHRONOS_FAULT_HIT")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(1);
-    let unwind = matches!(
-        std::env::var("CHRONOS_FAULT_MODE").as_deref(),
-        Ok("error") | Ok("unwind")
-    );
-    let torn_keep = std::env::var("CHRONOS_FAULT_KEEP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok());
-    install(Arc::new(FaultPlan {
-        site,
-        hit,
-        torn_keep,
-        unwind,
-    }));
-    true
+
+    /// Flushes the file's data to stable storage.
+    pub fn sync(&self) -> io::Result<()> {
+        self.disk.run(
+            OpKind::Sync,
+            &self.path,
+            || Op::Sync(self.path.clone()),
+            || self.file.sync_data(),
+        )
+    }
+
+    /// Cuts the file to `len` bytes (no sync).
+    pub fn truncate(&mut self, len: u64) -> io::Result<()> {
+        let file = &self.file;
+        self.disk.run(
+            OpKind::Truncate,
+            &self.path,
+            || Op::Truncate(self.path.clone(), len),
+            || file.set_len(len),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The registry is process-global; serialize the tests that arm it.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("chronos-disk-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn disarmed_sites_pass_through() {
-        let _g = guard();
-        clear();
-        assert!(crash_point("wal.append.pre_frame").is_ok());
-        assert_eq!(
-            write_decision("wal.append.frame", 64).unwrap(),
-            IoFault::Full
-        );
+        let dir = scratch("plain");
+        let disk = Disk::default();
+        let mut f = disk.open_append(&dir.join("log")).unwrap();
+        f.append(b"abc").unwrap();
+        f.sync().unwrap();
+        disk.unwind_point("heap.insert").unwrap();
+        assert_eq!(std::fs::read(dir.join("log")).unwrap(), b"abc");
+        assert!(disk.ops().is_empty(), "a plain handle records nothing");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn error_plan_fires_on_exact_hit_only() {
-        let _g = guard();
-        install(Arc::new(FaultPlan::error_at("heap.insert", 3)));
-        assert!(crash_point("heap.insert").is_ok());
-        assert!(crash_point("heap.insert").is_ok());
-        let err = crash_point("heap.insert").unwrap_err();
-        assert!(err.to_string().contains("injected fault at heap.insert"));
-        // Other sites and later hits are untouched.
-        assert!(crash_point("heap.insert").is_ok());
-        assert!(crash_point("pager.allocate").is_ok());
-        clear();
-    }
-
-    #[test]
-    fn torn_write_keeps_prefix_and_unwinds() {
-        let _g = guard();
-        install(Arc::new(FaultPlan {
-            site: "wal.append.frame".into(),
-            hit: 1,
-            torn_keep: Some(5),
-            unwind: true,
-        }));
-        match write_decision("wal.append.frame", 64).unwrap() {
-            IoFault::Torn { keep, unwind } => {
-                assert_eq!(keep, 5);
-                assert!(unwind);
-            }
-            other => panic!("expected torn, got {other:?}"),
-        }
-        clear();
+        let dir = scratch("error");
+        let disk = Disk::recording();
+        let mut f = disk.open_append(&dir.join("log")).unwrap();
+        disk.inject(Fault::error(OpKind::Append, "log", 2));
+        f.append(b"a").unwrap();
+        let err = f.append(b"b").unwrap_err();
+        assert_eq!(err.to_string(), "injected fault: Append on log");
+        // Later hits, other kinds and other files are untouched.
+        f.append(b"c").unwrap();
+        f.sync().unwrap();
+        disk.open_append(&dir.join("other"))
+            .unwrap()
+            .append(b"x")
+            .unwrap();
+        assert_eq!(std::fs::read(dir.join("log")).unwrap(), b"ac");
+        let path = dir.join("log");
+        assert_eq!(
+            disk.ops()[..4],
+            [
+                Op::Create(path.clone()),
+                Op::Append(path.clone(), b"a".to_vec()),
+                Op::Append(path.clone(), b"c".to_vec()),
+                Op::Sync(path),
+            ],
+            "the failed append is not recorded"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reinstall_resets_hit_counters() {
-        let _g = guard();
-        install(Arc::new(FaultPlan::error_at("pager.read.miss", 1)));
-        assert!(crash_point("pager.read.miss").is_err());
-        install(Arc::new(FaultPlan::error_at("pager.read.miss", 1)));
-        assert!(crash_point("pager.read.miss").is_err());
-        clear();
-        assert!(crash_point("pager.read.miss").is_ok());
+        let disk = Disk::recording();
+        disk.inject(Fault::error(OpKind::Unwind, "heap.insert", 1));
+        assert!(disk.unwind_point("heap.insert").is_err());
+        assert!(disk.unwind_point("heap.insert").is_ok());
+        // A fault armed later counts from its own arming.
+        disk.inject(Fault::error(OpKind::Unwind, "heap.insert", 2));
+        assert!(disk.unwind_point("heap.insert").is_ok());
+        assert!(disk.unwind_point("heap.insert").is_err());
+        assert!(disk.unwind_point("heap.insert").is_ok());
     }
 
     #[test]
-    fn crash_imminent_peeks_without_consuming_a_hit() {
-        let _g = guard();
-        install(Arc::new(FaultPlan::crash_at("wal.group_fsync", 2)));
-        assert!(!crash_imminent("wal.group_fsync"), "next hit is 1, not 2");
-        assert!(crash_point("wal.group_fsync").is_ok()); // consumes hit 1
-        assert!(crash_imminent("wal.group_fsync"), "next hit would crash");
-        assert!(crash_imminent("wal.group_fsync"), "peek does not consume");
-        // Unwind plans are not imminent crashes.
-        install(Arc::new(FaultPlan::error_at("wal.group_fsync", 1)));
-        assert!(!crash_imminent("wal.group_fsync"));
-        clear();
-        assert!(!crash_imminent("wal.group_fsync"));
-    }
-
-    #[test]
-    fn catalog_names_are_unique_and_well_formed() {
-        let mut seen = std::collections::HashSet::new();
-        for (site, module) in CRASH_SITES {
-            assert!(seen.insert(*site), "duplicate site {site}");
-            assert!(site.split('.').count() >= 2, "site {site} not dotted");
-            assert!(module.ends_with(".rs"));
-        }
-        assert!(CRASH_SITES.len() >= 12);
+    fn a_lasting_fault_fails_every_later_hit_and_a_crash_every_call() {
+        let dir = scratch("crash");
+        let disk = Disk::recording();
+        disk.inject(Fault::lasting(OpKind::Write, "a.tmp", 2));
+        disk.write(&dir.join("a.tmp"), b"1").unwrap();
+        assert!(disk.write(&dir.join("a.tmp"), b"2").is_err());
+        assert!(disk.write(&dir.join("a.tmp"), b"3").is_err());
+        disk.write(&dir.join("b.tmp"), b"1").unwrap();
+        disk.inject(Fault::crash(OpKind::Rename, "b", 1));
+        assert!(disk.rename(&dir.join("b.tmp"), &dir.join("b")).is_err());
+        assert!(
+            disk.sync_dir(&dir).is_err(),
+            "a crashed disk fails every call"
+        );
+        assert!(disk.unwind_point("heap.insert").is_err());
+        assert!(dir.join("b.tmp").exists(), "and changes nothing");
+        assert_eq!(disk.op_count(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

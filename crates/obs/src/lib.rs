@@ -10,6 +10,9 @@
 //! recorder is a single relaxed load + branch per instrument call, so
 //! the hot paths stay byte-identical in behaviour — see the
 //! figure-regeneration smoke assertion in `figures.rs`.
+//!
+//! It also holds [`fault::Disk`], the per-database handle every durable
+//! write goes through, with the fault plan a test may give it.
 
 pub mod events;
 pub mod export;
@@ -23,6 +26,7 @@ pub use events::{
     parse_event_summary, validate_json, validate_jsonl, EventJournal, EventValue, JournalStats,
 };
 pub use export::{http_get, serve, Endpoint, Health, ObsServer, ObsSource};
+pub use fault::{Disk, DiskFile};
 pub use fingerprint::{FingerprintStats, QueryFingerprints};
 pub use metrics::{
     prometheus, Counter, Gauge, HistogramSnapshot, Instruments, LatencyHistogram, Metric,

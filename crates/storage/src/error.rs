@@ -43,6 +43,9 @@ pub enum StorageError {
     NoSuchRecord(String),
     /// A semantic error surfaced from the core relation model.
     Core(CoreError),
+    /// A commit failed after it had already changed the table: the
+    /// in-memory state holds part of a commit the log does not.
+    PartlyApplied(Box<StorageError>),
 }
 
 impl fmt::Display for StorageError {
@@ -67,6 +70,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::NoSuchRecord(m) => write!(f, "no such record: {m}"),
             StorageError::Core(e) => write!(f, "{e}"),
+            StorageError::PartlyApplied(e) => {
+                write!(f, "commit failed after it was partly applied: {e}")
+            }
         }
     }
 }

@@ -55,7 +55,6 @@ impl<S: PageStore> HeapFile<S> {
 
     /// Inserts a record, returning its id.
     pub fn insert(&mut self, data: &[u8]) -> StorageResult<RecordId> {
-        crate::fault::crash_point("heap.insert")?;
         if data.len() > MAX_RECORD {
             return Err(StorageError::Corrupt(format!(
                 "record of {} bytes exceeds page capacity {MAX_RECORD}",

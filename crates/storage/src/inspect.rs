@@ -5,6 +5,7 @@
 //! stop.  The inspector answers the forensic questions recovery throws
 //! away: *where* does the valid prefix end, *why* (torn tail vs. byte
 //! flip vs. undecodable payload), and what does each intact frame hold.
+//! Both walk the log with the one [`walk_frames`].
 //! It never opens a file for writing, so it is safe to point at a live
 //! or corrupted database directory.
 //!
@@ -178,10 +179,13 @@ fn frame_info(offset: u64, frame_len: u64, rec: &WalRecord) -> FrameInfo {
     info
 }
 
-/// Walks a WAL image frame by frame, validating lengths and checksums,
-/// without interpreting the records beyond op classification.
-pub fn scan_wal_bytes(data: &[u8]) -> WalScan {
-    let mut frames = Vec::new();
+/// The one WAL frame walker, behind both recovery and the inspector:
+/// hands each intact frame's offset, whole length (header included)
+/// and decoded record to `frame`, in file order, and returns where the
+/// intact prefix ends and what lies beyond it.  Each payload is checked
+/// and decoded once.  [`Wal::recover`](crate::wal::Wal::recover) keeps
+/// the records; [`scan_wal_bytes`] keeps a [`FrameInfo`] of each.
+pub fn walk_frames(data: &[u8], mut frame: impl FnMut(u64, u64, WalRecord)) -> (u64, TailState) {
     let mut pos = 0usize;
     let tail = loop {
         let remaining = data.len() - pos;
@@ -215,7 +219,7 @@ pub fn scan_wal_bytes(data: &[u8]) -> WalScan {
             };
         }
         match decode_record(payload) {
-            Ok(rec) => frames.push(frame_info(pos as u64, 8 + len as u64, &rec)),
+            Ok(rec) => frame(pos as u64, 8 + len as u64, rec),
             Err(e) => {
                 break TailState::Corrupt {
                     offset: pos as u64,
@@ -228,8 +232,18 @@ pub fn scan_wal_bytes(data: &[u8]) -> WalScan {
         }
         pos += 8 + len;
     };
+    (pos as u64, tail)
+}
+
+/// Walks a WAL image frame by frame, validating lengths and checksums,
+/// without interpreting the records beyond op classification.
+pub fn scan_wal_bytes(data: &[u8]) -> WalScan {
+    let mut frames = Vec::new();
+    let (valid_len, tail) = walk_frames(data, |offset, frame_len, rec| {
+        frames.push(frame_info(offset, frame_len, &rec));
+    });
     WalScan {
-        valid_len: pos as u64,
+        valid_len,
         total_len: data.len() as u64,
         frames,
         tail,
@@ -392,6 +406,25 @@ mod tests {
         assert_eq!(scan.frames.len(), recovered.records.len());
         assert_eq!(scan.valid_len, recovered.valid_len);
         assert!(scan.is_clean());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Recovery and the inspector walk the log once, the same way:
+    /// past a flipped byte they stop at the same frame.
+    #[test]
+    fn recovery_stops_where_the_scan_does() {
+        let recs = sample();
+        let mut data = image(&recs);
+        let second = frame_bytes(&recs[0]).len();
+        data[second + 10] ^= 0xFF;
+        let path =
+            std::env::temp_dir().join(format!("chronos-inspect-flip-{}", std::process::id()));
+        std::fs::write(&path, &data).unwrap();
+        let recovered = Wal::recover(&path).unwrap();
+        let scan = scan_wal_bytes(&data);
+        assert_eq!(recovered.records, &recs[..1]);
+        assert_eq!(recovered.valid_len, scan.valid_len);
+        assert_eq!(recovered.torn_bytes, scan.tail.bad_bytes());
         std::fs::remove_file(&path).unwrap();
     }
 

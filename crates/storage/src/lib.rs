@@ -27,9 +27,6 @@
 
 pub mod codec;
 pub mod error;
-/// Deterministic fault injection (re-exported from `chronos-obs` so
-/// storage call sites and the torture harness share one registry).
-pub use chronos_obs::fault;
 pub mod heap;
 pub mod index;
 pub mod inspect;

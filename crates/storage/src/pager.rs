@@ -243,7 +243,6 @@ impl<S: PageStore> BufferPool<S> {
 
     /// Appends a fresh page, returning its number.
     pub fn allocate(&self) -> StorageResult<u32> {
-        crate::fault::crash_point("pager.allocate")?;
         let mut inner = self.inner.lock();
         inner.store.allocate()
     }
@@ -278,7 +277,6 @@ impl<S: PageStore> PoolInner<S> {
             return Ok(());
         }
         self.misses += 1;
-        crate::fault::crash_point("pager.read.miss")?;
         if self.frames.len() >= self.capacity {
             self.evict_one()?;
         }

@@ -62,11 +62,10 @@
 //!
 //! Segments are a rebuildable physical cache, never the authority: the
 //! write-ahead log and checkpoint images alone reconstruct the full
-//! heap, so a crash at any of the three registered sites
-//! (`segment.write`, `segment.rename`, `segment.mmap_open`) loses
-//! nothing — the freeze simply re-triggers later.  Heap rows are only
-//! deleted *after* the segment is durable (`.tmp` + fsync + rename) and
-//! mapped.
+//! heap, so a crash or an error anywhere in a freeze loses nothing —
+//! the freeze simply re-triggers later, and `Database::open` purges
+//! segment files.  Heap rows are only deleted *after* the segment is
+//! durable (`.tmp` + fsync + rename) and mapped.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -280,9 +279,7 @@ pub struct FreezeReport {
 }
 
 /// Writes `rows` (all with finite transaction end) as a segment at
-/// `path`, durably: `.tmp` sibling, fsync, rename.  Crash sites
-/// `segment.write` and `segment.rename` bracket the two irreversible
-/// steps.
+/// `path`, durably: `.tmp` sibling, fsync, rename.
 pub fn write_segment(
     path: &Path,
     rel_id: u32,
@@ -406,14 +403,12 @@ pub fn write_segment(
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
 
-    crate::fault::crash_point("segment.write")?;
     let tmp = path.with_extension("seg.tmp");
     {
         let mut f = File::create(&tmp)?;
         std::io::Write::write_all(&mut f, &out)?;
         f.sync_all()?;
     }
-    crate::fault::crash_point("segment.rename")?;
     std::fs::rename(&tmp, path)?;
 
     Ok(FreezeReport {
@@ -692,11 +687,9 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Maps and validates the segment at `path`.  Crash site
-    /// `segment.mmap_open` guards the map call; a segment that fails
+    /// Maps and validates the segment at `path`; a segment that fails
     /// validation is never attached.
     pub fn open(path: &Path) -> StorageResult<Segment> {
-        crate::fault::crash_point("segment.mmap_open")?;
         let file = File::open(path)?;
         let len = file.metadata()?.len() as usize;
         let map = map::Map::of(&file, len)?;

@@ -6,10 +6,11 @@
 //! classes: a static, rollback or historical relation is this table with
 //! an axis pinned or hidden by the database layer and, for the classes
 //! without transaction time, superseded versions dropped instead of
-//! closed ([`Superseded`]).  Rows live in a slotted-page [`HeapFile`],
-//! every commit is logically logged to a [`Wal`] before being applied
-//! (write-ahead rule), and three indexes — all in memory, all rebuilt from
-//! the rows — answer the taxonomy's characteristic queries:
+//! closed ([`Superseded`]).  Rows live in a slotted-page [`HeapFile`]
+//! (the database logs every commit to its
+//! [`Wal`](crate::wal::Wal) before the table applies it), and three
+//! indexes — all in memory, all rebuilt from the rows — answer the
+//! taxonomy's characteristic queries:
 //!
 //! * a **transaction-time interval tree** — the rollback operation
 //!   (`as of t`) is a stabbing query;
@@ -58,7 +59,7 @@ use chronos_core::relation::{HistoricalOp, Validity};
 use chronos_core::schema::{Schema, TemporalSignature};
 use chronos_core::timepoint::TimePoint;
 use chronos_core::tuple::Tuple;
-use chronos_obs::Recorder;
+use chronos_obs::{Disk, Recorder};
 
 use crate::codec::{
     get_period, get_tuple, get_validity, put_period, put_tuple, put_validity, Reader,
@@ -69,7 +70,6 @@ use crate::index::IntervalTree;
 use crate::page::{RecordId, MAX_RECORD};
 use crate::pager::{BufferPool, MemPager, PageStore};
 use crate::segment::{self, FreezeReport, Segment};
-use crate::wal::{Wal, WalRecord};
 
 fn encode_row(tuple: &Tuple, validity: Validity, tx: Period) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
@@ -279,7 +279,6 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     superseded: Superseded,
     rel_id: u32,
     heap: HeapFile<S>,
-    wal: Option<Wal>,
     /// The current historical state, each row under the sequence number
     /// of its insertion.  A validity correction restamps in place, so
     /// ascending sequence is the reference [`HistoricalRelation`]'s order.
@@ -305,6 +304,12 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     /// Engine instruments and trace spans; a disabled recorder until
     /// the owning `Database` (or a test) hands down a live one.
     recorder: Arc<Recorder>,
+    /// The owning database's disk, whose fault plan may fail an apply's
+    /// `table.commit.apply` and `heap.insert` steps; plain by default.
+    disk: Disk,
+    /// Heap writes made so far: an apply that fails compares it to tell
+    /// a refused commit from a partly applied one.
+    heap_writes: u64,
 }
 
 impl StoredBitemporalTable<MemPager> {
@@ -325,7 +330,6 @@ impl StoredBitemporalTable<MemPager> {
             superseded,
             rel_id: 0,
             heap,
-            wal: None,
             current: BTreeMap::new(),
             current_index: HashMap::new(),
             next_seq: 0,
@@ -335,32 +339,9 @@ impl StoredBitemporalTable<MemPager> {
             transactions: 0,
             segments: Vec::new(),
             recorder: Arc::new(Recorder::disabled()),
+            disk: Disk::default(),
+            heap_writes: 0,
         }
-    }
-
-    /// Opens a durable table whose state is the replay of the write-ahead
-    /// log at `wal_path` (records for other relations are ignored).  A
-    /// torn tail left by a crash is truncated.
-    pub fn open_durable(
-        wal_path: &Path,
-        rel_id: u32,
-        schema: Schema,
-        signature: TemporalSignature,
-    ) -> StorageResult<Self> {
-        let recovered = Wal::truncate_torn_tail(wal_path)?;
-        let mut table = StoredBitemporalTable::in_memory(schema, signature);
-        table.rel_id = rel_id;
-        for rec in &recovered.records {
-            if rec.rel_id != rel_id {
-                continue;
-            }
-            // No log is attached yet, so replay commits without appending.
-            table.try_commit(rec.tx_time, &rec.ops).map_err(|e| {
-                StorageError::Corrupt(format!("log replay failed at tx {}: {e}", rec.tx_time))
-            })?;
-        }
-        table.wal = Some(Wal::open(wal_path)?);
-        Ok(table)
     }
 
     /// Reconstructs a table from checkpointed rows, rebuilding the heap,
@@ -425,14 +406,17 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         self.rel_id
     }
 
-    /// Routes this table's instruments (access-path spans, pager and WAL
-    /// I/O) into `recorder`.
+    /// Routes this table's instruments (access-path spans, pager I/O)
+    /// into `recorder`.
     pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
         self.heap.pool().set_recorder(Arc::clone(&recorder));
-        if let Some(wal) = &mut self.wal {
-            wal.set_recorder(Arc::clone(&recorder));
-        }
         self.recorder = recorder;
+    }
+
+    /// Gives the table its database's disk, whose fault plan may fail
+    /// an apply's in-memory steps.
+    pub fn set_disk(&mut self, disk: Disk) {
+        self.disk = disk;
     }
 
     /// The one read of the table: every version `read` selects, frozen
@@ -800,17 +784,10 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         slice
     }
 
-    /// Fallible commit: validate, log (write-ahead), apply.
+    /// Fallible commit: validate, then apply.  The table keeps no log:
+    /// a database logs the commit between the two.
     pub fn try_commit(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> StorageResult<()> {
         self.validate(tx_time, ops)?;
-        // Write-ahead: the log reaches disk before the table changes.
-        if let Some(wal) = &mut self.wal {
-            wal.append(&WalRecord {
-                rel_id: self.rel_id,
-                tx_time,
-                ops: ops.to_vec(),
-            })?;
-        }
         self.apply_validated(tx_time, ops)
     }
 
@@ -819,18 +796,35 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// Each op does its fallible work first — the heap, the
     /// transaction-time tree and the key index — and only then touches
     /// the current-row index: an op the heap refuses leaves the index as
-    /// it was before it, still agreeing with the heap.  (Only an op that
-    /// fails after it has already closed a version does not; the heap is
-    /// in memory and `validate` has checked that every version fits, so
-    /// nothing short of an injected fault gets that far.)  Nothing is
-    /// copied, and an op costs the current rows of the key it names, not
-    /// the current state.
+    /// it was before it, still agreeing with the heap.  A failure after
+    /// an earlier heap write of the same commit (a `replace` whose
+    /// insert fails after its remove closed a version) cannot be taken
+    /// back that way, so it is reported as
+    /// [`StorageError::PartlyApplied`]; the heap is in memory and
+    /// `validate` has checked that every version fits, so nothing
+    /// short of an injected fault gets that far.  Nothing is copied, and
+    /// an op costs the current rows of the key it names, not the current
+    /// state.
     pub fn apply_validated(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> StorageResult<()> {
         // Clone the handle so the span's borrow doesn't pin `self`.
         let recorder = Arc::clone(&self.recorder);
         let span = recorder.span("storage/commit");
         span.rows_in(ops.len() as u64);
-        crate::fault::crash_point("table.commit.apply")?;
+        self.disk.unwind_point("table.commit.apply")?;
+        let writes = self.heap_writes;
+        self.apply_ops(tx_time, ops).map_err(|e| {
+            if self.heap_writes == writes {
+                e
+            } else {
+                StorageError::PartlyApplied(Box::new(e))
+            }
+        })?;
+        self.last_commit = Some(tx_time);
+        self.transactions += 1;
+        Ok(())
+    }
+
+    fn apply_ops(&mut self, tx_time: Chronon, ops: &[HistoricalOp]) -> StorageResult<()> {
         for op in ops {
             match op {
                 HistoricalOp::Insert { tuple, validity } => {
@@ -870,8 +864,6 @@ impl<S: PageStore> StoredBitemporalTable<S> {
                 }
             }
         }
-        self.last_commit = Some(tx_time);
-        self.transactions += 1;
         Ok(())
     }
 
@@ -893,7 +885,9 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         tx_time: Chronon,
     ) -> StorageResult<RecordId> {
         let tx = Period::from_start(tx_time);
+        self.disk.unwind_point("heap.insert")?;
         let rid = self.heap.insert(&encode_row(tuple, validity, tx))?;
+        self.heap_writes += 1;
         self.tx_index.insert(tx, rid);
         self.index_version(tuple, tx, rid);
         Ok(rid)
@@ -956,6 +950,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
                 Some((closed_tx, moved))
             }
         };
+        self.heap_writes += 1;
         assert!(self.tx_index.remove(row.tx, &rid), "tx index in sync");
         // Reindex under the (possibly moved) record id and closed
         // transaction period.
@@ -1000,8 +995,8 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// crash at any point harmless:
     ///
     /// 1. the segment is written to a `.tmp` sibling, fsynced, and
-    ///    renamed into place (`segment.write` / `segment.rename`);
-    /// 2. the segment is mapped and validated (`segment.mmap_open`);
+    ///    renamed into place;
+    /// 2. the segment is mapped and validated;
     /// 3. only then are the frozen rows deleted from the heap and
     ///    de-indexed.
     ///
@@ -1110,48 +1105,91 @@ mod tests {
         date(s).unwrap()
     }
 
+    /// Figure 8's six commits.
+    fn figure_8() -> Vec<(Chronon, Vec<HistoricalOp>)> {
+        let from = |s| Period::from_start(d(s));
+        let span = |a, b| Period::new(d(a), d(b)).unwrap();
+        let sel = |name, rank| RowSelector::tuple(tuple([name, rank]));
+        vec![
+            (
+                d("08/25/77"),
+                vec![HistoricalOp::insert(
+                    tuple(["Merrie", "associate"]),
+                    from("09/01/77"),
+                )],
+            ),
+            (
+                d("12/01/82"),
+                vec![HistoricalOp::insert(
+                    tuple(["Tom", "full"]),
+                    from("12/05/82"),
+                )],
+            ),
+            (
+                d("12/07/82"),
+                vec![
+                    HistoricalOp::remove(sel("Tom", "full")),
+                    HistoricalOp::insert(tuple(["Tom", "associate"]), from("12/05/82")),
+                ],
+            ),
+            (
+                d("12/15/82"),
+                vec![
+                    HistoricalOp::set_validity(
+                        sel("Merrie", "associate"),
+                        span("09/01/77", "12/01/82"),
+                    ),
+                    HistoricalOp::insert(tuple(["Merrie", "full"]), from("12/01/82")),
+                ],
+            ),
+            (
+                d("01/10/83"),
+                vec![HistoricalOp::insert(
+                    tuple(["Mike", "assistant"]),
+                    from("01/01/83"),
+                )],
+            ),
+            (
+                d("02/25/84"),
+                vec![HistoricalOp::set_validity(
+                    sel("Mike", "assistant"),
+                    span("01/01/83", "03/01/84"),
+                )],
+            ),
+        ]
+    }
+
     fn drive_figure_8<T: TemporalStore>(s: &mut T) {
-        s.begin()
-            .insert(
-                tuple(["Merrie", "associate"]),
-                Period::from_start(d("09/01/77")),
-            )
-            .commit(d("08/25/77"))
-            .unwrap();
-        s.begin()
-            .insert(tuple(["Tom", "full"]), Period::from_start(d("12/05/82")))
-            .commit(d("12/01/82"))
-            .unwrap();
-        s.begin()
-            .remove(RowSelector::tuple(tuple(["Tom", "full"])))
-            .insert(
-                tuple(["Tom", "associate"]),
-                Period::from_start(d("12/05/82")),
-            )
-            .commit(d("12/07/82"))
-            .unwrap();
-        s.begin()
-            .set_validity(
-                RowSelector::tuple(tuple(["Merrie", "associate"])),
-                Period::new(d("09/01/77"), d("12/01/82")).unwrap(),
-            )
-            .insert(tuple(["Merrie", "full"]), Period::from_start(d("12/01/82")))
-            .commit(d("12/15/82"))
-            .unwrap();
-        s.begin()
-            .insert(
-                tuple(["Mike", "assistant"]),
-                Period::from_start(d("01/01/83")),
-            )
-            .commit(d("01/10/83"))
-            .unwrap();
-        s.begin()
-            .set_validity(
-                RowSelector::tuple(tuple(["Mike", "assistant"])),
-                Period::new(d("01/01/83"), d("03/01/84")).unwrap(),
-            )
-            .commit(d("02/25/84"))
-            .unwrap();
+        for (tx, ops) in figure_8() {
+            s.commit(tx, &ops).unwrap();
+        }
+    }
+
+    /// Logs `commits` for relation `rel_id` to a fresh log at `path`,
+    /// the way a database does before it applies them.
+    fn log(path: &Path, rel_id: u32, commits: Vec<(Chronon, Vec<HistoricalOp>)>) {
+        let _ = std::fs::remove_file(path);
+        let mut wal = crate::wal::Wal::open(path).unwrap();
+        for (tx_time, ops) in commits {
+            let rec = crate::wal::WalRecord {
+                rel_id,
+                tx_time,
+                ops,
+            };
+            wal.append(&rec).unwrap();
+        }
+    }
+
+    /// A fresh table holding the replay of `rel_id`'s intact records in
+    /// the log at `path`.
+    fn replay(path: &Path, rel_id: u32) -> StoredBitemporalTable {
+        let mut t = StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
+        for rec in crate::wal::Wal::recover(path).unwrap().records {
+            if rec.rel_id == rel_id {
+                t.try_commit(rec.tx_time, &rec.ops).unwrap();
+            }
+        }
+        t
     }
 
     #[test]
@@ -1258,26 +1296,9 @@ mod tests {
 
     #[test]
     fn durable_table_replays_after_reopen() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("chronos-table-wal-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut t = StoredBitemporalTable::open_durable(
-                &path,
-                7,
-                faculty_schema(),
-                TemporalSignature::Interval,
-            )
-            .unwrap();
-            drive_figure_8(&mut t);
-        } // dropped: only the WAL survives
-        let t = StoredBitemporalTable::open_durable(
-            &path,
-            7,
-            faculty_schema(),
-            TemporalSignature::Interval,
-        )
-        .unwrap();
+        let path = std::env::temp_dir().join(format!("chronos-table-wal-{}", std::process::id()));
+        log(&path, 7, figure_8());
+        let t = replay(&path, 7);
         assert_eq!(t.transactions(), 6);
         assert_eq!(t.stored_tuples(), 7);
         assert_eq!(t.last_commit(), Some(d("02/25/84")));
@@ -1286,33 +1307,15 @@ mod tests {
             .iter()
             .any(|r| r.tuple.get(1).as_str() == Some("associate")));
         // Other relations' records in the same log are ignored.
-        let other = StoredBitemporalTable::open_durable(
-            &path,
-            99,
-            faculty_schema(),
-            TemporalSignature::Interval,
-        )
-        .unwrap();
-        assert_eq!(other.transactions(), 0);
+        assert_eq!(replay(&path, 99).transactions(), 0);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_tail_recovery_drops_only_the_torn_commit() {
         use std::io::Write;
-        let mut path = std::env::temp_dir();
-        path.push(format!("chronos-table-torn-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut t = StoredBitemporalTable::open_durable(
-                &path,
-                1,
-                faculty_schema(),
-                TemporalSignature::Interval,
-            )
-            .unwrap();
-            drive_figure_8(&mut t);
-        }
+        let path = std::env::temp_dir().join(format!("chronos-table-torn-{}", std::process::id()));
+        log(&path, 1, figure_8());
         {
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
@@ -1320,15 +1323,25 @@ mod tests {
                 .unwrap();
             f.write_all(&[0x10, 0x00, 0x00, 0x00, 0xDE, 0xAD]).unwrap();
         }
-        let t = StoredBitemporalTable::open_durable(
-            &path,
-            1,
-            faculty_schema(),
-            TemporalSignature::Interval,
-        )
-        .unwrap();
+        let t = replay(&path, 1);
         assert_eq!(t.transactions(), 6, "intact commits survive the torn tail");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A freeze whose segment cannot be written (its directory does not
+    /// exist) fails and leaves the heap holding every version.
+    #[test]
+    fn a_freeze_that_cannot_write_leaves_the_heap_in_charge() {
+        let mut t = StoredBitemporalTable::in_memory(faculty_schema(), TemporalSignature::Interval);
+        drive_figure_8(&mut t);
+        let before = t.scan_rows().unwrap();
+        let nowhere = std::env::temp_dir()
+            .join(format!("chronos-no-such-dir-{}", std::process::id()))
+            .join("faculty-0.seg");
+        assert!(t.freeze_into(&nowhere).is_err());
+        assert!(t.segments().is_empty());
+        assert_eq!(t.scan_rows().unwrap(), before);
+        assert_eq!(t.frozen_version_count(), 3, "every closed version stays");
     }
 
     /// Many-commit workload over a two-column schema: inserts with
@@ -1702,16 +1715,11 @@ mod tests {
         }
 
         // Log replay re-runs the commits themselves.
-        let mut path = std::env::temp_dir();
-        path.push(format!("chronos-table-order-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let (schema, interval) = (faculty_schema(), TemporalSignature::Interval);
-        let mut t =
-            StoredBitemporalTable::open_durable(&path, 5, schema.clone(), interval).unwrap();
-        drive_figure_8(&mut t);
-        t.try_commit(d("01/01/85"), &more).unwrap();
-        drop(t);
-        let replayed = StoredBitemporalTable::open_durable(&path, 5, schema, interval).unwrap();
+        let path = std::env::temp_dir().join(format!("chronos-table-order-{}", std::process::id()));
+        let mut commits = figure_8();
+        commits.push((d("01/01/85"), more.to_vec()));
+        log(&path, 5, commits);
+        let replayed = replay(&path, 5);
         let mut after = oracle;
         after.apply(&more).unwrap();
         assert_follows(&replayed, &after, "replayed");

@@ -9,19 +9,19 @@
 //! temporal database.
 //!
 //! Frame format: `[len: u32 LE][crc32(payload): u32 LE][payload]`.
-//! Recovery reads frames until the end of the file; an incomplete or
-//! checksum-failing final frame (a torn write from a crash) is tolerated
-//! and truncated, while corruption *before* the tail is reported as an
-//! error.
+//! Recovery reads frames until the first one that is incomplete, fails
+//! its checksum or does not decode (a torn write from a crash, or a
+//! flipped byte): the records before it replay and the rest is cut off.
+//! Framing is lost past a bad frame, so nothing after it is trusted.
+//!
+//! Every write goes through the database's [`Disk`].
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use chronos_core::chronon::Chronon;
 use chronos_core::relation::{HistoricalOp, RowSelector};
-use chronos_obs::Recorder;
+use chronos_obs::{Disk, DiskFile, Recorder};
 
 use crate::codec::{crc32, get_tuple, get_validity, put_tuple, put_uvarint, put_validity, Reader};
 use crate::error::{StorageError, StorageResult};
@@ -148,8 +148,7 @@ pub struct Recovered {
 
 /// An append-only write-ahead log.
 pub struct Wal {
-    file: File,
-    path: PathBuf,
+    file: DiskFile,
     recorder: Arc<Recorder>,
     /// Length of the known-good, fsynced prefix.  A failed append
     /// rolls the file back here so later appends never land *after*
@@ -173,15 +172,15 @@ pub struct Wal {
 impl Wal {
     /// Opens (creating if necessary) the log at `path`.
     pub fn open(path: &Path) -> StorageResult<Wal> {
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path)?;
-        let synced_len = file.metadata()?.len();
+        Self::open_on(&Disk::default(), path)
+    }
+
+    /// [`open`](Self::open), writing through `disk`.
+    pub fn open_on(disk: &Disk, path: &Path) -> StorageResult<Wal> {
+        let file = disk.open_append(path)?;
+        let synced_len = file.size()?;
         Ok(Wal {
             file,
-            path: path.to_path_buf(),
             recorder: Arc::new(Recorder::disabled()),
             synced_len,
             logical_len: synced_len,
@@ -190,9 +189,24 @@ impl Wal {
         })
     }
 
+    /// Opens the log at `path` for recovery: reads it once, cuts a torn
+    /// tail off (synced, so appends never land after garbage), and
+    /// returns the handle with every intact record.
+    pub fn open_recovered(disk: &Disk, path: &Path) -> StorageResult<(Wal, Recovered)> {
+        let recovered = Self::recover(path)?;
+        let mut wal = Self::open_on(disk, path)?;
+        if recovered.torn_bytes > 0 {
+            wal.file.truncate(recovered.valid_len)?;
+            wal.file.sync()?;
+            wal.synced_len = recovered.valid_len;
+            wal.logical_len = recovered.valid_len;
+        }
+        Ok((wal, recovered))
+    }
+
     /// The log's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 
     /// Routes append/fsync counts into `recorder`.
@@ -217,47 +231,32 @@ impl Wal {
     /// never erases frames already staged by the same batch.
     pub fn append_no_sync(&mut self, rec: &WalRecord) -> StorageResult<()> {
         let restore = self.logical_len;
-        let result = self.append_no_sync_inner(rec);
-        if result.is_err() {
-            let _ = self.file.set_len(restore);
-            let _ = self.file.sync_data();
-            self.logical_len = restore;
-        }
-        result
-    }
-
-    /// Frames, checksums, and writes one record, honoring the
-    /// `wal.append.pre_frame`/`wal.append.frame` fault sites, and
-    /// advances `logical_len` past the new frame.
-    fn append_no_sync_inner(&mut self, rec: &WalRecord) -> StorageResult<()> {
         let recorder = Arc::clone(&self.recorder);
         let _span = recorder.span("wal/append");
-        crate::fault::crash_point("wal.append.pre_frame")?;
         let payload = encode_record(rec);
         let mut frame = Vec::with_capacity(payload.len() + 8);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        match crate::fault::write_decision("wal.append.frame", frame.len())? {
-            crate::fault::IoFault::Full => self.file.write_all(&frame)?,
-            crate::fault::IoFault::Torn { keep, unwind } => {
-                // Persist the tear before dying so the torn tail is
-                // really on disk for recovery to find.
-                self.file.write_all(&frame[..keep])?;
-                let _ = self.file.sync_data();
-                if unwind {
-                    return Err(crate::fault::injected_error("wal.append.frame").into());
-                }
-                crate::fault::crash_now("wal.append.frame");
-            }
+        if let Err(e) = self.file.append(&frame) {
+            self.roll_back_to(restore);
+            return Err(e.into());
         }
         self.logical_len += frame.len() as u64;
         self.recorder.count(|m| &m.wal_appends);
         Ok(())
     }
 
+    /// Cuts the file back to `len` after a failed write (best effort:
+    /// the caller reports the original error).
+    fn roll_back_to(&mut self, len: u64) {
+        let _ = self.file.truncate(len);
+        let _ = self.file.sync();
+        self.logical_len = len;
+    }
+
     /// Makes every staged frame durable under one fsync.  A no-op (no
-    /// fsync, no fault-site hit) when nothing is staged.
+    /// fsync) when nothing is staged.
     ///
     /// On error the staged frames are rolled back to the fsynced
     /// prefix: the caller is about to report every covered commit as
@@ -267,38 +266,12 @@ impl Wal {
         if self.logical_len == self.synced_len {
             return Ok(());
         }
-        let result = self.group_sync_inner();
-        if result.is_err() {
-            let _ = self.file.set_len(self.synced_len);
-            let _ = self.file.sync_data();
-            self.logical_len = self.synced_len;
+        let recorder = Arc::clone(&self.recorder);
+        let _span = recorder.span("wal/group_sync");
+        if let Err(e) = self.file.sync() {
+            self.roll_back_to(self.synced_len);
+            return Err(e.into());
         }
-        result
-    }
-
-    fn group_sync_inner(&mut self) -> StorageResult<()> {
-        let _span = self.recorder.span("wal/group_sync");
-        // A crash here models a process death after the frames reached
-        // the OS but before any fsync: the staged frames are full on
-        // disk, yet no commit they carry was acknowledged.
-        crate::fault::crash_point("wal.group_sync.pre")?;
-        if crate::fault::crash_imminent("wal.group_fsync") {
-            // An injected crash here models a power cut at the
-            // group-commit boundary: the staged frames are exactly the
-            // bytes such a cut may drop, so drop them deterministically
-            // before dying (the same way torn-write sites persist their
-            // tear first).  Every acked commit stays durable; the
-            // unacked batch vanishes.
-            let _ = self.file.set_len(self.synced_len);
-            let _ = self.file.sync_data();
-        }
-        crate::fault::crash_point("wal.group_fsync")?;
-        self.file.sync_data()?;
-        // `synced_len` advances only once the whole sync has succeeded:
-        // an error unwinding from here rolls the durable but *reported
-        // failed* frames back, keeping the log consistent with what the
-        // caller was told.
-        crate::fault::crash_point("wal.group_sync.post")?;
         self.synced_len = self.logical_len;
         self.recorder.count(|m| &m.wal_fsyncs);
         Ok(())
@@ -339,43 +312,19 @@ impl Wal {
         }
     }
 
-    /// Reads every record, tolerating a torn tail.
-    ///
-    /// Returns an error only for corruption *within* the valid prefix
-    /// (an interior frame whose checksum fails but whose length field is
-    /// plausible and followed by more data is still treated as tail
-    /// corruption from that point on: everything after the first bad
-    /// frame is unusable because framing is lost).
+    /// Reads every intact record: the frames before the first one that
+    /// is incomplete, fails its checksum or does not decode (see
+    /// [`walk_frames`](crate::inspect::walk_frames)).  Damaged bytes
+    /// never make this fail, wherever they are; only an I/O error
+    /// reading the file does.
     pub fn recover(path: &Path) -> StorageResult<Recovered> {
-        let mut data = Vec::new();
-        match File::open(path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut data)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        let data = match std::fs::read(path) {
+            Ok(data) => data,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
-        }
+        };
         let mut records = Vec::new();
-        let mut pos = 0usize;
-        let mut valid_len = 0u64;
-        while data.len() - pos >= 8 {
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let stored_crc =
-                u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            if data.len() - pos - 8 < len {
-                break; // torn tail: incomplete frame
-            }
-            let payload = &data[pos + 8..pos + 8 + len];
-            if crc32(payload) != stored_crc {
-                break; // torn or corrupt from here on
-            }
-            match decode_record(payload) {
-                Ok(rec) => records.push(rec),
-                Err(_) => break,
-            }
-            pos += 8 + len;
-            valid_len = pos as u64;
-        }
+        let (valid_len, _) = crate::inspect::walk_frames(&data, |_, _, rec| records.push(rec));
         Ok(Recovered {
             records,
             valid_len,
@@ -383,20 +332,9 @@ impl Wal {
         })
     }
 
-    /// Truncates the log to its valid prefix, discarding a torn tail.
-    pub fn truncate_torn_tail(path: &Path) -> StorageResult<Recovered> {
-        let rec = Self::recover(path)?;
-        if rec.torn_bytes > 0 {
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(rec.valid_len)?;
-            f.sync_data()?;
-        }
-        Ok(rec)
-    }
-
     /// Current log size in bytes.
     pub fn len(&self) -> StorageResult<u64> {
-        Ok(self.file.metadata()?.len())
+        Ok(self.file.size()?)
     }
 
     /// True iff the log holds no bytes.
@@ -408,26 +346,20 @@ impl Wal {
     /// good), e.g. to roll back the frame of a commit whose in-memory
     /// apply failed after the write-ahead append.
     pub fn truncate_to(&mut self, len: u64) -> StorageResult<()> {
-        self.file.set_len(len)?;
-        self.file.sync_data()?;
+        self.file.truncate(len)?;
+        // The lengths follow the file even if the sync below fails, so
+        // a later append's rollback never cuts past its own frame.
         self.note_truncation(self.logical_len.saturating_sub(len));
         self.synced_len = self.synced_len.min(len);
         self.logical_len = len;
+        self.file.sync()?;
         Ok(())
     }
 
     /// Truncates the whole log (after a checkpoint has captured its
     /// effects).
     pub fn reset(&mut self) -> StorageResult<()> {
-        crate::fault::crash_point("wal.reset.pre_truncate")?;
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.sync_data()?;
-        self.note_truncation(self.logical_len);
-        self.synced_len = 0;
-        self.logical_len = 0;
-        crate::fault::crash_point("wal.reset.post_truncate")?;
-        Ok(())
+        self.truncate_to(0)
     }
 }
 
@@ -436,6 +368,9 @@ mod tests {
     use super::*;
     use chronos_core::period::Period;
     use chronos_core::tuple::tuple;
+    use chronos_obs::fault::{file_name, Fault, OpKind};
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_wal(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -519,16 +454,22 @@ mod tests {
         drop(wal);
         // Simulate a crash mid-append: write a partial frame.
         {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             f.write_all(&[0x55, 0x02, 0x00, 0x00, 0xAA]).unwrap();
         }
         let rec = Wal::recover(&path).unwrap();
         assert_eq!(rec.records.len(), 3);
         assert_eq!(rec.valid_len, full_len);
         assert_eq!(rec.torn_bytes, 5);
-        let rec = Wal::truncate_torn_tail(&path).unwrap();
+        let (mut wal, rec) = Wal::open_recovered(&Disk::default(), &path).unwrap();
         assert_eq!(rec.records.len(), 3);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), full_len);
+        // Appends land right after the last intact frame.
+        wal.append(&sample_records()[0]).unwrap();
+        assert_eq!(Wal::recover(&path).unwrap().records.len(), 4);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -552,14 +493,11 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// One test covers both group-commit scenarios (staging + unwind):
-    /// the unwind half arms the process-global fault registry, and a
-    /// single test keeps the only `group_sync` callers in this binary
-    /// from racing an armed plan.
     #[test]
     fn group_append_stages_until_group_sync_and_unwinds_cleanly() {
         let path = temp_wal("group");
-        let mut wal = Wal::open(&path).unwrap();
+        let disk = Disk::recording();
+        let mut wal = Wal::open_on(&disk, &path).unwrap();
         let recs = sample_records();
         for rec in &recs {
             wal.append_no_sync(rec).unwrap();
@@ -579,13 +517,9 @@ mod tests {
         let synced = wal.len().unwrap();
         wal.append_no_sync(&recs[0]).unwrap();
         wal.append_no_sync(&recs[1]).unwrap();
-        crate::fault::install(std::sync::Arc::new(crate::fault::FaultPlan::error_at(
-            "wal.group_fsync",
-            1,
-        )));
+        disk.inject(Fault::error(OpKind::Sync, file_name(&path), 1));
         let err = wal.group_sync().unwrap_err();
-        crate::fault::clear();
-        assert!(err.to_string().contains("wal.group_fsync"), "{err}");
+        assert!(err.to_string().contains("injected fault: Sync"), "{err}");
         // The staged batch is gone; the fsynced prefix survives.
         assert_eq!(wal.pending_bytes(), 0);
         assert_eq!(wal.len().unwrap(), synced);
@@ -610,6 +544,27 @@ mod tests {
         wal.reset().unwrap();
         assert!(wal.is_empty().unwrap());
         assert!(Wal::recover(&path).unwrap().records.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A reset whose sync fails has still cut the file: the handle's
+    /// lengths follow it, so a later append that fails rolls back to
+    /// the right place instead of padding the log with zeros.
+    #[test]
+    fn a_reset_whose_sync_fails_keeps_the_lengths_with_the_file() {
+        let path = temp_wal("reset-sync");
+        let disk = Disk::recording();
+        let mut wal = Wal::open_on(&disk, &path).unwrap();
+        let recs = sample_records();
+        wal.append(&recs[0]).unwrap();
+        disk.inject(Fault::error(OpKind::Sync, file_name(&path), 1));
+        assert!(wal.reset().is_err());
+        assert_eq!((wal.logical_len(), wal.len().unwrap()), (0, 0));
+        wal.append(&recs[1]).unwrap();
+        disk.inject(Fault::error(OpKind::Append, file_name(&path), 1));
+        assert!(wal.append(&recs[2]).is_err());
+        assert_eq!(wal.len().unwrap(), wal.logical_len());
+        assert_eq!(Wal::recover(&path).unwrap().records, &recs[1..2]);
         std::fs::remove_file(&path).unwrap();
     }
 }

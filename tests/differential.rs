@@ -10,6 +10,7 @@ use chronos_bench::workload::{generate, WorkloadSpec};
 use chronos_core::chronon::Chronon;
 use chronos_core::prelude::*;
 use chronos_storage::table::{StoredBitemporalTable, Superseded};
+use chronos_storage::wal::{Wal, WalRecord};
 use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
@@ -163,24 +164,17 @@ proptest! {
         ));
         let _ = std::fs::remove_file(&dir);
         {
-            let mut t = StoredBitemporalTable::open_durable(
-                &dir,
-                1,
-                w.schema.clone(),
-                TemporalSignature::Interval,
-            )
-            .expect("open");
+            let mut wal = Wal::open(&dir).expect("open");
             for tx in &w.transactions {
-                t.try_commit(tx.tx_time, &tx.ops).expect("valid");
+                let rec = WalRecord { rel_id: 1, tx_time: tx.tx_time, ops: tx.ops.clone() };
+                wal.append(&rec).expect("log");
             }
         }
-        let reopened = StoredBitemporalTable::open_durable(
-            &dir,
-            1,
-            w.schema.clone(),
-            TemporalSignature::Interval,
-        )
-        .expect("reopen");
+        let mut reopened =
+            StoredBitemporalTable::in_memory(w.schema.clone(), TemporalSignature::Interval);
+        for rec in Wal::recover(&dir).expect("reopen").records {
+            reopened.try_commit(rec.tx_time, &rec.ops).expect("replay");
+        }
         let mut reference = BitemporalTable::new(w.schema.clone(), TemporalSignature::Interval);
         for tx in &w.transactions {
             reference.commit(tx.tx_time, &tx.ops).expect("valid");

@@ -13,7 +13,7 @@ use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::relation::temporal::TemporalStore as _;
 use chronos_db::{Database, Engine, ObsBootstrap, Session};
-use chronos_obs::{http_get, validate_json, validate_jsonl, EventJournal, SLOWLOG_DISABLED};
+use chronos_obs::{http_get, validate_json, validate_jsonl, Disk, EventJournal, SLOWLOG_DISABLED};
 
 fn d(s: &str) -> Chronon {
     date(s).unwrap()
@@ -430,7 +430,7 @@ fn journal_seq_resumes_across_reopens() {
             .collect()
     };
     for (round, n) in [(0, 3), (1, 2), (2, 1)] {
-        let journal = EventJournal::open(&path).expect("open");
+        let journal = EventJournal::open(&Disk::default(), &path).expect("open");
         for _ in 0..n {
             // A line longer than the first tail window (4 KiB) makes the
             // next open widen it.
@@ -439,7 +439,9 @@ fn journal_seq_resumes_across_reopens() {
     }
     assert_eq!(seqs(&path), [0, 1, 2, 3, 4, 5]);
     std::fs::rename(&path, dir.join("events.jsonl.1")).unwrap();
-    EventJournal::open(&path).expect("reopen").emit("tick", &[]);
+    EventJournal::open(&Disk::default(), &path)
+        .expect("reopen")
+        .emit("tick", &[]);
     assert_eq!(seqs(&path), [6]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
