@@ -29,17 +29,10 @@
 //!   written to `target/t10-obs-gate/BENCH_observability.json`;
 //! * **T12** — the concurrent MVCC query service: closed-loop snapshot
 //!   readers over loopback and group-commit write rounds;
-//! * **T16** — frozen segments: bytes/version and as-of point-query
-//!   latency of the delta-coded, mmap-backed segment format against
-//!   the paged heap with its key index, swept over version-chain
-//!   length (gated: ≤1.3× duplication at chain length 32, byte-identical
-//!   answers, a segment lookup touching one chain and a heap lookup
-//!   decoding only the versions stored at the probe; both latencies are
-//!   reported, neither is gated), recorded in `BENCH_storage.json`;
 //! * **T17** — physical storage shape: version-chain length swept
 //!   against the measured duplication factor and bytes/version of the
 //!   paged heap (the numbers `sys$pages`, `/storage`, and `analyze`
-//!   report), recorded in `BENCH_storage.json`.
+//!   report), written to `target/t17-storage/BENCH_storage.json`.
 //!
 //! Set `EXPERIMENTS_ONLY=<ids>` (comma-separated, e.g. `T10,T12`) to
 //! run a subset.
@@ -54,7 +47,6 @@ use chronos_core::clock::ManualClock;
 use chronos_core::prelude::*;
 use chronos_core::relation::StaticOp;
 use chronos_db::{Database, Engine};
-use chronos_obs::Recorder;
 use chronos_storage::codec;
 use chronos_storage::table::{Read, StoredBitemporalTable, TxSelect};
 use chronos_tquel::analyze::analyze_retrieve;
@@ -122,19 +114,8 @@ fn main() {
     if want("T12") {
         t12_concurrent_service();
     }
-    let mut t17_rows = None;
     if want("T17") {
-        t17_rows = Some(t17_physical_storage());
-    }
-    let mut t16_rows = None;
-    if want("T16") {
-        t16_rows = Some(t16_frozen_segments());
-    }
-    if t17_rows.is_some() || t16_rows.is_some() {
-        write_bench_storage_json(
-            t17_rows.as_deref().unwrap_or(&[]),
-            t16_rows.as_deref().unwrap_or(&[]),
-        );
+        write_bench_storage_json(&t17_physical_storage());
     }
     println!("\nDone.  These tables are recorded in EXPERIMENTS.md.");
 }
@@ -1141,204 +1122,10 @@ fn t17_physical_storage() -> Vec<T17Row> {
     rows
 }
 
-// ---------------------------------------------------------------------
-// T16 — frozen segments: bytes/version + as-of point-query latency,
-// heap vs segments (EXPERIMENTS_ONLY=T16)
-// ---------------------------------------------------------------------
-
-/// One sweep point of the T16 heap-vs-segment comparison.
-struct T16Row {
-    chain_len: usize,
-    keys: usize,
-    frozen_versions: u64,
-    heap_bytes_per_version: u64,
-    heap_dup_x1000: u64,
-    seg_bytes_per_version: u64,
-    seg_dup_x1000: u64,
-    seg_file_bytes: u64,
-    heap_lookup_ns: u64,
-    seg_lookup_ns: u64,
-    speedup_x1000: u64,
-}
-
-/// Grows per-key version chains by replacement rounds (the T17
-/// driver); returns the commit days, for picking as-of probe times.
-fn t16_drive(table: &mut StoredBitemporalTable, keys: usize, chain: usize) -> Vec<i64> {
-    let mut days = Vec::with_capacity(chain);
-    let mut day = 1_000i64;
-    for round in 0..chain {
-        let mut ops = Vec::with_capacity(keys * 2);
-        for k in 0..keys {
-            let name = format!("prof{k:05}");
-            if round > 0 {
-                let prev = format!("rank{:03}", round - 1);
-                ops.push(HistoricalOp::remove(RowSelector::tuple(tuple([
-                    name.as_str(),
-                    prev.as_str(),
-                ]))));
-            }
-            let rank = format!("rank{round:03}");
-            ops.push(HistoricalOp::insert(
-                tuple([name.as_str(), rank.as_str()]),
-                Validity::Interval(Period::from_start(Chronon::new(day))),
-            ));
-        }
-        table.try_commit(Chronon::new(day), &ops).expect("valid");
-        days.push(day);
-        day += 10;
-    }
-    days
-}
-
-/// Freezes one of two identically-driven tables and measures both
-/// physical shape (bytes/version, duplication) and as-of point-lookup
-/// latency, heap vs segment.  Asserted, so a codec or access-path
-/// regression fails the run: ≤1.3× duplication at chain length 32,
-/// byte-identical answers, a segment lookup touching exactly one chain,
-/// and a heap lookup decoding only the versions stored at the probe.
-/// The latencies are printed and recorded, not gated: both paths cost
-/// a key's versions, and which is faster depends on chain length.
-fn t16_frozen_segments() -> Vec<T16Row> {
-    heading("T16: frozen segments — bytes/version + as-of point lookup, heap vs segments");
-    println!(
-        "{:>6} | {:>8} | {:>8} | {:>7} | {:>7} | {:>9} | {:>9} | {:>8}",
-        "chain", "B/v heap", "B/v seg", "dup hp", "dup seg", "heap ns", "seg ns", "speedup"
-    );
-    const KEYS: usize = 128;
-    let mut rows = Vec::new();
-    for &chain in &[4usize, 8, 16, 32] {
-        let schema = chronos_core::schema::faculty_schema();
-        let mut heap_only =
-            StoredBitemporalTable::in_memory(schema.clone(), TemporalSignature::Interval);
-        let mut frozen = StoredBitemporalTable::in_memory(schema, TemporalSignature::Interval);
-        let days = t16_drive(&mut heap_only, KEYS, chain);
-        t16_drive(&mut frozen, KEYS, chain);
-        let heap_recorder = Arc::new(Recorder::new());
-        heap_only.set_recorder(Arc::clone(&heap_recorder));
-        let seg_recorder = Arc::new(Recorder::new());
-        frozen.set_recorder(Arc::clone(&seg_recorder));
-
-        let seg_path =
-            std::env::temp_dir().join(format!("chronos-t16-{}-{chain}.seg", std::process::id()));
-        let _ = std::fs::remove_file(&seg_path);
-        let report = frozen
-            .freeze_into(&seg_path)
-            .expect("freeze")
-            .expect("chains past round one always leave closed versions");
-        assert_eq!(report.versions, (KEYS * (chain - 1)) as u64);
-        let heap_stats = heap_only.physical_stats().expect("stats");
-        let seg_stats = frozen.segments()[0].stats();
-
-        // As-of point probes in the middle of history: every key is
-        // alive with `chain` versions, one of them stored at the probe.
-        // The heap picks that one from the key index by period before
-        // decoding; the segment walks the key's delta chain.
-        let probes: Vec<(Value, Chronon)> = (0..64)
-            .map(|i| {
-                (
-                    Value::str(format!("prof{:05}", (i * 7) % KEYS)),
-                    Chronon::new(days[(i * 5) % (chain - 1)] + 5),
-                )
-            })
-            .collect();
-        for (key, t) in &probes {
-            let mut a: Vec<String> = heap_only
-                .lookup_key_as_of(key, *t)
-                .expect("heap lookup")
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            let mut b: Vec<String> = frozen
-                .lookup_key_as_of(key, *t)
-                .expect("segment lookup")
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "heap and segment answers must be byte-identical");
-            assert_eq!(a.len(), 1, "one version of {key} is stored as of {t}");
-            let heap = t16_trace(&heap_recorder, || heap_only.lookup_key_as_of(key, *t));
-            let read = heap.span_named("storage/asof").expect("keyed read span");
-            assert_eq!(read.detail, "key index");
-            assert_eq!(
-                (read.rows_in, heap.delta.index_probes),
-                (Some(1), 1),
-                "a heap lookup decodes only the version stored at the probe"
-            );
-            let seg = t16_trace(&seg_recorder, || frozen.lookup_key_as_of(key, *t));
-            assert_eq!(
-                (seg.delta.segment_hits, seg.delta.segment_skips),
-                (1, 0),
-                "a segment lookup touches one chain"
-            );
-        }
-        let mut i = 0usize;
-        let heap_ns = time_ns(64, || {
-            let (key, t) = &probes[i % probes.len()];
-            i += 1;
-            std::hint::black_box(heap_only.lookup_key_as_of(key, *t).expect("heap lookup"));
-        });
-        let mut j = 0usize;
-        let seg_ns = time_ns(64, || {
-            let (key, t) = &probes[j % probes.len()];
-            j += 1;
-            std::hint::black_box(frozen.lookup_key_as_of(key, *t).expect("segment lookup"));
-        });
-        let speedup_x1000 = heap_ns * 1000 / seg_ns.max(1);
-        assert!(
-            chain != 32 || seg_stats.dup_factor_x1000 <= 1300,
-            "segment duplication at chain 32 must stay ≤1.3x: {}",
-            seg_stats.dup_factor_x1000
-        );
-        println!(
-            "{:>6} | {:>8} | {:>8} | {:>7} | {:>7} | {:>9} | {:>9} | {:>7.2}x",
-            chain,
-            heap_stats.bytes_per_version,
-            seg_stats.bytes_per_version,
-            heap_stats.dup_factor_x1000,
-            seg_stats.dup_factor_x1000,
-            heap_ns,
-            seg_ns,
-            speedup_x1000 as f64 / 1000.0,
-        );
-        rows.push(T16Row {
-            chain_len: chain,
-            keys: KEYS,
-            frozen_versions: report.versions,
-            heap_bytes_per_version: heap_stats.bytes_per_version,
-            heap_dup_x1000: heap_stats.dup_factor_x1000,
-            seg_bytes_per_version: seg_stats.bytes_per_version,
-            seg_dup_x1000: seg_stats.dup_factor_x1000,
-            seg_file_bytes: seg_stats.file_bytes,
-            heap_lookup_ns: heap_ns,
-            seg_lookup_ns: seg_ns,
-            speedup_x1000,
-        });
-        drop(frozen);
-        let _ = std::fs::remove_file(&seg_path);
-    }
-    println!("(the heap re-stores what a key's versions share and decodes the one");
-    println!(" version its key index picks by period; the segment stores prefix/suffix");
-    println!(" deltas and decodes the one chain found by bloom filter + binary search)");
-    rows
-}
-
-/// The trace of one lookup on a table routed to `recorder`.
-fn t16_trace<T>(
-    recorder: &Recorder,
-    lookup: impl FnOnce() -> chronos_storage::StorageResult<T>,
-) -> chronos_obs::TraceReport {
-    let before = recorder.snapshot();
-    recorder.begin_trace();
-    lookup().expect("lookup");
-    recorder.end_trace(&before).expect("capture active")
-}
-
-/// Emits the T17 sweep and the T16 heap-vs-segment comparison as
-/// `BENCH_storage.json` (hand-rolled JSON, same discipline as the
-/// other BENCH_* writers).
-fn write_bench_storage_json(t17: &[T17Row], t16: &[T16Row]) {
+/// Emits the T17 sweep as `BENCH_storage.json` (hand-rolled JSON, same
+/// discipline as the other BENCH_* writers) under `target/`, not over
+/// the tracked file, which also keeps retired experiments' last rows.
+fn write_bench_storage_json(t17: &[T17Row]) {
     let mut out = String::from("{\n  \"experiment\": \"T17 physical storage shape\",\n");
     out.push_str("  \"chain_sweep\": [\n");
     for (i, r) in t17.iter().enumerate() {
@@ -1357,32 +1144,11 @@ fn write_bench_storage_json(t17: &[T17Row], t16: &[T16Row]) {
             if i + 1 < t17.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"frozen_segments\": [\n");
-    for (i, r) in t16.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"chain_len\": {}, \"keys\": {}, \"frozen_versions\": {}, \
-             \"heap_bytes_per_version\": {}, \"heap_dup_x1000\": {}, \
-             \"seg_bytes_per_version\": {}, \"seg_dup_x1000\": {}, \
-             \"seg_file_bytes\": {}, \"heap_lookup_ns\": {}, \"seg_lookup_ns\": {}, \
-             \"speedup_x1000\": {}}}{}\n",
-            r.chain_len,
-            r.keys,
-            r.frozen_versions,
-            r.heap_bytes_per_version,
-            r.heap_dup_x1000,
-            r.seg_bytes_per_version,
-            r.seg_dup_x1000,
-            r.seg_file_bytes,
-            r.heap_lookup_ns,
-            r.seg_lookup_ns,
-            r.speedup_x1000,
-            if i + 1 < t16.len() { "," } else { "" }
-        ));
-    }
     out.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_storage.json", &out) {
-        Ok(()) => println!("(wrote BENCH_storage.json)"),
-        Err(e) => println!("(could not write BENCH_storage.json: {e})"),
+    let root = std::path::Path::new("target/t17-storage");
+    let doc_path = root.join("BENCH_storage.json");
+    match std::fs::create_dir_all(root).and_then(|()| std::fs::write(&doc_path, &out)) {
+        Ok(()) => println!("(wrote {})", doc_path.display()),
+        Err(e) => println!("(could not write {}: {e})", doc_path.display()),
     }
 }

@@ -52,18 +52,6 @@ use crate::relation::{has_transaction_time, Relation};
 /// than it saves.
 pub const CHECKPOINT_LOG_FLOOR: u64 = 16 * 1024;
 
-/// Deletes stale segment files (best effort: segments are a cache).
-fn purge_segments(disk: &Disk, seg_dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(seg_dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        if entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-            let _ = disk.remove(&entry.path());
-        }
-    }
-}
-
 /// A ChronosDB database instance.
 pub struct Database {
     catalog: Catalog,
@@ -107,21 +95,6 @@ pub struct Database {
     /// max(floor, `checkpoint_len`), or, after a policy checkpoint
     /// failed, the log's length then plus that much again.
     checkpoint_due: u64,
-}
-
-/// What [`Database::freeze_relation`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FreezeOutcome {
-    /// Relation the freeze targeted.
-    pub relation: String,
-    /// Closed versions moved off the heap (0 ⇒ nothing was freezable).
-    pub versions: u64,
-    /// Distinct version chains (first-attribute keys) in the segment.
-    pub chains: u64,
-    /// On-disk size of the segment file written, bytes.
-    pub file_bytes: u64,
-    /// Path of the segment, relative to the database directory.
-    pub path: Option<String>,
 }
 
 impl Database {
@@ -179,13 +152,17 @@ impl Database {
         disk: Disk,
     ) -> DbResult<Database> {
         let started = std::time::Instant::now();
-        std::fs::create_dir_all(dir).map_err(chronos_storage::StorageError::from)?;
-        // Frozen segments are a rebuildable physical cache: every row
-        // they hold is also in the checkpoint image (capture merges
-        // segments back in) or replayable from the log.  Recovery
-        // therefore rebuilds the full heap and discards stale segment
-        // files wholesale; only an explicit `freeze` writes new ones.
-        purge_segments(&disk, &dir.join("segments"));
+        if !dir.is_dir() {
+            // A new directory is an entry in its parent: until that is
+            // synced, a power cut may lose the database whole.  Reopening
+            // an existing directory costs no extra operation.
+            std::fs::create_dir_all(dir).map_err(StorageError::from)?;
+            let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+            disk.sync_dir(parent.unwrap_or(Path::new(".")))
+                .map_err(StorageError::from)?;
+        }
+        // A `segments/` directory left by an older build is never read:
+        // every row is in the checkpoint image or the log.
         let recorder = Arc::clone(&obs.recorder);
         // The lifecycle journal lives beside the WAL.  Journaling is
         // diagnostic: a journal that cannot be opened is skipped, never
@@ -416,59 +393,6 @@ impl Database {
             ],
         );
         Ok(())
-    }
-
-    /// Freezes `name`'s closed versions into an immutable mmap-backed
-    /// segment under `dir/segments/`, leaving the mutable tail on the
-    /// pager.  Only the explicit `freeze` statement calls it; durable
-    /// databases only.  What freezes is decided by the rows, not
-    /// the class: a relation with no closed versions (always the case
-    /// where superseded versions are dropped) reports zero.
-    pub fn freeze_relation(&mut self, name: &str) -> DbResult<FreezeOutcome> {
-        Self::reject_system_write(name)?;
-        let Some(dir) = self.dir.clone() else {
-            return Err(DbError::Capability(
-                "freeze requires a durable database (segments live on disk)".into(),
-            ));
-        };
-        let Some(rel) = self.relations.get_mut(name) else {
-            return Err(DbError::Catalog(format!("unknown relation {name:?}")));
-        };
-        let table = rel.table_mut();
-        let seg_dir = dir.join("segments");
-        std::fs::create_dir_all(&seg_dir).map_err(chronos_storage::StorageError::from)?;
-        let file = format!("{name}-{}.seg", table.segments().len());
-        let report = table.freeze_into(&seg_dir.join(&file))?;
-        let outcome = match report {
-            Some(r) => FreezeOutcome {
-                relation: name.to_string(),
-                versions: r.versions,
-                chains: r.chains,
-                file_bytes: r.file_bytes,
-                path: Some(format!("segments/{file}")),
-            },
-            None => FreezeOutcome {
-                relation: name.to_string(),
-                versions: 0,
-                chains: 0,
-                file_bytes: 0,
-                path: None,
-            },
-        };
-        if outcome.path.is_some() {
-            // The relation's physical shape changed: journal the
-            // migration.
-            self.recorder.emit_event(
-                "relation_frozen",
-                &[
-                    ("relation", name.into()),
-                    ("versions", outcome.versions.into()),
-                    ("chains", outcome.chains.into()),
-                    ("file_bytes", outcome.file_bytes.into()),
-                ],
-            );
-        }
-        Ok(outcome)
     }
 
     /// True iff the database persists to disk.
@@ -1049,26 +973,6 @@ impl Database {
                 .relations
                 .get(name)
                 .expect("catalog and stores in sync");
-            // One row per frozen segment: sized from the mapped file,
-            // with the segment's own duplication factor (delta-coded, so
-            // ≈1000 where the heap duplicates).
-            for seg in rel.table().segments() {
-                let s = seg.stats();
-                let occupancy = (s.stored_bytes * 1000).checked_div(s.file_bytes);
-                rows.push(row(
-                    name,
-                    "segment",
-                    [
-                        0,
-                        clamp(s.file_bytes),
-                        clamp(s.versions),
-                        clamp(occupancy.unwrap_or(0)),
-                        clamp(s.versions),
-                        clamp(s.bytes_per_version),
-                        clamp(s.dup_factor_x1000),
-                    ],
-                ));
-            }
             let Ok(p) = rel.table().physical_stats() else {
                 continue;
             };
@@ -1090,18 +994,6 @@ impl Database {
             for file in ["catalog", "checkpoint", "wal", "events.jsonl"] {
                 if let Ok(meta) = std::fs::metadata(dir.join(file)) {
                     rows.push(file_row(&format!("file:{file}"), meta.len()));
-                }
-            }
-            if let Ok(entries) = std::fs::read_dir(dir.join("segments")) {
-                let mut seg_files: Vec<_> = entries
-                    .flatten()
-                    .filter(|e| e.file_type().map(|t| t.is_file()).unwrap_or(false))
-                    .collect();
-                seg_files.sort_by_key(|e| e.file_name());
-                for entry in seg_files {
-                    let Ok(meta) = entry.metadata() else { continue };
-                    let name = format!("file:segments/{}", entry.file_name().to_string_lossy());
-                    rows.push(file_row(&name, meta.len()));
                 }
             }
         }

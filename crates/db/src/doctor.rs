@@ -68,40 +68,6 @@ pub enum JournalReport {
 /// One regular file in the directory: `(name, bytes)`.
 pub type FileEntry = (String, u64);
 
-/// Validation outcome for one file under `segments/`.
-pub enum SegmentStatus {
-    /// Magic, CRC, and full structural walk all good.
-    Ok {
-        /// Relation id stamped in the header.
-        rel_id: u32,
-        /// Version count the body decodes to.
-        versions: u64,
-        /// Distinct version chains.
-        chains: u64,
-    },
-    /// A `.tmp` sibling from an interrupted freeze — harmless (the
-    /// heap stayed authoritative; the next freeze overwrites it).
-    Leftover,
-    /// Bad magic, CRC mismatch, or an undecodable structure.
-    Broken {
-        /// Byte offset of the first bad byte.
-        offset: u64,
-        /// What failed there.
-        reason: String,
-    },
-}
-
-/// One frozen-segment file: name (relative to `segments/`), size, and
-/// validation outcome.
-pub struct SegmentFileReport {
-    /// File name inside `segments/`.
-    pub name: String,
-    /// File size in bytes.
-    pub bytes: u64,
-    /// What checksum validation found.
-    pub status: SegmentStatus,
-}
-
 /// The complete read-only findings for one database directory.
 pub struct Inspection {
     /// The inspected directory.
@@ -117,9 +83,6 @@ pub struct Inspection {
     pub wal: Option<WalScan>,
     /// Events-journal findings.
     pub journal: JournalReport,
-    /// Frozen-segment findings, one per file under `segments/`,
-    /// sorted by name.  Empty when the directory is absent.
-    pub segments: Vec<SegmentFileReport>,
     /// Every diagnosis, offset included where one exists.  Empty means
     /// the database is clean.
     pub problems: Vec<String>,
@@ -209,30 +172,6 @@ impl Inspection {
                 out.push_str(&format!("journal: {n} well-formed JSON line(s)\n"))
             }
             JournalReport::Broken(e) => out.push_str(&format!("journal: BROKEN — {e}\n")),
-        }
-        if !self.segments.is_empty() {
-            out.push_str(&format!("segments: {} file(s)\n", self.segments.len()));
-            for seg in &self.segments {
-                match &seg.status {
-                    SegmentStatus::Ok {
-                        rel_id,
-                        versions,
-                        chains,
-                    } => out.push_str(&format!(
-                        "  {}  {} bytes  rel_id {rel_id}  {versions} version(s) in \
-                         {chains} chain(s)  crc ok\n",
-                        seg.name, seg.bytes
-                    )),
-                    SegmentStatus::Leftover => out.push_str(&format!(
-                        "  {}  {} bytes  leftover from an interrupted freeze (harmless)\n",
-                        seg.name, seg.bytes
-                    )),
-                    SegmentStatus::Broken { offset, reason } => out.push_str(&format!(
-                        "  {}  {} bytes  BROKEN at byte offset {offset} — {reason}\n",
-                        seg.name, seg.bytes
-                    )),
-                }
-            }
         }
         if self.problems.is_empty() {
             out.push_str("\nverdict: clean\n");
@@ -392,52 +331,6 @@ pub fn inspect(dir: &Path) -> std::io::Result<Inspection> {
         JournalReport::Absent
     };
 
-    let mut segments: Vec<SegmentFileReport> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir.join("segments")) {
-        for entry in entries.flatten() {
-            if !entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-                continue;
-            }
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-            let status = if name.ends_with(".tmp") {
-                // An interrupted freeze: the rename never happened, so
-                // the heap still holds every version.  Not a problem.
-                SegmentStatus::Leftover
-            } else {
-                match std::fs::read(entry.path()) {
-                    Ok(data) => match chronos_storage::segment::check_bytes(&data) {
-                        Ok(check) => SegmentStatus::Ok {
-                            rel_id: check.rel_id,
-                            versions: check.versions,
-                            chains: check.chains,
-                        },
-                        Err((offset, reason)) => {
-                            problems.push(format!(
-                                "segment segments/{name} is corrupt at byte offset \
-                                 {offset}: {reason}"
-                            ));
-                            SegmentStatus::Broken { offset, reason }
-                        }
-                    },
-                    Err(e) => {
-                        problems.push(format!("segment segments/{name} unreadable: {e}"));
-                        SegmentStatus::Broken {
-                            offset: 0,
-                            reason: e.to_string(),
-                        }
-                    }
-                }
-            };
-            segments.push(SegmentFileReport {
-                name,
-                bytes,
-                status,
-            });
-        }
-        segments.sort_by(|a, b| a.name.cmp(&b.name));
-    }
-
     Ok(Inspection {
         dir: dir.to_path_buf(),
         files,
@@ -445,7 +338,6 @@ pub fn inspect(dir: &Path) -> std::io::Result<Inspection> {
         checkpoint,
         wal,
         journal,
-        segments,
         problems,
     })
 }
@@ -638,84 +530,6 @@ mod tests {
         );
         let text = report.human_report();
         assert!(text.contains("static rollback  1 row(s)"), "{text}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A database with a frozen segment, clock left usable.
-    fn frozen_db(tag: &str) -> PathBuf {
-        let dir = seeded_db(tag);
-        let clock = Arc::new(ManualClock::new(date("01/01/85").unwrap()));
-        let engine = Engine::start(Database::open(&dir, clock).unwrap());
-        // Close a version so something is freezable, then freeze.
-        engine
-            .session()
-            .run(
-                r#"range of f is faculty delete f where f.name = "Tom"
-                   freeze faculty"#,
-            )
-            .unwrap();
-        assert!(dir.join("segments/faculty-0.seg").is_file());
-        drop(engine);
-        // Reopen would purge the cache; inspect the directory as the
-        // crash left it instead.
-        dir
-    }
-
-    #[test]
-    fn valid_segment_inspects_clean_with_its_shape() {
-        let dir = frozen_db("segok");
-        let report = inspect(&dir).unwrap();
-        assert!(report.healthy(), "problems: {:?}", report.problems);
-        assert_eq!(report.segments.len(), 1);
-        let seg = &report.segments[0];
-        assert_eq!(seg.name, "faculty-0.seg");
-        // The delete superseded Tom's one row: a single closed version.
-        assert!(matches!(
-            seg.status,
-            SegmentStatus::Ok {
-                versions: 1,
-                chains: 1,
-                ..
-            }
-        ));
-        let text = report.human_report();
-        assert!(text.contains("faculty-0.seg") && text.contains("crc ok"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_segment_is_diagnosed_with_its_offset_and_exit_2() {
-        let dir = frozen_db("segbad");
-        let seg_path = dir.join("segments/faculty-0.seg");
-        let mut bytes = std::fs::read(&seg_path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&seg_path, &bytes).unwrap();
-        let report = inspect(&dir).unwrap();
-        assert_eq!(report.exit_code(), 2);
-        assert!(
-            report
-                .problems
-                .iter()
-                .any(|p| p.contains("segments/faculty-0.seg") && p.contains("byte offset")),
-            "problems must name the segment and an offset: {:?}",
-            report.problems
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn leftover_tmp_segment_is_noted_but_not_a_problem() {
-        let dir = frozen_db("segtmp");
-        std::fs::write(dir.join("segments/faculty-1.seg.tmp"), b"partial").unwrap();
-        let report = inspect(&dir).unwrap();
-        assert!(report.healthy(), "problems: {:?}", report.problems);
-        assert_eq!(report.segments.len(), 2);
-        assert!(report
-            .segments
-            .iter()
-            .any(|s| matches!(s.status, SegmentStatus::Leftover)));
-        assert!(report.human_report().contains("interrupted freeze"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

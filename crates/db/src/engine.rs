@@ -46,13 +46,14 @@
 //! If the covering fsync *fails*, the staged frames have been rolled
 //! back but the in-memory state already applied them: the engine
 //! poisons itself — every later submission is refused with the
-//! original error and the process must reopen the database, which
-//! replays exactly the durable prefix.  A commit that fails after it
-//! changed its table (`StorageError::PartlyApplied`) poisons the engine
-//! the same way: its frame is rolled back, the rest of its batch is
-//! refused, and no checkpoint runs.
+//! original error, reads included, and the process must reopen the
+//! database, which replays exactly the durable prefix.  A commit that
+//! fails after it changed its table (`StorageError::PartlyApplied`)
+//! poisons the engine the same way: its frame is rolled back, the rest
+//! of its batch is refused, and no checkpoint runs.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
@@ -128,6 +129,11 @@ pub struct Engine {
 struct Core {
     db: RwLock<Database>,
     state: StdMutex<WriterState>,
+    /// Set with `WriterState::poisoned`, before the failing batch hears
+    /// back: what a read checks, so a statement pays one relaxed load
+    /// and no lock.  It publishes nothing; the message is read under
+    /// the state lock.
+    poisoned: AtomicBool,
     cond: Condvar,
     /// Last fsync-covered commit time — what new sessions pin.
     durable: Mutex<Option<Chronon>>,
@@ -151,6 +157,7 @@ impl Engine {
                 poisoned: None,
                 stopping: false,
             }),
+            poisoned: AtomicBool::new(false),
             cond: Condvar::new(),
         });
         let loop_core = Arc::clone(&core);
@@ -200,18 +207,28 @@ impl Engine {
         f(&self.core.db.read())
     }
 
-    /// Takes the core's read lock, recording the acquisition wait into
-    /// the `read_lock_wait` histogram (read-side contention with the
-    /// group-commit writer).  A disabled recorder reads no clock.
-    pub(crate) fn read_db(&self) -> RwLockReadGuard<'_, Database> {
+    /// Takes the core's read lock for a statement, recording the
+    /// acquisition wait into the `read_lock_wait` histogram (read-side
+    /// contention with the group-commit writer).  A disabled recorder
+    /// reads no clock.  A poisoned engine refuses: its memory may hold
+    /// part of a commit the log does not.
+    pub(crate) fn read_db(&self) -> DbResult<RwLockReadGuard<'_, Database>> {
+        if self.core.poisoned.load(Ordering::Relaxed) {
+            let state = self
+                .core
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            return Err(poisoned(state.poisoned.as_deref().unwrap_or_default()));
+        }
         let recorder = &self.core.recorder;
         if !recorder.is_enabled() {
-            return self.core.db.read();
+            return Ok(self.core.db.read());
         }
         let started = Instant::now();
         let db = self.core.db.read();
         recorder.record_latency(|m| &m.read_lock_wait, started.elapsed().as_nanos() as u64);
-        db
+        Ok(db)
     }
 
     /// Snapshot of every engine instrument (see
@@ -527,6 +544,7 @@ impl Core {
     /// the log does not, and only a reopen replays the durable truth.
     fn poison(&self, msg: String) {
         self.state.lock().expect("writer state poisoned").poisoned = Some(msg);
+        self.poisoned.store(true, Ordering::Relaxed);
         self.cond.notify_all();
     }
 }

@@ -481,22 +481,6 @@ fn render_outcomes_into(outcomes: &[ExecOutcome], out: &mut String) {
                 out,
                 "analyzed {relation} ({stats} statistic(s) into sys$tablestats)"
             ),
-            ExecOutcome::Frozen {
-                relation,
-                versions,
-                chains,
-                file_bytes,
-            } => {
-                if *versions == 0 {
-                    writeln!(out, "froze {relation}: nothing freezable")
-                } else {
-                    writeln!(
-                        out,
-                        "froze {relation}: {versions} version(s) in {chains} chain(s), \
-                         {file_bytes} bytes"
-                    )
-                }
-            }
             ExecOutcome::Declared => Ok(()),
         };
     }

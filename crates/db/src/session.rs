@@ -43,7 +43,7 @@ use chronos_tquel::exec::{execute_retrieve_traced, ResultRelation};
 use chronos_tquel::parser::{parse_program, parse_statement};
 use chronos_tquel::provider::{RelationInfo, RelationProvider};
 use chronos_tquel::unparse::unparse;
-use chronos_tquel::{TquelError, TquelResult};
+use chronos_tquel::TquelError;
 
 use crate::database::Database;
 use crate::engine::{Engine, PinnedProvider};
@@ -86,17 +86,6 @@ pub enum ExecOutcome {
         relation: String,
         /// How many statistics the sample holds.
         stats: usize,
-    },
-    /// A `freeze` migrated closed versions into an immutable segment.
-    Frozen {
-        /// The frozen relation.
-        relation: String,
-        /// Versions moved off the heap (0 ⇒ nothing was freezable).
-        versions: u64,
-        /// Distinct version chains in the segment.
-        chains: u64,
-        /// On-disk size of the segment written, bytes.
-        file_bytes: u64,
     },
 }
 
@@ -298,24 +287,10 @@ impl Session {
                 // A read-lock suffices: statistics collection only scans
                 // storage and records into the (interior-mutable)
                 // telemetry rings — no catalog mutation.
-                let stats = self.engine.read_db().analyze_relation(relation)?;
+                let stats = self.engine.read_db()?.analyze_relation(relation)?;
                 Ok(ExecOutcome::Analyzed {
                     relation: relation.clone(),
                     stats,
-                })
-            }
-            Statement::Freeze { relation } => {
-                // Structural migration of the relation's physical store:
-                // needs the writer lock, like create/destroy.
-                let name = relation.clone();
-                let outcome = self
-                    .engine
-                    .exclusive(move |db| db.freeze_relation(&name))??;
-                Ok(ExecOutcome::Frozen {
-                    relation: outcome.relation,
-                    versions: outcome.versions,
-                    chains: outcome.chains,
-                    file_bytes: outcome.file_bytes,
                 })
             }
         }
@@ -434,17 +409,13 @@ impl Session {
         let result: DbResult<()> = match inner {
             // Retrieves run through the traced evaluator so analyze /
             // scan / product spans land in this capture.
-            Statement::Retrieve(r) => match self.retrieve(r, &recorder) {
-                Ok(result) => {
-                    rows_out = result.len() as u64;
-                    if let Some(into) = &r.into {
-                        self.materialize(into, &result)
-                    } else {
-                        Ok(())
-                    }
+            Statement::Retrieve(r) => self.retrieve(r, &recorder).and_then(|result| {
+                rows_out = result.len() as u64;
+                match &r.into {
+                    Some(into) => self.materialize(into, &result),
+                    None => Ok(()),
                 }
-                Err(e) => Err(e.into()),
-            },
+            }),
             // Everything else takes the normal path; the db/storage
             // layer spans it emits are captured all the same.
             other => self.execute(other).map(|_| ()),
@@ -650,7 +621,7 @@ impl Session {
     /// [`Relation::current_matching`](crate::relation::Relation::current_matching)).
     fn current_matching(&self, relation: &str, pred: &Predicate) -> DbResult<Vec<HistoricalRow>> {
         self.engine
-            .read_db()
+            .read_db()?
             .relation(relation)
             .ok_or_else(|| DbError::Catalog(format!("unknown relation {relation:?}")))?
             .current_matching(pred)
@@ -659,10 +630,15 @@ impl Session {
     /// Runs a retrieve through the snapshot pin; the evaluator records
     /// its analyze/scan/product spans into `recorder` (the explain
     /// recorder, or [`noop_recorder`]).
-    fn retrieve(&self, stmt: &Retrieve, recorder: &Recorder) -> TquelResult<ResultRelation> {
-        let db = self.engine.read_db();
+    fn retrieve(&self, stmt: &Retrieve, recorder: &Recorder) -> DbResult<ResultRelation> {
+        let db = self.engine.read_db()?;
         let provider = PinnedProvider::new(&db, self.pin);
-        execute_retrieve_traced(stmt, &self.ranges, &provider, recorder)
+        Ok(execute_retrieve_traced(
+            stmt,
+            &self.ranges,
+            &provider,
+            recorder,
+        )?)
     }
 
     /// Materializes a derived relation (`retrieve into`), exclusively.
@@ -785,7 +761,6 @@ fn statement_kind(stmt: &Statement) -> &'static str {
         Statement::Destroy { .. } => "destroy",
         Statement::Explain { .. } => "explain",
         Statement::Analyze { .. } => "analyze",
-        Statement::Freeze { .. } => "freeze",
     }
 }
 

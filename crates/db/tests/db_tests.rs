@@ -788,8 +788,7 @@ fn every_class_reports_measured_physical_stats() {
 }
 
 /// Sorted, printable rows of every relation answer we care about —
-/// captured before and after a freeze to prove the migration is
-/// invisible to queries.
+/// captured before and after a reopen to prove it changes no answer.
 fn query_fingerprint(engine: &Arc<Engine>) -> Vec<String> {
     let mut out = Vec::new();
     for q in [
@@ -807,104 +806,7 @@ fn query_fingerprint(engine: &Arc<Engine>) -> Vec<String> {
 }
 
 #[test]
-fn freeze_migrates_closed_versions_without_changing_answers() {
-    let dir = std::env::temp_dir().join(format!("chronos-db-freeze-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let clock = Arc::new(ManualClock::new(d("01/01/77")));
-    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
-    engine
-        .session()
-        .run("create faculty (name = str, rank = str) as temporal")
-        .unwrap();
-    build_figure_8(&engine, &clock);
-    let before = query_fingerprint(&engine);
-
-    let outcomes = engine.session().run("freeze faculty").unwrap();
-    match &outcomes[0] {
-        ExecOutcome::Frozen {
-            relation,
-            versions,
-            chains,
-            file_bytes,
-        } => {
-            assert_eq!(relation, "faculty");
-            assert_eq!(*versions, 3, "Figure 8 has exactly 3 closed versions");
-            assert!(*chains >= 2 && *file_bytes > 0);
-        }
-        other => panic!("expected Frozen, got {other:?}"),
-    }
-    assert!(dir.join("segments/faculty-0.seg").is_file());
-    engine.with_db(|db| {
-        let rel = db.relation("faculty").unwrap().table();
-        assert_eq!(rel.segment_versions(), 3);
-        assert_eq!(
-            rel.frozen_version_count(),
-            0,
-            "heap keeps only the open tail"
-        );
-        assert_eq!(rel.stored_tuples(), 7, "logical content unchanged");
-    });
-
-    // Queries are unchanged by the physical migration.
-    assert_eq!(query_fingerprint(&engine), before);
-
-    // sys$pages grows a `segment` class row with ~1.0x duplication and
-    // a pseudo-row sizing the segment file.
-    let res = engine
-        .session()
-        .query(
-            r#"range of p is sys$pages
-               retrieve (p.relation, p.versions, p.dup_factor_x1000)
-               where p.class = "segment""#,
-        )
-        .unwrap();
-    assert_eq!(res.len(), 1);
-    let row = &res.rows[0].tuple;
-    assert_eq!(row.get(0).as_str(), Some("faculty"));
-    assert_eq!(row.get(1).to_string(), "3");
-    // Three singleton chains: all directory overhead, no delta savings
-    // yet — the ≤1.3x bound is measured at chain length 32 (bench T16).
-    let dup: i64 = row.get(2).to_string().parse().unwrap();
-    assert!(
-        (900..=1500).contains(&dup),
-        "tiny segments stay within overhead bounds: {dup}"
-    );
-    let res = engine
-        .session()
-        .query(
-            r#"range of p is sys$pages retrieve (p.bytes_disk)
-               where p.relation = "file:segments/faculty-0.seg""#,
-        )
-        .unwrap();
-    assert_eq!(res.len(), 1);
-
-    // A second freeze has nothing left to move.
-    let outcomes = engine.session().run("freeze faculty").unwrap();
-    assert!(
-        matches!(&outcomes[0], ExecOutcome::Frozen { versions: 0, .. }),
-        "nothing freezable twice in a row"
-    );
-
-    // Reopen: segments are a cache, so recovery rebuilds the full heap
-    // and purges stale segment files — answers still identical.
-    drop(engine);
-    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
-    assert!(
-        !dir.join("segments/faculty-0.seg").exists(),
-        "stale segments purged at open"
-    );
-    engine.with_db(|db| {
-        let rel = db.relation("faculty").unwrap().table();
-        assert_eq!(rel.segment_versions(), 0);
-        assert_eq!(rel.stored_tuples(), 7);
-    });
-    assert_eq!(query_fingerprint(&engine), before);
-    drop(engine);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn a_checkpoint_writes_no_segment_and_freeze_still_does() {
+fn a_checkpoint_writes_no_segment() {
     let dir = std::env::temp_dir().join(format!("chronos-db-nofreeze-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
@@ -918,89 +820,62 @@ fn a_checkpoint_writes_no_segment_and_freeze_still_does() {
     // A checkpoint over closed versions leaves them on the heap: the
     // image already holds every row, so no segment duplicates them.
     engine.checkpoint().unwrap();
-    assert!(std::fs::read_dir(dir.join("segments"))
-        .map(|d| d.count() == 0)
-        .unwrap_or(true));
+    assert!(!dir.join("segments").exists());
     engine.with_db(|db| {
         let rel = db.relation("faculty").unwrap().table();
         assert_eq!(rel.segment_versions(), 0);
         assert_eq!(rel.frozen_version_count(), 3);
     });
-
-    // The explicit statement still freezes them.
-    engine.session().run("freeze faculty").unwrap();
-    assert!(dir.join("segments/faculty-0.seg").is_file());
-    engine.with_db(|db| {
-        let rel = db.relation("faculty").unwrap().table();
-        assert_eq!(rel.segment_versions(), 3);
-        assert_eq!(rel.frozen_version_count(), 0);
-    });
     drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// An older build could freeze closed versions into `segments/`.  Its
+/// directory still opens with the same answers: the files there are
+/// never read, listed in `sys$pages`, diagnosed or removed.
 #[test]
-fn freeze_requires_a_durable_database_and_keys_on_closed_versions() {
-    let (engine, _clock) = fresh_db();
-    let err = engine.session().run("freeze faculty").unwrap_err();
-    assert!(
-        matches!(err, DbError::Capability(_)),
-        "in-memory databases have no segment directory: {err}"
-    );
-
-    let dir = std::env::temp_dir().join(format!("chronos-db-freezecap-{}", std::process::id()));
+fn segment_files_left_by_an_older_build_are_inert() {
+    let dir = std::env::temp_dir().join(format!("chronos-db-oldsegs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let clock = Arc::new(ManualClock::new(d("01/01/77")));
     let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
-    // What freezes is decided by the rows, not the class: a static
-    // relation drops superseded versions, so it never has any to freeze …
     engine
         .session()
-        .run(
-            r#"create snap (name = str) as static
-               append to snap (name = "x")
-               range of s is snap
-               delete s where s.name = "x""#,
-        )
+        .run("create faculty (name = str, rank = str) as temporal")
         .unwrap();
-    let outcomes = engine.session().run("freeze snap").unwrap();
-    assert!(
-        matches!(&outcomes[0], ExecOutcome::Frozen { versions: 0, .. }),
-        "a static relation holds no closed versions: {outcomes:?}"
-    );
-    // … while a rollback relation closes them, and they freeze like a
-    // temporal relation's.
-    engine
-        .session()
-        .run("create log (name = str) as rollback")
-        .unwrap();
-    for name in ["x", "y"] {
-        clock.tick(1);
-        engine
-            .session()
-            .run(&format!(r#"append to log (name = "{name}")"#))
-            .unwrap();
-    }
-    clock.tick(1);
-    engine
-        .session()
-        .run(r#"range of l is log delete l where l.name = "x""#)
-        .unwrap();
-    let as_of = r#"range of l is log retrieve (l.name) as of "01/02/77""#;
-    let before = engine.session().query(as_of).unwrap().column_strings(0);
-    let outcomes = engine.session().run("freeze log").unwrap();
-    assert!(
-        matches!(&outcomes[0], ExecOutcome::Frozen { versions: 1, .. }),
-        "{outcomes:?}"
-    );
-    assert!(dir.join("segments/log-0.seg").is_file());
-    assert_eq!(
-        engine.session().query(as_of).unwrap().column_strings(0),
-        before
-    );
-    let err = engine.session().run("freeze sys$pages").unwrap_err();
-    assert!(matches!(err, DbError::Capability(_)));
+    build_figure_8(&engine, &clock);
+    let before = query_fingerprint(&engine);
     drop(engine);
+
+    let segments = dir.join("segments");
+    std::fs::create_dir_all(&segments).unwrap();
+    std::fs::write(segments.join("r-0.seg"), b"CHRONSG1 and then anything").unwrap();
+    std::fs::write(segments.join("r-1.seg.tmp"), b"partial").unwrap();
+
+    let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
+    assert_eq!(query_fingerprint(&engine), before);
+    let pages = engine
+        .session()
+        .query("range of p is sys$pages retrieve (p.relation, p.class)")
+        .unwrap();
+    assert!(!pages.is_empty());
+    for row in &pages.rows {
+        let text = format!("{:?}", row.tuple);
+        assert!(!text.contains("segment"), "sys$pages lists {text}");
+    }
+    drop(engine);
+
+    let inspect = std::process::Command::new(env!("CARGO_BIN_EXE_chronos"))
+        .arg("--inspect")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        inspect.status.success(),
+        "{}",
+        String::from_utf8_lossy(&inspect.stdout)
+    );
+    assert!(segments.join("r-0.seg").is_file() && segments.join("r-1.seg.tmp").is_file());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

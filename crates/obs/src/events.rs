@@ -2,9 +2,10 @@
 //!
 //! An [`EventJournal`] is a JSONL file (`events.jsonl`, kept beside the
 //! WAL) recording rare engine lifecycle events — recovery start/stop,
-//! checkpoint builds, segment freezes, slow-query admissions (commits
-//! are not journaled: the WAL's frames are their record).  Each line is
-//! one self-contained JSON object:
+//! checkpoint builds, slow-query admissions (commits are not
+//! journaled: the WAL's frames are their record).  The journal is
+//! diagnostic and never synced: recovery does not read it.  Each line
+//! is one self-contained JSON object:
 //!
 //! ```text
 //! {"seq": 12, "ts_ns": 48211094, "event": "recovery", "frames_replayed": 3, ...}

@@ -2,8 +2,8 @@
 //! directory goes through one [`Disk`], and so does the fault plan a
 //! test gives it.
 //!
-//! A [`Disk`] performs eight kinds of operation ([`OpKind`]): create,
-//! append, write, sync, rename, sync-dir, truncate and remove.  The WAL,
+//! A [`Disk`] performs seven kinds of operation ([`OpKind`]): create,
+//! append, write, sync, rename, sync-dir and truncate.  The WAL,
 //! the checkpoint and catalog replacement, the event journal and the
 //! telemetry spill use nothing else to change a file.  Reads go to the
 //! file system directly: a power cut can lose writes, not reads.
@@ -45,8 +45,6 @@ pub enum OpKind {
     SyncDir,
     /// Cuts a file to a length.
     Truncate,
-    /// Removes a file.
-    Remove,
     /// An in-memory step of a commit (the fault key is its name).
     Unwind,
 }
@@ -61,7 +59,6 @@ pub enum Op {
     Rename(PathBuf, PathBuf),
     SyncDir(PathBuf),
     Truncate(PathBuf, u64),
-    Remove(PathBuf),
 }
 
 impl Op {
@@ -75,7 +72,6 @@ impl Op {
             Op::Rename(..) => OpKind::Rename,
             Op::SyncDir(_) => OpKind::SyncDir,
             Op::Truncate(..) => OpKind::Truncate,
-            Op::Remove(_) => OpKind::Remove,
         }
     }
 
@@ -89,7 +85,6 @@ impl Op {
             | Op::Sync(p)
             | Op::SyncDir(p)
             | Op::Truncate(p, _)
-            | Op::Remove(p)
             | Op::Rename(_, p) => p,
         }
     }
@@ -303,24 +298,14 @@ impl Disk {
         )
     }
 
-    /// Flushes the entries of directory `dir` (creations, renames,
-    /// removals) to stable storage.
+    /// Flushes the entries of directory `dir` (creations and renames)
+    /// to stable storage.
     pub fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         self.run(
             OpKind::SyncDir,
             dir,
             || Op::SyncDir(dir.to_path_buf()),
             || File::open(dir)?.sync_all(),
-        )
-    }
-
-    /// Removes the file at `path`.
-    pub fn remove(&self, path: &Path) -> io::Result<()> {
-        self.run(
-            OpKind::Remove,
-            path,
-            || Op::Remove(path.to_path_buf()),
-            || std::fs::remove_file(path),
         )
     }
 }

@@ -323,7 +323,10 @@ declare_metrics! {
         wal_fsyncs: "Write-ahead log fsyncs.",
         heap_rows_scanned: "Row versions read by whole-relation heap scans.",
         index_probes: "Reads answered through an index instead of a heap scan.",
-        segment_hits: "Frozen-segment reads that consulted a segment's map.",
+        // No engine path reads a segment: only the benchmark's layer
+        // probe (`storage.segment.*`) moves these three.  They go with
+        // the benchmark change that retires that probe.
+        segment_hits: "Frozen-segment reads that consulted a segment's key directory.",
         segment_skips: "Frozen segments skipped wholesale (tx-range or bloom miss).",
         segment_bloom_fps: "Bloom probes that passed but found no chain in the directory.",
         commits: "Transactions committed.",

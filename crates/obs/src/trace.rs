@@ -158,7 +158,7 @@ impl Recorder {
     }
 
     /// Appends one lifecycle event to the journal, if one is attached.
-    /// Events are rare (opens, checkpoints, freezes, slow queries), so
+    /// Events are rare (opens, checkpoints, slow queries), so
     /// the journal slot's lock is no hot-path cost.
     pub fn emit_event(&self, event: &str, fields: &[(&str, EventValue)]) {
         if let Some(journal) = self.journal.lock().unwrap().as_ref() {

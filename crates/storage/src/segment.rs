@@ -1,4 +1,12 @@
-//! Frozen-history segments: immutable, delta-encoded, mmap-backed.
+//! Frozen-history segments: immutable and delta-encoded.
+//!
+//! No engine path reaches this module, and a database directory holds
+//! no segment file.  Only
+//! [`StoredBitemporalTable::freeze_into`](crate::table::StoredBitemporalTable::freeze_into)
+//! writes one, and only the frozen benchmark's layer probe calls that
+//! (`storage.segment.*`).  The encoding stays for the closed-history
+//! files ROADMAP item 6 plans; the read path goes with the benchmark
+//! change that retires those probe metrics.
 //!
 //! The paper warns that rollback and temporal stores pay for their
 //! memory with "excessive duplication" — every version of a key repeats
@@ -18,10 +26,10 @@
 //!   period store only their end point;
 //! * a **bloom filter** over first-attribute key bytes plus a min/max
 //!   transaction-time range let as-of point lookups skip a whole
-//!   segment without touching its map;
-//! * reads are **zero-copy** views into an `mmap` of the file — the
-//!   skip/filter path (range check, bloom probe, directory key compare)
-//!   materialises no tuples; only a matching chain is decoded.
+//!   segment without decoding it;
+//! * the file is read whole into memory once, at open; the skip/filter
+//!   path (range check, bloom probe, directory key compare) then
+//!   materialises no tuples, and only a matching chain is decoded.
 //!
 //! ## On-disk layout
 //!
@@ -62,10 +70,9 @@
 //!
 //! Segments are a rebuildable physical cache, never the authority: the
 //! write-ahead log and checkpoint images alone reconstruct the full
-//! heap, so a crash or an error anywhere in a freeze loses nothing —
-//! the freeze simply re-triggers later, and `Database::open` purges
-//! segment files.  Heap rows are only deleted *after* the segment is
-//! durable (`.tmp` + fsync + rename) and mapped.
+//! heap, so a crash or an error anywhere in a freeze loses nothing.
+//! Heap rows are only deleted *after* the segment is durable (`.tmp` +
+//! fsync + rename) and read back.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -94,103 +101,6 @@ pub const HEADER_LEN: usize = 84;
 const BLOOM_BITS_PER_KEY: usize = 10;
 /// … and hash count, giving a false-positive rate of ~0.8 % (< 2 %).
 const BLOOM_HASHES: u32 = 7;
-
-/// The canonical file extension of a segment.
-pub const SEGMENT_EXT: &str = "seg";
-
-// ---------------------------------------------------------------------
-// mmap
-// ---------------------------------------------------------------------
-
-#[cfg(unix)]
-mod map {
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    /// A read-only memory map of a whole file.
-    pub struct Map {
-        ptr: *mut core::ffi::c_void,
-        len: usize,
-    }
-
-    // The mapping is read-only and the pointer is owned exclusively.
-    unsafe impl Send for Map {}
-    unsafe impl Sync for Map {}
-
-    impl Map {
-        pub fn of(file: &File, len: usize) -> io::Result<Map> {
-            if len == 0 {
-                return Err(io::Error::other("cannot map an empty file"));
-            }
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Map { ptr, len })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Map {
-        fn drop(&mut self) {
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod map {
-    use std::fs::File;
-    use std::io::{self, Read};
-
-    /// Read-into-memory fallback where `mmap` is unavailable.
-    pub struct Map {
-        data: Vec<u8>,
-    }
-
-    impl Map {
-        pub fn of(file: &File, len: usize) -> io::Result<Map> {
-            let mut data = Vec::with_capacity(len);
-            let mut file = file;
-            file.read_to_end(&mut data)?;
-            Ok(Map { data })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            &self.data
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Bloom filter
@@ -421,19 +331,8 @@ pub fn write_segment(
 }
 
 // ---------------------------------------------------------------------
-// Validation (shared by open and the offline doctor)
+// Validation
 // ---------------------------------------------------------------------
-
-/// A validated segment's summary, as the doctor reports it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SegmentCheck {
-    /// Relation id stamped in the header.
-    pub rel_id: u32,
-    /// Versions stored.
-    pub versions: u64,
-    /// Chains (distinct keys).
-    pub chains: u64,
-}
 
 fn le_u64(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
@@ -445,9 +344,8 @@ fn le_i64(data: &[u8], at: usize) -> i64 {
 
 /// Structurally validates a whole segment image: magic, checksum,
 /// section bounds, every chain's deltas, periods and payload decodes.
-/// On corruption returns `(byte offset, message)` — the contract the
-/// doctor's exit code 2 reports.
-pub fn check_bytes(data: &[u8]) -> Result<SegmentCheck, (u64, String)> {
+/// On corruption returns `(byte offset, message)`.
+pub fn check_bytes(data: &[u8]) -> Result<(), (u64, String)> {
     if data.len() < HEADER_LEN + 4 {
         return Err((data.len() as u64, "truncated segment header".into()));
     }
@@ -463,7 +361,6 @@ pub fn check_bytes(data: &[u8]) -> Result<SegmentCheck, (u64, String)> {
             format!("checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"),
         ));
     }
-    let rel_id = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
     let versions = le_u64(data, 12);
     let chain_count = le_u64(data, 20);
     let min_start = le_i64(data, 28);
@@ -570,11 +467,7 @@ pub fn check_bytes(data: &[u8]) -> Result<SegmentCheck, (u64, String)> {
             format!("header says {versions} versions, body holds {total_versions}"),
         ));
     }
-    Ok(SegmentCheck {
-        rel_id,
-        versions,
-        chains: chain_count,
-    })
+    Ok(())
 }
 
 /// Decodes one chain (payloads and periods) purely for validation,
@@ -636,17 +529,17 @@ fn decode_payload(bytes: &[u8]) -> StorageResult<(Tuple, Validity)> {
 }
 
 // ---------------------------------------------------------------------
-// Segment (the mapped, read-only form)
+// Segment (the read-only form)
 // ---------------------------------------------------------------------
 
 struct ChainRef {
-    /// Key bytes, as absolute offsets into the map.
+    /// Key bytes, as absolute offsets into the file.
     key: std::ops::Range<usize>,
     /// Absolute offset of the chain body.
     body: usize,
 }
 
-/// Physical statistics of one segment, for `sys$pages` and T16.
+/// Physical statistics of one segment, for the benchmark's layer probe.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Versions stored.
@@ -668,10 +561,9 @@ pub struct SegmentStats {
     pub bytes_per_version: u64,
 }
 
-/// An immutable, mmap-backed segment of frozen history.
+/// An immutable segment of frozen history, read whole into memory.
 pub struct Segment {
-    map: map::Map,
-    path: PathBuf,
+    data: Vec<u8>,
     rel_id: u32,
     versions: u64,
     min_start: i64,
@@ -687,26 +579,23 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Maps and validates the segment at `path`; a segment that fails
+    /// Reads and validates the segment at `path`; a segment that fails
     /// validation is never attached.
     pub fn open(path: &Path) -> StorageResult<Segment> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        let map = map::Map::of(&file, len)?;
-        let data = map.bytes();
-        check_bytes(data).map_err(|(off, msg)| {
+        let data = std::fs::read(path)?;
+        check_bytes(&data).map_err(|(off, msg)| {
             StorageError::Corrupt(format!("segment {}: {msg} at offset {off}", path.display()))
         })?;
         let rel_id = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-        let versions = le_u64(data, 12);
-        let chain_count = le_u64(data, 20) as usize;
-        let min_start = le_i64(data, 28);
-        let max_end = le_i64(data, 36);
-        let logical_bytes = le_u64(data, 44);
-        let priced_delta = le_u64(data, 52);
-        let bloom_len = le_u64(data, 60) as usize;
-        let dir_len = le_u64(data, 68) as usize;
-        let body_len = le_u64(data, 76) as usize;
+        let versions = le_u64(&data, 12);
+        let chain_count = le_u64(&data, 20) as usize;
+        let min_start = le_i64(&data, 28);
+        let max_end = le_i64(&data, 36);
+        let logical_bytes = le_u64(&data, 44);
+        let priced_delta = le_u64(&data, 52);
+        let bloom_len = le_u64(&data, 60) as usize;
+        let dir_len = le_u64(&data, 68) as usize;
+        let body_len = le_u64(&data, 76) as usize;
 
         let mut r = Reader::new(&data[..data.len() - 4]);
         r.skip(HEADER_LEN)?;
@@ -729,8 +618,7 @@ impl Segment {
             });
         }
         Ok(Segment {
-            map,
-            path: path.to_path_buf(),
+            data,
             rel_id,
             versions,
             min_start,
@@ -746,11 +634,6 @@ impl Segment {
         })
     }
 
-    /// The file this segment is mapped from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Relation id stamped in the header.
     pub fn rel_id(&self) -> u32 {
         self.rel_id
@@ -759,11 +642,6 @@ impl Segment {
     /// Versions stored.
     pub fn versions(&self) -> u64 {
         self.versions
-    }
-
-    /// Chains (distinct first-attribute keys).
-    pub fn chains(&self) -> u64 {
-        self.chains.len() as u64
     }
 
     /// The segment's transaction-time coverage: `[min start, max end)`
@@ -786,31 +664,26 @@ impl Segment {
         seg.overlaps(w)
     }
 
-    /// Bloom-filter membership probe over key bytes — no map body
-    /// access, no tuple materialisation.
+    /// Bloom-filter membership probe over key bytes — no body access,
+    /// no tuple materialisation.
     pub fn may_contain(&self, key: &[u8]) -> bool {
         debug_assert_eq!(self.bloom_k, BLOOM_HASHES);
-        bloom_probe(
-            &self.map.bytes()[self.bloom_bitmap.clone()],
-            self.bloom_m,
-            key,
-        )
+        bloom_probe(&self.data[self.bloom_bitmap.clone()], self.bloom_m, key)
     }
 
     /// Finds the chain holding `key`, comparing raw key bytes in the
     /// directory (zero-copy).  `None` after a positive bloom probe is a
     /// false positive.
     pub fn find_chain(&self, key: &[u8]) -> Option<usize> {
-        let data = self.map.bytes();
         self.chains
-            .binary_search_by(|c| data[c.key.clone()].cmp(key))
+            .binary_search_by(|c| self.data[c.key.clone()].cmp(key))
             .ok()
     }
 
     /// Decodes one chain into full bitemporal rows.
     pub fn chain_rows(&self, idx: usize) -> StorageResult<Vec<BitemporalRow>> {
         let chain = &self.chains[idx];
-        let data = self.map.bytes();
+        let data = &self.data;
         let mut r = Reader::new(&data[chain.body..data.len() - 4]);
         decode_chain(&mut r)
     }
@@ -824,19 +697,19 @@ impl Segment {
         Ok(out)
     }
 
-    /// Physical statistics for `sys$pages` and the T16 experiment.
+    /// Physical statistics (`storage.segment.dup_factor`).
     pub fn stats(&self) -> SegmentStats {
         let stored = (self.dir_len + self.body_len) as u64;
         SegmentStats {
             versions: self.versions,
             chains: self.chains.len() as u64,
-            file_bytes: self.map.bytes().len() as u64,
+            file_bytes: self.data.len() as u64,
             stored_bytes: stored,
             logical_bytes: self.logical_bytes,
             dup_factor_x1000: (stored * 1000)
                 .checked_div(self.priced_delta)
                 .unwrap_or(1000),
-            bytes_per_version: (self.map.bytes().len() as u64)
+            bytes_per_version: (self.data.len() as u64)
                 .checked_div(self.versions)
                 .unwrap_or(0),
         }

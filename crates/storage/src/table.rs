@@ -295,7 +295,7 @@ pub struct StoredBitemporalTable<S: PageStore = MemPager> {
     versions: HashMap<Value, Vec<(Period, RecordId)>>,
     last_commit: Option<Chronon>,
     transactions: usize,
-    /// Frozen history: immutable, delta-encoded, mmap-backed segments
+    /// Frozen history: immutable, delta-encoded segments
     /// holding versions whose transaction period is wholly past.  The
     /// heap keeps only the mutable tail; reads merge both.  Segments
     /// are a rebuildable cache — the WAL and checkpoint images alone
@@ -991,18 +991,19 @@ impl<S: PageStore> StoredBitemporalTable<S> {
     /// Freezes every closed version out of the heap into an immutable
     /// segment at `path`, leaving the mutable tail (open transaction
     /// periods) on the pager.  Returns `None` when nothing is
-    /// freezable.  Ordering of the durability steps is what makes a
+    /// freezable.  No engine path calls it (a database directory holds
+    /// no segment); the benchmark's layer probe does, and it goes with
+    /// the benchmark change that retires `storage.segment.*`.  Ordering of the durability steps is what makes a
     /// crash at any point harmless:
     ///
     /// 1. the segment is written to a `.tmp` sibling, fsynced, and
     ///    renamed into place;
-    /// 2. the segment is mapped and validated;
+    /// 2. the segment is read back and validated;
     /// 3. only then are the frozen rows deleted from the heap and
     ///    de-indexed.
     ///
     /// The WAL and checkpoint images remain the authority throughout —
-    /// recovery rebuilds the full heap and discards stale segments, so
-    /// an interrupted freeze is simply redone later.
+    /// recovery rebuilds the full heap and never reads a segment.
     pub fn freeze_into(&mut self, path: &Path) -> StorageResult<Option<FreezeReport>> {
         let recorder = Arc::clone(&self.recorder);
         let span = recorder.span("storage/freeze");
@@ -1026,7 +1027,7 @@ impl<S: PageStore> StoredBitemporalTable<S> {
         let rows: Vec<BitemporalRow> = victims.iter().map(|(_, row)| row.clone()).collect();
         let report = segment::write_segment(path, self.rel_id, &rows)?;
         let seg = Arc::new(Segment::open(path)?);
-        // The segment is durable and mapped: the heap copies can go.
+        // The segment is durable and read back: the heap copies can go.
         for (rid, row) in victims {
             self.heap.delete(rid)?;
             assert!(self.tx_index.remove(row.tx, &rid), "tx index in sync");
@@ -1404,7 +1405,7 @@ mod tests {
         assert_eq!(t.stored_tuples(), 7, "logical content unchanged");
         assert_eq!(t.segment_versions(), closed);
 
-        // The mmap-backed answer is byte-identical to the heap answer.
+        // The segment-backed answer is byte-identical to the heap answer.
         let after = t.scan_rows().unwrap();
         assert_eq!(sorted_encodings(&before), sorted_encodings(&after));
 

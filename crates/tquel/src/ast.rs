@@ -284,11 +284,4 @@ pub enum Statement {
         /// The relation to collect statistics over.
         relation: String,
     },
-    /// `freeze rel` — migrate the relation's closed (wholly-past)
-    /// versions off the mutable heap into an immutable, mmap-backed
-    /// segment file.  Contextual identifier, like `analyze`.
-    Freeze {
-        /// The relation whose history to freeze.
-        relation: String,
-    },
 }

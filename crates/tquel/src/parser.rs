@@ -7,9 +7,8 @@
 //!              | create | destroy
 //!              | ("explain" | "profile") statement
 //!              | "analyze" ident
-//!              | "freeze" ident
 //!              ; "select" is accepted as an alias for "retrieve";
-//!              ; explain/profile/select/analyze/freeze are contextual
+//!              ; explain/profile/select/analyze are contextual
 //!              ; identifiers, not reserved
 //! range       := "range" "of" ident "is" ident
 //! retrieve    := "retrieve" ["into" ident] "(" target {"," target} ")"
@@ -178,11 +177,6 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let relation = self.ident()?;
                 Ok(Statement::Analyze { relation })
-            }
-            T::Ident(s) if s.eq_ignore_ascii_case("freeze") => {
-                self.bump();
-                let relation = self.ident()?;
-                Ok(Statement::Freeze { relation })
             }
             _ => Err(self.error("expected a statement")),
         }
@@ -913,6 +907,11 @@ mod tests {
         assert!(parse_statement("retrieve (f.rank) when f1 f2").is_err());
         assert!(parse_statement("retrieve (f.rank) extra").is_err());
         assert!(parse_statement("create r (a = blob)").is_err());
+        // `freeze` is no statement: it fails like any unknown word.
+        assert!(matches!(
+            parse_statement("freeze faculty"),
+            Err(TquelError::Parse { .. })
+        ));
     }
 
     #[test]

@@ -115,9 +115,6 @@ fn print_statement(stmt: &Statement, lit: Literals, out: &mut String) {
             out.push_str(if *profile { "profile " } else { "explain " });
             print_statement(inner, lit, out);
         }
-        Statement::Freeze { relation } => {
-            let _ = write!(out, "freeze {relation}");
-        }
         Statement::Analyze { relation } => {
             let _ = write!(out, "analyze {relation}");
         }
@@ -442,7 +439,6 @@ mod tests {
         round_trip("explain destroy faculty");
         round_trip("analyze faculty");
         round_trip("explain analyze faculty");
-        round_trip("freeze faculty");
         // `select` is a parse-time alias: it round-trips *as* retrieve.
         let alias = parse_statement(r#"profile select (f.rank) where f.name = "Tom""#).unwrap();
         let canonical =

@@ -567,90 +567,6 @@ EOF
 grep -q 'associate' <<<"$cls_rows" \
   || die "class smoke: rollback relation lost its history across the checkpoint" "$cls_rows"
 
-echo "==> frozen segment smoke (freeze / sys\$pages / --inspect / torn segment)"
-seg_dir=$(mktemp -d)
-workdirs+=("$seg_dir")
-# Replacement churn closes six Merrie versions and one Tom version;
-# `freeze` migrates all seven into segments/faculty-0.seg.
-seg_out=$(./target/release/chronos --batch "$seg_dir/db" <<'EOF'
-\advance 01/01/80
-create faculty (name = str, rank = str) as temporal
-
-append to faculty (name = "Merrie", rank = "rank0")
-
-range of f is faculty
-replace f (rank = "rank1") where f.name = "Merrie"
-
-replace f (rank = "rank2") where f.name = "Merrie"
-
-replace f (rank = "rank3") where f.name = "Merrie"
-
-replace f (rank = "rank4") where f.name = "Merrie"
-
-replace f (rank = "rank5") where f.name = "Merrie"
-
-replace f (rank = "rank6") where f.name = "Merrie"
-
-append to faculty (name = "Tom", rank = "assistant")
-
-range of g is faculty
-delete g where g.name = "Tom"
-
-freeze faculty
-
-retrieve (f.name, f.rank)
-
-retrieve (f.name, f.rank) as of "01/01/80"
-
-range of p is sys$pages
-retrieve (p.relation, p.versions, p.dup_factor_x1000) where p.class = "segment"
-
-retrieve (p.relation, p.bytes_disk) where p.relation = "file:segments/faculty-0.seg"
-EOF
-) || die "segment smoke: batch script failed" "$seg_out"
-grep -q 'froze faculty: 7 version(s)' <<<"$seg_out" \
-  || die "segment smoke: freeze did not move the 7 closed versions" "$seg_out"
-grep -q 'Merrie' <<<"$seg_out" \
-  || die "segment smoke: retrieve after freeze lost rows" "$seg_out"
-[ -f "$seg_dir/db/segments/faculty-0.seg" ] \
-  || die "segment smoke: segment file missing"
-# The sys$pages segment row must show near-1.0x duplication — the
-# delta codec's whole point (the heap row for the same history sits
-# well above it; T16 quantifies both).
-seg_dup=$(awk -F'|' '/faculty +\|/ { gsub(/ /, "", $3); print $3 }' <<<"$seg_out" | head -1)
-[ -n "$seg_dup" ] || die "segment smoke: sys\$pages segment row missing" "$seg_out"
-[ "$seg_dup" -le 1300 ] \
-  || die "segment smoke: segment dup_factor_x1000=$seg_dup, want ≤1300 (near 1.0x)" "$seg_out"
-grep -q 'file:segments/faculty-0.seg' <<<"$seg_out" \
-  || die "segment smoke: sys\$pages missing the segment file pseudo-row" "$seg_out"
-# The offline doctor lists and checksum-validates the segment.
-inspect_out=$(./target/release/chronos --inspect "$seg_dir/db") \
-  || die "segment smoke: clean frozen database did not inspect clean" "$inspect_out"
-grep -q 'faculty-0.seg' <<<"$inspect_out" \
-  || die "segment smoke: --inspect did not list the segment" "$inspect_out"
-grep -q 'crc ok' <<<"$inspect_out" \
-  || die "segment smoke: --inspect did not validate the segment checksum" "$inspect_out"
-# A torn (bit-flipped) segment must be diagnosed with its byte offset,
-# exit code 2 — and recovery must still open fine (segments are a
-# rebuildable cache; the heap stays authoritative).
-seg_file="$seg_dir/db/segments/faculty-0.seg"
-seg_len=$(wc -c < "$seg_file")
-printf '\xAA' | dd of="$seg_file" bs=1 seek=$((seg_len / 2)) conv=notrunc 2>/dev/null
-if inspect_out=$(./target/release/chronos --inspect "$seg_dir/db"); then
-  die "segment smoke: torn segment inspected clean" "$inspect_out"
-fi
-grep -q 'faculty-0.seg' <<<"$inspect_out" \
-  || die "segment smoke: torn-segment diagnosis missing the file" "$inspect_out"
-grep -q 'byte offset' <<<"$inspect_out" \
-  || die "segment smoke: torn-segment diagnosis missing the offset" "$inspect_out"
-seg_rows=$(./target/release/chronos --batch "$seg_dir/db" <<'EOF'
-range of f is faculty
-retrieve (f.name, f.rank)
-EOF
-) || die "segment smoke: reopen with a torn segment failed (heap must stay authoritative)"
-grep -q 'Merrie' <<<"$seg_rows" \
-  || die "segment smoke: rows lost after reopening past a torn segment" "$seg_rows"
-
 echo "==> the checkout is as the run found it"
 status_after=$(git status --porcelain 2>/dev/null || true)
 [ "$status_after" = "$status_before" ] \

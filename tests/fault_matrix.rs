@@ -8,8 +8,9 @@
 //! * unsynced appends are dropped, or torn at a prefix;
 //! * a truncate or a whole-file write is lost unless its file was
 //!   synced after it;
-//! * a creation, rename or removal is lost unless its directory was
-//!   synced after it;
+//! * a creation or rename is lost unless its directory was synced
+//!   after it (a sync of any other directory, such as the parent the
+//!   database directory was created in, changes nothing here);
 //! * synced data survives.
 //!
 //! Each state is opened with `Database::open` and must hold exactly a
@@ -99,7 +100,6 @@ impl Inode {
 /// A directory entry change, durable once the directory is synced.
 enum Entry {
     Link(String, usize),
-    Unlink(String),
     Rename(String, String),
 }
 
@@ -108,9 +108,6 @@ impl Entry {
         match self {
             Entry::Link(name, ino) => {
                 dir.insert(name.clone(), *ino);
-            }
-            Entry::Unlink(name) => {
-                dir.remove(name);
             }
             Entry::Rename(from, to) => {
                 if let Some(ino) = dir.remove(from) {
@@ -122,8 +119,9 @@ impl Entry {
 }
 
 /// One database directory, replayed from a recorded operation log.
-#[derive(Default)]
 struct Model {
+    /// The directory whose entries the model tracks.
+    dir: PathBuf,
     inodes: Vec<Inode>,
     /// The entries the process sees.
     names: BTreeMap<String, usize>,
@@ -134,6 +132,16 @@ struct Model {
 }
 
 impl Model {
+    fn new(dir: &Path) -> Model {
+        Model {
+            dir: dir.to_path_buf(),
+            inodes: Vec::new(),
+            names: BTreeMap::new(),
+            durable: BTreeMap::new(),
+            pending: Vec::new(),
+        }
+    }
+
     fn inode(&mut self, path: &Path) -> &mut Inode {
         let name = file_name(path).to_string();
         let ino = match self.names.get(&name) {
@@ -168,15 +176,11 @@ impl Model {
                 entry.apply(&mut self.names);
                 self.pending.push(entry);
             }
-            Op::Remove(p) => {
-                let entry = Entry::Unlink(name(p));
-                entry.apply(&mut self.names);
-                self.pending.push(entry);
-            }
-            Op::SyncDir(_) => {
+            Op::SyncDir(d) if *d == self.dir => {
                 self.durable = self.names.clone();
                 self.pending.clear();
             }
+            Op::SyncDir(_) => {}
         }
     }
 
@@ -212,10 +216,10 @@ impl Model {
     }
 }
 
-/// Calls `visit(k, states)` with the states a power cut may leave after
-/// the first `k` operations, for every `k`.
-fn crash_states(ops: &[Op], mut visit: impl FnMut(usize, BTreeSet<State>)) {
-    let mut model = Model::default();
+/// Calls `visit(k, states)` with the states a power cut may leave in
+/// `dir` after the first `k` operations, for every `k`.
+fn crash_states(dir: &Path, ops: &[Op], mut visit: impl FnMut(usize, BTreeSet<State>)) {
+    let mut model = Model::new(dir);
     visit(0, model.states());
     for (k, op) in ops.iter().enumerate() {
         model.apply(op);
@@ -256,7 +260,9 @@ fn old_checkpoint_and_empty_log(state: &State) -> bool {
 #[test]
 fn the_model_loses_a_rename_its_directory_never_synced() {
     let mut last = BTreeSet::new();
-    crash_states(&checkpoint_window(false), |_, states| last = states);
+    crash_states(Path::new("."), &checkpoint_window(false), |_, states| {
+        last = states
+    });
     assert!(
         last.iter().any(old_checkpoint_and_empty_log),
         "old checkpoint + empty log must be a possible power-cut state"
@@ -269,7 +275,7 @@ fn the_model_loses_a_rename_its_directory_never_synced() {
 fn a_directory_sync_closes_the_rename_window() {
     let ops = checkpoint_window(true);
     let truncate = ops.iter().position(|op| op.kind() == OpKind::Truncate);
-    crash_states(&ops, |k, states| {
+    crash_states(Path::new("."), &ops, |k, states| {
         assert!(
             k <= truncate.expect("the window truncates")
                 || !states.iter().any(old_checkpoint_and_empty_log),
@@ -414,6 +420,7 @@ fn open(dir: &Path, disk: &Disk, clock: &Arc<ManualClock>) -> DbResult<Arc<Engin
 /// What happened to each step of a recorded run: the operation count
 /// when it started and, if it was acknowledged, when it returned.
 struct Run {
+    dir: PathBuf,
     ops: Vec<Op>,
     marks: Vec<(usize, Option<usize>)>,
 }
@@ -439,6 +446,7 @@ fn record(dir: &Path, steps: &[Step], fault: Option<Fault>) -> Run {
     let _ = engine.exclusive(|_| ());
     drop(engine);
     Run {
+        dir: dir.to_path_buf(),
         ops: disk.ops(),
         marks,
     }
@@ -527,7 +535,7 @@ fn recover(state: &State, dir: &Path, oracle: &[Canon]) -> Result<Vec<usize>, St
 fn check_power_cuts(tag: &str, run: &Run, oracle: &[Canon], only_end: bool) -> usize {
     let dir = scratch(tag);
     let mut seen: HashMap<State, Vec<usize>> = HashMap::new();
-    crash_states(&run.ops, |k, states| {
+    crash_states(&run.dir, &run.ops, |k, states| {
         if only_end && k < run.ops.len() {
             return;
         }
@@ -561,6 +569,29 @@ fn check_power_cuts(tag: &str, run: &Run, oracle: &[Canon], only_end: bool) -> u
     });
     let _ = std::fs::remove_dir_all(&dir);
     seen.len()
+}
+
+/// A new database directory is an entry in its parent: the open syncs
+/// the parent before it creates any file, and a reopen of the existing
+/// directory syncs nothing more.
+#[test]
+fn a_new_database_directory_is_synced_into_its_parent() {
+    let dir = scratch("newdir");
+    let parent = Op::SyncDir(dir.parent().expect("a parent").to_path_buf());
+    let clock = Arc::new(ManualClock::new(day(0)));
+    let disk = Disk::recording();
+    drop(open(&dir, &disk, &clock).expect("open fresh"));
+    let ops = disk.ops();
+    let synced = ops.iter().position(|op| *op == parent);
+    let created = ops.iter().position(|op| op.kind() == OpKind::Create);
+    assert!(
+        synced.is_some() && synced < created,
+        "the parent is synced before the first create: {ops:?}"
+    );
+    let disk = Disk::recording();
+    drop(open(&dir, &disk, &clock).expect("reopen"));
+    assert!(!disk.ops().contains(&parent), "{:?}", disk.ops());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A crash after each durable operation — on disk, a power cut keeping
@@ -896,8 +927,9 @@ fn a_commit_that_fails_while_applied_leaves_index_and_heap_agreeing() {
 /// A `replace` lowers to `[Remove, Insert]`.  When the insert fails
 /// after the remove has changed the table, the commit is partly applied
 /// in memory and nowhere in the log: the engine poisons itself, as a
-/// failed group sync does, so nothing is written on top of it, and a
-/// reopen brings back the row the remove had taken.
+/// failed group sync does, so nothing is written on top of it and no
+/// read shows the half-applied state (the exporter still answers), and
+/// a reopen brings back the row the remove had taken.
 #[test]
 fn a_replace_that_fails_halfway_poisons_the_engine() {
     for class in CLASSES {
@@ -928,6 +960,19 @@ fn a_replace_that_fails_halfway_poisons_the_engine() {
             refused.to_string().contains("poisoned"),
             "{class}: {refused}"
         );
+        let read = Step::Run(r#"range of f is f retrieve (f.name)"#.into());
+        let refused = run_step(&engine, &clock, 4, &read).expect_err("a poisoned read");
+        assert!(
+            refused.to_string().contains("poisoned"),
+            "{class}: {refused}"
+        );
+        let server =
+            (engine.with_db(|db| db.serve_observability("127.0.0.1:0"))).expect("exporter");
+        let addr = server.addr().to_string();
+        for path in ["/metrics", "/wal", "/storage"] {
+            assert_eq!(http_get(&addr, path).expect(path).0, 200, "{class}: {path}");
+        }
+        drop(server);
         assert!(engine.checkpoint().is_err(), "{class}: a checkpoint ran");
         drop(engine);
         let engine = open(&dir, &Disk::default(), &clock).expect("reopen");

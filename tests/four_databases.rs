@@ -766,7 +766,7 @@ enum Write {
         name: u8,
         rank: u8,
     },
-    Freeze,
+    Checkpoint,
 }
 
 /// `where` clauses with a key conjunct (either side of `=`, first or
@@ -797,7 +797,7 @@ fn arb_write() -> impl Strategy<Value = Write> {
         3 => (clause(), 0u8..3)
             .prop_map(|((pick, name, rank), to)| Write::Replace { pick, name, rank, to }),
         2 => clause().prop_map(|(pick, name, rank)| Write::Delete { pick, name, rank }),
-        1 => Just(Write::Freeze),
+        1 => Just(Write::Checkpoint),
     ]
 }
 
@@ -861,8 +861,8 @@ proptest! {
     /// Key-directed lowering reads exactly the rows, in exactly the
     /// order, that a scan of the latest state filtered by the predicate
     /// yields — on all four classes, for predicates with and without a
-    /// key conjunct, with closed versions frozen into segments and with
-    /// dead heap slots reused by later inserts.
+    /// key conjunct, across checkpoints and with dead heap slots reused
+    /// by later inserts.
     #[test]
     fn key_directed_lowering_matches_full_scan_lowering(
         script in prop::collection::vec(arb_write(), 8..40)
@@ -880,6 +880,10 @@ proptest! {
             create(&engine, rel, class);
         }
         for write in &script {
+            if let Write::Checkpoint = write {
+                engine.checkpoint().expect("checkpoint");
+                continue;
+            }
             for (rel, _) in CLASSES {
                 clock.tick(3);
                 let text = match write {
@@ -896,7 +900,7 @@ proptest! {
                         engine.with_db(|db| assert_same_rows_either_way(db, rel, &clause))?;
                         format!("range of v is {rel} delete v{clause}")
                     }
-                    Write::Freeze => format!("freeze {rel}"),
+                    Write::Checkpoint => unreachable!("checkpointed above"),
                 };
                 // A statement the store refuses (a replace onto a fact
                 // that already stands) changes nothing; go on.

@@ -2,8 +2,8 @@
 //!
 //! For every relation class, seeded scripts of appends, deletes,
 //! replacements and valid-time corrections run through a durable engine,
-//! with a freeze, a checkpoint, a log suffix and a reopen (which restores
-//! the checkpoint image row by row) along the way.  At every stage, for
+//! with a checkpoint, a log suffix and a reopen (which restores the
+//! checkpoint image row by row) along the way, and writes after it.  At every stage, for
 //! every key — one no row carries included — and every `as of` (none, a
 //! point, a window), `Relation::scan(as_of, Some(key))` must equal
 //! `scan(as_of, None)` filtered on the first attribute: the same rows in
@@ -152,9 +152,9 @@ proptest! {
 
     #[test]
     fn a_keyed_read_is_the_unkeyed_read_restricted_to_the_key(
-        before_freeze in arb_steps(),
-        after_freeze in arb_steps(),
+        before_checkpoint in arb_steps(),
         after_checkpoint in arb_steps(),
+        after_reopen in arb_steps(),
     ) {
         static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -173,24 +173,20 @@ proptest! {
                 .expect("writer")
                 .expect("create");
         }
-        play(&engine, &clock, &before_freeze);
+        play(&engine, &clock, &before_checkpoint);
         assert_keyed_reads_restrict(&engine, "heap")?;
-        // Freezing moves closed versions into segments and frees their
-        // heap slots, so later closes relocate records.
-        for (rel, _) in CLASSES {
-            engine.session().run(&format!("freeze {rel}")).expect("freeze");
-        }
-        assert_keyed_reads_restrict(&engine, "frozen")?;
-        play(&engine, &clock, &after_freeze);
-        assert_keyed_reads_restrict(&engine, "frozen, then written")?;
         engine.checkpoint().expect("checkpoint");
         play(&engine, &clock, &after_checkpoint);
+        assert_keyed_reads_restrict(&engine, "checkpointed, then written")?;
         let now = engine.with_db(Database::now);
         drop(engine);
         // The image is restored row by row, then the log suffix replays.
         let clock = Arc::new(ManualClock::new(now));
-        let engine = Engine::start(Database::open(&dir, clock).expect("reopen"));
+        let engine = Engine::start(Database::open(&dir, clock.clone()).expect("reopen"));
         assert_keyed_reads_restrict(&engine, "reopened")?;
+        // Restored rows close and relocate like any others.
+        play(&engine, &clock, &after_reopen);
+        assert_keyed_reads_restrict(&engine, "reopened, then written")?;
         drop(engine);
         let _ = std::fs::remove_dir_all(&dir);
     }
