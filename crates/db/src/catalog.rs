@@ -5,6 +5,13 @@
 //! file in the database directory — a checksummed binary image rewritten
 //! on every DDL statement — while committed data lives in the shared
 //! write-ahead log, keyed by `rel_id`.
+//!
+//! The catalog's magic also names the format of the files beside it.
+//! `CHRONCAT` is a directory whose log and checkpoint share no strings;
+//! `CHRONCA2` one whose may.  An open rewrites a `CHRONCAT` catalog
+//! under `CHRONCA2` before it logs anything, so a build that predates
+//! shared strings stops at `bad catalog magic` instead of cutting off a
+//! log it cannot decode.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -102,7 +109,9 @@ impl Catalog {
     // Persistence
     // ----------------------------------------------------------------
 
-    const MAGIC: &'static [u8; 8] = b"CHRONCAT";
+    const MAGIC: &'static [u8; 8] = b"CHRONCA2";
+    /// The same body, beside a log and checkpoint with no shared string.
+    const MAGIC_V1: &'static [u8; 8] = b"CHRONCAT";
 
     fn encode(&self) -> Vec<u8> {
         let mut body = Vec::new();
@@ -141,7 +150,7 @@ impl Catalog {
     }
 
     fn decode(bytes: &[u8]) -> StorageResult<Catalog> {
-        if bytes.len() < 12 || &bytes[..8] != Self::MAGIC {
+        if bytes.len() < 12 || (&bytes[..8] != Self::MAGIC && &bytes[..8] != Self::MAGIC_V1) {
             return Err(StorageError::Corrupt("bad catalog magic".into()));
         }
         let stored = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
@@ -172,8 +181,9 @@ impl Catalog {
                 1 => TemporalSignature::Event,
                 t => return Err(StorageError::Corrupt(format!("bad signature tag {t}"))),
             };
-            let arity = r.get_uvarint()? as usize;
-            let mut attrs = Vec::with_capacity(arity);
+            let arity = r.get_uvarint()?;
+            // Untrusted: an attribute takes at least two bytes.
+            let mut attrs = Vec::with_capacity((arity as usize).min(r.remaining() / 2));
             for _ in 0..arity {
                 let aname = r.get_str()?.to_string();
                 let ty = match r.get_u8()? {
@@ -214,10 +224,28 @@ impl Catalog {
     }
 
     /// Loads a catalog image, or an empty catalog if the file is absent.
+    /// Read-only: either magic loads.
     pub fn load(path: &Path) -> StorageResult<Catalog> {
+        Ok(Self::read(path)?.0)
+    }
+
+    /// [`load`](Self::load) for an open that goes on to write: a
+    /// `CHRONCAT` catalog is first saved again under this build's magic,
+    /// through `disk`.
+    pub fn load_for_writing(disk: &Disk, path: &Path) -> StorageResult<Catalog> {
+        let (catalog, older) = Self::read(path)?;
+        if older {
+            catalog.save(disk, path)?;
+        }
+        Ok(catalog)
+    }
+
+    /// The catalog at `path` (empty if the file is absent), and whether
+    /// it carries the older magic.
+    fn read(path: &Path) -> StorageResult<(Catalog, bool)> {
         match std::fs::read(path) {
-            Ok(bytes) => Self::decode(&bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Catalog::new()),
+            Ok(bytes) => Ok((Self::decode(&bytes)?, bytes.starts_with(Self::MAGIC_V1))),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok((Catalog::new(), false)),
             Err(e) => Err(e.into()),
         }
     }
@@ -299,6 +327,29 @@ mod tests {
             !dir.join("catalog.tmp").exists(),
             "the save left its temp file behind"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A catalog an older build wrote (`CHRONCAT`) loads read-only as
+    /// it is, and an open that writes saves it under the new magic
+    /// first.
+    #[test]
+    fn an_open_rewrites_a_format_1_catalog_under_the_new_magic() {
+        let c = sample();
+        let dir = std::env::temp_dir().join(format!("chronos-catalog-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("catalog");
+        let mut v1 = c.encode();
+        assert_eq!(&v1[..8], Catalog::MAGIC);
+        v1[..8].copy_from_slice(Catalog::MAGIC_V1);
+        std::fs::write(&path, &v1).unwrap();
+        assert_eq!(Catalog::load(&path).unwrap(), c);
+        assert_eq!(std::fs::read(&path).unwrap(), v1, "load never writes");
+        assert_eq!(
+            Catalog::load_for_writing(&Disk::default(), &path).unwrap(),
+            c
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), c.encode());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

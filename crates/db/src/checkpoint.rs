@@ -20,6 +20,11 @@
 //! (asserted by the durability tests).  Every relation class has the
 //! same image shape — the rows with both timestamps — because every
 //! class lives in the same store; the class itself is the catalog's.
+//!
+//! The whole file is one string section of the storage codec
+//! ([`StrEncoder`]): a string is written in full the first time any
+//! image names it, and as a reference to that first occurrence after,
+//! so a key repeated across versions and relations costs its bytes once.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -28,16 +33,20 @@ use chronos_core::chronon::Chronon;
 use chronos_core::relation::temporal::{BitemporalRow, TemporalStore as _};
 use chronos_obs::Disk;
 use chronos_storage::codec::{
-    crc32, get_period, get_tuple, get_validity, put_ivarint, put_period, put_tuple, put_uvarint,
-    put_validity, Reader,
+    crc32, get_period, get_validity, put_ivarint, put_period, put_uvarint, put_validity, Reader,
+    StrDecoder, StrEncoder,
 };
 use chronos_storage::{StorageError, StorageResult};
 
 use crate::catalog::CatalogEntry;
 use crate::relation::Relation;
 
-/// Format 2: one image shape for every relation class.
-const MAGIC: &[u8; 8] = b"CHRONCK2";
+/// Format 3: one image shape for every relation class, and one string
+/// table for the whole file.
+const MAGIC: &[u8; 8] = b"CHRONCK3";
+/// Format 2 is format 3 with no string reference in it, so the one
+/// decoder reads it.
+const MAGIC_V2: &[u8; 8] = b"CHRONCK2";
 /// Format 1 tagged each image with its class and had four layouts.
 const MAGIC_V1: &[u8; 8] = b"CHRONCKP";
 
@@ -97,18 +106,18 @@ pub fn capture(rel: &Relation) -> StorageResult<RelationImage> {
     })
 }
 
-fn encode_image(buf: &mut Vec<u8>, image: &RelationImage) {
+fn encode_image<'a>(buf: &mut Vec<u8>, strs: &mut StrEncoder<'a>, image: &'a RelationImage) {
     put_opt_chronon(buf, image.last_commit);
     put_uvarint(buf, image.transactions);
     put_uvarint(buf, image.rows.len() as u64);
     for row in &image.rows {
-        put_tuple(buf, &row.tuple);
+        strs.put_tuple(buf, &row.tuple);
         put_validity(buf, row.validity);
         put_period(buf, row.tx);
     }
 }
 
-fn decode_image(r: &mut Reader<'_>) -> StorageResult<RelationImage> {
+fn decode_image(r: &mut Reader<'_>, strs: &mut StrDecoder) -> StorageResult<RelationImage> {
     let last_commit = get_opt_chronon(r)?;
     let transactions = r.get_uvarint()?;
     let n = r.get_uvarint()?;
@@ -117,7 +126,7 @@ fn decode_image(r: &mut Reader<'_>) -> StorageResult<RelationImage> {
     let mut rows = Vec::new();
     for _ in 0..n {
         rows.push(BitemporalRow {
-            tuple: get_tuple(r)?,
+            tuple: strs.get_tuple(r)?,
             validity: get_validity(r)?,
             tx: get_period(r)?,
         });
@@ -142,28 +151,35 @@ pub fn restore(entry: &CatalogEntry, image: RelationImage) -> StorageResult<Rela
     )
 }
 
-/// Writes a checkpoint file: the WAL floor, then `(rel_id → image)`
-/// for every relation, framed with magic and CRC-32, through
-/// `replace_file` on `disk`: once this returns the new checkpoint
-/// survives a power loss and the log it absorbed may be truncated.
-/// Returns the file's length.
+/// The bytes of a checkpoint file: the WAL floor, then `(rel_id →
+/// image)` for every relation, framed with magic and CRC-32.
+pub fn encode(wal_floor: Option<Chronon>, images: &BTreeMap<u32, RelationImage>) -> Vec<u8> {
+    let mut body = Vec::new();
+    put_opt_chronon(&mut body, wal_floor);
+    put_uvarint(&mut body, images.len() as u64);
+    let mut strs = StrEncoder::default();
+    for (rel_id, image) in images {
+        put_uvarint(&mut body, u64::from(*rel_id));
+        encode_image(&mut body, &mut strs, image);
+    }
+    let mut out = Vec::with_capacity(body.len() + 12);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    out.extend_from_slice(&body);
+    out
+}
+
+/// Writes the checkpoint file [`encode`] makes through `replace_file`
+/// on `disk`: once this returns the new checkpoint survives a power
+/// loss and the log it absorbed may be truncated.  Returns the file's
+/// length.
 pub fn save(
     disk: &Disk,
     path: &Path,
     wal_floor: Option<Chronon>,
     images: &BTreeMap<u32, RelationImage>,
 ) -> StorageResult<u64> {
-    let mut body = Vec::new();
-    put_opt_chronon(&mut body, wal_floor);
-    put_uvarint(&mut body, images.len() as u64);
-    for (rel_id, image) in images {
-        put_uvarint(&mut body, u64::from(*rel_id));
-        encode_image(&mut body, image);
-    }
-    let mut out = Vec::with_capacity(body.len() + 12);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    let out = encode(wal_floor, images);
     replace_file(disk, path, &out)?;
     Ok(out.len() as u64)
 }
@@ -205,10 +221,10 @@ pub fn decode(bytes: &[u8]) -> StorageResult<Checkpoint> {
         return Err(StorageError::UnsupportedFormat {
             file: "checkpoint",
             found: 1,
-            supported: 2,
+            supported: 3,
         });
     }
-    if bytes.len() < 12 || &bytes[..8] != MAGIC {
+    if bytes.len() < 12 || (&bytes[..8] != MAGIC && &bytes[..8] != MAGIC_V2) {
         return Err(StorageError::Corrupt("bad checkpoint magic".into()));
     }
     let stored = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
@@ -224,10 +240,11 @@ pub fn decode(bytes: &[u8]) -> StorageResult<Checkpoint> {
     let wal_floor = get_opt_chronon(&mut r)?;
     let n = r.get_uvarint()?;
     let mut images = BTreeMap::new();
+    let mut strs = StrDecoder::default();
     for _ in 0..n {
         let rel_id = u32::try_from(r.get_uvarint()?)
             .map_err(|_| StorageError::Corrupt("relation id out of range".into()))?;
-        images.insert(rel_id, decode_image(&mut r)?);
+        images.insert(rel_id, decode_image(&mut r, &mut strs)?);
     }
     if !r.is_exhausted() {
         return Err(StorageError::Corrupt("trailing bytes in checkpoint".into()));
@@ -250,18 +267,22 @@ mod tests {
     fn arb_row() -> impl Strategy<Value = BitemporalRow> {
         (
             0u8..5,
+            0usize..3,
             0i64..50,
             prop::option::of(1i64..30),
             0i64..50,
             prop::option::of(1i64..30),
         )
-            .prop_map(|(name, vfrom, vlen, tfrom, tlen)| {
+            .prop_map(|(name, rank, vfrom, vlen, tfrom, tlen)| {
                 let period = |from: i64, len: Option<i64>| match len {
                     Some(len) => Period::new(Chronon::new(from), Chronon::new(from + len)).unwrap(),
                     None => Period::from_start(Chronon::new(from)),
                 };
+                // A small pool, so that strings repeat within an image
+                // and across images.
+                let ranks = ["assistant", "associate", "n1"];
                 BitemporalRow {
-                    tuple: tuple([format!("n{name}"), "rank".to_string()]),
+                    tuple: tuple([format!("n{name}"), ranks[rank].to_string()]),
                     validity: Validity::Interval(period(vfrom, vlen)),
                     tx: period(tfrom, tlen),
                 }
@@ -275,14 +296,11 @@ mod tests {
         )
     }
 
-    /// The bytes `save` writes for the generated checkpoint, and the
-    /// checkpoint they must load back as.
-    fn written(
-        tag: &str,
+    fn images_of(
         floor: Option<i64>,
         relations: Vec<(u32, Vec<BitemporalRow>)>,
-    ) -> (Vec<u8>, Checkpoint) {
-        let images: BTreeMap<u32, RelationImage> = relations
+    ) -> BTreeMap<u32, RelationImage> {
+        relations
             .into_iter()
             .map(|(rel_id, rows)| {
                 let image = RelationImage {
@@ -292,12 +310,23 @@ mod tests {
                 };
                 (rel_id, image)
             })
-            .collect();
+            .collect()
+    }
+
+    /// The bytes `save` writes for the generated checkpoint, and the
+    /// checkpoint they must load back as.
+    fn written(
+        tag: &str,
+        floor: Option<i64>,
+        relations: Vec<(u32, Vec<BitemporalRow>)>,
+    ) -> (Vec<u8>, Checkpoint) {
+        let images = images_of(floor, relations);
         let path =
             std::env::temp_dir().join(format!("chronos-ckpt-prop-{tag}-{}", std::process::id()));
         let wal_floor = floor.map(Chronon::new);
         save(&Disk::default(), &path, wal_floor, &images).expect("save");
         let bytes = std::fs::read(&path).expect("read back");
+        assert_eq!(bytes, encode(wal_floor, &images));
         assert_eq!(
             same(&load(&path).expect("load").expect("present")),
             (wal_floor, &images)
@@ -316,6 +345,52 @@ mod tests {
 
     fn same(c: &Checkpoint) -> (Option<Chronon>, &BTreeMap<u32, RelationImage>) {
         (c.wal_floor, &c.images)
+    }
+
+    /// `body` under the magic and its own CRC: past the checksum, so
+    /// that decoding reaches the body's structure.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    proptest! {
+        /// encode ∘ decode = id over several images that share strings.
+        #[test]
+        fn checkpoint_round_trips((floor, relations) in arb_checkpoint()) {
+            let images = images_of(floor, relations);
+            let wal_floor = floor.map(Chronon::new);
+            let bytes = encode(wal_floor, &images);
+            let loaded = decode(&bytes).expect("decode");
+            prop_assert_eq!(same(&loaded), (wal_floor, &images));
+            prop_assert_eq!(loaded.len, bytes.len() as u64);
+        }
+
+        /// A body that is truncated, has a byte flipped, or is spliced
+        /// from two encodings, re-framed with a valid CRC, decodes to an
+        /// error or to some checkpoint — never a panic — and a truncated
+        /// one always to an error.
+        #[test]
+        fn checkpoint_decoder_never_panics_on_garbage(
+            (floor, relations) in arb_checkpoint(),
+            (floor2, relations2) in arb_checkpoint(),
+            cut in any::<prop::sample::Index>(),
+            at in any::<prop::sample::Index>(),
+            bit in 0u32..8,
+        ) {
+            let one = encode(floor.map(Chronon::new), &images_of(floor, relations));
+            let two = encode(floor2.map(Chronon::new), &images_of(floor2, relations2));
+            let (one, two) = (&one[12..], &two[12..]);
+            let truncated = &one[..cut.index(one.len())];
+            prop_assert!(decode(&framed(truncated)).is_err(), "cut at {}", truncated.len());
+            let mut flipped = one.to_vec();
+            flipped[at.index(one.len())] ^= 1 << bit;
+            let _ = decode(&framed(&flipped));
+            let spliced = [&one[..at.index(one.len())], &two[cut.index(two.len())..]].concat();
+            let _ = decode(&framed(&spliced));
+        }
     }
 
     proptest! {
@@ -350,12 +425,6 @@ mod tests {
             (floor, relations) in arb_checkpoint(),
             splice in any::<prop::sample::Index>(),
         ) {
-            let framed = |body: &[u8]| {
-                let mut out = MAGIC.to_vec();
-                out.extend_from_slice(&crc32(body).to_le_bytes());
-                out.extend_from_slice(body);
-                out
-            };
             let _ = decode(&body);
             let _ = decode(&framed(&body));
             // Structure-aware: a valid body with garbage spliced into it.
@@ -365,6 +434,81 @@ mod tests {
             spliced.splice(at..at, body.iter().copied());
             let _ = decode(&framed(&spliced));
         }
+    }
+
+    /// The images `no_repeats_bytes` holds: no string in them repeats.
+    fn no_repeats() -> BTreeMap<u32, RelationImage> {
+        let row = |name: &str, rank: &str, validity: Validity, tx: Period| BitemporalRow {
+            tuple: tuple([name, rank]),
+            validity,
+            tx,
+        };
+        let from = |t: i64| Period::from_start(Chronon::new(t));
+        let mut images = BTreeMap::new();
+        images.insert(
+            0,
+            RelationImage {
+                rows: vec![
+                    row(
+                        "Merrie",
+                        "assistant",
+                        from(3).into(),
+                        Period::new(Chronon::new(3), Chronon::new(9)).unwrap(),
+                    ),
+                    row("Tom", "full", Chronon::new(5).into(), from(9)),
+                ],
+                last_commit: Some(Chronon::new(9)),
+                transactions: 2,
+            },
+        );
+        images.insert(
+            3,
+            RelationImage {
+                rows: vec![row("Ilsoo", "history", from(1).into(), from(2))],
+                last_commit: Some(Chronon::new(2)),
+                transactions: 1,
+            },
+        );
+        images
+    }
+
+    /// The format-2 file of [`no_repeats`], as format 2's encoder wrote
+    /// it (hex).
+    const NO_REPEATS_V2: &str = "4348524f4e434b320fba061b01120200011202020200064d6572726965000961\
+        7373697374616e740001060201060112020003546f6d000466756c6c010a0112020301040101020005496c\
+        736f6f0007686973746f727900010202010402";
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        (digits.chunks(2))
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// A file with no repeated string is format 2's bytes under the new
+    /// magic, and a format-2 file still loads, through the same decoder.
+    #[test]
+    fn a_file_without_repeats_is_format_2_under_the_new_magic() {
+        let v2 = unhex(NO_REPEATS_V2);
+        let v3 = encode(Some(Chronon::new(9)), &no_repeats());
+        assert_eq!(&v3[..8], MAGIC);
+        assert_eq!(&v2[..8], MAGIC_V2);
+        assert_eq!(v3[8..], v2[8..]);
+        for bytes in [&v2, &v3] {
+            let loaded = decode(bytes).expect("decode");
+            assert_eq!(same(&loaded), (Some(Chronon::new(9)), &no_repeats()));
+        }
+    }
+
+    /// A string shared by two images is written once in the file.
+    #[test]
+    fn images_share_one_string_table() {
+        let mut images = no_repeats();
+        let tom = images[&0].rows[1].clone();
+        images.get_mut(&3).unwrap().rows.push(tom);
+        let bytes = encode(None, &images);
+        assert_eq!(bytes.windows(3).filter(|w| w == b"Tom").count(), 1);
+        assert_eq!(same(&decode(&bytes).unwrap()), (None, &images));
     }
 
     #[test]
@@ -378,12 +522,12 @@ mod tests {
             StorageError::UnsupportedFormat {
                 file: "checkpoint",
                 found: 1,
-                supported: 2
+                supported: 3
             }
         ));
         assert_eq!(
             err.to_string(),
-            "checkpoint is format version 1; this build reads version 2"
+            "checkpoint is format version 1; this build reads version 3"
         );
     }
 }

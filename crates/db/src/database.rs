@@ -170,7 +170,7 @@ impl Database {
         if let Ok(journal) = EventJournal::open(&disk, &dir.join("events.jsonl")) {
             recorder.set_journal(Arc::new(journal));
         }
-        let mut catalog = Catalog::load(&dir.join("catalog"))?;
+        let mut catalog = Catalog::load_for_writing(&disk, &dir.join("catalog"))?;
         obs.health.mark_catalog_loaded();
         recorder.emit_event(
             "recovery_start",
@@ -178,6 +178,7 @@ impl Database {
         );
         // Start from the checkpoint image when one exists, otherwise
         // from empty stores; either way the log suffix replays on top.
+        let checkpoint_started = std::time::Instant::now();
         let checkpoint = crate::checkpoint::load(&dir.join("checkpoint"))?;
         let checkpoint_len = checkpoint.as_ref().map_or(0, |c| c.len);
         recorder.set_gauge(|m| &m.checkpoint_bytes, checkpoint_len);
@@ -209,7 +210,11 @@ impl Database {
             relations.insert(name.clone(), rel);
             by_id.insert(entry.rel_id, name.clone());
         }
+        let checkpoint_us = micros(checkpoint_started.elapsed());
+        let log_started = std::time::Instant::now();
         let (mut wal, recovered) = Wal::open_recovered(&disk, &dir.join("wal"))?;
+        let log_decode_us = micros(log_started.elapsed());
+        let replay_started = std::time::Instant::now();
         if recovered.torn_bytes > 0 {
             // Graceful degradation, journaled: the torn tail (a crash
             // mid-append) was cut at the last valid record.
@@ -244,19 +249,21 @@ impl Database {
             frames_replayed += 1;
             last_commit = last_commit.max(Some(rec.tx_time));
         }
+        let replay_us = micros(replay_started.elapsed());
         obs.health.mark_wal_recovered();
         recorder.emit_event(
             "recovery",
             &[
                 ("frames_replayed", frames_replayed.into()),
                 // Catalog, checkpoint image and log replay together: what
-                // a restart waited for.
-                (
-                    "elapsed_us",
-                    u64::try_from(started.elapsed().as_micros())
-                        .unwrap_or(u64::MAX)
-                        .into(),
-                ),
+                // a restart waited for.  The three parts below are
+                // disjoint spans inside it: load, decode and restore of
+                // the checkpoint; reading and decoding the log (and
+                // cutting a torn tail); applying its records.
+                ("elapsed_us", micros(started.elapsed()).into()),
+                ("checkpoint_us", checkpoint_us.into()),
+                ("log_decode_us", log_decode_us.into()),
+                ("replay_us", replay_us.into()),
                 ("frames_skipped", frames_skipped.into()),
                 ("truncated_at", recovered.valid_len.into()),
                 ("torn_bytes", recovered.torn_bytes.into()),
@@ -1005,6 +1012,11 @@ impl Drop for Database {
     fn drop(&mut self) {
         self.stop_stats_sampler();
     }
+}
+
+/// Whole microseconds in `d`, saturating.
+fn micros(d: std::time::Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 fn push_stat(stats: &mut Vec<(String, i64)>, name: &str, value: i64) {

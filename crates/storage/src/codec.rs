@@ -6,13 +6,18 @@
 //! * unsigned integers as LEB128 varints;
 //! * signed integers zig-zag folded first;
 //! * strings and byte blobs length-prefixed;
-//! * values, validities and time points tagged with a single type byte.
+//! * values, validities and time points tagged with a single type byte;
+//! * within one section (a checkpoint file, a WAL frame), a repeated
+//!   string as a reference to its first occurrence ([`StrEncoder`]).
 //!
 //! Integrity is provided by [`crc32`], the standard IEEE CRC-32 used to
 //! frame WAL records and page images.  The codec is deliberately written
 //! by hand rather than pulling in a serialization crate: a storage
 //! engine's on-disk format is part of its contract, and the tests here
 //! pin it.
+
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::Arc;
 
 use chronos_core::chronon::Chronon;
 use chronos_core::period::Period;
@@ -27,8 +32,11 @@ use crate::error::{StorageError, StorageResult};
 // CRC-32 (IEEE 802.3, reflected)
 // ---------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the bytewise table, and
+/// `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero bytes,
+/// so one step folds eight input bytes with eight lookups.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -41,19 +49,44 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// IEEE CRC-32 of a byte slice.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let at = |table: &[u32; 256], word: u32, shift: u32| table[((word >> shift) & 0xFF) as usize];
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = at(&t[7], lo, 0)
+            ^ at(&t[6], lo, 8)
+            ^ at(&t[5], lo, 16)
+            ^ at(&t[4], lo, 24)
+            ^ at(&t[3], hi, 0)
+            ^ at(&t[2], hi, 8)
+            ^ at(&t[1], hi, 16)
+            ^ at(&t[0], hi, 24);
+    }
+    for &b in chunks.remainder() {
+        c = at(&t[0], c ^ u32::from(b), 0) ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -183,6 +216,9 @@ const TAG_INT: u8 = 1;
 const TAG_FLOAT: u8 = 2;
 const TAG_BOOL: u8 = 3;
 const TAG_DATE: u8 = 4;
+/// A string already written in the same section, by the index of its
+/// first occurrence (see [`StrEncoder`]).
+const TAG_STR_REF: u8 = 5;
 
 /// Encodes a single value.
 pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
@@ -212,7 +248,12 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
 
 /// Decodes a single value.
 pub fn get_value(r: &mut Reader<'_>) -> StorageResult<Value> {
-    match r.get_u8()? {
+    let tag = r.get_u8()?;
+    value_after_tag(tag, r)
+}
+
+fn value_after_tag(tag: u8, r: &mut Reader<'_>) -> StorageResult<Value> {
+    match tag {
         TAG_STR => Ok(Value::str(r.get_str()?)),
         TAG_INT => Ok(Value::Int(r.get_ivarint()?)),
         TAG_FLOAT => {
@@ -236,17 +277,93 @@ pub fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
     }
 }
 
-/// Decodes a tuple.
-pub fn get_tuple(r: &mut Reader<'_>) -> StorageResult<Tuple> {
+/// Reads a tuple's arity and a vector for its values, reserved by what
+/// the bytes left can hold (every value takes at least two), not by
+/// the untrusted count.
+fn tuple_header(r: &mut Reader<'_>) -> StorageResult<(usize, Vec<Value>)> {
     let n = r.get_uvarint()? as usize;
     if n > 1 << 20 {
         return Err(StorageError::Corrupt(format!("implausible arity {n}")));
     }
-    let mut vals = Vec::with_capacity(n);
+    Ok((n, Vec::with_capacity(n.min(r.remaining() / 2))))
+}
+
+/// Decodes a tuple.
+pub fn get_tuple(r: &mut Reader<'_>) -> StorageResult<Tuple> {
+    let (n, mut vals) = tuple_header(r)?;
     for _ in 0..n {
         vals.push(get_value(r)?);
     }
     Ok(Tuple::new(vals))
+}
+
+/// Writes the tuples of one *section* — a whole checkpoint file, or one
+/// WAL frame — with each distinct string in full once: its first
+/// occurrence is encoded as by [`put_tuple`], and every later one as
+/// `TAG_STR_REF` plus the index of the first (strings are numbered in
+/// the order they are first written).  A section with no repeated
+/// string is byte for byte the [`put_tuple`] encoding.
+#[derive(Debug, Default)]
+pub struct StrEncoder<'a> {
+    index: HashMap<&'a str, u64>,
+}
+
+impl<'a> StrEncoder<'a> {
+    /// Encodes `t` into the section.
+    pub fn put_tuple(&mut self, buf: &mut Vec<u8>, t: &'a Tuple) {
+        put_uvarint(buf, t.arity() as u64);
+        for v in t.values() {
+            let Value::Str(s) = v else {
+                put_value(buf, v);
+                continue;
+            };
+            let next = self.index.len() as u64;
+            match self.index.entry(s) {
+                Entry::Occupied(first) => {
+                    buf.push(TAG_STR_REF);
+                    put_uvarint(buf, *first.get());
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(next);
+                    put_value(buf, v);
+                }
+            }
+        }
+    }
+}
+
+/// Reads the tuples of one section written by a [`StrEncoder`]: every
+/// distinct string becomes one `Arc<str>` that each tuple naming it
+/// shares.  A reference to a string not yet defined is
+/// [`StorageError::Corrupt`].
+#[derive(Debug, Default)]
+pub struct StrDecoder {
+    strings: Vec<Arc<str>>,
+}
+
+impl StrDecoder {
+    /// Decodes the section's next tuple.
+    pub fn get_tuple(&mut self, r: &mut Reader<'_>) -> StorageResult<Tuple> {
+        let (n, mut vals) = tuple_header(r)?;
+        for _ in 0..n {
+            vals.push(match r.get_u8()? {
+                TAG_STR => {
+                    let s: Arc<str> = Arc::from(r.get_str()?);
+                    self.strings.push(Arc::clone(&s));
+                    Value::Str(s)
+                }
+                TAG_STR_REF => {
+                    let i = r.get_uvarint()?;
+                    let s = usize::try_from(i).ok().and_then(|i| self.strings.get(i));
+                    Value::Str(Arc::clone(s.ok_or_else(|| {
+                        r.corrupt(&format!("string {i} referenced before it is defined"))
+                    })?))
+                }
+                tag => value_after_tag(tag, r)?,
+            });
+        }
+        Ok(Tuple::new(vals))
+    }
 }
 
 const TP_MINUS_INF: u8 = 0;
@@ -326,6 +443,81 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"chronos"), crc32(b"chronoS"));
+    }
+
+    /// Slicing-by-8 folds eight bytes at a time; every length and
+    /// alignment agrees with the bytewise definition.
+    #[test]
+    fn crc32_agrees_with_the_bytewise_definition() {
+        let bytewise = |data: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in data {
+                c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            }
+            c ^ 0xFFFF_FFFF
+        };
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 131 + 7) as u8).collect();
+        for from in 0..9 {
+            for to in from..data.len() {
+                assert_eq!(crc32(&data[from..to]), bytewise(&data[from..to]));
+            }
+        }
+    }
+
+    #[test]
+    fn a_section_writes_each_string_once_and_shares_it_on_decode() {
+        let tuples = [
+            tuple(["Merrie", "full"]),
+            tuple(["Tom", "full"]),
+            tuple(["Merrie", "Tom"]),
+        ];
+        let mut buf = Vec::new();
+        let mut enc = StrEncoder::default();
+        for t in &tuples {
+            enc.put_tuple(&mut buf, t);
+        }
+        // `Merrie`, `full` and `Tom` are strings 0, 1 and 2.
+        let lit = |s: &str| [&[TAG_STR, s.len() as u8][..], s.as_bytes()].concat();
+        let want = [
+            vec![2],
+            lit("Merrie"),
+            lit("full"),
+            vec![2],
+            lit("Tom"),
+            vec![TAG_STR_REF, 1],
+            vec![2, TAG_STR_REF, 0, TAG_STR_REF, 2],
+        ]
+        .concat();
+        assert_eq!(buf, want);
+        let mut r = Reader::new(&buf);
+        let mut dec = StrDecoder::default();
+        let got: Vec<Tuple> = (0..3).map(|_| dec.get_tuple(&mut r).unwrap()).collect();
+        assert!(r.is_exhausted());
+        assert_eq!(got, tuples);
+        let (Value::Str(a), Value::Str(b)) = (got[0].get(0), got[2].get(0)) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b), "one Arc per distinct string");
+    }
+
+    #[test]
+    fn a_reference_before_its_definition_is_corrupt() {
+        // One string defined (index 0), then references to 0 and 1.
+        let bytes = [2, TAG_STR, 1, b'a', TAG_STR_REF, 0];
+        let mut dec = StrDecoder::default();
+        assert_eq!(
+            dec.get_tuple(&mut Reader::new(&bytes)).unwrap(),
+            tuple(["a", "a"])
+        );
+        for bytes in [&[1, TAG_STR_REF, 1][..], &[2, TAG_STR, 0, TAG_STR_REF, 1]] {
+            let err = StrDecoder::default()
+                .get_tuple(&mut Reader::new(bytes))
+                .unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("before it is defined"), "{err}");
+        }
+        // Outside a section a reference is just an unknown tag.
+        assert!(get_tuple(&mut Reader::new(&[1, TAG_STR_REF, 0])).is_err());
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //! append-only transaction-time semantics of the paper: the log *is* the
 //! temporal database.
 //!
-//! Frame format: `[len: u32 LE][crc32(payload): u32 LE][payload]`.
+//! Frame format: `[len: u32 LE][crc32(payload): u32 LE][payload]`.  The
+//! payload is the relation id (u32 LE), the commit time (ivarint), the
+//! op count and the tagged ops.  A frame is one string section
+//! ([`StrEncoder`]): a string repeated within the frame is written once
+//! and referenced after that, and no frame refers to another, so every
+//! frame decodes on its own.
 //! Recovery reads frames until the first one that is incomplete, fails
 //! its checksum or does not decode (a torn write from a crash, or a
 //! flipped byte): the records before it replay and the rest is cut off.
@@ -23,7 +28,9 @@ use chronos_core::chronon::Chronon;
 use chronos_core::relation::{HistoricalOp, RowSelector};
 use chronos_obs::{Disk, DiskFile, Recorder};
 
-use crate::codec::{crc32, get_tuple, get_validity, put_tuple, put_uvarint, put_validity, Reader};
+use crate::codec::{
+    crc32, get_validity, put_uvarint, put_validity, Reader, StrDecoder, StrEncoder,
+};
 use crate::error::{StorageError, StorageResult};
 
 /// One committed transaction, as logged.
@@ -41,8 +48,8 @@ const OP_INSERT: u8 = 0;
 const OP_REMOVE: u8 = 1;
 const OP_SET_VALIDITY: u8 = 2;
 
-fn put_selector(buf: &mut Vec<u8>, sel: &RowSelector) {
-    put_tuple(buf, &sel.tuple);
+fn put_selector<'a>(buf: &mut Vec<u8>, strs: &mut StrEncoder<'a>, sel: &'a RowSelector) {
+    strs.put_tuple(buf, &sel.tuple);
     match sel.validity {
         None => buf.push(0),
         Some(v) => {
@@ -52,8 +59,8 @@ fn put_selector(buf: &mut Vec<u8>, sel: &RowSelector) {
     }
 }
 
-fn get_selector(r: &mut Reader<'_>) -> StorageResult<RowSelector> {
-    let tuple = get_tuple(r)?;
+fn get_selector(r: &mut Reader<'_>, strs: &mut StrDecoder) -> StorageResult<RowSelector> {
+    let tuple = strs.get_tuple(r)?;
     let validity = match r.get_u8()? {
         0 => None,
         1 => Some(get_validity(r)?),
@@ -68,20 +75,21 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
     buf.extend_from_slice(&rec.rel_id.to_le_bytes());
     crate::codec::put_ivarint(&mut buf, rec.tx_time.ticks());
     put_uvarint(&mut buf, rec.ops.len() as u64);
+    let mut strs = StrEncoder::default();
     for op in &rec.ops {
         match op {
             HistoricalOp::Insert { tuple, validity } => {
                 buf.push(OP_INSERT);
-                put_tuple(&mut buf, tuple);
+                strs.put_tuple(&mut buf, tuple);
                 put_validity(&mut buf, *validity);
             }
             HistoricalOp::Remove { selector } => {
                 buf.push(OP_REMOVE);
-                put_selector(&mut buf, selector);
+                put_selector(&mut buf, &mut strs, selector);
             }
             HistoricalOp::SetValidity { selector, validity } => {
                 buf.push(OP_SET_VALIDITY);
-                put_selector(&mut buf, selector);
+                put_selector(&mut buf, &mut strs, selector);
                 put_validity(&mut buf, *validity);
             }
         }
@@ -102,18 +110,21 @@ pub fn decode_record(payload: &[u8]) -> StorageResult<WalRecord> {
     if n > 1 << 24 {
         return Err(StorageError::Corrupt(format!("implausible op count {n}")));
     }
-    let mut ops = Vec::with_capacity(n);
+    // The count is untrusted: reserve only what the bytes left can
+    // hold (an op takes at least three).
+    let mut ops = Vec::with_capacity(n.min(r.remaining() / 3));
+    let mut strs = StrDecoder::default();
     for _ in 0..n {
         let op = match r.get_u8()? {
             OP_INSERT => HistoricalOp::Insert {
-                tuple: get_tuple(&mut r)?,
+                tuple: strs.get_tuple(&mut r)?,
                 validity: get_validity(&mut r)?,
             },
             OP_REMOVE => HistoricalOp::Remove {
-                selector: get_selector(&mut r)?,
+                selector: get_selector(&mut r, &mut strs)?,
             },
             OP_SET_VALIDITY => {
-                let selector = get_selector(&mut r)?;
+                let selector = get_selector(&mut r, &mut strs)?;
                 let validity = get_validity(&mut r)?;
                 HistoricalOp::SetValidity { selector, validity }
             }
@@ -420,6 +431,51 @@ mod tests {
             let payload = encode_record(&rec);
             assert_eq!(decode_record(&payload).unwrap(), rec);
         }
+    }
+
+    /// A frame with no repeated string keeps the encoding it had before
+    /// frames shared their strings: these bytes are that encoder's.
+    #[test]
+    fn a_frame_without_repeats_keeps_its_earlier_encoding() {
+        let rec = WalRecord {
+            rel_id: 7,
+            tx_time: Chronon::new(4626),
+            ops: vec![
+                HistoricalOp::remove(RowSelector::tuple(tuple(["Merrie", "associate"]))),
+                HistoricalOp::insert(
+                    tuple(["Tom", "full"]),
+                    Period::from_start(Chronon::new(4625)),
+                ),
+                HistoricalOp::set_validity(
+                    RowSelector::exact(
+                        tuple(["Mike", "assistant"]),
+                        Period::from_start(Chronon::new(80)),
+                    ),
+                    Period::new(Chronon::new(80), Chronon::new(118)).unwrap(),
+                ),
+            ],
+        };
+        let hex: String = (encode_record(&rec).iter())
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "07000000a44803010200064d657272696500096173736f63696174650000020003546f6d00046675\
+             6c6c0001a24802020200044d696b650009617373697374616e74010001a001020001a00101ec01"
+        );
+    }
+
+    #[test]
+    fn a_frame_writes_a_repeated_string_once() {
+        let rec = &sample_records()[1];
+        let payload = encode_record(rec);
+        let merrie = payload.windows(6).filter(|w| w == b"Merrie").count();
+        assert_eq!(merrie, 1, "{payload:?}");
+        assert_eq!(&decode_record(&payload).unwrap(), rec);
+        // A frame stands alone: the same string in the next frame is
+        // written in full again.
+        let next = encode_record(&sample_records()[0]);
+        assert_eq!(next.windows(6).filter(|w| w == b"Merrie").count(), 1);
     }
 
     #[test]

@@ -30,6 +30,52 @@ fn arb_tuple() -> impl Strategy<Value = Tuple> {
     prop::collection::vec(arb_value(), 0..5).prop_map(Tuple::new)
 }
 
+/// A few strings, so that a frame's tuples repeat them.
+const POOL: [&str; 4] = ["Merrie", "full", "", "d07"];
+
+/// Values mostly drawn from [`POOL`]: string references occur.
+fn arb_pooled_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        3 => (0..POOL.len()).prop_map(|i| Value::str(POOL[i])),
+        1 => arb_value(),
+    ]
+}
+
+fn arb_pooled_tuple() -> impl Strategy<Value = Tuple> {
+    prop::collection::vec(arb_pooled_value(), 0..5).prop_map(Tuple::new)
+}
+
+fn arb_selector() -> impl Strategy<Value = RowSelector> {
+    (arb_pooled_tuple(), prop::option::of(arb_validity())).prop_map(|(tuple, validity)| {
+        match validity {
+            Some(v) => RowSelector::exact(tuple, v),
+            None => RowSelector::tuple(tuple),
+        }
+    })
+}
+
+/// One op of each kind, over pooled tuples.
+fn arb_op() -> impl Strategy<Value = HistoricalOp> {
+    prop_oneof![
+        (arb_pooled_tuple(), arb_validity()).prop_map(|(t, v)| HistoricalOp::insert(t, v)),
+        arb_selector().prop_map(HistoricalOp::remove),
+        (arb_selector(), arb_validity()).prop_map(|(s, v)| HistoricalOp::set_validity(s, v)),
+    ]
+}
+
+fn arb_record() -> impl Strategy<Value = WalRecord> {
+    (
+        any::<u32>(),
+        -10_000i64..10_000,
+        prop::collection::vec(arb_op(), 0..6),
+    )
+        .prop_map(|(rel_id, tx, ops)| WalRecord {
+            rel_id,
+            tx_time: Chronon::new(tx),
+            ops,
+        })
+}
+
 fn arb_validity() -> impl Strategy<Value = Validity> {
     prop_oneof![
         (-1000i64..1000, 1i64..500).prop_map(|(a, len)| Validity::Interval(
@@ -58,26 +104,37 @@ proptest! {
         prop_assert_eq!(codec::get_tuple(&mut r).unwrap(), t);
     }
 
+    /// Garbage, and frames that are truncated, have a byte flipped or
+    /// are spliced from two encodings, decode to an error or to some
+    /// record — never a panic — and a truncated frame always to an error.
     #[test]
-    fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..200)) {
+    fn decoder_never_panics_on_garbage(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        one in arb_record(),
+        two in arb_record(),
+        cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        bit in 0u32..8,
+    ) {
         let mut r = codec::Reader::new(&bytes);
         let _ = codec::get_tuple(&mut r); // must not panic
         let mut r = codec::Reader::new(&bytes);
+        let _ = codec::StrDecoder::default().get_tuple(&mut r);
+        let mut r = codec::Reader::new(&bytes);
         let _ = codec::get_validity(&mut r);
         let _ = decode_record(&bytes);
+        let (one, two) = (encode_record(&one), encode_record(&two));
+        let truncated = &one[..cut.index(one.len())];
+        prop_assert!(decode_record(truncated).is_err(), "cut at {}", truncated.len());
+        let mut flipped = one.clone();
+        flipped[at.index(one.len())] ^= 1 << bit;
+        let _ = decode_record(&flipped);
+        let spliced = [&one[..at.index(one.len())], &two[cut.index(two.len())..]].concat();
+        let _ = decode_record(&spliced);
     }
 
     #[test]
-    fn wal_record_round_trips(
-        rel_id in any::<u32>(),
-        tx in -10_000i64..10_000,
-        tuples in prop::collection::vec((arb_tuple(), arb_validity()), 0..6),
-    ) {
-        let ops: Vec<HistoricalOp> = tuples
-            .into_iter()
-            .map(|(t, v)| HistoricalOp::insert(t, v))
-            .collect();
-        let rec = WalRecord { rel_id, tx_time: Chronon::new(tx), ops };
+    fn wal_record_round_trips(rec in arb_record()) {
         prop_assert_eq!(decode_record(&encode_record(&rec)).unwrap(), rec);
     }
 

@@ -576,3 +576,80 @@ fn recovery_is_bounded_by_the_last_checkpoint() {
     drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The files of `dir`, by name, with their bytes.
+fn file_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// `tests/fixtures/format2-db` was written by the last build before
+/// checkpoints and log frames shared their strings, from
+/// `format2-db.tql`: one relation of each class, a checkpoint, and a
+/// log tail of five frames.  `format2-db.answers` is what that build
+/// printed for the reads below.  Today's build inspects it without a
+/// change, opens it, answers the same, and has rewritten its catalog
+/// under the new magic, so the older build refuses the directory by
+/// name from then on.
+#[test]
+fn a_format_2_directory_opens_and_answers_as_its_writer_did() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/format2-db");
+    let before = file_bytes(&fixture);
+    let report = chronos_db::inspect(&fixture).unwrap();
+    assert_eq!(report.exit_code(), 0, "{}", report.human_report());
+    assert_eq!(
+        file_bytes(&fixture),
+        before,
+        "--inspect wrote to the fixture"
+    );
+    assert_eq!(&before[0].1[..8], b"CHRONCAT");
+
+    let dir = temp_dir("format2");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, bytes) in &before {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+    let clock = Arc::new(ManualClock::new(d("09/06/82")));
+    let engine = Engine::start(Database::open(&dir, clock).unwrap());
+    let mut session = engine.session();
+    let mut answers = String::new();
+    for program in [
+        "range of f is faculty retrieve (f.name, f.rank)",
+        r#"retrieve (f.name, f.rank) as of "07/01/81""#,
+        "range of s is staff retrieve (s.name, s.dept)",
+        "range of l is ledger retrieve (l.name, l.dept)",
+        r#"retrieve (l.name, l.dept) as of "01/01/81""#,
+        "range of t is tenure retrieve (t.name, t.rank)",
+    ] {
+        let outcomes = session.run(program).unwrap();
+        answers.push_str(&chronos_db::net::render_outcomes(&outcomes));
+    }
+    assert_eq!(answers, include_str!("fixtures/format2-db.answers"));
+    drop(session);
+    drop(engine);
+    assert_eq!(
+        &std::fs::read(dir.join("catalog")).unwrap()[..8],
+        b"CHRONCA2"
+    );
+
+    // The recovery event splits the restart into its parts.
+    let journal = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
+    let recovery = (journal.lines())
+        .find(|l| l.contains("\"event\": \"recovery\""))
+        .unwrap();
+    assert_eq!(field_u64(recovery, "frames_replayed"), 5, "{recovery}");
+    let parts: u64 = ["checkpoint_us", "log_decode_us", "replay_us"]
+        .iter()
+        .map(|f| field_u64(recovery, f))
+        .sum();
+    assert!(parts <= field_u64(recovery, "elapsed_us"), "{recovery}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

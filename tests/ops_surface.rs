@@ -541,6 +541,9 @@ fn recovery_and_checkpoints_are_journaled_and_commits_are_not() {
     for field in [
         "frames_replayed",
         "elapsed_us",
+        "checkpoint_us",
+        "log_decode_us",
+        "replay_us",
         "frames_skipped",
         "truncated_at",
         "torn_bytes",
@@ -550,6 +553,12 @@ fn recovery_and_checkpoints_are_journaled_and_commits_are_not() {
             "missing {field} in {recovery}"
         );
     }
+    // The three parts are disjoint spans of the whole.
+    let parts: u64 = ["checkpoint_us", "log_decode_us", "replay_us"]
+        .iter()
+        .map(|f| field_u64(recovery, f))
+        .sum();
+    assert!(parts <= field_u64(recovery, "elapsed_us"), "{recovery}");
     // Sequence numbers are strictly increasing down the file.
     let seqs: Vec<u64> = journal.lines().map(|l| field_u64(l, "seq")).collect();
     assert!(seqs.windows(2).all(|w| w[0] < w[1]), "{seqs:?}");

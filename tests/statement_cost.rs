@@ -12,6 +12,12 @@
 //! * `render_outcomes` makes as many allocations for a one-row answer
 //!   as for an eight-row one: cells are formatted into one buffer, not
 //!   one `String` each.
+//!
+//! The allocator also records the largest single request, so that the
+//! decoders of untrusted bytes can be held to [`DECODE_BUDGET`]: a
+//! count read from a crafted WAL frame, checkpoint or catalog — each
+//! with a valid CRC — is refused with a typed error, and reserves no
+//! more than the bytes that follow it can hold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,7 +25,12 @@ use std::sync::Arc;
 
 use chronos_core::calendar::date;
 use chronos_core::clock::ManualClock;
+use chronos_db::catalog::Catalog;
 use chronos_db::{Database, Engine};
+use chronos_storage::codec::{self, crc32, put_uvarint, Reader};
+use chronos_storage::inspect::{scan_wal_bytes, TailState};
+use chronos_storage::wal::decode_record;
+use chronos_storage::StorageError;
 use chronos_tquel::ast::{
     AsOfClause, Operand, Retrieve, Statement, TargetExpr, TexprAst, WhenExpr, WhereExpr,
 };
@@ -30,27 +41,29 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(size: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
 // counting touches only a const-initialised thread-local `Cell`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -68,6 +81,17 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
+
+/// The largest single allocation `f` requests on this thread, and its
+/// result.
+fn largest_request<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    (LARGEST.with(Cell::get), out)
+}
+
+/// The most one decode of a crafted input may request at once.
+const DECODE_BUDGET: usize = 64 * 1024;
 
 /// What `parse_program` may allocate besides the AST's names: the
 /// token vector, the statement vector and the target vector.
@@ -203,4 +227,117 @@ fn rendering_allocates_the_same_for_one_row_and_eight() {
     }
     drop(s);
     engine.shutdown();
+}
+
+/// A WAL payload: relation 0, commit time 0, then `rest` (the op count
+/// and the ops).
+fn wal_payload(rest: &[u8]) -> Vec<u8> {
+    [&[0, 0, 0, 0, 0][..], rest].concat()
+}
+
+/// `bytes` after a uvarint `n`.
+fn counted(n: u64, bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_uvarint(&mut out, n);
+    out.extend_from_slice(bytes);
+    out
+}
+
+/// `body` behind `magic` and its CRC, as checkpoints and catalogs are.
+fn crc_framed(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
+    [&magic[..], &crc32(body).to_le_bytes(), body].concat()
+}
+
+/// Decodes one crafted WAL payload within the budget, as a record and
+/// as a log frame, and returns the record's error.
+fn refuse_frame(payload: &[u8]) -> StorageError {
+    let (largest, decoded) = largest_request(|| decode_record(payload));
+    assert!(
+        largest <= DECODE_BUDGET,
+        "decode_record requested {largest} bytes"
+    );
+    let frame = [
+        &(payload.len() as u32).to_le_bytes()[..],
+        &crc32(payload).to_le_bytes(),
+        payload,
+    ]
+    .concat();
+    let (largest, scan) = largest_request(|| scan_wal_bytes(&frame));
+    assert!(
+        largest <= DECODE_BUDGET,
+        "the log walk requested {largest} bytes"
+    );
+    assert!(
+        matches!(scan.tail, TailState::Corrupt { offset: 0, .. }),
+        "{:?}",
+        scan.tail
+    );
+    decoded.expect_err("a crafted frame decodes")
+}
+
+#[test]
+fn a_crafted_op_count_reserves_only_what_the_frame_holds() {
+    // 2^24 ops promised, one remove of the empty tuple present.
+    let err = refuse_frame(&wal_payload(&counted(1 << 24, &[1, 0, 0])));
+    assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+}
+
+#[test]
+fn a_crafted_arity_reserves_only_what_the_bytes_hold() {
+    // A tuple of 2^20 values with one present: read alone, as a logged
+    // insert, and as a checkpoint row.
+    let tuple = counted(1 << 20, &[1, 2]);
+    let (largest, alone) = largest_request(|| codec::get_tuple(&mut Reader::new(&tuple)));
+    assert!(
+        largest <= DECODE_BUDGET,
+        "get_tuple requested {largest} bytes"
+    );
+    assert!(matches!(alone, Err(StorageError::Corrupt(_))), "{alone:?}");
+
+    let insert = [&[1, 0][..], &tuple].concat();
+    let err = refuse_frame(&wal_payload(&insert));
+    assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+
+    // No floor, one image (relation 0, no commit, no transactions) of
+    // one row; under format 2's magic, which every build since reads.
+    let body = [&[0, 1, 0, 0, 0, 1][..], &tuple].concat();
+    let file = crc_framed(b"CHRONCK2", &body);
+    let (largest, decoded) = largest_request(|| chronos_db::checkpoint::decode(&file));
+    assert!(
+        largest <= DECODE_BUDGET,
+        "checkpoint decode requested {largest} bytes"
+    );
+    assert!(
+        matches!(decoded, Err(StorageError::Corrupt(_))),
+        "{:?}",
+        decoded.map(|c| c.len)
+    );
+}
+
+#[test]
+fn a_crafted_catalog_arity_is_an_error_not_a_reservation() {
+    // One relation `r` (id 0, static, interval) whose schema promises
+    // `arity` attributes and holds one; under the oldest magic, which
+    // every build reads.
+    for arity in [1u64 << 20, 1 << 62] {
+        let body = [
+            &[1, 1, 1, b'r', 0, 0, 0][..],
+            &counted(arity, &[1, b'a', 0]),
+        ]
+        .concat();
+        let path =
+            std::env::temp_dir().join(format!("chronos-cost-catalog-{}", std::process::id()));
+        std::fs::write(&path, crc_framed(b"CHRONCAT", &body)).expect("write");
+        let (largest, loaded) = largest_request(|| Catalog::load(&path));
+        std::fs::remove_file(&path).expect("clean up");
+        assert!(
+            largest <= DECODE_BUDGET,
+            "arity {arity}: requested {largest} bytes"
+        );
+        assert!(
+            matches!(loaded, Err(StorageError::Corrupt(_))),
+            "arity {arity}: {:?}",
+            loaded.map(|c| c.len())
+        );
+    }
 }
