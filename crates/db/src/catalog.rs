@@ -13,7 +13,7 @@
 //! shared strings stops at `bad catalog magic` instead of cutting off a
 //! log it cannot decode.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 
 use chronos_core::schema::{Attribute, RelationClass, Schema, TemporalSignature};
@@ -163,12 +163,29 @@ impl Catalog {
             });
         }
         let mut r = Reader::new(body);
-        let next_rel_id = r.get_uvarint()? as u32;
+        let next_rel_id = r.get_uvarint()?;
+        let next_rel_id = u32::try_from(next_rel_id).map_err(|_| {
+            StorageError::Corrupt(format!("next_rel_id {next_rel_id} does not fit in a u32"))
+        })?;
         let n = r.get_uvarint()? as usize;
         let mut entries = BTreeMap::new();
+        let mut ids = HashSet::new();
         for _ in 0..n {
             let name = r.get_str()?.to_string();
-            let rel_id = r.get_uvarint()? as u32;
+            // An id that does not fit in a u32 is not below it either.
+            let rel_id = r.get_uvarint()?;
+            let rel_id = (u32::try_from(rel_id).ok())
+                .filter(|&id| id < next_rel_id)
+                .ok_or_else(|| {
+                    StorageError::Corrupt(format!(
+                        "relation {name:?}: rel_id {rel_id} is not below next_rel_id {next_rel_id}"
+                    ))
+                })?;
+            if !ids.insert(rel_id) {
+                return Err(StorageError::Corrupt(format!(
+                    "relation {name:?}: rel_id {rel_id} is another relation's too"
+                )));
+            }
             let class = match r.get_u8()? {
                 0 => RelationClass::Static,
                 1 => RelationClass::StaticRollback,
@@ -358,6 +375,52 @@ mod tests {
         let mut path = std::env::temp_dir();
         path.push("chronos-catalog-definitely-missing");
         assert!(Catalog::load(&path).unwrap().is_empty());
+    }
+
+    /// A catalog image with a valid checksum around `body`.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = Catalog::MAGIC.to_vec();
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// An id is a u32: one that does not fit, one another entry holds,
+    /// or one not below `next_rel_id` would alias another relation's
+    /// log frames and image, so the catalog is refused naming it.
+    #[test]
+    fn a_catalog_with_a_bad_rel_id_is_refused_naming_the_entry() {
+        let body = |next: u64, ids: [u64; 2]| {
+            let mut body = Vec::new();
+            put_uvarint(&mut body, next);
+            put_uvarint(&mut body, 2);
+            for (name, id) in [("faculty", ids[0]), ("promotion", ids[1])] {
+                put_bytes(&mut body, name.as_bytes());
+                put_uvarint(&mut body, id);
+                body.extend_from_slice(&[3, 0, 1]);
+                put_bytes(&mut body, b"name");
+                body.push(0);
+            }
+            framed(&body)
+        };
+        assert_eq!(Catalog::decode(&body(2, [0, 1])).unwrap().len(), 2);
+        for (next, ids, named) in [
+            (2, [0, 1 << 32], "\"promotion\": rel_id 4294967296"),
+            (2, [(1 << 32) + 1, 0], "\"faculty\": rel_id 4294967297"),
+            (1 << 32, [0, 1], "next_rel_id 4294967296"),
+            (2, [1, 1], "\"promotion\": rel_id 1 is another"),
+            (
+                2,
+                [0, 2],
+                "\"promotion\": rel_id 2 is not below next_rel_id 2",
+            ),
+        ] {
+            let err = Catalog::decode(&body(next, ids)).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corrupt(m) if m.contains(named)),
+                "{next} {ids:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -403,6 +403,7 @@ mod tests {
         assert_eq!(report.exit_code(), 0);
         let scan = report.wal.as_ref().unwrap();
         assert!(!scan.frames.is_empty());
+        assert!(scan.total_len > scan.valid_len, "a zeroed tail is clean");
         let text = report.human_report();
         assert!(text.contains("verdict: clean"));
         assert!(text.contains("faculty"));
@@ -419,14 +420,15 @@ mod tests {
         let dir = seeded_db("torn");
         let wal_path = dir.join("wal");
         let mut bytes = std::fs::read(&wal_path).unwrap();
-        let torn_at = {
+        let (torn_at, valid_len) = {
             // Recompute the last clean frame boundary so the test knows
             // the offset the doctor must name.
             let scan = chronos_storage::inspect::scan_wal_bytes(&bytes);
             assert!(scan.is_clean());
-            scan.frames.last().unwrap().offset
+            (scan.frames.last().unwrap().offset, scan.valid_len)
         };
-        bytes.truncate(bytes.len() - 3);
+        // Cut into the last frame (the zeroed tail after it goes too).
+        bytes.truncate(valid_len as usize - 3);
         std::fs::write(&wal_path, &bytes).unwrap();
         let before = fingerprint(&dir);
         let report = inspect(&dir).unwrap();

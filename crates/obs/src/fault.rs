@@ -2,11 +2,11 @@
 //! directory goes through one [`Disk`], and so does the fault plan a
 //! test gives it.
 //!
-//! A [`Disk`] performs seven kinds of operation ([`OpKind`]): create,
-//! append, write, sync, rename, sync-dir and truncate.  The WAL,
-//! the checkpoint and catalog replacement, the event journal and the
-//! telemetry spill use nothing else to change a file.  Reads go to the
-//! file system directly: a power cut can lose writes, not reads.
+//! A [`Disk`] performs eight kinds of operation ([`OpKind`]): create,
+//! append, write, write-at, sync, rename, sync-dir and truncate.  The
+//! WAL, the checkpoint and catalog replacement, the event journal and
+//! the telemetry spill use nothing else to change a file.  Reads go to
+//! the file system directly: a power cut can lose writes, not reads.
 //!
 //! The default handle is plain: each call is the system call and one
 //! branch.  [`Disk::recording`] makes a handle that also records every
@@ -24,6 +24,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -37,6 +38,9 @@ pub enum OpKind {
     Append,
     /// Replaces a file's content (created if absent).
     Write,
+    /// Writes bytes at an offset of an open file, growing it if they
+    /// reach past its end.
+    WriteAt,
     /// Flushes a file's data to stable storage.
     Sync,
     /// Renames a file (the fault key is the destination).
@@ -55,6 +59,7 @@ pub enum Op {
     Create(PathBuf),
     Append(PathBuf, Vec<u8>),
     Write(PathBuf, Vec<u8>),
+    WriteAt(PathBuf, u64, Vec<u8>),
     Sync(PathBuf),
     Rename(PathBuf, PathBuf),
     SyncDir(PathBuf),
@@ -68,6 +73,7 @@ impl Op {
             Op::Create(_) => OpKind::Create,
             Op::Append(..) => OpKind::Append,
             Op::Write(..) => OpKind::Write,
+            Op::WriteAt(..) => OpKind::WriteAt,
             Op::Sync(_) => OpKind::Sync,
             Op::Rename(..) => OpKind::Rename,
             Op::SyncDir(_) => OpKind::SyncDir,
@@ -82,6 +88,7 @@ impl Op {
             Op::Create(p)
             | Op::Append(p, _)
             | Op::Write(p, _)
+            | Op::WriteAt(p, ..)
             | Op::Sync(p)
             | Op::SyncDir(p)
             | Op::Truncate(p, _)
@@ -253,13 +260,24 @@ impl Disk {
         }
     }
 
-    /// Opens `path` for appending, creating it empty if absent.
+    /// Opens `path` for [`DiskFile::append`], creating it empty if
+    /// absent.
     pub fn open_append(&self, path: &Path) -> io::Result<DiskFile> {
+        self.open_with(path, OpenOptions::new().append(true))
+    }
+
+    /// Opens `path` for [`DiskFile::write_at`], creating it empty if
+    /// absent.
+    pub fn open(&self, path: &Path) -> io::Result<DiskFile> {
+        self.open_with(path, OpenOptions::new().write(true))
+    }
+
+    fn open_with(&self, path: &Path, options: &mut OpenOptions) -> io::Result<DiskFile> {
         let file = self.run(
             OpKind::Create,
             path,
             || Op::Create(path.to_path_buf()),
-            || OpenOptions::new().append(true).create(true).open(path),
+            || options.create(true).open(path),
         )?;
         Ok(DiskFile {
             file,
@@ -310,8 +328,7 @@ impl Disk {
     }
 }
 
-/// A file a [`Disk`] opened for appending; its writes go through the
-/// same handle.
+/// A file a [`Disk`] opened; its writes go through the same handle.
 pub struct DiskFile {
     file: File,
     path: PathBuf,
@@ -329,7 +346,7 @@ impl DiskFile {
         Ok(self.file.metadata()?.len())
     }
 
-    /// Appends `bytes` (no sync).
+    /// Appends `bytes` (no sync) to a file from [`Disk::open_append`].
     pub fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
         let file = &mut self.file;
         self.disk.run(
@@ -337,6 +354,18 @@ impl DiskFile {
             &self.path,
             || Op::Append(self.path.clone(), bytes.to_vec()),
             || file.write_all(bytes),
+        )
+    }
+
+    /// Writes `bytes` at `offset` (no sync) of a file from
+    /// [`Disk::open`]; the file grows if they reach past its end.
+    pub fn write_at(&mut self, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        let file = &self.file;
+        self.disk.run(
+            OpKind::WriteAt,
+            &self.path,
+            || Op::WriteAt(self.path.clone(), offset, bytes.to_vec()),
+            || file.write_all_at(bytes, offset),
         )
     }
 
@@ -413,6 +442,28 @@ mod tests {
                 Op::Sync(path),
             ],
             "the failed append is not recorded"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_positional_write_lands_in_place_and_is_recorded() {
+        let dir = scratch("write-at");
+        let path = dir.join("log");
+        let disk = Disk::recording();
+        let mut f = disk.open(&path).unwrap();
+        f.write_at(0, b"abc\0\0\0").unwrap();
+        f.write_at(3, b"de").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"abcde\0");
+        disk.inject(Fault::error(OpKind::WriteAt, "log", 1));
+        assert!(f.write_at(5, b"f").is_err());
+        assert_eq!(
+            disk.ops(),
+            [
+                Op::Create(path.clone()),
+                Op::WriteAt(path.clone(), 0, b"abc\0\0\0".to_vec()),
+                Op::WriteAt(path, 3, b"de".to_vec()),
+            ]
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -63,7 +63,8 @@ impl FrameInfo {
 /// Why (and where) the walk stopped before the end of the file.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TailState {
-    /// Every byte belongs to an intact frame.
+    /// Every byte belongs to an intact frame, or to the zeroed tail
+    /// after the last one (see [`walk_frames`]).
     Clean,
     /// The final frame is incomplete: fewer bytes remain at `offset`
     /// than its header (or length field) promises.  The classic
@@ -113,7 +114,8 @@ pub struct WalScan {
     pub frames: Vec<FrameInfo>,
     /// Offset at which the intact prefix ends.
     pub valid_len: u64,
-    /// Total file length in bytes.
+    /// Total file length in bytes; past `valid_len` on a clean log lies
+    /// the zeroed tail.
     pub total_len: u64,
     /// What lies beyond the intact prefix.
     pub tail: TailState,
@@ -152,7 +154,7 @@ impl WalScan {
         out
     }
 
-    /// True iff the whole file is intact frames.
+    /// True iff the whole file is intact frames and the zeroed tail.
     pub fn is_clean(&self) -> bool {
         matches!(self.tail, TailState::Clean)
     }
@@ -185,13 +187,17 @@ fn frame_info(offset: u64, frame_len: u64, rec: &WalRecord) -> FrameInfo {
 /// intact prefix ends and what lies beyond it.  Each payload is checked
 /// and decoded once.  [`Wal::recover`](crate::wal::Wal::recover) keeps
 /// the records; [`scan_wal_bytes`] keeps a [`FrameInfo`] of each.
+///
+/// A remainder of zero bytes only (or none) is the log's clean end: the
+/// tail a [`Wal`](crate::wal::Wal) keeps for its next frames.  A zero
+/// header followed by any other byte is torn or corrupt like any frame.
 pub fn walk_frames(data: &[u8], mut frame: impl FnMut(u64, u64, WalRecord)) -> (u64, TailState) {
     let mut pos = 0usize;
     let tail = loop {
-        let remaining = data.len() - pos;
-        if remaining == 0 {
+        if data[pos..].iter().all(|&b| b == 0) {
             break TailState::Clean;
         }
+        let remaining = data.len() - pos;
         if remaining < 8 {
             break TailState::Torn {
                 offset: pos as u64,
@@ -367,6 +373,57 @@ mod tests {
     }
 
     #[test]
+    fn an_all_zero_remainder_is_the_clean_end() {
+        let data = image(&sample());
+        for zeros in [1, 7, 8, crate::wal::RESERVE] {
+            let mut padded = data.clone();
+            padded.resize(data.len() + zeros, 0);
+            let scan = scan_wal_bytes(&padded);
+            assert_eq!(scan.tail, TailState::Clean, "{zeros} zero bytes");
+            assert_eq!(scan.frames.len(), 3);
+            assert_eq!(scan.valid_len, data.len() as u64);
+            assert_eq!(scan.total_len, padded.len() as u64);
+        }
+    }
+
+    /// A zero header is the clean end only when nothing but zeros
+    /// follows it: one non-zero byte anywhere after it is damage.
+    #[test]
+    fn a_zero_header_before_a_non_zero_byte_is_not_clean() {
+        let data = image(&sample());
+        let valid = data.len() as u64;
+        for at in [3, 8, 100] {
+            let mut damaged = data.clone();
+            damaged.resize(data.len() + 200, 0);
+            damaged[data.len() + at] = 0x01;
+            let scan = scan_wal_bytes(&damaged);
+            assert!(!scan.is_clean(), "a non-zero byte {at} past the frames");
+            assert_eq!(scan.tail.offset(), Some(valid));
+            assert_eq!(scan.tail.bad_bytes(), 200);
+            assert_eq!(scan.frames.len(), 3);
+        }
+    }
+
+    /// A crash mid-write of a frame into the zeroed tail leaves a prefix
+    /// of it and then zeros: the walk cuts at that frame's start.
+    #[test]
+    fn a_frame_torn_inside_the_tail_is_cut_at_its_start() {
+        let recs = sample();
+        let valid = image(&recs[..2]).len();
+        let last = frame_bytes(&recs[2]);
+        for kept in [1, 4, 8, last.len() - 1] {
+            let mut data = image(&recs[..2]);
+            data.extend_from_slice(&last[..kept]);
+            data.resize(valid + crate::wal::RESERVE, 0);
+            let scan = scan_wal_bytes(&data);
+            assert!(!scan.is_clean(), "{kept} bytes of the frame kept");
+            assert_eq!(scan.frames.len(), 2);
+            assert_eq!(scan.valid_len, valid as u64);
+            assert_eq!(scan.tail.offset(), Some(valid as u64));
+        }
+    }
+
+    #[test]
     fn mid_file_byte_flip_is_corrupt_not_torn() {
         let recs = sample();
         let mut data = image(&recs);
@@ -405,7 +462,10 @@ mod tests {
         let recovered = Wal::recover(&path).unwrap();
         assert_eq!(scan.frames.len(), recovered.records.len());
         assert_eq!(scan.valid_len, recovered.valid_len);
+        assert_eq!(scan.valid_len, image(&sample()).len() as u64);
+        assert!(scan.total_len > scan.valid_len, "the zeroed tail follows");
         assert!(scan.is_clean());
+        assert_eq!(recovered.torn_bytes, 0);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -14,10 +14,17 @@
 //! ([`StrEncoder`]): a string repeated within the frame is written once
 //! and referenced after that, and no frame refers to another, so every
 //! frame decodes on its own.
-//! Recovery reads frames until the first one that is incomplete, fails
-//! its checksum or does not decode (a torn write from a crash, or a
-//! flipped byte): the records before it replay and the rest is cut off.
-//! Framing is lost past a bad frame, so nothing after it is trusted.
+//!
+//! Frames are append-only; the file is not.  It ends in a zeroed tail
+//! of up to [`RESERVE`] bytes, and the next frame is written in place
+//! at the start of it, so most commits sync data without growing the
+//! file.  A frame that does not fit is written together with a fresh
+//! tail.  Recovery reads frames until the first one that is incomplete,
+//! fails its checksum or does not decode (a torn write from a crash, or
+//! a flipped byte): the records before it replay and the rest is cut
+//! off — unless the rest is all zero bytes, which is the tail, the
+//! log's clean end.  Framing is lost past a bad frame, so nothing after
+//! it is trusted.
 //!
 //! Every write goes through the database's [`Disk`].
 
@@ -145,6 +152,12 @@ pub fn decode_record(payload: &[u8]) -> StorageResult<WalRecord> {
     })
 }
 
+/// Zero bytes written after a frame that grows the log, so that the
+/// frames after it are written in place, inside the file (a sync that
+/// changes no file size flushes data only).  About one small commit in
+/// eight grows the file.
+pub const RESERVE: usize = 512;
+
 /// The result of reading a log: the valid records, plus how many bytes of
 /// torn tail (if any) were ignored.
 #[derive(Debug)]
@@ -153,11 +166,13 @@ pub struct Recovered {
     pub records: Vec<WalRecord>,
     /// Offset at which the valid prefix ends.
     pub valid_len: u64,
-    /// Bytes of unusable tail beyond `valid_len`.
+    /// Bytes of unusable tail beyond `valid_len` (0 when only the
+    /// zeroed tail follows it).
     pub torn_bytes: u64,
 }
 
-/// An append-only write-ahead log.
+/// A write-ahead log: its frames are append-only, and the file keeps a
+/// zeroed tail past them (see the module docs).
 pub struct Wal {
     file: DiskFile,
     recorder: Arc<Recorder>,
@@ -172,6 +187,8 @@ pub struct Wal {
     /// boundary rather than `synced_len` so one bad append in a batch
     /// cannot erase its already-staged siblings.
     logical_len: u64,
+    /// The file's length: `logical_len` plus the zeroed tail.
+    physical_len: u64,
     /// How many times this handle has truncated the log (rollback of a
     /// failed apply via [`Wal::truncate_to`], or a post-checkpoint
     /// [`Wal::reset`]).  Surfaced by `sys$wal`.
@@ -186,32 +203,34 @@ impl Wal {
         Self::open_on(&Disk::default(), path)
     }
 
-    /// [`open`](Self::open), writing through `disk`.
+    /// [`open_recovered`](Self::open_recovered), keeping the handle only:
+    /// its next frame goes right after the last intact one.
     pub fn open_on(disk: &Disk, path: &Path) -> StorageResult<Wal> {
-        let file = disk.open_append(path)?;
-        let synced_len = file.size()?;
-        Ok(Wal {
-            file,
-            recorder: Arc::new(Recorder::disabled()),
-            synced_len,
-            logical_len: synced_len,
-            truncations: 0,
-            last_truncation_bytes: 0,
-        })
+        Ok(Self::open_recovered(disk, path)?.0)
     }
 
     /// Opens the log at `path` for recovery: reads it once, cuts a torn
-    /// tail off (synced, so appends never land after garbage), and
-    /// returns the handle with every intact record.
+    /// tail off (synced, so frames never land after garbage), and
+    /// returns the handle with every intact record.  A zeroed tail is
+    /// kept.
     pub fn open_recovered(disk: &Disk, path: &Path) -> StorageResult<(Wal, Recovered)> {
         let recovered = Self::recover(path)?;
-        let mut wal = Self::open_on(disk, path)?;
+        let mut file = disk.open(path)?;
+        let mut physical_len = file.size()?;
         if recovered.torn_bytes > 0 {
-            wal.file.truncate(recovered.valid_len)?;
-            wal.file.sync()?;
-            wal.synced_len = recovered.valid_len;
-            wal.logical_len = recovered.valid_len;
+            file.truncate(recovered.valid_len)?;
+            file.sync()?;
+            physical_len = recovered.valid_len;
         }
+        let wal = Wal {
+            file,
+            recorder: Arc::new(Recorder::disabled()),
+            synced_len: recovered.valid_len,
+            logical_len: recovered.valid_len,
+            physical_len,
+            truncations: 0,
+            last_truncation_bytes: 0,
+        };
         Ok((wal, recovered))
     }
 
@@ -235,7 +254,9 @@ impl Wal {
 
     /// Appends one record (framed and checksummed) **without** syncing:
     /// the frame is staged until the next [`Wal::group_sync`] makes the
-    /// whole batch durable under a single fsync (group commit).
+    /// whole batch durable under a single fsync (group commit).  It is
+    /// written in place inside the zeroed tail, or, when it does not
+    /// fit there, with a new [`RESERVE`] of zeros after it.
     ///
     /// On error the file is rolled back to the end of the last intact
     /// frame — which may itself still be staged — so a failed append
@@ -249,11 +270,16 @@ impl Wal {
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
-        if let Err(e) = self.file.append(&frame) {
+        let end = restore + frame.len() as u64;
+        if end > self.physical_len {
+            frame.resize(frame.len() + RESERVE, 0);
+        }
+        if let Err(e) = self.file.write_at(restore, &frame) {
             self.roll_back_to(restore);
             return Err(e.into());
         }
-        self.logical_len += frame.len() as u64;
+        self.logical_len = end;
+        self.physical_len = self.physical_len.max(restore + frame.len() as u64);
         self.recorder.count(|m| &m.wal_appends);
         Ok(())
     }
@@ -264,6 +290,7 @@ impl Wal {
         let _ = self.file.truncate(len);
         let _ = self.file.sync();
         self.logical_len = len;
+        self.physical_len = len;
     }
 
     /// Makes every staged frame durable under one fsync.  A no-op (no
@@ -335,15 +362,15 @@ impl Wal {
             Err(e) => return Err(e.into()),
         };
         let mut records = Vec::new();
-        let (valid_len, _) = crate::inspect::walk_frames(&data, |_, _, rec| records.push(rec));
+        let (valid_len, tail) = crate::inspect::walk_frames(&data, |_, _, rec| records.push(rec));
         Ok(Recovered {
             records,
             valid_len,
-            torn_bytes: data.len() as u64 - valid_len,
+            torn_bytes: tail.bad_bytes(),
         })
     }
 
-    /// Current log size in bytes.
+    /// Current file size in bytes, the zeroed tail included.
     pub fn len(&self) -> StorageResult<u64> {
         Ok(self.file.size()?)
     }
@@ -363,6 +390,7 @@ impl Wal {
         self.note_truncation(self.logical_len.saturating_sub(len));
         self.synced_len = self.synced_len.min(len);
         self.logical_len = len;
+        self.physical_len = len;
         self.file.sync()?;
         Ok(())
     }
@@ -380,7 +408,7 @@ mod tests {
     use chronos_core::period::Period;
     use chronos_core::tuple::tuple;
     use chronos_obs::fault::{file_name, Fault, OpKind};
-    use std::io::Write;
+    use std::os::unix::fs::FileExt;
     use std::path::PathBuf;
 
     fn temp_wal(name: &str) -> PathBuf {
@@ -506,25 +534,74 @@ mod tests {
         for rec in sample_records() {
             wal.append(&rec).unwrap();
         }
-        let full_len = wal.len().unwrap();
+        let full_len = wal.logical_len();
+        let file_len = wal.len().unwrap();
+        assert!(file_len > full_len, "the log keeps a zeroed tail");
         drop(wal);
-        // Simulate a crash mid-append: write a partial frame.
-        {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            f.write_all(&[0x55, 0x02, 0x00, 0x00, 0xAA]).unwrap();
-        }
+        // Simulate a crash mid-append: a partial frame where the next
+        // one goes, inside the zeroed tail.
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .write_all_at(&[0x55, 0x02, 0x00, 0x00, 0xAA], full_len)
+            .unwrap();
         let rec = Wal::recover(&path).unwrap();
         assert_eq!(rec.records.len(), 3);
         assert_eq!(rec.valid_len, full_len);
-        assert_eq!(rec.torn_bytes, 5);
+        assert_eq!(rec.torn_bytes, file_len - full_len);
         let (mut wal, rec) = Wal::open_recovered(&Disk::default(), &path).unwrap();
         assert_eq!(rec.records.len(), 3);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), full_len);
         // Appends land right after the last intact frame.
         wal.append(&sample_records()[0]).unwrap();
+        assert_eq!(Wal::recover(&path).unwrap().records.len(), 4);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A frame is written in place inside the zeroed tail; one that does
+    /// not fit grows the file by itself plus a new [`RESERVE`].  Recovery
+    /// keeps the tail, and the handle that reopens it writes into it.
+    #[test]
+    fn frames_fill_the_zeroed_tail_before_the_file_grows() {
+        let path = temp_wal("tail");
+        let disk = Disk::recording();
+        let mut wal = Wal::open_on(&disk, &path).unwrap();
+        let recs = sample_records();
+        let mut ends = Vec::new();
+        for rec in &recs {
+            wal.append(rec).unwrap();
+            ends.push(wal.logical_len());
+        }
+        let first = ends[0] as usize;
+        assert_eq!(wal.len().unwrap(), (first + RESERVE) as u64);
+        let writes: Vec<(u64, usize)> = (disk.ops().into_iter())
+            .filter_map(|op| match op {
+                chronos_obs::fault::Op::WriteAt(_, at, bytes) => Some((at, bytes.len())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            writes,
+            [
+                (0, first + RESERVE),
+                (ends[0], (ends[1] - ends[0]) as usize),
+                (ends[1], (ends[2] - ends[1]) as usize),
+            ]
+        );
+        drop(wal);
+        let (mut wal, rec) = Wal::open_recovered(&Disk::default(), &path).unwrap();
+        assert_eq!(
+            (rec.records, rec.valid_len, rec.torn_bytes),
+            (recs.clone(), ends[2], 0)
+        );
+        assert_eq!(
+            wal.len().unwrap(),
+            (first + RESERVE) as u64,
+            "the tail is kept"
+        );
+        wal.append(&recs[0]).unwrap();
+        assert_eq!(wal.len().unwrap(), (first + RESERVE) as u64);
         assert_eq!(Wal::recover(&path).unwrap().records.len(), 4);
         std::fs::remove_file(&path).unwrap();
     }
@@ -570,13 +647,14 @@ mod tests {
         assert_eq!(Wal::recover(&path).unwrap().records, recs);
 
         // A failed group fsync must drop exactly the staged batch.
-        let synced = wal.len().unwrap();
+        let synced = wal.synced_len();
         wal.append_no_sync(&recs[0]).unwrap();
         wal.append_no_sync(&recs[1]).unwrap();
         disk.inject(Fault::error(OpKind::Sync, file_name(&path), 1));
         let err = wal.group_sync().unwrap_err();
         assert!(err.to_string().contains("injected fault: Sync"), "{err}");
-        // The staged batch is gone; the fsynced prefix survives.
+        // The staged batch is gone, with the zeroed tail; the fsynced
+        // prefix survives.
         assert_eq!(wal.pending_bytes(), 0);
         assert_eq!(wal.len().unwrap(), synced);
         assert_eq!(Wal::recover(&path).unwrap().records, recs);
@@ -617,7 +695,7 @@ mod tests {
         assert!(wal.reset().is_err());
         assert_eq!((wal.logical_len(), wal.len().unwrap()), (0, 0));
         wal.append(&recs[1]).unwrap();
-        disk.inject(Fault::error(OpKind::Append, file_name(&path), 1));
+        disk.inject(Fault::error(OpKind::WriteAt, file_name(&path), 1));
         assert!(wal.append(&recs[2]).is_err());
         assert_eq!(wal.len().unwrap(), wal.logical_len());
         assert_eq!(Wal::recover(&path).unwrap().records, &recs[1..2]);

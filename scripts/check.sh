@@ -496,8 +496,14 @@ grep -q 'verdict: clean' <<<"$inspect_out" \
 # 4. A torn WAL tail: the doctor diagnoses it (exit 2, offset named,
 #    file unmodified), then recovery degrades gracefully AND the
 #    degradation is journaled as a wal_truncated event.
-wal_len=$(wc -c < "$neg_dir/db/wal")
-truncate -s $((wal_len - 3)) "$neg_dir/db/wal"
+#    The frames end before the file does (a zeroed tail follows them),
+#    so the cut goes 3 bytes into the last frame, located from the
+#    JSONL dump: its offset plus its length is where the frames end.
+frames_end=$(./target/release/chronos --inspect-json "$neg_dir/db" \
+  | sed -n 's/^{"offset": \([0-9]*\), "len": \([0-9]*\),.*/\1 + \2/p' | tail -n 1)
+[ -n "$frames_end" ] || die "inspect smoke: no frame in the JSONL dump"
+cut_at=$(( frames_end - 3 ))
+truncate -s "$cut_at" "$neg_dir/db/wal"
 if inspect_out=$(./target/release/chronos --inspect "$neg_dir/db"); then
   die "inspect smoke: torn WAL inspected clean" "$inspect_out"
 fi
@@ -505,7 +511,7 @@ grep -q 'torn tail' <<<"$inspect_out" \
   || die "inspect smoke: torn-tail diagnosis missing" "$inspect_out"
 grep -q 'at offset' <<<"$inspect_out" \
   || die "inspect smoke: torn-tail offset missing" "$inspect_out"
-[ "$(wc -c < "$neg_dir/db/wal")" -eq $((wal_len - 3)) ] \
+[ "$(wc -c < "$neg_dir/db/wal")" -eq "$cut_at" ] \
   || die "inspect smoke: the doctor mutated the WAL"
 ./target/release/chronos --batch "$neg_dir/db" </dev/null >/dev/null 2>&1 \
   || die "negative: torn WAL tail must degrade gracefully, not fail"

@@ -10,7 +10,10 @@ use chronos_core::calendar::date;
 use chronos_core::chronon::Chronon;
 use chronos_core::clock::ManualClock;
 use chronos_core::relation::temporal::TemporalStore as _;
-use chronos_db::{Database, Engine};
+use chronos_db::{Database, Engine, ObsBootstrap};
+use chronos_obs::fault::{file_name, Op};
+use chronos_obs::Disk;
+use chronos_storage::inspect::{scan_wal, scan_wal_bytes};
 
 fn d(s: &str) -> Chronon {
     date(s).unwrap()
@@ -104,6 +107,61 @@ fn new_commits_after_reopen_stay_append_only() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every acknowledged commit waits for one sync of the log.  Its frame
+/// is written in place, inside the zeroed tail the log keeps, so most
+/// of those syncs flush data and change no file size: of 64
+/// single-statement commits after a checkpoint, at most 12 grow the log.
+#[test]
+fn most_commits_write_their_frame_inside_the_log() {
+    let dir = temp_dir("in-place");
+    let clock = Arc::new(ManualClock::new(d("01/01/80")));
+    let disk = Disk::recording();
+    let db = Database::open_with_disk(&dir, clock.clone(), &ObsBootstrap::new(), disk.clone());
+    let engine = Engine::start(db.unwrap());
+    let mut session = engine.session();
+    session
+        .run("create faculty (name = str, rank = str) as temporal")
+        .unwrap();
+    session
+        .run(r#"append to faculty (name = "Merrie", rank = "associate")"#)
+        .unwrap();
+    engine.checkpoint().unwrap();
+    let from = disk.op_count();
+    for i in 0..64 {
+        clock.tick(1);
+        session
+            .run(&format!(
+                r#"append to faculty (name = "k{i}", rank = "assistant")"#
+            ))
+            .unwrap();
+    }
+    let (mut len, mut syncs, mut grew, mut inside) = (0, 0, 0, 0);
+    for op in disk.ops().iter().skip(from) {
+        if file_name(op.path()) != "wal" {
+            continue;
+        }
+        match op {
+            Op::Sync(_) => syncs += 1,
+            Op::Append(_, bytes) => {
+                len += bytes.len() as u64;
+                grew += 1;
+            }
+            Op::WriteAt(_, at, bytes) if at + bytes.len() as u64 > len => {
+                len = at + bytes.len() as u64;
+                grew += 1;
+            }
+            Op::WriteAt(..) => inside += 1,
+            other => panic!("a commit did {other:?}"),
+        }
+    }
+    assert_eq!(syncs, 64, "one log sync per commit");
+    assert_eq!(grew + inside, 64, "one log write per commit");
+    assert!(grew <= 12, "{grew} of 64 log writes grew the file");
+    assert_eq!(std::fs::metadata(dir.join("wal")).unwrap().len(), len);
+    drop((session, engine));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn torn_wal_tail_is_truncated_on_open() {
     let dir = temp_dir("torn");
@@ -131,9 +189,10 @@ fn truncation_mid_record_recovers_and_journals_wal_truncated() {
     let dir = temp_dir("midrec");
     populated(&dir);
     // Cut the log mid-way through its *last* record: a crash during the
-    // final append, torn at an arbitrary byte.
+    // final append, torn at an arbitrary byte.  The frames end before
+    // the file does: past them lies the zeroed tail.
     let wal_path = dir.join("wal");
-    let len = std::fs::metadata(&wal_path).unwrap().len();
+    let len = scan_wal(&wal_path).unwrap().valid_len;
     let f = std::fs::OpenOptions::new()
         .write(true)
         .open(&wal_path)
@@ -164,17 +223,11 @@ fn truncation_mid_record_recovers_and_journals_wal_truncated() {
 fn checksum_flip_in_last_record_recovers_and_journals_wal_truncated() {
     let dir = temp_dir("crcflip");
     populated(&dir);
-    // Walk the `[len][crc][payload]` framing to the last record and
-    // flip one byte of its stored checksum (bit-rot on the crc itself).
+    // Find the last record with the walker and flip one byte of its
+    // stored checksum (bit-rot on the crc itself).
     let wal_path = dir.join("wal");
     let mut bytes = std::fs::read(&wal_path).unwrap();
-    let mut offset = 0usize;
-    let mut last = 0usize;
-    while offset + 8 <= bytes.len() {
-        last = offset;
-        let frame_len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        offset += 8 + frame_len;
-    }
+    let last = scan_wal_bytes(&bytes).frames.last().unwrap().offset as usize;
     bytes[last + 4] ^= 0xFF;
     std::fs::write(&wal_path, &bytes).unwrap();
     let clock = Arc::new(ManualClock::new(d("01/01/81")));
@@ -473,6 +526,8 @@ fn recovery_is_bounded_by_the_last_checkpoint() {
     const REPLACES: usize = 2_000;
     let dir = temp_dir("bounded");
     let len = |file: &str| std::fs::metadata(dir.join(file)).map_or(0, |m| m.len());
+    // The log's frames, without the zeroed tail after them.
+    let frames = || scan_wal(&dir.join("wal")).unwrap().valid_len;
     let clock = Arc::new(ManualClock::new(d("01/01/80")));
     let engine = Engine::start(Database::open(&dir, clock.clone()).unwrap());
     engine
@@ -487,7 +542,7 @@ fn recovery_is_bounded_by_the_last_checkpoint() {
             .unwrap();
     }
     let mut session = engine.session();
-    let mut wal_before = len("wal");
+    let mut wal_before = frames();
     for i in 0..REPLACES {
         clock.tick(1);
         session
@@ -498,7 +553,7 @@ fn recovery_is_bounded_by_the_last_checkpoint() {
             .unwrap();
         // Under the read lock the writer is between groups, so the log
         // and the checkpoint are read as one state.
-        let (wal, checkpoint) = engine.with_db(|_| (len("wal"), len("checkpoint")));
+        let (wal, checkpoint) = engine.with_db(|_| (frames(), len("checkpoint")));
         // The frames of this commit's group, unless a checkpoint since
         // emptied the log.
         let group = wal.saturating_sub(wal_before);
@@ -531,7 +586,7 @@ fn recovery_is_bounded_by_the_last_checkpoint() {
     // group's policy check before it stopped.
     drop(session);
     drop(engine);
-    let (wal, checkpoint) = (len("wal"), len("checkpoint"));
+    let (wal, checkpoint) = (frames(), len("checkpoint"));
     assert!(wal <= FLOOR.max(checkpoint), "log {wal} B at close");
     // Amortized: the checkpoints wrote at most twice the log bytes
     // appended (the ones they truncated plus the log left over).

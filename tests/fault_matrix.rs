@@ -5,7 +5,8 @@
 //! below replays that log into every disk state a power cut may leave
 //! after each operation (POSIX's promises and no more):
 //!
-//! * unsynced appends are dropped, or torn at a prefix;
+//! * unsynced writes (appends and positional writes) are dropped from
+//!   some point on, and the first one dropped may be torn at a prefix;
 //! * a truncate or a whole-file write is lost unless its file was
 //!   synced after it;
 //! * a creation or rename is lost unless its directory was synced
@@ -54,45 +55,67 @@ struct Inode {
     /// A truncate or whole-file write since the last sync: a cut may
     /// undo it and keep `synced` whole.
     rewritten: bool,
-    /// Lengths a cut may leave `data` at, past the last rewrite: each
-    /// unsynced append dropped, or torn halfway.
-    cuts: Vec<usize>,
+    /// The content at the last sync or rewrite, and the writes since,
+    /// as `(offset, bytes)` in order: a cut keeps `base` with a prefix
+    /// of them, the first one it drops perhaps torn halfway.
+    base: Vec<u8>,
+    writes: Vec<(usize, Vec<u8>)>,
+}
+
+/// Writes `bytes` at `at`, growing `data` (zero-filled) to reach it.
+fn put(data: &mut Vec<u8>, at: usize, bytes: &[u8]) {
+    let end = at + bytes.len();
+    if data.len() < end {
+        data.resize(end, 0);
+    }
+    data[at..end].copy_from_slice(bytes);
 }
 
 impl Inode {
+    fn write_at(&mut self, at: usize, bytes: &[u8]) {
+        put(&mut self.data, at, bytes);
+        self.writes.push((at, bytes.to_vec()));
+    }
+
     fn append(&mut self, bytes: &[u8]) {
-        let at = self.data.len();
-        self.cuts.extend([at, at + bytes.len() / 2]);
-        self.data.extend_from_slice(bytes);
+        self.write_at(self.data.len(), bytes);
     }
 
     fn rewrite(&mut self, len: usize) {
         self.data.truncate(len);
         self.rewritten = true;
-        self.cuts.clear();
+        self.base = self.data.clone();
+        self.writes.clear();
     }
 
     fn sync(&mut self) {
         self.synced = self.data.clone();
         self.rewritten = false;
-        self.cuts.clear();
+        self.base = self.data.clone();
+        self.writes.clear();
     }
 
     /// What a cut may leave; a diagnostic file (the journal) only
     /// whole or at its shortest, to keep the product small.
-    fn candidates(&self, diagnostic: bool) -> Vec<&[u8]> {
-        let mut all: Vec<&[u8]> = self.cuts.iter().map(|&n| &self.data[..n]).collect();
-        all.push(&self.data);
+    fn candidates(&self, diagnostic: bool) -> Vec<Vec<u8>> {
+        let mut all = vec![self.base.clone(), self.data.clone()];
         if self.rewritten {
-            all.push(&self.synced);
+            all.push(self.synced.clone());
+        }
+        if diagnostic {
+            let shortest = (all.iter().min_by_key(|c| c.len())).expect("data is one");
+            all = vec![shortest.clone(), self.data.clone()];
+        } else {
+            let mut kept = self.base.clone();
+            for (at, bytes) in &self.writes {
+                let mut torn = kept.clone();
+                put(&mut torn, *at, &bytes[..bytes.len() / 2]);
+                all.extend([kept.clone(), torn]);
+                put(&mut kept, *at, bytes);
+            }
         }
         all.sort();
         all.dedup();
-        if diagnostic {
-            let shortest = *all.iter().min_by_key(|c| c.len()).expect("data is one");
-            all = vec![shortest, &self.data];
-            all.dedup();
-        }
         all
     }
 }
@@ -164,6 +187,7 @@ impl Model {
                 self.inode(p);
             }
             Op::Append(p, bytes) => self.inode(p).append(bytes),
+            Op::WriteAt(p, at, bytes) => self.inode(p).write_at(*at as usize, bytes),
             Op::Write(p, bytes) => {
                 let inode = self.inode(p);
                 inode.rewrite(0);
@@ -653,7 +677,7 @@ fn every_site_unwinds_gracefully() {
     let mut faults: Vec<(Fault, bool)> = (rows.iter())
         .map(|((kind, file, prev), hits)| {
             let group_sync =
-                *kind == OpKind::Sync && file == "wal" && *prev == Some(OpKind::Append);
+                *kind == OpKind::Sync && file == "wal" && *prev == Some(OpKind::WriteAt);
             (Fault::error(*kind, file, hits[hits.len() / 2]), group_sync)
         })
         .collect();
@@ -871,7 +895,7 @@ fn a_commit_that_fails_while_applied_leaves_index_and_heap_agreeing() {
             table.scan_rows().expect("heap"),
             table.current_rows().expect("image"),
             table.transactions(),
-            std::fs::metadata(dir.join("wal")).expect("wal").len(),
+            Wal::recover(&dir.join("wal")).expect("wal").valid_len,
         )
     };
     for class in CLASSES {
